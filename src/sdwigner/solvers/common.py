@@ -1,17 +1,20 @@
-"""Shared solver plumbing: configuration, stencils, ladders, stepping, observables.
+"""Shared solver plumbing: configuration, stencils, banded momentum operators,
+stepping, observables.
 
 Conventions used by every solver in this package:
   state arrays carry momentum axes first, spatial axes last (WignerState layout);
   momentum-offset sums treat indices beyond the lattice as zeros (bounded-state
   premise), independent of the spatial boundary policy;
-  harmonic sums accumulate each +m with its -m partner before moving to the
-  next offset, preserving the conditional-convergence ordering of the series.
+  on the finite lattice every momentum-offset sum is a finite sum, so the
+  deterministic routes apply each one as a banded Toeplitz matrix along its
+  momentum axis; the order in which the offsets are added changes only
+  rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from ..transform import WignerState
 
 
 class SolverInstabilityError(RuntimeError):
-    """Norm blew up by more than 10x over a single step."""
+    """A step left a non-finite state or grew the norm more than 10x."""
 
 
 class FredholmConvergenceError(RuntimeError):
@@ -89,9 +92,6 @@ class SolverConfig:
         # the default half-range keeps the pair sum inside the stored lattice
         n = grid.n_p[axis]
         return n if self.m_truncation is None else min(self.m_truncation, 2 * n)
-
-
-DEFAULT_CONFIG_KWARGS = dict(stencil_order=2, boundary="zero")
 
 
 def _values(f) -> np.ndarray:
@@ -184,18 +184,113 @@ def box_offset_sum(values: np.ndarray, axis: int, m_max: int) -> np.ndarray:
     return out
 
 
+def band_matrix(n: int, coeffs, parity: int, centre: float = 0.0) -> np.ndarray:
+    """n x n Toeplitz matrix T of a momentum-offset sum along one lattice axis.
+
+    (T v)[i] = centre v[i] + sum_m coeffs[m - 1] (v[i - m] + parity v[i + m])
+    over m = 1, 2, ...  Entries past the lattice edge are zero-filled, and an
+    offset m >= n touches nothing, so coefficients beyond n - 1 are dropped.
+    parity -1 gives the odd pair sums (harmonic ladder, first difference),
+    +1 the even ones (quadratic ladder, box sum, second difference).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)[:n - 1]
+    k = len(coeffs)
+    taps = np.zeros(2 * n - 1)       # taps[n - 1 + d] weighs v[i - d]
+    taps[n - 1] = centre
+    taps[n:n + k] = coeffs
+    taps[n - 1 - k:n - 1] = parity * coeffs[::-1]
+    return taps[n - 1 + np.subtract.outer(np.arange(n), np.arange(n))]
+
+
+def apply_along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
+    """out[..., i, ...] = sum_j matrix[i, j] values[..., j, ...] on one array axis.
+
+    One matmul over values viewed as (before, n, after); the result keeps the
+    layout of `values` and is contiguous, with no axis moved.
+    """
+    shape = values.shape
+    lead = int(np.prod(shape[:axis], dtype=int))
+    return (matrix @ values.reshape(lead, shape[axis], -1)).reshape(shape)
+
+
+def spatial_gradients(values: np.ndarray, grid: PhaseSpaceGrid,
+                      order: int = 2, boundary: str = "zero") -> list:
+    """Central-difference derivative along every spatial axis, in axis order."""
+    return [spatial_derivative(values, grid, ax, order, boundary) for ax in range(grid.dim)]
+
+
 def advection_term(values: np.ndarray, grid: PhaseSpaceGrid,
                    order: int = 2, boundary: str = "zero",
-                   constants: Optional[PhysicalConstants] = None) -> np.ndarray:
-    """-(P_M / m) . spatial gradient of f, broadcast over the momentum lattice."""
+                   constants: Optional[PhysicalConstants] = None,
+                   gradients: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+    """-(P_M / m) . spatial gradient of f, broadcast over the momentum lattice.
+
+    `gradients` passes derivatives already taken by `spatial_gradients` with
+    the same order and boundary, so a caller that needs them too takes them
+    once.  Without it each derivative is taken and dropped in turn, which
+    keeps one fewer state-sized array alive.
+    """
     c = constants or grid.constants
     out = np.zeros_like(values)
     for ax in range(grid.dim):
         v = grid.p_axes[ax] / c.mass
         shape = [1] * values.ndim
         shape[ax] = len(v)
-        out -= v.reshape(shape) * spatial_derivative(values, grid, ax, order, boundary)
+        # a derivative taken here stays a temporary, freed before the next one
+        out -= v.reshape(shape) * (gradients[ax] if gradients is not None
+                                   else spatial_derivative(values, grid, ax, order, boundary))
     return out
+
+
+@dataclass(frozen=True)
+class BandedOperators:
+    """The momentum-axis matrices of one deterministic route (2D grids).
+
+    force[c] is the matrix A_c of the force term -F_c (A_c f) along momentum
+    axis c, or None where the force table F_c vanishes.  Each gradient entry
+    (s, w, A_x, A_y) adds w A_x A_y (df/dx_s), with None for the identity.
+    """
+
+    force: Tuple[Optional[np.ndarray], Optional[np.ndarray]]
+    gradient: Tuple[Tuple[int, float, Optional[np.ndarray], Optional[np.ndarray]], ...]
+
+
+def add_momentum_terms(out: np.ndarray, values: np.ndarray, gradients, coeffs,
+                       ops: BandedOperators) -> np.ndarray:
+    """Accumulate the force and field-gradient terms of `ops` into `out`.
+
+    `gradients` are the spatial derivatives of `values`; they are read only
+    when `ops` carries gradient terms.
+    """
+    tables = (coeffs.force_x[None], coeffs.force_y[:, None])
+    for axis, (table, matrix) in enumerate(zip(tables, ops.force)):
+        if matrix is not None:
+            out -= table * apply_along(matrix, values, axis)
+    for s, weight, mx, my in ops.gradient:
+        term = gradients[s]
+        if my is not None:
+            term = apply_along(my, term, 1)
+        if mx is not None:
+            term = apply_along(mx, term, 0)
+        out += weight * term
+    return out
+
+
+def banded_rhs(values: np.ndarray, grid: PhaseSpaceGrid, coeffs, ops: BandedOperators,
+               config: Optional["SolverConfig"] = None) -> np.ndarray:
+    """Right-hand side shared by both deterministic routes.
+
+    Advection, plus each force table times its axis operator of f, plus the
+    gradient block; the routes differ only in the matrices `ops` carries.
+    When `ops` carries gradient terms the spatial derivatives are taken once
+    and read by advection and the gradient block alike; otherwise advection
+    takes and drops them one at a time.
+    """
+    order = config.stencil_order if config else 2
+    boundary = config.boundary if config else "zero"
+    gradients = spatial_gradients(values, grid, order, boundary) if ops.gradient else None
+    out = advection_term(values, grid, order, boundary, gradients=gradients)
+    return add_momentum_terms(out, values, gradients, coeffs, ops)
 
 
 def rk4_step(values: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -204,6 +299,28 @@ def rk4_step(values: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarr
     k3 = rhs(values + 0.5 * dt * k2)
     k4 = rhs(values + dt * k3)
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def check_stability(norm_before: float, norm_after: float, where: str) -> None:
+    """Raise SolverInstabilityError if a step left a non-finite norm or grew it
+    more than 10x; `where` names the step in the message."""
+    if not np.isfinite(norm_after):
+        raise SolverInstabilityError(
+            f"state turned non-finite {where}; dt likely violates stability")
+    if norm_before > 0 and norm_after > 10.0 * norm_before:
+        raise SolverInstabilityError(
+            f"norm grew {norm_after / norm_before:.1f}x {where}; "
+            f"dt likely violates stability")
+
+
+def guarded_step(f: WignerState, rhs: Callable[[np.ndarray], np.ndarray],
+                 config: "SolverConfig") -> WignerState:
+    """One RK4 step of a state under `rhs`, with the stability check."""
+    config.validate(f.grid)
+    values = rk4_step(f.values, config.dt, rhs)
+    check_stability(float(np.linalg.norm(f.values)), float(np.linalg.norm(values)),
+                    f"in one step of dt={config.dt:.3e} s")
+    return WignerState(grid=f.grid, values=values, time=f.time + config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +504,7 @@ def evolve(f0, rhs: Callable[[np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
     for step in range(1, n_steps + 1):
         values = rk4_step(values, config.dt, rhs)
         norm = float(np.linalg.norm(values))
-        if norm_prev > 0 and norm > 10.0 * norm_prev:
-            raise SolverInstabilityError(
-                f"norm grew {norm / norm_prev:.1f}x at step {step} "
-                f"(t={step * config.dt:.3e} s); dt likely violates stability"
-            )
+        check_stability(norm_prev, norm, f"at step {step} (t={step * config.dt:.3e} s)")
         norm_prev = norm if norm > 0 else norm_prev
         if step % record_every == 0 or step == n_steps:
             result.values = values

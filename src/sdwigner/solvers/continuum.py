@@ -15,28 +15,44 @@ import numpy as np
 from ..kernels import LinearKernelCoefficients, linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
-from .common import (SolverConfig, SolverInstabilityError, advection_term,
-                     momentum_difference, momentum_second_difference,
-                     rk4_step, spatial_derivative)
+from .common import (BandedOperators, SolverConfig, add_momentum_terms,
+                     band_matrix, banded_rhs, guarded_step, spatial_gradients)
+
+
+def difference_operators(coeffs: LinearKernelCoefficients,
+                         grid: PhaseSpaceGrid) -> BandedOperators:
+    """The small-spacing route's momentum-axis matrices.
+
+    Force terms carry the tridiagonal first central difference on each axis;
+    the gradient block carries kappa times the second difference in P_y on
+    the x gradient and minus kappa times the mixed first differences on the
+    y gradient, kappa = -cross_dx.  Terms whose coefficients vanish are left out.
+    """
+    if grid.dim != 2:
+        raise ValueError("the finite-difference solver requires a 2D grid")
+    (n_x, n_y), (dp_x, dp_y) = grid.n_s, grid.dp
+    d1x = band_matrix(n_x, [-0.5 / dp_x], -1)
+    d1y = band_matrix(n_y, [-0.5 / dp_y], -1)
+    force = (d1x if np.any(coeffs.force_x) else None,
+             d1y if np.any(coeffs.force_y) else None)
+    kappa = -coeffs.cross_dx
+    gradient = ()
+    if kappa != 0.0:
+        d2y = band_matrix(n_y, [dp_y ** -2], 1, centre=-2.0 * dp_y ** -2)
+        gradient = ((0, kappa, None, d2y), (1, -kappa, d1x, d1y))
+    return BandedOperators(force, gradient)
 
 
 def force_and_quantum(values: np.ndarray, coeffs: LinearKernelCoefficients,
                       grid: PhaseSpaceGrid, config: Optional[SolverConfig] = None) -> np.ndarray:
     """Right-hand side minus advection: the part reused by the integral solver."""
-    order = config.stencil_order if config else 2
-    boundary = config.boundary if config else "zero"
-    out = np.zeros_like(values)
-    if np.any(coeffs.force_x):
-        out -= coeffs.force_x[None, :, :, :] * momentum_difference(values, grid, 0)
-    if np.any(coeffs.force_y):
-        out -= coeffs.force_y[:, None, :, :] * momentum_difference(values, grid, 1)
-    kappa = -coeffs.cross_dx
-    if kappa != 0.0:
-        dxf = spatial_derivative(values, grid, 0, order, boundary)
-        dyf = spatial_derivative(values, grid, 1, order, boundary)
-        out += kappa * momentum_second_difference(dxf, grid, 1)
-        out -= kappa * momentum_difference(momentum_difference(dyf, grid, 1), grid, 0)
-    return out
+    ops = difference_operators(coeffs, grid)
+    gradients = None
+    if ops.gradient:
+        order = config.stencil_order if config else 2
+        boundary = config.boundary if config else "zero"
+        gradients = spatial_gradients(values, grid, order, boundary)
+    return add_momentum_terms(np.zeros_like(values), values, gradients, coeffs, ops)
 
 
 def rhs_continuum_fd(f, field: LinearEMField, grid: PhaseSpaceGrid,
@@ -44,27 +60,24 @@ def rhs_continuum_fd(f, field: LinearEMField, grid: PhaseSpaceGrid,
                      coeffs: Optional[LinearKernelCoefficients] = None) -> np.ndarray:
     """Time derivative in the small-spacing limit; accepts WignerState or array.
 
-    Pass precomputed `coeffs` in stepping loops to avoid rebuilding the force
-    tables on every stage.
+    Pass precomputed `coeffs` to avoid rebuilding the force tables; stepping
+    loops use `make_rhs`, which also builds the difference matrices once.
     """
     values = f.values if isinstance(f, WignerState) else np.asarray(f)
-    if grid.dim != 2:
-        raise ValueError("the finite-difference solver requires a 2D grid")
     if coeffs is None:
         coeffs = linear_coefficients(field, grid)
-    order = config.stencil_order if config else 2
-    boundary = config.boundary if config else "zero"
-    out = advection_term(values, grid, order, boundary)
-    out += force_and_quantum(values, coeffs, grid, config)
-    return out
+    return banded_rhs(values, grid, coeffs, difference_operators(coeffs, grid), config)
 
 
 def make_rhs(field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig,
              coeffs: Optional[LinearKernelCoefficients] = None):
+    """Build the difference matrices once and bind them into a values -> d/dt values closure."""
     if coeffs is None:
         coeffs = linear_coefficients(field, grid)
+    ops = difference_operators(coeffs, grid)
+
     def rhs(values: np.ndarray) -> np.ndarray:
-        return rhs_continuum_fd(values, field, grid, config, coeffs)
+        return banded_rhs(values, grid, coeffs, ops, config)
     return rhs
 
 
@@ -72,14 +85,4 @@ def step_continuum(f: WignerState, field: LinearEMField,
                    config: SolverConfig,
                    coeffs: Optional[LinearKernelCoefficients] = None) -> WignerState:
     """One RK4 step of the small-spacing equation with blow-up detection."""
-    grid = f.grid
-    config.validate(grid)
-    rhs = make_rhs(field, grid, config, coeffs)
-    before = float(np.linalg.norm(f.values))
-    values = rk4_step(f.values, config.dt, rhs)
-    after = float(np.linalg.norm(values))
-    if before > 0 and after > 10.0 * before:
-        raise SolverInstabilityError(
-            f"norm grew {after / before:.1f}x in one step of dt={config.dt:.3e} s"
-        )
-    return WignerState(grid=grid, values=values, time=f.time + config.dt)
+    return guarded_step(f, make_rhs(field, f.grid, config, coeffs), config)

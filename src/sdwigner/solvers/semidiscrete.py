@@ -19,9 +19,43 @@ from ..kernels import (LinearKernelCoefficients, harmonic_coefficient,
                        quadratic_coefficient)
 from ..phasespace import PhaseSpaceGrid
 from ..transform import WignerState
-from .common import (SolverConfig, SolverInstabilityError, advection_term,
-                     box_offset_sum, even_pair_ladder, odd_pair_ladder,
-                     rk4_step, spatial_derivative)
+from .common import (BandedOperators, SolverConfig, band_matrix, banded_rhs,
+                     guarded_step)
+
+
+def ladder_operators(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
+                     config: Optional[SolverConfig] = None) -> BandedOperators:
+    """The ladder route's momentum-axis matrices, cut at `momentum_cutoff`.
+
+    Force terms carry the odd harmonic band on each axis.  The gradient block
+    carries the odd-odd ladder on the x gradient, and on the y gradient the
+    even quadratic band on y tiled over every x offset (the all-ones box on
+    x) plus the zero-offset companion term.  Terms whose coefficients vanish
+    are left out, so a field-free configuration costs exactly one advection
+    evaluation.
+    """
+    if grid.dim != 2:
+        raise ValueError("harmonic-ladder evolution requires a 2D grid")
+    cut_x = config.momentum_cutoff(grid, 0) if config else grid.n_p[0]
+    cut_y = config.momentum_cutoff(grid, 1) if config else grid.n_p[1]
+    n_x, n_y = grid.n_s
+
+    # built from the closed forms rather than sliced out of the stored table:
+    # a cutoff past n_p reaches offsets the lattice-sized table does not carry
+    odd_x = band_matrix(n_x, harmonic_coefficient(np.arange(1.0, cut_x + 1), grid.dp[0]), -1)
+    odd_y = band_matrix(n_y, harmonic_coefficient(np.arange(1.0, cut_y + 1), grid.dp[1]), -1)
+    force = (odd_x if np.any(coeffs.force_x) else None,
+             odd_y if np.any(coeffs.force_y) else None)
+
+    gradient = []
+    if coeffs.cross_dx != 0.0:
+        pair = coeffs.cross_dx * quadratic_coefficient(np.arange(1.0, cut_y + 1), grid.dp[1])
+        gradient.append((0, coeffs.cross_dx, odd_x, odd_y))
+        gradient.append((1, 1.0, band_matrix(n_x, np.ones(cut_x), 1, centre=1.0),
+                         band_matrix(n_y, pair, 1)))
+    if coeffs.zero_dy != 0.0:
+        gradient.append((1, coeffs.zero_dy, None, None))
+    return BandedOperators(force, tuple(gradient))
 
 
 def rhs_semidiscrete(f, coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
@@ -29,61 +63,23 @@ def rhs_semidiscrete(f, coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     """Time derivative of the lattice distribution under a linear-profile field.
 
     Accepts a WignerState or a bare array shaped (N_x, N_y, n_x, n_y).
-    Terms whose coefficient tables vanish are skipped, so a field-free
-    configuration costs exactly one advection evaluation.
+    Builds the ladder matrices on every call; stepping loops use `make_rhs`.
     """
     values = f.values if isinstance(f, WignerState) else np.asarray(f)
-    if grid.dim != 2:
-        raise ValueError("harmonic-ladder evolution requires a 2D grid")
-    order = config.stencil_order if config else 2
-    boundary = config.boundary if config else "zero"
-    cut_x = config.momentum_cutoff(grid, 0) if config else grid.n_p[0]
-    cut_y = config.momentum_cutoff(grid, 1) if config else grid.n_p[1]
-
-    out = advection_term(values, grid, order, boundary)
-
-    # built from the closed forms rather than sliced out of the stored table:
-    # a cutoff past n_p reaches offsets the lattice-sized table does not carry
-    c1x = harmonic_coefficient(np.arange(1.0, cut_x + 1), grid.dp[0])
-    c1y = harmonic_coefficient(np.arange(1.0, cut_y + 1), grid.dp[1])
-
-    if np.any(coeffs.force_x):
-        out -= coeffs.force_x[None, :, :, :] * odd_pair_ladder(values, 0, c1x)
-    if np.any(coeffs.force_y):
-        out -= coeffs.force_y[:, None, :, :] * odd_pair_ladder(values, 1, c1y)
-
-    if coeffs.cross_dx != 0.0 or coeffs.zero_dy != 0.0:
-        kappa = -coeffs.cross_dx
-        dxf = spatial_derivative(values, grid, 0, order, boundary)
-        dyf = spatial_derivative(values, grid, 1, order, boundary)
-        if coeffs.cross_dx != 0.0:
-            out += coeffs.cross_dx * odd_pair_ladder(odd_pair_ladder(dxf, 1, c1y), 0, c1x)
-            pair = -kappa * quadratic_coefficient(np.arange(1.0, cut_y + 1), grid.dp[1])
-            out += even_pair_ladder(box_offset_sum(dyf, 0, cut_x), 1, pair)
-        if coeffs.zero_dy != 0.0:
-            out += coeffs.zero_dy * dyf
-    return out
+    return banded_rhs(values, grid, coeffs, ladder_operators(coeffs, grid, config), config)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
              config: SolverConfig):
-    """Bind tables and settings into a values -> d/dt values closure."""
+    """Build the ladder matrices once and bind them into a values -> d/dt values closure."""
+    ops = ladder_operators(coeffs, grid, config)
+
     def rhs(values: np.ndarray) -> np.ndarray:
-        return rhs_semidiscrete(values, coeffs, grid, config)
+        return banded_rhs(values, grid, coeffs, ops, config)
     return rhs
 
 
 def step_semidiscrete(f: WignerState, coeffs: LinearKernelCoefficients,
                       config: SolverConfig) -> WignerState:
-    """One RK4 step; aborts if the norm grows more than 10x."""
-    grid = f.grid
-    config.validate(grid)
-    rhs = make_rhs(coeffs, grid, config)
-    before = float(np.linalg.norm(f.values))
-    values = rk4_step(f.values, config.dt, rhs)
-    after = float(np.linalg.norm(values))
-    if before > 0 and after > 10.0 * before:
-        raise SolverInstabilityError(
-            f"norm grew {after / before:.1f}x in one step of dt={config.dt:.3e} s"
-        )
-    return WignerState(grid=grid, values=values, time=f.time + config.dt)
+    """One RK4 step; aborts if the state turns non-finite or its norm grows more than 10x."""
+    return guarded_step(f, make_rhs(coeffs, f.grid, config), config)

@@ -14,7 +14,9 @@ from sdwigner.io import (load_sampled_field, read_state, read_table,
                          relative_l2_diff, save_sampled_field, write_state,
                          write_table)
 from sdwigner.phasespace import SampledEMField
+from sdwigner import runner
 from sdwigner.runner import RunnerError, magnitude_report, run_simulation
+from sdwigner.solvers import SolverInstabilityError
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
 
@@ -304,6 +306,15 @@ class TestRunner:
         # the windowed ladder loses band flux at n_p=4; drift bounds live in
         # the solver suite, here we only need the column to hold total mass
         np.testing.assert_allclose(data[:, 1], 1.0, rtol=1e-4)
+
+    def test_non_finite_state_fails_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "make_semidiscrete_rhs",
+                            lambda *args: lambda v: np.full_like(v, np.nan))
+        with pytest.raises(SolverInstabilityError, match="non-finite"):
+            self.run_cfg(tmp_path, "nan")
+        meta = json.loads((tmp_path / "nan" / "run_meta.json").read_text())
+        assert meta["status"] == "failed"
+        assert not (tmp_path / "nan" / "state_final.sdwg").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         _, first = self.run_cfg(tmp_path, "a")

@@ -12,6 +12,8 @@ from sdwigner.kernels import (LinearKernelCoefficients, compute_kernels,
                               quadratic_coefficient)
 from sdwigner.phasespace import (LinearEMField, PhysicalConstants,
                                  SampledEMField)
+from sdwigner.solvers import common as solver_common
+from sdwigner.solvers import continuum, semidiscrete
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, advect_free_flight,
                               advection_term, box_offset_sum, default_gamma0,
@@ -23,6 +25,7 @@ from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               rhs_semidiscrete, rk4_step, sample_shift,
                               solve_fredholm_resolvent, spatial_derivative,
                               step_continuum, step_semidiscrete)
+from sdwigner.solvers.common import apply_along, band_matrix
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
 
@@ -291,6 +294,94 @@ class TestFiniteDifferenceRHS:
             assert dpy_dt == pytest.approx(fy_mean, rel=tol, abs=1e-12)
 
 
+# uneven momentum axes (7 and 11 slots) so a matrix applied on the wrong axis shows
+GA = make_grid(2, (TAU, TAU), (np.pi, np.pi), (6, 7), (3, 5), NAT)
+GRADIENT_FIELD = LinearEMField(e_grad=(0.3, -0.2), b0=0.8, b1=0.4)
+
+
+class TestBandedOperators:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("reach", ["n_p", "2n_p", "past_lattice"])
+    def test_bands_match_loop_helpers(self, axis, reach):
+        rng = np.random.default_rng(17 + axis)
+        f = rng.normal(size=GA.state_shape)
+        n_p, n = GA.n_p[axis], GA.n_s[axis]
+        cut = {"n_p": n_p, "2n_p": 2 * n_p, "past_lattice": 2 * n_p + 3}[reach]
+        coeffs = rng.normal(size=cut)
+        for matrix, loop in (
+            (band_matrix(n, coeffs, -1), odd_pair_ladder(f, axis, coeffs)),
+            (band_matrix(n, coeffs, 1), even_pair_ladder(f, axis, coeffs)),
+            (band_matrix(n, np.ones(cut), 1, centre=1.0), box_offset_sum(f, axis, cut)),
+        ):
+            assert rel_l2(apply_along(matrix, f, axis), loop) < 1e-14
+
+    @pytest.mark.parametrize("m_truncation", [None, 10])
+    def test_ladder_route_matches_loop_assembly(self, m_truncation):
+        coeffs = linear_coefficients(GRADIENT_FIELD, GA)
+        f = np.random.default_rng(23).normal(size=GA.state_shape)
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic",
+                           stencil_order=4, m_truncation=m_truncation)
+        cut_x, cut_y = cfg.momentum_cutoff(GA, 0), cfg.momentum_cutoff(GA, 1)
+        c1x = harmonic_coefficient(np.arange(1.0, cut_x + 1), GA.dp[0])
+        c1y = harmonic_coefficient(np.arange(1.0, cut_y + 1), GA.dp[1])
+        pair = coeffs.cross_dx * quadratic_coefficient(np.arange(1.0, cut_y + 1), GA.dp[1])
+        dxf = spatial_derivative(f, GA, 0, 4, "periodic")
+        dyf = spatial_derivative(f, GA, 1, 4, "periodic")
+        expect = advection_term(f, GA, 4, "periodic")
+        expect -= coeffs.force_x[None] * odd_pair_ladder(f, 0, c1x)
+        expect -= coeffs.force_y[:, None] * odd_pair_ladder(f, 1, c1y)
+        expect += coeffs.cross_dx * odd_pair_ladder(odd_pair_ladder(dxf, 1, c1y), 0, c1x)
+        expect += even_pair_ladder(box_offset_sum(dyf, 0, cut_x), 1, pair)
+        expect += coeffs.zero_dy * dyf
+        assert rel_l2(rhs_semidiscrete(f, coeffs, GA, cfg), expect) < 1e-14
+
+    def test_difference_matrices_match_loops(self):
+        coeffs = linear_coefficients(GRADIENT_FIELD, GA)
+        ops = continuum.difference_operators(coeffs, GA)
+        f = np.random.default_rng(29).normal(size=GA.state_shape)
+        for axis in (0, 1):
+            assert rel_l2(apply_along(ops.force[axis], f, axis),
+                          momentum_difference(f, GA, axis)) < 1e-14
+        # the x-gradient term carries the second difference along P_y alone
+        s, _, mx, my = ops.gradient[0]
+        assert (s, mx) == (0, None)
+        assert rel_l2(apply_along(my, f, 1), momentum_second_difference(f, GA, 1)) < 1e-14
+
+    @pytest.mark.parametrize("m_truncation", [None, 10])
+    def test_make_rhs_equals_public_rhs(self, m_truncation):
+        coeffs = linear_coefficients(GRADIENT_FIELD, GA)
+        f = np.random.default_rng(31).normal(size=GA.state_shape)
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic",
+                           stencil_order=4, m_truncation=m_truncation)
+        assert np.array_equal(semidiscrete.make_rhs(coeffs, GA, cfg)(f),
+                              rhs_semidiscrete(f, coeffs, GA, cfg))
+        assert np.array_equal(continuum.make_rhs(GRADIENT_FIELD, GA, cfg, coeffs)(f),
+                              rhs_continuum_fd(f, GRADIENT_FIELD, GA, cfg))
+
+    def test_ladder_shift_count_independent_of_lattice(self, monkeypatch):
+        calls = []
+        original = solver_common.sample_shift
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_common, "sample_shift", counting)
+        counts = {}
+        for n_p in (4, 10):
+            grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (8, 8), (n_p, n_p), NAT)
+            coeffs = linear_coefficients(GRADIENT_FIELD, grid)
+            cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic",
+                               stencil_order=4, m_truncation=2 * n_p)
+            f = packet(grid).values
+            calls.clear()
+            rhs_semidiscrete(f, coeffs, grid, cfg)
+            counts[n_p] = len(calls)
+            # only the spatial stencils shift: four shifts per spatial axis
+            assert sorted(set(calls)) == [2, 3]
+        assert counts[4] == counts[10] == 2 * 4
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -440,6 +531,30 @@ class TestStepping:
 # ---------------------------------------------------------------------------
 # integral-form solver
 # ---------------------------------------------------------------------------
+
+class TestStabilityGuard:
+    def nan_coefficients(self, grid):
+        base = linear_coefficients(LinearEMField(), grid)
+        return LinearKernelCoefficients(
+            grid=base.grid, field=base.field, c1_x=base.c1_x, c1_y=base.c1_y,
+            force_x=np.full_like(base.force_x, np.nan), force_y=base.force_y,
+            cross_dx=0.0, pair_dy=base.pair_dy, zero_dy=0.0)
+
+    def test_evolve_rejects_non_finite_state(self):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
+        with pytest.raises(SolverInstabilityError, match="non-finite"):
+            evolve(packet(G2).values, lambda v: np.full_like(v, np.nan), G2, cfg,
+                   n_steps=2)
+
+    def test_steppers_reject_non_finite_state(self):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
+        coeffs = self.nan_coefficients(G2)
+        state = WignerState(G2, packet(G2).values)
+        with pytest.raises(SolverInstabilityError, match="non-finite"):
+            step_semidiscrete(state, coeffs, cfg)
+        with pytest.raises(SolverInstabilityError, match="non-finite"):
+            step_continuum(state, LinearEMField(), cfg, coeffs)
+
 
 class TestFredholm:
     def test_zero_kernel_reduces_to_free_flight(self):
