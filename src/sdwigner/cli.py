@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .io import read_state, relative_l2_diff, write_table
 from .runner import RunnerError, magnitude_report, run_simulation
-from .solvers import observables
+from .solvers import FredholmConvergenceError, SolverInstabilityError, observables
 
 ENV_OUT = "SDWIGNER_OUT"
 ENV_WORKERS = "SDWIGNER_WORKERS"
@@ -71,7 +71,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RunnerError, ValueError, OSError) as exc:
+    except (RunnerError, SolverInstabilityError, FredholmConvergenceError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

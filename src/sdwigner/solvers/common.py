@@ -13,6 +13,7 @@ Conventions used by every solver in this package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -209,7 +210,7 @@ def apply_along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray
     layout of `values` and is contiguous, with no axis moved.
     """
     shape = values.shape
-    lead = int(np.prod(shape[:axis], dtype=int))
+    lead = math.prod(shape[:axis])
     return (matrix @ values.reshape(lead, shape[axis], -1)).reshape(shape)
 
 
@@ -351,40 +352,78 @@ def free_flight(origin, t_prime: float,
     return traj.position_at(float(t_prime))
 
 
+def _interpolation_stack(deltas: np.ndarray, n: int, boundary: str) -> np.ndarray:
+    """One n x n linear-interpolation matrix per entry of `deltas`, stacked.
+
+    Row i of matrix r reads g[i] = v[i - d] with d = deltas[r]: weight
+    1 - frac on cell i - k and frac on cell i - k - 1, k = floor(d).  A
+    'periodic' boundary wraps those cells; 'zero' drops the ones off the axis.
+    """
+    k = np.floor(deltas)
+    frac = deltas - k
+    stack = np.zeros((len(deltas), n, n))
+    for step, weight in ((k, 1.0 - frac), (k + 1.0, frac)):
+        cols = np.arange(n)[None, :] - step.astype(int)[:, None]
+        if boundary == "periodic":
+            cols %= n
+        # each (r, i) meets one column per step, so no index repeats in a +=
+        r, i = np.nonzero((cols >= 0) & (cols < n))
+        stack[r, i, cols[r, i]] += weight[r]
+    return stack
+
+
+def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float, boundary: str = "zero",
+                          constants: Optional[PhysicalConstants] = None) -> tuple:
+    """Free flight by delta_t as one interpolation stack per spatial axis.
+
+    Entry `ax` holds the (2 n_p + 1, n_x, n_x) matrices of momentum rows P_M along
+    axis `ax`, shifting by v_M delta_t / dx cells.  The last axis's stack is
+    stored transposed and contiguous, so `apply_free_flight` multiplies it
+    from the right.
+    """
+    c = constants or grid.constants
+    stacks = []
+    for ax in range(grid.dim):
+        deltas = grid.p_axes[ax] * delta_t / (c.mass * grid.dx[ax])
+        stack = _interpolation_stack(deltas, grid.n_x[ax], boundary)
+        if ax == grid.dim - 1:
+            stack = np.ascontiguousarray(stack.transpose(0, 2, 1))
+        stacks.append(stack)
+    return tuple(stacks)
+
+
+def apply_free_flight(ops: tuple, values: np.ndarray) -> np.ndarray:
+    """Apply `free_flight_operators` to a state: one broadcast matmul per axis.
+
+    Each momentum row meets its own matrix; the momentum axis lines up with
+    the stack and the spatial axis is the one contracted.
+    """
+    dim = len(ops)
+    shape = values.shape
+    out = values
+    for ax, stack in enumerate(ops):
+        lead, mid = math.prod(shape[:ax]), math.prod(shape[ax + 1:dim + ax])
+        if ax == dim - 1:
+            out = out.reshape(lead, shape[ax], mid, shape[dim + ax]) @ stack
+        else:
+            out = stack[:, None] @ out.reshape(lead, shape[ax], mid, shape[dim + ax], -1)
+    return out.reshape(shape)
+
+
 def advect_free_flight(values: np.ndarray, grid: PhaseSpaceGrid, delta_t: float,
                        boundary: str = "zero",
                        constants: Optional[PhysicalConstants] = None) -> np.ndarray:
     """out(M, x) = values(M, x - v_M delta_t), v_M = P_M / m, per-axis linear interp.
 
     The x shift depends only on the momentum index of the same axis, so the
-    interpolation separates into 1D fractional shifts applied per lattice row.
+    interpolation separates into one matrix per lattice row and axis; the
+    interpolation is exact only for whole-cell shifts.  Callers that repeat
+    one delta_t build `free_flight_operators` once and apply them instead.
     """
     if delta_t == 0.0:
-        return values.copy()
-    c = constants or grid.constants
-    out = np.array(values, copy=True)
-    for ax in range(grid.dim):
-        deltas = grid.p_axes[ax] * delta_t / (c.mass * grid.dx[ax])
-        sl = [slice(None)] * out.ndim
-        for j, d in enumerate(deltas):
-            if d == 0.0:
-                continue
-            sl[ax] = j
-            idx = tuple(sl)
-            out[idx] = _fractional_shift(out[idx], grid.dim + ax - 1, float(d), boundary)
-        sl[ax] = slice(None)
-    return out
-
-
-def _fractional_shift(values: np.ndarray, axis: int, delta: float, boundary: str) -> np.ndarray:
-    """g[i] = values[i - delta] by linear interpolation between the two neighbors."""
-    k = int(np.floor(delta))
-    frac = delta - k
-    a = sample_shift(values, axis, -k, boundary)
-    if frac == 0.0:
-        return a
-    b = sample_shift(values, axis, -(k + 1), boundary)
-    return (1.0 - frac) * a + frac * b
+        return np.array(values, copy=True)
+    return apply_free_flight(free_flight_operators(grid, delta_t, boundary, constants),
+                             np.asarray(values))
 
 
 # ---------------------------------------------------------------------------

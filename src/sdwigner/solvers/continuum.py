@@ -43,16 +43,29 @@ def difference_operators(coeffs: LinearKernelCoefficients,
     return BandedOperators(force, gradient)
 
 
+def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
+                config: Optional[SolverConfig] = None, gamma0: float = 0.0):
+    """Build the difference matrices once and bind them into a closure
+    (values, out) -> K[values] + gamma0 values, written into `out`.
+
+    K is the right-hand side minus advection, the coupling the integral
+    solver sums along each backward characteristic.
+    """
+    ops = difference_operators(coeffs, grid)
+    order = config.stencil_order if config else 2
+    boundary = config.boundary if config else "zero"
+
+    def kernel(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(values, gamma0, out=out)
+        gradients = spatial_gradients(values, grid, order, boundary) if ops.gradient else None
+        return add_momentum_terms(out, values, gradients, coeffs, ops)
+    return kernel
+
+
 def force_and_quantum(values: np.ndarray, coeffs: LinearKernelCoefficients,
                       grid: PhaseSpaceGrid, config: Optional[SolverConfig] = None) -> np.ndarray:
     """Right-hand side minus advection: the part reused by the integral solver."""
-    ops = difference_operators(coeffs, grid)
-    gradients = None
-    if ops.gradient:
-        order = config.stencil_order if config else 2
-        boundary = config.boundary if config else "zero"
-        gradients = spatial_gradients(values, grid, order, boundary)
-    return add_momentum_terms(np.zeros_like(values), values, gradients, coeffs, ops)
+    return make_kernel(coeffs, grid, config)(values, np.empty_like(values))
 
 
 def rhs_continuum_fd(f, field: LinearEMField, grid: PhaseSpaceGrid,

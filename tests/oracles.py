@@ -121,3 +121,78 @@ def dense_circular_convolution(a, b):
             total += a[source] * b[wrapped]
         out[target] = total
     return out
+
+
+def _shift_cells(values, axis, k, boundary):
+    """g[i] = values[i + k] along one axis; 'zero' fills vacated cells, 'periodic' wraps."""
+    if boundary == "periodic":
+        return np.roll(values, -k, axis=axis)
+    out = np.zeros_like(values)
+    n = values.shape[axis]
+    if abs(k) >= n:
+        return out
+    src = [slice(None)] * values.ndim
+    dst = [slice(None)] * values.ndim
+    src[axis] = slice(max(k, 0), n + min(k, 0))
+    dst[axis] = slice(max(-k, 0), n - max(k, 0))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def free_flight_rows(values, deltas, boundary):
+    """Linear-interpolation free flight, one momentum row at a time.
+
+    deltas[ax][r] is the shift, in cells, of momentum row r along spatial
+    axis ax (state layout: momentum axes first).  Each row moves by
+    g[i] = v[i - d], read between cells i - floor(d) and i - floor(d) - 1.
+    """
+    dim = len(deltas)
+    out = np.array(values, dtype=float, copy=True)
+    for ax, row_deltas in enumerate(deltas):
+        for r, d in enumerate(row_deltas):
+            if d == 0.0:
+                continue
+            row = (slice(None),) * ax + (r,)
+            plane, axis = out[row], dim + ax - 1
+            k = int(np.floor(d))
+            frac = d - k
+            a = _shift_cells(plane, axis, -k, boundary)
+            if frac != 0.0:
+                a = (1.0 - frac) * a + frac * _shift_cells(plane, axis, -(k + 1), boundary)
+            out[row] = a
+    return out
+
+
+def fredholm_sweeps(values0, kernel, flight, n_t, dt, gamma0, tol, max_iter):
+    """Plain Picard sweeps of the damped free-flight integral equation.
+
+    The trajectory f_k at t = k dt obeys
+    f_k = e^{-gamma0 k dt} A(k) f_0 + sum_j w_jk e^{-gamma0 (k-j) dt} A(k-j) (K f_j + gamma0 f_j)
+    with trapezoid weights w_jk over j = 0..k.  kernel(v) is K v and
+    flight(v, lag) is A(lag) v.  Keeps the source, trajectory, update and
+    kernel arrays in full.  Returns (final state, residual history); the
+    history stops at the first sweep below tol or after max_iter sweeps.
+    """
+    decay = np.exp(-gamma0 * dt * np.arange(n_t + 1))
+    source = np.empty((n_t + 1,) + np.shape(values0))
+    source[0] = values0
+    for k in range(1, n_t + 1):
+        source[k] = decay[k] * flight(values0, k)
+    traj = source.copy()
+    kvals = np.empty_like(traj)
+    residuals = []
+    for _ in range(max_iter):
+        for j in range(n_t + 1):
+            kvals[j] = kernel(traj[j]) + gamma0 * traj[j]
+        new = source.copy()
+        for j in range(n_t + 1):
+            for k in range(max(j, 1), n_t + 1):
+                w = 0.5 * dt if j in (0, k) else dt
+                lag = k - j
+                new[k] += w * kvals[j] if lag == 0 else (w * decay[lag]) * flight(kvals[j], lag)
+        norm = np.linalg.norm(new)
+        residuals.append(float(np.linalg.norm(new - traj) / (norm if norm > 0 else 1.0)))
+        traj = new
+        if residuals[-1] < tol:
+            break
+    return traj[n_t], residuals

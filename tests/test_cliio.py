@@ -8,15 +8,15 @@ import pytest
 
 from sdwigner import make_grid
 from sdwigner.cli import main as cli_main
-from sdwigner.config import (ConfigError, config_from_dict, load_config,
-                             write_config)
+from sdwigner.config import (ConfigError, SimulationConfig, config_from_dict,
+                             load_config, write_config)
 from sdwigner.io import (load_sampled_field, read_state, read_table,
                          relative_l2_diff, save_sampled_field, write_state,
                          write_table)
 from sdwigner.phasespace import SampledEMField
 from sdwigner import runner
 from sdwigner.runner import RunnerError, magnitude_report, run_simulation
-from sdwigner.solvers import SolverInstabilityError
+from sdwigner.solvers import FredholmConvergenceError, SolverInstabilityError
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
 
@@ -316,6 +316,18 @@ class TestRunner:
         assert meta["status"] == "failed"
         assert not (tmp_path / "nan" / "state_final.sdwg").exists()
 
+    def test_non_finite_resolvent_fails_the_run(self, tmp_path, monkeypatch):
+        def nan_state(self, grid):
+            return WignerState(grid, np.full(grid.state_shape, np.nan))
+        monkeypatch.setattr(SimulationConfig, "build_initial_state", nan_state)
+        with pytest.raises(SolverInstabilityError, match="sweep 1$"):
+            self.run_cfg(tmp_path, "nan", solver={
+                "method": "fredholm", "gamma0_per_s": 2e13, "fredholm_max_iter": 400})
+        meta = json.loads((tmp_path / "nan" / "run_meta.json").read_text())
+        assert meta["status"] == "failed"
+        assert "SolverInstabilityError" in meta["error"]
+        assert not (tmp_path / "nan" / "state_final.sdwg").exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         _, first = self.run_cfg(tmp_path, "a")
         _, second = self.run_cfg(tmp_path, "b")
@@ -427,6 +439,23 @@ class TestCLI:
         b = write_state(tmp_path / "b.sdwg", state, "b" * 64)
         assert cli_main(["diff", str(a), str(b)]) == 0
         assert "config hashes differ" in capsys.readouterr().out
+
+    def test_run_reports_a_stalled_resolvent(self, tmp_path, capsys):
+        path = self.cfg_file(tmp_path, solver={
+            "method": "fredholm", "gamma0_per_s": 2e13, "fredholm_max_iter": 1})
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: integral solver stalled")
+        meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+        assert meta["error"].startswith(FredholmConvergenceError.__name__)
+
+    def test_run_reports_an_unstable_step(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "make_semidiscrete_rhs",
+                            lambda *args: lambda v: np.full_like(v, np.nan))
+        path = self.cfg_file(tmp_path)
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: state turned non-finite")
 
     def test_magnitudes_prints_and_writes(self, tmp_path, capsys):
         path = self.cfg_file(tmp_path)

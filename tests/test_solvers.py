@@ -25,11 +25,13 @@ from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               rhs_semidiscrete, rk4_step, sample_shift,
                               solve_fredholm_resolvent, spatial_derivative,
                               step_continuum, step_semidiscrete)
-from sdwigner.solvers.common import apply_along, band_matrix
+from sdwigner.solvers.common import (apply_along, apply_free_flight, band_matrix,
+                                     free_flight_operators)
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
 
-from oracles import lattice_first_moment, lattice_second_moment
+from oracles import (fredholm_sweeps, free_flight_rows, lattice_first_moment,
+                     lattice_second_moment)
 
 NAT = PhysicalConstants(hbar=1.0, charge=1.0, mass=1.0)
 TAU = 2.0 * np.pi
@@ -39,6 +41,8 @@ G2 = make_grid(2, (TAU, TAU), (np.pi, np.pi), (8, 8), (4, 4), NAT)
 # coarse grid for the kernel-table reference route (49 offsets per term)
 G2S = make_grid(2, (TAU, TAU), (np.pi, np.pi), (4, 4), (3, 3), NAT)
 G1 = make_grid(1, TAU, np.pi, 16, 2, NAT)
+# unequal axes, so a swapped axis or a transposed stack cannot pass unseen
+G2U = make_grid(2, (TAU, 4.0), (np.pi, 2.0), (7, 5), (3, 2), NAT)
 
 
 def rel_l2(a, b):
@@ -173,6 +177,41 @@ class TestAdvection:
         f = packet(G2).values
         out = advect_free_flight(f, G2, 0.37, "periodic")
         assert abs(out.sum() - f.sum()) < 1e-12 * abs(f.sum())
+
+
+def row_deltas(grid, delta_t):
+    """Cells each momentum row moves along each spatial axis in delta_t."""
+    return [grid.p_axes[ax] * delta_t / (grid.constants.mass * grid.dx[ax])
+            for ax in range(grid.dim)]
+
+
+class TestFreeFlightOperators:
+    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    @pytest.mark.parametrize("grid", [G1, G2, G2U], ids=["1d", "2d", "2d-unequal"])
+    @pytest.mark.parametrize("cells", [0.37, 1.0, 2.5, 3.0])
+    def test_stacks_match_row_loop(self, grid, boundary, cells):
+        # `cells` is the fastest x row's shift in units of n_x, so from 1.0 up
+        # rows move past the whole axis; on the square grids 1.0 and 3.0 give
+        # whole-cell shifts (frac == 0); P = 0 rows stay put and negative
+        # momenta move the other way
+        v_max = grid.n_p[0] * grid.dp[0] / grid.constants.mass
+        delta_t = cells * grid.n_x[0] * grid.dx[0] / v_max
+        values = np.random.default_rng(3).standard_normal(grid.state_shape)
+        expect = free_flight_rows(values, row_deltas(grid, delta_t), boundary)
+        out = apply_free_flight(free_flight_operators(grid, delta_t, boundary), values)
+        assert rel_l2(out, expect) < 1e-14
+        assert np.array_equal(advect_free_flight(values, grid, delta_t, boundary), out)
+
+    def test_last_axis_stack_is_transposed_and_contiguous(self):
+        x_stack, y_stack = free_flight_operators(G2U, 0.45, "periodic")
+        assert x_stack.shape == (G2U.n_s[0], G2U.n_x[0], G2U.n_x[0])
+        assert y_stack.shape == (G2U.n_s[1], G2U.n_x[1], G2U.n_x[1])
+        assert y_stack.flags.c_contiguous
+        # row r of the transposed y stack reads g[i] through column i
+        d = row_deltas(G2U, 0.45)[1]
+        r = int(np.argmax(d))
+        k = int(np.floor(d[r]))
+        assert y_stack[r, -k % G2U.n_x[1], 0] == pytest.approx(1.0 - (d[r] - k))
 
 
 class TestObservables:
@@ -587,6 +626,35 @@ class TestFredholm:
             cfg = SolverConfig(dt=0.005, t_end=0.08, gamma0=gamma, boundary="periodic")
             out.append(solve_fredholm_resolvent(f0, field, G2, cfg).state.values)
         assert rel_l2(out[0], out[1]) < 1e-3
+
+    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    def test_matches_plain_sweep_loop(self, boundary):
+        field = LinearEMField(b0=0.5, b1=0.3)
+        cfg = SolverConfig(dt=0.01, t_end=0.08, boundary=boundary, stencil_order=4)
+        f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0))
+        result = solve_fredholm_resolvent(f0, field, G2, cfg)
+        coeffs = linear_coefficients(field, G2)
+        expect, residuals = fredholm_sweeps(
+            f0.values, lambda v: force_and_quantum(v, coeffs, G2, cfg),
+            lambda v, lag: free_flight_rows(v, row_deltas(G2, lag * cfg.dt), boundary),
+            8, cfg.dt, result.gamma0, cfg.fredholm_tol, cfg.fredholm_max_iter)
+        assert result.n_sweeps == len(residuals) > 3
+        np.testing.assert_allclose(result.residuals, residuals, rtol=1e-6)
+        assert rel_l2(result.state.values, expect) < 1e-12
+
+    def test_final_state_owns_its_data(self):
+        cfg = SolverConfig(dt=0.04, t_end=0.16, gamma0=1.0, boundary="periodic")
+        values = solve_fredholm_resolvent(packet(G2), LinearEMField(b0=0.5), G2,
+                                          cfg).state.values
+        assert values.flags.owndata and values.shape == G2.state_shape
+
+    def test_non_finite_input_stops_at_first_sweep(self):
+        f0 = packet(G2).values.copy()
+        f0[2, 3, 4, 5] = np.nan
+        cfg = SolverConfig(dt=0.04, t_end=0.16, gamma0=1.0, boundary="periodic",
+                           fredholm_max_iter=400)
+        with pytest.raises(SolverInstabilityError, match="non-finite at sweep 1$"):
+            solve_fredholm_resolvent(f0, LinearEMField(b0=0.5), G2, cfg)
 
     def test_non_multiple_t_end_rejected(self):
         cfg = SolverConfig(dt=0.03, t_end=0.1, gamma0=1.0)
