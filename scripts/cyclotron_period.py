@@ -28,7 +28,7 @@ def measured_period(b0, n_x, n_p, dt, n_steps, stencil_order=4):
     f0 = gaussian_wigner(grid, center=(0.0, 0.0), sigma_x=(18e-9, 18e-9),
                          momentum_center=(2 * grid.dp[0], 0.0),
                          sigma_p=(1.5 * grid.dp[0], 1.5 * grid.dp[1]))
-    rhs = make_rhs(field, grid, cfg, linear_coefficients(field, grid))
+    rhs = make_rhs(linear_coefficients(field, grid), grid, cfg)
     result = evolve(f0.values, rhs, grid, cfg)
     z = np.array([px + 1j * py for px, py in result.mean_momenta])
     steps = z[1:] / z[:-1]

@@ -36,7 +36,7 @@ def force_term_mismatch(grid, field, f0, cut):
     # isolates the force term
     adv = semidiscrete.make_rhs(free, grid, cfg)(f0.values)
     ladder = semidiscrete.make_rhs(coeffs, grid, cfg)(f0.values) - adv
-    gradient = continuum.make_rhs(field, grid, cfg, coeffs)(f0.values) - adv
+    gradient = continuum.make_rhs(coeffs, grid, cfg)(f0.values) - adv
     return float(np.linalg.norm(ladder - gradient) / np.linalg.norm(gradient))
 
 

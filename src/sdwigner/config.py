@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -37,6 +38,24 @@ def _fail(path, message):
     raise ConfigError(path, message)
 
 
+def _checked(value, path, kind):
+    """Return `value` unchanged if it is of `kind` (int, float, str or bool).
+
+    float admits any finite JSON number, int only integers; a bool is never
+    a number.
+    """
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
+    else:
+        ok = (isinstance(value, int if kind is int else (int, float))
+              and not isinstance(value, bool)
+              and (isinstance(value, int) or math.isfinite(value)))
+    if not ok:
+        _fail(path, {int: "must be an integer", float: "must be a finite number",
+                     str: "must be a string", bool: "must be true or false"}[kind])
+    return value
+
+
 def _axis_tuple(value, dim, path, kind=float):
     """Accept a scalar or a per-axis list; always return a dim-tuple."""
     if isinstance(value, (list, tuple)):
@@ -45,15 +64,7 @@ def _axis_tuple(value, dim, path, kind=float):
         items = value
     else:
         items = [value] * dim
-    out = []
-    for i, v in enumerate(items):
-        if kind is int:
-            if not isinstance(v, int) or isinstance(v, bool):
-                _fail(f"{path}[{i}]", "must be an integer")
-        elif not isinstance(v, (int, float)) or isinstance(v, bool):
-            _fail(f"{path}[{i}]", "must be a number")
-        out.append(kind(v))
-    return tuple(out)
+    return tuple(kind(_checked(v, f"{path}[{i}]", kind)) for i, v in enumerate(items))
 
 
 def _require_keys(section: dict, allowed, path):
@@ -123,9 +134,6 @@ class SimulationConfig:
     def build_grid(self) -> PhaseSpaceGrid:
         L = tuple(v * NM for v in self.coherence_length_nm)
         omega = tuple(v * NM for v in self.omega_extent_nm)
-        if self.dim == 1:
-            return make_grid(1, L[0], omega[0], self.n_x[0], self.n_p[0],
-                             self.build_constants())
         return make_grid(self.dim, L, omega, self.n_x, self.n_p,
                          self.build_constants())
 
@@ -260,8 +268,8 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
     _require_keys(g, ("dim", "coherence_length_nm", "omega_extent_nm",
                       "n_x", "n_p"), "grid")
     dim = g.get("dim")
-    if dim not in (1, 2):
-        _fail("grid.dim", "must be 1 or 2")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim != 2:
+        _fail("grid.dim", "must be 2; every solver runs on 2D grids")
     for key in ("coherence_length_nm", "omega_extent_nm", "n_x", "n_p"):
         if key not in g:
             _fail(f"grid.{key}", "required key missing")
@@ -288,9 +296,10 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
         _fail("constants", "must be an object")
     _require_keys(cons, ("hbar_Js", "charge_C", "mass_kg"), "constants")
     defaults = PhysicalConstants()
-    hbar = float(cons.get("hbar_Js", defaults.hbar))
-    charge = float(cons.get("charge_C", defaults.charge))
-    mass = float(cons.get("mass_kg", defaults.mass))
+    hbar, charge, mass = (
+        float(_checked(cons.get(name, default), f"constants.{name}", float))
+        for name, default in (("hbar_Js", defaults.hbar), ("charge_C", defaults.charge),
+                              ("mass_kg", defaults.mass)))
     for name, v in (("hbar_Js", hbar), ("charge_C", charge), ("mass_kg", mass)):
         if v <= 0:
             _fail(f"constants.{name}", "must be positive")
@@ -300,8 +309,8 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
     if ftype == "linear":
         _require_keys(f, ("type", "e_grad_V_per_m2", "b0_T", "b1_T_per_m"), "field")
         e_grad = _axis_tuple(f.get("e_grad_V_per_m2", 0.0), 2, "field.e_grad_V_per_m2")
-        b0 = float(f.get("b0_T", 0.0))
-        b1 = float(f.get("b1_T_per_m", 0.0))
+        b0 = float(_checked(f.get("b0_T", 0.0), "field.b0_T", float))
+        b1 = float(_checked(f.get("b1_T_per_m", 0.0), "field.b1_T_per_m", float))
         ffile = None
     elif ftype == "sampled":
         _require_keys(f, ("type", "file"), "field")
@@ -362,16 +371,22 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
         _fail("solver.method", f"must be one of {', '.join(METHODS)}")
     if "dt_fs" not in sol or "t_end_fs" not in sol:
         _fail("solver.dt_fs", "dt_fs and t_end_fs are required")
-    dt_fs = float(sol["dt_fs"])
-    t_end_fs = float(sol["t_end_fs"])
-    m_trunc = sol.get("m_truncation")
-    if m_trunc is not None and (not isinstance(m_trunc, int) or isinstance(m_trunc, bool)):
-        _fail("solver.m_truncation", "must be an integer or null")
-    gamma0 = sol.get("gamma0_per_s")
+
+    def solver_value(key, default, kind, nullable=False):
+        value = sol.get(key, default)
+        return None if nullable and value is None else _checked(value, f"solver.{key}", kind)
+
+    dt_fs = float(solver_value("dt_fs", None, float))
+    t_end_fs = float(solver_value("t_end_fs", None, float))
+    m_trunc = solver_value("m_truncation", None, int, nullable=True)
+    gamma0 = solver_value("gamma0_per_s", None, float, nullable=True)
     if gamma0 is not None:
         gamma0 = float(gamma0)
+    mc_targets = sol.get("mc_targets", [])
+    if not isinstance(mc_targets, list):
+        _fail("solver.mc_targets", "must be a list")
     targets = []
-    for k, t in enumerate(sol.get("mc_targets", [])):
+    for k, t in enumerate(mc_targets):
         path = f"solver.mc_targets[{k}]"
         if not isinstance(t, dict):
             _fail(path, "must be an object with m_index and position_nm")
@@ -399,8 +414,8 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
         if name not in OBSERVABLES:
             _fail(f"output.observables[{i}]",
                   f"unknown observable; choose from {', '.join(OBSERVABLES)}")
-    snapshot_every = out.get("snapshot_every", 0)
-    if not isinstance(snapshot_every, int) or isinstance(snapshot_every, bool) or snapshot_every < 0:
+    snapshot_every = _checked(out.get("snapshot_every", 0), "output.snapshot_every", int)
+    if snapshot_every < 0:
         _fail("output.snapshot_every", "must be a non-negative integer")
 
     cfg = SimulationConfig(
@@ -423,20 +438,20 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
         method=method,
         dt_fs=dt_fs,
         t_end_fs=t_end_fs,
-        boundary=sol.get("boundary", "zero"),
-        stencil_order=sol.get("stencil_order", 2),
+        boundary=solver_value("boundary", "zero", str),
+        stencil_order=solver_value("stencil_order", 2, int),
         m_truncation=m_trunc,
         gamma0_per_s=gamma0,
-        rng_seed=sol.get("rng_seed", 0),
-        n_particles=sol.get("n_particles", 20000),
-        fredholm_tol=sol.get("fredholm_tol", 1e-8),
-        fredholm_max_iter=sol.get("fredholm_max_iter", 200),
-        weight_cap=sol.get("weight_cap", 1e6),
+        rng_seed=solver_value("rng_seed", 0, int),
+        n_particles=solver_value("n_particles", 20000, int),
+        fredholm_tol=solver_value("fredholm_tol", 1e-8, float),
+        fredholm_max_iter=solver_value("fredholm_max_iter", 200, int),
+        weight_cap=solver_value("weight_cap", 1e6, float),
         mc_targets=tuple(targets),
-        output_directory=out.get("directory", "out"),
+        output_directory=_checked(out.get("directory", "out"), "output.directory", str),
         snapshot_every=snapshot_every,
         observables=tuple(observables),
-        binary_states=out.get("binary_states", True),
+        binary_states=_checked(out.get("binary_states", True), "output.binary_states", bool),
     )
     _validate_cross(cfg)
     return cfg
@@ -448,18 +463,15 @@ def _validate_cross(cfg: SimulationConfig):
         solver_cfg = cfg.build_solver_config()
     except ValueError as exc:
         raise ConfigError("solver", str(exc)) from exc
-    if cfg.method in ("semidiscrete", "continuum", "fredholm", "mc") and cfg.dim != 2:
-        _fail("grid.dim", f"the {cfg.method} solver runs on 2D grids")
     n_steps = cfg.t_end_fs / cfg.dt_fs
     if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
         _fail("solver.t_end_fs",
               f"must be an integer multiple of dt_fs (t_end/dt = {n_steps:.6g})")
     grid = cfg.build_grid()
-    if cfg.dim == 2:
-        try:
-            solver_cfg.validate(grid)
-        except ValueError as exc:
-            raise ConfigError("solver.dt_fs", str(exc)) from exc
+    try:
+        solver_cfg.validate(grid)
+    except ValueError as exc:
+        raise ConfigError("solver.dt_fs", str(exc)) from exc
 
 
 def load_config(path) -> SimulationConfig:

@@ -21,10 +21,12 @@ from .config import NM, SimulationConfig
 from .io import write_state, write_table
 from .kernels import linear_coefficients, term_magnitudes
 from .phasespace import LinearEMField
-from .solvers import (evolve, mc_estimate_point, solve_fredholm_resolvent)
-from .solvers.continuum import make_rhs as make_continuum_rhs
-from .solvers.semidiscrete import make_rhs as make_semidiscrete_rhs
+from .solvers import (continuum, evolve, mc_estimate_point, semidiscrete,
+                      solve_fredholm_resolvent)
 from .transform import WignerState
+
+# the stepped routes: each module's make_rhs(coeffs, grid, config) feeds evolve
+STEPPED_ROUTES = {"semidiscrete": semidiscrete, "continuum": continuum}
 
 
 class RunnerError(RuntimeError):
@@ -135,13 +137,10 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, workers: int,
     f0 = cfg.build_initial_state(grid)
     files = []
 
-    if cfg.method in ("semidiscrete", "continuum"):
+    if cfg.method in STEPPED_ROUTES:
         _require_linear(field, cfg.method)
-        coeffs = linear_coefficients(field, grid)
-        if cfg.method == "semidiscrete":
-            rhs = make_semidiscrete_rhs(coeffs, grid, scfg)
-        else:
-            rhs = make_continuum_rhs(field, grid, scfg, coeffs)
+        rhs = STEPPED_ROUTES[cfg.method].make_rhs(linear_coefficients(field, grid),
+                                                  grid, scfg)
         n_steps = int(round(scfg.t_end / scfg.dt))
 
         def observer(step, t, values):

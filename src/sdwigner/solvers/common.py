@@ -302,28 +302,6 @@ def rk4_step(values: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarr
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def check_stability(norm_before: float, norm_after: float, where: str) -> None:
-    """Raise SolverInstabilityError if a step left a non-finite norm or grew it
-    more than 10x; `where` names the step in the message."""
-    if not np.isfinite(norm_after):
-        raise SolverInstabilityError(
-            f"state turned non-finite {where}; dt likely violates stability")
-    if norm_before > 0 and norm_after > 10.0 * norm_before:
-        raise SolverInstabilityError(
-            f"norm grew {norm_after / norm_before:.1f}x {where}; "
-            f"dt likely violates stability")
-
-
-def guarded_step(f: WignerState, rhs: Callable[[np.ndarray], np.ndarray],
-                 config: "SolverConfig") -> WignerState:
-    """One RK4 step of a state under `rhs`, with the stability check."""
-    config.validate(f.grid)
-    values = rk4_step(f.values, config.dt, rhs)
-    check_stability(float(np.linalg.norm(f.values)), float(np.linalg.norm(values)),
-                    f"in one step of dt={config.dt:.3e} s")
-    return WignerState(grid=f.grid, values=values, time=f.time + config.dt)
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -522,7 +500,12 @@ def evolve(f0, rhs: Callable[[np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
            config: SolverConfig, n_steps: Optional[int] = None,
            record_every: int = 1,
            observer: Optional[Callable[[int, float, np.ndarray], None]] = None) -> EvolutionResult:
-    """March f0 with RK4, recording observable traces and guarding stability."""
+    """March f0 with RK4, recording observable traces and guarding stability.
+
+    The only stepping loop of the deterministic routes: a step that leaves a
+    non-finite state or grows the norm more than 10x raises
+    SolverInstabilityError.
+    """
     config.validate(grid)
     values = np.array(_values(f0), dtype=float, copy=True)
     if n_steps is None:
@@ -543,7 +526,12 @@ def evolve(f0, rhs: Callable[[np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
     for step in range(1, n_steps + 1):
         values = rk4_step(values, config.dt, rhs)
         norm = float(np.linalg.norm(values))
-        check_stability(norm_prev, norm, f"at step {step} (t={step * config.dt:.3e} s)")
+        if not np.isfinite(norm) or (norm_prev > 0 and norm > 10.0 * norm_prev):
+            what = ("state turned non-finite" if not np.isfinite(norm)
+                    else f"norm grew {norm / norm_prev:.1f}x")
+            raise SolverInstabilityError(
+                f"{what} at step {step} (t={step * config.dt:.3e} s); "
+                f"dt likely violates stability")
         norm_prev = norm if norm > 0 else norm_prev
         if step % record_every == 0 or step == n_steps:
             result.values = values

@@ -12,11 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..kernels import LinearKernelCoefficients, linear_coefficients
-from ..phasespace import LinearEMField, PhaseSpaceGrid
-from ..transform import WignerState
-from .common import (BandedOperators, SolverConfig, add_momentum_terms,
-                     band_matrix, banded_rhs, guarded_step, spatial_gradients)
+from ..kernels import LinearKernelCoefficients
+from ..phasespace import PhaseSpaceGrid
+from .common import (BandedOperators, SolverConfig, _values, add_momentum_terms,
+                     band_matrix, banded_rhs, spatial_gradients)
 
 
 def difference_operators(coeffs: LinearKernelCoefficients,
@@ -68,34 +67,20 @@ def force_and_quantum(values: np.ndarray, coeffs: LinearKernelCoefficients,
     return make_kernel(coeffs, grid, config)(values, np.empty_like(values))
 
 
-def rhs_continuum_fd(f, field: LinearEMField, grid: PhaseSpaceGrid,
-                     config: Optional[SolverConfig] = None,
-                     coeffs: Optional[LinearKernelCoefficients] = None) -> np.ndarray:
+def rhs_continuum_fd(f, coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
+                     config: Optional[SolverConfig] = None) -> np.ndarray:
     """Time derivative in the small-spacing limit; accepts WignerState or array.
 
-    Pass precomputed `coeffs` to avoid rebuilding the force tables; stepping
-    loops use `make_rhs`, which also builds the difference matrices once.
+    Builds the difference matrices on every call; stepping loops use `make_rhs`.
     """
-    values = f.values if isinstance(f, WignerState) else np.asarray(f)
-    if coeffs is None:
-        coeffs = linear_coefficients(field, grid)
-    return banded_rhs(values, grid, coeffs, difference_operators(coeffs, grid), config)
+    return banded_rhs(_values(f), grid, coeffs, difference_operators(coeffs, grid), config)
 
 
-def make_rhs(field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig,
-             coeffs: Optional[LinearKernelCoefficients] = None):
+def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
+             config: SolverConfig):
     """Build the difference matrices once and bind them into a values -> d/dt values closure."""
-    if coeffs is None:
-        coeffs = linear_coefficients(field, grid)
     ops = difference_operators(coeffs, grid)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         return banded_rhs(values, grid, coeffs, ops, config)
     return rhs
-
-
-def step_continuum(f: WignerState, field: LinearEMField,
-                   config: SolverConfig,
-                   coeffs: Optional[LinearKernelCoefficients] = None) -> WignerState:
-    """One RK4 step of the small-spacing equation with blow-up detection."""
-    return guarded_step(f, make_rhs(field, f.grid, config, coeffs), config)

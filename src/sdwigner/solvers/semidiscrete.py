@@ -18,9 +18,7 @@ import numpy as np
 from ..kernels import (LinearKernelCoefficients, harmonic_coefficient,
                        quadratic_coefficient)
 from ..phasespace import PhaseSpaceGrid
-from ..transform import WignerState
-from .common import (BandedOperators, SolverConfig, band_matrix, banded_rhs,
-                     guarded_step)
+from .common import BandedOperators, SolverConfig, _values, band_matrix, banded_rhs
 
 
 def ladder_operators(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
@@ -65,8 +63,7 @@ def rhs_semidiscrete(f, coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     Accepts a WignerState or a bare array shaped (N_x, N_y, n_x, n_y).
     Builds the ladder matrices on every call; stepping loops use `make_rhs`.
     """
-    values = f.values if isinstance(f, WignerState) else np.asarray(f)
-    return banded_rhs(values, grid, coeffs, ladder_operators(coeffs, grid, config), config)
+    return banded_rhs(_values(f), grid, coeffs, ladder_operators(coeffs, grid, config), config)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
@@ -77,9 +74,3 @@ def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     def rhs(values: np.ndarray) -> np.ndarray:
         return banded_rhs(values, grid, coeffs, ops, config)
     return rhs
-
-
-def step_semidiscrete(f: WignerState, coeffs: LinearKernelCoefficients,
-                      config: SolverConfig) -> WignerState:
-    """One RK4 step; aborts if the state turns non-finite or its norm grows more than 10x."""
-    return guarded_step(f, make_rhs(coeffs, f.grid, config), config)

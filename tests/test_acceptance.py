@@ -19,15 +19,13 @@ import numpy as np
 import pytest
 
 from sdwigner import (LinearEMField, PhysicalConstants, SolverConfig,
-                      WignerState, apply_gauge_change, evolve,
-                      harmonic_coefficient, landau_gauge, linear_coefficients,
-                      magnetic_kernel, magnetic_square_from_convolution,
-                      magnetic_square_kernel, make_grid, mc_estimate_point,
-                      quadratic_coefficient, solve_fredholm_resolvent,
-                      symmetric_gauge, term_magnitudes, wigner_from_density)
-from sdwigner.solvers import step_continuum, step_semidiscrete
-from sdwigner.solvers.continuum import make_rhs as small_spacing_rhs
-from sdwigner.solvers.semidiscrete import make_rhs as ladder_rhs
+                      apply_gauge_change, evolve, harmonic_coefficient,
+                      landau_gauge, linear_coefficients, magnetic_kernel,
+                      magnetic_square_from_convolution, magnetic_square_kernel,
+                      make_grid, mc_estimate_point, quadratic_coefficient,
+                      solve_fredholm_resolvent, symmetric_gauge,
+                      term_magnitudes, wigner_from_density)
+from sdwigner.solvers import continuum, semidiscrete
 from sdwigner.states import gaussian_wigner
 
 from oracles import fourier_moment_trapezoid
@@ -150,16 +148,13 @@ def test_criterion_05_free_streaming_reduction(report):
     ref = np.fft.ifft2(np.fft.fft2(vals, axes=(2, 3)) * phase, axes=(2, 3)).real
     nrm = np.linalg.norm(ref)
 
-    field = LinearEMField()
-    coeffs = linear_coefficients(field, grid)
-    state = WignerState(grid, vals.copy())
-    for _ in range(steps):
-        state = step_semidiscrete(state, coeffs, cfg)
-    err_ladder = float(np.linalg.norm(state.values - ref) / nrm)
-    state = WignerState(grid, vals.copy())
-    for _ in range(steps):
-        state = step_continuum(state, field, cfg, coeffs)
-    err_small = float(np.linalg.norm(state.values - ref) / nrm)
+    coeffs = linear_coefficients(LinearEMField(), grid)
+
+    def rel_err(route):
+        final = evolve(vals, route.make_rhs(coeffs, grid, cfg), grid, cfg,
+                       n_steps=steps, record_every=steps).values
+        return float(np.linalg.norm(final - ref) / nrm)
+    err_ladder, err_small = rel_err(semidiscrete), rel_err(continuum)
 
     ok = report(5, "zero-field reduction to free streaming",
                 err_ladder <= 1e-3 and err_small <= 1e-3,
@@ -177,7 +172,7 @@ def test_criterion_06_rotation_period(report):
     f0 = gaussian_wigner(grid, center=(0.0, 0.0), sigma_x=(18e-9, 18e-9),
                          momentum_center=(2 * grid.dp[0], 0.0),
                          sigma_p=(1.5 * grid.dp[0], 1.5 * grid.dp[1]))
-    rhs = small_spacing_rhs(field, grid, cfg, linear_coefficients(field, grid))
+    rhs = continuum.make_rhs(linear_coefficients(field, grid), grid, cfg)
     result = evolve(f0.values, rhs, grid, cfg)
     z = np.array([px + 1j * py for px, py in result.mean_momenta])
     ratios = z[1:] / z[:-1]
@@ -210,9 +205,8 @@ def test_criterion_07_mass_conservation(report):
     worst_name, worst = "", 0.0
     for name, field in fixtures:
         coeffs = linear_coefficients(field, grid)
-        for route, rhs in (("ladder", ladder_rhs(coeffs, grid, cfg)),
-                           ("small-spacing",
-                            small_spacing_rhs(field, grid, cfg, coeffs))):
+        for route, rhs in (("ladder", semidiscrete.make_rhs(coeffs, grid, cfg)),
+                           ("small-spacing", continuum.make_rhs(coeffs, grid, cfg))):
             trace = evolve(f0.values, rhs, grid, cfg)
             masses = np.asarray(trace.masses)
             drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
@@ -233,15 +227,13 @@ def integral_route_results():
                          sigma_p=(1.5 * grid.dp[0], 1.5 * grid.dp[1]))
     base = SolverConfig(dt=1e-14, t_end=4e-13, boundary="periodic",
                         stencil_order=4)
-    coeffs = linear_coefficients(field, grid)
-    state = WignerState(grid, f0.values.copy())
-    for _ in range(40):
-        state = step_continuum(state, field, base, coeffs)
+    stepped = evolve(f0.values, continuum.make_rhs(linear_coefficients(field, grid), grid, base),
+                     grid, base, n_steps=40).values
     one = solve_fredholm_resolvent(
         f0, field, grid, replace(base, gamma0=1.25e11, fredholm_tol=1e-10))
     two = solve_fredholm_resolvent(
         f0, field, grid, replace(base, gamma0=2.5e11, fredholm_tol=1e-10))
-    return state.values, one.state.values, two.state.values
+    return stepped, one.state.values, two.state.values
 
 
 def test_criterion_08_integral_route_vs_stepping(integral_route_results, report):
@@ -262,8 +254,7 @@ def test_criterion_09_stochastic_consistency(report):
                          momentum_center=(grid.dp[0], 0.0),
                          sigma_p=(1.5 * grid.dp[0], 1.5 * grid.dp[1]))
     stepped = evolve(f0.values,
-                     small_spacing_rhs(field, grid, cfg,
-                                       linear_coefficients(field, grid)),
+                     continuum.make_rhs(linear_coefficients(field, grid), grid, cfg),
                      grid, cfg).values
 
     probes = [((1, 0), (26, 24)), ((2, -1), (21, 27)), ((1, 1), (28, 26)),

@@ -14,9 +14,9 @@ from sdwigner.io import (load_sampled_field, read_state, read_table,
                          relative_l2_diff, save_sampled_field, write_state,
                          write_table)
 from sdwigner.phasespace import SampledEMField
-from sdwigner import runner
 from sdwigner.runner import RunnerError, magnitude_report, run_simulation
-from sdwigner.solvers import FredholmConvergenceError, SolverInstabilityError
+from sdwigner.solvers import (FredholmConvergenceError, SolverInstabilityError,
+                              semidiscrete)
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
 
@@ -158,6 +158,36 @@ class TestConfigSchema:
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_dict(grid={"n_p": [True, 4]}))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "n_particles", "100"),
+        ("solver", "fredholm_tol", "x"),
+        ("solver", "dt_fs", None),
+        ("solver", "dt_fs", "abc"),
+        ("field", "b0_T", "one"),
+        ("solver", "rng_seed", "a"),
+        ("output", "binary_states", "no"),
+        ("solver", "stencil_order", 4.0),
+        ("solver", "weight_cap", float("nan")),
+        ("constants", "mass_kg", "1e-30"),
+        ("output", "directory", 3),
+    ])
+    def test_malformed_scalars_fail_at_their_path(self, tmp_path, capsys,
+                                                  section, key, value):
+        d = base_dict(**{section: {key: value}})
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(d)
+        assert err.value.path == f"{section}.{key}"
+        assert cli_main(["validate", str(write_json(tmp_path, d))]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [1, 3, 2.0])
+    def test_only_2d_grids_load(self, dim):
+        d = base_dict(grid={"dim": dim, "coherence_length_nm": 200.0,
+                            "omega_extent_nm": 100.0, "n_x": 8, "n_p": 4})
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(d)
+        assert err.value.path == "grid.dim"
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (8, 8), (4, 4))
@@ -308,7 +338,7 @@ class TestRunner:
         np.testing.assert_allclose(data[:, 1], 1.0, rtol=1e-4)
 
     def test_non_finite_state_fails_the_run(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner, "make_semidiscrete_rhs",
+        monkeypatch.setattr(semidiscrete, "make_rhs",
                             lambda *args: lambda v: np.full_like(v, np.nan))
         with pytest.raises(SolverInstabilityError, match="non-finite"):
             self.run_cfg(tmp_path, "nan")
@@ -450,7 +480,7 @@ class TestCLI:
         assert meta["error"].startswith(FredholmConvergenceError.__name__)
 
     def test_run_reports_an_unstable_step(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(runner, "make_semidiscrete_rhs",
+        monkeypatch.setattr(semidiscrete, "make_rhs",
                             lambda *args: lambda v: np.full_like(v, np.nan))
         path = self.cfg_file(tmp_path)
         assert cli_main(["run", str(path), "--out", str(tmp_path / "run")]) == 1

@@ -16,19 +16,17 @@ from sdwigner.solvers import common as solver_common
 from sdwigner.solvers import continuum, semidiscrete
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, advect_free_flight,
-                              advection_term, box_offset_sum, default_gamma0,
-                              even_pair_ladder, evolve, force_and_quantum,
-                              free_flight, mc_estimate_point,
-                              mean_momentum_global, momentum_difference,
-                              momentum_second_difference, observables,
-                              odd_pair_ladder, rhs_continuum_fd, rhs_general,
-                              rhs_semidiscrete, rk4_step, sample_shift,
-                              solve_fredholm_resolvent, spatial_derivative,
-                              step_continuum, step_semidiscrete)
+                              advection_term, default_gamma0, evolve,
+                              force_and_quantum, free_flight, mc_estimate_point,
+                              mean_momentum_global, observables,
+                              rhs_continuum_fd, rhs_general, rhs_semidiscrete,
+                              rk4_step, sample_shift, solve_fredholm_resolvent,
+                              spatial_derivative)
 from sdwigner.solvers.common import (apply_along, apply_free_flight, band_matrix,
-                                     free_flight_operators)
+                                     box_offset_sum, even_pair_ladder,
+                                     free_flight_operators, momentum_difference,
+                                     momentum_second_difference, odd_pair_ladder)
 from sdwigner.states import gaussian_wigner
-from sdwigner.transform import WignerState
 
 from oracles import (fredholm_sweeps, free_flight_rows, lattice_first_moment,
                      lattice_second_moment)
@@ -275,7 +273,7 @@ class TestLadderRHS:
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
         out = rhs_semidiscrete(f, coeffs, G2, cfg)
         assert abs(out.sum()) < 1e-13 * np.abs(out).sum()
-        out_fd = rhs_continuum_fd(f, field, G2, cfg)
+        out_fd = rhs_continuum_fd(f, coeffs, G2, cfg)
         assert abs(out_fd.sum()) < 1e-13 * np.abs(out_fd).sum()
 
 
@@ -288,7 +286,7 @@ class TestFiniteDifferenceRHS:
         expect = advection_term(f, G2, 2, "periodic")
         expect -= coeffs.force_x[None] * momentum_difference(f, G2, 0)
         expect -= coeffs.force_y[:, None] * momentum_difference(f, G2, 1)
-        assert np.allclose(rhs_continuum_fd(f, field, G2, cfg), expect, atol=1e-15)
+        assert np.allclose(rhs_continuum_fd(f, coeffs, G2, cfg), expect, atol=1e-15)
 
     def test_gradient_terms_assembled(self):
         field = LinearEMField(b0=0.6, b1=0.9)
@@ -304,7 +302,7 @@ class TestFiniteDifferenceRHS:
         expect -= coeffs.force_y[:, None] * momentum_difference(f, G2, 1)
         expect += kappa * momentum_second_difference(dxf, G2, 1)
         expect -= kappa * momentum_difference(momentum_difference(dyf, G2, 1), G2, 0)
-        assert np.allclose(rhs_continuum_fd(f, field, G2, cfg), expect, atol=1e-15)
+        assert np.allclose(rhs_continuum_fd(f, coeffs, G2, cfg), expect, atol=1e-15)
 
     def test_momentum_response_matches_force(self):
         # d<P>/dt from the RHS must equal <F>; holds to the momentum-edge tail
@@ -324,7 +322,7 @@ class TestFiniteDifferenceRHS:
         fx_mean = (NAT.charge * field.b0 * py / NAT.mass * f).sum() / mass_sum
         fy_mean = (-NAT.charge * field.b0 * px / NAT.mass * f).sum() / mass_sum
         for rhs_vals, tol in (
-            (rhs_continuum_fd(f, field, grid, cfg), 1e-7),
+            (rhs_continuum_fd(f, coeffs, grid, cfg), 1e-7),
             (rhs_semidiscrete(f, coeffs, grid, cfg_full), 1e-4),
         ):
             dpx_dt = (px * rhs_vals).sum() / mass_sum
@@ -394,8 +392,8 @@ class TestBandedOperators:
                            stencil_order=4, m_truncation=m_truncation)
         assert np.array_equal(semidiscrete.make_rhs(coeffs, GA, cfg)(f),
                               rhs_semidiscrete(f, coeffs, GA, cfg))
-        assert np.array_equal(continuum.make_rhs(GRADIENT_FIELD, GA, cfg, coeffs)(f),
-                              rhs_continuum_fd(f, GRADIENT_FIELD, GA, cfg))
+        assert np.array_equal(continuum.make_rhs(coeffs, GA, cfg)(f),
+                              rhs_continuum_fd(f, coeffs, GA, cfg))
 
     def test_ladder_shift_count_independent_of_lattice(self, monkeypatch):
         calls = []
@@ -457,9 +455,10 @@ class TestStepping:
             force_y=np.full_like(base.force_y, 1e6),
             cross_dx=0.0, pair_dy=np.zeros_like(base.pair_dy), zero_dy=0.0)
         cfg = SolverConfig(dt=0.04, t_end=0.4)
-        state = WignerState(G2, packet(G2).values)
-        with pytest.raises(SolverInstabilityError):
-            step_semidiscrete(state, coeffs, cfg)
+        for route in (semidiscrete, continuum):
+            with pytest.raises(SolverInstabilityError, match="norm grew"):
+                evolve(packet(G2).values, route.make_rhs(coeffs, G2, cfg), G2, cfg,
+                       n_steps=1)
 
     def test_free_streaming_translates_packet(self):
         grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (24, 24), (5, 5), NAT)
@@ -469,10 +468,8 @@ class TestStepping:
         for order in (2, 4):
             cfg = SolverConfig(dt=0.01, t_end=0.2, boundary="periodic",
                                stencil_order=order)
-            state = WignerState(grid, f0.copy())
-            for _ in range(20):
-                state = step_semidiscrete(state, coeffs, cfg)
-            finals[order] = state.values
+            finals[order] = evolve(f0, semidiscrete.make_rhs(coeffs, grid, cfg), grid, cfg,
+                                   n_steps=20).values
         # each momentum row translates at its own speed; under periodic walls
         # the exact shift of the sampled data is a Fourier phase rotation
         t = 0.2
@@ -507,14 +504,14 @@ class TestStepping:
         # central differences leak only through the outermost momentum slots,
         # so the drift is bounded by the edge tail mass the force builds up
         field = LinearEMField(e_grad=(0.2, -0.1), b0=0.6, b1=0.3)
-        cont = evolve(f0, lambda v: rhs_continuum_fd(v, field, grid, cfg),
+        co = linear_coefficients(field, grid)
+        cont = evolve(f0, lambda v: rhs_continuum_fd(v, co, grid, cfg),
                       grid, cfg, n_steps=100)
         assert rel_drift(cont) < 1e-4
 
         # the pair ladder telescopes only on the unbounded lattice; on the
         # zero-filled window a force-skewed state sheds band flux (see
         # test_ladder_mass_leak_is_band_flux), so the drift is merely bounded
-        co = linear_coefficients(field, grid)
         ladd = evolve(f0, lambda v: rhs_semidiscrete(v, co, grid, cfg),
                       grid, cfg, n_steps=100)
         assert rel_drift(ladd) < 2e-2
@@ -559,7 +556,7 @@ class TestStepping:
             a = f0.copy()
             b = f0.copy()
             rhs_a = lambda v: rhs_semidiscrete(v, coeffs, grid, cfg)
-            rhs_b = lambda v: rhs_continuum_fd(v, field, grid, cfg, coeffs)
+            rhs_b = lambda v: rhs_continuum_fd(v, coeffs, grid, cfg)
             for _ in range(10):
                 a = rk4_step(a, cfg.dt, rhs_a)
                 b = rk4_step(b, cfg.dt, rhs_b)
@@ -588,11 +585,10 @@ class TestStabilityGuard:
     def test_steppers_reject_non_finite_state(self):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
         coeffs = self.nan_coefficients(G2)
-        state = WignerState(G2, packet(G2).values)
-        with pytest.raises(SolverInstabilityError, match="non-finite"):
-            step_semidiscrete(state, coeffs, cfg)
-        with pytest.raises(SolverInstabilityError, match="non-finite"):
-            step_continuum(state, LinearEMField(), cfg, coeffs)
+        for route in (semidiscrete, continuum):
+            with pytest.raises(SolverInstabilityError, match="non-finite"):
+                evolve(packet(G2).values, route.make_rhs(coeffs, G2, cfg), G2, cfg,
+                       n_steps=1)
 
 
 class TestFredholm:
@@ -611,12 +607,10 @@ class TestFredholm:
         cfg = SolverConfig(dt=0.01, t_end=0.16, boundary="periodic")
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8)
         result = solve_fredholm_resolvent(f0, field, G2, cfg)
-        state = WignerState(G2, f0.values.copy())
-        coeffs = linear_coefficients(field, G2)
-        for _ in range(16):
-            state = step_continuum(state, field, cfg, coeffs)
+        stepped = evolve(f0, continuum.make_rhs(linear_coefficients(field, G2), G2, cfg),
+                         G2, cfg, n_steps=16).values
         # coarse packet: this only guards gross disagreement between routes
-        assert rel_l2(result.state.values, state.values) < 5e-2
+        assert rel_l2(result.state.values, stepped) < 5e-2
 
     def test_gamma_choice_is_immaterial(self):
         field = LinearEMField(b0=0.5)
@@ -711,14 +705,12 @@ class TestMonteCarlo:
         cfg = SolverConfig(dt=0.01, t_end=0.1, boundary="periodic",
                            n_particles=20000, rng_seed=5, stencil_order=4)
         f0 = packet(grid, sigma_p=1.0)
-        state = WignerState(grid, f0.values.copy())
-        coeffs = linear_coefficients(field, grid)
-        for _ in range(10):
-            state = step_continuum(state, field, cfg, coeffs)
+        stepped = evolve(f0, continuum.make_rhs(linear_coefficients(field, grid), grid, cfg),
+                         grid, cfg, n_steps=10).values
         sx, sy, ix, iy = grid.momentum_slot(0, 1), grid.momentum_slot(1, 0), 13, 11
         target = (np.array([1, 0]), np.array([grid.x_axes[0][ix], grid.x_axes[1][iy]]))
         value, stderr = mc_estimate_point(target, f0, field, grid, cfg)
-        ref = state.values[sx, sy, ix, iy]
+        ref = stepped[sx, sy, ix, iy]
         assert abs(value - ref) < 4.0 * stderr + 1e-4 * abs(ref)
 
     def test_stderr_scales_inverse_sqrt(self):
