@@ -17,13 +17,15 @@ from typing import Optional
 
 from .phasespace import (LinearEMField, PhaseSpaceGrid, PhysicalConstants,
                          make_grid)
-from .solvers import SolverConfig
+from .solvers.common import SolverConfig, SolverConfigError
 
 NM = 1e-9
 FS = 1e-15
 
 METHODS = ("semidiscrete", "continuum", "fredholm", "mc")
 OBSERVABLES = ("mass", "mean_momentum", "boundary_fraction")
+# SolverConfig fields whose file key carries a unit suffix
+SOLVER_KEYS = {"dt": "dt_fs", "t_end": "t_end_fs", "gamma0": "gamma0_per_s"}
 
 
 class ConfigError(ValueError):
@@ -99,11 +101,9 @@ class SimulationConfig:
     hbar_Js: float
     charge_C: float
     mass_kg: float
-    field_type: str                      # "linear" | "sampled"
     e_grad_V_per_m2: tuple
     b0_T: float
     b1_T_per_m: float
-    field_file: Optional[str]
     state_type: str                      # "gaussian" | "file"
     gaussian: Optional[GaussianStateSpec]
     state_file: Optional[str]
@@ -137,10 +137,7 @@ class SimulationConfig:
         return make_grid(self.dim, L, omega, self.n_x, self.n_p,
                          self.build_constants())
 
-    def build_field(self):
-        if self.field_type == "sampled":
-            from .io import load_sampled_field
-            return load_sampled_field(self.field_file)
+    def build_field(self) -> LinearEMField:
         return LinearEMField(e_grad=self.e_grad_V_per_m2, b0=self.b0_T,
                              b1=self.b1_T_per_m)
 
@@ -194,7 +191,12 @@ class SimulationConfig:
                 "charge_C": self.charge_C,
                 "mass_kg": self.mass_kg,
             },
-            "field": {"type": self.field_type},
+            "field": {
+                "type": "linear",
+                "e_grad_V_per_m2": list(self.e_grad_V_per_m2),
+                "b0_T": self.b0_T,
+                "b1_T_per_m": self.b1_T_per_m,
+            },
             "initial_state": {"type": self.state_type},
             "solver": {
                 "method": self.method,
@@ -217,14 +219,6 @@ class SimulationConfig:
                 "binary_states": self.binary_states,
             },
         }
-        if self.field_type == "linear":
-            d["field"].update({
-                "e_grad_V_per_m2": list(self.e_grad_V_per_m2),
-                "b0_T": self.b0_T,
-                "b1_T_per_m": self.b1_T_per_m,
-            })
-        else:
-            d["field"]["file"] = self.field_file
         if self.state_type == "gaussian":
             g = self.gaussian
             d["initial_state"].update({
@@ -305,25 +299,13 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
             _fail(f"constants.{name}", "must be positive")
 
     f = data["field"]
-    ftype = f.get("type", "linear")
-    if ftype == "linear":
-        _require_keys(f, ("type", "e_grad_V_per_m2", "b0_T", "b1_T_per_m"), "field")
-        e_grad = _axis_tuple(f.get("e_grad_V_per_m2", 0.0), 2, "field.e_grad_V_per_m2")
-        b0 = float(_checked(f.get("b0_T", 0.0), "field.b0_T", float))
-        b1 = float(_checked(f.get("b1_T_per_m", 0.0), "field.b1_T_per_m", float))
-        ffile = None
-    elif ftype == "sampled":
-        _require_keys(f, ("type", "file"), "field")
-        if "file" not in f:
-            _fail("field.file", "sampled field needs a file path")
-        ffile = str(f["file"])
-        if base_dir is not None:
-            ffile = str((base_dir / ffile).resolve())
-        if not Path(ffile).exists():
-            _fail("field.file", f"file not found: {ffile}")
-        e_grad, b0, b1 = (0.0, 0.0), 0.0, 0.0
-    else:
-        _fail("field.type", "must be 'linear' or 'sampled'")
+    if f.get("type", "linear") != "linear":
+        _fail("field.type", "must be 'linear': the solvers need a linear profile, "
+                            "and sampled tables drive the kernel API only")
+    _require_keys(f, ("type", "e_grad_V_per_m2", "b0_T", "b1_T_per_m"), "field")
+    e_grad = _axis_tuple(f.get("e_grad_V_per_m2", 0.0), 2, "field.e_grad_V_per_m2")
+    b0 = float(_checked(f.get("b0_T", 0.0), "field.b0_T", float))
+    b1 = float(_checked(f.get("b1_T_per_m", 0.0), "field.b1_T_per_m", float))
 
     s = data["initial_state"]
     stype = s.get("type", "gaussian")
@@ -396,11 +378,8 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
             position_nm=_axis_tuple(t.get("position_nm", 0.0), dim,
                                     f"{path}.position_nm"),
         ))
-    if method == "mc":
-        if not targets:
-            _fail("solver.mc_targets", "mc runs need at least one target")
-        if ftype != "linear":
-            _fail("solver.method", "mc estimation supports linear fields only")
+    if method == "mc" and not targets:
+        _fail("solver.mc_targets", "mc runs need at least one target")
 
     out = data.get("output", {})
     if not isinstance(out, dict):
@@ -427,11 +406,9 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
         hbar_Js=hbar,
         charge_C=charge,
         mass_kg=mass,
-        field_type=ftype,
         e_grad_V_per_m2=e_grad,
         b0_T=b0,
         b1_T_per_m=b1,
-        field_file=ffile,
         state_type=stype,
         gaussian=gaussian,
         state_file=sfile,
@@ -461,8 +438,8 @@ def _validate_cross(cfg: SimulationConfig):
     """Checks that need several sections at once (solver limits, CFL)."""
     try:
         solver_cfg = cfg.build_solver_config()
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc)) from exc
+    except SolverConfigError as exc:
+        raise ConfigError(f"solver.{SOLVER_KEYS.get(exc.field, exc.field)}", str(exc)) from exc
     n_steps = cfg.t_end_fs / cfg.dt_fs
     if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
         _fail("solver.t_end_fs",

@@ -20,7 +20,6 @@ from . import __version__
 from .config import NM, SimulationConfig
 from .io import write_state, write_table
 from .kernels import linear_coefficients, term_magnitudes
-from .phasespace import LinearEMField
 from .solvers import (continuum, evolve, mc_estimate_point, semidiscrete,
                       solve_fredholm_resolvent)
 from .transform import WignerState
@@ -122,13 +121,6 @@ def run_simulation(cfg: SimulationConfig, out_dir=None, seed: Optional[int] = No
                       files=tuple(files), config_hash=run_hash)
 
 
-def _require_linear(field, method):
-    if not isinstance(field, LinearEMField):
-        raise RunnerError(
-            f"the {method} solver needs a linear field profile; sampled "
-            f"field tables drive the kernel API, not the batch solvers")
-
-
 def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, workers: int,
               meta: dict) -> list:
     grid = cfg.build_grid()
@@ -138,7 +130,6 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, workers: int,
     files = []
 
     if cfg.method in STEPPED_ROUTES:
-        _require_linear(field, cfg.method)
         rhs = STEPPED_ROUTES[cfg.method].make_rhs(linear_coefficients(field, grid),
                                                   grid, scfg)
         n_steps = int(round(scfg.t_end / scfg.dt))
@@ -163,7 +154,6 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, workers: int,
             files.append(write_state(out / "state_final.sdwg", final, run_hash))
 
     elif cfg.method == "fredholm":
-        _require_linear(field, cfg.method)
         res = solve_fredholm_resolvent(f0, field, grid, scfg)
         meta["fredholm_sweeps"] = res.n_sweeps
         meta["gamma0_per_s"] = res.gamma0
@@ -174,7 +164,6 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, workers: int,
             files.append(write_state(out / "state_final.sdwg", res.state, run_hash))
 
     elif cfg.method == "mc":
-        _require_linear(field, cfg.method)
         rows = []
         for t in cfg.mc_targets:
             target = (np.asarray(t.m_index, dtype=int),
@@ -203,7 +192,6 @@ def magnitude_report(cfg: SimulationConfig, out_dir=None,
     """Appendix-style per-term rate table; returns (rows, written path or None)."""
     grid = cfg.build_grid()
     field = cfg.build_field()
-    _require_linear(field, "magnitude-report")
     report = term_magnitudes(field, grid, constants=cfg.build_constants(),
                              m_typical=max(cfg.n_p))
     rows = [[name + ("" if name.startswith("ratio") else "(1/s)"), value]

@@ -14,17 +14,25 @@ Conventions used by every solver in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..phasespace import PhaseSpaceGrid, PhysicalConstants
+from ..phasespace import PhaseSpaceGrid
 from ..transform import WignerState
 
 
 class SolverInstabilityError(RuntimeError):
     """A step left a non-finite state or grew the norm more than 10x."""
+
+
+class SolverConfigError(ValueError):
+    """A SolverConfig value out of range; `field` names the offending field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class FredholmConvergenceError(RuntimeError):
@@ -59,22 +67,23 @@ class SolverConfig:
     weight_cap: float = 1e6
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
-        if self.stencil_order not in (2, 4):
-            raise ValueError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
-        if self.boundary not in ("zero", "periodic"):
-            raise ValueError(f"boundary must be 'zero' or 'periodic', got {self.boundary!r}")
-        if self.m_truncation is not None and self.m_truncation < 1:
-            raise ValueError("m_truncation must be None or >= 1")
-        if self.gamma0 is not None and not self.gamma0 > 0:
-            raise ValueError("gamma0 must be positive when given")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.fredholm_tol <= 0 or self.fredholm_max_iter < 1:
-            raise ValueError("fredholm_tol must be positive and fredholm_max_iter >= 1")
-        if self.weight_cap <= 1:
-            raise ValueError("weight_cap must exceed 1")
+        for name, ok, rule in (
+            ("dt", self.dt > 0, "must be positive"),
+            ("t_end", self.t_end > 0, "must be positive"),
+            ("stencil_order", self.stencil_order in (2, 4),
+             f"must be 2 or 4, got {self.stencil_order}"),
+            ("boundary", self.boundary in ("zero", "periodic"),
+             f"must be 'zero' or 'periodic', got {self.boundary!r}"),
+            ("m_truncation", self.m_truncation is None or self.m_truncation >= 1,
+             "must be None or >= 1"),
+            ("gamma0", self.gamma0 is None or self.gamma0 > 0, "must be positive when given"),
+            ("n_particles", self.n_particles >= 1, "must be >= 1"),
+            ("fredholm_tol", self.fredholm_tol > 0, "must be positive"),
+            ("fredholm_max_iter", self.fredholm_max_iter >= 1, "must be >= 1"),
+            ("weight_cap", self.weight_cap > 1, "must exceed 1"),
+        ):
+            if not ok:
+                raise SolverConfigError(name, f"{name} {rule}")
 
     def validate(self, grid: PhaseSpaceGrid) -> None:
         """Advective stability: dt * v_max / dx <= 0.5 per spatial axis."""
@@ -222,7 +231,6 @@ def spatial_gradients(values: np.ndarray, grid: PhaseSpaceGrid,
 
 def advection_term(values: np.ndarray, grid: PhaseSpaceGrid,
                    order: int = 2, boundary: str = "zero",
-                   constants: Optional[PhysicalConstants] = None,
                    gradients: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
     """-(P_M / m) . spatial gradient of f, broadcast over the momentum lattice.
 
@@ -231,10 +239,9 @@ def advection_term(values: np.ndarray, grid: PhaseSpaceGrid,
     once.  Without it each derivative is taken and dropped in turn, which
     keeps one fewer state-sized array alive.
     """
-    c = constants or grid.constants
     out = np.zeros_like(values)
     for ax in range(grid.dim):
-        v = grid.p_axes[ax] / c.mass
+        v = grid.p_axes[ax] / grid.constants.mass
         shape = [1] * values.ndim
         shape[ax] = len(v)
         # a derivative taken here stays a temporary, freed before the next one
@@ -278,7 +285,7 @@ def add_momentum_terms(out: np.ndarray, values: np.ndarray, gradients, coeffs,
 
 
 def banded_rhs(values: np.ndarray, grid: PhaseSpaceGrid, coeffs, ops: BandedOperators,
-               config: Optional["SolverConfig"] = None) -> np.ndarray:
+               config: SolverConfig) -> np.ndarray:
     """Right-hand side shared by both deterministic routes.
 
     Advection, plus each force table times its axis operator of f, plus the
@@ -287,10 +294,9 @@ def banded_rhs(values: np.ndarray, grid: PhaseSpaceGrid, coeffs, ops: BandedOper
     and read by advection and the gradient block alike; otherwise advection
     takes and drops them one at a time.
     """
-    order = config.stencil_order if config else 2
-    boundary = config.boundary if config else "zero"
+    order, boundary = config.stencil_order, config.boundary
     gradients = spatial_gradients(values, grid, order, boundary) if ops.gradient else None
-    out = advection_term(values, grid, order, boundary, gradients=gradients)
+    out = advection_term(values, grid, order, boundary, gradients)
     return add_momentum_terms(out, values, gradients, coeffs, ops)
 
 
@@ -300,34 +306,6 @@ def rk4_step(values: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarr
     k3 = rhs(values + 0.5 * dt * k2)
     k4 = rhs(values + dt * k3)
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-# ---------------------------------------------------------------------------
-# trajectories
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Constant-momentum characteristic through (momentum, position, time)."""
-
-    momentum: np.ndarray
-    position: np.ndarray
-    time: float
-    mass: float
-
-    def position_at(self, t_prime: float) -> np.ndarray:
-        if t_prime > self.time + 1e-30 * abs(self.time):
-            raise ValueError("trajectory is traced backward: t_prime must not exceed origin time")
-        return self.position - (self.momentum / self.mass) * (self.time - t_prime)
-
-
-def free_flight(origin, t_prime: float,
-                constants: Optional[PhysicalConstants] = None) -> np.ndarray:
-    """Backward position on the constant-momentum path from origin = (P, x, t)."""
-    c = constants or PhysicalConstants()
-    p, x, t = origin
-    traj = Trajectory(np.asarray(p, dtype=float), np.asarray(x, dtype=float), float(t), c.mass)
-    return traj.position_at(float(t_prime))
 
 
 def _interpolation_stack(deltas: np.ndarray, n: int, boundary: str) -> np.ndarray:
@@ -350,19 +328,20 @@ def _interpolation_stack(deltas: np.ndarray, n: int, boundary: str) -> np.ndarra
     return stack
 
 
-def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float, boundary: str = "zero",
-                          constants: Optional[PhysicalConstants] = None) -> tuple:
+def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float,
+                          boundary: str = "zero") -> tuple:
     """Free flight by delta_t as one interpolation stack per spatial axis.
 
-    Entry `ax` holds the (2 n_p + 1, n_x, n_x) matrices of momentum rows P_M along
-    axis `ax`, shifting by v_M delta_t / dx cells.  The last axis's stack is
-    stored transposed and contiguous, so `apply_free_flight` multiplies it
-    from the right.
+    Applied by `apply_free_flight`, it maps f(M, x) to f(M, x - v_M delta_t),
+    v_M = P_M / m, by linear interpolation along each axis, exact only for
+    whole-cell shifts.  Entry `ax` holds the (2 n_p + 1, n_x, n_x) matrices
+    of momentum rows P_M along axis `ax`, shifting by v_M delta_t / dx cells.
+    The last axis's stack is stored transposed and contiguous, so
+    `apply_free_flight` multiplies it from the right.
     """
-    c = constants or grid.constants
     stacks = []
     for ax in range(grid.dim):
-        deltas = grid.p_axes[ax] * delta_t / (c.mass * grid.dx[ax])
+        deltas = grid.p_axes[ax] * delta_t / (grid.constants.mass * grid.dx[ax])
         stack = _interpolation_stack(deltas, grid.n_x[ax], boundary)
         if ax == grid.dim - 1:
             stack = np.ascontiguousarray(stack.transpose(0, 2, 1))
@@ -386,22 +365,6 @@ def apply_free_flight(ops: tuple, values: np.ndarray) -> np.ndarray:
         else:
             out = stack[:, None] @ out.reshape(lead, shape[ax], mid, shape[dim + ax], -1)
     return out.reshape(shape)
-
-
-def advect_free_flight(values: np.ndarray, grid: PhaseSpaceGrid, delta_t: float,
-                       boundary: str = "zero",
-                       constants: Optional[PhysicalConstants] = None) -> np.ndarray:
-    """out(M, x) = values(M, x - v_M delta_t), v_M = P_M / m, per-axis linear interp.
-
-    The x shift depends only on the momentum index of the same axis, so the
-    interpolation separates into one matrix per lattice row and axis; the
-    interpolation is exact only for whole-cell shifts.  Callers that repeat
-    one delta_t build `free_flight_operators` once and apply them instead.
-    """
-    if delta_t == 0.0:
-        return np.array(values, copy=True)
-    return apply_free_flight(free_flight_operators(grid, delta_t, boundary, constants),
-                             np.asarray(values))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +427,7 @@ def boundary_mass_fraction(f, grid: PhaseSpaceGrid) -> float:
     return float(edge / total)
 
 
-def default_gamma0(field, grid: PhaseSpaceGrid,
-                   config: Optional["SolverConfig"] = None) -> float:
+def default_gamma0(field, grid: PhaseSpaceGrid, config: SolverConfig) -> float:
     """Auto event rate: max over the grid of the l1 coefficient mass of the
     discretized force-plus-gradient operator.  Falls back to 1/t_end when the
     field vanishes (so the rate is positive even for free streaming)."""
@@ -480,11 +442,7 @@ def default_gamma0(field, grid: PhaseSpaceGrid,
     kappa = abs(co.cross_dx)
     if kappa != 0.0:
         base += 4.0 * kappa / (dpy ** 2 * dx) + kappa / (dpx * dpy * dy)
-    if base > 0.0:
-        return base
-    if config is not None:
-        return 1.0 / config.t_end
-    return 1.0
+    return base if base > 0.0 else 1.0 / config.t_end
 
 
 @dataclass
@@ -504,12 +462,17 @@ def evolve(f0, rhs: Callable[[np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
 
     The only stepping loop of the deterministic routes: a step that leaves a
     non-finite state or grows the norm more than 10x raises
-    SolverInstabilityError.
+    SolverInstabilityError.  n_steps (default t_end / dt) must be >= 0 and
+    record_every >= 1.
     """
-    config.validate(grid)
-    values = np.array(_values(f0), dtype=float, copy=True)
     if n_steps is None:
         n_steps = int(round(config.t_end / config.dt))
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    config.validate(grid)
+    values = np.array(_values(f0), dtype=float, copy=True)
     cell = float(np.prod(grid.dx))
     result = EvolutionResult(values, [], [], [], [])
 

@@ -8,14 +8,12 @@ exactly to advection plus the classical force term.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..kernels import LinearKernelCoefficients
 from ..phasespace import PhaseSpaceGrid
-from .common import (BandedOperators, SolverConfig, _values, add_momentum_terms,
-                     band_matrix, banded_rhs, spatial_gradients)
+from .common import (BandedOperators, SolverConfig, add_momentum_terms, band_matrix,
+                     banded_rhs, spatial_gradients)
 
 
 def difference_operators(coeffs: LinearKernelCoefficients,
@@ -43,7 +41,7 @@ def difference_operators(coeffs: LinearKernelCoefficients,
 
 
 def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
-                config: Optional[SolverConfig] = None, gamma0: float = 0.0):
+                config: SolverConfig, gamma0: float = 0.0):
     """Build the difference matrices once and bind them into a closure
     (values, out) -> K[values] + gamma0 values, written into `out`.
 
@@ -51,29 +49,13 @@ def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     solver sums along each backward characteristic.
     """
     ops = difference_operators(coeffs, grid)
-    order = config.stencil_order if config else 2
-    boundary = config.boundary if config else "zero"
+    order, boundary = config.stencil_order, config.boundary
 
     def kernel(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(values, gamma0, out=out)
         gradients = spatial_gradients(values, grid, order, boundary) if ops.gradient else None
         return add_momentum_terms(out, values, gradients, coeffs, ops)
     return kernel
-
-
-def force_and_quantum(values: np.ndarray, coeffs: LinearKernelCoefficients,
-                      grid: PhaseSpaceGrid, config: Optional[SolverConfig] = None) -> np.ndarray:
-    """Right-hand side minus advection: the part reused by the integral solver."""
-    return make_kernel(coeffs, grid, config)(values, np.empty_like(values))
-
-
-def rhs_continuum_fd(f, coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
-                     config: Optional[SolverConfig] = None) -> np.ndarray:
-    """Time derivative in the small-spacing limit; accepts WignerState or array.
-
-    Builds the difference matrices on every call; stepping loops use `make_rhs`.
-    """
-    return banded_rhs(_values(f), grid, coeffs, difference_operators(coeffs, grid), config)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,

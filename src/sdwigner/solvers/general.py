@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ..kernels import KernelSet
-from ..phasespace import PhaseSpaceGrid, PhysicalConstants
+from ..phasespace import PhaseSpaceGrid
 from ..transform import WignerState
 from .common import SolverConfig, advection_term, sample_shift, spatial_derivative
 
@@ -48,14 +48,13 @@ def _field_tables(kernels: KernelSet, grid: PhaseSpaceGrid):
 
 def rhs_general(f, kernels: KernelSet, grid: PhaseSpaceGrid,
                 config: Optional[SolverConfig] = None,
-                constants: Optional[PhysicalConstants] = None,
                 include_square: bool = False) -> np.ndarray:
     """Time derivative with every momentum offset weighted by the kernel tables.
 
     Requires kernel tables computed on the full spatial grid (x_points=None).
     """
     values = f.values if isinstance(f, WignerState) else np.asarray(f)
-    cons = constants or grid.constants
+    cons = grid.constants
     if kernels.x_points.shape[:-1] != tuple(grid.n_x):
         raise ValueError("kernel tables must cover the full spatial grid")
     if include_square and kernels.magnetic_square is None:
@@ -100,6 +99,6 @@ def rhs_general(f, kernels: KernelSet, grid: PhaseSpaceGrid,
                         gg = sample_shift(gg, cc, -m)
                 term = term + (pref_hg * ht) * gg
         acc += term
-    out = advection_term(values, grid, order, boundary, cons).astype(complex)
+    out = advection_term(values, grid, order, boundary).astype(complex)
     out += acc
     return out.real

@@ -11,18 +11,16 @@ the direct quadrature route.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..kernels import (LinearKernelCoefficients, harmonic_coefficient,
                        quadratic_coefficient)
 from ..phasespace import PhaseSpaceGrid
-from .common import BandedOperators, SolverConfig, _values, band_matrix, banded_rhs
+from .common import BandedOperators, SolverConfig, band_matrix, banded_rhs
 
 
 def ladder_operators(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
-                     config: Optional[SolverConfig] = None) -> BandedOperators:
+                     config: SolverConfig) -> BandedOperators:
     """The ladder route's momentum-axis matrices, cut at `momentum_cutoff`.
 
     Force terms carry the odd harmonic band on each axis.  The gradient block
@@ -34,8 +32,7 @@ def ladder_operators(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     """
     if grid.dim != 2:
         raise ValueError("harmonic-ladder evolution requires a 2D grid")
-    cut_x = config.momentum_cutoff(grid, 0) if config else grid.n_p[0]
-    cut_y = config.momentum_cutoff(grid, 1) if config else grid.n_p[1]
+    cut_x, cut_y = config.momentum_cutoff(grid, 0), config.momentum_cutoff(grid, 1)
     n_x, n_y = grid.n_s
 
     # built from the closed forms rather than sliced out of the stored table:
@@ -54,16 +51,6 @@ def ladder_operators(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     if coeffs.zero_dy != 0.0:
         gradient.append((1, coeffs.zero_dy, None, None))
     return BandedOperators(force, tuple(gradient))
-
-
-def rhs_semidiscrete(f, coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
-                     config: Optional[SolverConfig] = None) -> np.ndarray:
-    """Time derivative of the lattice distribution under a linear-profile field.
-
-    Accepts a WignerState or a bare array shaped (N_x, N_y, n_x, n_y).
-    Builds the ladder matrices on every call; stepping loops use `make_rhs`.
-    """
-    return banded_rhs(_values(f), grid, coeffs, ladder_operators(coeffs, grid, config), config)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,

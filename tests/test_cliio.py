@@ -1,4 +1,5 @@
-"""Config schema, persistence formats, runner products, and the CLI surface."""
+"""Config schema, persistence formats, runner products, the CLI and the
+package exports."""
 
 import json
 import struct
@@ -6,6 +7,8 @@ import struct
 import numpy as np
 import pytest
 
+import sdwigner
+import sdwigner.solvers
 from sdwigner import make_grid
 from sdwigner.cli import main as cli_main
 from sdwigner.config import (ConfigError, SimulationConfig, config_from_dict,
@@ -14,7 +17,7 @@ from sdwigner.io import (load_sampled_field, read_state, read_table,
                          relative_l2_diff, save_sampled_field, write_state,
                          write_table)
 from sdwigner.phasespace import SampledEMField
-from sdwigner.runner import RunnerError, magnitude_report, run_simulation
+from sdwigner.runner import magnitude_report, run_simulation
 from sdwigner.solvers import (FredholmConvergenceError, SolverInstabilityError,
                               semidiscrete)
 from sdwigner.states import gaussian_wigner
@@ -126,17 +129,18 @@ class TestConfigSchema:
             config_from_dict(base_dict(solver={"dt_fs": 5000.0, "t_end_fs": 10000.0}))
         assert err.value.path == "solver.dt_fs"
 
-    def test_missing_sampled_field_file(self):
-        with pytest.raises(ConfigError) as err:
-            config_from_dict(base_dict(field={"type": "sampled",
-                                              "file": "missing.npz",
-                                              "b0_T": None}))
-        # unknown key b0_T fires first unless removed
+    def test_sampled_field_is_refused_at_validate(self, tmp_path, capsys):
+        axes = (np.linspace(-1e-7, 1e-7, 5), np.linspace(-1e-7, 1e-7, 5))
+        field = SampledEMField(axes=axes, electric_samples=np.zeros((5, 5, 3)),
+                               magnetic_samples=np.ones((5, 5, 3)))
         d = base_dict()
-        d["field"] = {"type": "sampled", "file": "definitely_missing.npz"}
+        d["field"] = {"type": "sampled",
+                      "file": str(save_sampled_field(tmp_path / "field.npz", field))}
         with pytest.raises(ConfigError) as err:
             config_from_dict(d)
-        assert err.value.path == "field.file"
+        assert err.value.path == "field.type"
+        assert cli_main(["validate", str(write_json(tmp_path, d))]) == 2
+        assert "field.type" in capsys.readouterr().err
 
     def test_mc_needs_targets(self):
         with pytest.raises(ConfigError) as err:
@@ -171,6 +175,10 @@ class TestConfigSchema:
         ("solver", "weight_cap", float("nan")),
         ("constants", "mass_kg", "1e-30"),
         ("output", "directory", 3),
+        ("solver", "boundary", "reflecting"),
+        ("solver", "stencil_order", 3),
+        ("solver", "n_particles", 0),
+        ("solver", "t_end_fs", -40.0),
     ])
     def test_malformed_scalars_fail_at_their_path(self, tmp_path, capsys,
                                                   section, key, value):
@@ -399,22 +407,6 @@ class TestRunner:
         assert cols == ["sweep", "relative_residual"]
         assert data[-1, 1] <= 1e-8
 
-    def test_sampled_fields_are_refused_by_batch_solvers(self, tmp_path):
-        axes = (np.linspace(-1e-7, 1e-7, 5), np.linspace(-1e-7, 1e-7, 5))
-        xx, yy = np.meshgrid(*axes, indexing="ij")
-        field = SampledEMField(axes=axes,
-                               electric_samples=np.zeros(xx.shape + (3,)),
-                               magnetic_samples=np.ones(xx.shape + (3,)))
-        fpath = save_sampled_field(tmp_path / "field.npz", field)
-        d = base_dict()
-        d["field"] = {"type": "sampled", "file": str(fpath)}
-        cfg = config_from_dict(d)
-        with pytest.raises(RunnerError, match="linear field"):
-            run_simulation(cfg, out_dir=tmp_path / "bad")
-        meta = json.loads((tmp_path / "bad" / "run_meta.json").read_text())
-        assert meta["status"] == "failed"
-        assert "linear" in meta["error"]
-
     def test_magnitude_report_rows(self, tmp_path):
         cfg = config_from_dict(base_dict())
         report, path = magnitude_report(cfg, out_dir=tmp_path)
@@ -579,3 +571,10 @@ class TestCLI:
         read = lambda d: (d / "mc_results.tsv").read_bytes()
         assert read(a) == read(b)
         assert read(a) != read(c)
+
+
+def test_exports_resolve_and_are_listed_once():
+    for module in (sdwigner, sdwigner.solvers):
+        names = module.__all__
+        assert len(names) == len(set(names)), module.__name__
+        assert [n for n in names if not hasattr(module, n)] == [], module.__name__

@@ -15,17 +15,14 @@ from sdwigner.phasespace import (LinearEMField, PhysicalConstants,
 from sdwigner.solvers import common as solver_common
 from sdwigner.solvers import continuum, semidiscrete
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
-                              SolverInstabilityError, advect_free_flight,
-                              advection_term, default_gamma0, evolve,
-                              force_and_quantum, free_flight, mc_estimate_point,
-                              mean_momentum_global, observables,
-                              rhs_continuum_fd, rhs_general, rhs_semidiscrete,
-                              rk4_step, sample_shift, solve_fredholm_resolvent,
-                              spatial_derivative)
-from sdwigner.solvers.common import (apply_along, apply_free_flight, band_matrix,
-                                     box_offset_sum, even_pair_ladder,
+                              SolverInstabilityError, default_gamma0, evolve,
+                              mc_estimate_point, mean_momentum_global, observables,
+                              rhs_general, solve_fredholm_resolvent)
+from sdwigner.solvers.common import (advection_term, apply_along, apply_free_flight,
+                                     band_matrix, box_offset_sum, even_pair_ladder,
                                      free_flight_operators, momentum_difference,
-                                     momentum_second_difference, odd_pair_ladder)
+                                     momentum_second_difference, odd_pair_ladder,
+                                     rk4_step, sample_shift, spatial_derivative)
 from sdwigner.states import gaussian_wigner
 
 from oracles import (fredholm_sweeps, free_flight_rows, lattice_first_moment,
@@ -141,23 +138,11 @@ class TestDerivatives:
         assert np.array_equal(d2, man2)
 
 
-class TestTrajectories:
-    def test_backward_position(self):
-        si = PhysicalConstants()
-        p = si.mass * 1.0e5                      # 1e5 m/s
-        x = free_flight((np.array([p, 0.0]), np.array([0.0, 0.0]), 100e-15), 0.0, si)
-        assert np.allclose(x, [-1.0e-8, 0.0], rtol=1e-12)
-
-    def test_forward_time_rejected(self):
-        with pytest.raises(ValueError):
-            free_flight((np.array([1.0]), np.array([0.0]), 1.0), 2.0, NAT)
-
-
 class TestAdvection:
     def test_integer_shift_matches_roll(self):
         f = packet(G2).values
         dt = G2.dx[0]            # v_M dt / dx = M exactly (dP = 1, m = 1)
-        out = advect_free_flight(f, G2, dt, "periodic")
+        out = apply_free_flight(free_flight_operators(G2, dt, "periodic"), f)
         for mx, my in ((-2, 0), (0, 1), (3, -4)):
             sx, sy = G2.momentum_slot(0, mx), G2.momentum_slot(1, my)
             expect = np.roll(np.roll(f[sx, sy], mx, axis=0), my, axis=1)
@@ -165,7 +150,7 @@ class TestAdvection:
 
     def test_half_cell_interpolates(self):
         f = packet(G2).values
-        out = advect_free_flight(f, G2, 0.5 * G2.dx[0], "periodic")
+        out = apply_free_flight(free_flight_operators(G2, 0.5 * G2.dx[0], "periodic"), f)
         sx, sy = G2.momentum_slot(0, 1), G2.momentum_slot(1, 0)
         plane = f[sx, sy]
         expect = 0.5 * (plane + np.roll(plane, 1, axis=0))
@@ -173,7 +158,7 @@ class TestAdvection:
 
     def test_mass_exact_periodic(self):
         f = packet(G2).values
-        out = advect_free_flight(f, G2, 0.37, "periodic")
+        out = apply_free_flight(free_flight_operators(G2, 0.37, "periodic"), f)
         assert abs(out.sum() - f.sum()) < 1e-12 * abs(f.sum())
 
 
@@ -198,7 +183,6 @@ class TestFreeFlightOperators:
         expect = free_flight_rows(values, row_deltas(grid, delta_t), boundary)
         out = apply_free_flight(free_flight_operators(grid, delta_t, boundary), values)
         assert rel_l2(out, expect) < 1e-14
-        assert np.array_equal(advect_free_flight(values, grid, delta_t, boundary), out)
 
     def test_last_axis_stack_is_transposed_and_contiguous(self):
         x_stack, y_stack = free_flight_operators(G2U, 0.45, "periodic")
@@ -239,7 +223,7 @@ class TestLadderRHS:
         coeffs = linear_coefficients(field, G2)
         f = packet(G2).values
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
-        out = rhs_semidiscrete(f, coeffs, G2, cfg)
+        out = semidiscrete.make_rhs(coeffs, G2, cfg)(f)
         assert np.array_equal(out, advection_term(f, G2, 2, "periodic"))
 
     def test_spatially_uniform_state_periodic(self):
@@ -247,7 +231,7 @@ class TestLadderRHS:
         coeffs = linear_coefficients(field, G2)
         f = np.ones(G2.state_shape)
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
-        assert np.array_equal(rhs_semidiscrete(f, coeffs, G2, cfg), np.zeros_like(f))
+        assert np.array_equal(semidiscrete.make_rhs(coeffs, G2, cfg)(f), np.zeros_like(f))
 
     def test_point_source_ladder_entries(self):
         # electric gradient only: F_x = g x, coupling spreads along M_x with
@@ -258,7 +242,8 @@ class TestLadderRHS:
         f = np.zeros(G2.state_shape)
         sx, sy, ix, iy = G2.momentum_slot(0, 0), G2.momentum_slot(1, 1), 2, 5
         f[sx, sy, ix, iy] = 1.0
-        out = rhs_semidiscrete(f, coeffs, G2)
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2)
+        out = semidiscrete.make_rhs(coeffs, G2, cfg)(f)
         fx = g * G2.x_axes[0][ix]
         for m in (-3, -1, 1, 2):
             expect = -fx * harmonic_coefficient(m, G2.dp[0])
@@ -271,9 +256,9 @@ class TestLadderRHS:
         coeffs = linear_coefficients(field, G2)
         f = packet(G2, sigma_p=0.9).values
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
-        out = rhs_semidiscrete(f, coeffs, G2, cfg)
+        out = semidiscrete.make_rhs(coeffs, G2, cfg)(f)
         assert abs(out.sum()) < 1e-13 * np.abs(out).sum()
-        out_fd = rhs_continuum_fd(f, coeffs, G2, cfg)
+        out_fd = continuum.make_rhs(coeffs, G2, cfg)(f)
         assert abs(out_fd.sum()) < 1e-13 * np.abs(out_fd).sum()
 
 
@@ -286,7 +271,7 @@ class TestFiniteDifferenceRHS:
         expect = advection_term(f, G2, 2, "periodic")
         expect -= coeffs.force_x[None] * momentum_difference(f, G2, 0)
         expect -= coeffs.force_y[:, None] * momentum_difference(f, G2, 1)
-        assert np.allclose(rhs_continuum_fd(f, coeffs, G2, cfg), expect, atol=1e-15)
+        assert np.allclose(continuum.make_rhs(coeffs, G2, cfg)(f), expect, atol=1e-15)
 
     def test_gradient_terms_assembled(self):
         field = LinearEMField(b0=0.6, b1=0.9)
@@ -302,7 +287,7 @@ class TestFiniteDifferenceRHS:
         expect -= coeffs.force_y[:, None] * momentum_difference(f, G2, 1)
         expect += kappa * momentum_second_difference(dxf, G2, 1)
         expect -= kappa * momentum_difference(momentum_difference(dyf, G2, 1), G2, 0)
-        assert np.allclose(rhs_continuum_fd(f, coeffs, G2, cfg), expect, atol=1e-15)
+        assert np.allclose(continuum.make_rhs(coeffs, G2, cfg)(f), expect, atol=1e-15)
 
     def test_momentum_response_matches_force(self):
         # d<P>/dt from the RHS must equal <F>; holds to the momentum-edge tail
@@ -322,8 +307,8 @@ class TestFiniteDifferenceRHS:
         fx_mean = (NAT.charge * field.b0 * py / NAT.mass * f).sum() / mass_sum
         fy_mean = (-NAT.charge * field.b0 * px / NAT.mass * f).sum() / mass_sum
         for rhs_vals, tol in (
-            (rhs_continuum_fd(f, coeffs, grid, cfg), 1e-7),
-            (rhs_semidiscrete(f, coeffs, grid, cfg_full), 1e-4),
+            (continuum.make_rhs(coeffs, grid, cfg)(f), 1e-7),
+            (semidiscrete.make_rhs(coeffs, grid, cfg_full)(f), 1e-4),
         ):
             dpx_dt = (px * rhs_vals).sum() / mass_sum
             dpy_dt = (py * rhs_vals).sum() / mass_sum
@@ -370,7 +355,7 @@ class TestBandedOperators:
         expect += coeffs.cross_dx * odd_pair_ladder(odd_pair_ladder(dxf, 1, c1y), 0, c1x)
         expect += even_pair_ladder(box_offset_sum(dyf, 0, cut_x), 1, pair)
         expect += coeffs.zero_dy * dyf
-        assert rel_l2(rhs_semidiscrete(f, coeffs, GA, cfg), expect) < 1e-14
+        assert rel_l2(semidiscrete.make_rhs(coeffs, GA, cfg)(f), expect) < 1e-14
 
     def test_difference_matrices_match_loops(self):
         coeffs = linear_coefficients(GRADIENT_FIELD, GA)
@@ -383,17 +368,6 @@ class TestBandedOperators:
         s, _, mx, my = ops.gradient[0]
         assert (s, mx) == (0, None)
         assert rel_l2(apply_along(my, f, 1), momentum_second_difference(f, GA, 1)) < 1e-14
-
-    @pytest.mark.parametrize("m_truncation", [None, 10])
-    def test_make_rhs_equals_public_rhs(self, m_truncation):
-        coeffs = linear_coefficients(GRADIENT_FIELD, GA)
-        f = np.random.default_rng(31).normal(size=GA.state_shape)
-        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic",
-                           stencil_order=4, m_truncation=m_truncation)
-        assert np.array_equal(semidiscrete.make_rhs(coeffs, GA, cfg)(f),
-                              rhs_semidiscrete(f, coeffs, GA, cfg))
-        assert np.array_equal(continuum.make_rhs(coeffs, GA, cfg)(f),
-                              rhs_continuum_fd(f, coeffs, GA, cfg))
 
     def test_ladder_shift_count_independent_of_lattice(self, monkeypatch):
         calls = []
@@ -412,7 +386,7 @@ class TestBandedOperators:
                                stencil_order=4, m_truncation=2 * n_p)
             f = packet(grid).values
             calls.clear()
-            rhs_semidiscrete(f, coeffs, grid, cfg)
+            semidiscrete.make_rhs(coeffs, grid, cfg)(f)
             counts[n_p] = len(calls)
             # only the spatial stencils shift: four shifts per spatial axis
             assert sorted(set(calls)) == [2, 3]
@@ -444,6 +418,17 @@ class TestStepping:
             SolverConfig(dt=1.0, t_end=1.0, boundary="reflecting")
         with pytest.raises(ValueError):
             SolverConfig(dt=1.0, t_end=1.0, gamma0=0.0)
+
+    @pytest.mark.parametrize("n_steps, record_every, bad",
+                             [(-3, 1, "n_steps"), (4, 0, "record_every"),
+                              (4, -2, "record_every")])
+    def test_evolve_rejects_bad_loop_arguments(self, n_steps, record_every, bad):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
+        calls = []
+        with pytest.raises(ValueError, match=bad):
+            evolve(packet(G2).values, lambda v: calls.append(v) or -v, G2, cfg,
+                   n_steps=n_steps, record_every=record_every)
+        assert calls == []
 
     def test_instability_detected(self):
         # fabricated force table far beyond any stable coupling for this dt
@@ -497,7 +482,7 @@ class TestStepping:
 
         # free streaming: every surviving term is a periodic divergence
         co_free = linear_coefficients(LinearEMField(), grid)
-        free = evolve(f0, lambda v: rhs_semidiscrete(v, co_free, grid, cfg),
+        free = evolve(f0, semidiscrete.make_rhs(co_free, grid, cfg),
                       grid, cfg, n_steps=100)
         assert rel_drift(free) < 1e-12
 
@@ -505,14 +490,14 @@ class TestStepping:
         # so the drift is bounded by the edge tail mass the force builds up
         field = LinearEMField(e_grad=(0.2, -0.1), b0=0.6, b1=0.3)
         co = linear_coefficients(field, grid)
-        cont = evolve(f0, lambda v: rhs_continuum_fd(v, co, grid, cfg),
+        cont = evolve(f0, continuum.make_rhs(co, grid, cfg),
                       grid, cfg, n_steps=100)
         assert rel_drift(cont) < 1e-4
 
         # the pair ladder telescopes only on the unbounded lattice; on the
         # zero-filled window a force-skewed state sheds band flux (see
         # test_ladder_mass_leak_is_band_flux), so the drift is merely bounded
-        ladd = evolve(f0, lambda v: rhs_semidiscrete(v, co, grid, cfg),
+        ladd = evolve(f0, semidiscrete.make_rhs(co, grid, cfg),
                       grid, cfg, n_steps=100)
         assert rel_drift(ladd) < 2e-2
 
@@ -525,7 +510,7 @@ class TestStepping:
         coeffs = linear_coefficients(field, grid)
         cfg = SolverConfig(dt=0.01, t_end=0.1, boundary="periodic")
         f = packet(grid, sigma_p=1.0, momentum=(0.7, -0.4)).values
-        total = rhs_semidiscrete(f, coeffs, grid, cfg).sum()
+        total = semidiscrete.make_rhs(coeffs, grid, cfg)(f).sum()
 
         n = grid.n_p[0]
         c1 = [harmonic_coefficient(m, grid.dp[0]) for m in range(1, n + 1)]
@@ -555,8 +540,8 @@ class TestStepping:
                                  momentum_center=(p0, 0.0), sigma_p=sigma_p).values
             a = f0.copy()
             b = f0.copy()
-            rhs_a = lambda v: rhs_semidiscrete(v, coeffs, grid, cfg)
-            rhs_b = lambda v: rhs_continuum_fd(v, coeffs, grid, cfg)
+            rhs_a = semidiscrete.make_rhs(coeffs, grid, cfg)
+            rhs_b = continuum.make_rhs(coeffs, grid, cfg)
             for _ in range(10):
                 a = rk4_step(a, cfg.dt, rhs_a)
                 b = rk4_step(b, cfg.dt, rhs_b)
@@ -597,7 +582,7 @@ class TestFredholm:
         cfg = SolverConfig(dt=0.04, t_end=0.32, gamma0=1.0, boundary="periodic")
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8)
         result = solve_fredholm_resolvent(f0, field, G2, cfg)
-        expect = advect_free_flight(f0.values, G2, 0.32, "periodic")
+        expect = apply_free_flight(free_flight_operators(G2, 0.32, "periodic"), f0.values)
         assert rel_l2(result.state.values, expect) < 1e-2
         assert result.state.time == pytest.approx(0.32)
         assert result.residuals[-1] < cfg.fredholm_tol
@@ -628,8 +613,9 @@ class TestFredholm:
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0))
         result = solve_fredholm_resolvent(f0, field, G2, cfg)
         coeffs = linear_coefficients(field, G2)
+        kernel = continuum.make_kernel(coeffs, G2, cfg)
         expect, residuals = fredholm_sweeps(
-            f0.values, lambda v: force_and_quantum(v, coeffs, G2, cfg),
+            f0.values, lambda v: kernel(v, np.empty_like(v)),
             lambda v, lag: free_flight_rows(v, row_deltas(G2, lag * cfg.dt), boundary),
             8, cfg.dt, result.gamma0, cfg.fredholm_tol, cfg.fredholm_max_iter)
         assert result.n_sweeps == len(residuals) > 3
@@ -852,7 +838,7 @@ class TestEventRate:
 
     def test_dominated_by_force_rows(self):
         field = LinearEMField(b0=0.8)
-        rate = default_gamma0(field, G2)
+        rate = default_gamma0(field, G2, SolverConfig(dt=0.02, t_end=0.5))
         # strongest row: |P_y| = 4, |B| = 0.8 on both axes
         expect = 4 * 0.8 / G2.dp[0] + 4 * 0.8 / G2.dp[1]
         assert rate == pytest.approx(expect, rel=1e-12)
