@@ -439,7 +439,7 @@ def _validate_cross(cfg: SimulationConfig):
     try:
         solver_cfg = cfg.build_solver_config()
     except SolverConfigError as exc:
-        raise ConfigError(f"solver.{SOLVER_KEYS.get(exc.field, exc.field)}", str(exc)) from exc
+        raise ConfigError(f"solver.{SOLVER_KEYS.get(exc.field, exc.field)}", exc.rule) from exc
     n_steps = cfg.t_end_fs / cfg.dt_fs
     if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
         _fail("solver.t_end_fs",

@@ -28,11 +28,14 @@ class SolverInstabilityError(RuntimeError):
 
 
 class SolverConfigError(ValueError):
-    """A SolverConfig value out of range; `field` names the offending field."""
+    """A SolverConfig value out of range: `field` breaks `rule`.
 
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
+    The message names the field; a config file reports `rule` at its own key.
+    """
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field, self.rule = field, rule
 
 
 class FredholmConvergenceError(RuntimeError):
@@ -83,7 +86,7 @@ class SolverConfig:
             ("weight_cap", self.weight_cap > 1, "must exceed 1"),
         ):
             if not ok:
-                raise SolverConfigError(name, f"{name} {rule}")
+                raise SolverConfigError(name, rule)
 
     def validate(self, grid: PhaseSpaceGrid) -> None:
         """Advective stability: dt * v_max / dx <= 0.5 per spatial axis."""
@@ -332,12 +335,12 @@ def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float,
                           boundary: str = "zero") -> tuple:
     """Free flight by delta_t as one interpolation stack per spatial axis.
 
-    Applied by `apply_free_flight`, it maps f(M, x) to f(M, x - v_M delta_t),
+    Applied by `advect_free_flight`, it maps f(M, x) to f(M, x - v_M delta_t),
     v_M = P_M / m, by linear interpolation along each axis, exact only for
     whole-cell shifts.  Entry `ax` holds the (2 n_p + 1, n_x, n_x) matrices
     of momentum rows P_M along axis `ax`, shifting by v_M delta_t / dx cells.
     The last axis's stack is stored transposed and contiguous, so
-    `apply_free_flight` multiplies it from the right.
+    `advect_free_flight` multiplies it from the right.
     """
     stacks = []
     for ax in range(grid.dim):
@@ -349,8 +352,9 @@ def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float,
     return tuple(stacks)
 
 
-def apply_free_flight(ops: tuple, values: np.ndarray) -> np.ndarray:
-    """Apply `free_flight_operators` to a state: one broadcast matmul per axis.
+def advect_free_flight(ops: tuple, values: np.ndarray) -> np.ndarray:
+    """One free flight: apply `free_flight_operators` to a state, one
+    broadcast matmul per axis.
 
     Each momentum row meets its own matrix; the momentum axis lines up with
     the stack and the spatial axis is the one contracted.

@@ -27,7 +27,7 @@ from ..kernels import linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
 from .common import (FredholmConvergenceError, SolverConfig, SolverInstabilityError,
-                     apply_free_flight, default_gamma0, free_flight_operators)
+                     advect_free_flight, default_gamma0, free_flight_operators)
 from .continuum import make_kernel
 
 
@@ -70,7 +70,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
     traj = np.empty((n_t + 1,) + values0.shape)
     traj[0] = values0
     for k in range(1, n_t + 1):
-        np.multiply(apply_free_flight(flights[k], traj[0]), decay[k], out=traj[k])
+        np.multiply(advect_free_flight(flights[k], traj[0]), decay[k], out=traj[k])
     new = np.empty_like(traj)
     new[0] = traj[0]
     kvals = np.empty_like(traj)
@@ -110,9 +110,9 @@ def _memory_sum(new, f0, kvals, flights, decay, dt) -> None:
     kvals[0] *= 0.5 * dt
     kvals[0] += f0
     for k in range(1, len(new)):
-        np.multiply(apply_free_flight(flights[k], kvals[0]), decay[k], out=new[k])
+        np.multiply(advect_free_flight(flights[k], kvals[0]), decay[k], out=new[k])
         for j in range(1, k):
-            flight = apply_free_flight(flights[k - j], kvals[j])
+            flight = advect_free_flight(flights[k - j], kvals[j])
             flight *= dt * decay[k - j]
             new[k] += flight
         new[k] += (0.5 * dt) * kvals[k]

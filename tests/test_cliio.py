@@ -18,8 +18,8 @@ from sdwigner.io import (load_sampled_field, read_state, read_table,
                          write_table)
 from sdwigner.phasespace import SampledEMField
 from sdwigner.runner import magnitude_report, run_simulation
-from sdwigner.solvers import (FredholmConvergenceError, SolverInstabilityError,
-                              semidiscrete)
+from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
+                              SolverInstabilityError, semidiscrete)
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
 
@@ -188,6 +188,13 @@ class TestConfigSchema:
         assert err.value.path == f"{section}.{key}"
         assert cli_main(["validate", str(write_json(tmp_path, d))]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_range_error_names_the_key_once(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(base_dict(solver={"t_end_fs": -40.0}))
+        assert str(err.value) == "solver.t_end_fs: must be positive"
+        with pytest.raises(ValueError, match="^t_end must be positive$"):
+            SolverConfig(dt=1e-15, t_end=-4e-14)
 
     @pytest.mark.parametrize("dim", [1, 3, 2.0])
     def test_only_2d_grids_load(self, dim):

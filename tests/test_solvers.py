@@ -18,7 +18,7 @@ from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, default_gamma0, evolve,
                               mc_estimate_point, mean_momentum_global, observables,
                               rhs_general, solve_fredholm_resolvent)
-from sdwigner.solvers.common import (advection_term, apply_along, apply_free_flight,
+from sdwigner.solvers.common import (advect_free_flight, advection_term, apply_along,
                                      band_matrix, box_offset_sum, even_pair_ladder,
                                      free_flight_operators, momentum_difference,
                                      momentum_second_difference, odd_pair_ladder,
@@ -142,7 +142,7 @@ class TestAdvection:
     def test_integer_shift_matches_roll(self):
         f = packet(G2).values
         dt = G2.dx[0]            # v_M dt / dx = M exactly (dP = 1, m = 1)
-        out = apply_free_flight(free_flight_operators(G2, dt, "periodic"), f)
+        out = advect_free_flight(free_flight_operators(G2, dt, "periodic"), f)
         for mx, my in ((-2, 0), (0, 1), (3, -4)):
             sx, sy = G2.momentum_slot(0, mx), G2.momentum_slot(1, my)
             expect = np.roll(np.roll(f[sx, sy], mx, axis=0), my, axis=1)
@@ -150,7 +150,7 @@ class TestAdvection:
 
     def test_half_cell_interpolates(self):
         f = packet(G2).values
-        out = apply_free_flight(free_flight_operators(G2, 0.5 * G2.dx[0], "periodic"), f)
+        out = advect_free_flight(free_flight_operators(G2, 0.5 * G2.dx[0], "periodic"), f)
         sx, sy = G2.momentum_slot(0, 1), G2.momentum_slot(1, 0)
         plane = f[sx, sy]
         expect = 0.5 * (plane + np.roll(plane, 1, axis=0))
@@ -158,7 +158,7 @@ class TestAdvection:
 
     def test_mass_exact_periodic(self):
         f = packet(G2).values
-        out = apply_free_flight(free_flight_operators(G2, 0.37, "periodic"), f)
+        out = advect_free_flight(free_flight_operators(G2, 0.37, "periodic"), f)
         assert abs(out.sum() - f.sum()) < 1e-12 * abs(f.sum())
 
 
@@ -181,7 +181,7 @@ class TestFreeFlightOperators:
         delta_t = cells * grid.n_x[0] * grid.dx[0] / v_max
         values = np.random.default_rng(3).standard_normal(grid.state_shape)
         expect = free_flight_rows(values, row_deltas(grid, delta_t), boundary)
-        out = apply_free_flight(free_flight_operators(grid, delta_t, boundary), values)
+        out = advect_free_flight(free_flight_operators(grid, delta_t, boundary), values)
         assert rel_l2(out, expect) < 1e-14
 
     def test_last_axis_stack_is_transposed_and_contiguous(self):
@@ -582,7 +582,7 @@ class TestFredholm:
         cfg = SolverConfig(dt=0.04, t_end=0.32, gamma0=1.0, boundary="periodic")
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8)
         result = solve_fredholm_resolvent(f0, field, G2, cfg)
-        expect = apply_free_flight(free_flight_operators(G2, 0.32, "periodic"), f0.values)
+        expect = advect_free_flight(free_flight_operators(G2, 0.32, "periodic"), f0.values)
         assert rel_l2(result.state.values, expect) < 1e-2
         assert result.state.time == pytest.approx(0.32)
         assert result.residuals[-1] < cfg.fredholm_tol
