@@ -136,20 +136,88 @@ def sample_shift(values: np.ndarray, axis: int, k: int, boundary: str = "zero") 
     return out
 
 
+# A stencil block holds consecutive momentum rows up to about this many
+# bytes, and at least one row, so its padded copy and the shifted reads of
+# that copy stay in cache.
+_BLOCK_BYTES = 256 * 1024
+
+
+class _BlockedStencil:
+    """Central differences along the spatial axes of one state, a block at a time.
+
+    The state is viewed as rows, one per momentum lattice point, each holding
+    the spatial axes; consecutive rows are adjacent in memory.  A block of
+    rows is copied into one reused buffer that extends the derivative axis
+    by order // 2 halo cells on each side.  The halo wraps for 'periodic'
+    (modulo the axis length, so an axis shorter than the halo wraps more
+    than once) and holds zeros for 'zero'; every shifted read is then a
+    slice of that buffer, combined in place into the caller's `out`.
+    """
+
+    def __init__(self, values: np.ndarray, grid: PhaseSpaceGrid, order: int, boundary: str):
+        if order not in (2, 4):
+            raise ValueError(f"unsupported stencil order {order}")
+        self.rows = values.reshape((-1,) + values.shape[grid.dim:])
+        self.dtype = np.result_type(values.dtype, 1.0)
+        self.dx, self.order, self.boundary = grid.dx, order, boundary
+        step = max(1, _BLOCK_BYTES // self.rows[0].nbytes)
+        self.blocks = [slice(i, i + step) for i in range(0, len(self.rows), step)]
+        spatial, halo = self.rows.shape[1:], order // 2
+        self._pad_size = step * max(math.prod(spatial) // n * (n + 2 * halo) for n in spatial)
+        self._pad = None    # allocated at the first derivative taken
+
+    def __call__(self, rows: slice, axis: int, out: np.ndarray) -> np.ndarray:
+        """d/dx along spatial `axis` of the rows `rows`, written into `out`."""
+        block = self.rows[rows]
+        ax, r = 1 + axis, self.order // 2
+        n = block.shape[ax]
+        shape = list(block.shape)
+        shape[ax] += 2 * r
+        if self._pad is None:
+            self._pad = np.empty(self._pad_size, dtype=self.dtype)
+        pad = self._pad[:math.prod(shape)].reshape(shape)
+
+        def cells(start, stop):
+            return (slice(None),) * ax + (slice(start, stop),)
+
+        pad[cells(r, r + n)] = block
+        for j in range(r):
+            left, right = cells(j, j + 1), cells(r + n + j, r + n + j + 1)
+            if self.boundary == "periodic":
+                pad[left] = block[cells((j - r) % n, (j - r) % n + 1)]
+                pad[right] = block[cells(j % n, j % n + 1)]
+            else:
+                pad[left] = pad[right] = 0.0
+
+        def shifted(k):     # g[i] = block[i + k]
+            return pad[cells(r + k, r + k + n)]
+
+        np.subtract(shifted(1), shifted(-1), out=out)
+        if self.order == 4:
+            out *= 8.0
+            out -= shifted(2)
+            out += shifted(-2)
+        out /= (2.0 if self.order == 2 else 12.0) * self.dx[axis]
+        return out
+
+
 def spatial_derivative(values: np.ndarray, grid: PhaseSpaceGrid, axis: int,
-                       order: int = 2, boundary: str = "zero") -> np.ndarray:
-    """Central difference along spatial axis `axis` (0-based within space)."""
-    ax = grid.dim + axis
-    h = grid.dx[axis]
-    if order == 2:
-        return (sample_shift(values, ax, 1, boundary)
-                - sample_shift(values, ax, -1, boundary)) / (2.0 * h)
-    if order == 4:
-        return (-sample_shift(values, ax, 2, boundary)
-                + 8.0 * sample_shift(values, ax, 1, boundary)
-                - 8.0 * sample_shift(values, ax, -1, boundary)
-                + sample_shift(values, ax, -2, boundary)) / (12.0 * h)
-    raise ValueError(f"unsupported stencil order {order}")
+                       order: int = 2, boundary: str = "zero",
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Central difference along spatial axis `axis` (0-based within space).
+
+    Written into `out` (C-contiguous, shaped like `values`) when given, else
+    into a new array, and returned.
+    """
+    stencil = _BlockedStencil(values, grid, order, boundary)
+    if out is None:
+        out = np.empty(values.shape, dtype=stencil.dtype)
+    elif out.shape != values.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous and shaped like values")
+    rows = out.reshape(stencil.rows.shape)
+    for block in stencil.blocks:
+        stencil(block, axis, rows[block])
+    return out
 
 
 def momentum_difference(values: np.ndarray, grid: PhaseSpaceGrid, axis: int) -> np.ndarray:
@@ -237,20 +305,29 @@ def advection_term(values: np.ndarray, grid: PhaseSpaceGrid,
                    gradients: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
     """-(P_M / m) . spatial gradient of f, broadcast over the momentum lattice.
 
-    `gradients` passes derivatives already taken by `spatial_gradients` with
-    the same order and boundary, so a caller that needs them too takes them
-    once.  Without it each derivative is taken and dropped in turn, which
-    keeps one fewer state-sized array alive.
+    Swept in the stencil's blocks of momentum rows: each block's derivatives
+    are taken and weighted by their velocities while the block is in cache,
+    so the result is the only state-sized array allocated.  `gradients`
+    passes derivatives already taken by `spatial_gradients` with the same
+    order and boundary, so a caller that needs them too takes them once.
     """
-    out = np.zeros_like(values)
-    for ax in range(grid.dim):
-        v = grid.p_axes[ax] / grid.constants.mass
-        shape = [1] * values.ndim
-        shape[ax] = len(v)
-        # a derivative taken here stays a temporary, freed before the next one
-        out -= v.reshape(shape) * (gradients[ax] if gradients is not None
-                                   else spatial_derivative(values, grid, ax, order, boundary))
-    return out
+    stencil = _BlockedStencil(values, grid, order, boundary)
+    out = np.empty(stencil.rows.shape, dtype=stencil.dtype)
+    scratch = np.empty_like(out[stencil.blocks[0]])
+    # speeds[c][row] = -v_c of that row's momentum lattice point
+    speeds = -np.stack(np.meshgrid(*grid.p_axes, indexing="ij")).reshape(
+        (grid.dim, -1) + (1,) * grid.dim) / grid.constants.mass
+    if gradients is not None:
+        gradients = [g.reshape(out.shape) for g in gradients]
+    for block in stencil.blocks:
+        acc = out[block]
+        for c in range(grid.dim):
+            term = acc if c == 0 else scratch[:len(acc)]
+            d = gradients[c][block] if gradients is not None else stencil(block, c, term)
+            np.multiply(d, speeds[c][block], out=term)
+            if c:
+                acc += term
+    return out.reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -276,14 +353,21 @@ def add_momentum_terms(out: np.ndarray, values: np.ndarray, gradients, coeffs,
     tables = (coeffs.force_x[None], coeffs.force_y[:, None])
     for axis, (table, matrix) in enumerate(zip(tables, ops.force)):
         if matrix is not None:
-            out -= table * apply_along(matrix, values, axis)
+            term = apply_along(matrix, values, axis)
+            term *= table
+            out -= term
     for s, weight, mx, my in ops.gradient:
         term = gradients[s]
         if my is not None:
             term = apply_along(my, term, 1)
         if mx is not None:
             term = apply_along(mx, term, 0)
-        out += weight * term
+        if term is gradients[s]:
+            out += weight * term
+        else:
+            # a fresh matmul result, scaled where it lies
+            term *= weight
+            out += term
     return out
 
 
@@ -304,11 +388,21 @@ def banded_rhs(values: np.ndarray, grid: PhaseSpaceGrid, coeffs, ops: BandedOper
 
 
 def rk4_step(values: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    k1 = rhs(values)
-    k2 = rhs(values + 0.5 * dt * k1)
-    k3 = rhs(values + 0.5 * dt * k2)
-    k4 = rhs(values + dt * k3)
-    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of d/dt values = rhs(values), for a linear,
+    homogeneous (autonomous) rhs.
+
+    For such an rhs L the step is exactly the degree-4 Taylor polynomial of
+    exp(dt L), evaluated here in Horner form,
+    f + dt L(f + dt/2 L(f + dt/3 L(f + dt/4 L f))): the same four rhs calls
+    as the k1..k4 form, with none of the k kept.  Each rhs result is scaled
+    in place, so rhs must return a fresh array; `values` is never changed.
+    """
+    step = values
+    for fraction in (4.0, 3.0, 2.0, 1.0):
+        step = rhs(step)
+        step *= dt / fraction
+        step += values
+    return step
 
 
 def _interpolation_stack(deltas: np.ndarray, n: int, boundary: str) -> np.ndarray:
@@ -404,14 +498,14 @@ def observables(f, grid: PhaseSpaceGrid) -> ObservableRecord:
 def mean_momentum_global(f, grid: PhaseSpaceGrid) -> np.ndarray:
     """Ensemble-mean momentum vector over all of phase space."""
     values = _values(f)
-    total = values.sum()
+    marginal = values.sum(axis=tuple(range(grid.dim, values.ndim)))
+    total = marginal.sum()
     if abs(total) < 1e-300:
         return np.full(grid.dim, np.nan)
     out = np.empty(grid.dim)
     for c in range(grid.dim):
-        shape = [1] * values.ndim
-        shape[c] = len(grid.p_axes[c])
-        out[c] = (values * grid.p_axes[c].reshape(shape)).sum() / total
+        others = tuple(a for a in range(grid.dim) if a != c)
+        out[c] = marginal.sum(axis=others) @ grid.p_axes[c] / total
     return out
 
 

@@ -196,3 +196,25 @@ def fredholm_sweeps(values0, kernel, flight, n_t, dt, gamma0, tol, max_iter):
         if residuals[-1] < tol:
             break
     return traj[n_t], residuals
+
+
+def roll_derivative(values, dx, axis, order, boundary):
+    """Central difference along array `axis` from whole-state shifted copies.
+
+    g[i] = values[i + k] is `_shift_cells(values, axis, k, boundary)`; order 2
+    is (g_1 - g_-1) / (2 dx), order 4 is (-g_2 + 8 g_1 - 8 g_-1 + g_-2) / (12 dx).
+    """
+    def g(k):
+        return _shift_cells(values, axis, k, boundary)
+    if order == 2:
+        return (g(1) - g(-1)) / (2.0 * dx)
+    return (-g(2) + 8.0 * g(1) - 8.0 * g(-1) + g(-2)) / (12.0 * dx)
+
+
+def rk4_classic(values, dt, rhs):
+    """One classical RK4 step of d/dt values = rhs(values), stage by stage."""
+    k1 = rhs(values)
+    k2 = rhs(values + 0.5 * dt * k1)
+    k3 = rhs(values + 0.5 * dt * k2)
+    k4 = rhs(values + dt * k3)
+    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
