@@ -202,18 +202,10 @@ class _BlockedStencil:
 
 
 def spatial_derivative(values: np.ndarray, grid: PhaseSpaceGrid, axis: int,
-                       order: int = 2, boundary: str = "zero",
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Central difference along spatial axis `axis` (0-based within space).
-
-    Written into `out` (C-contiguous, shaped like `values`) when given, else
-    into a new array, and returned.
-    """
+                       order: int = 2, boundary: str = "zero") -> np.ndarray:
+    """Central difference along spatial axis `axis` (0-based within space)."""
     stencil = _BlockedStencil(values, grid, order, boundary)
-    if out is None:
-        out = np.empty(values.shape, dtype=stencil.dtype)
-    elif out.shape != values.shape or not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous and shaped like values")
+    out = np.empty(values.shape, dtype=stencil.dtype)
     rows = out.reshape(stencil.rows.shape)
     for block in stencil.blocks:
         stencil(block, axis, rows[block])
