@@ -105,9 +105,15 @@ def read_state(path) -> Tuple[WignerState, str]:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a state file (bad magic)")
+    if len(raw) < 8:
+        raise ValueError(f"{path}: header cut short at {len(raw)} bytes")
     version, d = struct.unpack_from("<HH", raw, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
+    header = 8 + 24 * d + 96     # then 24 bytes per axis, constants, hash and time
+    if len(raw) < header:
+        raise ValueError(f"{path}: header cut short at {len(raw)} bytes, "
+                         f"a {d}-D header needs {header}")
     off = 8
     n_p = struct.unpack_from(f"<{d}I", raw, off); off += 4 * d
     n_x = struct.unpack_from(f"<{d}I", raw, off); off += 4 * d
@@ -117,11 +123,7 @@ def read_state(path) -> Tuple[WignerState, str]:
     config_hash = raw[off:off + 64].decode("ascii"); off += 64
     (time,) = struct.unpack_from("<d", raw, off); off += 8
     constants = PhysicalConstants(hbar=hbar, charge=charge, mass=mass)
-    if d == 1:
-        grid = make_grid(1, L[0], omega[0], int(n_x[0]), int(n_p[0]), constants)
-    else:
-        grid = make_grid(d, L, omega, tuple(int(v) for v in n_x),
-                         tuple(int(v) for v in n_p), constants)
+    grid = make_grid(d, L, omega, n_x, n_p, constants)
     count = int(np.prod(grid.state_shape))
     if len(raw) - off != 8 * count:
         raise ValueError(f"{path}: payload holds {(len(raw) - off) // 8} values, "

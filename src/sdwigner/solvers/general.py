@@ -3,25 +3,23 @@
 This route makes no closed-form assumptions about the field profile: the
 momentum coupling at every offset is read off the numeric kernel tables
 (weighted over their quadrature nodes), so it serves as an independent
-cross-check of the ladder solver's analytic coefficient families.  It is
-deliberately simple and costs one full-state pass per lattice offset; use
-it on small grids.
+cross-check of the ladder solver's analytic coefficient families.
 
-The double-window term assembled from the squared-field table is off by
-default, matching the evolution operators used elsewhere; pass
-include_square=True to add it.
+`make_rhs` reduces the tables once and turns each into its spectrum along
+the momentum axes.  Every offset sum sum_m T(m, x) g(M - m, x) is then one
+zero-padded FFT product per spatial point, cropped back to the lattice: the
+padding to 2 n_s - 1 slots per axis keeps the sum from wrapping, so entries
+past the lattice edge read zero as in the other routes.  The double-window
+term of the squared-field table is not part of this operator.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from ..kernels import KernelSet
 from ..phasespace import PhaseSpaceGrid
-from ..transform import WignerState
-from .common import SolverConfig, advection_term, sample_shift, spatial_derivative
+from .common import SolverConfig, advection_term, spatial_gradients
 
 
 def _field_tables(kernels: KernelSet, grid: PhaseSpaceGrid):
@@ -38,67 +36,51 @@ def _field_tables(kernels: KernelSet, grid: PhaseSpaceGrid):
         comp = kernels.magnetic[..., c]
         hbar.append(np.transpose(np.tensordot(comp, w, axes=([-1], [0])), perm))
         htau.append(np.transpose(np.tensordot(comp, w * half_tau, axes=([-1], [0])), perm))
-    ibar = None
-    if kernels.magnetic_square is not None:
-        we = kernels.eta_weights
-        red = np.tensordot(kernels.magnetic_square, we, axes=([-1], [0]))
-        ibar = np.transpose(np.tensordot(red, w * half_tau, axes=([-1], [0])), perm)
-    return dbar, hbar, htau, ibar
+    return dbar, hbar, htau
 
 
-def rhs_general(f, kernels: KernelSet, grid: PhaseSpaceGrid,
-                config: Optional[SolverConfig] = None,
-                include_square: bool = False) -> np.ndarray:
-    """Time derivative with every momentum offset weighted by the kernel tables.
+def make_rhs(kernels: KernelSet, grid: PhaseSpaceGrid, config: SolverConfig):
+    """Build the table spectra once and bind them into a values -> d/dt values closure.
 
     Requires kernel tables computed on the full spatial grid (x_points=None).
     """
-    values = f.values if isinstance(f, WignerState) else np.asarray(f)
-    cons = grid.constants
     if kernels.x_points.shape[:-1] != tuple(grid.n_x):
         raise ValueError("kernel tables must cover the full spatial grid")
-    if include_square and kernels.magnetic_square is None:
-        raise ValueError("kernel set was built without the squared-field table")
-    order = config.stencil_order if config else 2
-    boundary = config.boundary if config else "zero"
-
-    dbar, hbar, htau, ibar = _field_tables(kernels, grid)
+    d = grid.dim
+    axes = tuple(range(d))
+    pad = tuple(2 * n - 1 for n in grid.n_s)
+    # table slot n_p + m holds offset m, so lattice slot M lands at n_p + M
+    crop = tuple(slice(n, n + s) for n, s in zip(grid.n_p, grid.n_s))
+    cons = grid.constants
     e = cons.charge
-    pref_d = e / (2j * cons.hbar)
-    pref_hp = e / (2j * cons.hbar * cons.mass)
-    pref_hg = -e / (2.0 * cons.mass)
-    pref_i = e ** 2 / (4j * cons.mass * cons.hbar)
 
-    grads = [spatial_derivative(values, grid, c, order, boundary) for c in range(grid.dim)]
-    p_broadcast = []
-    for c in range(grid.dim):
-        shape = [1] * values.ndim
-        shape[c] = len(grid.p_axes[c])
-        p_broadcast.append(grid.p_axes[c].reshape(shape))
+    def spectrum(table, pref):
+        return np.fft.fftn(pref * table, s=pad, axes=axes) if np.any(table) else None
 
-    acc = np.zeros(values.shape, dtype=complex)
-    for m_multi in np.ndindex(*grid.n_s):
-        offsets = tuple(m_multi[c] - grid.n_p[c] for c in range(grid.dim))
-        g = values
-        for c, m in enumerate(offsets):
-            if m != 0:
-                g = sample_shift(g, c, -m)
-        coef = pref_d * dbar[m_multi]
-        if include_square:
-            coef = coef + pref_i * ibar[m_multi]
-        term = coef * g
-        for c in range(grid.dim):
-            hb = hbar[c][m_multi]
-            if np.any(hb):
-                term = term + (pref_hp * hb) * (p_broadcast[c] * g)
-            ht = htau[c][m_multi]
-            if np.any(ht):
-                gg = grads[c]
-                for cc, m in enumerate(offsets):
-                    if m != 0:
-                        gg = sample_shift(gg, cc, -m)
-                term = term + (pref_hg * ht) * gg
-        acc += term
-    out = advection_term(values, grid, order, boundary).astype(complex)
-    out += acc
-    return out.real
+    dbar, hbar, htau = _field_tables(kernels, grid)
+    electric = spectrum(dbar, e / (2j * cons.hbar))
+    lorentz = [spectrum(t, e / (2j * cons.hbar * cons.mass)) for t in hbar]
+    gradient = [spectrum(t, -e / (2.0 * cons.mass)) for t in htau]
+    momenta = [p.reshape([-1 if a == c else 1 for a in range(2 * d)])
+               for c, p in enumerate(grid.p_axes)]
+
+    def convolve(spec):
+        return np.fft.ifftn(spec, axes=axes)[crop].real
+
+    def rhs(values: np.ndarray) -> np.ndarray:
+        grads = spatial_gradients(values, grid, config.stencil_order, config.boundary)
+        out = advection_term(values, grid, config.stencil_order, config.boundary,
+                             gradients=grads)
+        f_hat = np.fft.fftn(values, s=pad, axes=axes)
+        acc = np.zeros_like(f_hat)
+        if electric is not None:
+            acc += electric * f_hat
+        for spec, g in zip(gradient, grads):
+            if spec is not None:
+                acc += spec * np.fft.fftn(g, s=pad, axes=axes)
+        out += convolve(acc)
+        for spec, p in zip(lorentz, momenta):
+            if spec is not None:
+                out += p * convolve(spec * f_hat)
+        return out
+    return rhs

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
-from .common import SolverConfig, default_gamma0
+from .common import SolverConfig, SolverInstabilityError, default_gamma0
 
 _MAX_ROUNDS = 100000
 
@@ -218,7 +218,8 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
             ens.alive[ib[heavy]] = False
             n_capped += int(heavy.sum())
     else:
-        raise RuntimeError("backward walk failed to terminate; check gamma0 and weight_cap")
+        raise SolverInstabilityError(
+            "backward walk failed to terminate; check gamma0 and weight_cap")
     return ens.scores, n_capped, n_retired
 
 

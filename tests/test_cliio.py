@@ -19,7 +19,7 @@ from sdwigner.io import (load_sampled_field, read_state, read_table,
 from sdwigner.phasespace import SampledEMField
 from sdwigner.runner import magnitude_report, run_simulation
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
-                              SolverInstabilityError, semidiscrete)
+                              SolverInstabilityError, montecarlo, semidiscrete)
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
 
@@ -218,14 +218,22 @@ class TestConfigSchema:
         assert np.array_equal(built.values, state.values)
 
 
+STATE_GRIDS = {
+    1: (130e-9, 60e-9, 6, 3),
+    2: ((130e-9, 110e-9), (60e-9, 50e-9), (5, 7), (3, 2)),
+    3: ((130e-9, 110e-9, 90e-9), (60e-9, 50e-9, 40e-9), (3, 4, 2), (2, 1, 1)),
+}
+
+
 class TestStateFormat:
-    def make_state(self, seed=0):
-        grid = make_grid(2, (130e-9, 110e-9), (60e-9, 50e-9), (5, 7), (3, 2))
+    def make_state(self, seed=0, dim=2):
+        grid = make_grid(dim, *STATE_GRIDS[dim])
         values = np.random.default_rng(seed).normal(size=grid.state_shape)
         return WignerState(grid=grid, values=values, time=3.5e-13)
 
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        state = self.make_state()
+    @pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
+    def test_round_trip_is_bit_exact(self, tmp_path, dim):
+        state = self.make_state(dim=dim)
         cfg_hash = "ab" * 32
         p = write_state(tmp_path / "s.sdwg", state, cfg_hash)
         back, got_hash = read_state(p)
@@ -263,6 +271,13 @@ class TestStateFormat:
         p = tmp_path / "cut.sdwg"
         p.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="payload"):
+            read_state(p)
+
+    def test_truncated_header_is_rejected(self, tmp_path):
+        raw = write_state(tmp_path / "s.sdwg", self.make_state(), "0" * 64).read_bytes()
+        p = tmp_path / "cut.sdwg"
+        p.write_bytes(raw[:20])
+        with pytest.raises(ValueError, match="cut.sdwg: header cut short"):
             read_state(p)
 
     def test_hash_length_is_checked_on_write(self, tmp_path):
@@ -485,6 +500,28 @@ class TestCLI:
         assert cli_main(["run", str(path), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: state turned non-finite")
+
+    def test_run_reports_a_walk_that_never_ends(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MAX_ROUNDS", 1)
+        path = self.cfg_file(tmp_path, solver={
+            "method": "mc", "gamma0_per_s": 1e13, "n_particles": 120,
+            "mc_targets": [{"m_index": [0, 0], "position_nm": [0.0, 0.0]}],
+        })
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: backward walk failed to terminate")
+        meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+        assert meta["status"] == "failed"
+
+    def test_diff_reports_a_truncated_header(self, tmp_path, capsys):
+        grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (6, 6), (3, 3))
+        state = gaussian_wigner(grid, center=(0.0, 0.0), sigma_x=(20e-9, 20e-9))
+        good = write_state(tmp_path / "a.sdwg", state, "a" * 64)
+        cut = tmp_path / "cut.sdwg"
+        cut.write_bytes(good.read_bytes()[:20])
+        assert cli_main(["diff", str(good), str(cut)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "header cut short" in err[0]
 
     def test_magnitudes_prints_and_writes(self, tmp_path, capsys):
         path = self.cfg_file(tmp_path)

@@ -1,6 +1,8 @@
 """Solver tests: operator algebra against brute force, conservation laws,
 cross-route consistency, and the stochastic estimator's statistics."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,11 @@ from sdwigner.kernels import (LinearKernelCoefficients, compute_kernels,
 from sdwigner.phasespace import (LinearEMField, PhysicalConstants,
                                  SampledEMField)
 from sdwigner.solvers import common as solver_common
-from sdwigner.solvers import continuum, semidiscrete
+from sdwigner.solvers import continuum, general, semidiscrete
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, default_gamma0, evolve,
                               mc_estimate_point, mean_momentum_global, observables,
-                              rhs_general, solve_fredholm_resolvent)
+                              solve_fredholm_resolvent)
 from sdwigner.solvers.common import (advect_free_flight, advection_term, apply_along,
                                      band_matrix, box_offset_sum, even_pair_ladder,
                                      free_flight_operators, momentum_difference,
@@ -811,81 +813,112 @@ def _bilinear(plane, grid, point):
 # kernel-table reference route
 # ---------------------------------------------------------------------------
 
+TABLE_GRIDS = pytest.mark.parametrize("grid", [G2S, G2U], ids=["G2S", "G2U"])
+
+
 class TestGeneralAssembler:
+    # order 2, zero boundaries: the stencil the expansions below are written with
+    cfg = SolverConfig(dt=0.01, t_end=0.1)
+
     def lam(self, m, grid, axis):
         # first-moment table over i hbar: the real ladder weight
         return (lattice_first_moment(m, grid.coherence_length[axis],
                                      grid.n_s[axis]) / 1j).real
 
-    def test_uniform_electric_matches_lattice_ladder(self):
+    def rhs(self, field, grid):
+        kern = compute_kernels(field, grid, include_square=False)
+        return general.make_rhs(kern, grid, self.cfg)
+
+    @TABLE_GRIDS
+    def test_uniform_electric_matches_lattice_ladder(self, grid):
         field = UniformField(e=(0.4, -0.7, 0.0))
-        kern = compute_kernels(field, G2S, include_square=False)
-        f = packet(G2S, sigma_p=1.1).values
-        out = rhs_general(f, kern, G2S)
-        expect = advection_term(f, G2S, 2, "zero")
-        for m in range(-G2S.n_p[0], G2S.n_p[0] + 1):
+        f = packet(grid, sigma_p=1.1).values
+        out = self.rhs(field, grid)(f)
+        expect = advection_term(f, grid, 2, "zero")
+        for m in range(-grid.n_p[0], grid.n_p[0] + 1):
             if m:
-                expect -= 0.4 * self.lam(m, G2S, 0) * sample_shift(f, 0, -m)
-        for m in range(-G2S.n_p[1], G2S.n_p[1] + 1):
+                expect -= 0.4 * self.lam(m, grid, 0) * sample_shift(f, 0, -m)
+        for m in range(-grid.n_p[1], grid.n_p[1] + 1):
             if m:
-                expect -= -0.7 * self.lam(m, G2S, 1) * sample_shift(f, 1, -m)
+                expect -= -0.7 * self.lam(m, grid, 1) * sample_shift(f, 1, -m)
         assert rel_l2(out, expect) < 1e-12
 
-    def test_uniform_magnetic_matches_lorentz_bracket(self):
+    @TABLE_GRIDS
+    def test_uniform_magnetic_matches_lorentz_bracket(self, grid):
         b0 = 0.9
-        field = LinearEMField(b0=b0)
-        kern = compute_kernels(field, G2S, include_square=False)
-        f = packet(G2S, sigma_p=1.1, momentum=(0.5, -0.3)).values
-        out = rhs_general(f, kern, G2S)
-        px = G2S.p_axes[0].reshape(-1, 1, 1, 1)
-        py = G2S.p_axes[1].reshape(1, -1, 1, 1)
-        expect = advection_term(f, G2S, 2, "zero")
-        for m in range(-G2S.n_p[1], G2S.n_p[1] + 1):
+        f = packet(grid, sigma_p=1.1, momentum=(0.5, -0.3)).values
+        out = self.rhs(LinearEMField(b0=b0), grid)(f)
+        px = grid.p_axes[0].reshape(-1, 1, 1, 1)
+        py = grid.p_axes[1].reshape(1, -1, 1, 1)
+        expect = advection_term(f, grid, 2, "zero")
+        for m in range(-grid.n_p[1], grid.n_p[1] + 1):
             if m:
-                expect += b0 * self.lam(m, G2S, 1) * px * sample_shift(f, 1, -m)
-        for m in range(-G2S.n_p[0], G2S.n_p[0] + 1):
+                expect += b0 * self.lam(m, grid, 1) * px * sample_shift(f, 1, -m)
+        for m in range(-grid.n_p[0], grid.n_p[0] + 1):
             if m:
-                expect -= b0 * self.lam(m, G2S, 0) * py * sample_shift(f, 0, -m)
+                expect -= b0 * self.lam(m, grid, 0) * py * sample_shift(f, 0, -m)
         assert rel_l2(out, expect) < 1e-12
 
-    def test_gradient_field_pairing_from_tables(self):
+    @TABLE_GRIDS
+    def test_gradient_field_pairing_from_tables(self, grid):
         # the assembled route couples the even second-moment family to the x
         # gradient on the zero x-offset slice and the odd-odd product to the
         # y gradient: opposite to the closed-form ladder equation's layout
         b1 = 0.8
-        field = LinearEMField(b0=0.0, b1=b1)
-        kern = compute_kernels(field, G2S, include_square=False)
-        f = packet(G2S, sigma_p=1.1).values
-        out = rhs_general(f, kern, G2S)
+        f = packet(grid, sigma_p=1.1).values
+        out = self.rhs(LinearEMField(b0=0.0, b1=b1), grid)(f)
 
-        y = G2S.x_axes[1].reshape(1, 1, 1, -1)
-        px = G2S.p_axes[0].reshape(-1, 1, 1, 1)
-        py = G2S.p_axes[1].reshape(1, -1, 1, 1)
-        dxf = spatial_derivative(f, G2S, 0, 2, "zero")
-        dyf = spatial_derivative(f, G2S, 1, 2, "zero")
-        expect = advection_term(f, G2S, 2, "zero")
-        ny = G2S.n_s[1]
-        for m in range(-G2S.n_p[1], G2S.n_p[1] + 1):
-            s2 = lattice_second_moment(m, G2S.coherence_length[1], ny).real
+        y = grid.x_axes[1].reshape(1, 1, 1, -1)
+        px = grid.p_axes[0].reshape(-1, 1, 1, 1)
+        py = grid.p_axes[1].reshape(1, -1, 1, 1)
+        dxf = spatial_derivative(f, grid, 0, 2, "zero")
+        dyf = spatial_derivative(f, grid, 1, 2, "zero")
+        expect = advection_term(f, grid, 2, "zero")
+        ny = grid.n_s[1]
+        for m in range(-grid.n_p[1], grid.n_p[1] + 1):
+            s2 = lattice_second_moment(m, grid.coherence_length[1], ny).real
             if m:
-                expect += b1 * y * self.lam(m, G2S, 1) * px * sample_shift(f, 1, -m)
+                expect += b1 * y * self.lam(m, grid, 1) * px * sample_shift(f, 1, -m)
             expect -= (b1 / 12.0) * s2 * sample_shift(dxf, 1, -m)
-        for mx in range(-G2S.n_p[0], G2S.n_p[0] + 1):
+        for mx in range(-grid.n_p[0], grid.n_p[0] + 1):
             if mx:
-                expect -= b1 * y * self.lam(mx, G2S, 0) * py * sample_shift(f, 0, -mx)
-            for my in range(-G2S.n_p[1], G2S.n_p[1] + 1):
+                expect -= b1 * y * self.lam(mx, grid, 0) * py * sample_shift(f, 0, -mx)
+            for my in range(-grid.n_p[1], grid.n_p[1] + 1):
                 if mx and my:
-                    lxy = self.lam(mx, G2S, 0) * self.lam(my, G2S, 1)
+                    lxy = self.lam(mx, grid, 0) * self.lam(my, grid, 1)
                     shifted = sample_shift(sample_shift(dyf, 0, -mx), 1, -my)
                     expect -= (b1 / 12.0) * lxy * shifted
         assert rel_l2(out, expect) < 1e-12
+
+    def test_tables_are_reduced_once(self, monkeypatch):
+        calls = []
+        original = general._field_tables
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+        monkeypatch.setattr(general, "_field_tables", counting)
+        rhs = self.rhs(LinearEMField(b0=0.5, b1=0.8), G2S)
+        f = packet(G2S).values
+        first = rhs(f)
+        for _ in range(2):
+            assert np.array_equal(rhs(f), first)
+        assert len(calls) == 1
 
     def test_requires_full_grid_tables(self):
         field = LinearEMField(b0=1.0)
         kern = compute_kernels(field, G2S, x_points=np.zeros((1, 2)),
                                include_square=False)
         with pytest.raises(ValueError, match="full spatial grid"):
-            rhs_general(packet(G2S).values, kern, G2S)
+            general.make_rhs(kern, G2S, self.cfg)
+
+
+@pytest.mark.parametrize("route", [semidiscrete, continuum, general],
+                         ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+def test_make_rhs_requires_config(route):
+    # no route falls back to a default stencil or boundary
+    config = inspect.signature(route.make_rhs).parameters["config"]
+    assert config.default is inspect.Parameter.empty
 
 
 class TestEventRate:
