@@ -155,10 +155,10 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, workers: int,
 
     elif cfg.method == "fredholm":
         res = solve_fredholm_resolvent(f0, field, grid, scfg)
-        meta["fredholm_sweeps"] = res.n_sweeps
+        meta["fredholm_sweeps"] = res.n_sweeps     # local passes over all levels
         meta["gamma0_per_s"] = res.gamma0
         files.append(write_table(
-            out / "fredholm_residuals.tsv", ["sweep", "relative_residual"],
+            out / "fredholm_residuals.tsv", ["level", "relative_residual"],
             [[float(k + 1), r] for k, r in enumerate(res.residuals)], run_hash))
         if cfg.binary_states:
             files.append(write_state(out / "state_final.sdwg", res.state, run_hash))

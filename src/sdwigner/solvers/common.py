@@ -39,7 +39,8 @@ class SolverConfigError(ValueError):
 
 
 class FredholmConvergenceError(RuntimeError):
-    """Resolvent iteration failed to reach tolerance; carries residual history."""
+    """A resolvent level failed to reach tolerance; the message names the
+    level, and `residuals` carries that level's residual history."""
 
     def __init__(self, message: str, residuals):
         super().__init__(message)

@@ -2,18 +2,25 @@
 
 The evolution is rewritten with an auxiliary rate gamma0 so the propagator
 becomes exp(-gamma0 (t - t')) times free flight, and the remaining coupling
-K[f] = (force and gradient terms) + gamma0 f enters through a time integral
-along each backward characteristic.  The trajectory is discretized on the
-stepper's own dt with trapezoid weights and solved by plain iteration sweeps
-over the whole time range (each sweep adds one order of the expansion in K).
+K[f] + gamma0 f (K: the force and gradient terms) enters through a time
+integral along each backward characteristic.  The trajectory is discretized
+on the stepper's own dt with trapezoid weights.  That system is
+lower-triangular in time (level k reads only levels j <= k), so it is solved
+by marching k = 1..n_t: the history of the accepted levels is summed once,
+and only the diagonal term needs a local fixed point, with its gamma0 part
+moved to the left-hand side,
+
+    f_k (1 - dt/2 gamma0) = S_k + dt/2 K f_k,
+
+which contracts by dt/2 |K| / (1 - dt/2 gamma0) per pass.
 
 Free flight by lag k dt moves each momentum row along its spatial axis by
 linear interpolation between the two nearest cells, which is exact only for
 whole-cell shifts.  Its matrices (`free_flight_operators`) are built once
-per lag and reused by every sweep, as are the kernel's difference matrices
-(`make_kernel`).  A solve holds three (n_t + 1)-state arrays: the current
-iterate, the next one, and the kernel values, which double as scratch for
-the residual.
+per lag, and each (level, lag) flight runs once per solve.  A solve holds
+one (n_t + 1)-state array of kernel values K f_j + gamma0 f_j, plus the
+iterate and the history of the level being solved; the slot of that level
+is the scratch of its passes.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ from .continuum import make_kernel
 
 @dataclass
 class FredholmResult:
+    """The final state; residuals[k - 1] is level k's last local residual and
+    n_sweeps the local passes summed over all levels."""
+
     state: WignerState
     residuals: List[float]
     n_sweeps: int
@@ -43,11 +53,12 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
                              config: SolverConfig) -> FredholmResult:
     """Solve up to t_end on a uniform time mesh; returns the final state.
 
-    t_end must be an integer multiple of dt.  Raises
-    FredholmConvergenceError (with the residual history attached) if the
-    sweeps fail to reach config.fredholm_tol within config.fredholm_max_iter,
-    and SolverInstabilityError at the first sweep whose norm or residual is
-    not finite.
+    t_end must be an integer multiple of dt.  Each level iterates from the
+    previous level's state until one pass changes it by less than
+    config.fredholm_tol (relative), within config.fredholm_max_iter passes.
+    Raises FredholmConvergenceError (with the stalled level's residual
+    history attached) otherwise, and SolverInstabilityError at the first pass
+    whose norm or residual is not finite.
     """
     if grid.dim != 2:
         raise ValueError("the integral-form solver requires a 2D grid")
@@ -60,59 +71,68 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
         raise ValueError(f"t_end={config.t_end!r} is not an integer multiple of dt={dt!r}")
 
     gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(field, grid, config)
-    kernel = make_kernel(linear_coefficients(field, grid), grid, config, gamma0)
+    coeffs = linear_coefficients(field, grid)
+    kernel = make_kernel(coeffs, grid, config)                   # K
+    kernel_values = make_kernel(coeffs, grid, config, gamma0)    # K + gamma0
     flights = [None] + [free_flight_operators(grid, lag * dt, config.boundary)
                         for lag in range(1, n_t + 1)]
     decay = np.exp(-gamma0 * dt * np.arange(n_t + 1))
+    half = 0.5 * dt
+    scale = 1.0 - half * gamma0
 
-    # three trajectories: current iterate, next iterate, kernel values; the
-    # first starts as the damped free flight of f0, and f0 stays at level 0
-    traj = np.empty((n_t + 1,) + values0.shape)
-    traj[0] = values0
-    for k in range(1, n_t + 1):
-        np.multiply(advect_free_flight(flights[k], traj[0]), decay[k], out=traj[k])
-    new = np.empty_like(traj)
-    new[0] = traj[0]
-    kvals = np.empty_like(traj)
+    # kvals[j] = K f_j + gamma0 f_j of each accepted level; the source term
+    # and the j = 0 term share one flight, so kvals[0] holds f0 + dt/2 kvals[0]
+    kvals = np.empty((n_t + 1,) + values0.shape)
+    x = np.array(values0, dtype=float)
+    history = np.empty_like(x)
+    kernel_values(x, kvals[0])
+    kvals[0] *= half
+    kvals[0] += x
 
     residuals: List[float] = []
-    for sweep in range(1, config.fredholm_max_iter + 1):
-        for j in range(n_t + 1):
-            kernel(traj[j], kvals[j])
-        _memory_sum(new, traj[0], kvals, flights, decay, dt)
-        norm = float(np.linalg.norm(new))
-        # kvals is spent: it holds the change of this sweep
-        res = float(np.linalg.norm(np.subtract(new, traj, out=kvals))) \
-            / (norm if norm > 0 else 1.0)
-        if not (np.isfinite(norm) and np.isfinite(res)):
-            raise SolverInstabilityError(
-                f"integral solver turned non-finite at sweep {sweep}")
+    n_passes = 0
+    for k in range(1, n_t + 1):
+        _history(history, k, kvals, flights, decay, dt)
+        # passes from the previous level's state; kvals[k] is their scratch
+        trial, level = kvals[k], []
+        for _ in range(config.fredholm_max_iter):
+            kernel(x, trial)
+            trial *= half
+            trial += history
+            with np.errstate(divide="ignore", invalid="ignore"):
+                trial /= scale
+            norm = float(np.linalg.norm(trial))
+            x -= trial      # x is spent: it holds the change of this pass
+            res = float(np.linalg.norm(x)) / (norm if norm > 0 else 1.0)
+            x[...] = trial
+            if not (np.isfinite(norm) and np.isfinite(res)):
+                raise SolverInstabilityError(
+                    f"integral solver turned non-finite at level {k}")
+            level.append(res)
+            if res < config.fredholm_tol:
+                break
+        else:
+            raise FredholmConvergenceError(
+                f"integral solver stalled at level {k} of {n_t}, residual {res:.3e} "
+                f"after {config.fredholm_max_iter} passes (tol {config.fredholm_tol:.1e})",
+                level)
+        n_passes += len(level)
         residuals.append(res)
-        traj, new = new, traj
-        if res < config.fredholm_tol:
-            return FredholmResult(
-                state=WignerState(grid=grid, values=traj[n_t].copy(), time=config.t_end),
-                residuals=residuals, n_sweeps=sweep, gamma0=gamma0)
-    raise FredholmConvergenceError(
-        f"integral solver stalled at residual {residuals[-1]:.3e} "
-        f"after {config.fredholm_max_iter} sweeps (tol {config.fredholm_tol:.1e})",
-        residuals)
+        if k < n_t:
+            kernel_values(x, kvals[k])
+    return FredholmResult(state=WignerState(grid=grid, values=x, time=config.t_end),
+                          residuals=residuals, n_sweeps=n_passes, gamma0=gamma0)
 
 
-def _memory_sum(new, f0, kvals, flights, decay, dt) -> None:
-    """Write the next iterate into new[1:] from kvals = K f + gamma0 f.
+def _history(out, k, kvals, flights, decay, dt) -> None:
+    """Write level k's history into out: every term of its trapezoid sum but
+    the diagonal one.
 
-    new[k] = decay[k] A(k) f0 + sum_j w_jk decay[k-j] A(k-j) kvals[j] with
-    trapezoid weights w_jk over j = 0..k, A(lag) = flights[lag].  The source
-    term and the j = 0 term share one flight, so kvals[0] is overwritten
-    with f0 + (dt / 2) kvals[0].
+    out = decay[k] A(k) kvals[0] + sum_{j=1}^{k-1} dt decay[k-j] A(k-j) kvals[j],
+    A(lag) = flights[lag], with kvals[0] already holding f0 + dt/2 (K f0 + gamma0 f0).
     """
-    kvals[0] *= 0.5 * dt
-    kvals[0] += f0
-    for k in range(1, len(new)):
-        np.multiply(advect_free_flight(flights[k], kvals[0]), decay[k], out=new[k])
-        for j in range(1, k):
-            flight = advect_free_flight(flights[k - j], kvals[j])
-            flight *= dt * decay[k - j]
-            new[k] += flight
-        new[k] += (0.5 * dt) * kvals[k]
+    np.multiply(advect_free_flight(flights[k], kvals[0]), decay[k], out=out)
+    for j in range(1, k):
+        flight = advect_free_flight(flights[k - j], kvals[j])
+        flight *= dt * decay[k - j]
+        out += flight

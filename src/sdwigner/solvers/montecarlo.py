@@ -217,7 +217,8 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
         if np.any(heavy):
             ens.alive[ib[heavy]] = False
             n_capped += int(heavy.sum())
-    else:
+    # the last allowed round may have ended every walk
+    if np.any(ens.alive):
         raise SolverInstabilityError(
             "backward walk failed to terminate; check gamma0 and weight_cap")
     return ens.scores, n_capped, n_retired
@@ -262,5 +263,8 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
     all_scores = np.concatenate(scores)
     value = float(all_scores.mean())
     stderr = float(all_scores.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    if not (np.isfinite(value) and np.isfinite(stderr)):
+        raise SolverInstabilityError(
+            f"backward walk estimate turned non-finite (value {value}, stderr {stderr})")
     return MCEstimate(value=value, stderr=stderr, n_particles=n,
                       n_capped=n_capped, n_retired=n_retired, gamma0=gamma0)

@@ -380,7 +380,7 @@ class TestRunner:
         def nan_state(self, grid):
             return WignerState(grid, np.full(grid.state_shape, np.nan))
         monkeypatch.setattr(SimulationConfig, "build_initial_state", nan_state)
-        with pytest.raises(SolverInstabilityError, match="sweep 1$"):
+        with pytest.raises(SolverInstabilityError, match="level 1$"):
             self.run_cfg(tmp_path, "nan", solver={
                 "method": "fredholm", "gamma0_per_s": 2e13, "fredholm_max_iter": 400})
         meta = json.loads((tmp_path / "nan" / "run_meta.json").read_text())
@@ -424,10 +424,14 @@ class TestRunner:
             "fredholm_tol": 1e-8, "fredholm_max_iter": 300}))
         product = run_simulation(cfg, out_dir=tmp_path / "fred")
         meta = json.loads(product.meta_path.read_text())
-        assert meta["fredholm_sweeps"] >= 1
         _, cols, data = read_table(product.out_dir / "fredholm_residuals.tsv")
-        assert cols == ["sweep", "relative_residual"]
-        assert data[-1, 1] <= 1e-8
+        scfg = cfg.build_solver_config()
+        n_t = round(scfg.t_end / scfg.dt)
+        assert cols == ["level", "relative_residual"]
+        assert data.shape == (n_t, 2) and n_t > 1
+        np.testing.assert_array_equal(data[:, 0], np.arange(1, n_t + 1))
+        assert np.all(data[:, 1] <= 1e-8)
+        assert meta["fredholm_sweeps"] >= n_t
 
     def test_magnitude_report_rows(self, tmp_path):
         cfg = config_from_dict(base_dict())
@@ -512,6 +516,21 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("error: backward walk failed to terminate")
         meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
         assert meta["status"] == "failed"
+
+    def test_run_reports_a_non_finite_estimate(self, tmp_path, capsys, monkeypatch):
+        def nan_state(self, grid):
+            return WignerState(grid, np.full(grid.state_shape, np.nan))
+        monkeypatch.setattr(SimulationConfig, "build_initial_state", nan_state)
+        path = self.cfg_file(tmp_path, solver={
+            "method": "mc", "gamma0_per_s": 1e13, "n_particles": 120,
+            "mc_targets": [{"m_index": [0, 0], "position_nm": [0.0, 0.0]}],
+        })
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: backward walk estimate turned non-finite")
+        meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+        assert meta["status"] == "failed"
+        assert not (tmp_path / "run" / "mc_results.tsv").exists()
 
     def test_diff_reports_a_truncated_header(self, tmp_path, capsys):
         grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (6, 6), (3, 3))
