@@ -2,7 +2,8 @@
 
 Subcommands: run, validate, magnitudes, diff, emit-plot.  Environment
 overrides are limited to SDWIGNER_OUT (output directory) and SDWIGNER_WORKERS
-(stochastic-estimator worker count); command-line flags win over both.
+(how many seed streams the stochastic estimator splits its walkers into;
+the streams run one after another); command-line flags win over both.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="stochastic-estimator worker count")
+                       help="split the mc walkers into this many seed streams, "
+                            "run one after another (not in parallel)")
 
     p_val = sub.add_parser("validate", help="check a config and print its hash")
     p_val.add_argument("config")

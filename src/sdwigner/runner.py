@@ -1,9 +1,10 @@
 """Run orchestration: dispatch a validated config to a solver, persist results.
 
-Single-threaded by design; the only parallelism knob is the worker count
-handed to the stochastic estimator.  Numeric output files never contain
-timestamps, so a rerun with the same config and seed is byte-identical;
-wall-clock data lives in run_meta.json only.
+Single-threaded by design: the worker count handed to the stochastic
+estimator splits its walkers into seed streams that run one after another.
+Numeric output files never contain timestamps, so a rerun with the same
+config and seed is byte-identical; wall-clock data lives in run_meta.json
+only.
 """
 
 from __future__ import annotations

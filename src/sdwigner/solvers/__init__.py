@@ -10,11 +10,11 @@ from .common import (EvolutionResult, FredholmConvergenceError, ObservableRecord
                      SolverConfig, SolverInstabilityError, boundary_mass_fraction,
                      default_gamma0, evolve, mean_momentum_global, observables)
 from .fredholm import FredholmResult, solve_fredholm_resolvent
-from .montecarlo import MCEstimate, ParticleEnsemble, mc_estimate_point
+from .montecarlo import MCEstimate, mc_estimate_point
 
 __all__ = [
     "EvolutionResult", "FredholmConvergenceError", "FredholmResult",
-    "MCEstimate", "ObservableRecord", "ParticleEnsemble", "SolverConfig",
+    "MCEstimate", "ObservableRecord", "SolverConfig",
     "SolverInstabilityError", "boundary_mass_fraction", "default_gamma0",
     "evolve", "mc_estimate_point", "mean_momentum_global", "observables",
     "solve_fredholm_resolvent",

@@ -161,7 +161,7 @@ class _BlockedStencil:
         self.rows = values.reshape((-1,) + values.shape[grid.dim:])
         self.dtype = np.result_type(values.dtype, 1.0)
         self.dx, self.order, self.boundary = grid.dx, order, boundary
-        step = max(1, _BLOCK_BYTES // self.rows[0].nbytes)
+        step = min(len(self.rows), max(1, _BLOCK_BYTES // self.rows[0].nbytes))
         self.blocks = [slice(i, i + step) for i in range(0, len(self.rows), step)]
         spatial, halo = self.rows.shape[1:], order // 2
         self._pad_size = step * max(math.prod(spatial) // n * (n + 2 * halo) for n in spatial)

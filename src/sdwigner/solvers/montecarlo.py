@@ -9,15 +9,21 @@ A walker that survives to t = 0 scores weight times the interpolated initial
 condition; the exponential survival mass cancels against the damping factor,
 so no explicit decay factor appears at scoring time.
 
-Walks are split into per-worker chunks with independent seed streams and a
-fixed draw order (one exponential and one uniform array per round), so the
-result is bitwise reproducible for a fixed seed and worker count.
+A walker leaves the walker table when its walk ends: it scores at t = 0,
+is retired off the momentum lattice, or is capped over the weight cap.
+Walker arrays hold one row per axis and one column per walker.  The
+curvature branches 5-18 carry b1, so a field without b1 samples 5 branches.
+
+Walks are split into `workers` chunks with independent seed streams, run one
+after another, and a fixed draw order (one exponential and one uniform
+array per round), so the result is bitwise reproducible for a fixed seed
+and worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -43,41 +49,18 @@ class MCEstimate:
         yield self.stderr
 
 
-@dataclass
-class ParticleEnsemble:
-    """Mutable walker table for one chunk of the backward estimator."""
-
-    momentum_index: np.ndarray   # (n, 2) int
-    position: np.ndarray         # (n, 2) float, meters
-    weight: np.ndarray           # (n,) signed
-    time_left: np.ndarray        # (n,) seconds until t = 0
-    alive: np.ndarray            # (n,) bool
-    scores: np.ndarray           # (n,) filled when a walker ends
-
-    @classmethod
-    def at_point(cls, m_index, position, t_end: float, n: int) -> "ParticleEnsemble":
-        return cls(
-            momentum_index=np.tile(np.asarray(m_index, dtype=np.int64), (n, 1)),
-            position=np.tile(np.asarray(position, dtype=float), (n, 1)),
-            weight=np.ones(n),
-            time_left=np.full(n, float(t_end)),
-            alive=np.ones(n, dtype=bool),
-            scores=np.zeros(n),
-        )
-
-
 def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
                     midx: np.ndarray, pos: np.ndarray, boundary: str) -> np.ndarray:
     """Bilinear sample of f0 at lattice momentum rows and continuous positions."""
-    n = midx.shape[0]
+    n = midx.shape[1]
     out = np.zeros(n)
-    slot = midx + np.array(grid.n_p)
+    slot = midx + np.array(grid.n_p)[:, None]
     corner_w = []
     corner_i = []
     for c in range(2):
         omega = grid.omega_extent[c]
         h = grid.dx[c]
-        x = pos[:, c] + 0.5 * omega
+        x = pos[c] + 0.5 * omega
         if boundary == "periodic":
             x = np.mod(x, omega)
         fi = x / h - 0.5
@@ -99,13 +82,13 @@ def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
                 valid = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
                 ix = np.clip(ix, 0, nx - 1)
                 iy = np.clip(iy, 0, ny - 1)
-            vals = values[slot[:, 0], slot[:, 1], ix, iy]
+            vals = values[slot[0], slot[1], ix, iy]
             out += np.where(valid, w * vals, 0.0)
     return out
 
 
 def _branch_moves(grid: PhaseSpaceGrid) -> Tuple[np.ndarray, np.ndarray]:
-    """Index and position displacement of each of the 19 collision branches."""
+    """Index and position displacement of the 19 collision branches, one row per axis."""
     dx, dy = grid.dx
     d_m = np.zeros((19, 2), dtype=np.int64)
     d_x = np.zeros((19, 2))
@@ -124,104 +107,110 @@ def _branch_moves(grid: PhaseSpaceGrid) -> Tuple[np.ndarray, np.ndarray]:
                 d_m[row] = (smx, smy)
                 d_x[row] = (0.0, sy * dy)
                 row += 1
-    return d_m, d_x
+    return d_m.T, d_x.T
 
 
 def _branch_coefficients(midx: np.ndarray, pos: np.ndarray, field: LinearEMField,
-                         grid: PhaseSpaceGrid, gamma0: float) -> np.ndarray:
-    """Signed stencil coefficients (n, 19) at each walker's current point."""
+                         grid: PhaseSpaceGrid, gamma0: float, nb: int) -> np.ndarray:
+    """Signed stencil coefficients (n, nb) of the first nb branches at each walker."""
     c = grid.constants
     dpx, dpy = grid.dp
     dx, dy = grid.dx
-    n = midx.shape[0]
-    px = midx[:, 0] * dpx
-    py = midx[:, 1] * dpy
-    bz = field.b0 + field.b1 * pos[:, 1]
-    f_x = c.charge * (field.e_grad[0] * pos[:, 0] + py * bz / c.mass)
-    f_y = c.charge * (field.e_grad[1] * pos[:, 1] - px * bz / c.mass)
+    px = midx[0] * dpx
+    py = midx[1] * dpy
+    bz = field.b0 + field.b1 * pos[1]
+    f_x = c.charge * (field.e_grad[0] * pos[0] + py * bz / c.mass)
+    f_y = c.charge * (field.e_grad[1] * pos[1] - px * bz / c.mass)
     kappa = field.b1 * c.hbar ** 2 * c.charge / (12.0 * c.mass)
 
-    out = np.zeros((n, 19))
+    out = np.empty((midx.shape[1], nb))
     out[:, 0] = gamma0
     out[:, 1] = -f_x / (2.0 * dpx)
     out[:, 2] = f_x / (2.0 * dpx)
     out[:, 3] = -f_y / (2.0 * dpy)
     out[:, 4] = f_y / (2.0 * dpy)
-    if kappa != 0.0:
-        row = 5
-        for dmy, wmy in ((1, 1.0), (0, -2.0), (-1, 1.0)):
-            for sx in (1.0, -1.0):
-                out[:, row] = kappa * wmy / dpy ** 2 * (sx / (2.0 * dx))
-                row += 1
-        for smx in (1.0, -1.0):
-            for smy in (1.0, -1.0):
-                for sy in (1.0, -1.0):
-                    out[:, row] = -kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) \
-                        * (sy / (2.0 * dy))
-                    row += 1
+    if nb > 5:
+        # the same at every walker: one row broadcast over the table
+        curv = [kappa * wmy / dpy ** 2 * (sx / (2.0 * dx))
+                for wmy in (1.0, -2.0, 1.0) for sx in (1.0, -1.0)]
+        curv += [-kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (sy / (2.0 * dy))
+                 for smx in (1.0, -1.0) for smy in (1.0, -1.0) for sy in (1.0, -1.0)]
+        out[:, 5:] = curv
     return out
 
 
 def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
                field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig,
                gamma0: float) -> Tuple[np.ndarray, int, int]:
+    """Scores of n walks from one seed stream, with the capped and retired counts.
+
+    Live walkers stay in ascending walker order, so each round hands its
+    draws to the same walkers as a full table masked by liveness would.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    c = grid.constants
-    dp = np.array(grid.dp)
-    n_p = np.array(grid.n_p)
-    d_m, d_x = _branch_moves(grid)
-    ens = ParticleEnsemble.at_point(target_m, target_x, config.t_end, n)
+    dp, mass = np.array(grid.dp)[:, None], grid.constants.mass
+    n_p = np.array(grid.n_p)[:, None]
+    nb = 5 if field.b1 == 0.0 else 19
+    d_m, d_x = (a[:, :nb] for a in _branch_moves(grid))
+    scores = np.zeros(n)
+    ids = np.arange(n)
+    midx = np.repeat(np.asarray(target_m, dtype=np.int64)[:, None], n, axis=1)
+    pos = np.repeat(np.asarray(target_x, dtype=float)[:, None], n, axis=1)
+    weight = np.ones(n)
+    t_left = np.full(n, float(config.t_end))
     n_capped = 0
     n_retired = 0
     for _ in range(_MAX_ROUNDS):
-        idx = np.flatnonzero(ens.alive)
-        if idx.size == 0:
+        if ids.size == 0:
             break
-        delta = rng.exponential(1.0 / gamma0, size=idx.size)
-        u = rng.uniform(size=idx.size)
-        t_left = ens.time_left[idx]
-        vel = ens.momentum_index[idx] * dp / c.mass
+        delta = rng.exponential(1.0 / gamma0, size=ids.size)
+        u = rng.uniform(size=ids.size)
+        vel = midx * dp / mass
 
         absorbed = delta >= t_left
-        ia = idx[absorbed]
-        if ia.size:
-            end_pos = ens.position[ia] - vel[absorbed] * t_left[absorbed, None]
-            ens.scores[ia] = ens.weight[ia] * _interp_initial(
-                f0_values, grid, ens.momentum_index[ia], end_pos, config.boundary)
-            ens.alive[ia] = False
+        if absorbed.any():
+            hit = np.flatnonzero(absorbed)
+            end_pos = pos.take(hit, 1) - vel.take(hit, 1) * t_left[hit]
+            scores[ids[hit]] = weight[hit] * _interp_initial(
+                f0_values, grid, midx.take(hit, 1), end_pos, config.boundary)
+            keep = np.flatnonzero(~absorbed)
+            ids, midx, pos, weight, t_left, vel, delta, u = (
+                a.take(keep, -1) for a in (ids, midx, pos, weight, t_left, vel, delta, u))
+            if ids.size == 0:
+                continue
+        pos -= vel * delta
+        t_left -= delta
 
-        ib = idx[~absorbed]
-        if ib.size == 0:
-            continue
-        dlt = delta[~absorbed]
-        ens.position[ib] -= vel[~absorbed] * dlt[:, None]
-        ens.time_left[ib] = t_left[~absorbed] - dlt
+        coef = _branch_coefficients(midx, pos, field, grid, gamma0, nb)
+        acc = np.abs(coef)
+        total = acc.sum(axis=1)
+        r = u * total
+        # sel = min(count, nb - 1) of the running sums <= r, summed in place
+        # column by column: row-wise cumsum and count over so few columns
+        # cost NumPy several times more
+        sel = np.zeros(ids.size, dtype=np.intp)
+        for j in range(nb - 1):
+            sel += acc[:, j] <= r
+            acc[:, j + 1] += acc[:, j]
+        weight *= np.sign(coef[np.arange(ids.size), sel]) * total / gamma0
+        midx += d_m.take(sel, 1)
+        pos += d_x.take(sel, 1)
 
-        coef = _branch_coefficients(ens.momentum_index[ib], ens.position[ib],
-                                    field, grid, gamma0)
-        absc = np.abs(coef)
-        total = absc.sum(axis=1)
-        r = u[~absorbed] * total
-        sel = np.minimum((np.cumsum(absc, axis=1) <= r[:, None]).sum(axis=1), 18)
-        picked = coef[np.arange(ib.size), sel]
-        ens.weight[ib] *= np.sign(picked) * total / gamma0
-        ens.momentum_index[ib] += d_m[sel]
-        ens.position[ib] += d_x[sel]
-
-        off = np.any(np.abs(ens.momentum_index[ib]) > n_p, axis=1)
-        if np.any(off):
-            # hopping off the momentum lattice reads f = 0: score nothing
-            ens.alive[ib[off]] = False
-            n_retired += int(off.sum())
-        heavy = ens.alive[ib] & (np.abs(ens.weight[ib]) > config.weight_cap)
-        if np.any(heavy):
-            ens.alive[ib[heavy]] = False
-            n_capped += int(heavy.sum())
+        # hopping off the momentum lattice reads f = 0: score nothing
+        off = (np.abs(midx) > n_p).any(axis=0)
+        heavy = ~off & (np.abs(weight) > config.weight_cap)
+        n_retired += int(off.sum())
+        n_capped += int(heavy.sum())
+        ended = off | heavy
+        if ended.any():
+            keep = np.flatnonzero(~ended)
+            ids, midx, pos, weight, t_left = (
+                a.take(keep, -1) for a in (ids, midx, pos, weight, t_left))
     # the last allowed round may have ended every walk
-    if np.any(ens.alive):
+    if ids.size:
         raise SolverInstabilityError(
             "backward walk failed to terminate; check gamma0 and weight_cap")
-    return ens.scores, n_capped, n_retired
+    return scores, n_capped, n_retired
 
 
 def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,

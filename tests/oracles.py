@@ -218,3 +218,93 @@ def rk4_classic(values, dt, rhs):
     k3 = rhs(values + 0.5 * dt * k2)
     k4 = rhs(values + dt * k3)
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _walk_moves(dx, dy):
+    """Lattice and position moves (19, 2) of the walk's collision branches.
+
+    0 is the rate-compensation branch; 1-4 hop the momentum index by one
+    along x or y; 5-10 move x by +-dx at a momentum-y hop of +1, 0, -1;
+    11-18 hop both momentum indices by +-1 and move y by +-dy.
+    """
+    d_m = np.zeros((19, 2), dtype=np.int64)
+    d_x = np.zeros((19, 2))
+    d_m[1:5] = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    row = 5
+    for dmy in (1, 0, -1):
+        for sx in (1.0, -1.0):
+            d_m[row], d_x[row] = (0, dmy), (sx * dx, 0.0)
+            row += 1
+    for smx in (1, -1):
+        for smy in (1, -1):
+            for sy in (1.0, -1.0):
+                d_m[row], d_x[row] = (smx, smy), (0.0, sy * dy)
+                row += 1
+    return d_m, d_x
+
+
+def walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_cap,
+                   dp, mass, n_p, dx, coefficients, interp, max_rounds=100000):
+    """Backward walk on a full mutable walker table with an alive mask.
+
+    Every round draws one exponential flight time and one uniform per live
+    walker, in walker order.  A flight reaching t = 0 scores weight times
+    interp(midx, pos); otherwise the walker moves back along its velocity
+    midx dp / mass and picks one of all 19 branches of coefficients(midx,
+    pos), an (k, 19) signed table, by cumulative |coefficient|.  A hop off
+    the momentum lattice |midx| <= n_p retires the walker; a weight above
+    weight_cap caps it.  midx and pos have one row per walker.  Returns
+    (scores, n_capped, n_retired).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
+    dp, n_p = np.asarray(dp, dtype=float), np.asarray(n_p)
+    d_m, d_x = _walk_moves(*dx)
+    midx = np.tile(np.asarray(target_m, dtype=np.int64), (n, 1))
+    pos = np.tile(np.asarray(target_x, dtype=float), (n, 1))
+    weight = np.ones(n)
+    time_left = np.full(n, float(t_end))
+    alive = np.ones(n, dtype=bool)
+    scores = np.zeros(n)
+    n_capped = n_retired = 0
+    for _ in range(max_rounds):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        delta = rng.exponential(1.0 / gamma0, size=idx.size)
+        u = rng.uniform(size=idx.size)
+        t_left = time_left[idx]
+        vel = midx[idx] * dp / mass
+
+        absorbed = delta >= t_left
+        ia = idx[absorbed]
+        if ia.size:
+            end_pos = pos[ia] - vel[absorbed] * t_left[absorbed, None]
+            scores[ia] = weight[ia] * interp(midx[ia], end_pos)
+            alive[ia] = False
+
+        ib = idx[~absorbed]
+        if ib.size == 0:
+            continue
+        dlt = delta[~absorbed]
+        pos[ib] -= vel[~absorbed] * dlt[:, None]
+        time_left[ib] = t_left[~absorbed] - dlt
+
+        coef = coefficients(midx[ib], pos[ib])
+        absc = np.abs(coef)
+        total = absc.sum(axis=1)
+        r = u[~absorbed] * total
+        sel = np.minimum((np.cumsum(absc, axis=1) <= r[:, None]).sum(axis=1), 18)
+        picked = coef[np.arange(ib.size), sel]
+        weight[ib] *= np.sign(picked) * total / gamma0
+        midx[ib] += d_m[sel]
+        pos[ib] += d_x[sel]
+
+        off = np.any(np.abs(midx[ib]) > n_p, axis=1)
+        alive[ib[off]] = False
+        n_retired += int(off.sum())
+        heavy = alive[ib] & (np.abs(weight[ib]) > weight_cap)
+        alive[ib[heavy]] = False
+        n_capped += int(heavy.sum())
+    if np.any(alive):
+        raise RuntimeError("reference walk failed to terminate")
+    return scores, n_capped, n_retired

@@ -29,7 +29,8 @@ from sdwigner.solvers.common import (advect_free_flight, advection_term, apply_a
 from sdwigner.states import gaussian_wigner
 
 from oracles import (fredholm_sweeps, free_flight_rows, lattice_first_moment,
-                     lattice_second_moment, rk4_classic, roll_derivative)
+                     lattice_second_moment, rk4_classic, roll_derivative,
+                     walk_reference)
 
 NAT = PhysicalConstants(hbar=1.0, charge=1.0, mass=1.0)
 TAU = 2.0 * np.pi
@@ -168,6 +169,15 @@ class TestBlockedStencil:
         sizes = [len(range(*b.indices(len(stencil.rows)))) for b in stencil.blocks]
         assert len(sizes) > 1 and sum(sizes) == len(stencil.rows)
         assert sizes[-1] < sizes[0] and len(set(sizes[:-1])) == 1
+
+    @pytest.mark.parametrize("grid", [G2, G2U], ids=["G2", "G2U"])
+    def test_small_state_pads_at_most_itself(self, grid):
+        f = np.zeros(grid.state_shape)
+        stencil = solver_common._BlockedStencil(f, grid, 4, "zero")
+        assert len(stencil.blocks) == 1
+        stencil(stencil.blocks[0], 0, np.empty_like(stencil.rows))
+        nx, ny = grid.n_x
+        assert stencil._pad.size <= len(stencil.rows) * max((nx + 4) * ny, nx * (ny + 4))
 
     @pytest.mark.parametrize("grid", [G2U, GB], ids=["G2U", "GB"])
     @pytest.mark.parametrize("boundary", ["zero", "periodic"])
@@ -810,6 +820,58 @@ class TestMonteCarlo:
                                 packet(G2, sigma_p=1.0), field, G2, cfg)
         assert est.n_capped > 0
         assert np.isfinite(est.value)
+
+    @staticmethod
+    def _walk_and_reference(field, cfg, target):
+        """(scores, n_capped, n_retired) of one chunk, from the walk and from
+        the full-table reference walk over all 19 branches."""
+        f0 = packet(G2, sigma_p=1.0).values
+        gamma0 = default_gamma0(field, G2, cfg)
+        seed = [cfg.rng_seed, 0]
+        got = montecarlo._run_chunk(cfg.n_particles, seed, target[0], target[1], f0,
+                                    field, G2, cfg, gamma0)
+        ref = walk_reference(
+            cfg.n_particles, seed, target[0], target[1], t_end=cfg.t_end, gamma0=gamma0,
+            weight_cap=cfg.weight_cap, dp=G2.dp, mass=NAT.mass, n_p=G2.n_p, dx=G2.dx,
+            coefficients=lambda m, x: montecarlo._branch_coefficients(
+                m.T, x.T, field, G2, gamma0, 19),
+            interp=lambda m, x: montecarlo._interp_initial(f0, G2, m.T, x.T, cfg.boundary))
+        return got, ref
+
+    @pytest.mark.parametrize("b1", [1.0, 0.0], ids=["gradient", "uniform"])
+    def test_walk_matches_reference(self, b1):
+        # the weight cap of test_weight_cap_tallied: capped walkers leave mid-walk
+        cfg = SolverConfig(dt=0.02, t_end=0.4, boundary="periodic",
+                           n_particles=400, rng_seed=3, weight_cap=1.5)
+        (scores, capped, retired), (ref, ref_capped, ref_retired) = self._walk_and_reference(
+            LinearEMField(b0=2.0, b1=b1), cfg, (np.array([0, 0]), np.array([0.0, 0.0])))
+        if b1:
+            assert capped > 0
+            assert np.array_equal(scores, ref)
+        else:
+            # 5 branches: the |coefficient| total is summed in another order
+            np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
+        assert (capped, retired) == (ref_capped, ref_retired)
+
+    @pytest.mark.parametrize("b1", [1.0, 0.0], ids=["gradient", "uniform"])
+    def test_retired_walkers_match_reference(self, b1):
+        # starting on the lattice edge, hops off the momentum lattice retire walkers
+        cfg = SolverConfig(dt=0.02, t_end=0.4, boundary="zero", n_particles=400, rng_seed=3)
+        (scores, capped, retired), (ref, ref_capped, ref_retired) = self._walk_and_reference(
+            LinearEMField(b0=2.0, b1=b1), cfg, (np.array([4, 0]), np.array([0.3, -0.2])))
+        assert retired > 0
+        assert (capped, retired) == (ref_capped, ref_retired)
+        np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
+
+    def test_uniform_field_has_no_curvature_power(self):
+        rng = np.random.default_rng(23)
+        midx = rng.integers(-4, 5, size=(2, 50))
+        pos = rng.uniform(-1.5, 1.5, size=(2, 50))
+        field = LinearEMField(b0=2.0, e_grad=(0.3, -0.2))
+        full = montecarlo._branch_coefficients(midx, pos, field, G2, 7.0, 19)
+        assert np.all(full[:, 5:] == 0.0)
+        assert np.array_equal(montecarlo._branch_coefficients(midx, pos, field, G2, 7.0, 5),
+                              full[:, :5])
 
     def test_walk_ending_in_the_last_allowed_round_returns(self, monkeypatch):
         # at this rate every walker reaches t = 0 in its first round
