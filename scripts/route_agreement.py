@@ -34,9 +34,12 @@ def force_term_mismatch(grid, field, f0, cut):
                                              b1=0.0), grid)
     # subtract the advection part both routes share, so the comparison
     # isolates the force term
-    adv = semidiscrete.make_rhs(free, grid, cfg)(f0.values)
-    ladder = semidiscrete.make_rhs(coeffs, grid, cfg)(f0.values) - adv
-    gradient = continuum.make_rhs(coeffs, grid, cfg)(f0.values) - adv
+    def rhs(route, co):
+        return route.make_rhs(co, grid, cfg)(f0.values, np.empty_like(f0.values))
+
+    adv = rhs(semidiscrete, free)
+    ladder = rhs(semidiscrete, coeffs) - adv
+    gradient = rhs(continuum, coeffs) - adv
     return float(np.linalg.norm(ladder - gradient) / np.linalg.norm(gradient))
 
 

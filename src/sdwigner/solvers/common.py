@@ -139,14 +139,15 @@ def sample_shift(values: np.ndarray, axis: int, k: int, boundary: str = "zero") 
 
 # A stencil block holds consecutive momentum rows up to about this many
 # bytes, and at least one row, so its padded copy and the shifted reads of
-# that copy stay in cache.
+# that copy stay in cache.  The momentum terms sweep blocks of spatial cells
+# whose three buffers together stay within the same size.
 _BLOCK_BYTES = 256 * 1024
 
 
 class _BlockedStencil:
-    """Central differences along the spatial axes of one state, a block at a time.
+    """Central differences along the spatial axes of states of one shape, a block at a time.
 
-    The state is viewed as rows, one per momentum lattice point, each holding
+    A state is viewed as rows, one per momentum lattice point, each holding
     the spatial axes; consecutive rows are adjacent in memory.  A block of
     rows is copied into one reused buffer that extends the derivative axis
     by order // 2 halo cells on each side.  The halo wraps for 'periodic'
@@ -155,27 +156,27 @@ class _BlockedStencil:
     slice of that buffer, combined in place into the caller's `out`.
     """
 
-    def __init__(self, values: np.ndarray, grid: PhaseSpaceGrid, order: int, boundary: str):
+    def __init__(self, shape: Sequence[int], grid: PhaseSpaceGrid, order: int, boundary: str):
         if order not in (2, 4):
             raise ValueError(f"unsupported stencil order {order}")
-        self.rows = values.reshape((-1,) + values.shape[grid.dim:])
-        self.dtype = np.result_type(values.dtype, 1.0)
+        self.row_shape = tuple(shape[grid.dim:])
         self.dx, self.order, self.boundary = grid.dx, order, boundary
-        step = min(len(self.rows), max(1, _BLOCK_BYTES // self.rows[0].nbytes))
-        self.blocks = [slice(i, i + step) for i in range(0, len(self.rows), step)]
-        spatial, halo = self.rows.shape[1:], order // 2
-        self._pad_size = step * max(math.prod(spatial) // n * (n + 2 * halo) for n in spatial)
-        self._pad = None    # allocated at the first derivative taken
+        n_rows, row_size = math.prod(shape[:grid.dim]), math.prod(self.row_shape)
+        self.step = min(n_rows, max(1, _BLOCK_BYTES // (8 * row_size)))
+        self.blocks = [slice(i, i + self.step) for i in range(0, n_rows, self.step)]
+        halo = order // 2
+        self._pad = np.empty(self.step * max(row_size // n * (n + 2 * halo)
+                                             for n in self.row_shape))
 
-    def __call__(self, rows: slice, axis: int, out: np.ndarray) -> np.ndarray:
-        """d/dx along spatial `axis` of the rows `rows`, written into `out`."""
-        block = self.rows[rows]
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        return values.reshape((-1,) + self.row_shape)
+
+    def __call__(self, block: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """d/dx along spatial `axis` of the rows `block`, written into `out`."""
         ax, r = 1 + axis, self.order // 2
         n = block.shape[ax]
         shape = list(block.shape)
         shape[ax] += 2 * r
-        if self._pad is None:
-            self._pad = np.empty(self._pad_size, dtype=self.dtype)
         pad = self._pad[:math.prod(shape)].reshape(shape)
 
         def cells(start, stop):
@@ -201,16 +202,50 @@ class _BlockedStencil:
         out /= (2.0 if self.order == 2 else 12.0) * self.dx[axis]
         return out
 
+    def derivative(self, values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """d/dx along spatial `axis` of a whole state, written block by block into `out`."""
+        rows, dest = self.rows(values), self.rows(out)
+        for block in self.blocks:
+            self(rows[block], axis, dest[block])
+        return out
+
 
 def spatial_derivative(values: np.ndarray, grid: PhaseSpaceGrid, axis: int,
                        order: int = 2, boundary: str = "zero") -> np.ndarray:
-    """Central difference along spatial axis `axis` (0-based within space)."""
-    stencil = _BlockedStencil(values, grid, order, boundary)
-    out = np.empty(values.shape, dtype=stencil.dtype)
-    rows = out.reshape(stencil.rows.shape)
-    for block in stencil.blocks:
-        stencil(block, axis, rows[block])
-    return out
+    """Central difference along spatial axis `axis` (0-based within space), as a new array."""
+    stencil = _BlockedStencil(values.shape, grid, order, boundary)
+    return stencil.derivative(values, axis, np.empty(values.shape))
+
+
+def momentum_scratch_size(shape: Sequence[int]) -> int:
+    """Floats of scratch for `add_momentum_terms` to sweep a 2D state of
+    `shape` in blocks of spatial cells: an accumulator and two temporaries,
+    together within _BLOCK_BYTES (at least one cell each)."""
+    lattice, cells = math.prod(shape[:2]), math.prod(shape[2:])
+    return 3 * lattice * min(cells, max(1, _BLOCK_BYTES // (3 * 8 * lattice)))
+
+
+class Workspace:
+    """The working memory of one right-hand side, built once for the state
+    shape of `grid` and reused by every call.
+
+    stencil: the blocked spatial stencil, with its pad.  speeds[c][row]:
+    -v_c of that row's momentum lattice point.  gradients: one state-sized
+    array per spatial axis when `gradients` is true, else None.  scratch:
+    one stencil block, or the momentum terms' blocks of cells, whichever is
+    larger; advection and the momentum terms share it, since they never run
+    at once.  Arrays handed to a call that writes into them must be
+    C-contiguous.
+    """
+
+    def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", gradients: bool):
+        shape, dim = grid.state_shape, grid.dim
+        self.stencil = _BlockedStencil(shape, grid, config.stencil_order, config.boundary)
+        self.speeds = -np.stack(np.meshgrid(*grid.p_axes, indexing="ij")).reshape(
+            (dim, -1) + (1,) * dim) / grid.constants.mass
+        self.gradients = [np.empty(shape) for _ in range(dim)] if gradients else None
+        block = self.stencil.step * math.prod(shape[dim:])
+        self.scratch = np.empty(max(block, momentum_scratch_size(shape) if dim == 2 else 0))
 
 
 def momentum_difference(values: np.ndarray, grid: PhaseSpaceGrid, axis: int) -> np.ndarray:
@@ -276,51 +311,36 @@ def band_matrix(n: int, coeffs, parity: int, centre: float = 0.0) -> np.ndarray:
     return taps[n - 1 + np.subtract.outer(np.arange(n), np.arange(n))]
 
 
-def apply_along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    """out[..., i, ...] = sum_j matrix[i, j] values[..., j, ...] on one array axis.
-
-    One matmul over values viewed as (before, n, after); the result keeps the
-    layout of `values` and is contiguous, with no axis moved.
-    """
-    shape = values.shape
-    lead = math.prod(shape[:axis])
-    return (matrix @ values.reshape(lead, shape[axis], -1)).reshape(shape)
+def spatial_gradients(values: np.ndarray, work: Workspace) -> list:
+    """Central-difference derivative along every spatial axis, in axis order,
+    written into the workspace's gradient arrays."""
+    return [work.stencil.derivative(values, ax, g) for ax, g in enumerate(work.gradients)]
 
 
-def spatial_gradients(values: np.ndarray, grid: PhaseSpaceGrid,
-                      order: int = 2, boundary: str = "zero") -> list:
-    """Central-difference derivative along every spatial axis, in axis order."""
-    return [spatial_derivative(values, grid, ax, order, boundary) for ax in range(grid.dim)]
-
-
-def advection_term(values: np.ndarray, grid: PhaseSpaceGrid,
-                   order: int = 2, boundary: str = "zero",
+def advection_term(values: np.ndarray, out: np.ndarray, work: Workspace,
                    gradients: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
-    """-(P_M / m) . spatial gradient of f, broadcast over the momentum lattice.
+    """Write -(P_M / m) . spatial gradient of f into `out`, broadcast over the
+    momentum lattice.
 
     Swept in the stencil's blocks of momentum rows: each block's derivatives
     are taken and weighted by their velocities while the block is in cache,
-    so the result is the only state-sized array allocated.  `gradients`
-    passes derivatives already taken by `spatial_gradients` with the same
-    order and boundary, so a caller that needs them too takes them once.
+    the second axis's term in the workspace scratch.  `gradients` passes
+    derivatives already taken by `spatial_gradients`, so a caller that needs
+    them too takes them once.
     """
-    stencil = _BlockedStencil(values, grid, order, boundary)
-    out = np.empty(stencil.rows.shape, dtype=stencil.dtype)
-    scratch = np.empty_like(out[stencil.blocks[0]])
-    # speeds[c][row] = -v_c of that row's momentum lattice point
-    speeds = -np.stack(np.meshgrid(*grid.p_axes, indexing="ij")).reshape(
-        (grid.dim, -1) + (1,) * grid.dim) / grid.constants.mass
+    stencil, speeds = work.stencil, work.speeds
+    rows, acc_rows = stencil.rows(values), stencil.rows(out)
     if gradients is not None:
-        gradients = [g.reshape(out.shape) for g in gradients]
+        gradients = [stencil.rows(g) for g in gradients]
     for block in stencil.blocks:
-        acc = out[block]
-        for c in range(grid.dim):
-            term = acc if c == 0 else scratch[:len(acc)]
-            d = gradients[c][block] if gradients is not None else stencil(block, c, term)
+        acc = acc_rows[block]
+        for c in range(len(speeds)):
+            term = acc if c == 0 else work.scratch[:acc.size].reshape(acc.shape)
+            d = gradients[c][block] if gradients is not None else stencil(rows[block], c, term)
             np.multiply(d, speeds[c][block], out=term)
             if c:
                 acc += term
-    return out.reshape(values.shape)
+    return out
 
 
 @dataclass(frozen=True)
@@ -336,66 +356,116 @@ class BandedOperators:
     gradient: Tuple[Tuple[int, float, Optional[np.ndarray], Optional[np.ndarray]], ...]
 
 
-def add_momentum_terms(out: np.ndarray, values: np.ndarray, gradients, coeffs,
-                       ops: BandedOperators) -> np.ndarray:
-    """Accumulate the force and field-gradient terms of `ops` into `out`.
+def _apply_block(matrix: np.ndarray, block: np.ndarray, axis: int,
+                 out: np.ndarray) -> np.ndarray:
+    """out = `matrix` applied along momentum `axis` of a (n_px, n_py, w) block.
 
-    `gradients` are the spatial derivatives of `values`; they are read only
-    when `ops` carries gradient terms.
+    `block` may be a strided view of a state: BLAS reads it in place, along
+    axis 0 as one matmul per P_y row when it cannot be seen as one matrix.
     """
-    tables = (coeffs.force_x[None], coeffs.force_y[:, None])
-    for axis, (table, matrix) in enumerate(zip(tables, ops.force)):
-        if matrix is not None:
-            term = apply_along(matrix, values, axis)
-            term *= table
-            out -= term
-    for s, weight, mx, my in ops.gradient:
-        term = gradients[s]
-        if my is not None:
-            term = apply_along(my, term, 1)
-        if mx is not None:
-            term = apply_along(mx, term, 0)
-        if term is gradients[s]:
-            out += weight * term
-        else:
-            # a fresh matmul result, scaled where it lies
-            term *= weight
-            out += term
+    if axis == 1:
+        np.matmul(matrix, block, out=out)
+    elif block.flags.c_contiguous:
+        np.matmul(matrix, block.reshape(len(block), -1), out=out.reshape(len(out), -1))
+    else:
+        np.matmul(matrix, block.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
     return out
 
 
-def banded_rhs(values: np.ndarray, grid: PhaseSpaceGrid, coeffs, ops: BandedOperators,
-               config: SolverConfig) -> np.ndarray:
-    """Right-hand side shared by both deterministic routes.
+def add_momentum_terms(out: np.ndarray, values: np.ndarray, gradients, coeffs,
+                       ops: BandedOperators, scratch: np.ndarray) -> np.ndarray:
+    """Accumulate the force and field-gradient terms of `ops` into `out`.
+
+    `gradients[s]` is the derivative of `values` along spatial axis s; it
+    is read only by the gradient terms of axis s.  A term needs one
+    temporary, or two when it applies two matrices.  When `scratch` holds
+    that many states, the terms are added over the whole state at once.
+    Otherwise the state is swept in blocks of spatial cells, each block's
+    temporaries and a contiguous accumulator filling `scratch` (see
+    `momentum_scratch_size`): a block of `out` is gathered into the
+    accumulator, every matmul reads its block of `values` or of a gradient
+    in place and writes a block-sized temporary, each temporary is scaled
+    and added while it is in cache, and the accumulator is written back.
+    """
+    forces = [(axis, matrix) for axis, matrix in enumerate(ops.force) if matrix is not None]
+    if not (forces or ops.gradient):
+        return out
+    n_x, n_y = values.shape[:2]
+
+    def cells(a):
+        return a.reshape(n_x, n_y, -1)
+
+    tables = (coeffs.force_x.reshape(1, n_y, -1), coeffs.force_y.reshape(n_x, 1, -1))
+    dest, source = cells(out), cells(values)
+    n_cells = dest.shape[2]
+    temps = 2 if any(mx is not None and my is not None for _, _, mx, my in ops.gradient) else 1
+    whole = scratch.size >= temps * values.size
+    width = n_cells if whole else max(1, scratch.size // ((temps + 1) * n_x * n_y))
+    for start in range(0, n_cells, width):
+        cols = slice(start, min(start + width, n_cells))
+        size = n_x * n_y * (cols.stop - start)
+        buffers = (scratch[k * size:(k + 1) * size].reshape(n_x, n_y, -1) for k in range(3))
+        t1 = next(buffers)
+        t2 = next(buffers) if temps == 2 else None
+        if whole:
+            acc = dest
+        else:
+            acc = next(buffers)
+            np.copyto(acc, dest[:, :, cols])
+        for axis, matrix in forces:
+            _apply_block(matrix, source[:, :, cols], axis, t1)
+            t1 *= tables[axis][:, :, cols]
+            acc -= t1
+        for s, weight, mx, my in ops.gradient:
+            term = cells(gradients[s])[:, :, cols]
+            for axis, matrix in ((1, my), (0, mx)):
+                if matrix is not None:
+                    term = _apply_block(matrix, term, axis, t2 if term is t1 else t1)
+            if term is t1 or term is t2:
+                term *= weight
+            else:
+                term = np.multiply(term, weight, out=t1)
+            acc += term
+        if not whole:
+            np.copyto(dest[:, :, cols], acc)
+    return out
+
+
+def banded_rhs(values: np.ndarray, out: np.ndarray, coeffs, ops: BandedOperators,
+               work: Workspace) -> np.ndarray:
+    """Right-hand side shared by both deterministic routes, written into `out`.
 
     Advection, plus each force table times its axis operator of f, plus the
     gradient block; the routes differ only in the matrices `ops` carries.
     When `ops` carries gradient terms the spatial derivatives are taken once
     and read by advection and the gradient block alike; otherwise advection
-    takes and drops them one at a time.
+    takes and drops them one block at a time.
     """
-    order, boundary = config.stencil_order, config.boundary
-    gradients = spatial_gradients(values, grid, order, boundary) if ops.gradient else None
-    out = advection_term(values, grid, order, boundary, gradients)
-    return add_momentum_terms(out, values, gradients, coeffs, ops)
+    gradients = spatial_gradients(values, work) if ops.gradient else None
+    advection_term(values, out, work, gradients)
+    return add_momentum_terms(out, values, gradients, coeffs, ops, work.scratch)
 
 
-def rk4_step(values: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def rk4_step(values: np.ndarray, dt: float, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+             out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """One classical RK4 step of d/dt values = rhs(values), for a linear,
-    homogeneous (autonomous) rhs.
+    homogeneous (autonomous) rhs, written into `out`.
 
     For such an rhs L the step is exactly the degree-4 Taylor polynomial of
     exp(dt L), evaluated here in Horner form,
     f + dt L(f + dt/2 L(f + dt/3 L(f + dt/4 L f))): the same four rhs calls
-    as the k1..k4 form, with none of the k kept.  Each rhs result is scaled
-    in place, so rhs must return a fresh array; `values` is never changed.
+    as the k1..k4 form, with none of the k kept.  rhs(v, target) writes L v
+    into target; the stages alternate between `scratch` and `out`, so no
+    stage reads the array it writes.  `values` is never changed, and
+    neither buffer may share memory with it.
     """
     step = values
-    for fraction in (4.0, 3.0, 2.0, 1.0):
-        step = rhs(step)
-        step *= dt / fraction
-        step += values
-    return step
+    for fraction, target in ((4.0, scratch), (3.0, out), (2.0, scratch), (1.0, out)):
+        rhs(step, target)
+        target *= dt / fraction
+        target += values
+        step = target
+    return out
 
 
 def _interpolation_stack(deltas: np.ndarray, n: int, boundary: str) -> np.ndarray:
@@ -545,7 +615,7 @@ class EvolutionResult:
     boundary_fractions: list
 
 
-def evolve(f0, rhs: Callable[[np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
+def evolve(f0, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
            config: SolverConfig, n_steps: Optional[int] = None,
            record_every: int = 1,
            observer: Optional[Callable[[int, float, np.ndarray], None]] = None) -> EvolutionResult:
@@ -554,7 +624,11 @@ def evolve(f0, rhs: Callable[[np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
     The only stepping loop of the deterministic routes: a step that leaves a
     non-finite state or grows the norm more than 10x raises
     SolverInstabilityError.  n_steps (default t_end / dt) must be >= 0 and
-    record_every >= 1.
+    record_every >= 1.  rhs(values, out) writes d/dt values into `out`.
+
+    The state and two step buffers are allocated once and swapped each step;
+    f0 is never written.  The array handed to `observer` is reused by the
+    steps that follow, so an observer must copy what it keeps.
     """
     if n_steps is None:
         n_steps = int(round(config.t_end / config.dt))
@@ -577,8 +651,12 @@ def evolve(f0, rhs: Callable[[np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
 
     record(0, 0.0)
     norm_prev = float(np.linalg.norm(values))
+    # taken after the first record, so an observer's work on f0 (a snapshot
+    # written to disk, say) does not stack on the step buffers
+    out, scratch = np.empty_like(values), np.empty_like(values)
     for step in range(1, n_steps + 1):
-        values = rk4_step(values, config.dt, rhs)
+        rk4_step(values, config.dt, rhs, out, scratch)
+        values, out = out, values
         norm = float(np.linalg.norm(values))
         if not np.isfinite(norm) or (norm_prev > 0 and norm > 10.0 * norm_prev):
             what = ("state turned non-finite" if not np.isfinite(norm)
@@ -588,7 +666,6 @@ def evolve(f0, rhs: Callable[[np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
                 f"dt likely violates stability")
         norm_prev = norm if norm > 0 else norm_prev
         if step % record_every == 0 or step == n_steps:
-            result.values = values
             record(step, step * config.dt)
     result.values = values
     return result

@@ -12,8 +12,8 @@ import numpy as np
 
 from ..kernels import LinearKernelCoefficients
 from ..phasespace import PhaseSpaceGrid
-from .common import (BandedOperators, SolverConfig, add_momentum_terms, band_matrix,
-                     banded_rhs, spatial_gradients)
+from .common import (BandedOperators, SolverConfig, Workspace, add_momentum_terms,
+                     band_matrix, banded_rhs, spatial_derivative)
 
 
 def difference_operators(coeffs: LinearKernelCoefficients,
@@ -44,10 +44,26 @@ def force_and_quantum(values: np.ndarray, out: np.ndarray, grid: PhaseSpaceGrid,
                       coeffs: LinearKernelCoefficients, ops: BandedOperators,
                       config: SolverConfig) -> np.ndarray:
     """Add K[values] into `out`: the right-hand side minus advection, from the
-    matrices `difference_operators` built."""
-    gradients = (spatial_gradients(values, grid, config.stencil_order, config.boundary)
-                 if ops.gradient else None)
-    return add_momentum_terms(out, values, gradients, coeffs, ops)
+    matrices `difference_operators` built.
+
+    Its working memory is taken per call, since the resolvent holds n_t + 3
+    states between kernel calls and a held workspace would add to the peak
+    of every free flight.  The force terms, then each spatial axis's
+    gradient terms, are added over the whole state, one derivative at a
+    time: a call holds one derivative and at most two state-sized
+    temporaries.
+    """
+    add_momentum_terms(out, values, None, coeffs, BandedOperators(ops.force, ()),
+                       np.empty(values.size))
+    for s in range(grid.dim):
+        terms = tuple(term for term in ops.gradient if term[0] == s)
+        if terms:
+            gradient = spatial_derivative(values, grid, s, config.stencil_order, config.boundary)
+            temps = 2 if any(mx is not None and my is not None for _, _, mx, my in terms) else 1
+            add_momentum_terms(out, values, {s: gradient}, coeffs,
+                               BandedOperators((None, None), terms), np.empty(temps * values.size))
+            del gradient
+    return out
 
 
 def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
@@ -66,20 +82,22 @@ def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     return kernel
 
 
-def rhs_continuum_fd(values: np.ndarray, grid: PhaseSpaceGrid,
+def rhs_continuum_fd(values: np.ndarray, out: np.ndarray,
                      coeffs: LinearKernelCoefficients, ops: BandedOperators,
-                     config: SolverConfig) -> np.ndarray:
-    """d/dt values on the small-spacing route, from the matrices
-    `difference_operators` built; named per route so its time is told apart
-    from the other route's."""
-    return banded_rhs(values, grid, coeffs, ops, config)
+                     work: Workspace) -> np.ndarray:
+    """d/dt values on the small-spacing route, written into `out`, from the
+    matrices `difference_operators` built; named per route so its time is
+    told apart from the other route's."""
+    return banded_rhs(values, out, coeffs, ops, work)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
              config: SolverConfig):
-    """Build the difference matrices once and bind them into a values -> d/dt values closure."""
+    """Build the difference matrices and the workspace once and bind them
+    into a closure (values, out) -> d/dt values, written into `out`."""
     ops = difference_operators(coeffs, grid)
+    work = Workspace(grid, config, gradients=bool(ops.gradient))
 
-    def rhs(values: np.ndarray) -> np.ndarray:
-        return rhs_continuum_fd(values, grid, coeffs, ops, config)
+    def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return rhs_continuum_fd(values, out, coeffs, ops, work)
     return rhs

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..kernels import KernelSet
 from ..phasespace import PhaseSpaceGrid
-from .common import SolverConfig, advection_term, spatial_gradients
+from .common import SolverConfig, Workspace, advection_term, spatial_gradients
 
 
 def _field_tables(kernels: KernelSet, grid: PhaseSpaceGrid):
@@ -40,7 +40,8 @@ def _field_tables(kernels: KernelSet, grid: PhaseSpaceGrid):
 
 
 def make_rhs(kernels: KernelSet, grid: PhaseSpaceGrid, config: SolverConfig):
-    """Build the table spectra once and bind them into a values -> d/dt values closure.
+    """Build the table spectra and the workspace once and bind them into a
+    closure (values, out) -> d/dt values, written into `out`.
 
     Requires kernel tables computed on the full spatial grid (x_points=None).
     """
@@ -64,13 +65,14 @@ def make_rhs(kernels: KernelSet, grid: PhaseSpaceGrid, config: SolverConfig):
     momenta = [p.reshape([-1 if a == c else 1 for a in range(2 * d)])
                for c, p in enumerate(grid.p_axes)]
 
+    work = Workspace(grid, config, gradients=True)
+
     def convolve(spec):
         return np.fft.ifftn(spec, axes=axes)[crop].real
 
-    def rhs(values: np.ndarray) -> np.ndarray:
-        grads = spatial_gradients(values, grid, config.stencil_order, config.boundary)
-        out = advection_term(values, grid, config.stencil_order, config.boundary,
-                             gradients=grads)
+    def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        grads = spatial_gradients(values, work)
+        advection_term(values, out, work, grads)
         f_hat = np.fft.fftn(values, s=pad, axes=axes)
         acc = np.zeros_like(f_hat)
         if electric is not None:

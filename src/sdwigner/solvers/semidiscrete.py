@@ -16,7 +16,7 @@ import numpy as np
 from ..kernels import (LinearKernelCoefficients, harmonic_coefficient,
                        quadratic_coefficient)
 from ..phasespace import PhaseSpaceGrid
-from .common import BandedOperators, SolverConfig, band_matrix, banded_rhs
+from .common import BandedOperators, SolverConfig, Workspace, band_matrix, banded_rhs
 
 
 def ladder_operators(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
@@ -53,19 +53,22 @@ def ladder_operators(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     return BandedOperators(force, tuple(gradient))
 
 
-def rhs_semidiscrete(values: np.ndarray, grid: PhaseSpaceGrid,
+def rhs_semidiscrete(values: np.ndarray, out: np.ndarray,
                      coeffs: LinearKernelCoefficients, ops: BandedOperators,
-                     config: SolverConfig) -> np.ndarray:
-    """d/dt values on the ladder route, from the matrices `ladder_operators`
-    built; named per route so its time is told apart from the other route's."""
-    return banded_rhs(values, grid, coeffs, ops, config)
+                     work: Workspace) -> np.ndarray:
+    """d/dt values on the ladder route, written into `out`, from the
+    matrices `ladder_operators` built; named per route so its time is told
+    apart from the other route's."""
+    return banded_rhs(values, out, coeffs, ops, work)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
              config: SolverConfig):
-    """Build the ladder matrices once and bind them into a values -> d/dt values closure."""
+    """Build the ladder matrices and the workspace once and bind them into a
+    closure (values, out) -> d/dt values, written into `out`."""
     ops = ladder_operators(coeffs, grid, config)
+    work = Workspace(grid, config, gradients=bool(ops.gradient))
 
-    def rhs(values: np.ndarray) -> np.ndarray:
-        return rhs_semidiscrete(values, grid, coeffs, ops, config)
+    def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return rhs_semidiscrete(values, out, coeffs, ops, work)
     return rhs

@@ -308,3 +308,19 @@ def walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_ca
     if np.any(alive):
         raise RuntimeError("reference walk failed to terminate")
     return scores, n_capped, n_retired
+
+
+def apply_along(matrix, values, axis):
+    """out[..., i, ...] = sum_j matrix[i, j] values[..., j, ...] on one array axis.
+
+    One matmul over values viewed as (before, n, after); the result keeps the
+    layout of `values` and is contiguous, with no axis moved.
+    """
+    shape = values.shape
+    lead = int(np.prod(shape[:axis]))
+    return (matrix @ values.reshape(lead, shape[axis], -1)).reshape(shape)
+
+
+def fresh(rhs):
+    """The values -> d/dt values form of an rhs(values, out) closure."""
+    return lambda values: rhs(values, np.empty_like(values))

@@ -2,6 +2,7 @@
 cross-route consistency, and the stochastic estimator's statistics."""
 
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,16 +22,16 @@ from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, default_gamma0, evolve,
                               mc_estimate_point, mean_momentum_global, observables,
                               solve_fredholm_resolvent)
-from sdwigner.solvers.common import (advect_free_flight, advection_term, apply_along,
+from sdwigner.solvers.common import (advect_free_flight, advection_term,
                                      band_matrix, box_offset_sum, even_pair_ladder,
                                      free_flight_operators, momentum_difference,
                                      momentum_second_difference, odd_pair_ladder,
                                      rk4_step, sample_shift, spatial_derivative)
 from sdwigner.states import gaussian_wigner
 
-from oracles import (fredholm_sweeps, free_flight_rows, lattice_first_moment,
-                     lattice_second_moment, rk4_classic, roll_derivative,
-                     walk_reference)
+from oracles import (apply_along, fredholm_sweeps, free_flight_rows, fresh,
+                     lattice_first_moment, lattice_second_moment, rk4_classic,
+                     roll_derivative, walk_reference)
 
 NAT = PhysicalConstants(hbar=1.0, charge=1.0, mass=1.0)
 TAU = 2.0 * np.pi
@@ -46,6 +47,13 @@ G2U = make_grid(2, (TAU, 4.0), (np.pi, 2.0), (7, 5), (3, 2), NAT)
 
 def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def advection(f, grid, order, boundary, gradients=None):
+    """advection_term of f into a new array, through a workspace built for it."""
+    cfg = SolverConfig(dt=1.0, t_end=1.0, stencil_order=order, boundary=boundary)
+    work = solver_common.Workspace(grid, cfg, gradients=False)
+    return advection_term(f, np.empty_like(f), work, gradients)
 
 
 def packet(grid, sigma_p=1.2, sigma_x=0.7, momentum=0.0, center=0.0):
@@ -164,20 +172,20 @@ class TestBlockedStencil:
             assert np.linalg.norm(got - ref) / scale < 1e-14
 
     def test_spans_several_blocks(self):
-        f = np.zeros(GB.state_shape)
-        stencil = solver_common._BlockedStencil(f, GB, 4, "zero")
-        sizes = [len(range(*b.indices(len(stencil.rows)))) for b in stencil.blocks]
-        assert len(sizes) > 1 and sum(sizes) == len(stencil.rows)
+        stencil = solver_common._BlockedStencil(GB.state_shape, GB, 4, "zero")
+        n_rows = len(stencil.rows(np.zeros(GB.state_shape)))
+        sizes = [len(range(*b.indices(n_rows))) for b in stencil.blocks]
+        assert len(sizes) > 1 and sum(sizes) == n_rows
         assert sizes[-1] < sizes[0] and len(set(sizes[:-1])) == 1
 
     @pytest.mark.parametrize("grid", [G2, G2U], ids=["G2", "G2U"])
     def test_small_state_pads_at_most_itself(self, grid):
-        f = np.zeros(grid.state_shape)
-        stencil = solver_common._BlockedStencil(f, grid, 4, "zero")
+        stencil = solver_common._BlockedStencil(grid.state_shape, grid, 4, "zero")
+        rows = stencil.rows(np.zeros(grid.state_shape))
         assert len(stencil.blocks) == 1
-        stencil(stencil.blocks[0], 0, np.empty_like(stencil.rows))
+        stencil(rows[stencil.blocks[0]], 0, np.empty_like(rows))
         nx, ny = grid.n_x
-        assert stencil._pad.size <= len(stencil.rows) * max((nx + 4) * ny, nx * (ny + 4))
+        assert stencil._pad.size <= len(rows) * max((nx + 4) * ny, nx * (ny + 4))
 
     @pytest.mark.parametrize("grid", [G2U, GB], ids=["G2U", "GB"])
     @pytest.mark.parametrize("boundary", ["zero", "periodic"])
@@ -187,10 +195,10 @@ class TestBlockedStencil:
         for c in range(2):
             v = (grid.p_axes[c] / grid.constants.mass).reshape((-1, 1) if c == 0 else (-1,))
             ref -= v[..., None, None] * roll_derivative(f, grid.dx[c], 2 + c, 4, boundary)
-        got = advection_term(f, grid, 4, boundary)
+        got = advection(f, grid, 4, boundary)
         assert rel_l2(got, ref) < 1e-14
         grads = [spatial_derivative(f, grid, c, 4, boundary) for c in range(2)]
-        assert np.array_equal(advection_term(f, grid, 4, boundary, grads), got)
+        assert np.array_equal(advection(f, grid, 4, boundary, grads), got)
 
 
 class TestAdvection:
@@ -278,15 +286,15 @@ class TestLadderRHS:
         coeffs = linear_coefficients(field, G2)
         f = packet(G2).values
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
-        out = semidiscrete.make_rhs(coeffs, G2, cfg)(f)
-        assert np.array_equal(out, advection_term(f, G2, 2, "periodic"))
+        out = fresh(semidiscrete.make_rhs(coeffs, G2, cfg))(f)
+        assert np.array_equal(out, advection(f, G2, 2, "periodic"))
 
     def test_spatially_uniform_state_periodic(self):
         field = LinearEMField()
         coeffs = linear_coefficients(field, G2)
         f = np.ones(G2.state_shape)
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
-        assert np.array_equal(semidiscrete.make_rhs(coeffs, G2, cfg)(f), np.zeros_like(f))
+        assert np.array_equal(fresh(semidiscrete.make_rhs(coeffs, G2, cfg))(f), np.zeros_like(f))
 
     def test_point_source_ladder_entries(self):
         # electric gradient only: F_x = g x, coupling spreads along M_x with
@@ -298,7 +306,7 @@ class TestLadderRHS:
         sx, sy, ix, iy = G2.momentum_slot(0, 0), G2.momentum_slot(1, 1), 2, 5
         f[sx, sy, ix, iy] = 1.0
         cfg = SolverConfig(dt=1e-3, t_end=1e-2)
-        out = semidiscrete.make_rhs(coeffs, G2, cfg)(f)
+        out = fresh(semidiscrete.make_rhs(coeffs, G2, cfg))(f)
         fx = g * G2.x_axes[0][ix]
         for m in (-3, -1, 1, 2):
             expect = -fx * harmonic_coefficient(m, G2.dp[0])
@@ -311,9 +319,9 @@ class TestLadderRHS:
         coeffs = linear_coefficients(field, G2)
         f = packet(G2, sigma_p=0.9).values
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
-        out = semidiscrete.make_rhs(coeffs, G2, cfg)(f)
+        out = fresh(semidiscrete.make_rhs(coeffs, G2, cfg))(f)
         assert abs(out.sum()) < 1e-13 * np.abs(out).sum()
-        out_fd = continuum.make_rhs(coeffs, G2, cfg)(f)
+        out_fd = fresh(continuum.make_rhs(coeffs, G2, cfg))(f)
         assert abs(out_fd.sum()) < 1e-13 * np.abs(out_fd).sum()
 
 
@@ -323,10 +331,10 @@ class TestFiniteDifferenceRHS:
         coeffs = linear_coefficients(field, G2)
         f = packet(G2).values
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
-        expect = advection_term(f, G2, 2, "periodic")
+        expect = advection(f, G2, 2, "periodic")
         expect -= coeffs.force_x[None] * momentum_difference(f, G2, 0)
         expect -= coeffs.force_y[:, None] * momentum_difference(f, G2, 1)
-        assert np.allclose(continuum.make_rhs(coeffs, G2, cfg)(f), expect, atol=1e-15)
+        assert np.allclose(fresh(continuum.make_rhs(coeffs, G2, cfg))(f), expect, atol=1e-15)
 
     def test_gradient_terms_assembled(self):
         field = LinearEMField(b0=0.6, b1=0.9)
@@ -337,12 +345,12 @@ class TestFiniteDifferenceRHS:
         assert kappa == pytest.approx(-coeffs.cross_dx, rel=1e-15)
         dxf = spatial_derivative(f, G2, 0, 2, "periodic")
         dyf = spatial_derivative(f, G2, 1, 2, "periodic")
-        expect = advection_term(f, G2, 2, "periodic")
+        expect = advection(f, G2, 2, "periodic")
         expect -= coeffs.force_x[None] * momentum_difference(f, G2, 0)
         expect -= coeffs.force_y[:, None] * momentum_difference(f, G2, 1)
         expect += kappa * momentum_second_difference(dxf, G2, 1)
         expect -= kappa * momentum_difference(momentum_difference(dyf, G2, 1), G2, 0)
-        assert np.allclose(continuum.make_rhs(coeffs, G2, cfg)(f), expect, atol=1e-15)
+        assert np.allclose(fresh(continuum.make_rhs(coeffs, G2, cfg))(f), expect, atol=1e-15)
 
     def test_momentum_response_matches_force(self):
         # d<P>/dt from the RHS must equal <F>; holds to the momentum-edge tail
@@ -362,8 +370,8 @@ class TestFiniteDifferenceRHS:
         fx_mean = (NAT.charge * field.b0 * py / NAT.mass * f).sum() / mass_sum
         fy_mean = (-NAT.charge * field.b0 * px / NAT.mass * f).sum() / mass_sum
         for rhs_vals, tol in (
-            (continuum.make_rhs(coeffs, grid, cfg)(f), 1e-7),
-            (semidiscrete.make_rhs(coeffs, grid, cfg_full)(f), 1e-4),
+            (fresh(continuum.make_rhs(coeffs, grid, cfg))(f), 1e-7),
+            (fresh(semidiscrete.make_rhs(coeffs, grid, cfg_full))(f), 1e-4),
         ):
             dpx_dt = (px * rhs_vals).sum() / mass_sum
             dpy_dt = (py * rhs_vals).sum() / mass_sum
@@ -404,13 +412,13 @@ class TestBandedOperators:
         pair = coeffs.cross_dx * quadratic_coefficient(np.arange(1.0, cut_y + 1), GA.dp[1])
         dxf = spatial_derivative(f, GA, 0, 4, "periodic")
         dyf = spatial_derivative(f, GA, 1, 4, "periodic")
-        expect = advection_term(f, GA, 4, "periodic")
+        expect = advection(f, GA, 4, "periodic")
         expect -= coeffs.force_x[None] * odd_pair_ladder(f, 0, c1x)
         expect -= coeffs.force_y[:, None] * odd_pair_ladder(f, 1, c1y)
         expect += coeffs.cross_dx * odd_pair_ladder(odd_pair_ladder(dxf, 1, c1y), 0, c1x)
         expect += even_pair_ladder(box_offset_sum(dyf, 0, cut_x), 1, pair)
         expect += coeffs.zero_dy * dyf
-        assert rel_l2(semidiscrete.make_rhs(coeffs, GA, cfg)(f), expect) < 1e-14
+        assert rel_l2(fresh(semidiscrete.make_rhs(coeffs, GA, cfg))(f), expect) < 1e-14
 
     def test_difference_matrices_match_loops(self):
         coeffs = linear_coefficients(GRADIENT_FIELD, GA)
@@ -440,10 +448,72 @@ class TestBandedOperators:
                                stencil_order=4, m_truncation=2 * n_p)
             f = packet(grid).values
             calls.clear()
-            semidiscrete.make_rhs(coeffs, grid, cfg)(f)
+            fresh(semidiscrete.make_rhs(coeffs, grid, cfg))(f)
             # momentum sums are matmuls and the spatial stencil pads per block:
             # no full-state shifted copy on any lattice
             assert calls == []
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("route", [semidiscrete, continuum],
+                             ids=["semidiscrete", "continuum"])
+    def test_rhs_call_allocates_less_than_a_state(self, route):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
+        # the stencil and the momentum terms each sweep GB in several blocks
+        assert len(solver_common.Workspace(GB, cfg, gradients=True).stencil.blocks) > 1
+        assert solver_common.momentum_scratch_size(GB.state_shape) < math.prod(GB.state_shape)
+        rhs = route.make_rhs(linear_coefficients(GRADIENT_FIELD, GB), GB, cfg)
+        f = packet(GB).values
+        before = f.copy()
+        out = np.empty_like(f)
+        rhs(f, out)
+        tracemalloc.start()
+        try:
+            current = tracemalloc.get_traced_memory()[0]
+            assert rhs(f, out) is out
+            allocated = tracemalloc.get_traced_memory()[1] - current
+        finally:
+            tracemalloc.stop()
+        assert allocated < f.nbytes
+        assert np.array_equal(f, before)
+
+    @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(e_grad=(0.3, -0.2), b0=0.8)],
+                             ids=["gradient", "force_only"])
+    @pytest.mark.parametrize("route", ["ladder", "difference"])
+    def test_blocked_momentum_terms_match_whole_state_matmuls(self, field, route):
+        coeffs = linear_coefficients(field, GB)
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
+        ops = (semidiscrete.ladder_operators(coeffs, GB, cfg) if route == "ladder"
+               else continuum.difference_operators(coeffs, GB))
+        rng = np.random.default_rng(41)
+        f, start = rng.normal(size=(2,) + GB.state_shape)
+        grads = [spatial_derivative(f, GB, s, 4, "periodic") for s in range(2)]
+        expect = start.copy()
+        tables = (coeffs.force_x[None], coeffs.force_y[:, None])
+        for axis, matrix in enumerate(ops.force):
+            if matrix is not None:
+                expect -= tables[axis] * apply_along(matrix, f, axis)
+        for s, weight, mx, my in ops.gradient:
+            term = grads[s] if my is None else apply_along(my, grads[s], 1)
+            expect += weight * (term if mx is None else apply_along(mx, term, 0))
+        got = start.copy()
+        scratch = np.empty(solver_common.momentum_scratch_size(GB.state_shape))
+        solver_common.add_momentum_terms(got, f, grads, coeffs, ops, scratch)
+        assert rel_l2(got, expect) < 1e-14
+
+    def test_evolve_reuses_its_buffers_safely(self):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
+        rhs = continuum.make_rhs(linear_coefficients(GRADIENT_FIELD, G2), G2, cfg)
+        f0 = packet(G2, momentum=(1.0, -0.5)).values
+        before = f0.tobytes()
+        kept = {}
+        final = evolve(f0, rhs, G2, cfg, n_steps=5,
+                       observer=lambda step, t, values: kept.setdefault(step, values.copy()))
+        assert f0.tobytes() == before
+        assert sorted(kept) == list(range(6))
+        for k, values in kept.items():
+            assert np.array_equal(values, evolve(f0, rhs, G2, cfg, n_steps=k).values)
+        assert np.array_equal(final.values, kept[5])
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +522,9 @@ class TestBandedOperators:
 
 class TestStepping:
     def test_rk4_order(self):
-        rhs = lambda v: -v
+        rhs = lambda v, out: np.negative(v, out=out)
         for dt in (0.1, 0.05):
-            err = abs(rk4_step(np.array(1.0), dt, rhs) - np.exp(-dt))
+            err = abs(rk4_step(np.array(1.0), dt, rhs, np.empty(()), np.empty(())) - np.exp(-dt))
             assert err < dt ** 5 / 60.0
 
     def test_horner_matches_classic_on_banded_rhs(self):
@@ -464,15 +534,17 @@ class TestStepping:
         b = band_matrix(GA.n_s[1], rng.normal(size=2), 1, centre=rng.normal())
         calls = []
 
-        def rhs(v):
+        def rhs(v, out):
             calls.append(1)
-            return apply_along(a, v, 0) + apply_along(b, v, 1)
+            np.add(apply_along(a, v, 0), apply_along(b, v, 1), out=out)
+            return out
 
         before = f.copy()
-        got = rk4_step(f, 0.1, rhs)
+        out, scratch = np.empty_like(f), np.empty_like(f)
+        assert rk4_step(f, 0.1, rhs, out, scratch) is out
         assert len(calls) == 4
         assert np.array_equal(f, before)
-        assert rel_l2(got, rk4_classic(f, 0.1, rhs)) < 1e-13
+        assert rel_l2(out, rk4_classic(f, 0.1, fresh(rhs))) < 1e-13
 
     def test_cfl_validation(self):
         cfg = SolverConfig(dt=1.0, t_end=2.0)
@@ -496,7 +568,7 @@ class TestStepping:
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
         calls = []
         with pytest.raises(ValueError, match=bad):
-            evolve(packet(G2).values, lambda v: calls.append(v) or -v, G2, cfg,
+            evolve(packet(G2).values, lambda v, out: calls.append(v), G2, cfg,
                    n_steps=n_steps, record_every=record_every)
         assert calls == []
 
@@ -580,7 +652,7 @@ class TestStepping:
         coeffs = linear_coefficients(field, grid)
         cfg = SolverConfig(dt=0.01, t_end=0.1, boundary="periodic")
         f = packet(grid, sigma_p=1.0, momentum=(0.7, -0.4)).values
-        total = semidiscrete.make_rhs(coeffs, grid, cfg)(f).sum()
+        total = fresh(semidiscrete.make_rhs(coeffs, grid, cfg))(f).sum()
 
         n = grid.n_p[0]
         c1 = [harmonic_coefficient(m, grid.dp[0]) for m in range(1, n + 1)]
@@ -613,8 +685,8 @@ class TestStepping:
             rhs_a = semidiscrete.make_rhs(coeffs, grid, cfg)
             rhs_b = continuum.make_rhs(coeffs, grid, cfg)
             for _ in range(10):
-                a = rk4_step(a, cfg.dt, rhs_a)
-                b = rk4_step(b, cfg.dt, rhs_b)
+                a = rk4_step(a, cfg.dt, rhs_a, np.empty_like(a), np.empty_like(a))
+                b = rk4_step(b, cfg.dt, rhs_b, np.empty_like(b), np.empty_like(b))
             gaps.append(rel_l2(a, b))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -634,7 +706,7 @@ class TestStabilityGuard:
     def test_evolve_rejects_non_finite_state(self):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
         with pytest.raises(SolverInstabilityError, match="non-finite"):
-            evolve(packet(G2).values, lambda v: np.full_like(v, np.nan), G2, cfg,
+            evolve(packet(G2).values, lambda v, out: out.fill(np.nan), G2, cfg,
                    n_steps=2)
 
     def test_steppers_reject_non_finite_state(self):
@@ -931,14 +1003,14 @@ class TestGeneralAssembler:
 
     def rhs(self, field, grid):
         kern = compute_kernels(field, grid, include_square=False)
-        return general.make_rhs(kern, grid, self.cfg)
+        return fresh(general.make_rhs(kern, grid, self.cfg))
 
     @TABLE_GRIDS
     def test_uniform_electric_matches_lattice_ladder(self, grid):
         field = UniformField(e=(0.4, -0.7, 0.0))
         f = packet(grid, sigma_p=1.1).values
         out = self.rhs(field, grid)(f)
-        expect = advection_term(f, grid, 2, "zero")
+        expect = advection(f, grid, 2, "zero")
         for m in range(-grid.n_p[0], grid.n_p[0] + 1):
             if m:
                 expect -= 0.4 * self.lam(m, grid, 0) * sample_shift(f, 0, -m)
@@ -954,7 +1026,7 @@ class TestGeneralAssembler:
         out = self.rhs(LinearEMField(b0=b0), grid)(f)
         px = grid.p_axes[0].reshape(-1, 1, 1, 1)
         py = grid.p_axes[1].reshape(1, -1, 1, 1)
-        expect = advection_term(f, grid, 2, "zero")
+        expect = advection(f, grid, 2, "zero")
         for m in range(-grid.n_p[1], grid.n_p[1] + 1):
             if m:
                 expect += b0 * self.lam(m, grid, 1) * px * sample_shift(f, 1, -m)
@@ -977,7 +1049,7 @@ class TestGeneralAssembler:
         py = grid.p_axes[1].reshape(1, -1, 1, 1)
         dxf = spatial_derivative(f, grid, 0, 2, "zero")
         dyf = spatial_derivative(f, grid, 1, 2, "zero")
-        expect = advection_term(f, grid, 2, "zero")
+        expect = advection(f, grid, 2, "zero")
         ny = grid.n_s[1]
         for m in range(-grid.n_p[1], grid.n_p[1] + 1):
             s2 = lattice_second_moment(m, grid.coherence_length[1], ny).real
