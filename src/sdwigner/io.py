@@ -95,14 +95,18 @@ def write_state(path, state: WignerState, config_hash: str = NULL_HASH) -> Path:
     head.append(struct.pack("<3d", c.hbar, c.charge, c.mass))
     head.append(config_hash.encode("ascii"))
     head.append(struct.pack("<d", state.time))
-    payload = np.ascontiguousarray(state.values, dtype="<f8").tobytes()
-    p.write_bytes(b"".join(head) + payload)
+    payload = np.ascontiguousarray(state.values, dtype="<f8")
+    with p.open("wb") as fh:
+        fh.writelines(head + [payload.data])
     return p
 
 
 def read_state(path) -> Tuple[WignerState, str]:
-    """Read a state file back into (WignerState, config hash)."""
-    raw = Path(path).read_bytes()
+    """Read a state file back into (WignerState, config hash); the values view its buffer."""
+    p = Path(path)
+    raw = bytearray(p.stat().st_size)
+    with p.open("rb") as fh:
+        del raw[fh.readinto(raw):]
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a state file (bad magic)")
     if len(raw) < 8:
@@ -128,8 +132,7 @@ def read_state(path) -> Tuple[WignerState, str]:
     if len(raw) - off != 8 * count:
         raise ValueError(f"{path}: payload holds {(len(raw) - off) // 8} values, "
                          f"grid needs {count}")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-    values = values.reshape(grid.state_shape).astype(float)
+    values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(grid.state_shape)
     return WignerState(grid=grid, values=values, time=time), config_hash
 
 

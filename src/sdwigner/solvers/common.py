@@ -1,5 +1,5 @@
-"""Shared solver plumbing: configuration, stencils, banded momentum operators,
-stepping, observables.
+"""Shared solver plumbing: configuration, spatial derivative matrices, banded
+momentum operators, stepping, observables.
 
 Conventions used by every solver in this package:
   state arrays carry momentum axes first, spatial axes last (WignerState layout);
@@ -138,68 +138,61 @@ def sample_shift(values: np.ndarray, axis: int, k: int, boundary: str = "zero") 
 
 
 # A stencil block holds consecutive momentum rows up to about this many
-# bytes, and at least one row, so its padded copy and the shifted reads of
-# that copy stay in cache.  The momentum terms sweep blocks of spatial cells
-# whose three buffers together stay within the same size.
+# bytes, and at least one row, so a block and its derivative stay in cache
+# while advection weights and adds them.  The momentum terms sweep blocks of
+# spatial cells whose three buffers together stay within the same size.
 _BLOCK_BYTES = 256 * 1024
 
 
-class _BlockedStencil:
+def derivative_matrix(n: int, dx: float, order: int, boundary: str) -> np.ndarray:
+    """n x n central-difference matrix D along one spatial axis of spacing dx.
+
+    (D v)[i] = (v[i + 1] - v[i - 1]) / (2 dx) for order 2 and
+    (-v[i + 2] + 8 v[i + 1] - 8 v[i - 1] + v[i - 2]) / (12 dx) for order 4.
+    'zero' drops the taps off the axis; 'periodic' wraps them modulo n and
+    adds the taps that land on one cell, so an axis shorter than the stencil
+    wraps more than once.
+    """
+    if order not in (2, 4):
+        raise ValueError(f"unsupported stencil order {order}")
+    taps = {1: 1.0, -1: -1.0} if order == 2 else {1: 8.0, -1: -8.0, 2: -1.0, -2: 1.0}
+    matrix = sum(weight * (np.roll(np.eye(n), k, axis=1) if boundary == "periodic"
+                           else np.eye(n, k=k)) for k, weight in taps.items())
+    return matrix / ((2.0 if order == 2 else 12.0) * dx)
+
+
+class BlockedStencil:
     """Central differences along the spatial axes of states of one shape, a block at a time.
 
     A state is viewed as rows, one per momentum lattice point, each holding
-    the spatial axes; consecutive rows are adjacent in memory.  A block of
-    rows is copied into one reused buffer that extends the derivative axis
-    by order // 2 halo cells on each side.  The halo wraps for 'periodic'
-    (modulo the axis length, so an axis shorter than the halo wraps more
-    than once) and holds zeros for 'zero'; every shifted read is then a
-    slice of that buffer, combined in place into the caller's `out`.
+    the spatial axes; consecutive rows are adjacent in memory.  The stencil
+    is held as one `derivative_matrix` per spatial axis, built once, and a
+    block's derivative is one BLAS call: the last axis multiplies the block,
+    seen as a matrix of rows of that axis, from the right by D transposed;
+    an earlier axis multiplies each row of the block from the left by D.
     """
 
     def __init__(self, shape: Sequence[int], grid: PhaseSpaceGrid, order: int, boundary: str):
-        if order not in (2, 4):
-            raise ValueError(f"unsupported stencil order {order}")
         self.row_shape = tuple(shape[grid.dim:])
-        self.dx, self.order, self.boundary = grid.dx, order, boundary
         n_rows, row_size = math.prod(shape[:grid.dim]), math.prod(self.row_shape)
         self.step = min(n_rows, max(1, _BLOCK_BYTES // (8 * row_size)))
         self.blocks = [slice(i, i + self.step) for i in range(0, n_rows, self.step)]
-        halo = order // 2
-        self._pad = np.empty(self.step * max(row_size // n * (n + 2 * halo)
-                                             for n in self.row_shape))
+        self.matrices = [derivative_matrix(n, dx, order, boundary)
+                         for n, dx in zip(self.row_shape, grid.dx)]
+        self.matrices[-1] = np.ascontiguousarray(self.matrices[-1].T)
 
     def rows(self, values: np.ndarray) -> np.ndarray:
         return values.reshape((-1,) + self.row_shape)
 
     def __call__(self, block: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-        """d/dx along spatial `axis` of the rows `block`, written into `out`."""
-        ax, r = 1 + axis, self.order // 2
-        n = block.shape[ax]
-        shape = list(block.shape)
-        shape[ax] += 2 * r
-        pad = self._pad[:math.prod(shape)].reshape(shape)
-
-        def cells(start, stop):
-            return (slice(None),) * ax + (slice(start, stop),)
-
-        pad[cells(r, r + n)] = block
-        for j in range(r):
-            left, right = cells(j, j + 1), cells(r + n + j, r + n + j + 1)
-            if self.boundary == "periodic":
-                pad[left] = block[cells((j - r) % n, (j - r) % n + 1)]
-                pad[right] = block[cells(j % n, j % n + 1)]
-            else:
-                pad[left] = pad[right] = 0.0
-
-        def shifted(k):     # g[i] = block[i + k]
-            return pad[cells(r + k, r + k + n)]
-
-        np.subtract(shifted(1), shifted(-1), out=out)
-        if self.order == 4:
-            out *= 8.0
-            out -= shifted(2)
-            out += shifted(-2)
-        out /= (2.0 if self.order == 2 else 12.0) * self.dx[axis]
+        """d/dx along spatial `axis` of the rows `block`, written into `out`;
+        both must be C-contiguous."""
+        n, after = self.row_shape[axis], math.prod(self.row_shape[axis + 1:])
+        if after == 1:
+            np.matmul(block.reshape(-1, n), self.matrices[axis], out=out.reshape(-1, n))
+        else:
+            np.matmul(self.matrices[axis], block.reshape(-1, n, after),
+                      out=out.reshape(-1, n, after))
         return out
 
     def derivative(self, values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -213,7 +206,7 @@ class _BlockedStencil:
 def spatial_derivative(values: np.ndarray, grid: PhaseSpaceGrid, axis: int,
                        order: int = 2, boundary: str = "zero") -> np.ndarray:
     """Central difference along spatial axis `axis` (0-based within space), as a new array."""
-    stencil = _BlockedStencil(values.shape, grid, order, boundary)
+    stencil = BlockedStencil(values.shape, grid, order, boundary)
     return stencil.derivative(values, axis, np.empty(values.shape))
 
 
@@ -229,18 +222,18 @@ class Workspace:
     """The working memory of one right-hand side, built once for the state
     shape of `grid` and reused by every call.
 
-    stencil: the blocked spatial stencil, with its pad.  speeds[c][row]:
-    -v_c of that row's momentum lattice point.  gradients: one state-sized
-    array per spatial axis when `gradients` is true, else None.  scratch:
-    one stencil block, or the momentum terms' blocks of cells, whichever is
-    larger; advection and the momentum terms share it, since they never run
-    at once.  Arrays handed to a call that writes into them must be
-    C-contiguous.
+    stencil: the spatial derivative matrices, applied in blocks of momentum
+    rows.  speeds[c][row]: -v_c of that row's momentum lattice point.
+    gradients: one state-sized array per spatial axis when `gradients` is
+    true, else None.  scratch: one stencil block, or the momentum terms'
+    blocks of cells, whichever is larger; advection and the momentum terms
+    share it, since they never run at once.  Arrays handed to a call that
+    writes into them must be C-contiguous.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", gradients: bool):
         shape, dim = grid.state_shape, grid.dim
-        self.stencil = _BlockedStencil(shape, grid, config.stencil_order, config.boundary)
+        self.stencil = BlockedStencil(shape, grid, config.stencil_order, config.boundary)
         self.speeds = -np.stack(np.meshgrid(*grid.p_axes, indexing="ij")).reshape(
             (dim, -1) + (1,) * dim) / grid.constants.mass
         self.gradients = [np.empty(shape) for _ in range(dim)] if gradients else None
@@ -325,8 +318,9 @@ def advection_term(values: np.ndarray, out: np.ndarray, work: Workspace,
     Swept in the stencil's blocks of momentum rows: each block's derivatives
     are taken and weighted by their velocities while the block is in cache,
     the second axis's term in the workspace scratch.  `gradients` passes
-    derivatives already taken by `spatial_gradients`, so a caller that needs
-    them too takes them once.
+    derivatives already taken by `spatial_gradients`, which sweeps the same
+    blocks, so a caller that needs them too takes them once and advection
+    reads the same bits it would have taken.
     """
     stencil, speeds = work.stencil, work.speeds
     rows, acc_rows = stencil.rows(values), stencil.rows(out)

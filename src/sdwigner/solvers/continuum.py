@@ -12,8 +12,8 @@ import numpy as np
 
 from ..kernels import LinearKernelCoefficients
 from ..phasespace import PhaseSpaceGrid
-from .common import (BandedOperators, SolverConfig, Workspace, add_momentum_terms,
-                     band_matrix, banded_rhs, spatial_derivative)
+from .common import (BandedOperators, BlockedStencil, SolverConfig, Workspace,
+                     add_momentum_terms, band_matrix, banded_rhs)
 
 
 def difference_operators(coeffs: LinearKernelCoefficients,
@@ -40,11 +40,11 @@ def difference_operators(coeffs: LinearKernelCoefficients,
     return BandedOperators(force, gradient)
 
 
-def force_and_quantum(values: np.ndarray, out: np.ndarray, grid: PhaseSpaceGrid,
+def force_and_quantum(values: np.ndarray, out: np.ndarray,
                       coeffs: LinearKernelCoefficients, ops: BandedOperators,
-                      config: SolverConfig) -> np.ndarray:
+                      stencil: BlockedStencil) -> np.ndarray:
     """Add K[values] into `out`: the right-hand side minus advection, from the
-    matrices `difference_operators` built.
+    matrices `difference_operators` and `BlockedStencil` built.
 
     Its working memory is taken per call, since the resolvent holds n_t + 3
     states between kernel calls and a held workspace would add to the peak
@@ -55,10 +55,10 @@ def force_and_quantum(values: np.ndarray, out: np.ndarray, grid: PhaseSpaceGrid,
     """
     add_momentum_terms(out, values, None, coeffs, BandedOperators(ops.force, ()),
                        np.empty(values.size))
-    for s in range(grid.dim):
+    for s in range(len(stencil.matrices)):
         terms = tuple(term for term in ops.gradient if term[0] == s)
         if terms:
-            gradient = spatial_derivative(values, grid, s, config.stencil_order, config.boundary)
+            gradient = stencil.derivative(values, s, np.empty(values.shape))
             temps = 2 if any(mx is not None and my is not None for _, _, mx, my in terms) else 1
             add_momentum_terms(out, values, {s: gradient}, coeffs,
                                BandedOperators((None, None), terms), np.empty(temps * values.size))
@@ -68,17 +68,18 @@ def force_and_quantum(values: np.ndarray, out: np.ndarray, grid: PhaseSpaceGrid,
 
 def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
                 config: SolverConfig, gamma0: float = 0.0):
-    """Build the difference matrices once and bind them into a closure
-    (values, out) -> K[values] + gamma0 values, written into `out`.
+    """Build the difference and derivative matrices once and bind them into
+    a closure (values, out) -> K[values] + gamma0 values, written into `out`.
 
     K is the right-hand side minus advection, the coupling the integral
     solver sums along each backward characteristic.
     """
     ops = difference_operators(coeffs, grid)
+    stencil = BlockedStencil(grid.state_shape, grid, config.stencil_order, config.boundary)
 
     def kernel(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(values, gamma0, out=out)
-        return force_and_quantum(values, out, grid, coeffs, ops, config)
+        return force_and_quantum(values, out, coeffs, ops, stencil)
     return kernel
 
 

@@ -3,6 +3,7 @@ package exports."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,18 @@ class TestStateFormat:
         b = write_state(tmp_path / "b.sdwg", state, "0" * 64).read_bytes()
         assert a == b
 
+    def test_write_holds_at_most_one_extra_state(self, tmp_path):
+        state = self.make_state()
+        write_state(tmp_path / "a.sdwg", state)
+        tracemalloc.start()
+        try:
+            current = tracemalloc.get_traced_memory()[0]
+            write_state(tmp_path / "b.sdwg", state)
+            peak = tracemalloc.get_traced_memory()[1] - current
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.values.nbytes
+
     def test_bad_magic_is_rejected(self, tmp_path):
         p = tmp_path / "bad.sdwg"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -394,6 +407,24 @@ class TestRunner:
         for name in ("observables.tsv", "state_final.sdwg"):
             assert ((first.out_dir / name).read_bytes()
                     == (second.out_dir / name).read_bytes())
+
+    # a grid large enough that BLAS may split the derivative and momentum
+    # matmuls over threads when their count is not pinned
+    @pytest.mark.parametrize("solver", [
+        {"method": "continuum", "stencil_order": 4},
+        {"method": "fredholm", "stencil_order": 4, "gamma0_per_s": 2e13,
+         "fredholm_tol": 1e-8, "fredholm_max_iter": 300},
+    ], ids=["continuum", "fredholm"])
+    def test_matmul_routes_rerun_byte_identical(self, tmp_path, solver):
+        sections = {"grid": {"n_x": [24, 24]}, "field": {"b1_T_per_m": 1e7},
+                    "solver": {"dt_fs": 10.0, "t_end_fs": 40.0, **solver}}
+        products = [self.run_cfg(tmp_path, name, **sections)[1] for name in ("a", "b")]
+        names = sorted(p.name for p in products[0].out_dir.iterdir()
+                       if p.suffix in (".tsv", ".sdwg"))
+        assert "state_final.sdwg" in names
+        for name in names:
+            assert ((products[0].out_dir / name).read_bytes()
+                    == (products[1].out_dir / name).read_bytes())
 
     def test_seed_override_lands_in_hash_and_meta(self, tmp_path):
         cfg = config_from_dict(base_dict(solver={

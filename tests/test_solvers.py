@@ -151,7 +151,7 @@ class TestDerivatives:
 
 
 # 99 momentum rows of 11.5 KB: the stencil sweeps them in several blocks,
-# the last one shorter; THIN has a periodic axis shorter than the order-4 halo
+# the last one shorter; THIN has a periodic axis shorter than the order-4 stencil
 GB = make_grid(2, (TAU, TAU), (np.pi, np.pi), (40, 36), (4, 5), NAT)
 THIN = make_grid(2, (TAU, TAU), (np.pi, np.pi), (1, 6), (1, 2), NAT)
 
@@ -172,20 +172,23 @@ class TestBlockedStencil:
             assert np.linalg.norm(got - ref) / scale < 1e-14
 
     def test_spans_several_blocks(self):
-        stencil = solver_common._BlockedStencil(GB.state_shape, GB, 4, "zero")
+        stencil = solver_common.BlockedStencil(GB.state_shape, GB, 4, "zero")
         n_rows = len(stencil.rows(np.zeros(GB.state_shape)))
         sizes = [len(range(*b.indices(n_rows))) for b in stencil.blocks]
         assert len(sizes) > 1 and sum(sizes) == n_rows
         assert sizes[-1] < sizes[0] and len(set(sizes[:-1])) == 1
 
-    @pytest.mark.parametrize("grid", [G2, G2U], ids=["G2", "G2U"])
-    def test_small_state_pads_at_most_itself(self, grid):
-        stencil = solver_common._BlockedStencil(grid.state_shape, grid, 4, "zero")
-        rows = stencil.rows(np.zeros(grid.state_shape))
-        assert len(stencil.blocks) == 1
-        stencil(rows[stencil.blocks[0]], 0, np.empty_like(rows))
-        nx, ny = grid.n_x
-        assert stencil._pad.size <= len(rows) * max((nx + 4) * ny, nx * (ny + 4))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_derivative_matrix_matches_roll_formula(self, n, boundary, order):
+        # column j is the roll formula's derivative of unit vector e_j; n = 1..4
+        # is shorter than the five-cell order-4 stencil, so periodic taps that
+        # land on one cell must add
+        dx = 0.3
+        ref = roll_derivative(np.eye(n), dx, 0, order, boundary)
+        got = solver_common.derivative_matrix(n, dx, order, boundary)
+        assert np.max(np.abs(got - ref)) * dx < 1e-14
 
     @pytest.mark.parametrize("grid", [G2U, GB], ids=["G2U", "GB"])
     @pytest.mark.parametrize("boundary", ["zero", "periodic"])
@@ -449,7 +452,7 @@ class TestBandedOperators:
             f = packet(grid).values
             calls.clear()
             fresh(semidiscrete.make_rhs(coeffs, grid, cfg))(f)
-            # momentum sums are matmuls and the spatial stencil pads per block:
+            # momentum sums and spatial derivatives are matmuls:
             # no full-state shifted copy on any lattice
             assert calls == []
 
