@@ -188,7 +188,7 @@ class BlockedStencil:
         """d/dx along spatial `axis` of the rows `block`, written into `out`;
         both must be C-contiguous."""
         n, after = self.row_shape[axis], math.prod(self.row_shape[axis + 1:])
-        if after == 1:
+        if axis == len(self.row_shape) - 1:
             np.matmul(block.reshape(-1, n), self.matrices[axis], out=out.reshape(-1, n))
         else:
             np.matmul(self.matrices[axis], block.reshape(-1, n, after),
@@ -201,13 +201,6 @@ class BlockedStencil:
         for block in self.blocks:
             self(rows[block], axis, dest[block])
         return out
-
-
-def spatial_derivative(values: np.ndarray, grid: PhaseSpaceGrid, axis: int,
-                       order: int = 2, boundary: str = "zero") -> np.ndarray:
-    """Central difference along spatial axis `axis` (0-based within space), as a new array."""
-    stencil = BlockedStencil(values.shape, grid, order, boundary)
-    return stencil.derivative(values, axis, np.empty(values.shape))
 
 
 def momentum_scratch_size(shape: Sequence[int]) -> int:

@@ -26,7 +26,7 @@ from sdwigner.solvers.common import (advect_free_flight, advection_term,
                                      band_matrix, box_offset_sum, even_pair_ladder,
                                      free_flight_operators, momentum_difference,
                                      momentum_second_difference, odd_pair_ladder,
-                                     rk4_step, sample_shift, spatial_derivative)
+                                     rk4_step, sample_shift)
 from sdwigner.states import gaussian_wigner
 
 from oracles import (apply_along, fredholm_sweeps, free_flight_rows, fresh,
@@ -54,6 +54,12 @@ def advection(f, grid, order, boundary, gradients=None):
     cfg = SolverConfig(dt=1.0, t_end=1.0, stencil_order=order, boundary=boundary)
     work = solver_common.Workspace(grid, cfg, gradients=False)
     return advection_term(f, np.empty_like(f), work, gradients)
+
+
+def spatial_derivative(f, grid, axis, order=2, boundary="zero"):
+    """Central difference of f along spatial `axis`, into a new array."""
+    stencil = solver_common.BlockedStencil(f.shape, grid, order, boundary)
+    return stencil.derivative(f, axis, np.empty(f.shape))
 
 
 def packet(grid, sigma_p=1.2, sigma_x=0.7, momentum=0.0, center=0.0):
@@ -154,11 +160,13 @@ class TestDerivatives:
 # the last one shorter; THIN has a periodic axis shorter than the order-4 stencil
 GB = make_grid(2, (TAU, TAU), (np.pi, np.pi), (40, 36), (4, 5), NAT)
 THIN = make_grid(2, (TAU, TAU), (np.pi, np.pi), (1, 6), (1, 2), NAT)
+# one cell on the last axis: the x derivative must still multiply from the left
+FLAT = make_grid(2, (TAU, TAU), (np.pi, np.pi), (6, 1), (2, 1), NAT)
 
 
 class TestBlockedStencil:
-    @pytest.mark.parametrize("grid", [G1, G2, G2U, GB, THIN],
-                             ids=["G1", "G2", "G2U", "GB", "THIN"])
+    @pytest.mark.parametrize("grid", [G1, G2, G2U, GB, THIN, FLAT],
+                             ids=["G1", "G2", "G2U", "GB", "THIN", "FLAT"])
     @pytest.mark.parametrize("boundary", ["zero", "periodic"])
     @pytest.mark.parametrize("order", [2, 4])
     def test_matches_roll_formula(self, grid, boundary, order):
