@@ -25,6 +25,7 @@ is the scratch of its passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -101,9 +102,9 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
             trial += history
             with np.errstate(divide="ignore", invalid="ignore"):
                 trial /= scale
-            norm = float(np.linalg.norm(trial))
+            norm = _norm(trial)
             x -= trial      # x is spent: it holds the change of this pass
-            res = float(np.linalg.norm(x)) / (norm if norm > 0 else 1.0)
+            res = _norm(x) / (norm if norm > 0 else 1.0)
             x[...] = trial
             if not (np.isfinite(norm) and np.isfinite(res)):
                 raise SolverInstabilityError(
@@ -122,6 +123,16 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
             kernel_values(x, kvals[k])
     return FredholmResult(state=WignerState(grid=grid, values=x, time=config.t_end),
                           residuals=residuals, n_sweeps=n_passes, gamma0=gamma0)
+
+
+def _norm(values: np.ndarray) -> float:
+    """L2 norm of a contiguous array in NumPy's own loop.
+
+    np.linalg.norm goes through BLAS, whose summation order depends on its
+    thread count; this keeps the residual table the same at every count.
+    """
+    flat = values.reshape(-1)
+    return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
 def _history(out, k, kvals, flights, decay, dt) -> None:

@@ -66,23 +66,37 @@ def make_rhs(kernels: KernelSet, grid: PhaseSpaceGrid, config: SolverConfig):
                for c, p in enumerate(grid.p_axes)]
 
     work = Workspace(grid, config, gradients=True)
+    # padded spectra, accumulator and product: built once, reused by every
+    # call.  `padded` is zero outside its lattice block, which alone is
+    # rewritten, so every transform of it is the zero-padded one.
+    padded, f_hat, acc, prod = (np.zeros(pad + grid.state_shape[d:], dtype=complex)
+                                for _ in range(4))
+    lattice = padded[tuple(slice(0, n) for n in grid.n_s)]
 
-    def convolve(spec):
-        return np.fft.ifftn(spec, axes=axes)[crop].real
+    def transform(values, spec):
+        lattice[...] = values
+        return np.fft.fftn(padded, axes=axes, out=spec)
+
+    def inverse(spec):
+        """The inverse transform cropped to the lattice; overwrites spec."""
+        return np.fft.ifftn(spec, axes=axes, out=spec)[crop]
 
     def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         grads = spatial_gradients(values, work)
         advection_term(values, out, work, grads)
-        f_hat = np.fft.fftn(values, s=pad, axes=axes)
-        acc = np.zeros_like(f_hat)
+        transform(values, f_hat)
         if electric is not None:
-            acc += electric * f_hat
+            np.multiply(electric, f_hat, out=acc)
+        else:
+            acc.fill(0.0)
         for spec, g in zip(gradient, grads):
             if spec is not None:
-                acc += spec * np.fft.fftn(g, s=pad, axes=axes)
-        out += convolve(acc)
+                np.add(acc, np.multiply(spec, transform(g, prod), out=prod), out=acc)
+        out += inverse(acc).real
         for spec, p in zip(lorentz, momenta):
             if spec is not None:
-                out += p * convolve(spec * f_hat)
+                part = inverse(np.multiply(spec, f_hat, out=prod)).real
+                np.multiply(part, p, out=part)
+                out += part
         return out
     return rhs

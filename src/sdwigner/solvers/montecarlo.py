@@ -9,10 +9,15 @@ A walker that survives to t = 0 scores weight times the interpolated initial
 condition; the exponential survival mass cancels against the damping factor,
 so no explicit decay factor appears at scoring time.
 
-A walker leaves the walker table when its walk ends: it scores at t = 0,
-is retired off the momentum lattice, or is capped over the weight cap.
-Walker arrays hold one row per axis and one column per walker.  The
-curvature branches 5-18 carry b1, so a field without b1 samples 5 branches.
+A walker leaves the walker table when its walk ends: it reaches t = 0, is
+retired off the momentum lattice, or is capped over the weight cap.  A walk
+that reaches t = 0 records its weight and end point, and each chunk is
+scored in one pass after its walk.  Walker arrays hold one row per axis and
+one column per walker.  The curvature branches 5-18 carry b1, so a field
+without b1 samples 5 branches.  A collision reads the hop rates as per-walker
+arrays and the curvature coefficients as constants, and sums them in the
+order of NumPy's row sum over the (walkers, branches) coefficient table, so
+the walk matches a walk over that table bit for bit.
 
 Walks are split into `workers` chunks with independent seed streams, run one
 after another, and a fixed draw order (one exponential and one uniform
@@ -49,41 +54,48 @@ class MCEstimate:
         yield self.stderr
 
 
+def _corners(x: np.ndarray, c: int, grid: PhaseSpaceGrid, stride: int, periodic: bool):
+    """Weights, flat offsets (index times stride) and in-lattice masks (None
+    if periodic) of the two cells around positions x along axis c."""
+    omega, n_cells = grid.omega_extent[c], grid.n_x[c]
+    x = x + 0.5 * omega
+    if periodic:
+        x = np.mod(x, omega)
+    fi = x / grid.dx[c] - 0.5
+    i0 = np.floor(fi).astype(np.int64)
+    t = fi - i0
+    cells = (i0, i0 + 1)
+    if periodic:
+        return (1.0 - t, t), [(i % n_cells) * stride for i in cells], None
+    inside = [(i >= 0) & (i < n_cells) for i in cells]
+    return (1.0 - t, t), [np.clip(i, 0, n_cells - 1) * stride for i in cells], inside
+
+
 def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
                     midx: np.ndarray, pos: np.ndarray, boundary: str) -> np.ndarray:
     """Bilinear sample of f0 at lattice momentum rows and continuous positions."""
-    n = midx.shape[1]
-    out = np.zeros(n)
-    slot = midx + np.array(grid.n_p)[:, None]
-    corner_w = []
-    corner_i = []
-    for c in range(2):
-        omega = grid.omega_extent[c]
-        h = grid.dx[c]
-        x = pos[c] + 0.5 * omega
-        if boundary == "periodic":
-            x = np.mod(x, omega)
-        fi = x / h - 0.5
-        i0 = np.floor(fi).astype(np.int64)
-        t = fi - i0
-        corner_i.append((i0, i0 + 1))
-        corner_w.append((1.0 - t, t))
     nx, ny = grid.n_x
+    periodic = boundary == "periodic"
+    # flat index of each walker's momentum row, then of its corner cells
+    plane = midx[0].astype(np.intp)
+    plane += grid.n_p[0]
+    plane *= grid.n_s[1]
+    plane += midx[1]
+    plane += grid.n_p[1]
+    plane *= nx * ny
+    w_x, off_x, in_x = _corners(pos[0], 0, grid, ny, periodic)
+    w_y, off_y, in_y = _corners(pos[1], 1, grid, 1, periodic)
+    flat_values = values.reshape(-1)
+    out = np.zeros(midx.shape[1])
     for a in range(2):
         for b in range(2):
-            ix = corner_i[0][a].copy()
-            iy = corner_i[1][b].copy()
-            w = corner_w[0][a] * corner_w[1][b]
-            if boundary == "periodic":
-                ix %= nx
-                iy %= ny
-                valid = np.ones(n, dtype=bool)
-            else:
-                valid = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-                ix = np.clip(ix, 0, nx - 1)
-                iy = np.clip(iy, 0, ny - 1)
-            vals = values[slot[0], slot[1], ix, iy]
-            out += np.where(valid, w * vals, 0.0)
+            flat = off_x[a] + off_y[b]
+            flat += plane
+            term = w_x[a] * w_y[b]
+            term *= flat_values.take(flat)
+            if not periodic:
+                np.copyto(term, 0.0, where=~(in_x[a] & in_y[b]))
+            out += term
     return out
 
 
@@ -110,33 +122,130 @@ def _branch_moves(grid: PhaseSpaceGrid) -> Tuple[np.ndarray, np.ndarray]:
     return d_m.T, d_x.T
 
 
-def _branch_coefficients(midx: np.ndarray, pos: np.ndarray, field: LinearEMField,
-                         grid: PhaseSpaceGrid, gamma0: float, nb: int) -> np.ndarray:
-    """Signed stencil coefficients (n, nb) of the first nb branches at each walker."""
+def _hop_rates(p: np.ndarray, pos: np.ndarray, field: LinearEMField,
+               grid: PhaseSpaceGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """f_x / (2 dpx) and f_y / (2 dpy) at each walker, from p = midx dp (one row per axis).
+
+    Branches 1-4 hop the momentum index with coefficients -h_x, h_x, -h_y, h_y.
+    """
+    c = grid.constants
+    dpx, dpy = grid.dp
+    bz = field.b1 * pos[1]
+    bz += field.b0
+    h_x = p[1] * bz
+    h_x /= c.mass
+    h_x += field.e_grad[0] * pos[0]
+    h_x *= c.charge
+    h_x /= 2.0 * dpx
+    h_y = p[0] * bz
+    h_y /= c.mass
+    np.subtract(field.e_grad[1] * pos[1], h_y, out=h_y)
+    h_y *= c.charge
+    h_y /= 2.0 * dpy
+    return h_x, h_y
+
+
+def _curvature_coefficients(field: LinearEMField, grid: PhaseSpaceGrid) -> np.ndarray:
+    """Coefficients of the curvature branches 5-18, the same at every walker."""
     c = grid.constants
     dpx, dpy = grid.dp
     dx, dy = grid.dx
-    px = midx[0] * dpx
-    py = midx[1] * dpy
-    bz = field.b0 + field.b1 * pos[1]
-    f_x = c.charge * (field.e_grad[0] * pos[0] + py * bz / c.mass)
-    f_y = c.charge * (field.e_grad[1] * pos[1] - px * bz / c.mass)
     kappa = field.b1 * c.hbar ** 2 * c.charge / (12.0 * c.mass)
+    curv = [kappa * wmy / dpy ** 2 * (sx / (2.0 * dx))
+            for wmy in (1.0, -2.0, 1.0) for sx in (1.0, -1.0)]
+    curv += [-kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (sy / (2.0 * dy))
+             for smx in (1.0, -1.0) for smy in (1.0, -1.0) for sy in (1.0, -1.0)]
+    return np.array(curv)
 
-    out = np.empty((midx.shape[1], nb))
-    out[:, 0] = gamma0
-    out[:, 1] = -f_x / (2.0 * dpx)
-    out[:, 2] = f_x / (2.0 * dpx)
-    out[:, 3] = -f_y / (2.0 * dpy)
-    out[:, 4] = f_y / (2.0 * dpy)
+
+def _total_19(a_x: np.ndarray, a_y: np.ndarray, gamma0: float, k: np.ndarray) -> np.ndarray:
+    """Row sums of |coefficient| over the 19 branches, in NumPy's order for 19 columns.
+
+    a_x, a_y are |h_x|, |h_y|, and k holds the 19 |coefficients| with
+    entries 0-4 unused (column 0 is gamma0).  NumPy sums a contiguous row of 19 as eight partial sums of
+    columns j and j + 8, joined pairwise, then adds columns 16-18 in turn;
+    this repeats that order so the total is bit-equal to the table's sum.
+    """
+    total = a_x + k[9]
+    total += gamma0 + k[8]
+    part = a_x + k[10]
+    tail = a_y + k[11]
+    part += tail
+    total += part
+    np.add(a_y, k[12], out=tail)
+    tail += k[5] + k[13]
+    tail += (k[6] + k[14]) + (k[7] + k[15])
+    total += tail
+    for j in (16, 17, 18):
+        total += k[j]
+    return total
+
+
+class _Branches:
+    """Per-chunk tables of the first nb collision branches.
+
+    A collision is looked up at index branch + nb * bits, where bits holds
+    the signs of h_x (1) and h_y (2): `moves` and `position_moves` give its
+    displacement (one row per axis), `sign` the sign of its coefficient.
+    `power` holds the 19 |coefficients| that are the same at every walker.
+    """
+
+    def __init__(self, field: LinearEMField, grid: PhaseSpaceGrid, m_type):
+        self.nb = nb = 5 if field.b1 == 0.0 else 19
+        d_m, d_x = (np.tile(a[:, :nb], 4) for a in _branch_moves(grid))
+        self.moves, self.position_moves = d_m.astype(m_type), d_x
+        curv = np.zeros(19)
+        curv[5:] = _curvature_coefficients(field, grid)
+        sign = np.tile(np.sign(curv[:nb]), (4, 1))
+        for bits in range(4):
+            s_x, s_y = (-1.0 if bits & 1 else 1.0), (-1.0 if bits & 2 else 1.0)
+            sign[bits, :5] = (1.0, -s_x, s_x, -s_y, s_y)
+        self.sign = sign.ravel()
+        self.power = np.abs(curv)
+
+
+def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarray,
+             u: np.ndarray, field: LinearEMField, grid: PhaseSpaceGrid, gamma0: float,
+             br: _Branches) -> None:
+    """Pick each walker's branch by cumulative |coefficient| at u and apply
+    its move and signed weight factor sign * total / gamma0 in place.
+
+    The sums are those of the (n, nb) |coefficient| table: running sums
+    left to right, and the row total in NumPy's own order.  u is spent.
+    """
+    nb, k = br.nb, br.power
+    h_x, h_y = _hop_rates(p, pos, field, grid)
+    sel = (h_x < 0) * nb
+    sel += (h_y < 0) * (2 * nb)
+    a_x = np.abs(h_x, out=h_x)
+    a_y = np.abs(h_y, out=h_y)
+    total = _total_19(a_x, a_y, gamma0, k) if nb > 5 else None
+    # running sums over branches 0-4; for 5 branches the last is the row
+    # total, which NumPy sums left to right
+    s_1 = a_x + gamma0
+    s_2 = np.add(s_1, a_x, out=a_x)
+    s_3 = s_2 + a_y
+    s_4 = np.add(s_3, a_y, out=a_y)
+    if total is None:
+        total = s_4
+    r = np.multiply(u, total, out=u)
+    # branch = count of the running sums before the last one that are <= r
+    sel += gamma0 <= r
+    for s in (s_1, s_2, s_3):
+        sel += s <= r
     if nb > 5:
-        # the same at every walker: one row broadcast over the table
-        curv = [kappa * wmy / dpy ** 2 * (sx / (2.0 * dx))
-                for wmy in (1.0, -2.0, 1.0) for sx in (1.0, -1.0)]
-        curv += [-kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (sy / (2.0 * dy))
-                 for smx in (1.0, -1.0) for smy in (1.0, -1.0) for sy in (1.0, -1.0)]
-        out[:, 5:] = curv
-    return out
+        sel += s_4 <= r
+        for j in range(5, nb - 1):
+            s_4 += k[j]
+            sel += s_4 <= r
+    step = br.sign.take(sel)
+    step *= total
+    step /= gamma0
+    weight *= step
+    midx += br.moves.take(sel, 1)
+    if nb > 5:
+        # branches 0-4 leave the position where it is
+        pos += br.position_moves.take(sel, 1)
 
 
 def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
@@ -145,16 +254,23 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
     """Scores of n walks from one seed stream, with the capped and retired counts.
 
     Live walkers stay in ascending walker order, so each round hands its
-    draws to the same walkers as a full table masked by liveness would.
+    draws to the same walkers as a full table masked by liveness would.  A
+    walk that reaches t = 0 leaves its weight in `scores` and its end point
+    in `end_m`, `end_x`; the chunk is scored in one pass after the walk.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     dp, mass = np.array(grid.dp)[:, None], grid.constants.mass
     n_p = np.array(grid.n_p)[:, None]
-    nb = 5 if field.b1 == 0.0 else 19
-    d_m, d_x = (a[:, :nb] for a in _branch_moves(grid))
+    # momentum indices reach n_p + 1 before a walker is retired
+    m_type = np.min_scalar_type(-max(grid.n_p) - 1)
+    br = _Branches(field, grid, m_type)
+
     scores = np.zeros(n)
+    scored = np.zeros(n, dtype=bool)
+    end_m = np.zeros((2, n), dtype=m_type)
+    end_x = np.zeros((2, n))
     ids = np.arange(n)
-    midx = np.repeat(np.asarray(target_m, dtype=np.int64)[:, None], n, axis=1)
+    midx = np.repeat(np.asarray(target_m, dtype=m_type)[:, None], n, axis=1)
     pos = np.repeat(np.asarray(target_x, dtype=float)[:, None], n, axis=1)
     weight = np.ones(n)
     t_left = np.full(n, float(config.t_end))
@@ -165,36 +281,28 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
             break
         delta = rng.exponential(1.0 / gamma0, size=ids.size)
         u = rng.uniform(size=ids.size)
-        vel = midx * dp / mass
 
         absorbed = delta >= t_left
         if absorbed.any():
             hit = np.flatnonzero(absorbed)
-            end_pos = pos.take(hit, 1) - vel.take(hit, 1) * t_left[hit]
-            scores[ids[hit]] = weight[hit] * _interp_initial(
-                f0_values, grid, midx.take(hit, 1), end_pos, config.boundary)
+            done = ids[hit]
+            m_hit = midx.take(hit, 1)
+            end_m[:, done] = m_hit
+            end_x[:, done] = pos.take(hit, 1) - m_hit * dp / mass * t_left[hit]
+            scores[done] = weight[hit]
+            scored[done] = True
             keep = np.flatnonzero(~absorbed)
-            ids, midx, pos, weight, t_left, vel, delta, u = (
-                a.take(keep, -1) for a in (ids, midx, pos, weight, t_left, vel, delta, u))
+            ids, midx, pos, weight, t_left, delta, u = (
+                a.take(keep, -1) for a in (ids, midx, pos, weight, t_left, delta, u))
             if ids.size == 0:
                 continue
-        pos -= vel * delta
+        p = midx * dp
+        pos -= p / mass * delta
         t_left -= delta
-
-        coef = _branch_coefficients(midx, pos, field, grid, gamma0, nb)
-        acc = np.abs(coef)
-        total = acc.sum(axis=1)
-        r = u * total
-        # sel = min(count, nb - 1) of the running sums <= r, summed in place
-        # column by column: row-wise cumsum and count over so few columns
-        # cost NumPy several times more
-        sel = np.zeros(ids.size, dtype=np.intp)
-        for j in range(nb - 1):
-            sel += acc[:, j] <= r
-            acc[:, j + 1] += acc[:, j]
-        weight *= np.sign(coef[np.arange(ids.size), sel]) * total / gamma0
-        midx += d_m.take(sel, 1)
-        pos += d_x.take(sel, 1)
+        # free each of the round's arrays once spent: compaction copies the table
+        del delta
+        _collide(midx, pos, weight, p, u, field, grid, gamma0, br)
+        del p, u
 
         # hopping off the momentum lattice reads f = 0: score nothing
         off = (np.abs(midx) > n_p).any(axis=0)
@@ -210,6 +318,9 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
     if ids.size:
         raise SolverInstabilityError(
             "backward walk failed to terminate; check gamma0 and weight_cap")
+    # capped and retired walks keep the score 0
+    np.multiply(scores, _interp_initial(f0_values, grid, end_m, end_x, config.boundary),
+                out=scores, where=scored)
     return scores, n_capped, n_retired
 
 

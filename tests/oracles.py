@@ -243,6 +243,38 @@ def _walk_moves(dx, dy):
     return d_m, d_x
 
 
+def walk_coefficients(midx, pos, *, gamma0, dp, dx, charge, mass, hbar, b0, b1=0.0,
+                      e_grad=(0.0, 0.0)):
+    """Signed coefficients (k, 19) of the collision branches at k walkers.
+
+    midx and pos have one row per walker.  Branch 0 is the rate compensation
+    gamma0.  Branches 1-4 hop the momentum index (see _walk_moves) with
+    -f_x/(2 dpx), f_x/(2 dpx), -f_y/(2 dpy), f_y/(2 dpy), where
+    f = q (E'_x x + p_y B_z/m, E'_y y - p_x B_z/m) and B_z = b0 + b1 y.
+    Branches 5-18 are the curvature terms of kappa = b1 hbar^2 q / (12 m),
+    the same at every walker.
+    """
+    dpx, dpy = dp
+    ddx, ddy = dx
+    px = midx[:, 0] * dpx
+    py = midx[:, 1] * dpy
+    bz = b0 + b1 * pos[:, 1]
+    f_x = charge * (e_grad[0] * pos[:, 0] + py * bz / mass)
+    f_y = charge * (e_grad[1] * pos[:, 1] - px * bz / mass)
+    kappa = b1 * hbar ** 2 * charge / (12.0 * mass)
+    out = np.empty((len(midx), 19))
+    out[:, 0] = gamma0
+    out[:, 1] = -f_x / (2.0 * dpx)
+    out[:, 2] = f_x / (2.0 * dpx)
+    out[:, 3] = -f_y / (2.0 * dpy)
+    out[:, 4] = f_y / (2.0 * dpy)
+    out[:, 5:] = ([kappa * wmy / dpy ** 2 * (sx / (2.0 * ddx))
+                   for wmy in (1.0, -2.0, 1.0) for sx in (1.0, -1.0)]
+                  + [-kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (sy / (2.0 * ddy))
+                     for smx in (1.0, -1.0) for smy in (1.0, -1.0) for sy in (1.0, -1.0)])
+    return out
+
+
 def walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_cap,
                    dp, mass, n_p, dx, coefficients, interp, max_rounds=100000):
     """Backward walk on a full mutable walker table with an alive mask.

@@ -2,7 +2,11 @@
 package exports."""
 
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -510,6 +514,25 @@ class TestCLI:
         capsys.readouterr()
         assert cli_main(["diff", final, final, "--tol", "0"]) == 0
         assert "relative_l2 0" in capsys.readouterr().out
+
+    def test_fredholm_residuals_do_not_depend_on_blas_threads(self, tmp_path):
+        # a state of 13 x 13 x 8 x 8 cells is large enough for a threaded
+        # BLAS dot product to split its sum, which once moved the last digits
+        path = self.cfg_file(tmp_path, grid={"n_x": [8, 8], "n_p": [6, 6]},
+                             field={"b1_T_per_m": 1.0e7}, solver={
+                                 "method": "fredholm", "dt_fs": 20.0, "t_end_fs": 60.0,
+                                 "stencil_order": 4, "gamma0_per_s": 2.0e13,
+                                 "fredholm_tol": 1e-9, "fredholm_max_iter": 400})
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            subprocess.run([sys.executable, "-m", "sdwigner", "run", str(path),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            tables.append((out / "fredholm_residuals.tsv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_diff_notes_hash_mismatch(self, tmp_path, capsys):
         grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (6, 6), (3, 3))

@@ -1,8 +1,10 @@
 """Solver tests: operator algebra against brute force, conservation laws,
 cross-route consistency, and the stochastic estimator's statistics."""
 
+import dataclasses
 import inspect
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdwigner import make_grid
+from sdwigner.config import load_config
 from sdwigner.kernels import (LinearKernelCoefficients, compute_kernels,
                               harmonic_coefficient, linear_coefficients,
                               quadratic_coefficient)
@@ -31,7 +34,7 @@ from sdwigner.states import gaussian_wigner
 
 from oracles import (apply_along, fredholm_sweeps, free_flight_rows, fresh,
                      lattice_first_moment, lattice_second_moment, rk4_classic,
-                     roll_derivative, walk_reference)
+                     roll_derivative, walk_coefficients, walk_reference)
 
 NAT = PhysicalConstants(hbar=1.0, charge=1.0, mass=1.0)
 TAU = 2.0 * np.pi
@@ -905,7 +908,15 @@ class TestMonteCarlo:
         assert np.isfinite(est.value)
 
     @staticmethod
-    def _walk_and_reference(field, cfg, target):
+    def _table(field, gamma0):
+        """The oracle's (k, 19) coefficient table on G2, as a function of
+        (midx, pos) with one row per walker."""
+        return lambda m, x: walk_coefficients(
+            m, x, gamma0=gamma0, dp=G2.dp, dx=G2.dx, charge=NAT.charge, mass=NAT.mass,
+            hbar=NAT.hbar, b0=field.b0, b1=field.b1, e_grad=field.e_grad)
+
+    @classmethod
+    def _walk_and_reference(cls, field, cfg, target):
         """(scores, n_capped, n_retired) of one chunk, from the walk and from
         the full-table reference walk over all 19 branches."""
         f0 = packet(G2, sigma_p=1.0).values
@@ -916,8 +927,7 @@ class TestMonteCarlo:
         ref = walk_reference(
             cfg.n_particles, seed, target[0], target[1], t_end=cfg.t_end, gamma0=gamma0,
             weight_cap=cfg.weight_cap, dp=G2.dp, mass=NAT.mass, n_p=G2.n_p, dx=G2.dx,
-            coefficients=lambda m, x: montecarlo._branch_coefficients(
-                m.T, x.T, field, G2, gamma0, 19),
+            coefficients=cls._table(field, gamma0),
             interp=lambda m, x: montecarlo._interp_initial(f0, G2, m.T, x.T, cfg.boundary))
         return got, ref
 
@@ -946,15 +956,81 @@ class TestMonteCarlo:
         assert (capped, retired) == (ref_capped, ref_retired)
         np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
 
+    # (value.hex(), stderr.hex(), n_capped, n_retired) of mc_estimate_point,
+    # recorded with the walk of commit 625ff69: a change to the draw order or
+    # to the walk's arithmetic moves them
+    WALK_PINS = {
+        ("gradient", 1): ("0x1.4a4933e0e049ap-6", "0x1.bd200d8a718bbp-10", 258, 0),
+        ("gradient", 2): ("0x1.72e71f955c493p-6", "0x1.b2fb1680acbcbp-10", 251, 0),
+        ("uniform", 1): ("-0x1.8c8c5ad0267b2p-12", "0x1.b0f6dbea596b3p-11", 159, 5),
+        ("uniform", 2): ("-0x1.058c9a15aa8f3p-10", "0x1.7ec5fe7756d6ep-10", 163, 11),
+    }
+    WALK_CASES = {
+        # b1 != 0, 19 branches: the cap ends most walks
+        "gradient": (LinearEMField(b0=2.0, b1=1.0), (np.array([0, 0]), np.array([0.0, 0.0])),
+                     "periodic", 1.5),
+        # b1 = 0, 5 branches, with force gradients: walks are capped and retired
+        "uniform": (LinearEMField(b0=2.0, e_grad=(0.3, -0.2)),
+                    (np.array([3, -1]), np.array([0.3, -0.2])), "zero", 16.0),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", ["gradient", "uniform"])
+    def test_walk_is_pinned(self, case, workers):
+        field, target, boundary, cap = self.WALK_CASES[case]
+        cfg = SolverConfig(dt=0.02, t_end=0.4, boundary=boundary, n_particles=400,
+                           rng_seed=3, weight_cap=cap)
+        est = mc_estimate_point(target, packet(G2, sigma_p=1.0), field, G2, cfg,
+                                workers=workers)
+        got = (est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired)
+        assert got == self.WALK_PINS[case, workers]
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 1000])
+    def test_rates_and_total_follow_the_table(self, n):
+        rng = np.random.default_rng(n)
+        midx = rng.integers(-4, 5, size=(2, n))
+        pos = rng.uniform(-1.5, 1.5, size=(2, n))
+        field = LinearEMField(b0=2.0, b1=-0.7, e_grad=(0.3, -0.2))
+        table = self._table(field, 7.0)(midx.T, pos.T)
+        h_x, h_y = montecarlo._hop_rates(midx * np.array(G2.dp)[:, None], pos, field, G2)
+        assert np.array_equal(h_x, table[:, 2]) and np.array_equal(h_y, table[:, 4])
+        k = np.zeros(19)
+        k[5:] = montecarlo._curvature_coefficients(field, G2)
+        assert np.array_equal(k[5:], table[0, 5:])
+        # NumPy's row sum over 19 columns is not left to right
+        total = montecarlo._total_19(np.abs(h_x), np.abs(h_y), 7.0, np.abs(k))
+        assert np.array_equal(total, np.abs(table).sum(axis=1))
+
+    def test_walk_memory_per_walker(self):
+        # the grid and first target of the mc_probe benchmark workload, which
+        # is this config at 15000 walkers in two chunks
+        cfg = load_config(pathlib.Path(__file__).resolve().parents[1]
+                          / "configs" / "mc_point_probe.json")
+        grid, field = cfg.build_grid(), cfg.build_field()
+        scfg = dataclasses.replace(cfg.build_solver_config(), n_particles=15000)
+        f0 = cfg.build_initial_state(grid)
+        target = (np.array([1, 0]), np.zeros(2))
+        mc_estimate_point(target, f0, field, grid, scfg, workers=2)
+        tracemalloc.start()
+        try:
+            current = tracemalloc.get_traced_memory()[0]
+            mc_estimate_point(target, f0, field, grid, scfg, workers=2)
+            peak = tracemalloc.get_traced_memory()[1] - current
+        finally:
+            tracemalloc.stop()
+        # 1.1741 MiB (164 B per walker of a chunk) measured with scoring
+        # deferred to the end of each chunk, plus 10%; the walk that scored
+        # in every round peaked at 2.27 MiB
+        assert peak <= 1.1741 * 1.1 * 2 ** 20
+
     def test_uniform_field_has_no_curvature_power(self):
+        # without b1 the walk samples branches 0-4 only
         rng = np.random.default_rng(23)
-        midx = rng.integers(-4, 5, size=(2, 50))
-        pos = rng.uniform(-1.5, 1.5, size=(2, 50))
+        midx = rng.integers(-4, 5, size=(50, 2))
+        pos = rng.uniform(-1.5, 1.5, size=(50, 2))
         field = LinearEMField(b0=2.0, e_grad=(0.3, -0.2))
-        full = montecarlo._branch_coefficients(midx, pos, field, G2, 7.0, 19)
-        assert np.all(full[:, 5:] == 0.0)
-        assert np.array_equal(montecarlo._branch_coefficients(midx, pos, field, G2, 7.0, 5),
-                              full[:, :5])
+        assert np.all(self._table(field, 7.0)(midx, pos)[:, 5:] == 0.0)
+        assert np.all(montecarlo._curvature_coefficients(field, G2) == 0.0)
 
     def test_walk_ending_in_the_last_allowed_round_returns(self, monkeypatch):
         # at this rate every walker reaches t = 0 in its first round
@@ -1091,6 +1167,25 @@ class TestGeneralAssembler:
         for _ in range(2):
             assert np.array_equal(rhs(f), first)
         assert len(calls) == 1
+
+    def test_call_allocates_no_state_sized_temporaries(self):
+        # a 162 KiB state: NumPy's ufunc buffers (8192 items) stay well below it
+        grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (16, 16), (4, 4), NAT)
+        # every coupling present: electric, Lorentz and gradient spectra
+        field = LinearEMField(b0=0.5, b1=0.8, e_grad=(0.3, -0.2))
+        rhs = general.make_rhs(compute_kernels(field, grid, include_square=False),
+                               grid, self.cfg)
+        f = packet(grid).values
+        out = np.empty_like(f)
+        rhs(f, out)
+        tracemalloc.start()
+        try:
+            current = tracemalloc.get_traced_memory()[0]
+            assert rhs(f, out) is out
+            peak = tracemalloc.get_traced_memory()[1] - current
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * f.nbytes
 
     def test_requires_full_grid_tables(self):
         field = LinearEMField(b0=1.0)
