@@ -15,9 +15,11 @@ that reaches t = 0 records its weight and end point, and each chunk is
 scored in one pass after its walk.  Walker arrays hold one row per axis and
 one column per walker.  The curvature branches 5-18 carry b1, so a field
 without b1 samples 5 branches.  A collision reads the hop rates as per-walker
-arrays and the curvature coefficients as constants, and sums them in the
-order of NumPy's row sum over the (walkers, branches) coefficient table, so
-the walk matches a walk over that table bit for bit.
+arrays and the curvature coefficients as constants.  Its running sums go
+left to right; the row total is the last running sum for 5 branches (NumPy
+sums a 5-column row left to right) and NumPy's row sum of the (walkers, 19)
+|coefficient| table otherwise, so the walk matches a walk over that table
+bit for bit.
 
 Walks are split into `workers` chunks with independent seed streams, run one
 after another, and a fixed draw order (one exponential and one uniform
@@ -158,27 +160,18 @@ def _curvature_coefficients(field: LinearEMField, grid: PhaseSpaceGrid) -> np.nd
     return np.array(curv)
 
 
-def _total_19(a_x: np.ndarray, a_y: np.ndarray, gamma0: float, k: np.ndarray) -> np.ndarray:
-    """Row sums of |coefficient| over the 19 branches, in NumPy's order for 19 columns.
+def _row_total(a_x: np.ndarray, a_y: np.ndarray, gamma0: float, k: np.ndarray) -> np.ndarray:
+    """Row sums of the (n, 19) |coefficient| table, summed by NumPy in its own order.
 
     a_x, a_y are |h_x|, |h_y|, and k holds the 19 |coefficients| with
-    entries 0-4 unused (column 0 is gamma0).  NumPy sums a contiguous row of 19 as eight partial sums of
-    columns j and j + 8, joined pairwise, then adds columns 16-18 in turn;
-    this repeats that order so the total is bit-equal to the table's sum.
+    entries 0-4 unused (column 0 is gamma0).
     """
-    total = a_x + k[9]
-    total += gamma0 + k[8]
-    part = a_x + k[10]
-    tail = a_y + k[11]
-    part += tail
-    total += part
-    np.add(a_y, k[12], out=tail)
-    tail += k[5] + k[13]
-    tail += (k[6] + k[14]) + (k[7] + k[15])
-    total += tail
-    for j in (16, 17, 18):
-        total += k[j]
-    return total
+    table = np.empty((a_x.size, 19))
+    table[:, 0] = gamma0
+    table[:, 1] = table[:, 2] = a_x
+    table[:, 3] = table[:, 4] = a_y
+    table[:, 5:] = k[5:]
+    return table.sum(axis=1)
 
 
 class _Branches:
@@ -211,7 +204,7 @@ def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarra
     its move and signed weight factor sign * total / gamma0 in place.
 
     The sums are those of the (n, nb) |coefficient| table: running sums
-    left to right, and the row total in NumPy's own order.  u is spent.
+    left to right, and the row total as NumPy sums the table.  u is spent.
     """
     nb, k = br.nb, br.power
     h_x, h_y = _hop_rates(p, pos, field, grid)
@@ -219,7 +212,7 @@ def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarra
     sel += (h_y < 0) * (2 * nb)
     a_x = np.abs(h_x, out=h_x)
     a_y = np.abs(h_y, out=h_y)
-    total = _total_19(a_x, a_y, gamma0, k) if nb > 5 else None
+    total = _row_total(a_x, a_y, gamma0, k) if nb > 5 else None
     # running sums over branches 0-4; for 5 branches the last is the row
     # total, which NumPy sums left to right
     s_1 = a_x + gamma0
@@ -261,8 +254,9 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     dp, mass = np.array(grid.dp)[:, None], grid.constants.mass
     n_p = np.array(grid.n_p)[:, None]
-    # momentum indices reach n_p + 1 before a walker is retired
-    m_type = np.min_scalar_type(-max(grid.n_p) - 1)
+    # momentum indices reach +-(n_p + 1) before a walker is retired, and
+    # np.abs of -(n_p + 1) must not wrap
+    m_type = np.min_scalar_type(-(max(grid.n_p) + 2))
     br = _Branches(field, grid, m_type)
 
     scores = np.zeros(n)

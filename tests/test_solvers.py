@@ -908,27 +908,27 @@ class TestMonteCarlo:
         assert np.isfinite(est.value)
 
     @staticmethod
-    def _table(field, gamma0):
-        """The oracle's (k, 19) coefficient table on G2, as a function of
+    def _table(field, gamma0, grid=G2):
+        """The oracle's (k, 19) coefficient table on grid, as a function of
         (midx, pos) with one row per walker."""
         return lambda m, x: walk_coefficients(
-            m, x, gamma0=gamma0, dp=G2.dp, dx=G2.dx, charge=NAT.charge, mass=NAT.mass,
+            m, x, gamma0=gamma0, dp=grid.dp, dx=grid.dx, charge=NAT.charge, mass=NAT.mass,
             hbar=NAT.hbar, b0=field.b0, b1=field.b1, e_grad=field.e_grad)
 
     @classmethod
-    def _walk_and_reference(cls, field, cfg, target):
+    def _walk_and_reference(cls, field, cfg, target, grid=G2, f0=None):
         """(scores, n_capped, n_retired) of one chunk, from the walk and from
         the full-table reference walk over all 19 branches."""
-        f0 = packet(G2, sigma_p=1.0).values
-        gamma0 = default_gamma0(field, G2, cfg)
+        f0 = packet(grid, sigma_p=1.0).values if f0 is None else f0.values
+        gamma0 = default_gamma0(field, grid, cfg)
         seed = [cfg.rng_seed, 0]
         got = montecarlo._run_chunk(cfg.n_particles, seed, target[0], target[1], f0,
-                                    field, G2, cfg, gamma0)
+                                    field, grid, cfg, gamma0)
         ref = walk_reference(
             cfg.n_particles, seed, target[0], target[1], t_end=cfg.t_end, gamma0=gamma0,
-            weight_cap=cfg.weight_cap, dp=G2.dp, mass=NAT.mass, n_p=G2.n_p, dx=G2.dx,
-            coefficients=cls._table(field, gamma0),
-            interp=lambda m, x: montecarlo._interp_initial(f0, G2, m.T, x.T, cfg.boundary))
+            weight_cap=cfg.weight_cap, dp=grid.dp, mass=NAT.mass, n_p=grid.n_p, dx=grid.dx,
+            coefficients=cls._table(field, gamma0, grid),
+            interp=lambda m, x: montecarlo._interp_initial(f0, grid, m.T, x.T, cfg.boundary))
         return got, ref
 
     @pytest.mark.parametrize("b1", [1.0, 0.0], ids=["gradient", "uniform"])
@@ -953,6 +953,23 @@ class TestMonteCarlo:
         (scores, capped, retired), (ref, ref_capped, ref_retired) = self._walk_and_reference(
             LinearEMField(b0=2.0, b1=b1), cfg, (np.array([4, 0]), np.array([0.3, -0.2])))
         assert retired > 0
+        assert (capped, retired) == (ref_capped, ref_retired)
+        np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("edge", [1, -1], ids=["top", "bottom"])
+    @pytest.mark.parametrize("n_p", [126, 127])
+    def test_walk_at_an_index_type_limit_matches_reference(self, n_p, edge):
+        # walkers hop to +-(n_p + 1) before they retire: 128 leaves int8,
+        # and must retire rather than wrap around to the other lattice edge
+        grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (4, 4), (n_p, 1), NAT)
+        f0 = packet(grid, sigma_p=3.0, momentum=(edge * n_p * grid.dp[0], 0.0))
+        # a short walk, so that most walkers reach t = 0 before they hop off
+        cfg = SolverConfig(dt=0.01, t_end=0.05, boundary="periodic", n_particles=400,
+                           rng_seed=3)
+        target = (np.array([edge * n_p, 0]), np.array([0.3, -0.2]))
+        (scores, capped, retired), (ref, ref_capped, ref_retired) = self._walk_and_reference(
+            LinearEMField(b0=0.5, e_grad=(0.3, -0.2)), cfg, target, grid, f0)
+        assert retired > 0 and np.any(scores != 0.0)
         assert (capped, retired) == (ref_capped, ref_retired)
         np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
 
@@ -997,8 +1014,7 @@ class TestMonteCarlo:
         k = np.zeros(19)
         k[5:] = montecarlo._curvature_coefficients(field, G2)
         assert np.array_equal(k[5:], table[0, 5:])
-        # NumPy's row sum over 19 columns is not left to right
-        total = montecarlo._total_19(np.abs(h_x), np.abs(h_y), 7.0, np.abs(k))
+        total = montecarlo._row_total(np.abs(h_x), np.abs(h_y), 7.0, np.abs(k))
         assert np.array_equal(total, np.abs(table).sum(axis=1))
 
     def test_walk_memory_per_walker(self):
