@@ -3,7 +3,9 @@
 Subcommands: run, validate, magnitudes, diff, emit-plot.  Environment
 overrides are limited to SDWIGNER_OUT (output directory) and SDWIGNER_WORKERS
 (how many seed streams the stochastic estimator splits its walkers into;
-the streams run one after another); command-line flags win over both.
+the streams run one after another); command-line flags win over both.  A
+worker count below 1 or not an integer, like a negative --seed, is a config
+error (exit 2) raised before any file is written.
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a config end to end")
     p_run.add_argument("config", help="path to a JSON run configuration")
     p_run.add_argument("--out", default=None, help="output directory override")
-    p_run.add_argument("--seed", type=int, default=None, help="RNG seed override")
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="RNG seed override, >= 0; enters the config hash")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="split the mc walkers into this many seed streams, "
-                            "run one after another (not in parallel)")
+                       help="split the mc walkers into this many seed streams "
+                            "(an integer >= 1), run one after another (not in "
+                            "parallel)")
 
     p_val = sub.add_parser("validate", help="check a config and print its hash")
     p_val.add_argument("config")
@@ -86,10 +90,17 @@ def _resolved_out(flag_value):
 
 
 def _resolved_workers(flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_WORKERS)
-    return int(env) if env else 1
+    """--workers, else SDWIGNER_WORKERS, else 1; anything but an integer
+    >= 1 fails as a config error naming where it came from."""
+    source, raw = (("--workers", flag_value) if flag_value is not None
+                   else (ENV_WORKERS, os.environ.get(ENV_WORKERS) or "1"))
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(source, f"must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _cmd_run(args) -> int:

@@ -4,6 +4,13 @@ The file format is JSON with unit-suffixed keys (lengths in nm, times in fs,
 fields in T and T/m).  Values are kept in file units inside SimulationConfig
 so that write_config/load_config round-trips are exact; conversion to SI
 happens only in the build_* methods.
+
+Each file key is declared once, as a SimulationConfig field whose metadata
+(`Key`) gives its section, kind, default and range rule.  Parsing, defaults,
+the canonical dump and the constants, field and solver builders are loops
+over those declarations (`SCHEMA`).  A key that feeds a builder takes its
+default from that builder's own field.  Only rules that tie several keys
+together are code.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -21,11 +28,15 @@ from .solvers.common import SolverConfig, SolverConfigError
 
 NM = 1e-9
 FS = 1e-15
+DIM = 2     # every solver runs on 2D grids, so every per-axis key has 2 entries
 
+SECTIONS = ("grid", "constants", "field", "initial_state", "solver", "output")
+OPTIONAL_SECTIONS = ("constants", "output")
 METHODS = ("semidiscrete", "continuum", "fredholm", "mc")
 OBSERVABLES = ("mass", "mean_momentum", "boundary_fraction")
-# SolverConfig fields whose file key carries a unit suffix
-SOLVER_KEYS = {"dt": "dt_fs", "t_end": "t_end_fs", "gamma0": "gamma0_per_s"}
+# the object each builder section's keys are handed to, and whose defaults they take
+BUILDS = {"constants": PhysicalConstants, "field": LinearEMField, "solver": SolverConfig}
+REQUIRED = object()     # the default of a key the file must give
 
 
 class ConfigError(ValueError):
@@ -58,78 +69,185 @@ def _checked(value, path, kind):
     return value
 
 
-def _axis_tuple(value, dim, path, kind=float):
-    """Accept a scalar or a per-axis list; always return a dim-tuple."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != dim:
-            _fail(path, f"expected {dim} entries, got {len(value)}")
-        items = value
-    else:
-        items = [value] * dim
-    return tuple(kind(_checked(v, f"{path}[{i}]", kind)) for i, v in enumerate(items))
-
-
-def _require_keys(section: dict, allowed, path):
-    for key in section:
-        if key not in allowed:
-            _fail(f"{path}.{key}", "unknown key")
-
-
 @dataclass(frozen=True)
-class GaussianStateSpec:
-    center_nm: tuple
-    sigma_nm: tuple
-    momentum_dP: tuple
-    sigma_p_dP: tuple
+class Key:
+    """One file key: `section.name`.
+
+    kind is int, float, str or bool, or a parser (value, path) -> value.
+    default is REQUIRED for a key the file must give; None also admits null.  axes:
+    a scalar or one entry per axis, stored as a tuple.  rule is a
+    (predicate, message) pair checked on each entry.  to names the builder
+    field (of BUILDS[section]) the value feeds, times scale if given.  when
+    restricts the key to one initial_state type.
+    """
+
+    section: Optional[str]
+    kind: object
+    default: object = REQUIRED
+    name: Optional[str] = None
+    axes: bool = False
+    rule: Optional[tuple] = None
+    to: Optional[str] = None
+    scale: Optional[float] = None
+    when: Optional[str] = None
+
+
+def _key(*args, **kwargs):
+    return field(metadata={"key": Key(*args, **kwargs)})
+
+
+def _declared(cls) -> dict:
+    """Attribute -> Key of each field of `cls`, with name and default filled in."""
+    keys = {}
+    for f in fields(cls):
+        k = f.metadata["key"]
+        default = k.default
+        if default is REQUIRED and k.to:
+            default = next((g.default for g in fields(BUILDS[k.section])
+                            if g.name == k.to and g.default is not MISSING), REQUIRED)
+        keys[f.name] = replace(k, name=k.name or f.name, default=default)
+    return keys
+
+
+def _value(value, path, k: Key):
+    """The value of key k read at path: type- and rule-checked, per-axis
+    keys as a tuple."""
+    if value is None and k.default is None:
+        return None
+    if k.kind not in (int, float, str, bool):
+        return k.kind(value, path)
+    if not k.axes:
+        return _scalar(value, path, k)
+    if not isinstance(value, (list, tuple)):
+        value = [value] * DIM
+    elif len(value) != DIM:
+        _fail(path, f"expected {DIM} entries, got {len(value)}")
+    return tuple(_scalar(v, f"{path}[{i}]", k) for i, v in enumerate(value))
+
+
+def _scalar(value, path, k: Key):
+    value = k.kind(_checked(value, path, k.kind))
+    if k.rule and not k.rule[0](value):
+        _fail(path, k.rule[1])
+    return value
+
+
+def _parse_object(obj, path: str, keys: dict, values: dict) -> dict:
+    """Read the declared `keys` of the JSON object at `path` into `values`.
+
+    A key restricted to another initial_state type reads as None and is
+    refused like any undeclared key.
+    """
+    if not isinstance(obj, dict):
+        _fail(path, "must be an object")
+    live = set()
+    for attr, k in keys.items():
+        if k.when not in (None, values.get("state_type")):
+            values[attr] = None
+            continue
+        live.add(k.name)
+        where = f"{path}.{k.name}"
+        if k.name in obj:
+            values[attr] = _value(obj[k.name], where, k)
+        elif k.default is REQUIRED:
+            _fail(where, "required key missing")
+        else:
+            values[attr] = _value(k.default, where, k)
+    for name in obj:
+        if name not in live:
+            _fail(f"{path}.{name}", "unknown key")
+    return values
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+
+
+def _one_of(options):
+    return (lambda v: v in options, f"must be one of {', '.join(options)}")
+
+
+def _observables(value, path) -> tuple:
+    if not isinstance(value, list) or not value:
+        _fail(path, "must be a non-empty list")
+    for i, name in enumerate(value):
+        if name not in OBSERVABLES:
+            _fail(f"{path}[{i}]",
+                  f"unknown observable; choose from {', '.join(OBSERVABLES)}")
+    return tuple(value)
+
+
+def _targets(value, path) -> tuple:
+    if not isinstance(value, list):
+        _fail(path, "must be a list")
+    return tuple(McTarget(**_parse_object(t, f"{path}[{i}]", _TARGET_KEYS, {}))
+                 for i, t in enumerate(value))
 
 
 @dataclass(frozen=True)
 class McTarget:
-    m_index: tuple
-    position_nm: tuple
+    m_index: tuple = _key(None, int, 0, axes=True)
+    position_nm: tuple = _key(None, float, 0.0, axes=True)
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Validated run description in file units; see docs/config_schema.md."""
 
-    dim: int
-    coherence_length_nm: tuple
-    omega_extent_nm: tuple
-    n_x: tuple
-    n_p: tuple
-    hbar_Js: float
-    charge_C: float
-    mass_kg: float
-    e_grad_V_per_m2: tuple
-    b0_T: float
-    b1_T_per_m: float
-    state_type: str                      # "gaussian" | "file"
-    gaussian: Optional[GaussianStateSpec]
-    state_file: Optional[str]
-    method: str
-    dt_fs: float
-    t_end_fs: float
-    boundary: str
-    stencil_order: int
-    m_truncation: Optional[int]
-    gamma0_per_s: Optional[float]
-    rng_seed: int
-    n_particles: int
-    fredholm_tol: float
-    fredholm_max_iter: int
-    weight_cap: float
-    mc_targets: tuple = ()
-    output_directory: str = "out"
-    snapshot_every: int = 0
-    observables: tuple = OBSERVABLES
-    binary_states: bool = True
+    dim: int = _key("grid", int, rule=(lambda v: v == DIM,
+                                       "must be 2; every solver runs on 2D grids"))
+    coherence_length_nm: tuple = _key("grid", float, axes=True, rule=_POSITIVE)
+    omega_extent_nm: tuple = _key("grid", float, axes=True, rule=_POSITIVE)
+    n_x: tuple = _key("grid", int, axes=True, rule=_AT_LEAST_1)
+    n_p: tuple = _key("grid", int, axes=True, rule=_AT_LEAST_1)
+    hbar_Js: float = _key("constants", float, to="hbar", rule=_POSITIVE)
+    charge_C: float = _key("constants", float, to="charge", rule=_POSITIVE)
+    mass_kg: float = _key("constants", float, to="mass", rule=_POSITIVE)
+    field_type: str = _key("field", str, "linear", name="type", rule=(
+        lambda v: v == "linear", "must be 'linear': the solvers need a linear "
+                                 "profile, and sampled tables drive the kernel API only"))
+    e_grad_V_per_m2: tuple = _key("field", float, axes=True, to="e_grad")
+    b0_T: float = _key("field", float, to="b0")
+    b1_T_per_m: float = _key("field", float, to="b1")
+    state_type: str = _key("initial_state", str, "gaussian", name="type",
+                           rule=_one_of(("gaussian", "file")))
+    center_nm: Optional[tuple] = _key("initial_state", float, 0.0, axes=True,
+                                      when="gaussian")
+    sigma_nm: Optional[tuple] = _key("initial_state", float, 10.0, axes=True,
+                                     rule=_POSITIVE, when="gaussian")
+    momentum_dP: Optional[tuple] = _key("initial_state", float, 0.0, axes=True,
+                                        when="gaussian")
+    sigma_p_dP: Optional[tuple] = _key("initial_state", float, 1.5, axes=True,
+                                       rule=_POSITIVE, when="gaussian")
+    state_file: Optional[str] = _key("initial_state", str, name="file", when="file")
+    method: str = _key("solver", str, rule=_one_of(METHODS))
+    dt_fs: float = _key("solver", float, to="dt", scale=FS)
+    t_end_fs: float = _key("solver", float, to="t_end", scale=FS)
+    boundary: str = _key("solver", str, to="boundary")
+    stencil_order: int = _key("solver", int, to="stencil_order")
+    m_truncation: Optional[int] = _key("solver", int, to="m_truncation")
+    gamma0_per_s: Optional[float] = _key("solver", float, to="gamma0")
+    rng_seed: int = _key("solver", int, to="rng_seed")
+    n_particles: int = _key("solver", int, to="n_particles")
+    fredholm_tol: float = _key("solver", float, to="fredholm_tol")
+    fredholm_max_iter: int = _key("solver", int, to="fredholm_max_iter")
+    weight_cap: float = _key("solver", float, to="weight_cap")
+    mc_targets: tuple = _key("solver", _targets, [])
+    output_directory: str = _key("output", str, "out", name="directory")
+    snapshot_every: int = _key("output", int, 0, rule=(
+        lambda v: v >= 0, "must be a non-negative integer"))
+    observables: tuple = _key("output", _observables, list(OBSERVABLES))
+    binary_states: bool = _key("output", bool, True)
 
     # ----- SI builders -------------------------------------------------
 
+    def _build(self, section):
+        return BUILDS[section](**{
+            k.to: getattr(self, attr) if k.scale is None else getattr(self, attr) * k.scale
+            for attr, k in SCHEMA.items() if k.section == section and k.to})
+
     def build_constants(self) -> PhysicalConstants:
-        return PhysicalConstants(hbar=self.hbar_Js, charge=self.charge_C,
-                                 mass=self.mass_kg)
+        return self._build("constants")
 
     def build_grid(self) -> PhaseSpaceGrid:
         L = tuple(v * NM for v in self.coherence_length_nm)
@@ -138,23 +256,15 @@ class SimulationConfig:
                          self.build_constants())
 
     def build_field(self) -> LinearEMField:
-        return LinearEMField(e_grad=self.e_grad_V_per_m2, b0=self.b0_T,
-                             b1=self.b1_T_per_m)
+        return self._build("field")
 
     def build_solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            dt=self.dt_fs * FS,
-            t_end=self.t_end_fs * FS,
-            m_truncation=self.m_truncation,
-            gamma0=self.gamma0_per_s,
-            stencil_order=self.stencil_order,
-            boundary=self.boundary,
-            rng_seed=self.rng_seed,
-            n_particles=self.n_particles,
-            fredholm_tol=self.fredholm_tol,
-            fredholm_max_iter=self.fredholm_max_iter,
-            weight_cap=self.weight_cap,
-        )
+        """The solver knobs in SI; a value out of range fails at its file key."""
+        try:
+            return self._build("solver")
+        except SolverConfigError as exc:
+            key = next(k for k in SCHEMA.values() if k.section == "solver" and k.to == exc.field)
+            raise ConfigError(f"solver.{key.name}", exc.rule) from exc
 
     def build_initial_state(self, grid: PhaseSpaceGrid):
         if self.state_type == "file":
@@ -166,74 +276,23 @@ class SimulationConfig:
                                   f"match the configured grid {grid.state_shape}")
             return state
         from .states import gaussian_wigner
-        g = self.gaussian
         return gaussian_wigner(
             grid,
-            center=tuple(v * NM for v in g.center_nm),
-            sigma_x=tuple(v * NM for v in g.sigma_nm),
-            momentum_center=tuple(m * dp for m, dp in zip(g.momentum_dP, grid.dp)),
-            sigma_p=tuple(s * dp for s, dp in zip(g.sigma_p_dP, grid.dp)),
+            center=tuple(v * NM for v in self.center_nm),
+            sigma_x=tuple(v * NM for v in self.sigma_nm),
+            momentum_center=tuple(m * dp for m, dp in zip(self.momentum_dP, grid.dp)),
+            sigma_p=tuple(s * dp for s, dp in zip(self.sigma_p_dP, grid.dp)),
         )
 
     # ----- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {
-            "grid": {
-                "dim": self.dim,
-                "coherence_length_nm": list(self.coherence_length_nm),
-                "omega_extent_nm": list(self.omega_extent_nm),
-                "n_x": list(self.n_x),
-                "n_p": list(self.n_p),
-            },
-            "constants": {
-                "hbar_Js": self.hbar_Js,
-                "charge_C": self.charge_C,
-                "mass_kg": self.mass_kg,
-            },
-            "field": {
-                "type": "linear",
-                "e_grad_V_per_m2": list(self.e_grad_V_per_m2),
-                "b0_T": self.b0_T,
-                "b1_T_per_m": self.b1_T_per_m,
-            },
-            "initial_state": {"type": self.state_type},
-            "solver": {
-                "method": self.method,
-                "dt_fs": self.dt_fs,
-                "t_end_fs": self.t_end_fs,
-                "boundary": self.boundary,
-                "stencil_order": self.stencil_order,
-                "m_truncation": self.m_truncation,
-                "gamma0_per_s": self.gamma0_per_s,
-                "rng_seed": self.rng_seed,
-                "n_particles": self.n_particles,
-                "fredholm_tol": self.fredholm_tol,
-                "fredholm_max_iter": self.fredholm_max_iter,
-                "weight_cap": self.weight_cap,
-            },
-            "output": {
-                "directory": self.output_directory,
-                "snapshot_every": self.snapshot_every,
-                "observables": list(self.observables),
-                "binary_states": self.binary_states,
-            },
-        }
-        if self.state_type == "gaussian":
-            g = self.gaussian
-            d["initial_state"].update({
-                "center_nm": list(g.center_nm),
-                "sigma_nm": list(g.sigma_nm),
-                "momentum_dP": list(g.momentum_dP),
-                "sigma_p_dP": list(g.sigma_p_dP),
-            })
-        else:
-            d["initial_state"]["file"] = self.state_file
-        if self.mc_targets:
-            d["solver"]["mc_targets"] = [
-                {"m_index": list(t.m_index), "position_nm": list(t.position_nm)}
-                for t in self.mc_targets
-            ]
+        d = {section: {} for section in SECTIONS}
+        for attr, k in SCHEMA.items():
+            if k.when in (None, self.state_type):
+                d[k.section][k.name] = _plain(getattr(self, attr))
+        if not self.mc_targets:
+            del d["solver"]["mc_targets"]
         return d
 
     def canonical_json(self) -> str:
@@ -243,210 +302,61 @@ class SimulationConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def with_seed(self, seed: int) -> "SimulationConfig":
-        from dataclasses import replace
-        return replace(self, rng_seed=int(seed))
+        """This config with rng_seed replaced; a seed out of range fails at
+        solver.rng_seed."""
+        cfg = replace(self, rng_seed=int(seed))
+        cfg.build_solver_config()
+        return cfg
+
+
+SCHEMA = _declared(SimulationConfig)
+_TARGET_KEYS = _declared(McTarget)
+
+
+def _plain(value):
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationConfig:
     if not isinstance(data, dict):
         _fail("<root>", "top level must be an object")
-    _require_keys(data, ("grid", "constants", "field", "initial_state",
-                         "solver", "output"), "<root>")
-    for name in ("grid", "field", "initial_state", "solver"):
-        if name not in data:
-            _fail(name, "required section missing")
-        if not isinstance(data[name], dict):
-            _fail(name, "must be an object")
-
-    g = data["grid"]
-    _require_keys(g, ("dim", "coherence_length_nm", "omega_extent_nm",
-                      "n_x", "n_p"), "grid")
-    dim = g.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim != 2:
-        _fail("grid.dim", "must be 2; every solver runs on 2D grids")
-    for key in ("coherence_length_nm", "omega_extent_nm", "n_x", "n_p"):
-        if key not in g:
-            _fail(f"grid.{key}", "required key missing")
-    L = _axis_tuple(g["coherence_length_nm"], dim, "grid.coherence_length_nm")
-    omega = _axis_tuple(g["omega_extent_nm"], dim, "grid.omega_extent_nm")
-    n_x = _axis_tuple(g["n_x"], dim, "grid.n_x", int)
-    n_p = _axis_tuple(g["n_p"], dim, "grid.n_p", int)
-    for i in range(dim):
-        if L[i] <= 0:
-            _fail(f"grid.coherence_length_nm[{i}]", "must be positive")
-        if omega[i] <= 0:
-            _fail(f"grid.omega_extent_nm[{i}]", "must be positive")
-        if omega[i] > L[i] / 2:
-            _fail(f"grid.omega_extent_nm[{i}]",
-                  f"bounded-domain constraint requires omega <= L/2 "
-                  f"(got omega={omega[i]} nm, L={L[i]} nm)")
-        if n_x[i] < 1:
-            _fail(f"grid.n_x[{i}]", "must be at least 1")
-        if n_p[i] < 1:
-            _fail(f"grid.n_p[{i}]", "must be at least 1")
-
-    cons = data.get("constants", {})
-    if not isinstance(cons, dict):
-        _fail("constants", "must be an object")
-    _require_keys(cons, ("hbar_Js", "charge_C", "mass_kg"), "constants")
-    defaults = PhysicalConstants()
-    hbar, charge, mass = (
-        float(_checked(cons.get(name, default), f"constants.{name}", float))
-        for name, default in (("hbar_Js", defaults.hbar), ("charge_C", defaults.charge),
-                              ("mass_kg", defaults.mass)))
-    for name, v in (("hbar_Js", hbar), ("charge_C", charge), ("mass_kg", mass)):
-        if v <= 0:
-            _fail(f"constants.{name}", "must be positive")
-
-    f = data["field"]
-    if f.get("type", "linear") != "linear":
-        _fail("field.type", "must be 'linear': the solvers need a linear profile, "
-                            "and sampled tables drive the kernel API only")
-    _require_keys(f, ("type", "e_grad_V_per_m2", "b0_T", "b1_T_per_m"), "field")
-    e_grad = _axis_tuple(f.get("e_grad_V_per_m2", 0.0), 2, "field.e_grad_V_per_m2")
-    b0 = float(_checked(f.get("b0_T", 0.0), "field.b0_T", float))
-    b1 = float(_checked(f.get("b1_T_per_m", 0.0), "field.b1_T_per_m", float))
-
-    s = data["initial_state"]
-    stype = s.get("type", "gaussian")
-    gaussian = None
-    sfile = None
-    if stype == "gaussian":
-        _require_keys(s, ("type", "center_nm", "sigma_nm", "momentum_dP",
-                          "sigma_p_dP"), "initial_state")
-        gaussian = GaussianStateSpec(
-            center_nm=_axis_tuple(s.get("center_nm", 0.0), dim,
-                                  "initial_state.center_nm"),
-            sigma_nm=_axis_tuple(s.get("sigma_nm", 10.0), dim,
-                                 "initial_state.sigma_nm"),
-            momentum_dP=_axis_tuple(s.get("momentum_dP", 0.0), dim,
-                                    "initial_state.momentum_dP"),
-            sigma_p_dP=_axis_tuple(s.get("sigma_p_dP", 1.5), dim,
-                                   "initial_state.sigma_p_dP"),
-        )
-        for i, v in enumerate(gaussian.sigma_nm):
-            if v <= 0:
-                _fail(f"initial_state.sigma_nm[{i}]", "must be positive")
-        for i, v in enumerate(gaussian.sigma_p_dP):
-            if v <= 0:
-                _fail(f"initial_state.sigma_p_dP[{i}]", "must be positive")
-    elif stype == "file":
-        _require_keys(s, ("type", "file"), "initial_state")
-        if "file" not in s:
-            _fail("initial_state.file", "state file path required")
-        sfile = str(s["file"])
+    for name in data:
+        if name not in SECTIONS:
+            _fail(f"<root>.{name}", "unknown key")
+    values = {}
+    for section in SECTIONS:
+        if section not in data and section not in OPTIONAL_SECTIONS:
+            _fail(section, "required section missing")
+        _parse_object(data.get(section, {}), section,
+                      {a: k for a, k in SCHEMA.items() if k.section == section}, values)
+    if values["state_type"] == "file":
         if base_dir is not None:
-            sfile = str((base_dir / sfile).resolve())
-        if not Path(sfile).exists():
-            _fail("initial_state.file", f"file not found: {sfile}")
-    else:
-        _fail("initial_state.type", "must be 'gaussian' or 'file'")
-
-    sol = data["solver"]
-    _require_keys(sol, ("method", "dt_fs", "t_end_fs", "boundary",
-                        "stencil_order", "m_truncation", "gamma0_per_s",
-                        "rng_seed", "n_particles", "fredholm_tol",
-                        "fredholm_max_iter", "weight_cap", "mc_targets"),
-                  "solver")
-    method = sol.get("method")
-    if method not in METHODS:
-        _fail("solver.method", f"must be one of {', '.join(METHODS)}")
-    if "dt_fs" not in sol or "t_end_fs" not in sol:
-        _fail("solver.dt_fs", "dt_fs and t_end_fs are required")
-
-    def solver_value(key, default, kind, nullable=False):
-        value = sol.get(key, default)
-        return None if nullable and value is None else _checked(value, f"solver.{key}", kind)
-
-    dt_fs = float(solver_value("dt_fs", None, float))
-    t_end_fs = float(solver_value("t_end_fs", None, float))
-    m_trunc = solver_value("m_truncation", None, int, nullable=True)
-    gamma0 = solver_value("gamma0_per_s", None, float, nullable=True)
-    if gamma0 is not None:
-        gamma0 = float(gamma0)
-    mc_targets = sol.get("mc_targets", [])
-    if not isinstance(mc_targets, list):
-        _fail("solver.mc_targets", "must be a list")
-    targets = []
-    for k, t in enumerate(mc_targets):
-        path = f"solver.mc_targets[{k}]"
-        if not isinstance(t, dict):
-            _fail(path, "must be an object with m_index and position_nm")
-        _require_keys(t, ("m_index", "position_nm"), path)
-        targets.append(McTarget(
-            m_index=_axis_tuple(t.get("m_index", 0), dim, f"{path}.m_index", int),
-            position_nm=_axis_tuple(t.get("position_nm", 0.0), dim,
-                                    f"{path}.position_nm"),
-        ))
-    if method == "mc" and not targets:
-        _fail("solver.mc_targets", "mc runs need at least one target")
-
-    out = data.get("output", {})
-    if not isinstance(out, dict):
-        _fail("output", "must be an object")
-    _require_keys(out, ("directory", "snapshot_every", "observables",
-                        "binary_states"), "output")
-    observables = out.get("observables", list(OBSERVABLES))
-    if not isinstance(observables, list) or not observables:
-        _fail("output.observables", "must be a non-empty list")
-    for i, name in enumerate(observables):
-        if name not in OBSERVABLES:
-            _fail(f"output.observables[{i}]",
-                  f"unknown observable; choose from {', '.join(OBSERVABLES)}")
-    snapshot_every = _checked(out.get("snapshot_every", 0), "output.snapshot_every", int)
-    if snapshot_every < 0:
-        _fail("output.snapshot_every", "must be a non-negative integer")
-
-    cfg = SimulationConfig(
-        dim=dim,
-        coherence_length_nm=L,
-        omega_extent_nm=omega,
-        n_x=n_x,
-        n_p=n_p,
-        hbar_Js=hbar,
-        charge_C=charge,
-        mass_kg=mass,
-        e_grad_V_per_m2=e_grad,
-        b0_T=b0,
-        b1_T_per_m=b1,
-        state_type=stype,
-        gaussian=gaussian,
-        state_file=sfile,
-        method=method,
-        dt_fs=dt_fs,
-        t_end_fs=t_end_fs,
-        boundary=solver_value("boundary", "zero", str),
-        stencil_order=solver_value("stencil_order", 2, int),
-        m_truncation=m_trunc,
-        gamma0_per_s=gamma0,
-        rng_seed=solver_value("rng_seed", 0, int),
-        n_particles=solver_value("n_particles", 20000, int),
-        fredholm_tol=solver_value("fredholm_tol", 1e-8, float),
-        fredholm_max_iter=solver_value("fredholm_max_iter", 200, int),
-        weight_cap=solver_value("weight_cap", 1e6, float),
-        mc_targets=tuple(targets),
-        output_directory=_checked(out.get("directory", "out"), "output.directory", str),
-        snapshot_every=snapshot_every,
-        observables=tuple(observables),
-        binary_states=_checked(out.get("binary_states", True), "output.binary_states", bool),
-    )
+            values["state_file"] = str((base_dir / values["state_file"]).resolve())
+        if not Path(values["state_file"]).exists():
+            _fail("initial_state.file", f"file not found: {values['state_file']}")
+    cfg = SimulationConfig(**values)
     _validate_cross(cfg)
     return cfg
 
 
 def _validate_cross(cfg: SimulationConfig):
-    """Checks that need several sections at once (solver limits, CFL)."""
-    try:
-        solver_cfg = cfg.build_solver_config()
-    except SolverConfigError as exc:
-        raise ConfigError(f"solver.{SOLVER_KEYS.get(exc.field, exc.field)}", exc.rule) from exc
+    """Checks that need several keys at once (window bound, targets, CFL)."""
+    for i, (L, omega) in enumerate(zip(cfg.coherence_length_nm, cfg.omega_extent_nm)):
+        if omega > L / 2:
+            _fail(f"grid.omega_extent_nm[{i}]",
+                  f"bounded-domain constraint requires omega <= L/2 "
+                  f"(got omega={omega} nm, L={L} nm)")
+    if cfg.method == "mc" and not cfg.mc_targets:
+        _fail("solver.mc_targets", "mc runs need at least one target")
+    solver_cfg = cfg.build_solver_config()
     n_steps = cfg.t_end_fs / cfg.dt_fs
     if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
         _fail("solver.t_end_fs",
               f"must be an integer multiple of dt_fs (t_end/dt = {n_steps:.6g})")
-    grid = cfg.build_grid()
     try:
-        solver_cfg.validate(grid)
+        solver_cfg.validate(cfg.build_grid())
     except ValueError as exc:
         raise ConfigError("solver.dt_fs", str(exc)) from exc
 

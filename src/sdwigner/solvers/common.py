@@ -81,6 +81,7 @@ class SolverConfig:
             ("m_truncation", self.m_truncation is None or self.m_truncation >= 1,
              "must be None or >= 1"),
             ("gamma0", self.gamma0 is None or self.gamma0 > 0, "must be positive when given"),
+            ("rng_seed", self.rng_seed >= 0, "must be >= 0"),
             ("n_particles", self.n_particles >= 1, "must be >= 1"),
             ("fredholm_tol", self.fredholm_tol > 0, "must be positive"),
             ("fredholm_max_iter", self.fredholm_max_iter >= 1, "must be >= 1"),

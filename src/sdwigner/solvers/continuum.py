@@ -67,9 +67,10 @@ def force_and_quantum(values: np.ndarray, out: np.ndarray,
 
 
 def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
-                config: SolverConfig, gamma0: float = 0.0):
+                config: SolverConfig):
     """Build the difference and derivative matrices once and bind them into
-    a closure (values, out) -> K[values] + gamma0 values, written into `out`.
+    a closure (values, out, gamma0=0) -> K[values] + gamma0 values, written
+    into `out`.
 
     K is the right-hand side minus advection, the coupling the integral
     solver sums along each backward characteristic.
@@ -77,7 +78,7 @@ def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     ops = difference_operators(coeffs, grid)
     stencil = BlockedStencil(grid.state_shape, grid, config.stencil_order, config.boundary)
 
-    def kernel(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def kernel(values: np.ndarray, out: np.ndarray, gamma0: float = 0.0) -> np.ndarray:
         np.multiply(values, gamma0, out=out)
         return force_and_quantum(values, out, coeffs, ops, stencil)
     return kernel

@@ -73,8 +73,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
 
     gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(field, grid, config)
     coeffs = linear_coefficients(field, grid)
-    kernel = make_kernel(coeffs, grid, config)                   # K
-    kernel_values = make_kernel(coeffs, grid, config, gamma0)    # K + gamma0
+    kernel = make_kernel(coeffs, grid, config)      # K, plus gamma0 when passed
     flights = [None] + [free_flight_operators(grid, lag * dt, config.boundary)
                         for lag in range(1, n_t + 1)]
     decay = np.exp(-gamma0 * dt * np.arange(n_t + 1))
@@ -86,7 +85,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
     kvals = np.empty((n_t + 1,) + values0.shape)
     x = np.array(values0, dtype=float)
     history = np.empty_like(x)
-    kernel_values(x, kvals[0])
+    kernel(x, kvals[0], gamma0)
     kvals[0] *= half
     kvals[0] += x
 
@@ -120,7 +119,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
         n_passes += len(level)
         residuals.append(res)
         if k < n_t:
-            kernel_values(x, kvals[k])
+            kernel(x, kvals[k], gamma0)
     return FredholmResult(state=WignerState(grid=grid, values=x, time=config.t_end),
                           residuals=residuals, n_sweeps=n_passes, gamma0=gamma0)
 

@@ -16,8 +16,8 @@ import sdwigner
 import sdwigner.solvers
 from sdwigner import make_grid
 from sdwigner.cli import main as cli_main
-from sdwigner.config import (ConfigError, SimulationConfig, config_from_dict,
-                             load_config, write_config)
+from sdwigner.config import (REQUIRED, SCHEMA, ConfigError, SimulationConfig,
+                             config_from_dict, load_config, write_config)
 from sdwigner.io import (load_sampled_field, read_state, read_table,
                          relative_l2_diff, save_sampled_field, write_state,
                          write_table)
@@ -27,6 +27,9 @@ from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, montecarlo, semidiscrete)
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def base_dict(**sections):
@@ -184,6 +187,7 @@ class TestConfigSchema:
         ("solver", "stencil_order", 3),
         ("solver", "n_particles", 0),
         ("solver", "t_end_fs", -40.0),
+        ("solver", "rng_seed", -1),
     ])
     def test_malformed_scalars_fail_at_their_path(self, tmp_path, capsys,
                                                   section, key, value):
@@ -208,6 +212,71 @@ class TestConfigSchema:
         with pytest.raises(ConfigError) as err:
             config_from_dict(d)
         assert err.value.path == "grid.dim"
+
+    @pytest.mark.parametrize("section, key", [
+        ("grid", "dim"), ("grid", "coherence_length_nm"), ("grid", "n_p"),
+        ("solver", "method"), ("solver", "dt_fs"), ("solver", "t_end_fs"),
+    ])
+    def test_each_missing_required_key_fails_at_its_path(self, section, key):
+        d = base_dict()
+        del d[section][key]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(d)
+        assert str(err.value) == f"{section}.{key}: required key missing"
+
+    @pytest.mark.parametrize("state, message", [
+        ({"type": "file", "file": None}, "must be a string"),
+        ({"type": "file"}, "required key missing"),
+    ])
+    def test_state_file_is_type_checked(self, state, message):
+        d = base_dict()
+        d["initial_state"] = state
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(d)
+        assert str(err.value) == f"initial_state.file: {message}"
+
+    def test_keys_of_the_other_state_type_are_refused(self):
+        d = base_dict()
+        d["initial_state"] = {"type": "file", "file": "s.sdwg", "sigma_nm": 5.0}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(d)
+        assert err.value.path == "initial_state.sigma_nm"
+
+    def test_out_of_range_seed_override_fails_at_its_key(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(base_dict()).with_seed(-3)
+        assert str(err.value) == "solver.rng_seed: must be >= 0"
+
+    @pytest.mark.parametrize("name, sha256", [
+        ("cyclotron", "5727d54aa48327979f505ab59dad9e66f057d4c8546301cf571a64b2c8c728c0"),
+        ("free_streaming", "50a302b3a5d00afb562ea74349c320ec8d2aa719e896885647918cd65351785e"),
+        ("gradient_resolvent", "1f22db9a8b181879c72c8fe962e0b4c0876e0aedf9d3b31538aa01b0c70f1805"),
+        ("magnitude_survey", "84c1d1d8279e0d2369cd3bd1ca79713a54a4629129ff93935859a961d43e8725"),
+        ("mc_point_probe", "031c058ce53b590aad94d6ff4478e3060fc1dee34110a22bfe3115f0284ab729"),
+    ])
+    def test_shipped_config_hashes_are_pinned(self, name, sha256):
+        """The canonical form is the provenance of every run: a change to it
+        changes these hashes."""
+        assert load_config(REPO / "configs" / f"{name}.json").sha256() == sha256
+
+    def test_docs_list_exactly_the_schema_keys_and_defaults(self):
+        """Each key table under a section heading of docs/config_schema.md has
+        one row per declared key, with the declared default (`required`,
+        `null`, or the JSON value)."""
+        declared = {(k.section, k.name): k.default for k in SCHEMA.values()}
+        sections = {section for section, _ in declared}
+        documented, section = {}, None
+        for line in (REPO / "docs" / "config_schema.md").read_text().splitlines():
+            if line.startswith("## "):
+                section = line[3:].strip()
+            elif line.startswith("| `") and section in sections:
+                key, _, default = (c.strip().strip("`") for c in line.split("|")[1:4])
+                documented[section, key] = default
+        assert sorted(documented) == sorted(declared)
+        for where, text in documented.items():
+            expect = declared[where]
+            got = REQUIRED if text == "required" else json.loads(text)
+            assert got == (list(expect) if isinstance(expect, tuple) else expect), where
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (8, 8), (4, 4))
@@ -675,6 +744,30 @@ class TestCLI:
         assert cli_main(["run", str(path), "--out", str(out)]) == 0
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["workers"] == 3
+
+    def test_negative_seed_flag_fails_before_any_file(self, tmp_path, capsys):
+        path = self.cfg_file(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed", "-3"]) == 2
+        assert "solver.rng_seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env, name", [
+        ("0", None, "--workers"),
+        ("-2", None, "--workers"),
+        (None, "abc", "SDWIGNER_WORKERS"),
+        (None, "0", "SDWIGNER_WORKERS"),
+    ])
+    def test_bad_worker_counts_fail_before_any_file(self, tmp_path, capsys, monkeypatch,
+                                                    flag, env, name):
+        path = self.cfg_file(tmp_path)
+        out = tmp_path / "run"
+        if env is not None:
+            monkeypatch.setenv("SDWIGNER_WORKERS", env)
+        argv = ["run", str(path), "--out", str(out)]
+        assert cli_main(argv + (["--workers", flag] if flag else [])) == 2
+        assert f"config error: {name}: must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_reaches_the_estimator(self, tmp_path, capsys):
         path = self.cfg_file(tmp_path, solver={
