@@ -9,9 +9,10 @@ sum over the relative coordinate:
                        [s_j x B(x + s_j eta/2)] . [s_j x B(x + s_j tau/2)]
 
 evaluated on the same symmetric s lattice the transform pair uses, so the sums
-are exact scaled DFTs.  A product of two lattice functions then maps exactly
-onto the circular (index-wrapped) convolution of their coefficient tables,
-which is how the square kernel's second evaluation path works.
+are exact scaled DFTs (transform.lattice_dft over transform.offset_points).  A
+product of two lattice functions then maps exactly onto the circular
+(index-wrapped) convolution of their coefficient tables, which is how the
+square kernel's second evaluation path works.
 
 For fields linear in position the sums collapse to closed forms built from two
 coefficient families: the alternating-harmonic ladder (-1)^m/(m dp) from the
@@ -27,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .phasespace import PhaseSpaceGrid, PhysicalConstants
-from .transform import _forward_matrix, gauss_legendre_nodes
+from .transform import (conjugate_flip_defect, gauss_legendre_nodes, lattice_dft, offset_points,
+                        s_axis, s_dot)
 
 
 # ---------------------------------------------------------------------------
@@ -52,32 +54,14 @@ def quadratic_coefficient(m, dp):
     return out if out.shape else float(out)
 
 
-def _continuum_first_moment(m, L):
-    """(1/L) int_{-L/2}^{L/2} s exp(-i m 2pi s/L) ds, elementwise over m."""
-    m = np.asarray(m)
-    out = np.zeros(m.shape, dtype=complex)
-    nz = m != 0
-    out[nz] = 1j * L * (-1.0) ** np.abs(m[nz]) / (2.0 * np.pi * m[nz])
-    return out
-
-
-def _continuum_second_moment(m, L):
-    """(1/L) int s^2 exp(-i m 2pi s/L) ds: L^2/12 at m = 0, 2(-1)^m/(m 2pi/L)^2 else."""
-    m = np.asarray(m)
-    out = np.full(m.shape, L ** 2 / 12.0, dtype=complex)
-    nz = m != 0
-    out[nz] = 2.0 * (-1.0) ** np.abs(m[nz]) / (m[nz] * 2.0 * np.pi / L) ** 2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # kernel tables for arbitrary (sampled or analytic) fields
 # ---------------------------------------------------------------------------
 
 def _resolve_x_points(grid: PhaseSpaceGrid, x_points) -> np.ndarray:
     if x_points is None:
-        mesh = np.meshgrid(*grid.x_axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        # the cell centres are the s = 0 points of the offset grid
+        return offset_points(grid, 0.0)[(Ellipsis,) + grid.n_p + (slice(None),)]
     x_points = np.asarray(x_points, dtype=float)
     if x_points.ndim == 1:
         x_points = x_points[None, :]
@@ -86,40 +70,13 @@ def _resolve_x_points(grid: PhaseSpaceGrid, x_points) -> np.ndarray:
     return x_points
 
 
-def _offsets(grid: PhaseSpaceGrid, x_points: np.ndarray, scale: float) -> np.ndarray:
-    """x + scale * s over (x batch) x (s lattice): shape batch + n_s + (dim,)."""
-    d = grid.dim
-    batch = x_points.shape[:-1]
-    out = np.empty(batch + grid.n_s + (d,))
-    x_exp = x_points.reshape(batch + (1,) * d + (d,))
-    for c in range(d):
-        s = grid.s_axes[c].reshape((1,) * (len(batch) + c) + (-1,) + (1,) * (d - c - 1))
-        out[..., c] = x_exp[..., c] + scale * s
-    return out
-
-
-def _s_component(grid: PhaseSpaceGrid, batch_ndim: int, c: int) -> np.ndarray:
-    d = grid.dim
-    return grid.s_axes[c].reshape((1,) * (batch_ndim + c) + (-1,) + (1,) * (d - c - 1))
-
-
 def _s_cross(grid: PhaseSpaceGrid, b_field: np.ndarray, batch_ndim: int) -> np.ndarray:
     """s x B with s embedded as (s_x, s_y, s_z) padded by zeros beyond grid.dim."""
-    d = grid.dim
-    s = [_s_component(grid, batch_ndim, c) if c < d else 0.0 for c in range(3)]
+    s = [s_axis(grid, c, batch_ndim) if c < grid.dim else 0.0 for c in range(3)]
     out = np.empty(b_field.shape)
     out[..., 0] = s[1] * b_field[..., 2] - s[2] * b_field[..., 1]
     out[..., 1] = s[2] * b_field[..., 0] - s[0] * b_field[..., 2]
     out[..., 2] = s[0] * b_field[..., 1] - s[1] * b_field[..., 0]
-    return out
-
-
-def _lattice_dft(core: np.ndarray, grid: PhaseSpaceGrid, batch_ndim: int) -> np.ndarray:
-    """Scaled forward DFT along the s axes sitting after the batch axes."""
-    out = core.astype(complex)
-    for c in range(grid.dim):
-        mat = _forward_matrix(grid.n_p[c])
-        out = np.moveaxis(np.tensordot(mat, out, axes=(1, batch_ndim + c)), 0, batch_ndim + c)
     return out
 
 
@@ -135,11 +92,8 @@ def electric_kernel(field, grid: PhaseSpaceGrid, x_points=None, n_tau: int = 8) 
     b = pts.ndim - 1
     out = np.empty(pts.shape[:-1] + grid.n_s + (n_tau,), dtype=complex)
     for k, tau in enumerate(nodes):
-        e_field = field.electric(_offsets(grid, pts, 0.5 * tau))
-        s_dot_e = np.zeros(e_field.shape[:-1])
-        for c in range(grid.dim):
-            s_dot_e += _s_component(grid, b, c) * e_field[..., c]
-        out[..., k] = _lattice_dft(-s_dot_e, grid, b)
+        s_dot_e = s_dot(grid, field.electric(offset_points(grid, 0.5 * tau, pts)), b)
+        out[..., k] = lattice_dft(-s_dot_e, grid, b, -1)
     return out
 
 
@@ -153,9 +107,9 @@ def magnetic_kernel(field, grid: PhaseSpaceGrid, x_points=None, n_tau: int = 8) 
     b = pts.ndim - 1
     out = np.empty(pts.shape[:-1] + grid.n_s + (n_tau, 3), dtype=complex)
     for k, tau in enumerate(nodes):
-        cross = _s_cross(grid, field.magnetic(_offsets(grid, pts, 0.5 * tau)), b)
+        cross = _s_cross(grid, field.magnetic(offset_points(grid, 0.5 * tau, pts)), b)
         for comp in range(3):
-            out[..., k, comp] = _lattice_dft(cross[..., comp], grid, b)
+            out[..., k, comp] = lattice_dft(cross[..., comp], grid, b, -1)
     return out
 
 
@@ -171,10 +125,10 @@ def magnetic_square_kernel(field, grid: PhaseSpaceGrid, x_points=None,
     b = pts.ndim - 1
     out = np.empty(pts.shape[:-1] + grid.n_s + (n_tau, n_eta), dtype=complex)
     for k, tau in enumerate(tau_nodes):
-        cross_tau = _s_cross(grid, field.magnetic(_offsets(grid, pts, 0.5 * tau)), b)
+        cross_tau = _s_cross(grid, field.magnetic(offset_points(grid, 0.5 * tau, pts)), b)
         for l, eta in enumerate(eta_nodes):
-            cross_eta = _s_cross(grid, field.magnetic(_offsets(grid, pts, 0.5 * eta)), b)
-            out[..., k, l] = _lattice_dft(np.sum(cross_tau * cross_eta, axis=-1), grid, b)
+            cross_eta = _s_cross(grid, field.magnetic(offset_points(grid, 0.5 * eta, pts)), b)
+            out[..., k, l] = lattice_dft(np.sum(cross_tau * cross_eta, axis=-1), grid, b, -1)
     return out
 
 
@@ -207,12 +161,7 @@ def magnetic_square_from_convolution(hf: np.ndarray, grid: PhaseSpaceGrid) -> np
 
 def conjugate_symmetry_defect(table: np.ndarray, grid: PhaseSpaceGrid, batch_ndim: int) -> float:
     """Max |K(-m) - conj(K(m))| relative to the table scale (0 for real fields)."""
-    m_axes = tuple(range(batch_ndim, batch_ndim + grid.dim))
-    flipped = np.flip(table, axis=m_axes)
-    scale = np.max(np.abs(table))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(flipped - np.conj(table))) / scale)
+    return conjugate_flip_defect(table, tuple(range(batch_ndim, batch_ndim + grid.dim)))
 
 
 @dataclass(frozen=True)
@@ -411,19 +360,22 @@ def linear_term_report(field, grid: PhaseSpaceGrid,
     scale = field.b1 * c.charge / (12.0 * c.mass)
     mx = grid.momentum_indices[0]
     my = grid.momentum_indices[1]
-    lx = grid.coherence_length[0]
-    ly = grid.coherence_length[1]
+    k_x = 2.0 * np.pi / grid.coherence_length[0]
+    k_y = 2.0 * np.pi / grid.coherence_length[1]
 
     # printed families
     printed_dx = coeffs.cross_dx * np.outer(coeffs.c1_x, coeffs.c1_y)
     printed_dy = np.broadcast_to(coeffs.pair_dy[None, :], printed_dx.shape).copy()
     printed_dy[grid.momentum_slot(0, 0), grid.momentum_slot(1, 0)] = coeffs.zero_dy
 
-    # s-quadrature families from the pre-collapsed form
-    m1x = _continuum_first_moment(mx, lx)
-    m1y = _continuum_first_moment(my, ly)
-    m2y = _continuum_second_moment(my, ly)
-    quad_dx = np.zeros(printed_dx.shape, dtype=complex)
+    # s-quadrature families from the pre-collapsed form, built from the window's
+    # continuum moments (1/L) int s^n exp(-i m 2 pi s / L) ds: i h(m) for n = 1,
+    # and q(m) plus the L^2/12 zero mode for n = 2
+    m1x = 1j * harmonic_coefficient(mx, k_x)
+    m1y = 1j * harmonic_coefficient(my, k_y)
+    m2y = quadratic_coefficient(my, k_y)
+    m2y[grid.momentum_slot(1, 0)] = grid.coherence_length[1] ** 2 / 12.0
+    quad_dx = np.zeros(printed_dx.shape)
     quad_dx[grid.momentum_slot(0, 0), :] = -scale * m2y
     quad_dy = scale * np.outer(m1x, m1y)
 
@@ -431,10 +383,10 @@ def linear_term_report(field, grid: PhaseSpaceGrid,
         s = max(np.max(np.abs(a)), np.max(np.abs(b)))
         return float(np.max(np.abs(a - b)) / s) if s > 0 else 0.0
 
-    dx_direct = rel(printed_dx, quad_dx.real)
+    dx_direct = rel(printed_dx, quad_dx)
     dy_direct = rel(printed_dy, quad_dy.real)
     cross = rel(printed_dx, quad_dy.real)
-    zero_slice = rel(printed_dy[grid.momentum_slot(0, 0), :], quad_dx[grid.momentum_slot(0, 0), :].real)
+    zero_slice = rel(printed_dy[grid.momentum_slot(0, 0), :], quad_dx[grid.momentum_slot(0, 0), :])
     off = printed_dy.copy()
     off[grid.momentum_slot(0, 0), :] = 0.0
     off_weight = float(np.sum(np.abs(off)) / max(np.sum(np.abs(printed_dy)), 1e-300))

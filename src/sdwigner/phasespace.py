@@ -41,7 +41,8 @@ class PhysicalConstants:
 SI = PhysicalConstants()
 
 
-def _as_tuple(value, dim: int, name: str) -> tuple:
+def per_axis(value, dim: int, name: str) -> tuple:
+    """A scalar repeated on every axis, or a sequence checked to hold dim entries."""
     if np.isscalar(value):
         return (value,) * dim
     out = tuple(value)
@@ -139,10 +140,10 @@ def make_grid(dim: int,
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    L = _as_tuple(coherence_length, dim, "coherence_length")
-    omega = _as_tuple(omega_extent, dim, "omega_extent")
-    nx = _as_tuple(n_x, dim, "n_x")
-    npp = _as_tuple(n_p, dim, "n_p")
+    L = per_axis(coherence_length, dim, "coherence_length")
+    omega = per_axis(omega_extent, dim, "omega_extent")
+    nx = per_axis(n_x, dim, "n_x")
+    npp = per_axis(n_p, dim, "n_p")
     for i in range(dim):
         if not L[i] > 0:
             raise ValueError(f"coherence_length[{i}] must be positive, got {L[i]}")
@@ -282,12 +283,12 @@ class SampledEMField:
 
 @dataclass(frozen=True)
 class GaugeSpec:
-    """A choice of potentials: A(x) (3-vector), optional scalar potential, and an
-    optional gauge function chi such that A_this = A_other + grad(chi) for the
-    companion gauge the factory documents."""
+    """A choice of vector potential A(x) (3-vector), and an optional gauge
+    function chi such that A_this = A_other + grad(chi) for the companion gauge
+    the factory documents.  A scalar potential enters through
+    transform.wigner_potential, which takes it as a callable."""
 
     vector_potential: Optional[Callable] = None
-    scalar_potential: Optional[Callable] = None
     gauge_function: Optional[Callable] = None
 
     def has_vector_potential(self) -> bool:

@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .phasespace import PhaseSpaceGrid, PhysicalConstants
-from .transform import DensityMatrix, WignerState, _offset_positions
-
-
-def _per_axis(value, dim, name):
-    if np.isscalar(value):
-        return (float(value),) * dim
-    out = tuple(float(v) for v in value)
-    if len(out) != dim:
-        raise ValueError(f"{name}: expected scalar or length-{dim} sequence")
-    return out
+from .phasespace import PhaseSpaceGrid, PhysicalConstants, per_axis
+from .transform import DensityMatrix, WignerState, offset_points
 
 
 def gaussian_density(grid: PhaseSpaceGrid,
@@ -35,9 +26,9 @@ def gaussian_density(grid: PhaseSpaceGrid,
     """
     c = constants or grid.constants
     d = grid.dim
-    center = _per_axis(center, d, "center")
-    sigma = _per_axis(sigma, d, "sigma")
-    momentum = _per_axis(momentum, d, "momentum")
+    center = per_axis(center, d, "center")
+    sigma = per_axis(sigma, d, "sigma")
+    momentum = per_axis(momentum, d, "momentum")
 
     def psi(pos):
         out = np.ones(pos.shape[:-1], dtype=complex)
@@ -47,8 +38,8 @@ def gaussian_density(grid: PhaseSpaceGrid,
                 -((r - center[k]) ** 2) / (4 * sigma[k] ** 2) + 1j * momentum[k] * r / c.hbar)
         return out
 
-    r1 = _offset_positions(grid, +0.5)
-    r2 = _offset_positions(grid, -0.5)
+    r1 = offset_points(grid, +0.5)
+    r2 = offset_points(grid, -0.5)
     values = psi(r1) * np.conj(psi(r2))
     inside = np.ones(values.shape, dtype=bool)
     for k in range(d):
@@ -62,18 +53,17 @@ def gaussian_wigner(grid: PhaseSpaceGrid,
                     center=0.0,
                     sigma_x=1.0,
                     momentum_center=0.0,
-                    sigma_p=1.0,
-                    mass_normalized: bool = True) -> WignerState:
+                    sigma_p=1.0) -> WignerState:
     """Separable Gaussian directly in phase space, for exercising the solvers.
 
-    Not constrained to be a pure state.  With mass_normalized the discrete
-    mass sum(f) * prod(dx) equals 1.
+    Not constrained to be a pure state.  Normalized so that the discrete mass
+    sum(f) * prod(dx) equals 1.
     """
     d = grid.dim
-    center = _per_axis(center, d, "center")
-    sigma_x = _per_axis(sigma_x, d, "sigma_x")
-    momentum_center = _per_axis(momentum_center, d, "momentum_center")
-    sigma_p = _per_axis(sigma_p, d, "sigma_p")
+    center = per_axis(center, d, "center")
+    sigma_x = per_axis(sigma_x, d, "sigma_x")
+    momentum_center = per_axis(momentum_center, d, "momentum_center")
+    sigma_p = per_axis(sigma_p, d, "sigma_p")
 
     values = np.ones(grid.state_shape)
     for k in range(d):
@@ -82,8 +72,7 @@ def gaussian_wigner(grid: PhaseSpaceGrid,
     for k in range(d):
         x = grid.x_axes[k].reshape((1,) * (d + k) + (-1,) + (1,) * (d - k - 1))
         values = values * np.exp(-((x - center[k]) ** 2) / (2 * sigma_x[k] ** 2))
-    if mass_normalized:
-        total = values.sum() * float(np.prod(grid.dx))
-        if total > 0:
-            values = values / total
+    total = values.sum() * float(np.prod(grid.dx))
+    if total > 0:
+        values = values / total
     return WignerState(grid, values)

@@ -20,7 +20,7 @@ input even when the quadrature itself is inexact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,16 +54,11 @@ class DensityMatrix:
     def hermiticity_defect(self) -> float:
         """Max |rho(x, s) - conj(rho(x, -s))| relative to the largest magnitude."""
         d = self.grid.dim
-        flipped = np.flip(self.values, axis=tuple(range(d, 2 * d)))
-        scale = np.max(np.abs(self.values))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.values - np.conj(flipped))) / scale)
+        return conjugate_flip_defect(self.values, tuple(range(d, 2 * d)))
 
     def diagonal(self) -> np.ndarray:
         """rho(x, x), i.e. the s = 0 slice: the position-space density."""
-        center = tuple(n for n in self.grid.n_p)
-        return self.values[(Ellipsis,) + center]
+        return self.values[(Ellipsis,) + self.grid.n_p]
 
 
 @dataclass(frozen=True)
@@ -104,49 +99,66 @@ def gauss_legendre_nodes(n_tau: int):
     return np.polynomial.legendre.leggauss(n_tau)
 
 
-def _forward_matrix(n_p: int) -> np.ndarray:
-    # W[M, j] = exp(-2 pi i M j / N) / N on symmetric indices; unitary up to the 1/N split
+def _dft_matrix(n_p: int, sign: int) -> np.ndarray:
+    """exp(sign 2 pi i M j / N) on symmetric indices M, j = -n_p..n_p, N = 2 n_p + 1.
+
+    The forward matrix (sign -1) carries the 1/N, so forward then inverse is the identity.
+    """
     n = 2 * n_p + 1
     idx = np.arange(-n_p, n_p + 1)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / n
+    mat = np.exp(sign * 2j * np.pi * np.outer(idx, idx) / n)
+    return mat / n if sign < 0 else mat
 
 
-def _inverse_matrix(n_p: int) -> np.ndarray:
-    # columns indexed by M, rows by j: g(s_j) = sum_M exp(+2 pi i M j / N) f_M
-    n = 2 * n_p + 1
-    idx = np.arange(-n_p, n_p + 1)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / n)
+def lattice_dft(values: np.ndarray, grid: PhaseSpaceGrid, first_axis: int, sign: int) -> np.ndarray:
+    """DFT over the grid.dim lattice axes starting at first_axis, each left in place.
 
-
-def _dft_forward(core: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Apply the forward DFT over the trailing s axes of core (x..., s...) -> (M..., x...)."""
-    mats = [_forward_matrix(n) for n in grid.n_p]
-    if grid.dim == 1:
-        return np.einsum("Aa,xa->Ax", mats[0], core, optimize=True)
-    if grid.dim == 2:
-        return np.einsum("Aa,Bb,xyab->ABxy", mats[0], mats[1], core, optimize=True)
-    return np.einsum("Aa,Bb,Cc,xyzabc->ABCxyz", mats[0], mats[1], mats[2], core, optimize=True)
-
-
-def _dft_inverse(f: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Inverse over the leading momentum axes of f (M..., x...) -> (x..., s...)."""
-    mats = [_inverse_matrix(n) for n in grid.n_p]
-    if grid.dim == 1:
-        return np.einsum("aA,Ax->xa", mats[0], f, optimize=True)
-    if grid.dim == 2:
-        return np.einsum("aA,bB,ABxy->xyab", mats[0], mats[1], f, optimize=True)
-    return np.einsum("aA,bB,cC,ABCxyz->xyzabc", mats[0], mats[1], mats[2], f, optimize=True)
-
-
-def _offset_positions(grid: PhaseSpaceGrid, scale_s) -> np.ndarray:
-    """Points x + scale_s * s over (x grid, s lattice), shape n_x + n_s + (dim,)."""
-    d = grid.dim
-    out = np.zeros(grid.n_x + grid.n_s + (d,))
-    for c in range(d):
-        x = grid.x_axes[c].reshape((1,) * c + (-1,) + (1,) * (2 * d - c - 1))
-        s = grid.s_axes[c].reshape((1,) * (d + c) + (-1,) + (1,) * (d - c - 1))
-        out[..., c] = x + scale_s * s
+    sign -1 maps s to M: g(M) = (1/N) sum_j exp(-2 pi i M j / N) values(s_j);
+    sign +1 maps M back to s.
+    """
+    out = np.asarray(values, dtype=complex)
+    for c in range(grid.dim):
+        mat = _dft_matrix(grid.n_p[c], sign)
+        out = np.moveaxis(np.tensordot(mat, out, axes=(1, first_axis + c)), 0, first_axis + c)
     return out
+
+
+def _swap_halves(values: np.ndarray, d: int) -> np.ndarray:
+    """(x..., s...) <-> (M..., x...): exchange the two d-axis halves."""
+    return values.transpose(tuple(range(d, 2 * d)) + tuple(range(d)))
+
+
+def s_axis(grid: PhaseSpaceGrid, c: int, batch: int) -> np.ndarray:
+    """Component c of the s lattice, shaped to broadcast over batch axes + n_s."""
+    return grid.s_axes[c].reshape((1,) * (batch + c) + (-1,) + (1,) * (grid.dim - c - 1))
+
+
+def s_dot(grid: PhaseSpaceGrid, vectors: np.ndarray, batch: int) -> np.ndarray:
+    """s . v over batch axes + n_s for vectors shaped batch + n_s + (>= dim,)."""
+    return sum(s_axis(grid, c, batch) * vectors[..., c] for c in range(grid.dim))
+
+
+def offset_points(grid: PhaseSpaceGrid, scale, x_points=None) -> np.ndarray:
+    """Points x + scale * s over (x batch) x (s lattice), shape batch + n_s + (dim,).
+
+    x_points has shape batch + (dim,); None means the cell centres, batch grid.n_x.
+    """
+    if x_points is None:
+        x_points = np.stack(np.meshgrid(*grid.x_axes, indexing="ij"), axis=-1)
+    batch = x_points.shape[:-1]
+    x = x_points.reshape(batch + (1,) * grid.dim + (grid.dim,))
+    out = np.empty(batch + grid.n_s + (grid.dim,))
+    for c in range(grid.dim):
+        out[..., c] = x[..., c] + scale * s_axis(grid, c, len(batch))
+    return out
+
+
+def conjugate_flip_defect(values: np.ndarray, axes) -> float:
+    """Max |v(-s) - conj(v(s))| with s flipped along axes, relative to the largest magnitude."""
+    scale = np.max(np.abs(values))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(np.flip(values, axis=axes) - np.conj(values))) / scale)
 
 
 def stratonovich_phase(grid: PhaseSpaceGrid,
@@ -162,37 +174,30 @@ def stratonovich_phase(grid: PhaseSpaceGrid,
     if gauge is None or not gauge.has_vector_potential():
         return np.ones(grid.n_x + grid.n_s, dtype=complex)
     nodes, weights = gauss_legendre_nodes(n_tau)
-    d = grid.dim
     exponent = np.zeros(grid.n_x + grid.n_s)
     for tau, w in zip(nodes, weights):
-        pos = _offset_positions(grid, 0.5 * tau)
-        a = gauge.vector_potential(pos)
-        s_dot_a = np.zeros(grid.n_x + grid.n_s)
-        for comp in range(d):
-            s = grid.s_axes[comp].reshape((1,) * (d + comp) + (-1,) + (1,) * (d - comp - 1))
-            s_dot_a += s * a[..., comp]
-        exponent += w * s_dot_a
+        a = gauge.vector_potential(offset_points(grid, 0.5 * tau))
+        exponent += w * s_dot(grid, a, grid.dim)
     return np.exp(-1j * (c.charge / (2.0 * c.hbar)) * exponent)
 
 
 def wigner_from_density(rho: DensityMatrix,
                         gauge: Optional[GaugeSpec] = None,
                         constants: Optional[PhysicalConstants] = None,
-                        n_tau: int = DEFAULT_TAU_ORDER,
-                        realness_tol: float = DEFAULT_REALNESS_TOL) -> WignerState:
+                        n_tau: int = DEFAULT_TAU_ORDER) -> WignerState:
     """Forward transform; gauge None (or A = None) gives the electrostatic Weyl limit.
 
     Raises TransformConsistencyError when the imaginary residue of the result
-    exceeds realness_tol relative to the largest real magnitude.
+    exceeds DEFAULT_REALNESS_TOL relative to the largest real magnitude.
     """
     grid = rho.grid
     phase = stratonovich_phase(grid, gauge, constants, n_tau)
-    f = _dft_forward(phase * rho.values, grid)
+    f = _swap_halves(lattice_dft(phase * rho.values, grid, grid.dim, -1), grid.dim)
     scale = np.max(np.abs(f.real))
     residue = np.max(np.abs(f.imag)) / scale if scale > 0.0 else np.max(np.abs(f.imag))
-    if residue > realness_tol:
+    if residue > DEFAULT_REALNESS_TOL:
         raise TransformConsistencyError(
-            f"imaginary residue {residue:.3e} exceeds tolerance {realness_tol:.3e}; "
+            f"imaginary residue {residue:.3e} exceeds tolerance {DEFAULT_REALNESS_TOL:.3e}; "
             "check Hermiticity of rho, the gauge, and n_tau")
     return WignerState(grid, np.ascontiguousarray(f.real), rho.time)
 
@@ -204,7 +209,7 @@ def density_from_wigner(f: WignerState,
     """Inverse transform: rho(x; s) = conj(Phi(x, s)) sum_M exp(+i P_M . s / hbar) f(M, x)."""
     grid = f.grid
     phase = stratonovich_phase(grid, gauge, constants, n_tau)
-    core = _dft_inverse(f.values.astype(complex), grid)
+    core = lattice_dft(_swap_halves(f.values, grid.dim), grid, grid.dim, +1)
     return DensityMatrix(grid, np.conj(phase) * core, f.time)
 
 
@@ -226,8 +231,8 @@ def apply_gauge_change(rho: DensityMatrix,
     """
     grid = rho.grid
     c = constants or grid.constants
-    r1 = _offset_positions(grid, +0.5)
-    r2 = _offset_positions(grid, -0.5)
+    r1 = offset_points(grid, +0.5)
+    r2 = offset_points(grid, -0.5)
     factor = np.exp(1j * (c.charge / c.hbar) * (np.asarray(chi(r1)) - np.asarray(chi(r2))))
     return DensityMatrix(grid, factor * rho.values, rho.time)
 
@@ -245,7 +250,7 @@ def wigner_potential(potential: Callable,
     Odd in m and real-valued for real V.
     """
     c = constants or grid.constants
-    minus = np.asarray(potential(_offset_positions(grid, -0.5)), dtype=float)
-    plus = np.asarray(potential(_offset_positions(grid, +0.5)), dtype=float)
-    table = _dft_forward((minus - plus).astype(complex), grid) / (1j * c.hbar)
+    minus = np.asarray(potential(offset_points(grid, -0.5)), dtype=float)
+    plus = np.asarray(potential(offset_points(grid, +0.5)), dtype=float)
+    table = _swap_halves(lattice_dft(minus - plus, grid, grid.dim, -1), grid.dim) / (1j * c.hbar)
     return WignerPotentialTable(grid, table)

@@ -1,6 +1,7 @@
 """Config schema, persistence formats, runner products, the CLI and the
 package exports."""
 
+import ast
 import json
 import os
 import pathlib
@@ -788,3 +789,15 @@ def test_exports_resolve_and_are_listed_once():
         names = module.__all__
         assert len(names) == len(set(names)), module.__name__
         assert [n for n in names if not hasattr(module, n)] == [], module.__name__
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a helper that two modules share is named as shared, without the underscore
+    offenders = []
+    for path in sorted((REPO / "src" / "sdwigner").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("sdwigner")):
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert offenders == []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdwigner import SI, landau_gauge, make_grid, symmetric_gauge, zero_gauge
@@ -93,15 +93,18 @@ class TestRoundTrip:
         err = np.max(np.abs(back.values - rho.values)) / np.max(np.abs(rho.values))
         assert err <= 1e-10
 
-    @given(seed=st.integers(min_value=0, max_value=2 ** 31))
+    @given(seed=st.integers(min_value=0, max_value=2 ** 31), dim=st.sampled_from((1, 3)))
+    @example(seed=0, dim=3)     # one lattice DFT serves every dimension; pin the 3-D case
     @settings(max_examples=20, deadline=None)
-    def test_round_trip_random_hermitian(self, seed):
-        grid = make_grid(1, 8.0, 4.0, 3, 4, constants=NAT)
+    def test_round_trip_random_hermitian(self, seed, dim):
+        grid = (make_grid(1, 8.0, 4.0, 3, 4, constants=NAT) if dim == 1
+                else make_grid(3, 8.0, 4.0, (3, 2, 2), (2, 1, 3), constants=NAT))
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=grid.n_x + grid.n_s) + 1j * rng.normal(size=grid.n_x + grid.n_s)
-        rho = DensityMatrix(grid, 0.5 * (raw + np.conj(raw[:, ::-1])))
+        s_axes = tuple(range(dim, 2 * dim))
+        rho = DensityMatrix(grid, 0.5 * (raw + np.conj(np.flip(raw, axis=s_axes))))
         assert rho.hermiticity_defect() < 1e-12
-        f = weyl_from_density(rho)          # realness check built into construction
+        f = wigner_from_density(rho)        # realness check built into construction
         back = density_from_wigner(f)
         np.testing.assert_allclose(back.values, rho.values, atol=1e-12 * np.max(np.abs(rho.values)) + 1e-15)
 
