@@ -14,7 +14,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .phasespace import (PhysicalConstants, SampledEMField, make_grid)
+from .phasespace import PhysicalConstants, make_grid
 from .transform import WignerState
 
 MAGIC = b"SDWG"
@@ -149,33 +149,3 @@ def relative_l2_diff(a: WignerState, b: WignerState) -> float:
         return float(np.linalg.norm(a.values))
     return float(np.linalg.norm(a.values - b.values) / denom)
 
-
-# ---------------------------------------------------------------------------
-# sampled fields
-# ---------------------------------------------------------------------------
-
-def save_sampled_field(path, field: SampledEMField) -> Path:
-    """Store a tabulated field as npz (axis_0..axis_{d-1}, electric, magnetic)."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    arrays = {f"axis_{k}": np.asarray(a, dtype=float)
-              for k, a in enumerate(field.axes)}
-    arrays["electric"] = np.asarray(field.electric_samples, dtype=float)
-    arrays["magnetic"] = np.asarray(field.magnetic_samples, dtype=float)
-    np.savez(p, **arrays)
-    return p
-
-
-def load_sampled_field(path) -> SampledEMField:
-    """Inverse of save_sampled_field."""
-    with np.load(Path(path)) as data:
-        axes = []
-        k = 0
-        while f"axis_{k}" in data:
-            axes.append(np.array(data[f"axis_{k}"], dtype=float))
-            k += 1
-        if not axes or "electric" not in data or "magnetic" not in data:
-            raise ValueError(f"{path}: expected axis_0.., electric, magnetic arrays")
-        return SampledEMField(axes=tuple(axes),
-                              electric_samples=np.array(data["electric"]),
-                              magnetic_samples=np.array(data["magnetic"]))

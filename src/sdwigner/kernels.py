@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .phasespace import PhaseSpaceGrid, PhysicalConstants
+from .phasespace import PhaseSpaceGrid
 from .transform import (conjugate_flip_defect, gauss_legendre_nodes, lattice_dft, offset_points,
                         s_axis, s_dot)
 
@@ -235,12 +235,11 @@ class LinearKernelCoefficients:
     zero_dy: float
 
 
-def linear_coefficients(field, grid: PhaseSpaceGrid,
-                        constants: Optional[PhysicalConstants] = None) -> LinearKernelCoefficients:
+def linear_coefficients(field, grid: PhaseSpaceGrid) -> LinearKernelCoefficients:
     """Tabulate the closed-form coefficients of the linear-field equation (2D)."""
     if grid.dim != 2:
         raise ValueError("linear-field coefficient assembly is defined for 2D grids")
-    c = constants or grid.constants
+    c = grid.constants
     mx = grid.momentum_indices[0]
     my = grid.momentum_indices[1]
     c1_x = harmonic_coefficient(mx, grid.dp[0])
@@ -294,13 +293,11 @@ class TermMagnitudeReport:
 
 
 def term_magnitudes(field, grid: PhaseSpaceGrid,
-                    constants: Optional[PhysicalConstants] = None,
                     m_typical: int = 25,
-                    s_typical: float = 20e-9,
-                    dx: Optional[float] = None) -> TermMagnitudeReport:
+                    s_typical: float = 20e-9) -> TermMagnitudeReport:
     """Rate estimates of the evolution terms at a typical phase-space scale.
 
-    kinetic: (M dp / mass) / dx, the advection rate across one cell.
+    kinetic: (M dp / mass) / dx, the advection rate across one cell of the x axis.
     I: (e B / hbar) s dx, the dimensionless step-down factor between kinetic
     and first magnetic and again between second and third magnetic rates.
     second magnetic: (|B1| e / 12 mass) s^2 / dx, the field-gradient term.
@@ -309,10 +306,8 @@ def term_magnitudes(field, grid: PhaseSpaceGrid,
     """
     if not (m_typical > 0 and s_typical > 0):
         raise ValueError("m_typical and s_typical must be positive")
-    c = constants or grid.constants
-    dx = dx if dx is not None else grid.dx[0]
-    if dx <= 0:
-        raise ValueError("dx must be positive")
+    c = grid.constants
+    dx = grid.dx[0]
     b_ref = abs(field.b0) if field.b0 != 0.0 else abs(field.b1) * s_typical
     kinetic = (m_typical * grid.dp[0] / c.mass) / dx
     factor_i = (c.charge * b_ref / c.hbar) * s_typical * dx
@@ -352,11 +347,10 @@ class LinearTermReport:
     note: str
 
 
-def linear_term_report(field, grid: PhaseSpaceGrid,
-                       constants: Optional[PhysicalConstants] = None) -> LinearTermReport:
+def linear_term_report(field, grid: PhaseSpaceGrid) -> LinearTermReport:
     """Quantify how the printed gradient-term pairing relates to the quadrature one."""
-    coeffs = linear_coefficients(field, grid, constants)
-    c = constants or grid.constants
+    coeffs = linear_coefficients(field, grid)
+    c = grid.constants
     scale = field.b1 * c.charge / (12.0 * c.mass)
     mx = grid.momentum_indices[0]
     my = grid.momentum_indices[1]

@@ -188,18 +188,15 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, workers: int,
     return files
 
 
-def magnitude_report(cfg: SimulationConfig, out_dir=None,
-                     config_hash: Optional[str] = None):
+def magnitude_report(cfg: SimulationConfig, out_dir=None):
     """Appendix-style per-term rate table; returns (rows, written path or None)."""
     grid = cfg.build_grid()
     field = cfg.build_field()
-    report = term_magnitudes(field, grid, constants=cfg.build_constants(),
-                             m_typical=max(cfg.n_p))
+    report = term_magnitudes(field, grid, m_typical=max(cfg.n_p))
     rows = [[name + ("" if name.startswith("ratio") else "(1/s)"), value]
             for name, value in report.rows()]
     path = None
     if out_dir is not None:
         path = write_table(Path(out_dir) / "magnitude_report.tsv",
-                           ["term", "value"], rows,
-                           config_hash or cfg.sha256())
+                           ["term", "value"], rows, cfg.sha256())
     return report, path

@@ -101,26 +101,27 @@ def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
     return out
 
 
+# The curvature branches 5-18 as (momentum index move, position axis, position
+# step sign, weight), in branch order.  Branches 5-10 step x and move the y
+# index with the second-difference weights 1, -2, 1; branches 11-18 step y and
+# move both indices, and their weight -1 is the sign in front of kappa.
+_CURVATURE_BRANCHES = tuple(
+    [((0, dmy), 0, sx, wmy)
+     for dmy, wmy in ((1, 1.0), (0, -2.0), (-1, 1.0)) for sx in (1.0, -1.0)]
+    + [((smx, smy), 1, sy, -1.0)
+       for smx in (1, -1) for smy in (1, -1) for sy in (1.0, -1.0)])
+
+
 def _branch_moves(grid: PhaseSpaceGrid) -> Tuple[np.ndarray, np.ndarray]:
     """Index and position displacement of the 19 collision branches, one row per axis."""
-    dx, dy = grid.dx
     d_m = np.zeros((19, 2), dtype=np.int64)
     d_x = np.zeros((19, 2))
     # 0: rate-compensation branch, no move
     d_m[1] = (1, 0); d_m[2] = (-1, 0)
     d_m[3] = (0, 1); d_m[4] = (0, -1)
-    row = 5
-    for dmy in (1, 0, -1):
-        for sx in (1.0, -1.0):
-            d_m[row] = (0, dmy)
-            d_x[row] = (sx * dx, 0.0)
-            row += 1
-    for smx in (1, -1):
-        for smy in (1, -1):
-            for sy in (1.0, -1.0):
-                d_m[row] = (smx, smy)
-                d_x[row] = (0.0, sy * dy)
-                row += 1
+    for row, (move, axis, sign, _) in enumerate(_CURVATURE_BRANCHES, start=5):
+        d_m[row] = move
+        d_x[row, axis] = sign * grid.dx[axis]
     return d_m.T, d_x.T
 
 
@@ -153,11 +154,10 @@ def _curvature_coefficients(field: LinearEMField, grid: PhaseSpaceGrid) -> np.nd
     dpx, dpy = grid.dp
     dx, dy = grid.dx
     kappa = field.b1 * c.hbar ** 2 * c.charge / (12.0 * c.mass)
-    curv = [kappa * wmy / dpy ** 2 * (sx / (2.0 * dx))
-            for wmy in (1.0, -2.0, 1.0) for sx in (1.0, -1.0)]
-    curv += [-kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (sy / (2.0 * dy))
-             for smx in (1.0, -1.0) for smy in (1.0, -1.0) for sy in (1.0, -1.0)]
-    return np.array(curv)
+    return np.array([
+        weight * kappa / dpy ** 2 * (sign / (2.0 * dx)) if axis == 0 else
+        weight * kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (sign / (2.0 * dy))
+        for (smx, smy), axis, sign, weight in _CURVATURE_BRANCHES])
 
 
 def _row_total(a_x: np.ndarray, a_y: np.ndarray, gamma0: float, k: np.ndarray) -> np.ndarray:

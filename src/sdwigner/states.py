@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .phasespace import PhaseSpaceGrid, PhysicalConstants, per_axis
+from .phasespace import PhaseSpaceGrid, per_axis
 from .transform import DensityMatrix, WignerState, offset_points
 
 
 def gaussian_density(grid: PhaseSpaceGrid,
                      center=0.0,
                      sigma=1.0,
-                     momentum=0.0,
-                     constants: Optional[PhysicalConstants] = None) -> DensityMatrix:
+                     momentum=0.0) -> DensityMatrix:
     """Pure-state density matrix of a normalized Gaussian packet.
 
     psi(r) = prod_c (2 pi sigma_c^2)^(-1/4) exp(-(r_c - c_c)^2/(4 sigma_c^2)
@@ -24,7 +21,7 @@ def gaussian_density(grid: PhaseSpaceGrid,
     mask is symmetric under s -> -s, so Hermiticity survives exactly.  Choose
     sigma small against the domain so the clipped tail is negligible.
     """
-    c = constants or grid.constants
+    c = grid.constants
     d = grid.dim
     center = per_axis(center, d, "center")
     sigma = per_axis(sigma, d, "sigma")

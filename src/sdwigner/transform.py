@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phasespace import GaugeSpec, PhaseSpaceGrid, PhysicalConstants
+from .phasespace import GaugeSpec, PhaseSpaceGrid
 
 DEFAULT_TAU_ORDER = 16
 DEFAULT_REALNESS_TOL = 1e-10
@@ -163,14 +163,13 @@ def conjugate_flip_defect(values: np.ndarray, axes) -> float:
 
 def stratonovich_phase(grid: PhaseSpaceGrid,
                        gauge: Optional[GaugeSpec],
-                       constants: Optional[PhysicalConstants] = None,
                        n_tau: int = DEFAULT_TAU_ORDER) -> np.ndarray:
     """The line-integral phase Phi(x, s) on (x grid) x (s lattice).
 
     Returns the unit array when the gauge carries no vector potential, which
     reduces the transform to the plain Weyl form through the same code path.
     """
-    c = constants or grid.constants
+    c = grid.constants
     if gauge is None or not gauge.has_vector_potential():
         return np.ones(grid.n_x + grid.n_s, dtype=complex)
     nodes, weights = gauss_legendre_nodes(n_tau)
@@ -183,7 +182,6 @@ def stratonovich_phase(grid: PhaseSpaceGrid,
 
 def wigner_from_density(rho: DensityMatrix,
                         gauge: Optional[GaugeSpec] = None,
-                        constants: Optional[PhysicalConstants] = None,
                         n_tau: int = DEFAULT_TAU_ORDER) -> WignerState:
     """Forward transform; gauge None (or A = None) gives the electrostatic Weyl limit.
 
@@ -191,7 +189,7 @@ def wigner_from_density(rho: DensityMatrix,
     exceeds DEFAULT_REALNESS_TOL relative to the largest real magnitude.
     """
     grid = rho.grid
-    phase = stratonovich_phase(grid, gauge, constants, n_tau)
+    phase = stratonovich_phase(grid, gauge, n_tau)
     f = _swap_halves(lattice_dft(phase * rho.values, grid, grid.dim, -1), grid.dim)
     scale = np.max(np.abs(f.real))
     residue = np.max(np.abs(f.imag)) / scale if scale > 0.0 else np.max(np.abs(f.imag))
@@ -204,11 +202,10 @@ def wigner_from_density(rho: DensityMatrix,
 
 def density_from_wigner(f: WignerState,
                         gauge: Optional[GaugeSpec] = None,
-                        constants: Optional[PhysicalConstants] = None,
                         n_tau: int = DEFAULT_TAU_ORDER) -> DensityMatrix:
     """Inverse transform: rho(x; s) = conj(Phi(x, s)) sum_M exp(+i P_M . s / hbar) f(M, x)."""
     grid = f.grid
-    phase = stratonovich_phase(grid, gauge, constants, n_tau)
+    phase = stratonovich_phase(grid, gauge, n_tau)
     core = lattice_dft(_swap_halves(f.values, grid.dim), grid, grid.dim, +1)
     return DensityMatrix(grid, np.conj(phase) * core, f.time)
 
@@ -218,9 +215,7 @@ def weyl_from_density(rho: DensityMatrix, **kwargs) -> WignerState:
     return wigner_from_density(rho, gauge=None, **kwargs)
 
 
-def apply_gauge_change(rho: DensityMatrix,
-                       chi: Callable,
-                       constants: Optional[PhysicalConstants] = None) -> DensityMatrix:
+def apply_gauge_change(rho: DensityMatrix, chi: Callable) -> DensityMatrix:
     """Relabel rho under A -> A + grad(chi):
 
         rho'(r1, r2) = exp(+(i e/hbar) chi(r1)) rho(r1, r2) exp(-(i e/hbar) chi(r2))
@@ -230,16 +225,14 @@ def apply_gauge_change(rho: DensityMatrix,
     function; the diagonal r1 = r2 is untouched.
     """
     grid = rho.grid
-    c = constants or grid.constants
+    c = grid.constants
     r1 = offset_points(grid, +0.5)
     r2 = offset_points(grid, -0.5)
     factor = np.exp(1j * (c.charge / c.hbar) * (np.asarray(chi(r1)) - np.asarray(chi(r2))))
     return DensityMatrix(grid, factor * rho.values, rho.time)
 
 
-def wigner_potential(potential: Callable,
-                     grid: PhaseSpaceGrid,
-                     constants: Optional[PhysicalConstants] = None) -> WignerPotentialTable:
+def wigner_potential(potential: Callable, grid: PhaseSpaceGrid) -> WignerPotentialTable:
     """Momentum-transfer table of a scalar potential energy V:
 
         V_w(m, x) = (1/(i hbar)) (1/N) sum_j exp(-i m dp . s_j / hbar)
@@ -249,7 +242,7 @@ def wigner_potential(potential: Callable,
     s-reachable neighborhood of the domain (half extent omega/2 + L/4).
     Odd in m and real-valued for real V.
     """
-    c = constants or grid.constants
+    c = grid.constants
     minus = np.asarray(potential(offset_points(grid, -0.5)), dtype=float)
     plus = np.asarray(potential(offset_points(grid, +0.5)), dtype=float)
     table = _swap_halves(lattice_dft(minus - plus, grid, grid.dim, -1), grid.dim) / (1j * c.hbar)

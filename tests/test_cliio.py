@@ -2,6 +2,7 @@
 package exports."""
 
 import ast
+import inspect
 import json
 import os
 import pathlib
@@ -19,10 +20,8 @@ from sdwigner import make_grid
 from sdwigner.cli import main as cli_main
 from sdwigner.config import (REQUIRED, SCHEMA, ConfigError, SimulationConfig,
                              config_from_dict, load_config, write_config)
-from sdwigner.io import (load_sampled_field, read_state, read_table,
-                         relative_l2_diff, save_sampled_field, write_state,
+from sdwigner.io import (read_state, read_table, relative_l2_diff, write_state,
                          write_table)
-from sdwigner.phasespace import SampledEMField
 from sdwigner.runner import magnitude_report, run_simulation
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, montecarlo, semidiscrete)
@@ -139,12 +138,8 @@ class TestConfigSchema:
         assert err.value.path == "solver.dt_fs"
 
     def test_sampled_field_is_refused_at_validate(self, tmp_path, capsys):
-        axes = (np.linspace(-1e-7, 1e-7, 5), np.linspace(-1e-7, 1e-7, 5))
-        field = SampledEMField(axes=axes, electric_samples=np.zeros((5, 5, 3)),
-                               magnetic_samples=np.ones((5, 5, 3)))
         d = base_dict()
-        d["field"] = {"type": "sampled",
-                      "file": str(save_sampled_field(tmp_path / "field.npz", field))}
+        d["field"] = {"type": "sampled", "file": str(tmp_path / "field.npz")}
         with pytest.raises(ConfigError) as err:
             config_from_dict(d)
         assert err.value.path == "field.type"
@@ -403,20 +398,6 @@ class TestTablesAndFields:
         with pytest.raises(ValueError, match="provenance"):
             read_table(p)
 
-    def test_sampled_field_round_trip(self, tmp_path):
-        axes = (np.linspace(-5e-8, 5e-8, 11), np.linspace(-4e-8, 4e-8, 9))
-        xx, yy = np.meshgrid(*axes, indexing="ij")
-        electric = np.stack([100.0 * xx, -50.0 * yy, np.zeros_like(xx)], axis=-1)
-        magnetic = np.stack([np.zeros_like(xx), np.zeros_like(xx),
-                             1.0 + 1e7 * yy], axis=-1)
-        field = SampledEMField(axes=axes, electric_samples=electric,
-                               magnetic_samples=magnetic)
-        p = save_sampled_field(tmp_path / "field.npz", field)
-        back = load_sampled_field(p)
-        assert all(np.array_equal(a, b) for a, b in zip(back.axes, axes))
-        assert np.array_equal(back.electric_samples, electric)
-        assert np.array_equal(back.magnetic_samples, magnetic)
-
 
 class TestRunner:
     def run_cfg(self, tmp_path, out_name="run", **sections):
@@ -548,6 +529,14 @@ class TestRunner:
         names = [row[0] for row in data]
         assert "kinetic(1/s)" in names and "ratio_factor_I" in names
         assert all(isinstance(row[1], float) for row in data)
+
+    def test_magnitude_report_reads_the_config_constants(self):
+        # the constants reach term_magnitudes only through the config's grid
+        light, _ = magnitude_report(config_from_dict(base_dict()))
+        heavy, _ = magnitude_report(config_from_dict(
+            base_dict(constants={"mass_kg": 2.0 * sdwigner.SI.mass})))
+        assert heavy.kinetic_rate == pytest.approx(0.5 * light.kinetic_rate, rel=1e-12)
+        assert heavy.ratio_factor_I == light.ratio_factor_I
 
 
 class TestCLI:
@@ -789,6 +778,15 @@ def test_exports_resolve_and_are_listed_once():
         names = module.__all__
         assert len(names) == len(set(names)), module.__name__
         assert [n for n in names if not hasattr(module, n)] == [], module.__name__
+
+
+def test_constants_enter_only_through_make_grid():
+    # every exported function reads hbar, charge and mass from grid.constants
+    takes = {name: inspect.signature(obj).parameters
+             for name, obj in vars(sdwigner).items()
+             if name in sdwigner.__all__ and inspect.isfunction(obj)}
+    assert sorted(n for n, params in takes.items() if "constants" in params) == ["make_grid"]
+    assert "dx" not in takes["term_magnitudes"]
 
 
 def test_no_module_imports_a_private_name_of_another():

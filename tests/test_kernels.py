@@ -382,7 +382,7 @@ class TestTermMagnitudes:
         with pytest.raises(ValueError):
             term_magnitudes(LinearEMField(b0=1.0), grid, m_typical=0)
         with pytest.raises(ValueError):
-            term_magnitudes(LinearEMField(b0=1.0), grid, dx=-1.0)
+            term_magnitudes(LinearEMField(b0=1.0), grid, s_typical=0.0)
 
 
 class TestLinearTermReport:
