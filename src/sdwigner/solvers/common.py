@@ -109,6 +109,17 @@ class SolverConfig:
         return n if self.m_truncation is None else min(self.m_truncation, 2 * n)
 
 
+def l2_norm(values: np.ndarray) -> float:
+    """L2 norm of a contiguous array in NumPy's own loop.
+
+    np.linalg.norm goes through BLAS, whose summation order depends on its
+    thread count; this keeps a norm, and every decision taken on it, the
+    same at every count.
+    """
+    flat = values.reshape(-1)
+    return math.sqrt(np.einsum("i,i->", flat, flat))
+
+
 def _values(f) -> np.ndarray:
     return f.values if isinstance(f, WignerState) else np.asarray(f)
 
@@ -140,8 +151,7 @@ def sample_shift(values: np.ndarray, axis: int, k: int, boundary: str = "zero") 
 
 # A stencil block holds consecutive momentum rows up to about this many
 # bytes, and at least one row, so a block and its derivative stay in cache
-# while advection weights and adds them.  The momentum terms sweep blocks of
-# spatial cells whose three buffers together stay within the same size.
+# while advection weights and adds them.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -204,14 +214,6 @@ class BlockedStencil:
         return out
 
 
-def momentum_scratch_size(shape: Sequence[int]) -> int:
-    """Floats of scratch for `add_momentum_terms` to sweep a 2D state of
-    `shape` in blocks of spatial cells: an accumulator and two temporaries,
-    together within _BLOCK_BYTES (at least one cell each)."""
-    lattice, cells = math.prod(shape[:2]), math.prod(shape[2:])
-    return 3 * lattice * min(cells, max(1, _BLOCK_BYTES // (3 * 8 * lattice)))
-
-
 class Workspace:
     """The working memory of one right-hand side, built once for the state
     shape of `grid` and reused by every call.
@@ -219,20 +221,22 @@ class Workspace:
     stencil: the spatial derivative matrices, applied in blocks of momentum
     rows.  speeds[c][row]: -v_c of that row's momentum lattice point.
     gradients: one state-sized array per spatial axis when `gradients` is
-    true, else None.  scratch: one stencil block, or the momentum terms'
-    blocks of cells, whichever is larger; advection and the momentum terms
-    share it, since they never run at once.  Arrays handed to a call that
-    writes into them must be C-contiguous.
+    true, else None.  scratch: one state-sized temporary when the route
+    carries momentum terms (`momentum`), else one stencil block; advection
+    uses its head as its block, since advection and the momentum terms
+    never run at once.  Arrays handed to a call that writes into them must
+    be C-contiguous.
     """
 
-    def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", gradients: bool):
+    def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", gradients: bool,
+                 momentum: bool = False):
         shape, dim = grid.state_shape, grid.dim
         self.stencil = BlockedStencil(shape, grid, config.stencil_order, config.boundary)
         self.speeds = -np.stack(np.meshgrid(*grid.p_axes, indexing="ij")).reshape(
             (dim, -1) + (1,) * dim) / grid.constants.mass
         self.gradients = [np.empty(shape) for _ in range(dim)] if gradients else None
-        block = self.stencil.step * math.prod(shape[dim:])
-        self.scratch = np.empty(max(block, momentum_scratch_size(shape) if dim == 2 else 0))
+        self.scratch = np.empty(math.prod(shape) if momentum
+                                else self.stencil.step * math.prod(shape[dim:]))
 
 
 def momentum_difference(values: np.ndarray, grid: PhaseSpaceGrid, axis: int) -> np.ndarray:
@@ -337,26 +341,30 @@ class BandedOperators:
 
     force[c] is the matrix A_c of the force term -F_c (A_c f) along momentum
     axis c, or None where the force table F_c vanishes.  Each gradient entry
-    (s, w, A_x, A_y) adds w A_x A_y (df/dx_s), with None for the identity.
+    (s, w, A_x, A_y) adds w A_x A_y (df/dx_s), with None for the identity;
+    at most one entry per derivative carries both matrices.
     """
 
     force: Tuple[Optional[np.ndarray], Optional[np.ndarray]]
     gradient: Tuple[Tuple[int, float, Optional[np.ndarray], Optional[np.ndarray]], ...]
 
+    def __post_init__(self):
+        pairs = [s for s, _, mx, my in self.gradient if mx is not None and my is not None]
+        if len(pairs) != len(set(pairs)):
+            raise ValueError("at most one gradient term per derivative may carry two matrices")
 
-def _apply_block(matrix: np.ndarray, block: np.ndarray, axis: int,
-                 out: np.ndarray) -> np.ndarray:
-    """out = `matrix` applied along momentum `axis` of a (n_px, n_py, w) block.
+    @property
+    def has_terms(self) -> bool:
+        return any(m is not None for m in self.force) or bool(self.gradient)
 
-    `block` may be a strided view of a state: BLAS reads it in place, along
-    axis 0 as one matmul per P_y row when it cannot be seen as one matrix.
-    """
-    if axis == 1:
-        np.matmul(matrix, block, out=out)
-    elif block.flags.c_contiguous:
-        np.matmul(matrix, block.reshape(len(block), -1), out=out.reshape(len(out), -1))
+
+def _apply(matrix: np.ndarray, values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """out = `matrix` applied along momentum `axis` of a C-contiguous 2D state."""
+    n_x, n_y = values.shape[:2]
+    if axis == 0:
+        np.matmul(matrix, values.reshape(n_x, -1), out=out.reshape(n_x, -1))
     else:
-        np.matmul(matrix, block.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        np.matmul(matrix, values.reshape(n_x, n_y, -1), out=out.reshape(n_x, n_y, -1))
     return out
 
 
@@ -364,58 +372,33 @@ def add_momentum_terms(out: np.ndarray, values: np.ndarray, gradients, coeffs,
                        ops: BandedOperators, scratch: np.ndarray) -> np.ndarray:
     """Accumulate the force and field-gradient terms of `ops` into `out`.
 
-    `gradients[s]` is the derivative of `values` along spatial axis s; it
-    is read only by the gradient terms of axis s.  A term needs one
-    temporary, or two when it applies two matrices.  When `scratch` holds
-    that many states, the terms are added over the whole state at once.
-    Otherwise the state is swept in blocks of spatial cells, each block's
-    temporaries and a contiguous accumulator filling `scratch` (see
-    `momentum_scratch_size`): a block of `out` is gathered into the
-    accumulator, every matmul reads its block of `values` or of a gradient
-    in place and writes a block-sized temporary, each temporary is scaled
-    and added while it is in cache, and the accumulator is written back.
+    Every term is applied over the whole state, one matmul per matrix, its
+    product scaled and added into `out`.  `gradients[s]` is the derivative
+    of `values` along spatial axis s, read only by the gradient terms of
+    axis s, and spent: the terms that read it run with the identity ones
+    first, and the last of them writes its second matmul over it.  So every
+    term needs one temporary, `scratch`, which must hold at least a state.
     """
-    forces = [(axis, matrix) for axis, matrix in enumerate(ops.force) if matrix is not None]
-    if not (forces or ops.gradient):
+    if not ops.has_terms:
         return out
-    n_x, n_y = values.shape[:2]
-
-    def cells(a):
-        return a.reshape(n_x, n_y, -1)
-
-    tables = (coeffs.force_x.reshape(1, n_y, -1), coeffs.force_y.reshape(n_x, 1, -1))
-    dest, source = cells(out), cells(values)
-    n_cells = dest.shape[2]
-    temps = 2 if any(mx is not None and my is not None for _, _, mx, my in ops.gradient) else 1
-    whole = scratch.size >= temps * values.size
-    width = n_cells if whole else max(1, scratch.size // ((temps + 1) * n_x * n_y))
-    for start in range(0, n_cells, width):
-        cols = slice(start, min(start + width, n_cells))
-        size = n_x * n_y * (cols.stop - start)
-        buffers = (scratch[k * size:(k + 1) * size].reshape(n_x, n_y, -1) for k in range(3))
-        t1 = next(buffers)
-        t2 = next(buffers) if temps == 2 else None
-        if whole:
-            acc = dest
+    temp = scratch[:values.size].reshape(values.shape)
+    tables = (coeffs.force_x, coeffs.force_y[:, None])
+    for axis, matrix in enumerate(ops.force):
+        if matrix is not None:
+            _apply(matrix, values, axis, temp)
+            temp *= tables[axis]
+            out -= temp
+    by_matrices = sorted(ops.gradient, key=lambda term: sum(m is not None for m in term[2:]))
+    for s, weight, mx, my in by_matrices:
+        term = gradients[s]
+        for axis, matrix in ((1, my), (0, mx)):
+            if matrix is not None:
+                term = _apply(matrix, term, axis, temp if term is gradients[s] else gradients[s])
+        if term is gradients[s]:
+            term = np.multiply(term, weight, out=temp)
         else:
-            acc = next(buffers)
-            np.copyto(acc, dest[:, :, cols])
-        for axis, matrix in forces:
-            _apply_block(matrix, source[:, :, cols], axis, t1)
-            t1 *= tables[axis][:, :, cols]
-            acc -= t1
-        for s, weight, mx, my in ops.gradient:
-            term = cells(gradients[s])[:, :, cols]
-            for axis, matrix in ((1, my), (0, mx)):
-                if matrix is not None:
-                    term = _apply_block(matrix, term, axis, t2 if term is t1 else t1)
-            if term is t1 or term is t2:
-                term *= weight
-            else:
-                term = np.multiply(term, weight, out=t1)
-            acc += term
-        if not whole:
-            np.copyto(dest[:, :, cols], acc)
+            term *= weight
+        out += term
     return out
 
 
@@ -561,18 +544,22 @@ def mean_momentum_global(f, grid: PhaseSpaceGrid) -> np.ndarray:
 
 
 def boundary_mass_fraction(f, grid: PhaseSpaceGrid) -> float:
-    """|f| fraction sitting on the outermost momentum shells (leakage monitor)."""
-    values = np.abs(_values(f))
-    total = values.sum()
+    """|f| fraction sitting on the outermost momentum shells (leakage monitor).
+
+    |f| is taken one P_x slab at a time, so no state-sized copy is made.
+    """
+    values = _values(f)
+    total = edge = 0.0
+    last = len(values) - 1
+    for i, slab in enumerate(values):
+        slab = np.abs(slab)
+        mass = slab.sum()
+        total += mass
+        edge += mass * ((i == 0) + (i == last))
+        for c in range(grid.dim - 1):
+            edge += slab.take(0, axis=c).sum() + slab.take(-1, axis=c).sum()
     if total == 0.0:
         return 0.0
-    edge = 0.0
-    for c in range(grid.dim):
-        sl = [slice(None)] * values.ndim
-        sl[c] = 0
-        edge += values[tuple(sl)].sum()
-        sl[c] = values.shape[c] - 1
-        edge += values[tuple(sl)].sum()
     return float(edge / total)
 
 
@@ -638,14 +625,14 @@ def evolve(f0, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: PhaseS
             observer(step, t, values)
 
     record(0, 0.0)
-    norm_prev = float(np.linalg.norm(values))
+    norm_prev = l2_norm(values)
     # taken after the first record, so an observer's work on f0 (a snapshot
     # written to disk, say) does not stack on the step buffers
     out, scratch = np.empty_like(values), np.empty_like(values)
     for step in range(1, n_steps + 1):
         rk4_step(values, config.dt, rhs, out, scratch)
         values, out = out, values
-        norm = float(np.linalg.norm(values))
+        norm = l2_norm(values)
         if not np.isfinite(norm) or (norm_prev > 0 and norm > 10.0 * norm_prev):
             what = ("state turned non-finite" if not np.isfinite(norm)
                     else f"norm grew {norm / norm_prev:.1f}x")

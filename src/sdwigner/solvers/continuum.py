@@ -50,18 +50,16 @@ def force_and_quantum(values: np.ndarray, out: np.ndarray,
     states between kernel calls and a held workspace would add to the peak
     of every free flight.  The force terms, then each spatial axis's
     gradient terms, are added over the whole state, one derivative at a
-    time: a call holds one derivative and at most two state-sized
-    temporaries.
+    time: a call holds one derivative and one state-sized temporary.
     """
-    add_momentum_terms(out, values, None, coeffs, BandedOperators(ops.force, ()),
-                       np.empty(values.size))
+    temp = np.empty(values.shape)
+    add_momentum_terms(out, values, None, coeffs, BandedOperators(ops.force, ()), temp)
     for s in range(len(stencil.matrices)):
         terms = tuple(term for term in ops.gradient if term[0] == s)
         if terms:
             gradient = stencil.derivative(values, s, np.empty(values.shape))
-            temps = 2 if any(mx is not None and my is not None for _, _, mx, my in terms) else 1
             add_momentum_terms(out, values, {s: gradient}, coeffs,
-                               BandedOperators((None, None), terms), np.empty(temps * values.size))
+                               BandedOperators((None, None), terms), temp)
             del gradient
     return out
 
@@ -98,7 +96,7 @@ def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     """Build the difference matrices and the workspace once and bind them
     into a closure (values, out) -> d/dt values, written into `out`."""
     ops = difference_operators(coeffs, grid)
-    work = Workspace(grid, config, gradients=bool(ops.gradient))
+    work = Workspace(grid, config, gradients=bool(ops.gradient), momentum=ops.has_terms)
 
     def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         return rhs_continuum_fd(values, out, coeffs, ops, work)

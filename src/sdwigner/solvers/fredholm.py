@@ -25,7 +25,6 @@ is the scratch of its passes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
 
@@ -35,7 +34,8 @@ from ..kernels import linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
 from .common import (FredholmConvergenceError, SolverConfig, SolverInstabilityError,
-                     advect_free_flight, default_gamma0, free_flight_operators)
+                     advect_free_flight, default_gamma0, free_flight_operators,
+                     l2_norm)
 from .continuum import make_kernel
 
 
@@ -101,9 +101,9 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
             trial += history
             with np.errstate(divide="ignore", invalid="ignore"):
                 trial /= scale
-            norm = _norm(trial)
+            norm = l2_norm(trial)
             x -= trial      # x is spent: it holds the change of this pass
-            res = _norm(x) / (norm if norm > 0 else 1.0)
+            res = l2_norm(x) / (norm if norm > 0 else 1.0)
             x[...] = trial
             if not (np.isfinite(norm) and np.isfinite(res)):
                 raise SolverInstabilityError(
@@ -122,16 +122,6 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
             kernel(x, kvals[k], gamma0)
     return FredholmResult(state=WignerState(grid=grid, values=x, time=config.t_end),
                           residuals=residuals, n_sweeps=n_passes, gamma0=gamma0)
-
-
-def _norm(values: np.ndarray) -> float:
-    """L2 norm of a contiguous array in NumPy's own loop.
-
-    np.linalg.norm goes through BLAS, whose summation order depends on its
-    thread count; this keeps the residual table the same at every count.
-    """
-    flat = values.reshape(-1)
-    return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
 def _history(out, k, kvals, flights, decay, dt) -> None:

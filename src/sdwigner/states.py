@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .phasespace import PhaseSpaceGrid, per_axis
@@ -62,14 +64,15 @@ def gaussian_wigner(grid: PhaseSpaceGrid,
     momentum_center = per_axis(momentum_center, d, "momentum_center")
     sigma_p = per_axis(sigma_p, d, "sigma_p")
 
-    values = np.ones(grid.state_shape)
-    for k in range(d):
-        p = grid.p_axes[k].reshape((1,) * k + (-1,) + (1,) * (2 * d - k - 1))
-        values = values * np.exp(-((p - momentum_center[k]) ** 2) / (2 * sigma_p[k] ** 2))
-    for k in range(d):
-        x = grid.x_axes[k].reshape((1,) * (d + k) + (-1,) + (1,) * (d - k - 1))
-        values = values * np.exp(-((x - center[k]) ** 2) / (2 * sigma_x[k] ** 2))
+    # one outer product of the per-axis factors, momentum axes first: the
+    # same products in the same order as broadcasting them, and no state
+    # besides the result
+    factors = [np.exp(-((p - p0) ** 2) / (2 * sp ** 2))
+               for p, p0, sp in zip(grid.p_axes, momentum_center, sigma_p)]
+    factors += [np.exp(-((x - x0) ** 2) / (2 * sx ** 2))
+                for x, x0, sx in zip(grid.x_axes, center, sigma_x)]
+    values = functools.reduce(np.multiply.outer, factors)
     total = values.sum() * float(np.prod(grid.dx))
     if total > 0:
-        values = values / total
+        values /= total
     return WignerState(grid, values)

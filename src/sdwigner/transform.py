@@ -168,11 +168,12 @@ def stratonovich_phase(grid: PhaseSpaceGrid,
 
     Returns the unit array when the gauge carries no vector potential, which
     reduces the transform to the plain Weyl form through the same code path.
+    n_tau is checked first, so a bad order fails with or without a gauge.
     """
     c = grid.constants
+    nodes, weights = gauss_legendre_nodes(n_tau)
     if gauge is None or not gauge.has_vector_potential():
         return np.ones(grid.n_x + grid.n_s, dtype=complex)
-    nodes, weights = gauss_legendre_nodes(n_tau)
     exponent = np.zeros(grid.n_x + grid.n_s)
     for tau, w in zip(nodes, weights):
         a = gauge.vector_potential(offset_points(grid, 0.5 * tau))

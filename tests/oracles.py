@@ -356,3 +356,28 @@ def apply_along(matrix, values, axis):
 def fresh(rhs):
     """The values -> d/dt values form of an rhs(values, out) closure."""
     return lambda values: rhs(values, np.empty_like(values))
+
+
+def gaussian_wigner_broadcast(grid, center, sigma_x, momentum_center, sigma_p):
+    """The separable phase-space Gaussian as a broadcast product, unit discrete mass.
+
+    A unit array times one exp factor per axis, momentum axes first, each
+    factor shaped to broadcast along its own axis; divided by sum(f) prod(dx).
+    Per-axis arguments are sequences of length grid.dim.
+    """
+    d = grid.dim
+    values = np.ones(grid.state_shape)
+    axes = list(zip(grid.p_axes, momentum_center, sigma_p)) + \
+        list(zip(grid.x_axes, center, sigma_x))
+    for k, (q, q0, width) in enumerate(axes):
+        q = q.reshape((1,) * k + (-1,) + (1,) * (2 * d - k - 1))
+        values = values * np.exp(-((q - q0) ** 2) / (2 * width ** 2))
+    return values / (values.sum() * float(np.prod(grid.dx)))
+
+
+def boundary_fraction(values, dim):
+    """sum of |f| over each outermost momentum shell, over sum |f|, from one
+    full |f| array; a cell on two shells counts twice."""
+    a = np.abs(values)
+    edge = sum(a.take(i, axis=c).sum() for c in range(dim) for i in (0, -1))
+    return edge / a.sum()

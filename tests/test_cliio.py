@@ -799,3 +799,17 @@ def test_no_module_imports_a_private_name_of_another():
                 offenders += [f"{path.name}: {alias.name}" for alias in node.names
                               if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert offenders == []
+
+
+def test_every_traced_name_is_a_package_function():
+    # the tracer wraps functions by name and reports a missing one as absent,
+    # so a rename in src/ would silently drop a traced layer
+    tracer = ast.parse((REPO / "bench" / "tracer.py").read_text())
+    targets = next(node.value for node in tracer.body if isinstance(node, ast.AnnAssign)
+                   and getattr(node.target, "id", "") == "TARGETS")
+    names = {ast.literal_eval(key) for key in targets.keys}
+    defined = {node.name for path in (REPO / "src" / "sdwigner").rglob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert len(names) > 10
+    assert sorted(names - defined) == []

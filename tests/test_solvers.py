@@ -32,7 +32,7 @@ from sdwigner.solvers.common import (advect_free_flight, advection_term,
                                      rk4_step, sample_shift)
 from sdwigner.states import gaussian_wigner
 
-from oracles import (apply_along, fredholm_sweeps, free_flight_rows, fresh,
+from oracles import (apply_along, boundary_fraction, fredholm_sweeps, free_flight_rows, fresh,
                      lattice_first_moment, lattice_second_moment, rk4_classic,
                      roll_derivative, walk_coefficients, walk_reference)
 
@@ -468,15 +468,21 @@ class TestBandedOperators:
             assert calls == []
 
 
+def bound_workspace(rhs):
+    """The Workspace a route's make_rhs bound into its closure."""
+    return next(cell.cell_contents for cell in rhs.__closure__
+                if isinstance(cell.cell_contents, solver_common.Workspace))
+
+
 class TestWorkingMemory:
     @pytest.mark.parametrize("route", [semidiscrete, continuum],
                              ids=["semidiscrete", "continuum"])
     def test_rhs_call_allocates_less_than_a_state(self, route):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
-        # the stencil and the momentum terms each sweep GB in several blocks
+        # the stencil sweeps GB in several blocks
         assert len(solver_common.Workspace(GB, cfg, gradients=True).stencil.blocks) > 1
-        assert solver_common.momentum_scratch_size(GB.state_shape) < math.prod(GB.state_shape)
         rhs = route.make_rhs(linear_coefficients(GRADIENT_FIELD, GB), GB, cfg)
+        assert bound_workspace(rhs).scratch.size == math.prod(GB.state_shape)
         f = packet(GB).values
         before = f.copy()
         out = np.empty_like(f)
@@ -491,14 +497,37 @@ class TestWorkingMemory:
         assert allocated < f.nbytes
         assert np.array_equal(f, before)
 
+    @pytest.mark.parametrize("field, derivatives, temporaries", [
+        (GRADIENT_FIELD, 2, 1), (LinearEMField(b0=0.8), 0, 1), (LinearEMField(), 0, 0)],
+        ids=["gradient", "force_only", "free"])
+    @pytest.mark.parametrize("route", [semidiscrete, continuum],
+                             ids=["semidiscrete", "continuum"])
+    def test_workspace_holds_a_temporary_only_for_momentum_terms(self, route, field,
+                                                                 derivatives, temporaries):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
+        work = bound_workspace(route.make_rhs(linear_coefficients(field, GB), GB, cfg))
+        state = math.prod(GB.state_shape)
+        held = [work.scratch] + (work.gradients or [])
+        assert [a.size for a in held].count(state) == derivatives + temporaries
+        # without momentum terms the scratch is advection's one block
+        if not temporaries:
+            assert work.scratch.size == work.stencil.step * math.prod(GB.n_x)
+
     @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(e_grad=(0.3, -0.2), b0=0.8)],
                              ids=["gradient", "force_only"])
-    @pytest.mark.parametrize("route", ["ladder", "difference"])
+    @pytest.mark.parametrize("route", ["ladder", "difference", "shared"])
     def test_blocked_momentum_terms_match_whole_state_matmuls(self, field, route):
         coeffs = linear_coefficients(field, GB)
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
-        ops = (semidiscrete.ladder_operators(coeffs, GB, cfg) if route == "ladder"
-               else continuum.difference_operators(coeffs, GB))
+        ops = (continuum.difference_operators(coeffs, GB) if route == "difference"
+               else semidiscrete.ladder_operators(coeffs, GB, cfg))
+        if route == "shared":
+            # every kind of term reads derivative 0, the two-matrix one listed first
+            mx = band_matrix(GB.n_s[0], [0.6, -0.3], -1)
+            my = band_matrix(GB.n_s[1], [0.4, 0.1], 1, centre=-0.5)
+            ops = solver_common.BandedOperators(ops.force, (
+                (0, 0.7, mx, my), (0, -0.4, None, None), (0, 1.3, None, my),
+                (0, 0.9, mx, None), (1, 0.2, mx, my)))
         rng = np.random.default_rng(41)
         f, start = rng.normal(size=(2,) + GB.state_shape)
         grads = [spatial_derivative(f, GB, s, 4, "periodic") for s in range(2)]
@@ -511,9 +540,34 @@ class TestWorkingMemory:
             term = grads[s] if my is None else apply_along(my, grads[s], 1)
             expect += weight * (term if mx is None else apply_along(mx, term, 0))
         got = start.copy()
-        scratch = np.empty(solver_common.momentum_scratch_size(GB.state_shape))
-        solver_common.add_momentum_terms(got, f, grads, coeffs, ops, scratch)
+        # the derivatives are spent by the call, so it gets fresh copies
+        solver_common.add_momentum_terms(got, f, [g.copy() for g in grads], coeffs, ops,
+                                         np.empty(f.size))
         assert rel_l2(got, expect) < 1e-14
+
+    def test_one_two_matrix_term_per_derivative(self):
+        m = np.eye(3)
+        with pytest.raises(ValueError, match="two matrices"):
+            solver_common.BandedOperators((None, None), ((1, 1.0, m, m), (1, 2.0, m, m)))
+
+    def test_boundary_fraction_allocates_less_than_a_state(self):
+        f = packet(GB, sigma_p=3.0).values
+        tracemalloc.start()
+        try:
+            current = tracemalloc.get_traced_memory()[0]
+            got = solver_common.boundary_mass_fraction(f, GB)
+            allocated = tracemalloc.get_traced_memory()[1] - current
+        finally:
+            tracemalloc.stop()
+        assert allocated < f.nbytes / 4
+        assert got == pytest.approx(boundary_fraction(f, GB.dim), rel=1e-13)
+
+    @pytest.mark.parametrize("grid", [G2U, G1], ids=["G2U", "G1"])
+    def test_boundary_fraction_counts_every_shell(self, grid):
+        f = packet(grid, sigma_p=3.0).values
+        got = solver_common.boundary_mass_fraction(f, grid)
+        assert got == pytest.approx(boundary_fraction(f, grid.dim), rel=1e-13)
+        assert solver_common.boundary_mass_fraction(np.zeros_like(f), grid) == 0.0
 
     def test_evolve_reuses_its_buffers_safely(self):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")

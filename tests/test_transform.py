@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from sdwigner import SI, landau_gauge, make_grid, symmetric_gauge, zero_gauge
 from sdwigner.phasespace import PhysicalConstants
-from sdwigner.states import gaussian_density
+from sdwigner.states import gaussian_density, gaussian_wigner
 from sdwigner.transform import (
     DensityMatrix,
     TransformConsistencyError,
@@ -19,6 +21,7 @@ from sdwigner.transform import (
 
 from oracles import (
     continuum_first_moment,
+    gaussian_wigner_broadcast,
     lattice_first_moment,
     weyl_quadrature,
 )
@@ -165,6 +168,15 @@ class TestConsistencyChecks:
         with pytest.raises(ValueError):
             DensityMatrix(grid, np.ones((3, 3), dtype=complex))
 
+    def test_tau_order_checked_without_a_gauge(self):
+        grid = make_grid(1, 8.0, 4.0, 3, 4, constants=NAT)
+        rho = gaussian_density(grid, sigma=1.0)
+        with pytest.raises(ValueError, match="tau nodes"):
+            wigner_from_density(rho, None, n_tau=0)
+        # constants passed positionally land in the n_tau slot
+        with pytest.raises(TypeError):
+            wigner_from_density(rho, None, SI)
+
 
 class TestWignerPotentialTable:
     def test_constant_potential_vanishes(self):
@@ -215,6 +227,29 @@ class TestWignerPotentialTable:
 
 
 class TestGaussianStates:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_wigner_packet_bit_equal_to_broadcast_formula(self, dim):
+        grid = make_grid(dim, (8.0,) * dim, (4.0,) * dim, (6, 5)[:dim], (3, 4)[:dim],
+                         constants=NAT)
+        args = dict(center=(0.3, -0.2)[:dim], sigma_x=(0.7, 0.9)[:dim],
+                    momentum_center=(0.5, -1.0)[:dim], sigma_p=(1.2, 0.8)[:dim])
+        f = gaussian_wigner(grid, **args)
+        assert f.values.tobytes() == gaussian_wigner_broadcast(grid, **args).tobytes()
+
+    def test_wigner_packet_peaks_at_one_state(self):
+        grid = make_grid(2, (8.0, 8.0), (4.0, 4.0), (24, 24), (8, 8), constants=NAT)
+        gaussian_wigner(grid, sigma_x=0.7, sigma_p=1.2)
+        tracemalloc.start()
+        try:
+            current = tracemalloc.get_traced_memory()[0]
+            f = gaussian_wigner(grid, sigma_x=0.7, sigma_p=1.2)
+            peak = tracemalloc.get_traced_memory()[1] - current
+        finally:
+            tracemalloc.stop()
+        # the state, plus the per-axis factors, the partial products and
+        # NumPy's iteration buffers: far below a second state
+        assert f.values.nbytes <= peak < 1.5 * f.values.nbytes
+
     def test_density_is_hermitian_and_normalized(self, oracle_1d):
         _, grid, rho = oracle_1d
         assert rho.hermiticity_defect() < 1e-12
