@@ -224,8 +224,6 @@ class LinearKernelCoefficients:
           mode, L_y^2/12 scale).
     """
 
-    grid: PhaseSpaceGrid
-    field: "object"
     c1_x: np.ndarray
     c1_y: np.ndarray
     force_x: np.ndarray
@@ -233,6 +231,14 @@ class LinearKernelCoefficients:
     cross_dx: float
     pair_dy: np.ndarray
     zero_dy: float
+
+
+def curvature_kappa(field, grid: PhaseSpaceGrid) -> float:
+    """kappa = b1 hbar^2 e / (12 m), the strength of the field-gradient terms
+    shared by the stepped routes' coefficients and the backward walk's
+    curvature branches."""
+    c = grid.constants
+    return field.b1 * c.hbar ** 2 * c.charge / (12.0 * c.mass)
 
 
 def linear_coefficients(field, grid: PhaseSpaceGrid) -> LinearKernelCoefficients:
@@ -261,11 +267,10 @@ def linear_coefficients(field, grid: PhaseSpaceGrid) -> LinearKernelCoefficients
                     - p_x[:, None, None] * b_of_y[None, :, :] / c.mass),
         (grid.n_s[0],) + grid.n_x).copy()
 
-    kappa = field.b1 * c.hbar ** 2 * c.charge / (12.0 * c.mass)
+    kappa = curvature_kappa(field, grid)
     pair_dy = -kappa * quadratic_coefficient(my, grid.dp[1])
     zero_dy = -(field.b1 * c.charge / (12.0 * c.mass)) * grid.coherence_length[1] ** 2 / 12.0
-    return LinearKernelCoefficients(grid, field, c1_x, c1_y, force_x, force_y,
-                                    -kappa, pair_dy, zero_dy)
+    return LinearKernelCoefficients(c1_x, c1_y, force_x, force_y, -kappa, pair_dy, zero_dy)
 
 
 # ---------------------------------------------------------------------------

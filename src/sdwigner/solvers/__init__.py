@@ -1,10 +1,10 @@
 """Evolution solvers: the ladder and finite-difference right-hand sides with
-their one stepping loop, the integral-form resolvent, the backward-walk point
-estimator, and a kernel-table reference RHS.
+their one stepping loop, the integral-form resolvent and the backward-walk
+point estimator.
 
-Each deterministic route builds its operators once: `semidiscrete.make_rhs`,
-`continuum.make_rhs` and the kernel-table `general.make_rhs` bind a
-right-hand side for `evolve`."""
+Each deterministic route builds its operators once: `semidiscrete.make_rhs`
+and `continuum.make_rhs` bind a right-hand side for `evolve`.  The
+kernel-table reference route, which no run reaches, lives with the tests."""
 
 from .common import (EvolutionResult, FredholmConvergenceError, ObservableRecord,
                      SolverConfig, SolverInstabilityError, boundary_mass_fraction,

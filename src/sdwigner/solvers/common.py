@@ -24,7 +24,8 @@ from ..transform import WignerState
 
 
 class SolverInstabilityError(RuntimeError):
-    """A step left a non-finite state or grew the norm more than 10x."""
+    """A step left a non-finite state or grew its L2 norm, which a stable
+    step of either route's skew-symmetric generator never does."""
 
 
 class SolverConfigError(ValueError):
@@ -216,26 +217,25 @@ class BlockedStencil:
 
 class Workspace:
     """The working memory of one right-hand side, built once for the state
-    shape of `grid` and reused by every call.
+    shape of `grid` and the momentum operators `ops`, and reused by every call.
 
     stencil: the spatial derivative matrices, applied in blocks of momentum
     rows.  speeds[c][row]: -v_c of that row's momentum lattice point.
-    gradients: one state-sized array per spatial axis when `gradients` is
-    true, else None.  scratch: one state-sized temporary when the route
-    carries momentum terms (`momentum`), else one stencil block; advection
-    uses its head as its block, since advection and the momentum terms
-    never run at once.  Arrays handed to a call that writes into them must
-    be C-contiguous.
+    gradients: one state-sized array per spatial axis when `ops` carries
+    gradient terms, which read them, else None.  scratch: one state-sized
+    temporary when `ops` carries any momentum term, else one stencil block;
+    advection uses its head as its block, since advection and the momentum
+    terms never run at once.  Arrays handed to a call that writes into them
+    must be C-contiguous.
     """
 
-    def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", gradients: bool,
-                 momentum: bool = False):
+    def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", ops: "BandedOperators"):
         shape, dim = grid.state_shape, grid.dim
         self.stencil = BlockedStencil(shape, grid, config.stencil_order, config.boundary)
         self.speeds = -np.stack(np.meshgrid(*grid.p_axes, indexing="ij")).reshape(
             (dim, -1) + (1,) * dim) / grid.constants.mass
-        self.gradients = [np.empty(shape) for _ in range(dim)] if gradients else None
-        self.scratch = np.empty(math.prod(shape) if momentum
+        self.gradients = [np.empty(shape) for _ in range(dim)] if ops.gradient else None
+        self.scratch = np.empty(math.prod(shape) if ops.has_terms
                                 else self.stencil.step * math.prod(shape[dim:]))
 
 
@@ -302,33 +302,24 @@ def band_matrix(n: int, coeffs, parity: int, centre: float = 0.0) -> np.ndarray:
     return taps[n - 1 + np.subtract.outer(np.arange(n), np.arange(n))]
 
 
-def spatial_gradients(values: np.ndarray, work: Workspace) -> list:
-    """Central-difference derivative along every spatial axis, in axis order,
-    written into the workspace's gradient arrays."""
-    return [work.stencil.derivative(values, ax, g) for ax, g in enumerate(work.gradients)]
-
-
-def advection_term(values: np.ndarray, out: np.ndarray, work: Workspace,
-                   gradients: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+def advection_term(values: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
     """Write -(P_M / m) . spatial gradient of f into `out`, broadcast over the
     momentum lattice.
 
     Swept in the stencil's blocks of momentum rows: each block's derivatives
-    are taken and weighted by their velocities while the block is in cache,
-    the second axis's term in the workspace scratch.  `gradients` passes
-    derivatives already taken by `spatial_gradients`, which sweeps the same
-    blocks, so a caller that needs them too takes them once and advection
-    reads the same bits it would have taken.
+    are taken and weighted by their velocities while the block is in cache.
+    A workspace that holds derivative arrays receives them, whole, for the
+    gradient block; otherwise the first axis's derivative is taken in `out`
+    and the second's in the workspace scratch, and both are dropped.
     """
     stencil, speeds = work.stencil, work.speeds
     rows, acc_rows = stencil.rows(values), stencil.rows(out)
-    if gradients is not None:
-        gradients = [stencil.rows(g) for g in gradients]
+    held = [stencil.rows(g) for g in work.gradients] if work.gradients is not None else None
     for block in stencil.blocks:
         acc = acc_rows[block]
         for c in range(len(speeds)):
             term = acc if c == 0 else work.scratch[:acc.size].reshape(acc.shape)
-            d = gradients[c][block] if gradients is not None else stencil(rows[block], c, term)
+            d = stencil(rows[block], c, held[c][block] if held is not None else term)
             np.multiply(d, speeds[c][block], out=term)
             if c:
                 acc += term
@@ -408,13 +399,11 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, coeffs, ops: BandedOperators
 
     Advection, plus each force table times its axis operator of f, plus the
     gradient block; the routes differ only in the matrices `ops` carries.
-    When `ops` carries gradient terms the spatial derivatives are taken once
-    and read by advection and the gradient block alike; otherwise advection
-    takes and drops them one block at a time.
+    Advection's sweep leaves the spatial derivatives in the workspace when
+    `ops` carries gradient terms, and the gradient block reads them there.
     """
-    gradients = spatial_gradients(values, work) if ops.gradient else None
-    advection_term(values, out, work, gradients)
-    return add_momentum_terms(out, values, gradients, coeffs, ops, work.scratch)
+    advection_term(values, out, work)
+    return add_momentum_terms(out, values, work.gradients, coeffs, ops, work.scratch)
 
 
 def rk4_step(values: np.ndarray, dt: float, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -459,8 +448,7 @@ def _interpolation_stack(deltas: np.ndarray, n: int, boundary: str) -> np.ndarra
     return stack
 
 
-def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float,
-                          boundary: str = "zero") -> tuple:
+def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float, boundary: str) -> tuple:
     """Free flight by delta_t as one interpolation stack per spatial axis.
 
     Applied by `advect_free_flight`, it maps f(M, x) to f(M, x - v_M delta_t),
@@ -597,9 +585,12 @@ def evolve(f0, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: PhaseS
     """March f0 with RK4, recording observable traces and guarding stability.
 
     The only stepping loop of the deterministic routes: a step that leaves a
-    non-finite state or grows the norm more than 10x raises
-    SolverInstabilityError.  n_steps (default t_end / dt) must be >= 0 and
-    record_every >= 1.  rhs(values, out) writes d/dt values into `out`.
+    non-finite state or grows the L2 norm by more than 1e-12 relative (a
+    margin for rounding) raises SolverInstabilityError.  The rule rests on
+    both routes' skew-symmetric generators: their flow keeps the norm, and a
+    stable RK4 step never grows it.  n_steps (default t_end / dt) must be
+    >= 0 and record_every >= 1.  rhs(values, out) writes d/dt values into
+    `out`.
 
     The state and two step buffers are allocated once and swapped each step;
     f0 is never written.  The array handed to `observer` is reused by the
@@ -633,13 +624,13 @@ def evolve(f0, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: PhaseS
         rk4_step(values, config.dt, rhs, out, scratch)
         values, out = out, values
         norm = l2_norm(values)
-        if not np.isfinite(norm) or (norm_prev > 0 and norm > 10.0 * norm_prev):
+        if not np.isfinite(norm) or (norm_prev > 0 and norm > norm_prev * (1 + 1e-12)):
             what = ("state turned non-finite" if not np.isfinite(norm)
-                    else f"norm grew {norm / norm_prev:.1f}x")
+                    else f"norm grew by {norm / norm_prev - 1:.3e} relative")
             raise SolverInstabilityError(
                 f"{what} at step {step} (t={step * config.dt:.3e} s); "
                 f"dt likely violates stability")
-        norm_prev = norm if norm > 0 else norm_prev
+        norm_prev = norm
         if step % record_every == 0 or step == n_steps:
             record(step, step * config.dt)
     result.values = values

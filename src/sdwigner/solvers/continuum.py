@@ -96,7 +96,7 @@ def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     """Build the difference matrices and the workspace once and bind them
     into a closure (values, out) -> d/dt values, written into `out`."""
     ops = difference_operators(coeffs, grid)
-    work = Workspace(grid, config, gradients=bool(ops.gradient), momentum=ops.has_terms)
+    work = Workspace(grid, config, ops)
 
     def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         return rhs_continuum_fd(values, out, coeffs, ops, work)

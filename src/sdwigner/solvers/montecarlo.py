@@ -34,6 +34,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..kernels import curvature_kappa
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
 from .common import SolverConfig, SolverInstabilityError, default_gamma0
@@ -150,10 +151,9 @@ def _hop_rates(p: np.ndarray, pos: np.ndarray, field: LinearEMField,
 
 def _curvature_coefficients(field: LinearEMField, grid: PhaseSpaceGrid) -> np.ndarray:
     """Coefficients of the curvature branches 5-18, the same at every walker."""
-    c = grid.constants
     dpx, dpy = grid.dp
     dx, dy = grid.dx
-    kappa = field.b1 * c.hbar ** 2 * c.charge / (12.0 * c.mass)
+    kappa = curvature_kappa(field, grid)
     return np.array([
         weight * kappa / dpy ** 2 * (sign / (2.0 * dx)) if axis == 0 else
         weight * kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (sign / (2.0 * dy))

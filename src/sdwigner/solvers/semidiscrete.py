@@ -67,7 +67,7 @@ def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     """Build the ladder matrices and the workspace once and bind them into a
     closure (values, out) -> d/dt values, written into `out`."""
     ops = ladder_operators(coeffs, grid, config)
-    work = Workspace(grid, config, gradients=bool(ops.gradient), momentum=ops.has_terms)
+    work = Workspace(grid, config, ops)
 
     def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         return rhs_semidiscrete(values, out, coeffs, ops, work)

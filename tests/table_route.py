@@ -1,9 +1,12 @@
-"""Reference evolution assembled directly from windowed field tables.
+"""Kernel-table reference route: the evolution right-hand side assembled
+directly from windowed field tables.
 
 This route makes no closed-form assumptions about the field profile: the
 momentum coupling at every offset is read off the numeric kernel tables
 (weighted over their quadrature nodes), so it serves as an independent
-cross-check of the ladder solver's analytic coefficient families.
+cross-check of the ladder solver's analytic coefficient families.  No config
+or run reaches it.  Unlike `oracles`, it builds on package internals: the
+kernel tables and the blocked spatial stencil.
 
 `make_rhs` reduces the tables once and turns each into its spectrum along
 the momentum axes.  Every offset sum sum_m T(m, x) g(M - m, x) is then one
@@ -17,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import KernelSet
-from ..phasespace import PhaseSpaceGrid
-from .common import SolverConfig, Workspace, advection_term, spatial_gradients
+from sdwigner.kernels import KernelSet
+from sdwigner.phasespace import PhaseSpaceGrid
+from sdwigner.solvers.common import BlockedStencil, SolverConfig
 
 
 def _field_tables(kernels: KernelSet, grid: PhaseSpaceGrid):
@@ -40,8 +43,8 @@ def _field_tables(kernels: KernelSet, grid: PhaseSpaceGrid):
 
 
 def make_rhs(kernels: KernelSet, grid: PhaseSpaceGrid, config: SolverConfig):
-    """Build the table spectra and the workspace once and bind them into a
-    closure (values, out) -> d/dt values, written into `out`.
+    """Build the table spectra, the stencil and the derivative arrays once and
+    bind them into a closure (values, out) -> d/dt values, written into `out`.
 
     Requires kernel tables computed on the full spatial grid (x_points=None).
     """
@@ -65,7 +68,9 @@ def make_rhs(kernels: KernelSet, grid: PhaseSpaceGrid, config: SolverConfig):
     momenta = [p.reshape([-1 if a == c else 1 for a in range(2 * d)])
                for c, p in enumerate(grid.p_axes)]
 
-    work = Workspace(grid, config, gradients=True)
+    stencil = BlockedStencil(grid.state_shape, grid, config.stencil_order, config.boundary)
+    speeds = [-p / cons.mass for p in momenta]
+    grads = [np.empty(grid.state_shape) for _ in range(d)]
     # padded spectra, accumulator and product: built once, reused by every
     # call.  `padded` is zero outside its lattice block, which alone is
     # rewritten, so every transform of it is the zero-padded one.
@@ -82,8 +87,8 @@ def make_rhs(kernels: KernelSet, grid: PhaseSpaceGrid, config: SolverConfig):
         return np.fft.ifftn(spec, axes=axes, out=spec)[crop]
 
     def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        grads = spatial_gradients(values, work)
-        advection_term(values, out, work, grads)
+        for axis, g in enumerate(grads):
+            stencil.derivative(values, axis, g)
         transform(values, f_hat)
         if electric is not None:
             np.multiply(electric, f_hat, out=acc)
@@ -92,6 +97,11 @@ def make_rhs(kernels: KernelSet, grid: PhaseSpaceGrid, config: SolverConfig):
         for spec, g in zip(gradient, grads):
             if spec is not None:
                 np.add(acc, np.multiply(spec, transform(g, prod), out=prod), out=acc)
+        # advection, -(P / m) . grad f, once the gradient spectra have read
+        # the derivatives: the second one is spent as its term
+        np.multiply(grads[0], speeds[0], out=out)
+        for g, v in zip(grads[1:], speeds[1:]):
+            out += np.multiply(g, v, out=g)
         out += inverse(acc).real
         for spec, p in zip(lorentz, momenta):
             if spec is not None:

@@ -618,6 +618,23 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: state turned non-finite")
 
+    @pytest.mark.parametrize("b0_T, code, status", [(36.0, 1, "failed"), (30.0, 0, "complete")])
+    def test_run_fails_on_a_step_that_grows_the_norm(self, tmp_path, capsys, b0_T, code, status):
+        # the shipped cyclotron run in a stronger field: dt times the
+        # generator's spectral radius passes RK4's reach 2 sqrt 2 at 36 T
+        # (3.13), where the run once ended `complete` with mass -6.7e32, and
+        # stays below it at 30 T (2.66)
+        d = json.loads((REPO / "configs" / "cyclotron.json").read_text())
+        d["field"]["b0_T"] = b0_T
+        out = tmp_path / "run"
+        assert cli_main(["run", str(write_json(tmp_path, d)), "--out", str(out)]) == code
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["status"] == status
+        assert (out / "state_final.sdwg").exists() == (status == "complete")
+        if status == "failed":
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: norm grew by")
+
     def test_run_reports_a_walk_that_never_ends(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(montecarlo, "_MAX_ROUNDS", 1)
         path = self.cfg_file(tmp_path, solver={

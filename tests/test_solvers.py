@@ -20,7 +20,7 @@ from sdwigner.kernels import (LinearKernelCoefficients, compute_kernels,
 from sdwigner.phasespace import (LinearEMField, PhysicalConstants,
                                  SampledEMField)
 from sdwigner.solvers import common as solver_common
-from sdwigner.solvers import continuum, general, montecarlo, semidiscrete
+from sdwigner.solvers import continuum, montecarlo, semidiscrete
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, default_gamma0, evolve,
                               mc_estimate_point, mean_momentum_global, observables,
@@ -32,6 +32,7 @@ from sdwigner.solvers.common import (advect_free_flight, advection_term,
                                      rk4_step, sample_shift)
 from sdwigner.states import gaussian_wigner
 
+import table_route
 from oracles import (apply_along, boundary_fraction, fredholm_sweeps, free_flight_rows, fresh,
                      lattice_first_moment, lattice_second_moment, rk4_classic,
                      roll_derivative, walk_coefficients, walk_reference)
@@ -52,11 +53,11 @@ def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def advection(f, grid, order, boundary, gradients=None):
+def advection(f, grid, order, boundary):
     """advection_term of f into a new array, through a workspace built for it."""
     cfg = SolverConfig(dt=1.0, t_end=1.0, stencil_order=order, boundary=boundary)
-    work = solver_common.Workspace(grid, cfg, gradients=False)
-    return advection_term(f, np.empty_like(f), work, gradients)
+    work = solver_common.Workspace(grid, cfg, solver_common.BandedOperators((None, None), ()))
+    return advection_term(f, np.empty_like(f), work)
 
 
 def spatial_derivative(f, grid, axis, order=2, boundary="zero"):
@@ -211,8 +212,16 @@ class TestBlockedStencil:
             ref -= v[..., None, None] * roll_derivative(f, grid.dx[c], 2 + c, 4, boundary)
         got = advection(f, grid, 4, boundary)
         assert rel_l2(got, ref) < 1e-14
-        grads = [spatial_derivative(f, grid, c, 4, boundary) for c in range(2)]
-        assert np.array_equal(advection(f, grid, 4, boundary, grads), got)
+        # operators with gradient terms: the same sweep leaves the derivatives
+        # in the workspace, bit for bit, and advection's bits do not change
+        cfg = SolverConfig(dt=1.0, t_end=1.0, stencil_order=4, boundary=boundary)
+        work = solver_common.Workspace(grid, cfg, solver_common.BandedOperators(
+            (None, None), ((0, 1.0, None, None), (1, 1.0, None, None))))
+        held = advection_term(f, np.empty_like(f), work)
+        for c in range(2):
+            assert (work.gradients[c].tobytes()
+                    == spatial_derivative(f, grid, c, 4, boundary).tobytes())
+        assert held.tobytes() == got.tobytes()
 
 
 class TestAdvection:
@@ -480,7 +489,7 @@ class TestWorkingMemory:
     def test_rhs_call_allocates_less_than_a_state(self, route):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
         # the stencil sweeps GB in several blocks
-        assert len(solver_common.Workspace(GB, cfg, gradients=True).stencil.blocks) > 1
+        assert len(solver_common.BlockedStencil(GB.state_shape, GB, 4, "periodic").blocks) > 1
         rhs = route.make_rhs(linear_coefficients(GRADIENT_FIELD, GB), GB, cfg)
         assert bound_workspace(rhs).scratch.size == math.prod(GB.state_shape)
         f = packet(GB).values
@@ -645,7 +654,7 @@ class TestStepping:
         field = LinearEMField()
         base = linear_coefficients(field, G2)
         coeffs = LinearKernelCoefficients(
-            grid=base.grid, field=base.field, c1_x=base.c1_x, c1_y=base.c1_y,
+            c1_x=base.c1_x, c1_y=base.c1_y,
             force_x=np.full_like(base.force_x, 1e6),
             force_y=np.full_like(base.force_y, 1e6),
             cross_dx=0.0, pair_dy=np.zeros_like(base.pair_dy), zero_dy=0.0)
@@ -767,7 +776,7 @@ class TestStabilityGuard:
     def nan_coefficients(self, grid):
         base = linear_coefficients(LinearEMField(), grid)
         return LinearKernelCoefficients(
-            grid=base.grid, field=base.field, c1_x=base.c1_x, c1_y=base.c1_y,
+            c1_x=base.c1_x, c1_y=base.c1_y,
             force_x=np.full_like(base.force_x, np.nan), force_y=base.force_y,
             cross_dx=0.0, pair_dy=base.pair_dy, zero_dy=0.0)
 
@@ -1160,7 +1169,7 @@ class TestGeneralAssembler:
 
     def rhs(self, field, grid):
         kern = compute_kernels(field, grid, include_square=False)
-        return fresh(general.make_rhs(kern, grid, self.cfg))
+        return fresh(table_route.make_rhs(kern, grid, self.cfg))
 
     @TABLE_GRIDS
     def test_uniform_electric_matches_lattice_ladder(self, grid):
@@ -1225,12 +1234,12 @@ class TestGeneralAssembler:
 
     def test_tables_are_reduced_once(self, monkeypatch):
         calls = []
-        original = general._field_tables
+        original = table_route._field_tables
 
         def counting(*args):
             calls.append(1)
             return original(*args)
-        monkeypatch.setattr(general, "_field_tables", counting)
+        monkeypatch.setattr(table_route, "_field_tables", counting)
         rhs = self.rhs(LinearEMField(b0=0.5, b1=0.8), G2S)
         f = packet(G2S).values
         first = rhs(f)
@@ -1243,7 +1252,7 @@ class TestGeneralAssembler:
         grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (16, 16), (4, 4), NAT)
         # every coupling present: electric, Lorentz and gradient spectra
         field = LinearEMField(b0=0.5, b1=0.8, e_grad=(0.3, -0.2))
-        rhs = general.make_rhs(compute_kernels(field, grid, include_square=False),
+        rhs = table_route.make_rhs(compute_kernels(field, grid, include_square=False),
                                grid, self.cfg)
         f = packet(grid).values
         out = np.empty_like(f)
@@ -1262,11 +1271,11 @@ class TestGeneralAssembler:
         kern = compute_kernels(field, G2S, x_points=np.zeros((1, 2)),
                                include_square=False)
         with pytest.raises(ValueError, match="full spatial grid"):
-            general.make_rhs(kern, G2S, self.cfg)
+            table_route.make_rhs(kern, G2S, self.cfg)
 
 
-@pytest.mark.parametrize("route", [semidiscrete, continuum, general],
-                         ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+@pytest.mark.parametrize("route", [semidiscrete, continuum, table_route],
+                         ids=["semidiscrete", "continuum", "general"])
 def test_make_rhs_requires_config(route):
     # no route falls back to a default stencil or boundary
     config = inspect.signature(route.make_rhs).parameters["config"]
