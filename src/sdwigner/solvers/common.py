@@ -333,7 +333,9 @@ class BandedOperators:
     force[c] is the matrix A_c of the force term -F_c (A_c f) along momentum
     axis c, or None where the force table F_c vanishes.  Each gradient entry
     (s, w, A_x, A_y) adds w A_x A_y (df/dx_s), with None for the identity;
-    at most one entry per derivative carries both matrices.
+    at most one entry per derivative carries both matrices.  The entries are
+    held in the order `add_momentum_terms` applies them: a stable sort by
+    the number of matrices each carries, done once here.
     """
 
     force: Tuple[Optional[np.ndarray], Optional[np.ndarray]]
@@ -343,6 +345,8 @@ class BandedOperators:
         pairs = [s for s, _, mx, my in self.gradient if mx is not None and my is not None]
         if len(pairs) != len(set(pairs)):
             raise ValueError("at most one gradient term per derivative may carry two matrices")
+        object.__setattr__(self, "gradient", tuple(sorted(
+            self.gradient, key=lambda term: sum(m is not None for m in term[2:]))))
 
     @property
     def has_terms(self) -> bool:
@@ -379,8 +383,7 @@ def add_momentum_terms(out: np.ndarray, values: np.ndarray, gradients, coeffs,
             _apply(matrix, values, axis, temp)
             temp *= tables[axis]
             out -= temp
-    by_matrices = sorted(ops.gradient, key=lambda term: sum(m is not None for m in term[2:]))
-    for s, weight, mx, my in by_matrices:
+    for s, weight, mx, my in ops.gradient:
         term = gradients[s]
         for axis, matrix in ((1, my), (0, mx)):
             if matrix is not None:
@@ -468,12 +471,15 @@ def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float, boundary: str) -
     return tuple(stacks)
 
 
-def advect_free_flight(ops: tuple, values: np.ndarray) -> np.ndarray:
+def advect_free_flight(ops: tuple, values: np.ndarray, work: np.ndarray) -> np.ndarray:
     """One free flight: apply `free_flight_operators` to a state, one
-    broadcast matmul per axis.
+    broadcast matmul per axis, and return the flown state as a slot of `work`.
 
     Each momentum row meets its own matrix; the momentum axis lines up with
-    the stack and the spatial axis is the one contracted.
+    the stack and the spatial axis is the one contracted.  `work` is a
+    C-contiguous (2,) + state-shape array that does not overlap `values`;
+    axis `ax` writes into slot `ax % 2`, so a flight allocates no state, and
+    the slot it returns is overwritten by the next call that is handed `work`.
     """
     dim = len(ops)
     shape = values.shape
@@ -481,9 +487,11 @@ def advect_free_flight(ops: tuple, values: np.ndarray) -> np.ndarray:
     for ax, stack in enumerate(ops):
         lead, mid = math.prod(shape[:ax]), math.prod(shape[ax + 1:dim + ax])
         if ax == dim - 1:
-            out = out.reshape(lead, shape[ax], mid, shape[dim + ax]) @ stack
+            rows = out.reshape(lead, shape[ax], mid, shape[dim + ax])
+            out = np.matmul(rows, stack, out=work[ax % 2].reshape(rows.shape))
         else:
-            out = stack[:, None] @ out.reshape(lead, shape[ax], mid, shape[dim + ax], -1)
+            rows = out.reshape(lead, shape[ax], mid, shape[dim + ax], -1)
+            out = np.matmul(stack[:, None], rows, out=work[ax % 2].reshape(rows.shape))
     return out.reshape(shape)
 
 

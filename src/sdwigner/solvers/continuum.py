@@ -40,45 +40,52 @@ def difference_operators(coeffs: LinearKernelCoefficients,
     return BandedOperators(force, gradient)
 
 
-def force_and_quantum(values: np.ndarray, out: np.ndarray,
-                      coeffs: LinearKernelCoefficients, ops: BandedOperators,
-                      stencil: BlockedStencil) -> np.ndarray:
+def force_and_quantum(values: np.ndarray, out: np.ndarray, work: np.ndarray,
+                      coeffs: LinearKernelCoefficients, force: BandedOperators,
+                      gradient: list, stencil: BlockedStencil) -> np.ndarray:
     """Add K[values] into `out`: the right-hand side minus advection, from the
-    matrices `difference_operators` and `BlockedStencil` built.
+    matrices `make_kernel` split once per solve.
 
-    Its working memory is taken per call, since the resolvent holds n_t + 3
-    states between kernel calls and a held workspace would add to the peak
-    of every free flight.  The force terms, then each spatial axis's
+    `force` carries the force terms alone, and each (s, ops) of `gradient`
+    the gradient terms of spatial axis s.  The force terms, then each axis's
     gradient terms, are added over the whole state, one derivative at a
-    time: a call holds one derivative and one state-sized temporary.
+    time, in the held (2,) + state-shape `work`: slot 0 is the temporary
+    every term passes through and slot 1 the derivative of the axis being
+    added.  So a call allocates no state; `work` overlaps neither `values`
+    nor `out`.
     """
-    temp = np.empty(values.shape)
-    add_momentum_terms(out, values, None, coeffs, BandedOperators(ops.force, ()), temp)
-    for s in range(len(stencil.matrices)):
-        terms = tuple(term for term in ops.gradient if term[0] == s)
-        if terms:
-            gradient = stencil.derivative(values, s, np.empty(values.shape))
-            add_momentum_terms(out, values, {s: gradient}, coeffs,
-                               BandedOperators((None, None), terms), temp)
-            del gradient
+    temp, derivative = work[0], work[1]
+    add_momentum_terms(out, values, None, coeffs, force, temp)
+    for s, terms in gradient:
+        stencil.derivative(values, s, derivative)
+        add_momentum_terms(out, values, {s: derivative}, coeffs, terms, temp)
     return out
 
 
 def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
                 config: SolverConfig):
-    """Build the difference and derivative matrices once and bind them into
-    a closure (values, out, gamma0=0) -> K[values] + gamma0 values, written
-    into `out`.
+    """Build the difference and derivative matrices once, split the
+    difference terms into the force terms and each spatial axis's gradient
+    terms, and bind them into a closure (values, out, work, gamma0=0) ->
+    K[values] + gamma0 values, written into `out` with `work` as the
+    (2,) + state-shape working memory of `force_and_quantum`.
 
     K is the right-hand side minus advection, the coupling the integral
     solver sums along each backward characteristic.
     """
     ops = difference_operators(coeffs, grid)
+    force = BandedOperators(ops.force, ())
+    gradient = []
+    for s in range(grid.dim):
+        terms = tuple(term for term in ops.gradient if term[0] == s)
+        if terms:
+            gradient.append((s, BandedOperators((None, None), terms)))
     stencil = BlockedStencil(grid.state_shape, grid, config.stencil_order, config.boundary)
 
-    def kernel(values: np.ndarray, out: np.ndarray, gamma0: float = 0.0) -> np.ndarray:
+    def kernel(values: np.ndarray, out: np.ndarray, work: np.ndarray,
+               gamma0: float = 0.0) -> np.ndarray:
         np.multiply(values, gamma0, out=out)
-        return force_and_quantum(values, out, coeffs, ops, stencil)
+        return force_and_quantum(values, out, work, coeffs, force, gradient, stencil)
     return kernel
 
 

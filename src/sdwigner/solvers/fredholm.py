@@ -20,7 +20,10 @@ whole-cell shifts.  Its matrices (`free_flight_operators`) are built once
 per lag, and each (level, lag) flight runs once per solve.  A solve holds
 one (n_t + 1)-state array of kernel values K f_j + gamma0 f_j, plus the
 iterate and the history of the level being solved; the slot of that level
-is the scratch of its passes.
+is the scratch of its passes.  It also holds one two-state workspace, which
+every kernel call and every flight writes into, since they never run at
+once: n_t + 5 states in all, and a kernel pass or a flight allocates no
+state of its own.
 """
 
 from __future__ import annotations
@@ -85,18 +88,21 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
     kvals = np.empty((n_t + 1,) + values0.shape)
     x = np.array(values0, dtype=float)
     history = np.empty_like(x)
-    kernel(x, kvals[0], gamma0)
+    # the working memory of every kernel call and every flight, which never
+    # run at once
+    work = np.empty((2,) + x.shape)
+    kernel(x, kvals[0], work, gamma0)
     kvals[0] *= half
     kvals[0] += x
 
     residuals: List[float] = []
     n_passes = 0
     for k in range(1, n_t + 1):
-        _history(history, k, kvals, flights, decay, dt)
+        _history(history, k, kvals, flights, decay, dt, work)
         # passes from the previous level's state; kvals[k] is their scratch
         trial, level = kvals[k], []
         for _ in range(config.fredholm_max_iter):
-            kernel(x, trial)
+            kernel(x, trial, work)
             trial *= half
             trial += history
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -119,20 +125,20 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
         n_passes += len(level)
         residuals.append(res)
         if k < n_t:
-            kernel(x, kvals[k], gamma0)
+            kernel(x, kvals[k], work, gamma0)
     return FredholmResult(state=WignerState(grid=grid, values=x, time=config.t_end),
                           residuals=residuals, n_sweeps=n_passes, gamma0=gamma0)
 
 
-def _history(out, k, kvals, flights, decay, dt) -> None:
+def _history(out, k, kvals, flights, decay, dt, work) -> None:
     """Write level k's history into out: every term of its trapezoid sum but
-    the diagonal one.
+    the diagonal one, each flight flown in `work`.
 
     out = decay[k] A(k) kvals[0] + sum_{j=1}^{k-1} dt decay[k-j] A(k-j) kvals[j],
     A(lag) = flights[lag], with kvals[0] already holding f0 + dt/2 (K f0 + gamma0 f0).
     """
-    np.multiply(advect_free_flight(flights[k], kvals[0]), decay[k], out=out)
+    np.multiply(advect_free_flight(flights[k], kvals[0], work), decay[k], out=out)
     for j in range(1, k):
-        flight = advect_free_flight(flights[k - j], kvals[j])
+        flight = advect_free_flight(flights[k - j], kvals[j], work)
         flight *= dt * decay[k - j]
         out += flight

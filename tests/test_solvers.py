@@ -20,7 +20,7 @@ from sdwigner.kernels import (LinearKernelCoefficients, compute_kernels,
 from sdwigner.phasespace import (LinearEMField, PhysicalConstants,
                                  SampledEMField)
 from sdwigner.solvers import common as solver_common
-from sdwigner.solvers import continuum, montecarlo, semidiscrete
+from sdwigner.solvers import continuum, fredholm, montecarlo, semidiscrete
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, default_gamma0, evolve,
                               mc_estimate_point, mean_momentum_global, observables,
@@ -51,6 +51,17 @@ G2U = make_grid(2, (TAU, 4.0), (np.pi, 2.0), (7, 5), (3, 2), NAT)
 
 def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def allocation_peak(call):
+    """Bytes `call()` held at its peak under tracemalloc, beyond what was held before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def advection(f, grid, order, boundary):
@@ -228,7 +239,8 @@ class TestAdvection:
     def test_integer_shift_matches_roll(self):
         f = packet(G2).values
         dt = G2.dx[0]            # v_M dt / dx = M exactly (dP = 1, m = 1)
-        out = advect_free_flight(free_flight_operators(G2, dt, "periodic"), f)
+        out = advect_free_flight(free_flight_operators(G2, dt, "periodic"), f,
+                                 np.empty((2,) + f.shape))
         for mx, my in ((-2, 0), (0, 1), (3, -4)):
             sx, sy = G2.momentum_slot(0, mx), G2.momentum_slot(1, my)
             expect = np.roll(np.roll(f[sx, sy], mx, axis=0), my, axis=1)
@@ -236,7 +248,8 @@ class TestAdvection:
 
     def test_half_cell_interpolates(self):
         f = packet(G2).values
-        out = advect_free_flight(free_flight_operators(G2, 0.5 * G2.dx[0], "periodic"), f)
+        out = advect_free_flight(free_flight_operators(G2, 0.5 * G2.dx[0], "periodic"), f,
+                                 np.empty((2,) + f.shape))
         sx, sy = G2.momentum_slot(0, 1), G2.momentum_slot(1, 0)
         plane = f[sx, sy]
         expect = 0.5 * (plane + np.roll(plane, 1, axis=0))
@@ -244,7 +257,8 @@ class TestAdvection:
 
     def test_mass_exact_periodic(self):
         f = packet(G2).values
-        out = advect_free_flight(free_flight_operators(G2, 0.37, "periodic"), f)
+        out = advect_free_flight(free_flight_operators(G2, 0.37, "periodic"), f,
+                                 np.empty((2,) + f.shape))
         assert abs(out.sum() - f.sum()) < 1e-12 * abs(f.sum())
 
 
@@ -267,7 +281,8 @@ class TestFreeFlightOperators:
         delta_t = cells * grid.n_x[0] * grid.dx[0] / v_max
         values = np.random.default_rng(3).standard_normal(grid.state_shape)
         expect = free_flight_rows(values, row_deltas(grid, delta_t), boundary)
-        out = advect_free_flight(free_flight_operators(grid, delta_t, boundary), values)
+        out = advect_free_flight(free_flight_operators(grid, delta_t, boundary), values,
+                                 np.empty((2,) + values.shape))
         assert rel_l2(out, expect) < 1e-14
 
     def test_last_axis_stack_is_transposed_and_contiguous(self):
@@ -801,7 +816,8 @@ class TestFredholm:
         cfg = SolverConfig(dt=0.04, t_end=0.32, gamma0=1.0, boundary="periodic")
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8)
         result = solve_fredholm_resolvent(f0, field, G2, cfg)
-        expect = advect_free_flight(free_flight_operators(G2, 0.32, "periodic"), f0.values)
+        expect = advect_free_flight(free_flight_operators(G2, 0.32, "periodic"), f0.values,
+                                    np.empty((2,) + f0.values.shape))
         assert rel_l2(result.state.values, expect) < 1e-2
         assert result.state.time == pytest.approx(0.32)
         assert result.residuals[-1] < cfg.fredholm_tol
@@ -835,7 +851,7 @@ class TestFredholm:
         coeffs = linear_coefficients(field, G2)
         kernel = continuum.make_kernel(coeffs, G2, cfg)
         expect, _ = fredholm_sweeps(
-            f0.values, lambda v: kernel(v, np.empty_like(v)),
+            f0.values, lambda v: kernel(v, np.empty_like(v), np.empty((2,) + v.shape)),
             lambda v, lag: free_flight_rows(v, row_deltas(G2, lag * cfg.dt), boundary),
             8, cfg.dt, result.gamma0, cfg.fredholm_tol, cfg.fredholm_max_iter)
         # one final local residual per level, each below tol
@@ -845,8 +861,9 @@ class TestFredholm:
 
     def test_working_set_is_one_trajectory(self):
         """The march holds n_t + 1 kernel values, the iterate and the history
-        (n_t + 3 states), plus a free flight's two temporaries; a kernel pass
-        adds only what one kernel call allocates on its own."""
+        (n_t + 3 states), plus the two-state workspace that every kernel pass
+        and free flight writes into; the allowance is one kernel call that
+        allocates its own workspace."""
         field = LinearEMField(b0=0.5, b1=0.3)
         cfg = SolverConfig(dt=0.01, t_end=0.08, boundary="periodic", stencil_order=4)
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0)).values
@@ -854,18 +871,67 @@ class TestFredholm:
         out = np.empty_like(f0)
         stacks = sum(stack.nbytes for lag in range(1, 9)
                      for stack in free_flight_operators(G2, lag * cfg.dt, "periodic"))
-
-        def peak(call):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                call()
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
-        kernel_call = peak(lambda: kernel(f0, out))
-        solve = peak(lambda: solve_fredholm_resolvent(f0, field, G2, cfg))
+        kernel_call = allocation_peak(lambda: kernel(f0, out, np.empty((2,) + f0.shape)))
+        solve = allocation_peak(lambda: solve_fredholm_resolvent(f0, field, G2, cfg))
         assert solve < (8 + 5) * f0.nbytes + stacks + kernel_call
+
+    def test_held_kernel_and_flight_allocate_no_state(self):
+        """On a state larger than NumPy's 64 KiB ufunc buffer, a kernel call
+        and a free flight into the held workspace allocate less than half a
+        state, and write the bits of the same products taken into fresh
+        arrays, whatever the workspace held before."""
+        grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (10, 10), (8, 8), NAT)
+        field = LinearEMField(b0=0.5, b1=0.3)
+        cfg = SolverConfig(dt=0.01, t_end=0.08, boundary="periodic", stencil_order=4)
+        coeffs = linear_coefficients(field, grid)
+        ops = continuum.difference_operators(coeffs, grid)
+        f = packet(grid, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0)).values
+        assert f.nbytes > 64 * 1024 and ops.gradient
+        kernel = continuum.make_kernel(coeffs, grid, cfg)
+        flight_ops = free_flight_operators(grid, 0.05, "periodic")
+        work, out = np.empty((2,) + f.shape), np.empty_like(f)
+        kernel(f, out, work, 2.0)
+        advect_free_flight(flight_ops, f, work)
+
+        work.fill(np.nan)
+        assert allocation_peak(lambda: kernel(f, out, work, 2.0)) < 0.5 * f.nbytes
+        expect = np.multiply(f, 2.0)
+        solver_common.add_momentum_terms(expect, f, None, coeffs, solver_common.BandedOperators(
+            ops.force, ()), np.empty(f.size))
+        stencil = solver_common.BlockedStencil(grid.state_shape, grid, 4, "periodic")
+        for s in range(2):
+            terms = tuple(term for term in ops.gradient if term[0] == s)
+            if terms:
+                solver_common.add_momentum_terms(
+                    expect, f, {s: stencil.derivative(f, s, np.empty(f.shape))}, coeffs,
+                    solver_common.BandedOperators((None, None), terms), np.empty(f.size))
+        assert out.tobytes() == expect.tobytes()
+
+        work.fill(np.nan)
+        flights = []
+        assert allocation_peak(lambda: flights.append(
+            advect_free_flight(flight_ops, f, work))) < 0.5 * f.nbytes
+        x_stack, y_stack = flight_ops
+        expect = (x_stack[:, None] @ f[None]).reshape(f.shape) @ y_stack
+        assert np.shares_memory(flights[0], work)
+        assert flights[0].tobytes() == expect.tobytes()
+
+    def test_traced_layers_run_once_per_call(self, monkeypatch):
+        """`force_and_quantum` runs once per kernel call and
+        `advect_free_flight` once per flight, each looked up by its module
+        attribute, so a wrapper of either name sees every call."""
+        calls = {"force_and_quantum": 0, "advect_free_flight": 0}
+        for module, name in ((continuum, "force_and_quantum"), (fredholm, "advect_free_flight")):
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counted)
+        cfg = SolverConfig(dt=0.01, t_end=0.05, boundary="periodic", stencil_order=4)
+        f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0))
+        result = solve_fredholm_resolvent(f0, LinearEMField(b0=0.5, b1=0.3), G2, cfg)
+        n_t = 5
+        assert calls["force_and_quantum"] == result.n_sweeps + n_t
+        assert calls["advect_free_flight"] == n_t * (n_t + 1) // 2
 
     def test_final_state_owns_its_data(self):
         cfg = SolverConfig(dt=0.04, t_end=0.16, gamma0=1.0, boundary="periodic")
