@@ -150,9 +150,9 @@ def sample_shift(values: np.ndarray, axis: int, k: int, boundary: str = "zero") 
     return out
 
 
-# A stencil block holds consecutive momentum rows up to about this many
-# bytes, and at least one row, so a block and its derivative stay in cache
-# while advection weights and adds them.
+# A block of the right-hand side's sweep holds whole P_x slabs up to about
+# this many bytes, so the block and its terms stay in cache while they are
+# added.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -174,27 +174,22 @@ def derivative_matrix(n: int, dx: float, order: int, boundary: str) -> np.ndarra
 
 
 class BlockedStencil:
-    """Central differences along the spatial axes of states of one shape, a block at a time.
+    """Central differences along the spatial axes of states of one shape.
 
     A state is viewed as rows, one per momentum lattice point, each holding
     the spatial axes; consecutive rows are adjacent in memory.  The stencil
-    is held as one `derivative_matrix` per spatial axis, built once, and a
-    block's derivative is one BLAS call: the last axis multiplies the block,
-    seen as a matrix of rows of that axis, from the right by D transposed;
-    an earlier axis multiplies each row of the block from the left by D.
+    is held as one `derivative_matrix` per spatial axis, built once, and the
+    derivative of any run of consecutive rows (a block of the sweep, or a
+    whole state) is one BLAS call: the last axis multiplies the rows, seen
+    as a matrix of rows of that axis, from the right by D transposed; an
+    earlier axis multiplies each row from the left by D.
     """
 
     def __init__(self, shape: Sequence[int], grid: PhaseSpaceGrid, order: int, boundary: str):
         self.row_shape = tuple(shape[grid.dim:])
-        n_rows, row_size = math.prod(shape[:grid.dim]), math.prod(self.row_shape)
-        self.step = min(n_rows, max(1, _BLOCK_BYTES // (8 * row_size)))
-        self.blocks = [slice(i, i + self.step) for i in range(0, n_rows, self.step)]
         self.matrices = [derivative_matrix(n, dx, order, boundary)
                          for n, dx in zip(self.row_shape, grid.dx)]
         self.matrices[-1] = np.ascontiguousarray(self.matrices[-1].T)
-
-    def rows(self, values: np.ndarray) -> np.ndarray:
-        return values.reshape((-1,) + self.row_shape)
 
     def __call__(self, block: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
         """d/dx along spatial `axis` of the rows `block`, written into `out`;
@@ -206,37 +201,6 @@ class BlockedStencil:
             np.matmul(self.matrices[axis], block.reshape(-1, n, after),
                       out=out.reshape(-1, n, after))
         return out
-
-    def derivative(self, values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-        """d/dx along spatial `axis` of a whole state, written block by block into `out`."""
-        rows, dest = self.rows(values), self.rows(out)
-        for block in self.blocks:
-            self(rows[block], axis, dest[block])
-        return out
-
-
-class Workspace:
-    """The working memory of one right-hand side, built once for the state
-    shape of `grid` and the momentum operators `ops`, and reused by every call.
-
-    stencil: the spatial derivative matrices, applied in blocks of momentum
-    rows.  speeds[c][row]: -v_c of that row's momentum lattice point.
-    gradients: one state-sized array per spatial axis when `ops` carries
-    gradient terms, which read them, else None.  scratch: one state-sized
-    temporary when `ops` carries any momentum term, else one stencil block;
-    advection uses its head as its block, since advection and the momentum
-    terms never run at once.  Arrays handed to a call that writes into them
-    must be C-contiguous.
-    """
-
-    def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", ops: "BandedOperators"):
-        shape, dim = grid.state_shape, grid.dim
-        self.stencil = BlockedStencil(shape, grid, config.stencil_order, config.boundary)
-        self.speeds = -np.stack(np.meshgrid(*grid.p_axes, indexing="ij")).reshape(
-            (dim, -1) + (1,) * dim) / grid.constants.mass
-        self.gradients = [np.empty(shape) for _ in range(dim)] if ops.gradient else None
-        self.scratch = np.empty(math.prod(shape) if ops.has_terms
-                                else self.stencil.step * math.prod(shape[dim:]))
 
 
 def momentum_difference(values: np.ndarray, grid: PhaseSpaceGrid, axis: int) -> np.ndarray:
@@ -302,131 +266,252 @@ def band_matrix(n: int, coeffs, parity: int, centre: float = 0.0) -> np.ndarray:
     return taps[n - 1 + np.subtract.outer(np.arange(n), np.arange(n))]
 
 
-def advection_term(values: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
-    """Write -(P_M / m) . spatial gradient of f into `out`, broadcast over the
-    momentum lattice.
-
-    Swept in the stencil's blocks of momentum rows: each block's derivatives
-    are taken and weighted by their velocities while the block is in cache.
-    A workspace that holds derivative arrays receives them, whole, for the
-    gradient block; otherwise the first axis's derivative is taken in `out`
-    and the second's in the workspace scratch, and both are dropped.
-    """
-    stencil, speeds = work.stencil, work.speeds
-    rows, acc_rows = stencil.rows(values), stencil.rows(out)
-    held = [stencil.rows(g) for g in work.gradients] if work.gradients is not None else None
-    for block in stencil.blocks:
-        acc = acc_rows[block]
-        for c in range(len(speeds)):
-            term = acc if c == 0 else work.scratch[:acc.size].reshape(acc.shape)
-            d = stencil(rows[block], c, held[c][block] if held is not None else term)
-            np.multiply(d, speeds[c][block], out=term)
-            if c:
-                acc += term
-    return out
-
-
 @dataclass(frozen=True)
 class BandedOperators:
     """The momentum-axis matrices of one deterministic route (2D grids).
 
     force[c] is the matrix A_c of the force term -F_c (A_c f) along momentum
     axis c, or None where the force table F_c vanishes.  Each gradient entry
-    (s, w, A_x, A_y) adds w A_x A_y (df/dx_s), with None for the identity;
-    at most one entry per derivative carries both matrices.  The entries are
-    held in the order `add_momentum_terms` applies them: a stable sort by
-    the number of matrices each carries, done once here.
+    (s, w, A_x, A_y) adds w A_x A_y (df/dx_s), with None for the identity.
     """
 
     force: Tuple[Optional[np.ndarray], Optional[np.ndarray]]
     gradient: Tuple[Tuple[int, float, Optional[np.ndarray], Optional[np.ndarray]], ...]
 
-    def __post_init__(self):
-        pairs = [s for s, _, mx, my in self.gradient if mx is not None and my is not None]
-        if len(pairs) != len(set(pairs)):
-            raise ValueError("at most one gradient term per derivative may carry two matrices")
-        object.__setattr__(self, "gradient", tuple(sorted(
-            self.gradient, key=lambda term: sum(m is not None for m in term[2:]))))
 
-    @property
-    def has_terms(self) -> bool:
-        return any(m is not None for m in self.force) or bool(self.gradient)
+class Workspace:
+    """How one banded right-hand side is swept, worked out once from the
+    state shape of `grid`, the momentum operators `ops` and the force tables
+    of `coeffs`, and reused by every call.  2D grids only.
+
+    Momentum and spatial operators act on different axes, so they commute,
+    and only a matrix along P_x couples more than one P_x slab of the state.
+    Each distinct one (`x_matrices`, told apart by identity) is applied to
+    the whole state once per call, into a product; everything else runs in
+    one sweep over `blocks` of whole P_x slabs, each at most about 256 KiB
+    and at least one slab, while the block is in cache:
+
+    - product_terms[k]: the gradient terms (s, w, A_y) that read product k,
+      taken as d/dx_s of w A_y (A_x f); force_x[k]: whether the force-x
+      term F_x (A_x f) reads it too;
+    - state_terms: the gradient terms (s, w, A_y) whose A_x is the identity;
+    - speeds[c][row]: the weight of df/dx_c on each momentum row along
+      axis c: -v_c when `advection`, plus the weights of the gradient terms
+      that carry no matrix; None where it is zero everywhere.  Each call
+      folds them, times its scale, into the derivative matrices (`stacks`).
+
+    `hold` gives the workspace its own products (`products`) and a list of
+    scratch blocks (`held`) that the first call fills; without it the caller
+    hands both to every call.
+    """
+
+    def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", ops: BandedOperators,
+                 coeffs, advection: bool = True, hold: bool = True):
+        shape = grid.state_shape
+        self.stencil = BlockedStencil(shape, grid, config.stencil_order, config.boundary)
+        slab = math.prod(shape[1:])
+        step = max(1, min(_BLOCK_BYTES // (8 * slab), shape[0]))
+        self.blocks = [slice(i, i + step) for i in range(0, shape[0], step)]
+        self.block_size = step * slab
+
+        self.x_matrices, self.product_terms, self.force_x = [], [], []
+
+        def product(matrix) -> int:
+            for k, known in enumerate(self.x_matrices):
+                if known is matrix:
+                    return k
+            self.x_matrices.append(matrix)
+            self.product_terms.append([])
+            self.force_x.append(False)
+            return len(self.x_matrices) - 1
+
+        if ops.force[0] is not None:
+            self.force_x[product(ops.force[0])] = True
+        self.state_terms = []
+        speeds = [-p / grid.constants.mass if advection else np.zeros(len(p))
+                  for p in grid.p_axes]
+        for s, weight, mx, my in ops.gradient:
+            if mx is not None:
+                self.product_terms[product(mx)].append((s, weight, my))
+            elif my is not None:
+                self.state_terms.append((s, weight, my))
+            else:
+                speeds[s] = speeds[s] + weight
+        self.speeds = [u if np.any(u) else None for u in speeds]
+        self.y_force = ops.force[1]
+        self.tables = (coeffs.force_x, coeffs.force_y[:, None])
+        # slab i's first-axis matrix for one block; P_y row j's last-axis one
+        d_x, d_y = self.stencil.matrices
+        self.stacks = (None if self.speeds[0] is None else np.empty((step,) + d_x.shape),
+                       None if self.speeds[1] is None else np.empty((len(speeds[1]),) + d_y.shape))
+        self.products = np.empty((len(self.x_matrices),) + shape) if hold else None
+        self.held: list = []
 
 
-def _apply(matrix: np.ndarray, values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """out = `matrix` applied along momentum `axis` of a C-contiguous 2D state."""
-    n_x, n_y = values.shape[:2]
-    if axis == 0:
-        np.matmul(matrix, values.reshape(n_x, -1), out=out.reshape(n_x, -1))
-    else:
-        np.matmul(matrix, values.reshape(n_x, n_y, -1), out=out.reshape(n_x, n_y, -1))
+def _along_y(matrix: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`matrix` applied along the P_y axis of a C-contiguous block of slabs."""
+    rows = block.shape[:2] + (-1,)
+    np.matmul(matrix, block.reshape(rows), out=out.reshape(rows))
     return out
 
 
-def add_momentum_terms(out: np.ndarray, values: np.ndarray, gradients, coeffs,
-                       ops: BandedOperators, scratch: np.ndarray) -> np.ndarray:
-    """Accumulate the force and field-gradient terms of `ops` into `out`.
+def _weighted_stack(weights: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = weights[i] matrix, as one outer-product matmul: a broadcast
+    multiply would buffer the whole stack."""
+    np.matmul(weights[:, None], matrix.reshape(1, -1), out=out.reshape(len(weights), -1))
+    return out
 
-    Every term is applied over the whole state, one matmul per matrix, its
-    product scaled and added into `out`.  `gradients[s]` is the derivative
-    of `values` along spatial axis s, read only by the gradient terms of
-    axis s, and spent: the terms that read it run with the identity ones
-    first, and the last of them writes its second matmul over it.  So every
-    term needs one temporary, `scratch`, which must hold at least a state.
+
+def advection_term(block: np.ndarray, out: np.ndarray, stacks, scratch: np.ndarray,
+                   accumulate: bool = False) -> np.ndarray:
+    """Write, or with `accumulate` add, the spatial-derivative terms of the
+    row weights of one block of whole P_x slabs into `out`.
+
+    stacks[0][i] is the first spatial axis's derivative matrix times slab
+    i's weight, applied from the left; stacks[1][j] the last axis's
+    transposed matrix times P_y row j's weight, applied from the right;
+    None skips an axis.  So each axis is one batched matmul with its
+    velocities folded in.  `scratch` takes the axis not written into `out`;
+    all arrays are C-contiguous and shaped like `block`.
     """
-    if not ops.has_terms:
-        return out
-    temp = scratch[:values.size].reshape(values.shape)
-    tables = (coeffs.force_x, coeffs.force_y[:, None])
-    for axis, matrix in enumerate(ops.force):
-        if matrix is not None:
-            _apply(matrix, values, axis, temp)
-            temp *= tables[axis]
-            out -= temp
-    for s, weight, mx, my in ops.gradient:
-        term = gradients[s]
-        for axis, matrix in ((1, my), (0, mx)):
-            if matrix is not None:
-                term = _apply(matrix, term, axis, temp if term is gradients[s] else gradients[s])
-        if term is gradients[s]:
-            term = np.multiply(term, weight, out=temp)
+    for axis, stack in enumerate(stacks):
+        if stack is None:
+            continue
+        term = scratch if accumulate else out
+        if axis == 0:
+            np.matmul(stack[:len(block), None], block, out=term)
         else:
-            term *= weight
-        out += term
+            np.matmul(block, stack, out=term)
+        if accumulate:
+            out += term
+        accumulate = True
     return out
 
 
-def banded_rhs(values: np.ndarray, out: np.ndarray, coeffs, ops: BandedOperators,
-               work: Workspace) -> np.ndarray:
-    """Right-hand side shared by both deterministic routes, written into `out`.
+def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, products: np.ndarray,
+               held: list, scale: float = 1.0, base: Optional[np.ndarray] = None,
+               shift: float = 0.0) -> np.ndarray:
+    """Write base + scale (L + shift) values into `out`, or leave base out
+    when it is None: the right-hand side L shared by both deterministic
+    routes and the resolvent kernel, as `work` lays it out.
 
-    Advection, plus each force table times its axis operator of f, plus the
-    gradient block; the routes differ only in the matrices `ops` carries.
-    Advection's sweep leaves the spatial derivatives in the workspace when
-    `ops` carries gradient terms, and the gradient block reads them there.
+    One matmul per momentum-x matrix over the whole state, into `products`
+    (scale and sign folded into the matrix), then one sweep over the blocks
+    of whole P_x slabs.  In each block the first term is written into `out`
+    and every other one is taken into a scratch block and added: a product
+    block once its last term has read it, else a block of `held`, which
+    grows by a block when none is free.  Scale is folded into the small
+    matrices, weights and velocity stacks, so it costs no pass over the
+    state.  `values` and `base` may be one array; `out`, `products` and
+    `held` share memory with none of the others, and every array is
+    C-contiguous.
     """
-    advection_term(values, out, work)
-    return add_momentum_terms(out, values, work.gradients, coeffs, ops, work.scratch)
+    n = len(values)
+    for matrix, product in zip(work.x_matrices, products):
+        np.matmul(-scale * matrix, values.reshape(n, -1), out=product.reshape(n, -1))
+    # product k holds -scale A_x f, so its terms take -w
+    product_terms = [[(s, -w if my is None else -w * my) for s, w, my in terms]
+                     for terms in work.product_terms]
+    state_terms = [(s, scale * w if my is None else scale * w * my)
+                   for s, w, my in work.state_terms]
+    y_force = None if work.y_force is None else -scale * work.y_force
+    stack_x, stack_y = work.stacks
+    if stack_y is not None:
+        _weighted_stack(scale * work.speeds[1], work.stencil.matrices[1], stack_y)
+    force_x, force_y = work.tables
+    for block in work.blocks:
+        f, acc = values[block], _Block(out[block], held, work.block_size)
+        for product, terms, reads_force in zip(products, product_terms, work.force_x):
+            p = product[block]
+            for s, weight in terms:
+                acc.gradient(work.stencil, p, s, weight)
+            term = None
+            if reads_force:
+                term = acc.target(p)
+                acc.add(np.multiply(p, force_x, out=term))
+            if term is not p:
+                acc.free.append(p)
+        if stack_x is not None:
+            _weighted_stack(scale * work.speeds[0][block], work.stencil.matrices[0],
+                            stack_x[:len(f)])
+        if stack_x is not None or stack_y is not None:
+            scratch = acc.take()
+            advection_term(f, acc.out, work.stacks, scratch, accumulate=acc.written)
+            acc.free.append(scratch)
+            acc.written = True
+        for s, weight in state_terms:
+            acc.gradient(work.stencil, f, s, weight)
+        if y_force is not None:
+            term = _along_y(y_force, f, acc.target())
+            acc.add(np.multiply(term, force_y[block], out=term))
+        if shift:
+            acc.add(np.multiply(f, scale * shift, out=acc.target()))
+        if not acc.written:
+            acc.out.fill(0.0)
+        if base is not None:
+            acc.out += base[block]
+    return out
 
 
-def rk4_step(values: np.ndarray, dt: float, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+class _Block:
+    """One block of the sweep: its first term is written into `out` and every
+    later one into a scratch block, then added.  A scratch block comes from
+    `free`, else it is allocated and joins `held`, the caller's list."""
+
+    def __init__(self, out: np.ndarray, held: list, size: int):
+        self.out, self.held, self.size = out, held, size
+        self.free = list(held)
+        self.written = False
+
+    def take(self) -> np.ndarray:
+        if not self.free:
+            self.held.append(np.empty(self.size))
+            self.free.append(self.held[-1])
+        return self.free.pop().reshape(-1)[:self.out.size].reshape(self.out.shape)
+
+    def target(self, spare: Optional[np.ndarray] = None) -> np.ndarray:
+        """Where the next term goes: `out` while nothing is written, else
+        `spare` when given, else a scratch block."""
+        if not self.written:
+            return self.out
+        return self.take() if spare is None else spare
+
+    def add(self, term: np.ndarray) -> None:
+        if term is not self.out:
+            self.out += term
+            self.free.append(term)
+        self.written = True
+
+    def gradient(self, stencil: BlockedStencil, source: np.ndarray, s: int, weight) -> None:
+        """Add d/dx_s of `weight` (a P_y matrix or a number) times `source`."""
+        g = self.take()
+        if np.ndim(weight):
+            _along_y(weight, source, g)
+        else:
+            np.multiply(source, weight, out=g)
+        term = stencil(g, s, self.target())
+        self.free.append(g)
+        self.add(term)
+
+
+def rk4_step(values: np.ndarray, dt: float, rhs: Callable[..., np.ndarray],
              out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of d/dt values = rhs(values), for a linear,
-    homogeneous (autonomous) rhs, written into `out`.
+    """One classical RK4 step of d/dt values = L values, for a linear,
+    homogeneous (autonomous) L, written into `out`.
 
-    For such an rhs L the step is exactly the degree-4 Taylor polynomial of
+    For such an L the step is exactly the degree-4 Taylor polynomial of
     exp(dt L), evaluated here in Horner form,
     f + dt L(f + dt/2 L(f + dt/3 L(f + dt/4 L f))): the same four rhs calls
-    as the k1..k4 form, with none of the k kept.  rhs(v, target) writes L v
-    into target; the stages alternate between `scratch` and `out`, so no
+    as the k1..k4 form, with none of the k kept.  Each stage is one call
+    rhs(step, target, dt / fraction, values), which writes
+    values + dt / fraction L(step) into target, so the stage costs no pass
+    of its own.  The stages alternate between `scratch` and `out`, so no
     stage reads the array it writes.  `values` is never changed, and
     neither buffer may share memory with it.
     """
     step = values
     for fraction, target in ((4.0, scratch), (3.0, out), (2.0, scratch), (1.0, out)):
-        rhs(step, target)
-        target *= dt / fraction
-        target += values
+        rhs(step, target, dt / fraction, values)
         step = target
     return out
 
@@ -586,7 +671,7 @@ class EvolutionResult:
     boundary_fractions: list
 
 
-def evolve(f0, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: PhaseSpaceGrid,
+def evolve(f0, rhs: Callable[..., np.ndarray], grid: PhaseSpaceGrid,
            config: SolverConfig, n_steps: Optional[int] = None,
            record_every: int = 1,
            observer: Optional[Callable[[int, float, np.ndarray], None]] = None) -> EvolutionResult:
@@ -597,8 +682,8 @@ def evolve(f0, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: PhaseS
     margin for rounding) raises SolverInstabilityError.  The rule rests on
     both routes' skew-symmetric generators: their flow keeps the norm, and a
     stable RK4 step never grows it.  n_steps (default t_end / dt) must be
-    >= 0 and record_every >= 1.  rhs(values, out) writes d/dt values into
-    `out`.
+    >= 0 and record_every >= 1.  rhs(values, out, scale, base) writes
+    base + scale d/dt values into `out` (see `rk4_step`).
 
     The state and two step buffers are allocated once and swapped each step;
     f0 is never written.  The array handed to `observer` is reused by the

@@ -8,12 +8,13 @@ exactly to advection plus the classical force term.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..kernels import LinearKernelCoefficients
 from ..phasespace import PhaseSpaceGrid
-from .common import (BandedOperators, BlockedStencil, SolverConfig, Workspace,
-                     add_momentum_terms, band_matrix, banded_rhs)
+from .common import BandedOperators, SolverConfig, Workspace, band_matrix, banded_rhs
 
 
 def difference_operators(coeffs: LinearKernelCoefficients,
@@ -41,70 +42,60 @@ def difference_operators(coeffs: LinearKernelCoefficients,
 
 
 def force_and_quantum(values: np.ndarray, out: np.ndarray, work: np.ndarray,
-                      coeffs: LinearKernelCoefficients, force: BandedOperators,
-                      gradient: list, stencil: BlockedStencil) -> np.ndarray:
-    """Add K[values] into `out`: the right-hand side minus advection, from the
-    matrices `make_kernel` split once per solve.
+                      sweep: Workspace, scale: float = 1.0, base: Optional[np.ndarray] = None,
+                      gamma0: float = 0.0) -> np.ndarray:
+    """Write base + scale (K + gamma0) values into `out` (base left out when
+    None), K the right-hand side minus advection, from the workspace
+    `make_kernel` built once per solve.
 
-    `force` carries the force terms alone, and each (s, ops) of `gradient`
-    the gradient terms of spatial axis s.  The force terms, then each axis's
-    gradient terms, are added over the whole state, one derivative at a
-    time, in the held (2,) + state-shape `work`: slot 0 is the temporary
-    every term passes through and slot 1 the derivative of the axis being
-    added.  So a call allocates no state; `work` overlaps neither `values`
-    nor `out`.
+    The held (2,) + state-shape `work` is the sweep's memory: slot 0 takes
+    the momentum-x product and slot 1 is cut into the sweep's scratch
+    blocks, of which K needs one.  So a call allocates no state; `work`
+    overlaps neither `values`, `out` nor `base`.
     """
-    temp, derivative = work[0], work[1]
-    add_momentum_terms(out, values, None, coeffs, force, temp)
-    for s, terms in gradient:
-        stencil.derivative(values, s, derivative)
-        add_momentum_terms(out, values, {s: derivative}, coeffs, terms, temp)
-    return out
+    flat = work[1].reshape(-1)
+    held = [flat[i:i + sweep.block_size]
+            for i in range(0, flat.size - sweep.block_size + 1, sweep.block_size)]
+    return banded_rhs(values, out, sweep, work[:1], held, scale, base, gamma0)
 
 
 def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
                 config: SolverConfig):
-    """Build the difference and derivative matrices once, split the
-    difference terms into the force terms and each spatial axis's gradient
-    terms, and bind them into a closure (values, out, work, gamma0=0) ->
-    K[values] + gamma0 values, written into `out` with `work` as the
-    (2,) + state-shape working memory of `force_and_quantum`.
+    """Build the difference and derivative matrices once and bind them into
+    a closure kernel(values, out, work, scale=1.0, base=None, gamma0=0.0)
+    that writes base + scale (K + gamma0) values into `out`, with `work` as
+    the (2,) + state-shape working memory of `force_and_quantum`.
 
     K is the right-hand side minus advection, the coupling the integral
-    solver sums along each backward characteristic.
+    solver sums along each backward characteristic.  The small-spacing
+    matrices share d/dP_x between the force and gradient terms, so K needs
+    one momentum-x product.
     """
-    ops = difference_operators(coeffs, grid)
-    force = BandedOperators(ops.force, ())
-    gradient = []
-    for s in range(grid.dim):
-        terms = tuple(term for term in ops.gradient if term[0] == s)
-        if terms:
-            gradient.append((s, BandedOperators((None, None), terms)))
-    stencil = BlockedStencil(grid.state_shape, grid, config.stencil_order, config.boundary)
+    sweep = Workspace(grid, config, difference_operators(coeffs, grid), coeffs,
+                      advection=False, hold=False)
 
-    def kernel(values: np.ndarray, out: np.ndarray, work: np.ndarray,
-               gamma0: float = 0.0) -> np.ndarray:
-        np.multiply(values, gamma0, out=out)
-        return force_and_quantum(values, out, work, coeffs, force, gradient, stencil)
+    def kernel(values: np.ndarray, out: np.ndarray, work: np.ndarray, scale: float = 1.0,
+               base: Optional[np.ndarray] = None, gamma0: float = 0.0) -> np.ndarray:
+        return force_and_quantum(values, out, work, sweep, scale, base, gamma0)
     return kernel
 
 
-def rhs_continuum_fd(values: np.ndarray, out: np.ndarray,
-                     coeffs: LinearKernelCoefficients, ops: BandedOperators,
-                     work: Workspace) -> np.ndarray:
-    """d/dt values on the small-spacing route, written into `out`, from the
-    matrices `difference_operators` built; named per route so its time is
-    told apart from the other route's."""
-    return banded_rhs(values, out, coeffs, ops, work)
+def rhs_continuum_fd(values: np.ndarray, out: np.ndarray, work: Workspace,
+                     scale: float = 1.0, base: Optional[np.ndarray] = None) -> np.ndarray:
+    """base + scale d/dt values on the small-spacing route, written into
+    `out`, from the matrices `difference_operators` built; named per route
+    so its time is told apart from the other route's."""
+    return banded_rhs(values, out, work, work.products, work.held, scale, base)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
              config: SolverConfig):
     """Build the difference matrices and the workspace once and bind them
-    into a closure (values, out) -> d/dt values, written into `out`."""
-    ops = difference_operators(coeffs, grid)
-    work = Workspace(grid, config, ops)
+    into a closure rhs(values, out, scale=1.0, base=None) that writes
+    base + scale d/dt values into `out` (d/dt values by default)."""
+    work = Workspace(grid, config, difference_operators(coeffs, grid), coeffs)
 
-    def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return rhs_continuum_fd(values, out, coeffs, ops, work)
+    def rhs(values: np.ndarray, out: np.ndarray, scale: float = 1.0,
+            base: Optional[np.ndarray] = None) -> np.ndarray:
+        return rhs_continuum_fd(values, out, work, scale, base)
     return rhs

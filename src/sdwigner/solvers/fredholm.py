@@ -76,7 +76,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
 
     gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(field, grid, config)
     coeffs = linear_coefficients(field, grid)
-    kernel = make_kernel(coeffs, grid, config)      # K, plus gamma0 when passed
+    kernel = make_kernel(coeffs, grid, config)      # base + scale (K + gamma0)
     flights = [None] + [free_flight_operators(grid, lag * dt, config.boundary)
                         for lag in range(1, n_t + 1)]
     decay = np.exp(-gamma0 * dt * np.arange(n_t + 1))
@@ -91,9 +91,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
     # the working memory of every kernel call and every flight, which never
     # run at once
     work = np.empty((2,) + x.shape)
-    kernel(x, kvals[0], work, gamma0)
-    kvals[0] *= half
-    kvals[0] += x
+    kernel(x, kvals[0], work, half, x, gamma0=gamma0)
 
     residuals: List[float] = []
     n_passes = 0
@@ -102,9 +100,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
         # passes from the previous level's state; kvals[k] is their scratch
         trial, level = kvals[k], []
         for _ in range(config.fredholm_max_iter):
-            kernel(x, trial, work)
-            trial *= half
-            trial += history
+            kernel(x, trial, work, half, history)
             with np.errstate(divide="ignore", invalid="ignore"):
                 trial /= scale
             norm = l2_norm(trial)
@@ -125,7 +121,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
         n_passes += len(level)
         residuals.append(res)
         if k < n_t:
-            kernel(x, kvals[k], work, gamma0)
+            kernel(x, kvals[k], work, gamma0=gamma0)
     return FredholmResult(state=WignerState(grid=grid, values=x, time=config.t_end),
                           residuals=residuals, n_sweeps=n_passes, gamma0=gamma0)
 

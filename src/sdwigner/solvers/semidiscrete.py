@@ -11,6 +11,8 @@ the direct quadrature route.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..kernels import (LinearKernelCoefficients, harmonic_coefficient,
@@ -53,22 +55,22 @@ def ladder_operators(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     return BandedOperators(force, tuple(gradient))
 
 
-def rhs_semidiscrete(values: np.ndarray, out: np.ndarray,
-                     coeffs: LinearKernelCoefficients, ops: BandedOperators,
-                     work: Workspace) -> np.ndarray:
-    """d/dt values on the ladder route, written into `out`, from the
-    matrices `ladder_operators` built; named per route so its time is told
-    apart from the other route's."""
-    return banded_rhs(values, out, coeffs, ops, work)
+def rhs_semidiscrete(values: np.ndarray, out: np.ndarray, work: Workspace,
+                     scale: float = 1.0, base: Optional[np.ndarray] = None) -> np.ndarray:
+    """base + scale d/dt values on the ladder route, written into `out`, from
+    the matrices `ladder_operators` built; named per route so its time is
+    told apart from the other route's."""
+    return banded_rhs(values, out, work, work.products, work.held, scale, base)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
              config: SolverConfig):
     """Build the ladder matrices and the workspace once and bind them into a
-    closure (values, out) -> d/dt values, written into `out`."""
-    ops = ladder_operators(coeffs, grid, config)
-    work = Workspace(grid, config, ops)
+    closure rhs(values, out, scale=1.0, base=None) that writes
+    base + scale d/dt values into `out` (d/dt values by default)."""
+    work = Workspace(grid, config, ladder_operators(coeffs, grid, config), coeffs)
 
-    def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return rhs_semidiscrete(values, out, coeffs, ops, work)
+    def rhs(values: np.ndarray, out: np.ndarray, scale: float = 1.0,
+            base: Optional[np.ndarray] = None) -> np.ndarray:
+        return rhs_semidiscrete(values, out, work, scale, base)
     return rhs

@@ -88,7 +88,7 @@ def make_rhs(kernels: KernelSet, grid: PhaseSpaceGrid, config: SolverConfig):
 
     def rhs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         for axis, g in enumerate(grads):
-            stencil.derivative(values, axis, g)
+            stencil(values, axis, g)
         transform(values, f_hat)
         if electric is not None:
             np.multiply(electric, f_hat, out=acc)

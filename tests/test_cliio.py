@@ -437,7 +437,7 @@ class TestRunner:
 
     def test_non_finite_state_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(semidiscrete, "make_rhs",
-                            lambda *args: lambda v, out: out.fill(np.nan))
+                            lambda *args: lambda v, out, *stage: out.fill(np.nan))
         with pytest.raises(SolverInstabilityError, match="non-finite"):
             self.run_cfg(tmp_path, "nan")
         meta = json.loads((tmp_path / "nan" / "run_meta.json").read_text())
@@ -612,7 +612,7 @@ class TestCLI:
 
     def test_run_reports_an_unstable_step(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(semidiscrete, "make_rhs",
-                            lambda *args: lambda v, out: out.fill(np.nan))
+                            lambda *args: lambda v, out, *stage: out.fill(np.nan))
         path = self.cfg_file(tmp_path)
         assert cli_main(["run", str(path), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err.splitlines()

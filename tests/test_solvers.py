@@ -25,11 +25,10 @@ from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, default_gamma0, evolve,
                               mc_estimate_point, mean_momentum_global, observables,
                               solve_fredholm_resolvent)
-from sdwigner.solvers.common import (advect_free_flight, advection_term,
-                                     band_matrix, box_offset_sum, even_pair_ladder,
-                                     free_flight_operators, momentum_difference,
-                                     momentum_second_difference, odd_pair_ladder,
-                                     rk4_step, sample_shift)
+from sdwigner.solvers.common import (advect_free_flight, band_matrix, box_offset_sum,
+                                     even_pair_ladder, free_flight_operators,
+                                     momentum_difference, momentum_second_difference,
+                                     odd_pair_ladder, rk4_step, sample_shift)
 from sdwigner.states import gaussian_wigner
 
 import table_route
@@ -65,16 +64,18 @@ def allocation_peak(call):
 
 
 def advection(f, grid, order, boundary):
-    """advection_term of f into a new array, through a workspace built for it."""
+    """Advection of f alone into a new array: the sweep of a workspace with no
+    momentum terms, which is `advection_term` on each block."""
     cfg = SolverConfig(dt=1.0, t_end=1.0, stencil_order=order, boundary=boundary)
-    work = solver_common.Workspace(grid, cfg, solver_common.BandedOperators((None, None), ()))
-    return advection_term(f, np.empty_like(f), work)
+    work = solver_common.Workspace(grid, cfg, solver_common.BandedOperators((None, None), ()),
+                                   linear_coefficients(LinearEMField(), grid))
+    return solver_common.banded_rhs(f, np.empty_like(f), work, work.products, work.held)
 
 
 def spatial_derivative(f, grid, axis, order=2, boundary="zero"):
     """Central difference of f along spatial `axis`, into a new array."""
     stencil = solver_common.BlockedStencil(f.shape, grid, order, boundary)
-    return stencil.derivative(f, axis, np.empty(f.shape))
+    return stencil(f, axis, np.empty(f.shape))
 
 
 def packet(grid, sigma_p=1.2, sigma_x=0.7, momentum=0.0, center=0.0):
@@ -195,11 +196,16 @@ class TestBlockedStencil:
             assert np.linalg.norm(got - ref) / scale < 1e-14
 
     def test_spans_several_blocks(self):
-        stencil = solver_common.BlockedStencil(GB.state_shape, GB, 4, "zero")
-        n_rows = len(stencil.rows(np.zeros(GB.state_shape)))
-        sizes = [len(range(*b.indices(n_rows))) for b in stencil.blocks]
-        assert len(sizes) > 1 and sum(sizes) == n_rows
+        """The sweep's blocks of whole P_x slabs cover the state once, all of
+        one size but a shorter last."""
+        work = solver_common.Workspace(
+            GB, SolverConfig(dt=1.0, t_end=1.0), solver_common.BandedOperators((None, None), ()),
+            linear_coefficients(LinearEMField(), GB))
+        n_slabs = GB.state_shape[0]
+        sizes = [len(range(*b.indices(n_slabs))) for b in work.blocks]
+        assert len(sizes) > 1 and sum(sizes) == n_slabs
         assert sizes[-1] < sizes[0] and len(set(sizes[:-1])) == 1
+        assert work.block_size == sizes[0] * math.prod(GB.state_shape[1:])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("boundary", ["zero", "periodic"])
@@ -223,16 +229,6 @@ class TestBlockedStencil:
             ref -= v[..., None, None] * roll_derivative(f, grid.dx[c], 2 + c, 4, boundary)
         got = advection(f, grid, 4, boundary)
         assert rel_l2(got, ref) < 1e-14
-        # operators with gradient terms: the same sweep leaves the derivatives
-        # in the workspace, bit for bit, and advection's bits do not change
-        cfg = SolverConfig(dt=1.0, t_end=1.0, stencil_order=4, boundary=boundary)
-        work = solver_common.Workspace(grid, cfg, solver_common.BandedOperators(
-            (None, None), ((0, 1.0, None, None), (1, 1.0, None, None))))
-        held = advection_term(f, np.empty_like(f), work)
-        for c in range(2):
-            assert (work.gradients[c].tobytes()
-                    == spatial_derivative(f, grid, c, 4, boundary).tobytes())
-        assert held.tobytes() == got.tobytes()
 
 
 class TestAdvection:
@@ -503,10 +499,9 @@ class TestWorkingMemory:
                              ids=["semidiscrete", "continuum"])
     def test_rhs_call_allocates_less_than_a_state(self, route):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
-        # the stencil sweeps GB in several blocks
-        assert len(solver_common.BlockedStencil(GB.state_shape, GB, 4, "periodic").blocks) > 1
         rhs = route.make_rhs(linear_coefficients(GRADIENT_FIELD, GB), GB, cfg)
-        assert bound_workspace(rhs).scratch.size == math.prod(GB.state_shape)
+        # the sweep covers GB in several blocks
+        assert len(bound_workspace(rhs).blocks) > 1
         f = packet(GB).values
         before = f.copy()
         out = np.empty_like(f)
@@ -521,32 +516,56 @@ class TestWorkingMemory:
         assert allocated < f.nbytes
         assert np.array_equal(f, before)
 
-    @pytest.mark.parametrize("field, derivatives, temporaries", [
-        (GRADIENT_FIELD, 2, 1), (LinearEMField(b0=0.8), 0, 1), (LinearEMField(), 0, 0)],
+    @pytest.mark.parametrize("field, products", [
+        (GRADIENT_FIELD, {semidiscrete: 2, continuum: 1}),
+        (LinearEMField(b0=0.8), {semidiscrete: 1, continuum: 1}),
+        (LinearEMField(), {semidiscrete: 0, continuum: 0})],
         ids=["gradient", "force_only", "free"])
     @pytest.mark.parametrize("route", [semidiscrete, continuum],
                              ids=["semidiscrete", "continuum"])
-    def test_workspace_holds_a_temporary_only_for_momentum_terms(self, route, field,
-                                                                 derivatives, temporaries):
+    def test_workspace_holds_a_temporary_only_for_momentum_terms(self, route, field, products):
+        """State-sized memory is one product per distinct momentum-x matrix
+        (the ladder's gradient block adds the box on P_x to the odd band;
+        the small-spacing route shares d/dP_x); the sweep's scratch is at
+        most one block, and none when a spent product block can serve."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
-        work = bound_workspace(route.make_rhs(linear_coefficients(field, GB), GB, cfg))
-        state = math.prod(GB.state_shape)
-        held = [work.scratch] + (work.gradients or [])
-        assert [a.size for a in held].count(state) == derivatives + temporaries
-        # without momentum terms the scratch is advection's one block
-        if not temporaries:
-            assert work.scratch.size == work.stencil.step * math.prod(GB.n_x)
+        rhs = route.make_rhs(linear_coefficients(field, GB), GB, cfg)
+        work = bound_workspace(rhs)
+        assert work.products.shape == (products[route],) + GB.state_shape
+        f = packet(GB).values
+        rhs(f, np.empty_like(f))
+        assert len(work.held) == (0 if field.b0 and not field.b1 else 1)
+        assert all(block.size == work.block_size for block in work.held)
+
+    @pytest.mark.parametrize("route, field, products", [
+        (semidiscrete, GRADIENT_FIELD, 2), (continuum, LinearEMField(b0=0.8), 1)],
+        ids=["ladder_gradient", "continuum_force_only"])
+    def test_stepped_working_set(self, route, field, products):
+        """A run holds the state, two step buffers and one product per
+        distinct momentum-x matrix.  Beyond them come the velocity stacks,
+        one (rows, n, n) array per spatial axis, and within two blocks the
+        sweep's scratch, the small matrices and NumPy's buffers."""
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
+        coeffs = linear_coefficients(field, GB)
+        f0 = packet(GB, momentum=(1.0, -0.5)).values
+        work = bound_workspace(route.make_rhs(coeffs, GB, cfg))
+        stacks = sum(stack.nbytes for stack in work.stacks)
+        peak = allocation_peak(
+            lambda: evolve(f0, route.make_rhs(coeffs, GB, cfg), GB, cfg, n_steps=2))
+        assert peak <= (3 + products) * f0.nbytes + stacks + 2 * 8 * work.block_size
 
     @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(e_grad=(0.3, -0.2), b0=0.8)],
                              ids=["gradient", "force_only"])
     @pytest.mark.parametrize("route", ["ladder", "difference", "shared"])
     def test_blocked_momentum_terms_match_whole_state_matmuls(self, field, route):
+        """The sweep without advection, added to a base, against each term
+        applied over the whole state."""
         coeffs = linear_coefficients(field, GB)
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
         ops = (continuum.difference_operators(coeffs, GB) if route == "difference"
                else semidiscrete.ladder_operators(coeffs, GB, cfg))
         if route == "shared":
-            # every kind of term reads derivative 0, the two-matrix one listed first
+            # every kind of term on derivative 0, and two on one product
             mx = band_matrix(GB.n_s[0], [0.6, -0.3], -1)
             my = band_matrix(GB.n_s[1], [0.4, 0.1], 1, centre=-0.5)
             ops = solver_common.BandedOperators(ops.force, (
@@ -563,16 +582,10 @@ class TestWorkingMemory:
         for s, weight, mx, my in ops.gradient:
             term = grads[s] if my is None else apply_along(my, grads[s], 1)
             expect += weight * (term if mx is None else apply_along(mx, term, 0))
-        got = start.copy()
-        # the derivatives are spent by the call, so it gets fresh copies
-        solver_common.add_momentum_terms(got, f, [g.copy() for g in grads], coeffs, ops,
-                                         np.empty(f.size))
+        work = solver_common.Workspace(GB, cfg, ops, coeffs, advection=False)
+        got = solver_common.banded_rhs(f, np.empty_like(f), work, work.products, work.held,
+                                       base=start)
         assert rel_l2(got, expect) < 1e-14
-
-    def test_one_two_matrix_term_per_derivative(self):
-        m = np.eye(3)
-        with pytest.raises(ValueError, match="two matrices"):
-            solver_common.BandedOperators((None, None), ((1, 1.0, m, m), (1, 2.0, m, m)))
 
     def test_boundary_fraction_allocates_less_than_a_state(self):
         f = packet(GB, sigma_p=3.0).values
@@ -608,13 +621,133 @@ class TestWorkingMemory:
         assert np.array_equal(final.values, kept[5])
 
 
+def generator_oracle(route, field, grid, cfg, f):
+    """L f term by term over the whole state (K f, without advection, for
+    the resolvent kernel): the route's matrices applied along their momentum
+    axes by `apply_along` and roll-formula spatial derivatives, with none of
+    the sweep's blocks, products or folded weights."""
+    coeffs = linear_coefficients(field, grid)
+    ops = (semidiscrete.ladder_operators(coeffs, grid, cfg) if route == "semidiscrete"
+           else continuum.difference_operators(coeffs, grid))
+    derivs = [roll_derivative(f, grid.dx[s], 2 + s, cfg.stencil_order, cfg.boundary)
+              for s in range(2)]
+    out = np.zeros_like(f)
+    if route != "kernel":
+        for c, shape in enumerate(((-1, 1, 1, 1), (-1, 1, 1))):
+            out -= (grid.p_axes[c] / grid.constants.mass).reshape(shape) * derivs[c]
+    tables = (coeffs.force_x[None], coeffs.force_y[:, None])
+    for axis, matrix in enumerate(ops.force):
+        if matrix is not None:
+            out -= tables[axis] * apply_along(matrix, f, axis)
+    for s, weight, mx, my in ops.gradient:
+        term = derivs[s] if my is None else apply_along(my, derivs[s], 1)
+        out += weight * (term if mx is None else apply_along(mx, term, 0))
+    return out
+
+
+GAMMA0 = 1.7   # the kernel's shift, K + gamma0
+
+
+def stage_closure(route, field, grid, cfg):
+    """(rhs(step, target, scale=1.0, base=None), the arrays it holds)."""
+    coeffs = linear_coefficients(field, grid)
+    if route == "kernel":
+        kernel = continuum.make_kernel(coeffs, grid, cfg)
+        work = np.empty((2,) + grid.state_shape)
+        return (lambda step, target, scale=1.0, base=None:
+                kernel(step, target, work, scale, base, gamma0=GAMMA0)), [work]
+    rhs = {"semidiscrete": semidiscrete, "continuum": continuum}[route].make_rhs(
+        coeffs, grid, cfg)
+    work = bound_workspace(rhs)
+    f = np.zeros(grid.state_shape)
+    rhs(f, np.empty_like(f))     # the first call fills the held scratch blocks
+    return rhs, [work.products, *work.held, *(s for s in work.stacks if s is not None)]
+
+
+STAGE_ROUTES = pytest.mark.parametrize("route", ["semidiscrete", "continuum", "kernel"])
+
+
+class TestStageContract:
+    """rhs(step, target, scale, base) writes base + scale L(step), or
+    scale L(step) when base is None, on both routes and the kernel."""
+
+    @STAGE_ROUTES
+    @pytest.mark.parametrize("grid", [G2U, GB], ids=["G2U", "GB"])
+    @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(b0=0.8), LinearEMField()],
+                             ids=["gradient", "force_only", "free"])
+    def test_stage_matches_oracle(self, route, grid, field):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
+        rhs, _ = stage_closure(route, field, grid, cfg)
+        step, base = np.random.default_rng(47).normal(size=(2,) + grid.state_shape)
+        generator = generator_oracle(route, field, grid, cfg, step)
+        if route == "kernel":
+            generator += GAMMA0 * step
+        target = np.full_like(step, np.nan)
+        assert rhs(step, target, 0.37, base) is target
+        assert rel_l2(target, base + 0.37 * generator) < 1e-14
+        assert rel_l2(rhs(step, target, -2.5), -2.5 * generator) < 1e-14
+        assert rel_l2(rhs(step, target), generator) < 1e-14
+
+    @STAGE_ROUTES
+    def test_held_buffers_do_not_reach_a_stage(self, route):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="zero", stencil_order=4)
+        rhs, held = stage_closure(route, GRADIENT_FIELD, GB, cfg)
+        step, base = np.random.default_rng(53).normal(size=(2,) + GB.state_shape)
+        for array in held:
+            array.fill(np.nan)
+        got = rhs(step, np.full_like(step, np.nan), 0.25, base)
+        fresh_rhs, _ = stage_closure(route, GRADIENT_FIELD, GB, cfg)
+        assert got.tobytes() == fresh_rhs(step, np.empty_like(step), 0.25, base).tobytes()
+
+    @STAGE_ROUTES
+    def test_stage_allocates_less_than_half_a_state(self, route):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
+        rhs, _ = stage_closure(route, GRADIENT_FIELD, GB, cfg)
+        step, base = np.random.default_rng(59).normal(size=(2,) + GB.state_shape)
+        before = step.tobytes(), base.tobytes()
+        target = np.empty_like(step)
+        assert allocation_peak(lambda: rhs(step, target, 0.5, base)) < 0.5 * step.nbytes
+        assert (step.tobytes(), base.tobytes()) == before
+
+
+# the generator on a tiny grid with unequal axes, assembled column by column
+GS = make_grid(2, (TAU, 5.0), (np.pi, 2.5), (4, 3), (2, 1), NAT)
+SKEW_FIELDS = {"zero": LinearEMField(), "e_gradient": LinearEMField(e_grad=(0.3, -0.2)),
+               "uniform_b": LinearEMField(b0=0.8), "b_gradient": LinearEMField(b0=0.8, b1=0.4)}
+
+
+def assembled_generator(rhs, grid):
+    """L as a dense matrix: column j is rhs of the j-th unit state."""
+    n = math.prod(grid.state_shape)
+    matrix, unit, column = np.empty((n, n)), np.zeros(grid.state_shape), np.empty(grid.state_shape)
+    for j in range(n):
+        unit.flat[j] = 1.0
+        matrix[:, j] = rhs(unit, column).reshape(-1)
+        unit.flat[j] = 0.0
+    return matrix
+
+
+@pytest.mark.parametrize("field", list(SKEW_FIELDS.values()), ids=list(SKEW_FIELDS))
+@pytest.mark.parametrize("boundary", ["zero", "periodic"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("route", [semidiscrete, continuum], ids=["semidiscrete", "continuum"])
+def test_generator_is_skew_symmetric(route, order, boundary, field):
+    """L + L^T vanishes to the bit on both routes, which the norm guard in
+    `evolve` rests on: the exact flow keeps the L2 norm."""
+    cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary=boundary, stencil_order=order)
+    matrix = assembled_generator(route.make_rhs(linear_coefficients(field, GS), GS, cfg), GS)
+    assert np.any(matrix)
+    assert not np.any(matrix + matrix.T)
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
 
 class TestStepping:
     def test_rk4_order(self):
-        rhs = lambda v, out: np.negative(v, out=out)
+        # the stage contract: rhs(v, out, scale, base) writes base + scale L v
+        rhs = lambda v, out, scale, base: np.subtract(base, scale * v, out=out)
         for dt in (0.1, 0.05):
             err = abs(rk4_step(np.array(1.0), dt, rhs, np.empty(()), np.empty(())) - np.exp(-dt))
             assert err < dt ** 5 / 60.0
@@ -626,9 +759,12 @@ class TestStepping:
         b = band_matrix(GA.n_s[1], rng.normal(size=2), 1, centre=rng.normal())
         calls = []
 
-        def rhs(v, out):
+        def rhs(v, out, scale=1.0, base=None):
             calls.append(1)
             np.add(apply_along(a, v, 0), apply_along(b, v, 1), out=out)
+            out *= scale
+            if base is not None:
+                out += base
             return out
 
         before = f.copy()
@@ -798,7 +934,7 @@ class TestStabilityGuard:
     def test_evolve_rejects_non_finite_state(self):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic")
         with pytest.raises(SolverInstabilityError, match="non-finite"):
-            evolve(packet(G2).values, lambda v, out: out.fill(np.nan), G2, cfg,
+            evolve(packet(G2).values, lambda v, out, *stage: out.fill(np.nan), G2, cfg,
                    n_steps=2)
 
     def test_steppers_reject_non_finite_state(self):
@@ -862,8 +998,10 @@ class TestFredholm:
     def test_working_set_is_one_trajectory(self):
         """The march holds n_t + 1 kernel values, the iterate and the history
         (n_t + 3 states), plus the two-state workspace that every kernel pass
-        and free flight writes into; the allowance is one kernel call that
-        allocates its own workspace."""
+        and free flight writes into.  Beyond them, the allowance is the peak of
+        one kernel call into a held workspace and under one state for the
+        small arrays a solve builds (coefficient tables, matrices), which
+        take 0.6 state on this 41 KiB fixture: one more state fails."""
         field = LinearEMField(b0=0.5, b1=0.3)
         cfg = SolverConfig(dt=0.01, t_end=0.08, boundary="periodic", stencil_order=4)
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0)).values
@@ -871,15 +1009,16 @@ class TestFredholm:
         out = np.empty_like(f0)
         stacks = sum(stack.nbytes for lag in range(1, 9)
                      for stack in free_flight_operators(G2, lag * cfg.dt, "periodic"))
-        kernel_call = allocation_peak(lambda: kernel(f0, out, np.empty((2,) + f0.shape)))
+        work = np.empty((2,) + f0.shape)
+        kernel_call = allocation_peak(lambda: kernel(f0, out, work))
         solve = allocation_peak(lambda: solve_fredholm_resolvent(f0, field, G2, cfg))
-        assert solve < (8 + 5) * f0.nbytes + stacks + kernel_call
+        assert solve < (8 + 5 + 0.75) * f0.nbytes + stacks + kernel_call
 
     def test_held_kernel_and_flight_allocate_no_state(self):
         """On a state larger than NumPy's 64 KiB ufunc buffer, a kernel call
         and a free flight into the held workspace allocate less than half a
-        state, and write the bits of the same products taken into fresh
-        arrays, whatever the workspace held before."""
+        state, and write the bits of the same call into fresh arrays,
+        whatever the workspace held before."""
         grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (10, 10), (8, 8), NAT)
         field = LinearEMField(b0=0.5, b1=0.3)
         cfg = SolverConfig(dt=0.01, t_end=0.08, boundary="periodic", stencil_order=4)
@@ -890,21 +1029,12 @@ class TestFredholm:
         kernel = continuum.make_kernel(coeffs, grid, cfg)
         flight_ops = free_flight_operators(grid, 0.05, "periodic")
         work, out = np.empty((2,) + f.shape), np.empty_like(f)
-        kernel(f, out, work, 2.0)
+        kernel(f, out, work, gamma0=2.0)
         advect_free_flight(flight_ops, f, work)
 
         work.fill(np.nan)
-        assert allocation_peak(lambda: kernel(f, out, work, 2.0)) < 0.5 * f.nbytes
-        expect = np.multiply(f, 2.0)
-        solver_common.add_momentum_terms(expect, f, None, coeffs, solver_common.BandedOperators(
-            ops.force, ()), np.empty(f.size))
-        stencil = solver_common.BlockedStencil(grid.state_shape, grid, 4, "periodic")
-        for s in range(2):
-            terms = tuple(term for term in ops.gradient if term[0] == s)
-            if terms:
-                solver_common.add_momentum_terms(
-                    expect, f, {s: stencil.derivative(f, s, np.empty(f.shape))}, coeffs,
-                    solver_common.BandedOperators((None, None), terms), np.empty(f.size))
+        assert allocation_peak(lambda: kernel(f, out, work, gamma0=2.0)) < 0.5 * f.nbytes
+        expect = kernel(f, np.empty_like(f), np.empty((2,) + f.shape), gamma0=2.0)
         assert out.tobytes() == expect.tobytes()
 
         work.fill(np.nan)
