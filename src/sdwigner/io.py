@@ -15,6 +15,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .phasespace import PhysicalConstants, make_grid
+from .solvers.common import l2_norm
 from .transform import WignerState
 
 MAGIC = b"SDWG"
@@ -137,15 +138,17 @@ def read_state(path) -> Tuple[WignerState, str]:
 
 
 def relative_l2_diff(a: WignerState, b: WignerState) -> float:
-    """Relative L2 distance between two states on matching grids."""
+    """Relative L2 distance between two states on matching grids, with its
+    norms taken by `l2_norm`, so the value is the same at every BLAS thread
+    count."""
     ga, gb = a.grid, b.grid
     if ga.state_shape != gb.state_shape:
         raise ValueError(f"state shapes differ: {ga.state_shape} vs {gb.state_shape}")
     for name in ("coherence_length", "omega_extent"):
         if not np.allclose(getattr(ga, name), getattr(gb, name), rtol=1e-12):
             raise ValueError(f"grid {name} differs between the two states")
-    denom = np.linalg.norm(b.values)
+    denom = l2_norm(b.values)
     if denom == 0.0:
-        return float(np.linalg.norm(a.values))
-    return float(np.linalg.norm(a.values - b.values) / denom)
+        return l2_norm(a.values)
+    return l2_norm(a.values - b.values) / denom
 

@@ -300,13 +300,15 @@ class Workspace:
       that carry no matrix; None where it is zero everywhere.  Each call
       folds them, times its scale, into the derivative matrices (`stacks`).
 
-    `hold` gives the workspace its own products (`products`) and a list of
-    scratch blocks (`held`) that the first call fills; without it the caller
-    hands both to every call.
+    The workspace owns all of its callers' scratch memory: one product per
+    momentum-x matrix (`products`) and a list of scratch blocks (`held`)
+    that grows by a block only when a call finds none free.  Between calls
+    all of it is spent, so a free flight (`advect_free_flight`) sweeps the
+    same blocks on the same memory.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", ops: BandedOperators,
-                 coeffs, advection: bool = True, hold: bool = True):
+                 coeffs, advection: bool = True):
         shape = grid.state_shape
         self.stencil = BlockedStencil(shape, grid, config.stencil_order, config.boundary)
         slab = math.prod(shape[1:])
@@ -344,7 +346,7 @@ class Workspace:
         d_x, d_y = self.stencil.matrices
         self.stacks = (None if self.speeds[0] is None else np.empty((step,) + d_x.shape),
                        None if self.speeds[1] is None else np.empty((len(speeds[1]),) + d_y.shape))
-        self.products = np.empty((len(self.x_matrices),) + shape) if hold else None
+        self.products = np.empty((len(self.x_matrices),) + shape)
         self.held: list = []
 
 
@@ -388,26 +390,25 @@ def advection_term(block: np.ndarray, out: np.ndarray, stacks, scratch: np.ndarr
     return out
 
 
-def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, products: np.ndarray,
-               held: list, scale: float = 1.0, base: Optional[np.ndarray] = None,
-               shift: float = 0.0) -> np.ndarray:
+def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: float = 1.0,
+               base: Optional[np.ndarray] = None, shift: float = 0.0) -> np.ndarray:
     """Write base + scale (L + shift) values into `out`, or leave base out
     when it is None: the right-hand side L shared by both deterministic
     routes and the resolvent kernel, as `work` lays it out.
 
-    One matmul per momentum-x matrix over the whole state, into `products`
-    (scale and sign folded into the matrix), then one sweep over the blocks
-    of whole P_x slabs.  In each block the first term is written into `out`
-    and every other one is taken into a scratch block and added: a product
-    block once its last term has read it, else a block of `held`, which
-    grows by a block when none is free.  Scale is folded into the small
-    matrices, weights and velocity stacks, so it costs no pass over the
-    state.  `values` and `base` may be one array; `out`, `products` and
-    `held` share memory with none of the others, and every array is
+    One matmul per momentum-x matrix over the whole state, into
+    `work.products` (scale and sign folded into the matrix), then one sweep
+    over the blocks of whole P_x slabs.  In each block the first term is
+    written into `out` and every other one is taken into a scratch block
+    and added: a product block once its last term has read it, else a block
+    of `work.held`, which grows by a block when none is free.  Scale is
+    folded into the small matrices, weights and velocity stacks, so it costs
+    no pass over the state.  `values` and `base` may be one array; `out`
+    shares memory with neither nor with `work`, and every array is
     C-contiguous.
     """
     n = len(values)
-    for matrix, product in zip(work.x_matrices, products):
+    for matrix, product in zip(work.x_matrices, work.products):
         np.matmul(-scale * matrix, values.reshape(n, -1), out=product.reshape(n, -1))
     # product k holds -scale A_x f, so its terms take -w
     product_terms = [[(s, -w if my is None else -w * my) for s, w, my in terms]
@@ -420,8 +421,8 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, products: n
         _weighted_stack(scale * work.speeds[1], work.stencil.matrices[1], stack_y)
     force_x, force_y = work.tables
     for block in work.blocks:
-        f, acc = values[block], _Block(out[block], held, work.block_size)
-        for product, terms, reads_force in zip(products, product_terms, work.force_x):
+        f, acc = values[block], _Block(out[block], work.held, work.block_size)
+        for product, terms, reads_force in zip(work.products, product_terms, work.force_x):
             p = product[block]
             for s, weight in terms:
                 acc.gradient(work.stencil, p, s, weight)
@@ -456,7 +457,7 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, products: n
 class _Block:
     """One block of the sweep: its first term is written into `out` and every
     later one into a scratch block, then added.  A scratch block comes from
-    `free`, else it is allocated and joins `held`, the caller's list."""
+    `free`, else it is allocated and joins `held`, the workspace's list."""
 
     def __init__(self, out: np.ndarray, held: list, size: int):
         self.out, self.held, self.size = out, held, size
@@ -556,28 +557,32 @@ def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float, boundary: str) -
     return tuple(stacks)
 
 
-def advect_free_flight(ops: tuple, values: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """One free flight: apply `free_flight_operators` to a state, one
-    broadcast matmul per axis, and return the flown state as a slot of `work`.
+def advect_free_flight(ops: tuple, values: np.ndarray, out: np.ndarray, weight: float,
+                       work: Workspace, accumulate: bool = False) -> np.ndarray:
+    """Write, or with `accumulate` add, `weight` times the free flight of a
+    2D state by `free_flight_operators` into `out`, and return `out`.
 
-    Each momentum row meets its own matrix; the momentum axis lines up with
-    the stack and the spatial axis is the one contracted.  `work` is a
-    C-contiguous (2,) + state-shape array that does not overlap `values`;
-    axis `ax` writes into slot `ax % 2`, so a flight allocates no state, and
-    the slot it returns is overwritten by the next call that is handed `work`.
+    The flight sweeps the blocks of whole P_x slabs of the workspace `work`
+    (the resolvent kernel's): in each block every slab meets its x matrix
+    and then every P_y row its y matrix, each as one batched matmul, and
+    the weighted result reaches `out` while the block is in cache.  The two
+    intermediates come from the workspace's spent memory, a product block
+    first, then a held block, and `held` grows only when neither exists;
+    so a flight into a warmed workspace allocates no state.  `out` shares
+    memory with neither `values` nor `work`; all arrays are C-contiguous.
     """
-    dim = len(ops)
-    shape = values.shape
-    out = values
-    for ax, stack in enumerate(ops):
-        lead, mid = math.prod(shape[:ax]), math.prod(shape[ax + 1:dim + ax])
-        if ax == dim - 1:
-            rows = out.reshape(lead, shape[ax], mid, shape[dim + ax])
-            out = np.matmul(rows, stack, out=work[ax % 2].reshape(rows.shape))
+    x_stack, y_stack = ops
+    for block in work.blocks:
+        pool = _Block(out[block], work.held, work.block_size)
+        pool.free += [product[block] for product in work.products]
+        flown = np.matmul(x_stack[block, None], values[block], out=pool.take())
+        flown = np.matmul(flown, y_stack, out=pool.take())
+        if accumulate:
+            flown *= weight
+            pool.out += flown
         else:
-            rows = out.reshape(lead, shape[ax], mid, shape[dim + ax], -1)
-            out = np.matmul(stack[:, None], rows, out=work[ax % 2].reshape(rows.shape))
-    return out.reshape(shape)
+            np.multiply(flown, weight, out=pool.out)
+    return out
 
 
 # ---------------------------------------------------------------------------

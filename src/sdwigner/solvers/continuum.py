@@ -41,43 +41,29 @@ def difference_operators(coeffs: LinearKernelCoefficients,
     return BandedOperators(force, gradient)
 
 
-def force_and_quantum(values: np.ndarray, out: np.ndarray, work: np.ndarray,
-                      sweep: Workspace, scale: float = 1.0, base: Optional[np.ndarray] = None,
+def force_and_quantum(values: np.ndarray, out: np.ndarray, work: Workspace,
+                      scale: float = 1.0, base: Optional[np.ndarray] = None,
                       gamma0: float = 0.0) -> np.ndarray:
     """Write base + scale (K + gamma0) values into `out` (base left out when
-    None), K the right-hand side minus advection, from the workspace
-    `make_kernel` built once per solve.
-
-    The held (2,) + state-shape `work` is the sweep's memory: slot 0 takes
-    the momentum-x product and slot 1 is cut into the sweep's scratch
-    blocks, of which K needs one.  So a call allocates no state; `work`
-    overlaps neither `values`, `out` nor `base`.
-    """
-    flat = work[1].reshape(-1)
-    held = [flat[i:i + sweep.block_size]
-            for i in range(0, flat.size - sweep.block_size + 1, sweep.block_size)]
-    return banded_rhs(values, out, sweep, work[:1], held, scale, base, gamma0)
+    None), K the right-hand side minus advection, on the workspace
+    `make_kernel` built once per solve.  The workspace holds the sweep's
+    momentum-x product and scratch blocks, so a call allocates no state."""
+    return banded_rhs(values, out, work, scale, base, gamma0)
 
 
 def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
-                config: SolverConfig):
-    """Build the difference and derivative matrices once and bind them into
-    a closure kernel(values, out, work, scale=1.0, base=None, gamma0=0.0)
-    that writes base + scale (K + gamma0) values into `out`, with `work` as
-    the (2,) + state-shape working memory of `force_and_quantum`.
+                config: SolverConfig) -> Workspace:
+    """Build the difference and derivative matrices once into the kernel's
+    workspace, which `force_and_quantum` applies and whose memory the free
+    flights reuse.
 
     K is the right-hand side minus advection, the coupling the integral
     solver sums along each backward characteristic.  The small-spacing
     matrices share d/dP_x between the force and gradient terms, so K needs
     one momentum-x product.
     """
-    sweep = Workspace(grid, config, difference_operators(coeffs, grid), coeffs,
-                      advection=False, hold=False)
-
-    def kernel(values: np.ndarray, out: np.ndarray, work: np.ndarray, scale: float = 1.0,
-               base: Optional[np.ndarray] = None, gamma0: float = 0.0) -> np.ndarray:
-        return force_and_quantum(values, out, work, sweep, scale, base, gamma0)
-    return kernel
+    return Workspace(grid, config, difference_operators(coeffs, grid), coeffs,
+                     advection=False)
 
 
 def rhs_continuum_fd(values: np.ndarray, out: np.ndarray, work: Workspace,
@@ -85,7 +71,7 @@ def rhs_continuum_fd(values: np.ndarray, out: np.ndarray, work: Workspace,
     """base + scale d/dt values on the small-spacing route, written into
     `out`, from the matrices `difference_operators` built; named per route
     so its time is told apart from the other route's."""
-    return banded_rhs(values, out, work, work.products, work.held, scale, base)
+    return banded_rhs(values, out, work, scale, base)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,

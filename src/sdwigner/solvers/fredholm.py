@@ -19,11 +19,12 @@ linear interpolation between the two nearest cells, which is exact only for
 whole-cell shifts.  Its matrices (`free_flight_operators`) are built once
 per lag, and each (level, lag) flight runs once per solve.  A solve holds
 one (n_t + 1)-state array of kernel values K f_j + gamma0 f_j, plus the
-iterate and the history of the level being solved; the slot of that level
-is the scratch of its passes.  It also holds one two-state workspace, which
-every kernel call and every flight writes into, since they never run at
-once: n_t + 5 states in all, and a kernel pass or a flight allocates no
-state of its own.
+iterate and the history of the level being solved: n_t + 3 states, the
+slot of the level being solved serving as the scratch of its passes.  The
+kernel's workspace holds the rest: its momentum-x product (none at zero
+field) and a few scratch blocks.  A flight sweeps the same blocks on that
+memory, since the two never run at once, so neither a kernel pass nor a
+flight allocates a state of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from ..transform import WignerState
 from .common import (FredholmConvergenceError, SolverConfig, SolverInstabilityError,
                      advect_free_flight, default_gamma0, free_flight_operators,
                      l2_norm)
-from .continuum import make_kernel
+from .continuum import force_and_quantum, make_kernel
 
 
 @dataclass
@@ -76,7 +77,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
 
     gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(field, grid, config)
     coeffs = linear_coefficients(field, grid)
-    kernel = make_kernel(coeffs, grid, config)      # base + scale (K + gamma0)
+    work = make_kernel(coeffs, grid, config)
     flights = [None] + [free_flight_operators(grid, lag * dt, config.boundary)
                         for lag in range(1, n_t + 1)]
     decay = np.exp(-gamma0 * dt * np.arange(n_t + 1))
@@ -88,10 +89,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
     kvals = np.empty((n_t + 1,) + values0.shape)
     x = np.array(values0, dtype=float)
     history = np.empty_like(x)
-    # the working memory of every kernel call and every flight, which never
-    # run at once
-    work = np.empty((2,) + x.shape)
-    kernel(x, kvals[0], work, half, x, gamma0=gamma0)
+    force_and_quantum(x, kvals[0], work, half, x, gamma0)
 
     residuals: List[float] = []
     n_passes = 0
@@ -100,7 +98,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
         # passes from the previous level's state; kvals[k] is their scratch
         trial, level = kvals[k], []
         for _ in range(config.fredholm_max_iter):
-            kernel(x, trial, work, half, history)
+            force_and_quantum(x, trial, work, half, history)
             with np.errstate(divide="ignore", invalid="ignore"):
                 trial /= scale
             norm = l2_norm(trial)
@@ -121,20 +119,19 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
         n_passes += len(level)
         residuals.append(res)
         if k < n_t:
-            kernel(x, kvals[k], work, gamma0=gamma0)
+            force_and_quantum(x, kvals[k], work, gamma0=gamma0)
     return FredholmResult(state=WignerState(grid=grid, values=x, time=config.t_end),
                           residuals=residuals, n_sweeps=n_passes, gamma0=gamma0)
 
 
 def _history(out, k, kvals, flights, decay, dt, work) -> None:
     """Write level k's history into out: every term of its trapezoid sum but
-    the diagonal one, each flight flown in `work`.
+    the diagonal one, each flight swept on the kernel's workspace `work`.
 
     out = decay[k] A(k) kvals[0] + sum_{j=1}^{k-1} dt decay[k-j] A(k-j) kvals[j],
     A(lag) = flights[lag], with kvals[0] already holding f0 + dt/2 (K f0 + gamma0 f0).
     """
-    np.multiply(advect_free_flight(flights[k], kvals[0], work), decay[k], out=out)
+    advect_free_flight(flights[k], kvals[0], out, decay[k], work)
     for j in range(1, k):
-        flight = advect_free_flight(flights[k - j], kvals[j], work)
-        flight *= dt * decay[k - j]
-        out += flight
+        advect_free_flight(flights[k - j], kvals[j], out, dt * decay[k - j], work,
+                           accumulate=True)

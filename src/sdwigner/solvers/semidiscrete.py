@@ -60,7 +60,7 @@ def rhs_semidiscrete(values: np.ndarray, out: np.ndarray, work: Workspace,
     """base + scale d/dt values on the ladder route, written into `out`, from
     the matrices `ladder_operators` built; named per route so its time is
     told apart from the other route's."""
-    return banded_rhs(values, out, work, work.products, work.held, scale, base)
+    return banded_rhs(values, out, work, scale, base)
 
 
 def make_rhs(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,

@@ -25,6 +25,7 @@ from sdwigner.io import (read_state, read_table, relative_l2_diff, write_state,
 from sdwigner.runner import magnitude_report, run_simulation
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, montecarlo, semidiscrete)
+from sdwigner.solvers.common import l2_norm
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
 
@@ -295,6 +296,14 @@ STATE_GRIDS = {
 }
 
 
+def large_state_pair():
+    """Two random states of 21 x 21 x 40 x 40 cells on one grid."""
+    grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (40, 40), (10, 10))
+    a, b = np.random.default_rng(67).normal(size=(2,) + grid.state_shape)
+    return (WignerState(grid=grid, values=a, time=0.0),
+            WignerState(grid=grid, values=b, time=0.0))
+
+
 class TestStateFormat:
     def make_state(self, seed=0, dim=2):
         grid = make_grid(dim, *STATE_GRIDS[dim])
@@ -380,6 +389,13 @@ class TestStateFormat:
         b = WignerState(grid=a.grid, values=b.values, time=a.time)
         expect = np.linalg.norm(a.values - b.values) / np.linalg.norm(b.values)
         assert relative_l2_diff(a, b) == pytest.approx(expect, rel=1e-14)
+
+    def test_diff_value_is_the_blas_free_norm_ratio(self):
+        # at 0.7M cells a BLAS norm splits its sum, and the last digit that
+        # `diff` prints moved with the thread count
+        a, b = large_state_pair()
+        assert a.values.size >= 700_000
+        assert relative_l2_diff(a, b) == l2_norm(a.values - b.values) / l2_norm(b.values)
 
 
 class TestTablesAndFields:
@@ -574,24 +590,33 @@ class TestCLI:
         assert cli_main(["diff", final, final, "--tol", "0"]) == 0
         assert "relative_l2 0" in capsys.readouterr().out
 
-    def test_fredholm_residuals_do_not_depend_on_blas_threads(self, tmp_path):
-        # a state of 13 x 13 x 8 x 8 cells is large enough for a threaded
-        # BLAS dot product to split its sum, which once moved the last digits
+    def test_numeric_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # a resolvent state of 13 x 13 x 8 x 8 cells is large enough for a
+        # threaded BLAS dot product to split its sum, which once moved the
+        # last digits of the residuals; so was a diffed pair of 0.7M cells
         path = self.cfg_file(tmp_path, grid={"n_x": [8, 8], "n_p": [6, 6]},
                              field={"b1_T_per_m": 1.0e7}, solver={
                                  "method": "fredholm", "dt_fs": 20.0, "t_end_fs": 60.0,
                                  "stencil_order": 4, "gamma0_per_s": 2.0e13,
                                  "fredholm_tol": 1e-9, "fredholm_max_iter": 400})
+        pair = [str(write_state(tmp_path / f"{name}.sdwg", state, "0" * 64))
+                for name, state in zip("ab", large_state_pair())]
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        tables = []
+        outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                 p for p in (src, os.environ.get("PYTHONPATH")) if p))
             subprocess.run([sys.executable, "-m", "sdwigner", "run", str(path),
                             "--out", str(out)], env=env, check=True, capture_output=True)
-            tables.append((out / "fredholm_residuals.tsv").read_bytes())
-        assert tables[0] == tables[1]
+            diff = subprocess.run([sys.executable, "-m", "sdwigner", "diff", *pair], env=env,
+                                  check=True, capture_output=True, text=True).stdout
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                     if p.suffix in (".tsv", ".sdwg")}
+            outputs.append((diff.splitlines()[0], files))
+        assert outputs[0][0].startswith("relative_l2 ")
+        assert "fredholm_residuals.tsv" in outputs[0][1] and "state_final.sdwg" in outputs[0][1]
+        assert outputs[0] == outputs[1]
 
     def test_diff_notes_hash_mismatch(self, tmp_path, capsys):
         grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (6, 6), (3, 3))

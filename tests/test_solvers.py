@@ -69,7 +69,15 @@ def advection(f, grid, order, boundary):
     cfg = SolverConfig(dt=1.0, t_end=1.0, stencil_order=order, boundary=boundary)
     work = solver_common.Workspace(grid, cfg, solver_common.BandedOperators((None, None), ()),
                                    linear_coefficients(LinearEMField(), grid))
-    return solver_common.banded_rhs(f, np.empty_like(f), work, work.products, work.held)
+    return solver_common.banded_rhs(f, np.empty_like(f), work)
+
+
+def free_flight(ops, f, grid):
+    """One free flight of f, weight 1, into a new array, swept on the blocks
+    of a fresh zero-field kernel workspace."""
+    work = continuum.make_kernel(linear_coefficients(LinearEMField(), grid), grid,
+                                 SolverConfig(dt=1.0, t_end=1.0))
+    return advect_free_flight(ops, f, np.empty_like(f), 1.0, work)
 
 
 def spatial_derivative(f, grid, axis, order=2, boundary="zero"):
@@ -235,8 +243,7 @@ class TestAdvection:
     def test_integer_shift_matches_roll(self):
         f = packet(G2).values
         dt = G2.dx[0]            # v_M dt / dx = M exactly (dP = 1, m = 1)
-        out = advect_free_flight(free_flight_operators(G2, dt, "periodic"), f,
-                                 np.empty((2,) + f.shape))
+        out = free_flight(free_flight_operators(G2, dt, "periodic"), f, G2)
         for mx, my in ((-2, 0), (0, 1), (3, -4)):
             sx, sy = G2.momentum_slot(0, mx), G2.momentum_slot(1, my)
             expect = np.roll(np.roll(f[sx, sy], mx, axis=0), my, axis=1)
@@ -244,8 +251,7 @@ class TestAdvection:
 
     def test_half_cell_interpolates(self):
         f = packet(G2).values
-        out = advect_free_flight(free_flight_operators(G2, 0.5 * G2.dx[0], "periodic"), f,
-                                 np.empty((2,) + f.shape))
+        out = free_flight(free_flight_operators(G2, 0.5 * G2.dx[0], "periodic"), f, G2)
         sx, sy = G2.momentum_slot(0, 1), G2.momentum_slot(1, 0)
         plane = f[sx, sy]
         expect = 0.5 * (plane + np.roll(plane, 1, axis=0))
@@ -253,8 +259,7 @@ class TestAdvection:
 
     def test_mass_exact_periodic(self):
         f = packet(G2).values
-        out = advect_free_flight(free_flight_operators(G2, 0.37, "periodic"), f,
-                                 np.empty((2,) + f.shape))
+        out = free_flight(free_flight_operators(G2, 0.37, "periodic"), f, G2)
         assert abs(out.sum() - f.sum()) < 1e-12 * abs(f.sum())
 
 
@@ -277,8 +282,13 @@ class TestFreeFlightOperators:
         delta_t = cells * grid.n_x[0] * grid.dx[0] / v_max
         values = np.random.default_rng(3).standard_normal(grid.state_shape)
         expect = free_flight_rows(values, row_deltas(grid, delta_t), boundary)
-        out = advect_free_flight(free_flight_operators(grid, delta_t, boundary), values,
-                                 np.empty((2,) + values.shape))
+        ops = free_flight_operators(grid, delta_t, boundary)
+        if grid.dim == 1:
+            # the resolvent and its flight are 2D only, so each row meets its
+            # (transposed, last-axis) matrix here, from the right
+            out = (values[:, None] @ ops[0])[:, 0]
+        else:
+            out = free_flight(ops, values, grid)
         assert rel_l2(out, expect) < 1e-14
 
     def test_last_axis_stack_is_transposed_and_contiguous(self):
@@ -583,8 +593,7 @@ class TestWorkingMemory:
             term = grads[s] if my is None else apply_along(my, grads[s], 1)
             expect += weight * (term if mx is None else apply_along(mx, term, 0))
         work = solver_common.Workspace(GB, cfg, ops, coeffs, advection=False)
-        got = solver_common.banded_rhs(f, np.empty_like(f), work, work.products, work.held,
-                                       base=start)
+        got = solver_common.banded_rhs(f, np.empty_like(f), work, base=start)
         assert rel_l2(got, expect) < 1e-14
 
     def test_boundary_fraction_allocates_less_than_a_state(self):
@@ -652,13 +661,14 @@ def stage_closure(route, field, grid, cfg):
     """(rhs(step, target, scale=1.0, base=None), the arrays it holds)."""
     coeffs = linear_coefficients(field, grid)
     if route == "kernel":
-        kernel = continuum.make_kernel(coeffs, grid, cfg)
-        work = np.empty((2,) + grid.state_shape)
-        return (lambda step, target, scale=1.0, base=None:
-                kernel(step, target, work, scale, base, gamma0=GAMMA0)), [work]
-    rhs = {"semidiscrete": semidiscrete, "continuum": continuum}[route].make_rhs(
-        coeffs, grid, cfg)
-    work = bound_workspace(rhs)
+        work = continuum.make_kernel(coeffs, grid, cfg)
+
+        def rhs(step, target, scale=1.0, base=None):
+            return continuum.force_and_quantum(step, target, work, scale, base, GAMMA0)
+    else:
+        rhs = {"semidiscrete": semidiscrete, "continuum": continuum}[route].make_rhs(
+            coeffs, grid, cfg)
+        work = bound_workspace(rhs)
     f = np.zeros(grid.state_shape)
     rhs(f, np.empty_like(f))     # the first call fills the held scratch blocks
     return rhs, [work.products, *work.held, *(s for s in work.stacks if s is not None)]
@@ -946,14 +956,17 @@ class TestStabilityGuard:
                        n_steps=1)
 
 
+# 13 x 13 x 40 x 40 cells: one P_x slab per block of the kernel's sweep
+MULTI_BLOCK = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (40, 40), (6, 6))
+
+
 class TestFredholm:
     def test_zero_kernel_reduces_to_free_flight(self):
         field = LinearEMField()
         cfg = SolverConfig(dt=0.04, t_end=0.32, gamma0=1.0, boundary="periodic")
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8)
         result = solve_fredholm_resolvent(f0, field, G2, cfg)
-        expect = advect_free_flight(free_flight_operators(G2, 0.32, "periodic"), f0.values,
-                                    np.empty((2,) + f0.values.shape))
+        expect = free_flight(free_flight_operators(G2, 0.32, "periodic"), f0.values, G2)
         assert rel_l2(result.state.values, expect) < 1e-2
         assert result.state.time == pytest.approx(0.32)
         assert result.residuals[-1] < cfg.fredholm_tol
@@ -985,9 +998,9 @@ class TestFredholm:
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0))
         result = solve_fredholm_resolvent(f0, field, G2, cfg)
         coeffs = linear_coefficients(field, G2)
-        kernel = continuum.make_kernel(coeffs, G2, cfg)
+        work = continuum.make_kernel(coeffs, G2, cfg)
         expect, _ = fredholm_sweeps(
-            f0.values, lambda v: kernel(v, np.empty_like(v), np.empty((2,) + v.shape)),
+            f0.values, lambda v: continuum.force_and_quantum(v, np.empty_like(v), work),
             lambda v, lag: free_flight_rows(v, row_deltas(G2, lag * cfg.dt), boundary),
             8, cfg.dt, result.gamma0, cfg.fredholm_tol, cfg.fredholm_max_iter)
         # one final local residual per level, each below tol
@@ -997,27 +1010,58 @@ class TestFredholm:
 
     def test_working_set_is_one_trajectory(self):
         """The march holds n_t + 1 kernel values, the iterate and the history
-        (n_t + 3 states), plus the two-state workspace that every kernel pass
-        and free flight writes into.  Beyond them, the allowance is the peak of
-        one kernel call into a held workspace and under one state for the
-        small arrays a solve builds (coefficient tables, matrices), which
-        take 0.6 state on this 41 KiB fixture: one more state fails."""
-        field = LinearEMField(b0=0.5, b1=0.3)
-        cfg = SolverConfig(dt=0.01, t_end=0.08, boundary="periodic", stencil_order=4)
-        f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0)).values
-        kernel = continuum.make_kernel(linear_coefficients(field, G2), G2, cfg)
-        out = np.empty_like(f0)
-        stacks = sum(stack.nbytes for lag in range(1, 9)
-                     for stack in free_flight_operators(G2, lag * cfg.dt, "periodic"))
-        work = np.empty((2,) + f0.shape)
-        kernel_call = allocation_peak(lambda: kernel(f0, out, work))
-        solve = allocation_peak(lambda: solve_fredholm_resolvent(f0, field, G2, cfg))
-        assert solve < (8 + 5 + 0.75) * f0.nbytes + stacks + kernel_call
+        (n_t + 3 states); the kernel's workspace holds its products and the
+        scratch blocks every kernel pass and free flight shares.  Beyond them
+        and the flight stacks, the allowance is what building the kernel
+        takes besides its products (coefficient tables, matrices), the peak
+        of one kernel pass or flight into the warmed workspace (NumPy's
+        buffer) and 16 KiB for the solve's own small arrays: one more block
+        (here one state) fails."""
+        self.check_working_set(G2, LinearEMField(b0=0.5, b1=0.3), SolverConfig(
+            dt=0.01, t_end=0.08, boundary="periodic", stencil_order=4),
+            packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0)).values)
+
+    @pytest.mark.parametrize("field", [LinearEMField(b0=1.0, b1=1e7), LinearEMField()],
+                             ids=["gradient", "zero"])
+    def test_multi_block_working_set(self, field):
+        """The same bound on a workspace of 13 one-slab blocks, where one more
+        block is 1/13 state; the solve also stays below the n_t + 5 states
+        that a two-state workspace took."""
+        cfg = SolverConfig(dt=2e-14, t_end=1e-13, boundary="periodic", stencil_order=4)
+        f0 = gaussian_wigner(MULTI_BLOCK, center=(0.0, 0.0), sigma_x=(20e-9, 25e-9)).values
+        work, solve, stacks = self.check_working_set(MULTI_BLOCK, field, cfg, f0)
+        n_t = 5
+        assert len(work.blocks) == 13
+        assert solve - stacks < (n_t + 5) * f0.nbytes
+
+    @staticmethod
+    def check_working_set(grid, field, cfg, f0):
+        """Assert the solve's bound; return the kernel workspace, the solve's
+        peak and the bytes of its flight stacks."""
+        n_t = int(round(cfg.t_end / cfg.dt))
+        flights = [free_flight_operators(grid, lag * cfg.dt, cfg.boundary)
+                   for lag in range(1, n_t + 1)]
+        stacks = sum(stack.nbytes for flight in flights for stack in flight)
+        built = []
+        setup = allocation_peak(lambda: built.append(
+            continuum.make_kernel(linear_coefficients(field, grid), grid, cfg)))
+        work, out = built[0], np.empty_like(f0)
+        continuum.force_and_quantum(f0, out, work, 0.5, f0, 1.0)
+        advect_free_flight(flights[-1], f0, out, 0.5, work, accumulate=True)
+        call = max(
+            allocation_peak(lambda: continuum.force_and_quantum(f0, out, work, 0.5, f0, 1.0)),
+            allocation_peak(lambda: advect_free_flight(flights[-1], f0, out, 0.5, work,
+                                                       accumulate=True)))
+        held = sum(block.nbytes for block in work.held)
+        small = setup - work.products.nbytes + call + 16 * 1024
+        solve = allocation_peak(lambda: solve_fredholm_resolvent(f0, field, grid, cfg))
+        assert solve < (n_t + 3) * f0.nbytes + work.products.nbytes + held + stacks + small
+        return work, solve, stacks
 
     def test_held_kernel_and_flight_allocate_no_state(self):
         """On a state larger than NumPy's 64 KiB ufunc buffer, a kernel call
-        and a free flight into the held workspace allocate less than half a
-        state, and write the bits of the same call into fresh arrays,
+        and a free flight into the warmed workspace allocate less than half a
+        state, and write the bits of the same call on a fresh workspace,
         whatever the workspace held before."""
         grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (10, 10), (8, 8), NAT)
         field = LinearEMField(b0=0.5, b1=0.3)
@@ -1026,36 +1070,66 @@ class TestFredholm:
         ops = continuum.difference_operators(coeffs, grid)
         f = packet(grid, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0)).values
         assert f.nbytes > 64 * 1024 and ops.gradient
-        kernel = continuum.make_kernel(coeffs, grid, cfg)
+        work = continuum.make_kernel(coeffs, grid, cfg)
         flight_ops = free_flight_operators(grid, 0.05, "periodic")
-        work, out = np.empty((2,) + f.shape), np.empty_like(f)
-        kernel(f, out, work, gamma0=2.0)
-        advect_free_flight(flight_ops, f, work)
+        out = np.empty_like(f)
+        continuum.force_and_quantum(f, out, work, gamma0=2.0)
+        advect_free_flight(flight_ops, f, out, 0.5, work)
 
-        work.fill(np.nan)
-        assert allocation_peak(lambda: kernel(f, out, work, gamma0=2.0)) < 0.5 * f.nbytes
-        expect = kernel(f, np.empty_like(f), np.empty((2,) + f.shape), gamma0=2.0)
+        def spoil():
+            for array in (work.products, *work.held):
+                array.fill(np.nan)
+
+        def fresh_workspace():
+            return continuum.make_kernel(coeffs, grid, cfg)
+
+        spoil()
+        assert allocation_peak(
+            lambda: continuum.force_and_quantum(f, out, work, gamma0=2.0)) < 0.5 * f.nbytes
+        expect = continuum.force_and_quantum(f, np.empty_like(f), fresh_workspace(), gamma0=2.0)
         assert out.tobytes() == expect.tobytes()
 
-        work.fill(np.nan)
-        flights = []
-        assert allocation_peak(lambda: flights.append(
-            advect_free_flight(flight_ops, f, work))) < 0.5 * f.nbytes
-        x_stack, y_stack = flight_ops
-        expect = (x_stack[:, None] @ f[None]).reshape(f.shape) @ y_stack
-        assert np.shares_memory(flights[0], work)
-        assert flights[0].tobytes() == expect.tobytes()
+        spoil()
+        assert allocation_peak(
+            lambda: advect_free_flight(flight_ops, f, out, 0.5, work)) < 0.5 * f.nbytes
+        expect = advect_free_flight(flight_ops, f, np.empty_like(f), 0.5, fresh_workspace())
+        assert out.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("field", [LinearEMField(b0=1.0, b1=1e7), LinearEMField()],
+                             ids=["gradient", "zero"])
+    def test_flight_sweeps_every_block(self, field):
+        """On a workspace of many blocks, a written and an accumulated flight
+        give the bits of the whole-state batched matmuls.  The first flight
+        grows `held` only where no product block serves, and a flight into
+        the warmed workspace allocates under half a block (1/26 state), so
+        no block takes fresh scratch."""
+        cfg = SolverConfig(dt=2e-14, t_end=1e-13, boundary="zero", stencil_order=4)
+        work = continuum.make_kernel(linear_coefficients(field, MULTI_BLOCK), MULTI_BLOCK, cfg)
+        assert len(work.blocks) == 13
+        x_stack, y_stack = ops = free_flight_operators(MULTI_BLOCK, 3 * cfg.dt, cfg.boundary)
+        f, start = np.random.default_rng(61).normal(size=(2,) + MULTI_BLOCK.state_shape)
+        flown = (x_stack[:, None] @ f[None]).reshape(f.shape) @ y_stack
+        out = np.full_like(f, np.nan)
+        assert advect_free_flight(ops, f, out, 0.7, work) is out
+        assert out.tobytes() == (0.7 * flown).tobytes()
+        # the two intermediates: a spent product block, else a held one
+        assert len(work.held) == 2 - len(work.products)
+        out = start.copy()
+        allocated = allocation_peak(
+            lambda: advect_free_flight(ops, f, out, -1.3, work, accumulate=True))
+        assert allocated < 4 * work.block_size
+        assert out.tobytes() == (start + -1.3 * flown).tobytes()
 
     def test_traced_layers_run_once_per_call(self, monkeypatch):
         """`force_and_quantum` runs once per kernel call and
         `advect_free_flight` once per flight, each looked up by its module
         attribute, so a wrapper of either name sees every call."""
         calls = {"force_and_quantum": 0, "advect_free_flight": 0}
-        for module, name in ((continuum, "force_and_quantum"), (fredholm, "advect_free_flight")):
-            def counted(*args, _name=name, _original=getattr(module, name)):
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(fredholm, name), **kwargs):
                 calls[_name] += 1
-                return _original(*args)
-            monkeypatch.setattr(module, name, counted)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(fredholm, name, counted)
         cfg = SolverConfig(dt=0.01, t_end=0.05, boundary="periodic", stencil_order=4)
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0))
         result = solve_fredholm_resolvent(f0, LinearEMField(b0=0.5, b1=0.3), G2, cfg)
