@@ -1,11 +1,9 @@
 """Command line front-end.
 
-Subcommands: run, validate, magnitudes, diff, emit-plot.  Environment
-overrides are limited to SDWIGNER_OUT (output directory) and SDWIGNER_WORKERS
-(how many seed streams the stochastic estimator splits its walkers into;
-the streams run one after another); command-line flags win over both.  A
-worker count below 1 or not an integer, like a negative --seed, is a config
-error (exit 2) raised before any file is written.
+Subcommands: run, validate, magnitudes, diff, emit-plot.  The one
+environment override is SDWIGNER_OUT (output directory), and --out wins over
+it.  Results depend only on the config and seed; a negative --seed is a
+config error (exit 2) raised before any file is written.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .runner import RunnerError, magnitude_report, run_simulation
 from .solvers import FredholmConvergenceError, SolverInstabilityError, observables
 
 ENV_OUT = "SDWIGNER_OUT"
-ENV_WORKERS = "SDWIGNER_WORKERS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,10 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--seed", type=int, default=None,
                        help="RNG seed override, >= 0; enters the config hash")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="split the mc walkers into this many seed streams "
-                            "(an integer >= 1), run one after another (not in "
-                            "parallel)")
 
     p_val = sub.add_parser("validate", help="check a config and print its hash")
     p_val.add_argument("config")
@@ -89,25 +82,9 @@ def _resolved_out(flag_value):
     return os.environ.get(ENV_OUT) or None
 
 
-def _resolved_workers(flag_value) -> int:
-    """--workers, else SDWIGNER_WORKERS, else 1; anything but an integer
-    >= 1 fails as a config error naming where it came from."""
-    source, raw = (("--workers", flag_value) if flag_value is not None
-                   else (ENV_WORKERS, os.environ.get(ENV_WORKERS) or "1"))
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(source, f"must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    product = run_simulation(cfg, out_dir=_resolved_out(args.out),
-                             seed=args.seed,
-                             workers=_resolved_workers(args.workers))
+    product = run_simulation(cfg, out_dir=_resolved_out(args.out), seed=args.seed)
     print(f"config {product.config_hash}")
     for f in product.files:
         print(f"wrote {f}")

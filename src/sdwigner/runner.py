@@ -1,10 +1,9 @@
 """Run orchestration: dispatch a validated config to a solver, persist results.
 
-Single-threaded by design: the worker count handed to the stochastic
-estimator splits its walkers into seed streams that run one after another.
-Numeric output files never contain timestamps, so a rerun with the same
-config and seed is byte-identical; wall-clock data lives in run_meta.json
-only.
+Single-threaded by design.  Numeric output files never contain timestamps
+and every estimate depends only on the config and seed, so a rerun with the
+same config and seed is byte-identical; wall-clock data lives in
+run_meta.json only.
 """
 
 from __future__ import annotations
@@ -84,7 +83,8 @@ def run_simulation(cfg: SimulationConfig, out_dir=None, seed: Optional[int] = No
 
     out_dir and seed override the config without entering it; the config hash
     is computed over the effective config (seed applied) so identical numeric
-    setups share a hash regardless of where results land.
+    setups share a hash regardless of where results land.  `workers` is
+    ignored.
     """
     effective = cfg.with_seed(seed) if seed is not None else cfg
     run_hash = effective.sha256()
@@ -97,7 +97,6 @@ def run_simulation(cfg: SimulationConfig, out_dir=None, seed: Optional[int] = No
         "config_sha256": run_hash,
         "package_version": __version__,
         "method": effective.method,
-        "workers": int(workers),
         "effective_seed": effective.rng_seed,
         "started_utc": _utc_stamp(),
         "files": [],
@@ -106,7 +105,7 @@ def run_simulation(cfg: SimulationConfig, out_dir=None, seed: Optional[int] = No
 
     files = []
     try:
-        files = _dispatch(effective, out, run_hash, workers, meta)
+        files = _dispatch(effective, out, run_hash, meta)
     except Exception as exc:
         meta["status"] = "failed"
         meta["error"] = f"{type(exc).__name__}: {exc}"
@@ -122,8 +121,7 @@ def run_simulation(cfg: SimulationConfig, out_dir=None, seed: Optional[int] = No
                       files=tuple(files), config_hash=run_hash)
 
 
-def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, workers: int,
-              meta: dict) -> list:
+def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, meta: dict) -> list:
     grid = cfg.build_grid()
     field = cfg.build_field()
     scfg = cfg.build_solver_config()
@@ -169,8 +167,7 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, workers: int,
         for t in cfg.mc_targets:
             target = (np.asarray(t.m_index, dtype=int),
                       np.asarray([v * NM for v in t.position_nm], dtype=float))
-            est = mc_estimate_point(target, f0, field, grid, scfg,
-                                    workers=workers)
+            est = mc_estimate_point(target, f0, field, grid, scfg)
             rows.append(list(map(float, t.m_index))
                         + [v * NM for v in t.position_nm]
                         + [est.value, est.stderr, float(est.n_particles),

@@ -21,10 +21,11 @@ sums a 5-column row left to right) and NumPy's row sum of the (walkers, 19)
 |coefficient| table otherwise, so the walk matches a walk over that table
 bit for bit.
 
-Walks are split into `workers` chunks with independent seed streams, run one
-after another, and a fixed draw order (one exponential and one uniform
-array per round), so the result is bitwise reproducible for a fixed seed
-and worker count.
+The walkers are split evenly over ceil(n / 10000) chunks, walked one after
+another from the seed streams [rng_seed, k] with a fixed draw order (one
+exponential and one uniform array per round).  So the layout follows from
+the walker count alone, an estimate depends only on the config and seed,
+and no walk holds tables for more than 10000 walkers.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from ..transform import WignerState
 from .common import SolverConfig, SolverInstabilityError, default_gamma0
 
 _MAX_ROUNDS = 100000
+_CHUNK_WALKERS = 10000   # most walkers one chunk's tables hold
 
 
 @dataclass(frozen=True)
@@ -322,41 +324,41 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
                       config: SolverConfig, workers: int = 1) -> MCEstimate:
     """Estimate the solution at t_end for one (momentum index, position) target.
 
-    target is a pair (index vector, position vector).  Returns an MCEstimate
-    that unpacks as (value, stderr).
+    target is a pair (2 integer momentum indices, 2 positions).  Returns an
+    MCEstimate that unpacks as (value, stderr).  The estimate depends only
+    on the config (seed included); `workers` is ignored.
     """
     if grid.dim != 2:
         raise ValueError("the backward walk estimator requires a 2D grid")
     if not isinstance(field, LinearEMField):
         raise ValueError("the walk needs closed-form fields; sampled tables are not supported")
     config.validate(grid)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    target_m = np.asarray(target[0], dtype=np.int64)
-    target_x = np.asarray(target[1], dtype=float)
+    target_m, target_x = np.asarray(target[0]), np.asarray(target[1], dtype=float)
+    if target_m.shape != (2,) or target_x.shape != (2,) or target_m.dtype.kind not in "iu":
+        raise ValueError(f"target ({target[0]!r}, {target[1]!r}) must be 2 integer "
+                         f"momentum indices and 2 positions")
     if np.any(np.abs(target_m) > np.array(grid.n_p)):
         raise ValueError("target momentum index lies outside the lattice")
     values0 = np.asarray(f0.values if isinstance(f0, WignerState) else f0, dtype=float)
 
     gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(field, grid, config)
     n = config.n_particles
-    base, extra = divmod(n, workers)
-    sizes = [base + (1 if i < extra else 0) for i in range(workers)]
+    n_chunks = -(-n // _CHUNK_WALKERS)
+    base, extra = divmod(n, n_chunks)
 
-    scores = []
+    chunks = []
     n_capped = 0
     n_retired = 0
-    for chunk, size in enumerate(sizes):
-        if size == 0:
-            continue
-        s, cap, ret = _run_chunk(size, [config.rng_seed, chunk], target_m, target_x,
-                                 values0, field, grid, config, gamma0)
-        scores.append(s)
+    for k in range(n_chunks):
+        s, cap, ret = _run_chunk(base + (k < extra), [config.rng_seed, k], target_m,
+                                 target_x, values0, field, grid, config, gamma0)
+        chunks.append(s)
         n_capped += cap
         n_retired += ret
-    all_scores = np.concatenate(scores)
-    value = float(all_scores.mean())
-    stderr = float(all_scores.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    scores = np.concatenate(chunks)
+    del chunks   # so that std's temporary does not add to the chunks' scores
+    value = float(scores.mean())
+    stderr = float(scores.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     if not (np.isfinite(value) and np.isfinite(stderr)):
         raise SolverInstabilityError(
             f"backward walk estimate turned non-finite (value {value}, stderr {stderr})")

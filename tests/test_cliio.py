@@ -766,17 +766,6 @@ class TestCLI:
         assert cli_main(["run", str(path), "--out", str(flag_dir)]) == 0
         assert (flag_dir / "run_meta.json").exists()
 
-    def test_env_var_sets_workers(self, tmp_path, capsys, monkeypatch):
-        path = self.cfg_file(tmp_path, solver={
-            "method": "mc", "gamma0_per_s": 1e13, "n_particles": 120,
-            "mc_targets": [{"m_index": [0, 0], "position_nm": [0.0, 0.0]}],
-        })
-        monkeypatch.setenv("SDWIGNER_WORKERS", "3")
-        out = tmp_path / "run"
-        assert cli_main(["run", str(path), "--out", str(out)]) == 0
-        meta = json.loads((out / "run_meta.json").read_text())
-        assert meta["workers"] == 3
-
     def test_negative_seed_flag_fails_before_any_file(self, tmp_path, capsys):
         path = self.cfg_file(tmp_path)
         out = tmp_path / "run"
@@ -784,21 +773,14 @@ class TestCLI:
         assert "solver.rng_seed: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, env, name", [
-        ("0", None, "--workers"),
-        ("-2", None, "--workers"),
-        (None, "abc", "SDWIGNER_WORKERS"),
-        (None, "0", "SDWIGNER_WORKERS"),
-    ])
-    def test_bad_worker_counts_fail_before_any_file(self, tmp_path, capsys, monkeypatch,
-                                                    flag, env, name):
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
+        # estimates depend on the config and seed alone; no knob splits them
         path = self.cfg_file(tmp_path)
         out = tmp_path / "run"
-        if env is not None:
-            monkeypatch.setenv("SDWIGNER_WORKERS", env)
-        argv = ["run", str(path), "--out", str(out)]
-        assert cli_main(argv + (["--workers", flag] if flag else [])) == 2
-        assert f"config error: {name}: must be an integer >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", str(path), "--out", str(out), "--workers", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_flag_reaches_the_estimator(self, tmp_path, capsys):

@@ -737,16 +737,26 @@ def assembled_generator(rhs, grid):
     return matrix
 
 
+def resolvent_kernel(coeffs, grid, config):
+    """The resolvent's kernel K (gamma0 = 0) as rhs(values, out)."""
+    work = continuum.make_kernel(coeffs, grid, config)
+    return lambda values, out: continuum.force_and_quantum(values, out, work)
+
+
 @pytest.mark.parametrize("field", list(SKEW_FIELDS.values()), ids=list(SKEW_FIELDS))
 @pytest.mark.parametrize("boundary", ["zero", "periodic"])
 @pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("route", [semidiscrete, continuum], ids=["semidiscrete", "continuum"])
-def test_generator_is_skew_symmetric(route, order, boundary, field):
-    """L + L^T vanishes to the bit on both routes, which the norm guard in
-    `evolve` rests on: the exact flow keeps the L2 norm."""
+@pytest.mark.parametrize("build", [semidiscrete.make_rhs, continuum.make_rhs, resolvent_kernel],
+                         ids=["semidiscrete", "continuum", "kernel"])
+def test_generator_is_skew_symmetric(build, order, boundary, field):
+    """L + L^T vanishes to the bit on both stepped routes, which the norm
+    guard in `evolve` rests on: the exact flow keeps the L2 norm.  So does
+    K + K^T for the resolvent kernel, whose fixed-point passes contract by
+    dt/2 ||K||_2 / (1 - dt/2 gamma0)."""
     cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary=boundary, stencil_order=order)
-    matrix = assembled_generator(route.make_rhs(linear_coefficients(field, GS), GS, cfg), GS)
-    assert np.any(matrix)
+    matrix = assembled_generator(build(linear_coefficients(field, GS), GS, cfg), GS)
+    # K has no advection, so it vanishes at zero field
+    assert np.any(matrix) == (build is not resolvent_kernel or field != LinearEMField())
     assert not np.any(matrix + matrix.T)
 
 
@@ -1192,17 +1202,17 @@ class TestMonteCarlo:
                            G2, point)
         assert est.value == pytest.approx(expect, rel=1e-12)
 
-    def test_reproducible_and_worker_dependent(self):
+    def test_reproducible_and_worker_independent(self):
+        # more than one chunk of walkers, so the chunk layout is exercised
         field = LinearEMField(b0=0.5)
         cfg = SolverConfig(dt=0.02, t_end=0.1, boundary="periodic",
-                           n_particles=500, rng_seed=7)
+                           n_particles=montecarlo._CHUNK_WALKERS + 500, rng_seed=7)
         f0 = packet(G2, sigma_p=1.0)
         target = (np.array([0, 1]), np.array([0.1, 0.0]))
-        a = mc_estimate_point(target, f0, field, G2, cfg, workers=2)
-        b = mc_estimate_point(target, f0, field, G2, cfg, workers=2)
-        assert (a.value, a.stderr) == (b.value, b.stderr)
-        c = mc_estimate_point(target, f0, field, G2, cfg, workers=3)
-        assert c.value != a.value
+        first = mc_estimate_point(target, f0, field, G2, cfg)
+        for workers in (1, 2, 3):
+            est = mc_estimate_point(target, f0, field, G2, cfg, workers=workers)
+            assert est == first and est.value.hex() == first.value.hex()
 
     def test_agrees_with_stepped_route(self):
         # the walk transports positions exactly, so the grid route needs the
@@ -1310,10 +1320,8 @@ class TestMonteCarlo:
     # recorded with the walk of commit 625ff69: a change to the draw order or
     # to the walk's arithmetic moves them
     WALK_PINS = {
-        ("gradient", 1): ("0x1.4a4933e0e049ap-6", "0x1.bd200d8a718bbp-10", 258, 0),
-        ("gradient", 2): ("0x1.72e71f955c493p-6", "0x1.b2fb1680acbcbp-10", 251, 0),
-        ("uniform", 1): ("-0x1.8c8c5ad0267b2p-12", "0x1.b0f6dbea596b3p-11", 159, 5),
-        ("uniform", 2): ("-0x1.058c9a15aa8f3p-10", "0x1.7ec5fe7756d6ep-10", 163, 11),
+        "gradient": ("0x1.4a4933e0e049ap-6", "0x1.bd200d8a718bbp-10", 258, 0),
+        "uniform": ("-0x1.8c8c5ad0267b2p-12", "0x1.b0f6dbea596b3p-11", 159, 5),
     }
     WALK_CASES = {
         # b1 != 0, 19 branches: the cap ends most walks
@@ -1324,16 +1332,14 @@ class TestMonteCarlo:
                     (np.array([3, -1]), np.array([0.3, -0.2])), "zero", 16.0),
     }
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", ["gradient", "uniform"])
-    def test_walk_is_pinned(self, case, workers):
+    def test_walk_is_pinned(self, case):
         field, target, boundary, cap = self.WALK_CASES[case]
         cfg = SolverConfig(dt=0.02, t_end=0.4, boundary=boundary, n_particles=400,
                            rng_seed=3, weight_cap=cap)
-        est = mc_estimate_point(target, packet(G2, sigma_p=1.0), field, G2, cfg,
-                                workers=workers)
+        est = mc_estimate_point(target, packet(G2, sigma_p=1.0), field, G2, cfg)
         got = (est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired)
-        assert got == self.WALK_PINS[case, workers]
+        assert got == self.WALK_PINS[case]
 
     @pytest.mark.parametrize("n", [1, 3, 64, 1000])
     def test_rates_and_total_follow_the_table(self, n):
@@ -1350,27 +1356,40 @@ class TestMonteCarlo:
         total = montecarlo._row_total(np.abs(h_x), np.abs(h_y), 7.0, np.abs(k))
         assert np.array_equal(total, np.abs(table).sum(axis=1))
 
-    def test_walk_memory_per_walker(self):
-        # the grid and first target of the mc_probe benchmark workload, which
-        # is this config at 15000 walkers in two chunks
+    @staticmethod
+    def _walk_peak(n_particles):
+        """tracemalloc peak of one estimate on the grid and first target of
+        the mc_probe benchmark workload, which is mc_point_probe.json at
+        15000 walkers."""
         cfg = load_config(pathlib.Path(__file__).resolve().parents[1]
                           / "configs" / "mc_point_probe.json")
         grid, field = cfg.build_grid(), cfg.build_field()
-        scfg = dataclasses.replace(cfg.build_solver_config(), n_particles=15000)
+        scfg = dataclasses.replace(cfg.build_solver_config(), n_particles=n_particles)
         f0 = cfg.build_initial_state(grid)
         target = (np.array([1, 0]), np.zeros(2))
-        mc_estimate_point(target, f0, field, grid, scfg, workers=2)
+        mc_estimate_point(target, f0, field, grid, scfg)
         tracemalloc.start()
         try:
             current = tracemalloc.get_traced_memory()[0]
-            mc_estimate_point(target, f0, field, grid, scfg, workers=2)
-            peak = tracemalloc.get_traced_memory()[1] - current
+            mc_estimate_point(target, f0, field, grid, scfg)
+            return tracemalloc.get_traced_memory()[1] - current
         finally:
             tracemalloc.stop()
-        # 1.1741 MiB (164 B per walker of a chunk) measured with scoring
-        # deferred to the end of each chunk, plus 10%; the walk that scored
-        # in every round peaked at 2.27 MiB
-        assert peak <= 1.1741 * 1.1 * 2 ** 20
+
+    # 1.1741 MiB (164 B per walker of a chunk) measured on two chunks of 7500
+    # walkers with scoring deferred to the end of each chunk, plus 10%; the
+    # walk that scored in every round peaked at 2.27 MiB
+    CHUNK_PEAK = 1.1741 * 1.1 * 2 ** 20
+
+    def test_walk_memory_per_walker(self):
+        assert self._walk_peak(15000) <= self.CHUNK_PEAK
+
+    def test_walk_memory_is_bounded_by_the_chunk_size(self):
+        # chunks hold at most _CHUNK_WALKERS walkers, so beyond one chunk's
+        # tables the peak grows only by the scores, 16 B per walker: the
+        # chunks' scores and their concatenation, or that and std's
+        # temporary.  One table for all 100000 walkers peaks at 14.8 MiB.
+        assert self._walk_peak(100000) <= self.CHUNK_PEAK + 24 * 100000
 
     def test_uniform_field_has_no_curvature_power(self):
         # without b1 the walk samples branches 0-4 only
@@ -1395,6 +1414,11 @@ class TestMonteCarlo:
         f0 = packet(G2)
         with pytest.raises(ValueError, match="outside the lattice"):
             mc_estimate_point((np.array([9, 0]), np.zeros(2)), f0, LinearEMField(), G2, cfg)
+        # a fractional index would run truncated, a wrong length fail in broadcasting
+        for target in (([1.7, 0.2], [0.1, 0.0]), ([1, 0, 0], [0.1, 0.0]),
+                       ([1], [0.1, 0.0]), ([1, 0], [0.1]), ([1, 0], [[0.1, 0.0]])):
+            with pytest.raises(ValueError, match=r"target \(.*must be 2 integer"):
+                mc_estimate_point(target, f0, LinearEMField(), G2, cfg)
         axes = (np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))
         zeros = np.zeros((5, 5, 3))
         sampled = SampledEMField(axes, zeros, zeros)
