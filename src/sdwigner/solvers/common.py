@@ -286,10 +286,22 @@ class Workspace:
 
     Momentum and spatial operators act on different axes, so they commute,
     and only a matrix along P_x couples more than one P_x slab of the state.
-    Each distinct one (`x_matrices`, told apart by identity) is applied to
-    the whole state once per call, into a product; everything else runs in
-    one sweep over `blocks` of whole P_x slabs, each at most about 256 KiB
-    and at least one slab, while the block is in cache:
+    Everything runs in one sweep over `blocks` of whole P_x slabs, each at
+    most about 256 KiB and at least one slab, while the block is in cache.
+    Each distinct momentum-x matrix (`x_matrices`, told apart by identity)
+    is applied in one of two ways, chosen from the matrix itself:
+
+    - spans[k][b] = (lo, hi): the slabs that block b's rows of matrix k
+      touch.  When these spans sum to at most 3 n (n the number of P_x
+      slabs), about what a whole-state product moves (the state read, the
+      product written and read back), the sweep forms the product per block
+      from slabs lo..hi-1 into a scratch block.  Every tridiagonal matrix
+      qualifies, and so does a ladder cut at a small offset;
+    - spans[k] = None: a wide band, whose blocks would each re-read most
+      of the state, applied to the whole state once per call into a
+      product of `products`.
+
+    The sweep's terms are:
 
     - product_terms[k]: the gradient terms (s, w, A_y) that read product k,
       taken as d/dx_s of w A_y (A_x f); force_x[k]: whether the force-x
@@ -300,11 +312,11 @@ class Workspace:
       that carry no matrix; None where it is zero everywhere.  Each call
       folds them, times its scale, into the derivative matrices (`stacks`).
 
-    The workspace owns all of its callers' scratch memory: one product per
-    momentum-x matrix (`products`) and a list of scratch blocks (`held`)
-    that grows by a block only when a call finds none free.  Between calls
-    all of it is spent, so a free flight (`advect_free_flight`) sweeps the
-    same blocks on the same memory.
+    The workspace owns all of its callers' scratch memory: one whole-state
+    product per wide-band momentum-x matrix (`products`) and a list of
+    scratch blocks (`held`) that grows by a block only when a call finds
+    none free.  Between calls all of it is spent, so a free flight
+    (`advect_free_flight`) sweeps the same blocks on the same memory.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", ops: BandedOperators,
@@ -346,8 +358,18 @@ class Workspace:
         d_x, d_y = self.stencil.matrices
         self.stacks = (None if self.speeds[0] is None else np.empty((step,) + d_x.shape),
                        None if self.speeds[1] is None else np.empty((len(speeds[1]),) + d_y.shape))
-        self.products = np.empty((len(self.x_matrices),) + shape)
+        self.spans = [self._spans(matrix) for matrix in self.x_matrices]
+        self.products = np.empty((self.spans.count(None),) + shape)
         self.held: list = []
+
+    def _spans(self, matrix: np.ndarray):
+        """Each block's [lo, hi) of slabs that `matrix`'s rows touch, or None
+        when the spans sum to more than 3 n."""
+        spans = []
+        for block in self.blocks:
+            cols = np.flatnonzero(matrix[block].any(axis=0))
+            spans.append((int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0))
+        return spans if sum(hi - lo for lo, hi in spans) <= 3 * len(matrix) else None
 
 
 def _along_y(matrix: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -396,20 +418,24 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: floa
     when it is None: the right-hand side L shared by both deterministic
     routes and the resolvent kernel, as `work` lays it out.
 
-    One matmul per momentum-x matrix over the whole state, into
-    `work.products` (scale and sign folded into the matrix), then one sweep
-    over the blocks of whole P_x slabs.  In each block the first term is
-    written into `out` and every other one is taken into a scratch block
-    and added: a product block once its last term has read it, else a block
-    of `work.held`, which grows by a block when none is free.  Scale is
-    folded into the small matrices, weights and velocity stacks, so it costs
-    no pass over the state.  `values` and `base` may be one array; `out`
-    shares memory with neither nor with `work`, and every array is
-    C-contiguous.
+    One matmul over the whole state into `work.products` per wide-band
+    momentum-x matrix, then one sweep over the blocks of whole P_x slabs.
+    In each block a narrow-band matrix's product is formed first, from the
+    slabs its rows touch, into a scratch block (scale and sign are folded
+    into the matrix either way).  The first term is written into `out` and
+    every other one is taken into a scratch block and added: a product block
+    once its last term has read it, else a block of `work.held`, which
+    grows by a block when none is free.  Scale is folded into the small
+    matrices, weights and velocity stacks, so it costs no pass over the
+    state.  `values` and `base` may be one array; `out` shares memory with
+    neither nor with `work`, and every array is C-contiguous.
     """
     n = len(values)
-    for matrix, product in zip(work.x_matrices, work.products):
-        np.matmul(-scale * matrix, values.reshape(n, -1), out=product.reshape(n, -1))
+    whole = iter(work.products)
+    products = [next(whole) if spans is None else None for spans in work.spans]
+    for matrix, product in zip(work.x_matrices, products):
+        if product is not None:
+            np.matmul(-scale * matrix, values.reshape(n, -1), out=product.reshape(n, -1))
     # product k holds -scale A_x f, so its terms take -w
     product_terms = [[(s, -w if my is None else -w * my) for s, w, my in terms]
                      for terms in work.product_terms]
@@ -420,10 +446,17 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: floa
     if stack_y is not None:
         _weighted_stack(scale * work.speeds[1], work.stencil.matrices[1], stack_y)
     force_x, force_y = work.tables
-    for block in work.blocks:
+    for b, block in enumerate(work.blocks):
         f, acc = values[block], _Block(out[block], work.held, work.block_size)
-        for product, terms, reads_force in zip(work.products, product_terms, work.force_x):
-            p = product[block]
+        for matrix, spans, product, terms, reads_force in zip(
+                work.x_matrices, work.spans, products, product_terms, work.force_x):
+            if product is None:
+                lo, hi = spans[b]
+                p = acc.take()
+                np.matmul(-scale * matrix[block, lo:hi], values[lo:hi].reshape(hi - lo, -1),
+                          out=p.reshape(len(p), -1))
+            else:
+                p = product[block]
             for s, weight in terms:
                 acc.gradient(work.stencil, p, s, weight)
             term = None
@@ -566,15 +599,14 @@ def advect_free_flight(ops: tuple, values: np.ndarray, out: np.ndarray, weight: 
     (the resolvent kernel's): in each block every slab meets its x matrix
     and then every P_y row its y matrix, each as one batched matmul, and
     the weighted result reaches `out` while the block is in cache.  The two
-    intermediates come from the workspace's spent memory, a product block
-    first, then a held block, and `held` grows only when neither exists;
-    so a flight into a warmed workspace allocates no state.  `out` shares
-    memory with neither `values` nor `work`; all arrays are C-contiguous.
+    intermediates are held blocks of the workspace, and `held` grows only
+    when it has fewer than two; so a flight into a warmed workspace
+    allocates no state.  `out` shares memory with neither `values` nor
+    `work`; all arrays are C-contiguous.
     """
     x_stack, y_stack = ops
     for block in work.blocks:
         pool = _Block(out[block], work.held, work.block_size)
-        pool.free += [product[block] for product in work.products]
         flown = np.matmul(x_stack[block, None], values[block], out=pool.take())
         flown = np.matmul(flown, y_stack, out=pool.take())
         if accumulate:

@@ -47,7 +47,8 @@ def force_and_quantum(values: np.ndarray, out: np.ndarray, work: Workspace,
     """Write base + scale (K + gamma0) values into `out` (base left out when
     None), K the right-hand side minus advection, on the workspace
     `make_kernel` built once per solve.  The workspace holds the sweep's
-    momentum-x product and scratch blocks, so a call allocates no state."""
+    scratch blocks, and the momentum-x product is formed per block in one
+    of them, so a call allocates no state."""
     return banded_rhs(values, out, work, scale, base, gamma0)
 
 
@@ -60,7 +61,8 @@ def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     K is the right-hand side minus advection, the coupling the integral
     solver sums along each backward characteristic.  The small-spacing
     matrices share d/dP_x between the force and gradient terms, so K needs
-    one momentum-x product.
+    one momentum-x product, and as d/dP_x is tridiagonal the sweep forms it
+    per block.
     """
     return Workspace(grid, config, difference_operators(coeffs, grid), coeffs,
                      advection=False)

@@ -21,10 +21,11 @@ per lag, and each (level, lag) flight runs once per solve.  A solve holds
 one (n_t + 1)-state array of kernel values K f_j + gamma0 f_j, plus the
 iterate and the history of the level being solved: n_t + 3 states, the
 slot of the level being solved serving as the scratch of its passes.  The
-kernel's workspace holds the rest: its momentum-x product (none at zero
-field) and a few scratch blocks.  A flight sweeps the same blocks on that
-memory, since the two never run at once, so neither a kernel pass nor a
-flight allocates a state of its own.
+kernel's workspace holds the rest, two scratch blocks: its only momentum-x
+matrix is the tridiagonal d/dP_x, whose product it forms block by block.
+A flight sweeps the same blocks on that memory, since the two never run
+at once, so neither a kernel pass nor a flight allocates a state of its
+own.
 """
 
 from __future__ import annotations

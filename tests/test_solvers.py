@@ -186,6 +186,8 @@ GB = make_grid(2, (TAU, TAU), (np.pi, np.pi), (40, 36), (4, 5), NAT)
 THIN = make_grid(2, (TAU, TAU), (np.pi, np.pi), (1, 6), (1, 2), NAT)
 # one cell on the last axis: the x derivative must still multiply from the left
 FLAT = make_grid(2, (TAU, TAU), (np.pi, np.pi), (6, 1), (2, 1), NAT)
+# 13 x 13 x 40 x 40 cells: one P_x slab per block of the sweep
+MULTI_BLOCK = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (40, 40), (6, 6))
 
 
 class TestBlockedStencil:
@@ -526,35 +528,40 @@ class TestWorkingMemory:
         assert allocated < f.nbytes
         assert np.array_equal(f, before)
 
-    @pytest.mark.parametrize("field, products", [
-        (GRADIENT_FIELD, {semidiscrete: 2, continuum: 1}),
-        (LinearEMField(b0=0.8), {semidiscrete: 1, continuum: 1}),
-        (LinearEMField(), {semidiscrete: 0, continuum: 0})],
+    @pytest.mark.parametrize("field, products, held", [
+        (GRADIENT_FIELD, {semidiscrete: 2, continuum: 0}, {semidiscrete: 1, continuum: 2}),
+        (LinearEMField(b0=0.8), {semidiscrete: 1, continuum: 0}, {semidiscrete: 0, continuum: 1}),
+        (LinearEMField(), {semidiscrete: 0, continuum: 0}, {semidiscrete: 1, continuum: 1})],
         ids=["gradient", "force_only", "free"])
     @pytest.mark.parametrize("route", [semidiscrete, continuum],
                              ids=["semidiscrete", "continuum"])
-    def test_workspace_holds_a_temporary_only_for_momentum_terms(self, route, field, products):
-        """State-sized memory is one product per distinct momentum-x matrix
-        (the ladder's gradient block adds the box on P_x to the odd band;
-        the small-spacing route shares d/dP_x); the sweep's scratch is at
-        most one block, and none when a spent product block can serve."""
+    def test_workspace_holds_a_temporary_only_for_momentum_terms(self, route, field, products,
+                                                                 held):
+        """State-sized memory is one whole-state product per distinct
+        wide-band momentum-x matrix (the ladder's gradient block adds the
+        box on P_x to the odd band); the small-spacing route's d/dP_x is
+        tridiagonal, so it forms its product per block and holds none.  The
+        sweep's scratch is at most two blocks: a block-local product and one
+        term, or none where a spent whole-state product block serves."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
         rhs = route.make_rhs(linear_coefficients(field, GB), GB, cfg)
         work = bound_workspace(rhs)
         assert work.products.shape == (products[route],) + GB.state_shape
         f = packet(GB).values
         rhs(f, np.empty_like(f))
-        assert len(work.held) == (0 if field.b0 and not field.b1 else 1)
+        assert len(work.held) == held[route]
         assert all(block.size == work.block_size for block in work.held)
 
-    @pytest.mark.parametrize("route, field, products", [
-        (semidiscrete, GRADIENT_FIELD, 2), (continuum, LinearEMField(b0=0.8), 1)],
-        ids=["ladder_gradient", "continuum_force_only"])
-    def test_stepped_working_set(self, route, field, products):
-        """A run holds the state, two step buffers and one product per
-        distinct momentum-x matrix.  Beyond them come the velocity stacks,
-        one (rows, n, n) array per spatial axis, and within two blocks the
-        sweep's scratch, the small matrices and NumPy's buffers."""
+    @pytest.mark.parametrize("route, field, products, blocks", [
+        (semidiscrete, GRADIENT_FIELD, 2, 2), (continuum, LinearEMField(b0=0.8), 0, 2),
+        (continuum, GRADIENT_FIELD, 0, 3)],
+        ids=["ladder_gradient", "continuum_force_only", "continuum_gradient"])
+    def test_stepped_working_set(self, route, field, products, blocks):
+        """A run holds the state, two step buffers and one whole-state
+        product per wide-band momentum-x matrix (none on the small-spacing
+        route).  Beyond them come the velocity stacks, one (rows, n, n)
+        array per spatial axis, and within `blocks` blocks the sweep's held
+        scratch plus one block for the small matrices and NumPy's buffers."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
         coeffs = linear_coefficients(field, GB)
         f0 = packet(GB, momentum=(1.0, -0.5)).values
@@ -562,7 +569,7 @@ class TestWorkingMemory:
         stacks = sum(stack.nbytes for stack in work.stacks)
         peak = allocation_peak(
             lambda: evolve(f0, route.make_rhs(coeffs, GB, cfg), GB, cfg, n_steps=2))
-        assert peak <= (3 + products) * f0.nbytes + stacks + 2 * 8 * work.block_size
+        assert peak <= (3 + products) * f0.nbytes + stacks + blocks * 8 * work.block_size
 
     @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(e_grad=(0.3, -0.2), b0=0.8)],
                              ids=["gradient", "force_only"])
@@ -658,7 +665,7 @@ GAMMA0 = 1.7   # the kernel's shift, K + gamma0
 
 
 def stage_closure(route, field, grid, cfg):
-    """(rhs(step, target, scale=1.0, base=None), the arrays it holds)."""
+    """(rhs(step, target, scale=1.0, base=None), its warmed Workspace)."""
     coeffs = linear_coefficients(field, grid)
     if route == "kernel":
         work = continuum.make_kernel(coeffs, grid, cfg)
@@ -671,7 +678,7 @@ def stage_closure(route, field, grid, cfg):
         work = bound_workspace(rhs)
     f = np.zeros(grid.state_shape)
     rhs(f, np.empty_like(f))     # the first call fills the held scratch blocks
-    return rhs, [work.products, *work.held, *(s for s in work.stacks if s is not None)]
+    return rhs, work
 
 
 STAGE_ROUTES = pytest.mark.parametrize("route", ["semidiscrete", "continuum", "kernel"])
@@ -682,12 +689,35 @@ class TestStageContract:
     scale L(step) when base is None, on both routes and the kernel."""
 
     @STAGE_ROUTES
-    @pytest.mark.parametrize("grid", [G2U, GB], ids=["G2U", "GB"])
+    @pytest.mark.parametrize("grid", [G2U, GB, MULTI_BLOCK], ids=["G2U", "GB", "MULTI_BLOCK"])
     @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(b0=0.8), LinearEMField()],
                              ids=["gradient", "force_only", "free"])
     def test_stage_matches_oracle(self, route, grid, field):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
-        rhs, _ = stage_closure(route, field, grid, cfg)
+        self.check_stage(route, field, grid, cfg)
+
+    @pytest.mark.parametrize("route, m_truncation, whole", [
+        ("semidiscrete", None, [True, True]), ("semidiscrete", 1, [False, False]),
+        ("continuum", None, [False]), ("kernel", None, [False])],
+        ids=["ladder", "ladder_cut_1", "continuum", "kernel"])
+    def test_narrow_bands_form_their_products_per_block(self, route, m_truncation, whole):
+        """On 13 one-slab blocks, a momentum-x matrix whose blocks' column
+        spans sum to at most 3 n is formed block by block and any other over
+        the whole state: the ladder's odd band and P_x box at the default
+        cutoff are whole-state, cut at one offset they are tridiagonal, as
+        d/dP_x always is.  Either way the stage matches the oracle."""
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4,
+                           m_truncation=m_truncation)
+        work = self.check_stage(route, GRADIENT_FIELD, MULTI_BLOCK, cfg)
+        assert len(work.blocks) == 13
+        assert [spans is None for spans in work.spans] == whole
+        assert len(work.products) == sum(whole)
+
+    @staticmethod
+    def check_stage(route, field, grid, cfg):
+        """Assert the stage contract against `generator_oracle` at 1e-14;
+        return the route's workspace."""
+        rhs, work = stage_closure(route, field, grid, cfg)
         step, base = np.random.default_rng(47).normal(size=(2,) + grid.state_shape)
         generator = generator_oracle(route, field, grid, cfg, step)
         if route == "kernel":
@@ -697,13 +727,14 @@ class TestStageContract:
         assert rel_l2(target, base + 0.37 * generator) < 1e-14
         assert rel_l2(rhs(step, target, -2.5), -2.5 * generator) < 1e-14
         assert rel_l2(rhs(step, target), generator) < 1e-14
+        return work
 
     @STAGE_ROUTES
     def test_held_buffers_do_not_reach_a_stage(self, route):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="zero", stencil_order=4)
-        rhs, held = stage_closure(route, GRADIENT_FIELD, GB, cfg)
+        rhs, work = stage_closure(route, GRADIENT_FIELD, GB, cfg)
         step, base = np.random.default_rng(53).normal(size=(2,) + GB.state_shape)
-        for array in held:
+        for array in (work.products, *work.held, *(s for s in work.stacks if s is not None)):
             array.fill(np.nan)
         got = rhs(step, np.full_like(step, np.nan), 0.25, base)
         fresh_rhs, _ = stage_closure(route, GRADIENT_FIELD, GB, cfg)
@@ -966,10 +997,6 @@ class TestStabilityGuard:
                        n_steps=1)
 
 
-# 13 x 13 x 40 x 40 cells: one P_x slab per block of the kernel's sweep
-MULTI_BLOCK = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (40, 40), (6, 6))
-
-
 class TestFredholm:
     def test_zero_kernel_reduces_to_free_flight(self):
         field = LinearEMField()
@@ -1020,10 +1047,11 @@ class TestFredholm:
 
     def test_working_set_is_one_trajectory(self):
         """The march holds n_t + 1 kernel values, the iterate and the history
-        (n_t + 3 states); the kernel's workspace holds its products and the
-        scratch blocks every kernel pass and free flight shares.  Beyond them
-        and the flight stacks, the allowance is what building the kernel
-        takes besides its products (coefficient tables, matrices), the peak
+        (n_t + 3 states); the kernel's workspace holds the scratch blocks
+        every kernel pass and free flight shares, and no product, since it
+        forms d/dP_x per block.  Beyond them and the flight stacks, the
+        allowance is what building the kernel takes (coefficient tables,
+        matrices), the peak
         of one kernel pass or flight into the warmed workspace (NumPy's
         buffer) and 16 KiB for the solve's own small arrays: one more block
         (here one state) fails."""
@@ -1035,14 +1063,15 @@ class TestFredholm:
                              ids=["gradient", "zero"])
     def test_multi_block_working_set(self, field):
         """The same bound on a workspace of 13 one-slab blocks, where one more
-        block is 1/13 state; the solve also stays below the n_t + 5 states
-        that a two-state workspace took."""
+        block is 1/13 state.  The kernel forms its d/dP_x product per block,
+        so the solve also stays below n_t + 4 states beyond its stacks; a
+        whole-state product took n_t + 4.28."""
         cfg = SolverConfig(dt=2e-14, t_end=1e-13, boundary="periodic", stencil_order=4)
         f0 = gaussian_wigner(MULTI_BLOCK, center=(0.0, 0.0), sigma_x=(20e-9, 25e-9)).values
         work, solve, stacks = self.check_working_set(MULTI_BLOCK, field, cfg, f0)
         n_t = 5
         assert len(work.blocks) == 13
-        assert solve - stacks < (n_t + 5) * f0.nbytes
+        assert solve - stacks < (n_t + 4) * f0.nbytes
 
     @staticmethod
     def check_working_set(grid, field, cfg, f0):
@@ -1063,9 +1092,10 @@ class TestFredholm:
             allocation_peak(lambda: advect_free_flight(flights[-1], f0, out, 0.5, work,
                                                        accumulate=True)))
         held = sum(block.nbytes for block in work.held)
-        small = setup - work.products.nbytes + call + 16 * 1024
+        small = setup + call + 16 * 1024
         solve = allocation_peak(lambda: solve_fredholm_resolvent(f0, field, grid, cfg))
-        assert solve < (n_t + 3) * f0.nbytes + work.products.nbytes + held + stacks + small
+        assert len(work.products) == 0
+        assert solve < (n_t + 3) * f0.nbytes + held + stacks + small
         return work, solve, stacks
 
     def test_held_kernel_and_flight_allocate_no_state(self):
@@ -1087,7 +1117,7 @@ class TestFredholm:
         advect_free_flight(flight_ops, f, out, 0.5, work)
 
         def spoil():
-            for array in (work.products, *work.held):
+            for array in work.held:
                 array.fill(np.nan)
 
         def fresh_workspace():
@@ -1110,9 +1140,9 @@ class TestFredholm:
     def test_flight_sweeps_every_block(self, field):
         """On a workspace of many blocks, a written and an accumulated flight
         give the bits of the whole-state batched matmuls.  The first flight
-        grows `held` only where no product block serves, and a flight into
-        the warmed workspace allocates under half a block (1/26 state), so
-        no block takes fresh scratch."""
+        grows `held` to its two intermediates, and a flight into the warmed
+        workspace allocates under half a block (1/26 state), so no block
+        takes fresh scratch."""
         cfg = SolverConfig(dt=2e-14, t_end=1e-13, boundary="zero", stencil_order=4)
         work = continuum.make_kernel(linear_coefficients(field, MULTI_BLOCK), MULTI_BLOCK, cfg)
         assert len(work.blocks) == 13
@@ -1122,8 +1152,9 @@ class TestFredholm:
         out = np.full_like(f, np.nan)
         assert advect_free_flight(ops, f, out, 0.7, work) is out
         assert out.tobytes() == (0.7 * flown).tobytes()
-        # the two intermediates: a spent product block, else a held one
-        assert len(work.held) == 2 - len(work.products)
+        # d/dP_x is formed per block, so both intermediates are held blocks
+        assert len(work.products) == 0
+        assert len(work.held) == 2
         out = start.copy()
         allocated = allocation_peak(
             lambda: advect_free_flight(ops, f, out, -1.3, work, accumulate=True))
