@@ -3,13 +3,16 @@
 Subcommands: run, validate, magnitudes, diff, emit-plot.  The one
 environment override is SDWIGNER_OUT (output directory), and --out wins over
 it.  Results depend only on the config and seed; a negative --seed is a
-config error (exit 2) raised before any file is written.
+config error (exit 2) raised before any file is written.  `diff --tol`
+exits 1 when the difference exceeds the tolerance or is not finite, and 2,
+before any file is read, when the tolerance is negative or not finite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -48,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("state_a")
     p_diff.add_argument("state_b")
     p_diff.add_argument("--tol", type=float, default=None,
-                        help="exit nonzero if the difference exceeds this")
+                        help="exit 1 if the difference exceeds this or is not "
+                             "finite; finite and >= 0, else exit 2")
 
     p_plot = sub.add_parser("emit-plot", help="write plot-ready tables from a run")
     p_plot.add_argument("run_dir", help="directory written by `run`")
@@ -110,13 +114,17 @@ def _cmd_magnitudes(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        print(f"error: --tol must be finite and >= 0, got {args.tol!r}", file=sys.stderr)
+        return 2
     state_a, hash_a = read_state(args.state_a)
     state_b, hash_b = read_state(args.state_b)
     value = relative_l2_diff(state_a, state_b)
     print(f"relative_l2 {value:.17g}")
     if hash_a != hash_b:
         print(f"note: config hashes differ ({hash_a[:12]}.. vs {hash_b[:12]}..)")
-    if args.tol is not None and value > args.tol:
+    # a NaN difference compares false either way, so it must not pass
+    if args.tol is not None and not value <= args.tol:
         print(f"exceeds tolerance {args.tol:g}", file=sys.stderr)
         return 1
     return 0

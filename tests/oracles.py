@@ -198,6 +198,39 @@ def fredholm_sweeps(values0, kernel, flight, n_t, dt, gamma0, tol, max_iter):
     return traj[n_t], residuals
 
 
+def fredholm_march(values0, kernel, flight, n_t, dt, gamma0, tol, max_iter):
+    """The same integral equation marched level by level, each kernel value
+    taken by its own kernel call.
+
+    Level k sums the history S_k of the accepted levels j < k and iterates
+    f_k <- (S_k + dt/2 K f_k) / (1 - dt/2 gamma0) from f_{k-1}, one kernel
+    call per pass, until a pass changes f_k by less than tol (relative);
+    one more call gives its K f_k + gamma0 f_k.  kernel(v) is K v and
+    flight(v, lag) is A(lag) v.  Returns (final state, residual history of
+    each level).
+    """
+    half = 0.5 * dt
+    scale = 1.0 - half * gamma0
+    decay = np.exp(-gamma0 * dt * np.arange(n_t + 1))
+    x = np.array(values0, dtype=float)
+    # the source term and the j = 0 trapezoid term share one flight
+    kvals = [x + half * (kernel(x) + gamma0 * x)]
+    levels = []
+    for k in range(1, n_t + 1):
+        history = decay[k] * flight(kvals[0], k)
+        for j in range(1, k):
+            history = history + dt * decay[k - j] * flight(kvals[j], k - j)
+        level = []
+        while len(level) < max_iter and not (level and level[-1] < tol):
+            trial = (history + half * kernel(x)) / scale
+            norm = np.linalg.norm(trial)
+            level.append(float(np.linalg.norm(x - trial) / (norm if norm > 0 else 1.0)))
+            x = trial
+        levels.append(level)
+        kvals.append(kernel(x) + gamma0 * x)
+    return x, levels
+
+
 def roll_derivative(values, dx, axis, order, boundary):
     """Central difference along array `axis` from whole-state shifted copies.
 

@@ -618,6 +618,29 @@ class TestCLI:
         assert "fredholm_residuals.tsv" in outputs[0][1] and "state_final.sdwg" in outputs[0][1]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("spoiled", ["a", "b"])
+    def test_diff_fails_a_non_finite_difference(self, tmp_path, capsys, spoiled):
+        # NaN > tol is False, which once let a NaN difference pass --tol
+        grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (6, 6), (3, 3))
+        state = gaussian_wigner(grid, center=(0.0, 0.0), sigma_x=(20e-9, 20e-9))
+        nan = WignerState(grid, state.values.copy())
+        nan.values[1, 2, 3, 4] = np.nan
+        paths = {name: str(write_state(tmp_path / f"{name}.sdwg",
+                                       nan if name == spoiled else state, "0" * 64))
+                 for name in "ab"}
+        assert cli_main(["diff", paths["a"], paths["b"]]) == 0
+        assert capsys.readouterr().out.startswith("relative_l2 nan")
+        assert cli_main(["diff", paths["a"], paths["b"], "--tol", "1e-8"]) == 1
+        assert "exceeds tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf", "-inf"])
+    def test_diff_refuses_a_bad_tolerance_before_reading(self, tmp_path, capsys, tol):
+        # the files do not exist: reading either would exit 1
+        missing = [str(tmp_path / "a.sdwg"), str(tmp_path / "b.sdwg")]
+        assert cli_main(["diff", *missing, f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --tol must be finite and >= 0")
+
     def test_diff_notes_hash_mismatch(self, tmp_path, capsys):
         grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (6, 6), (3, 3))
         state = gaussian_wigner(grid, center=(0.0, 0.0), sigma_x=(20e-9, 20e-9))

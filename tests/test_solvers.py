@@ -32,9 +32,9 @@ from sdwigner.solvers.common import (advect_free_flight, band_matrix, box_offset
 from sdwigner.states import gaussian_wigner
 
 import table_route
-from oracles import (apply_along, boundary_fraction, fredholm_sweeps, free_flight_rows, fresh,
-                     lattice_first_moment, lattice_second_moment, rk4_classic,
-                     roll_derivative, walk_coefficients, walk_reference)
+from oracles import (apply_along, boundary_fraction, fredholm_march, fredholm_sweeps,
+                     free_flight_rows, fresh, lattice_first_moment, lattice_second_moment,
+                     rk4_classic, roll_derivative, walk_coefficients, walk_reference)
 
 NAT = PhysicalConstants(hbar=1.0, charge=1.0, mass=1.0)
 TAU = 2.0 * np.pi
@@ -1045,6 +1045,31 @@ class TestFredholm:
         assert all(r < cfg.fredholm_tol for r in result.residuals)
         assert rel_l2(result.state.values, expect) < 1e-12
 
+    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    def test_matches_march_with_a_kernel_call_per_pass(self, boundary):
+        """Each level's first pass takes K f_{k-1} from the kernel value the
+        level before stored, and each accepted level's kernel value comes
+        from its last pass, not from a kernel call of its own: levels take
+        as many passes as a march that calls the kernel every time, and end
+        within the tolerance of its state."""
+        field = LinearEMField(b0=0.5, b1=0.3)
+        cfg = SolverConfig(dt=0.01, t_end=0.08, boundary=boundary, stencil_order=4)
+        f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0))
+        n_t = 8
+        result = solve_fredholm_resolvent(f0, field, G2, cfg)
+        work = continuum.make_kernel(linear_coefficients(field, G2), G2, cfg)
+        expect, levels = fredholm_march(
+            f0.values, lambda v: continuum.force_and_quantum(v, np.empty_like(v), work),
+            lambda v, lag: free_flight_rows(v, row_deltas(G2, lag * cfg.dt), boundary),
+            n_t, cfg.dt, result.gamma0, cfg.fredholm_tol, cfg.fredholm_max_iter)
+        # the march is causal, so a solve to level k repeats the first k
+        # levels of this one, and its n_sweeps counts their passes
+        sweeps = [solve_fredholm_resolvent(f0, field, G2, dataclasses.replace(
+            cfg, t_end=k * cfg.dt)).n_sweeps for k in range(1, n_t)] + [result.n_sweeps]
+        assert np.diff(sweeps, prepend=0).tolist() == [len(level) for level in levels]
+        assert result.n_sweeps == sum(len(level) for level in levels)
+        assert rel_l2(result.state.values, expect) < 10 * cfg.fredholm_tol
+
     def test_working_set_is_one_trajectory(self):
         """The march holds n_t + 1 kernel values, the iterate and the history
         (n_t + 3 states); the kernel's workspace holds the scratch blocks
@@ -1164,7 +1189,8 @@ class TestFredholm:
     def test_traced_layers_run_once_per_call(self, monkeypatch):
         """`force_and_quantum` runs once per kernel call and
         `advect_free_flight` once per flight, each looked up by its module
-        attribute, so a wrapper of either name sees every call."""
+        attribute, so a wrapper of either name sees every call.  The kernel
+        runs once on f0 and once per pass but each level's first."""
         calls = {"force_and_quantum": 0, "advect_free_flight": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(fredholm, name), **kwargs):
@@ -1175,7 +1201,7 @@ class TestFredholm:
         f0 = packet(G2, sigma_p=1.0, sigma_x=0.8, momentum=(1.0, 0.0))
         result = solve_fredholm_resolvent(f0, LinearEMField(b0=0.5, b1=0.3), G2, cfg)
         n_t = 5
-        assert calls["force_and_quantum"] == result.n_sweeps + n_t
+        assert calls["force_and_quantum"] == result.n_sweeps - n_t + 1
         assert calls["advect_free_flight"] == n_t * (n_t + 1) // 2
 
     def test_final_state_owns_its_data(self):
