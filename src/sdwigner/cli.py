@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config
-from .io import read_state, relative_l2_diff, write_table
+from .io import read_state, read_state_header, relative_l2_diff, write_table
 from .runner import RunnerError, magnitude_report, run_simulation
 from .solvers import FredholmConvergenceError, SolverInstabilityError, observables
 
@@ -131,7 +131,9 @@ def _cmd_diff(args) -> int:
 
 
 def _run_snapshots(run_dir: Path):
-    """All state files of a run in time order, with the recorded config hash."""
+    """A run's state files in time order, the first one's grid and the
+    recorded config hash.  Only their headers are read, so the caller can
+    load one state at a time."""
     meta_path = run_dir / "run_meta.json"
     if not meta_path.exists():
         raise ValueError(f"{run_dir} has no run_meta.json; not a run directory")
@@ -141,39 +143,44 @@ def _run_snapshots(run_dir: Path):
         raise ValueError(
             f"{run_dir} holds no state snapshots; rerun with "
             f"output.binary_states=true and a snapshot cadence")
-    loaded = [read_state(p) for p in paths]
-    loaded.sort(key=lambda pair: pair[0].time)
-    return [s for s, _ in loaded], meta.get("config_sha256", loaded[0][1])
+    headers = {p: read_state_header(p) for p in paths}
+    paths.sort(key=lambda p: headers[p][2])
+    grid, first_hash, _ = headers[paths[0]]
+    return paths, grid, meta.get("config_sha256", first_hash)
 
 
 def _cmd_emit_plot(args) -> int:
     run_dir = Path(args.run_dir)
     out_dir = Path(_resolved_out(args.out) or run_dir)
-    states, config_hash = _run_snapshots(run_dir)
-    grid = states[0].grid
+    paths, grid, config_hash = _run_snapshots(run_dir)
+    axes = "xy"[:grid.dim]
+
+    def cells():
+        for idx in np.ndindex(*grid.n_x):
+            yield idx, [grid.x_axes[c][idx[c]] for c in range(grid.dim)]
+
     if args.what == "density":
-        cols = ["t(s)"] + [f"{ax}(m)" for ax in "xy"[:grid.dim]] + ["n"]
-        rows = []
-        for s in states:
+        name, cols = "density.tsv", ["t(s)"] + [f"{ax}(m)" for ax in axes] + ["n"]
+
+        def tabulate(s):
             rec = observables(s.values, grid)
-            for idx in np.ndindex(*grid.n_x):
-                pos = [grid.x_axes[c][idx[c]] for c in range(grid.dim)]
-                rows.append([s.time] + pos + [rec.density[idx]])
-        path = write_table(out_dir / "density.tsv", cols, rows, config_hash)
+            return [[s.time] + pos + [rec.density[idx]] for idx, pos in cells()]
     elif args.what == "mean-momentum":
-        cols = (["t(s)"] + [f"{ax}(m)" for ax in "xy"[:grid.dim]]
-                + [f"p{ax}(kg*m/s)" for ax in "xy"[:grid.dim]])
-        rows = []
-        for s in states:
+        name = "mean_momentum.tsv"
+        cols = (["t(s)"] + [f"{ax}(m)" for ax in axes]
+                + [f"p{ax}(kg*m/s)" for ax in axes])
+
+        def tabulate(s):
             rec = observables(s.values, grid)
-            for idx in np.ndindex(*grid.n_x):
-                pos = [grid.x_axes[c][idx[c]] for c in range(grid.dim)]
-                mom = [rec.mean_momentum[c][idx] for c in range(grid.dim)]
-                rows.append([s.time] + pos + mom)
-        path = write_table(out_dir / "mean_momentum.tsv", cols, rows, config_hash)
+            return [[s.time] + pos + [rec.mean_momentum[c][idx] for c in range(grid.dim)]
+                    for idx, pos in cells()]
     elif args.what == "mass":
-        rows = [[s.time, observables(s.values, grid).total_mass] for s in states]
-        path = write_table(out_dir / "mass.tsv", ["t(s)", "mass"], rows, config_hash)
+        name, cols = "mass.tsv", ["t(s)", "mass"]
+        cell = float(np.prod(grid.dx))
+
+        def tabulate(s):
+            # observables' total_mass, without its state-sized moment passes
+            return [[s.time, float(s.values.sum() * cell)]]
     else:  # wigner-slice
         if grid.dim != 2:
             raise ValueError("wigner-slice needs a 2D run")
@@ -183,14 +190,18 @@ def _cmd_emit_plot(args) -> int:
         if abs(args.fixed_my) > grid.n_p[1]:
             raise ValueError(f"--fixed-my {args.fixed_my} outside the momentum lattice")
         slot = grid.momentum_slot(1, args.fixed_my)
-        cols = ["t(s)", "p_x(kg*m/s)", "x(m)", "f"]
-        rows = []
-        for s in states:
+        name, cols = "wigner_slice.tsv", ["t(s)", "p_x(kg*m/s)", "x(m)", "f"]
+
+        def tabulate(s):
             plane = s.values[:, slot, :, iy]
-            for a, px in enumerate(grid.p_axes[0]):
-                for b, x in enumerate(grid.x_axes[0]):
-                    rows.append([s.time, px, x, plane[a, b]])
-        path = write_table(out_dir / "wigner_slice.tsv", cols, rows, config_hash)
+            return [[s.time, px, x, plane[a, b]]
+                    for a, px in enumerate(grid.p_axes[0])
+                    for b, x in enumerate(grid.x_axes[0])]
+    rows = []
+    for p in paths:
+        # each state is dropped once its rows are taken
+        rows.extend(tabulate(read_state(p)[0]))
+    path = write_table(out_dir / name, cols, rows, config_hash)
     print(f"wrote {path}")
     return 0
 

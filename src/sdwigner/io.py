@@ -14,7 +14,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .phasespace import PhysicalConstants, make_grid
+from .phasespace import PhaseSpaceGrid, PhysicalConstants, make_grid
 from .solvers.common import l2_norm
 from .transform import WignerState
 
@@ -108,6 +108,27 @@ def read_state(path) -> Tuple[WignerState, str]:
     raw = bytearray(p.stat().st_size)
     with p.open("rb") as fh:
         del raw[fh.readinto(raw):]
+    grid, config_hash, time, off = _parse_header(raw, path)
+    count = int(np.prod(grid.state_shape))
+    if len(raw) - off != 8 * count:
+        raise ValueError(f"{path}: payload holds {(len(raw) - off) // 8} values, "
+                         f"grid needs {count}")
+    values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(grid.state_shape)
+    return WignerState(grid=grid, values=values, time=time), config_hash
+
+
+def read_state_header(path) -> Tuple[PhaseSpaceGrid, str, float]:
+    """(grid, config hash, time) of a state file, read without its values."""
+    with Path(path).open("rb") as fh:
+        raw = fh.read(8)
+        if len(raw) == 8:
+            raw += fh.read(24 * struct.unpack_from("<H", raw, 6)[0] + 96)
+    grid, config_hash, time, _ = _parse_header(raw, path)
+    return grid, config_hash, time
+
+
+def _parse_header(raw, path):
+    """(grid, config hash, time, payload offset) from a state file's leading bytes."""
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a state file (bad magic)")
     if len(raw) < 8:
@@ -128,13 +149,7 @@ def read_state(path) -> Tuple[WignerState, str]:
     config_hash = raw[off:off + 64].decode("ascii"); off += 64
     (time,) = struct.unpack_from("<d", raw, off); off += 8
     constants = PhysicalConstants(hbar=hbar, charge=charge, mass=mass)
-    grid = make_grid(d, L, omega, n_x, n_p, constants)
-    count = int(np.prod(grid.state_shape))
-    if len(raw) - off != 8 * count:
-        raise ValueError(f"{path}: payload holds {(len(raw) - off) // 8} values, "
-                         f"grid needs {count}")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(grid.state_shape)
-    return WignerState(grid=grid, values=values, time=time), config_hash
+    return make_grid(d, L, omega, n_x, n_p, constants), config_hash, time, off
 
 
 def relative_l2_diff(a: WignerState, b: WignerState) -> float:

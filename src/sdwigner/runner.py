@@ -125,7 +125,6 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, meta: dict) -> li
     grid = cfg.build_grid()
     field = cfg.build_field()
     scfg = cfg.build_solver_config()
-    f0 = cfg.build_initial_state(grid)
     files = []
 
     if cfg.method in STEPPED_ROUTES:
@@ -136,12 +135,16 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, meta: dict) -> li
         def observer(step, t, values):
             if (cfg.binary_states and cfg.snapshot_every
                     and step % cfg.snapshot_every == 0 and step < n_steps):
-                snap = WignerState(grid=grid, values=values.copy(), time=t)
+                # written before evolve takes its next step, so the live
+                # state needs no copy
+                snap = WignerState(grid=grid, values=values, time=t)
                 files.append(write_state(out / f"state_{step:06d}.sdwg",
                                          snap, run_hash))
 
-        result = evolve(f0.values, rhs, grid, scfg, n_steps=n_steps,
-                        observer=observer)
+        # the initial state is handed over unnamed: once evolve has copied it,
+        # nothing holds it
+        result = evolve(cfg.build_initial_state(grid).values, rhs, grid, scfg,
+                        n_steps=n_steps, observer=observer)
         files.append(write_table(
             out / "observables.tsv",
             _observable_columns(cfg.observables, grid.dim),
@@ -153,7 +156,8 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, meta: dict) -> li
             files.append(write_state(out / "state_final.sdwg", final, run_hash))
 
     elif cfg.method == "fredholm":
-        res = solve_fredholm_resolvent(f0, field, grid, scfg)
+        res = solve_fredholm_resolvent(cfg.build_initial_state(grid), field,
+                                       grid, scfg)
         meta["fredholm_sweeps"] = res.n_sweeps     # local passes over all levels
         meta["gamma0_per_s"] = res.gamma0
         files.append(write_table(
@@ -163,6 +167,7 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, meta: dict) -> li
             files.append(write_state(out / "state_final.sdwg", res.state, run_hash))
 
     elif cfg.method == "mc":
+        f0 = cfg.build_initial_state(grid)     # every estimate scores against it
         rows = []
         for t in cfg.mc_targets:
             target = (np.asarray(t.m_index, dtype=int),

@@ -723,8 +723,11 @@ def evolve(f0, rhs: Callable[..., np.ndarray], grid: PhaseSpaceGrid,
     base + scale d/dt values into `out` (see `rk4_step`).
 
     The state and two step buffers are allocated once and swapped each step;
-    f0 is never written.  The array handed to `observer` is reused by the
-    steps that follow, so an observer must copy what it keeps.
+    f0 is never written, and no reference to it is kept past its copy, so a
+    caller that hands f0 over without naming it holds three states, not four
+    (on CPython 3.11+, where a call takes over its argument references).  The
+    array handed to `observer` is reused by the steps that follow, so an
+    observer must copy what it keeps.
     """
     if n_steps is None:
         n_steps = int(round(config.t_end / config.dt))
@@ -734,6 +737,7 @@ def evolve(f0, rhs: Callable[..., np.ndarray], grid: PhaseSpaceGrid,
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     config.validate(grid)
     values = np.array(_values(f0), dtype=float, copy=True)
+    del f0
     cell = float(np.prod(grid.dx))
     result = EvolutionResult(values, [], [], [], [])
 

@@ -80,6 +80,11 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
     history attached) otherwise, and SolverInstabilityError at the first pass
     whose norm or residual is not finite, or before the first when
     dt/2 gamma0 = 1 leaves the diagonal term no left-hand side.
+
+    f0 is never written, and no reference to it is kept past its copy, so a
+    caller that hands f0 over without naming it holds the solve's n_t + 3
+    states and no more (on CPython 3.11+, where a call takes over its
+    argument references).
     """
     if grid.dim != 2:
         raise ValueError("the integral-form solver requires a 2D grid")
@@ -108,6 +113,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
     # term and the j = 0 term share one flight, so kvals[0] holds
     # (f0 + dt/2 (K f0 + gamma0 f0)) / scale = f0 + h (K + 2 gamma0) f0
     x = np.array(values0, dtype=float)
+    del f0, values0
     kvals = [np.empty_like(x) for _ in range(n_t + 1)]
     history = np.empty_like(x)
     force_and_quantum(x, kvals[0], work, h, x, 2.0 * gamma0)

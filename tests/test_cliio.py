@@ -9,7 +9,6 @@ import pathlib
 import struct
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +21,17 @@ from sdwigner.config import (REQUIRED, SCHEMA, ConfigError, SimulationConfig,
                              config_from_dict, load_config, write_config)
 from sdwigner.io import (read_state, read_table, relative_l2_diff, write_state,
                          write_table)
-from sdwigner.runner import magnitude_report, run_simulation
+from sdwigner.kernels import linear_coefficients
+from sdwigner.runner import STEPPED_ROUTES, magnitude_report, run_simulation
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
-                              SolverInstabilityError, montecarlo, semidiscrete)
-from sdwigner.solvers.common import l2_norm
+                              SolverInstabilityError, continuum, montecarlo,
+                              semidiscrete)
+from sdwigner.solvers.common import (advect_free_flight, free_flight_operators,
+                                     l2_norm)
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
+
+from working_set import allocation_peak, bound_workspace
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -332,13 +336,7 @@ class TestStateFormat:
     def test_write_holds_at_most_one_extra_state(self, tmp_path):
         state = self.make_state()
         write_state(tmp_path / "a.sdwg", state)
-        tracemalloc.start()
-        try:
-            current = tracemalloc.get_traced_memory()[0]
-            write_state(tmp_path / "b.sdwg", state)
-            peak = tracemalloc.get_traced_memory()[1] - current
-        finally:
-            tracemalloc.stop()
+        peak = allocation_peak(lambda: write_state(tmp_path / "b.sdwg", state))
         assert peak <= state.values.nbytes
 
     def test_bad_magic_is_rejected(self, tmp_path):
@@ -496,6 +494,73 @@ class TestRunner:
         for name in names:
             assert ((products[0].out_dir / name).read_bytes()
                     == (products[1].out_dir / name).read_bytes())
+
+    # 13 blocks of one momentum-x slab each, so a block is 1/13 state
+    WIDE_GRID = {"n_x": [40, 40], "n_p": [6, 6]}
+    HANDOFF = pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="a call takes over its argument references only from CPython 3.11 on; "
+               "below it the runner's frame keeps the initial state for the whole run")
+
+    @staticmethod
+    def held_beside_states(work, coeffs):
+        """Bytes of what a run holds besides its states: the force tables,
+        the workspace's velocity stacks and its held scratch blocks."""
+        arrays = (coeffs.force_x, coeffs.force_y) + tuple(work.stacks) + tuple(work.held)
+        return sum(a.nbytes for a in arrays if a is not None)
+
+    @HANDOFF
+    @pytest.mark.parametrize("method, field", [
+        ("semidiscrete", {"b0_T": 0.5, "b1_T_per_m": 1e7}), ("continuum", {"b0_T": 0.5})],
+        ids=["ladder_gradient", "cyclotron"])
+    def test_stepped_run_holds_three_states(self, tmp_path, method, field):
+        """A run that writes a snapshot at every step holds the state, two
+        step buffers and one product per wide-band P_x matrix: the runner
+        hands the initial state to evolve unnamed, and writes each snapshot
+        from the live state.  Besides them come the tables, stacks and held
+        blocks, and within two more blocks the small matrices, NumPy's
+        buffers and the run's bookkeeping.  Keeping the initial state and
+        copying each snapshot took two states more."""
+        cfg = config_from_dict(base_dict(
+            grid=self.WIDE_GRID, field=field, solver={"method": method, "stencil_order": 4},
+            output={"snapshot_every": 1}))
+        grid, scfg = cfg.build_grid(), cfg.build_solver_config()
+        coeffs = linear_coefficients(cfg.build_field(), grid)
+        rhs = STEPPED_ROUTES[method].make_rhs(coeffs, grid, scfg)
+        f = cfg.build_initial_state(grid).values
+        rhs(f, np.empty_like(f))
+        work = bound_workspace(rhs)
+        peak = allocation_peak(lambda: run_simulation(cfg, out_dir=tmp_path / "run"))
+        states = 3 + len(work.products)
+        assert len(list((tmp_path / "run").glob("state_0*.sdwg"))) == 4
+        assert (peak <= states * f.nbytes + self.held_beside_states(work, coeffs)
+                + 2 * 8 * work.block_size)
+
+    @HANDOFF
+    def test_resolvent_run_holds_its_solve(self, tmp_path):
+        """A resolvent run holds the solve's n_t + 3 states and its flight
+        stacks, with the same tables, stacks and blocks around them as a
+        stepped run: the runner hands the initial state over unnamed, and
+        the solve drops it once copied.  Keeping it took n_t + 4 states."""
+        cfg = config_from_dict(base_dict(
+            grid=self.WIDE_GRID, field={"b0_T": 0.5, "b1_T_per_m": 1e7},
+            solver={"method": "fredholm", "stencil_order": 4, "gamma0_per_s": 2e13,
+                    "fredholm_tol": 1e-8, "fredholm_max_iter": 300}))
+        grid, scfg = cfg.build_grid(), cfg.build_solver_config()
+        n_t = round(scfg.t_end / scfg.dt)
+        coeffs = linear_coefficients(cfg.build_field(), grid)
+        work = continuum.make_kernel(coeffs, grid, scfg)
+        flights = [free_flight_operators(grid, lag * scfg.dt, scfg.boundary)
+                   for lag in range(1, n_t + 1)]
+        f = cfg.build_initial_state(grid).values
+        out = np.empty_like(f)
+        continuum.force_and_quantum(f, out, work)
+        advect_free_flight(flights[-1], f, out, 0.5, work, accumulate=True)
+        stacks = sum(stack.nbytes for flight in flights for stack in flight)
+        peak = allocation_peak(lambda: run_simulation(cfg, out_dir=tmp_path / "run"))
+        assert n_t > 1
+        assert (peak <= (n_t + 3) * f.nbytes + stacks + self.held_beside_states(work, coeffs)
+                + 2 * 8 * work.block_size)
 
     def test_seed_override_lands_in_hash_and_meta(self, tmp_path):
         cfg = config_from_dict(base_dict(solver={
@@ -765,6 +830,24 @@ class TestCLI:
         assert cli_main(["emit-plot", str(out), "--what", "wigner-slice",
                          "--fixed-my", "99"]) == 1
         assert "momentum lattice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["mass", "wigner-slice"])
+    def test_emit_plot_holds_one_snapshot_at_a_time(self, tmp_path, capsys, what):
+        """emit-plot orders the snapshots by the times in their headers,
+        then loads, tabulates and drops one state at a time, so five
+        snapshots peak below two states; reading them all first took five."""
+        path = self.cfg_file(tmp_path, grid={"n_x": [24, 24], "n_p": [6, 6]},
+                             output={"snapshot_every": 1})
+        out = tmp_path / "run"
+        cli_main(["run", str(path), "--out", str(out)])
+        snapshots = sorted(out.glob("state_*.sdwg"))
+        state = read_state(snapshots[0])[0].values.nbytes
+        command = ["emit-plot", str(out), "--what", what]
+        assert cli_main(command) == 0
+        peak = allocation_peak(lambda: cli_main(command))
+        capsys.readouterr()
+        assert len(snapshots) == 5
+        assert peak <= 2 * state
 
     def test_emit_plot_requires_a_run_dir(self, tmp_path, capsys):
         assert cli_main(["emit-plot", str(tmp_path), "--what", "mass"]) == 1

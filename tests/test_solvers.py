@@ -5,7 +5,6 @@ import dataclasses
 import inspect
 import math
 import pathlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ import table_route
 from oracles import (apply_along, boundary_fraction, fredholm_march, fredholm_sweeps,
                      free_flight_rows, fresh, lattice_first_moment, lattice_second_moment,
                      rk4_classic, roll_derivative, walk_coefficients, walk_reference)
+from working_set import allocation_peak, bound_workspace
 
 NAT = PhysicalConstants(hbar=1.0, charge=1.0, mass=1.0)
 TAU = 2.0 * np.pi
@@ -50,17 +50,6 @@ G2U = make_grid(2, (TAU, 4.0), (np.pi, 2.0), (7, 5), (3, 2), NAT)
 
 def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
-
-
-def allocation_peak(call):
-    """Bytes `call()` held at its peak under tracemalloc, beyond what was held before."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 def advection(f, grid, order, boundary):
@@ -500,12 +489,6 @@ class TestBandedOperators:
             assert calls == []
 
 
-def bound_workspace(rhs):
-    """The Workspace a route's make_rhs bound into its closure."""
-    return next(cell.cell_contents for cell in rhs.__closure__
-                if isinstance(cell.cell_contents, solver_common.Workspace))
-
-
 class TestWorkingMemory:
     @pytest.mark.parametrize("route", [semidiscrete, continuum],
                              ids=["semidiscrete", "continuum"])
@@ -518,13 +501,9 @@ class TestWorkingMemory:
         before = f.copy()
         out = np.empty_like(f)
         rhs(f, out)
-        tracemalloc.start()
-        try:
-            current = tracemalloc.get_traced_memory()[0]
-            assert rhs(f, out) is out
-            allocated = tracemalloc.get_traced_memory()[1] - current
-        finally:
-            tracemalloc.stop()
+        got = []
+        allocated = allocation_peak(lambda: got.append(rhs(f, out)))
+        assert got[0] is out
         assert allocated < f.nbytes
         assert np.array_equal(f, before)
 
@@ -605,15 +584,11 @@ class TestWorkingMemory:
 
     def test_boundary_fraction_allocates_less_than_a_state(self):
         f = packet(GB, sigma_p=3.0).values
-        tracemalloc.start()
-        try:
-            current = tracemalloc.get_traced_memory()[0]
-            got = solver_common.boundary_mass_fraction(f, GB)
-            allocated = tracemalloc.get_traced_memory()[1] - current
-        finally:
-            tracemalloc.stop()
+        got = []
+        allocated = allocation_peak(
+            lambda: got.append(solver_common.boundary_mass_fraction(f, GB)))
         assert allocated < f.nbytes / 4
-        assert got == pytest.approx(boundary_fraction(f, GB.dim), rel=1e-13)
+        assert got[0] == pytest.approx(boundary_fraction(f, GB.dim), rel=1e-13)
 
     @pytest.mark.parametrize("grid", [G2U, G1], ids=["G2U", "G1"])
     def test_boundary_fraction_counts_every_shell(self, grid):
@@ -635,6 +610,23 @@ class TestWorkingMemory:
         for k, values in kept.items():
             assert np.array_equal(values, evolve(f0, rhs, G2, cfg, n_steps=k).values)
         assert np.array_equal(final.values, kept[5])
+
+    def test_solvers_leave_a_kept_f0_intact(self):
+        """evolve and the resolvent copy f0 and drop their own reference; a
+        caller that keeps f0, as an array or a state, keeps its bits."""
+        field = LinearEMField(b0=0.5, b1=0.3)
+        f0 = packet(G2, momentum=(1.0, -0.5))
+        before = f0.values.tobytes()
+        stepped = SolverConfig(dt=1e-3, t_end=5e-3, boundary="periodic")
+        for route in (semidiscrete, continuum):
+            rhs = route.make_rhs(linear_coefficients(field, G2), G2, stepped)
+            evolve(f0.values, rhs, G2, stepped)
+            assert f0.values.tobytes() == before
+        resolvent = SolverConfig(dt=0.04, t_end=0.16, gamma0=1.0, boundary="periodic",
+                                 fredholm_max_iter=400)
+        for given in (f0, f0.values):
+            solve_fredholm_resolvent(given, field, G2, resolvent)
+            assert f0.values.tobytes() == before
 
 
 def generator_oracle(route, field, grid, cfg, f):
@@ -1425,13 +1417,7 @@ class TestMonteCarlo:
         f0 = cfg.build_initial_state(grid)
         target = (np.array([1, 0]), np.zeros(2))
         mc_estimate_point(target, f0, field, grid, scfg)
-        tracemalloc.start()
-        try:
-            current = tracemalloc.get_traced_memory()[0]
-            mc_estimate_point(target, f0, field, grid, scfg)
-            return tracemalloc.get_traced_memory()[1] - current
-        finally:
-            tracemalloc.stop()
+        return allocation_peak(lambda: mc_estimate_point(target, f0, field, grid, scfg))
 
     # 1.1741 MiB (164 B per walker of a chunk) measured on two chunks of 7500
     # walkers with scoring deferred to the end of each chunk, plus 10%; the
@@ -1608,13 +1594,9 @@ class TestGeneralAssembler:
         f = packet(grid).values
         out = np.empty_like(f)
         rhs(f, out)
-        tracemalloc.start()
-        try:
-            current = tracemalloc.get_traced_memory()[0]
-            assert rhs(f, out) is out
-            peak = tracemalloc.get_traced_memory()[1] - current
-        finally:
-            tracemalloc.stop()
+        got = []
+        peak = allocation_peak(lambda: got.append(rhs(f, out)))
+        assert got[0] is out
         assert peak <= 2 * f.nbytes
 
     def test_requires_full_grid_tables(self):

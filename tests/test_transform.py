@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +23,7 @@ from oracles import (
     lattice_first_moment,
     weyl_quadrature,
 )
+from working_set import allocation_peak
 
 NM = 1e-9
 NAT = PhysicalConstants(hbar=1.0, charge=1.0, mass=1.0)
@@ -239,13 +238,10 @@ class TestGaussianStates:
     def test_wigner_packet_peaks_at_one_state(self):
         grid = make_grid(2, (8.0, 8.0), (4.0, 4.0), (24, 24), (8, 8), constants=NAT)
         gaussian_wigner(grid, sigma_x=0.7, sigma_p=1.2)
-        tracemalloc.start()
-        try:
-            current = tracemalloc.get_traced_memory()[0]
-            f = gaussian_wigner(grid, sigma_x=0.7, sigma_p=1.2)
-            peak = tracemalloc.get_traced_memory()[1] - current
-        finally:
-            tracemalloc.stop()
+        built = []
+        peak = allocation_peak(
+            lambda: built.append(gaussian_wigner(grid, sigma_x=0.7, sigma_p=1.2)))
+        f = built[0]
         # the state, plus the per-axis factors, the partial products and
         # NumPy's iteration buffers: far below a second state
         assert f.values.nbytes <= peak < 1.5 * f.values.nbytes
