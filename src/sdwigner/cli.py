@@ -197,10 +197,8 @@ def _cmd_emit_plot(args) -> int:
             return [[s.time, px, x, plane[a, b]]
                     for a, px in enumerate(grid.p_axes[0])
                     for b, x in enumerate(grid.x_axes[0])]
-    rows = []
-    for p in paths:
-        # each state is dropped once its rows are taken
-        rows.extend(tabulate(read_state(p)[0]))
+    # read as the table is written: each state is dropped once its rows are taken
+    rows = (row for p in paths for row in tabulate(read_state(p)[0]))
     path = write_table(out_dir / name, cols, rows, config_hash)
     print(f"wrote {path}")
     return 0

@@ -296,7 +296,9 @@ class Workspace:
       slabs), about what a whole-state product moves (the state read, the
       product written and read back), the sweep forms the product per block
       from slabs lo..hi-1 into a scratch block.  Every tridiagonal matrix
-      qualifies, and so does a ladder cut at a small offset;
+      qualifies, and so does a ladder cut at a small offset.  No such span
+      may reach back past the previous block (the build raises), which a
+      symmetric band under the 3 n rule never does;
     - spans[k] = None: a wide band, whose blocks would each re-read most
       of the state, applied to the whole state once per call into a
       product of `products`.
@@ -312,15 +314,23 @@ class Workspace:
       that carry no matrix; None where it is zero everywhere.  Each call
       folds them, times its scale, into the derivative matrices (`stacks`).
 
-    The workspace owns all of its callers' scratch memory: one whole-state
-    product per wide-band momentum-x matrix (`products`) and a list of
-    scratch blocks (`held`) that grows by a block only when a call finds
-    none free.  Between calls all of it is spent, so a free flight
-    (`advect_free_flight`) sweeps the same blocks on the same memory.
+    The workspace owns all of its callers' scratch memory, allocated once
+    here as one array (`arena`): one whole-state product per wide-band
+    momentum-x matrix (`products`), then exactly the scratch blocks
+    (`scratch`, each `block_size` doubles) that the sweep holds at its
+    peak, counted from its terms by `_scratch_count`.  With `in_place` the
+    count covers calls that write over their input (`banded_rhs` with
+    `out is values`), which hold their block's sum, and until the next
+    block has formed its narrow-band products the previous block's sum,
+    in blocks of their own; the resolvent kernel's workspace is built
+    without it.  Between calls all of it is spent, so a free flight
+    (`advect_free_flight`) sweeps the same blocks on the same memory: a
+    workspace without advection is the resolvent kernel's, and holds at
+    least the flight's two blocks.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", ops: BandedOperators,
-                 coeffs, advection: bool = True):
+                 coeffs, advection: bool = True, in_place: bool = True):
         shape = grid.state_shape
         self.stencil = BlockedStencil(shape, grid, config.stencil_order, config.boundary)
         slab = math.prod(shape[1:])
@@ -359,8 +369,15 @@ class Workspace:
         self.stacks = (None if self.speeds[0] is None else np.empty((step,) + d_x.shape),
                        None if self.speeds[1] is None else np.empty((len(speeds[1]),) + d_y.shape))
         self.spans = [self._spans(matrix) for matrix in self.x_matrices]
-        self.products = np.empty((self.spans.count(None),) + shape)
-        self.held: list = []
+        self.in_place = in_place
+        count = self._scratch_count()
+        if not advection:
+            count = max(count, 2)
+        state = math.prod(shape)
+        n_products = self.spans.count(None)
+        self.arena = np.empty(n_products * state + count * self.block_size)
+        self.products = self.arena[:n_products * state].reshape((n_products,) + shape)
+        self.scratch = list(self.arena[n_products * state:].reshape(count, self.block_size))
 
     def _spans(self, matrix: np.ndarray):
         """Each block's [lo, hi) of slabs that `matrix`'s rows touch, or None
@@ -368,8 +385,50 @@ class Workspace:
         spans = []
         for block in self.blocks:
             cols = np.flatnonzero(matrix[block].any(axis=0))
-            spans.append((int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0))
-        return spans if sum(hi - lo for lo, hi in spans) <= 3 * len(matrix) else None
+            spans.append((int(cols[0]), int(cols[-1]) + 1) if len(cols) else (block.start,) * 2)
+        if sum(hi - lo for lo, hi in spans) > 3 * len(matrix):
+            return None
+        for previous, (lo, _) in zip(self.blocks, spans[1:]):
+            if lo < previous.start:
+                raise ValueError(
+                    f"a narrow momentum-x band reaches back to slab {lo}, past the "
+                    f"block before slab {previous.stop}, which an in-place sweep "
+                    f"has already written back")
+        return spans
+
+    def _scratch_count(self) -> int:
+        """The scratch blocks `banded_rhs` holds at its peak, counted as one
+        block of its sweep takes and gives them back in order.  A spent
+        block of a whole-state product joins the free blocks, so it counts
+        as one given back; a shift term is counted, since any call may ask
+        for one."""
+        narrow = [k for k, spans in enumerate(self.spans) if spans is not None]
+        lag = self.in_place and bool(narrow)
+        held = peak = self.in_place + lag     # the block's sum, the previous block's
+        written = False
+
+        def term(blocks: int) -> None:
+            # a term takes `blocks` more for a while and gives them back
+            nonlocal peak, written
+            peak = max(peak, held + blocks)
+            written = True
+
+        for k, terms in enumerate(self.product_terms):
+            if k in narrow:
+                held += 1
+                peak = max(peak, held)
+                held -= lag and k == narrow[-1]
+            for _ in terms:
+                term(1 + written)             # the weighted input, then the term
+            written = written or self.force_x[k]
+            held -= 1                         # the product, given back or spent
+        if any(stack is not None for stack in self.stacks):
+            term(1)
+        for _ in self.state_terms:
+            term(1 + written)
+        for _ in range((self.y_force is not None) + 1):   # the force-y term, a shift
+            term(written)
+        return peak
 
 
 def _along_y(matrix: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -422,14 +481,24 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: floa
     momentum-x matrix, then one sweep over the blocks of whole P_x slabs.
     In each block a narrow-band matrix's product is formed first, from the
     slabs its rows touch, into a scratch block (scale and sign are folded
-    into the matrix either way).  The first term is written into `out` and
-    every other one is taken into a scratch block and added: a product block
-    once its last term has read it, else a block of `work.held`, which
-    grows by a block when none is free.  Scale is folded into the small
-    matrices, weights and velocity stacks, so it costs no pass over the
-    state.  `values` and `base` may be one array; `out` shares memory with
-    neither nor with `work`, and every array is C-contiguous.
+    into the matrix either way).  The first term is written into the
+    block's sum and every other one is taken into a scratch block and
+    added: a product block once its last term has read it, else a block of
+    `work.scratch`.  Scale is folded into the small matrices, weights and
+    velocity stacks, so it costs no pass over the state.
+
+    The sum is `out`'s block, or with `out is values` (an in-place call, on
+    a workspace built `in_place`) a scratch block, written back with base
+    once no later read needs the old slabs: the whole-state products are
+    formed before the sweep, a block's other terms read only its own slabs,
+    and the next block's narrow-band products reach back no further than
+    this block, so the write-back lags one block when there are any.
+    `values` and `base` may be one array; `out` is `values` or shares
+    memory with neither nor with `work`, and every array is C-contiguous.
     """
+    in_place = out is values
+    if in_place and not work.in_place:
+        raise ValueError("an in-place call needs a workspace built in_place")
     n = len(values)
     whole = iter(work.products)
     products = [next(whole) if spans is None else None for spans in work.spans]
@@ -446,15 +515,29 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: floa
     if stack_y is not None:
         _weighted_stack(scale * work.speeds[1], work.stencil.matrices[1], stack_y)
     force_x, force_y = work.tables
+    last_narrow = max((k for k, spans in enumerate(work.spans) if spans is not None),
+                      default=None)
+    pending = None      # (block, the scratch block of its sum), not yet written back
     for b, block in enumerate(work.blocks):
-        f, acc = values[block], _Block(out[block], work.held, work.block_size)
-        for matrix, spans, product, terms, reads_force in zip(
-                work.x_matrices, work.spans, products, product_terms, work.force_x):
+        f = values[block]
+        free = [s for s in work.scratch if pending is None or s is not pending[1]]
+        if in_place:
+            held = free.pop()
+            acc = _Block(_shaped(held, f.shape), free)
+        else:
+            acc = _Block(out[block], free)
+        for k, (matrix, spans, product, terms, reads_force) in enumerate(zip(
+                work.x_matrices, work.spans, products, product_terms, work.force_x)):
             if product is None:
                 lo, hi = spans[b]
                 p = acc.take()
                 np.matmul(-scale * matrix[block, lo:hi], values[lo:hi].reshape(hi - lo, -1),
                           out=p.reshape(len(p), -1))
+                if k == last_narrow and pending is not None:
+                    # that was the last read of the previous block's old slabs
+                    _write_back(values, *pending, base)
+                    free.append(pending[1])
+                    pending = None
             else:
                 p = product[block]
             for s, weight in terms:
@@ -482,26 +565,45 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: floa
             acc.add(np.multiply(f, scale * shift, out=acc.target()))
         if not acc.written:
             acc.out.fill(0.0)
-        if base is not None:
-            acc.out += base[block]
+        if not in_place:
+            if base is not None:
+                acc.out += base[block]
+        elif last_narrow is None:
+            _write_back(values, block, held, base)
+        else:
+            pending = (block, held)
+    if pending is not None:
+        _write_back(values, *pending, base)
     return out
+
+
+def _shaped(block: np.ndarray, shape) -> np.ndarray:
+    """The leading part of a contiguous scratch block, viewed in `shape`."""
+    return block.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def _write_back(values: np.ndarray, block: slice, held: np.ndarray,
+                base: Optional[np.ndarray]) -> None:
+    """values[block] = the sum in scratch block `held` + base[block], or the
+    sum alone when base is None."""
+    total = _shaped(held, values[block].shape)
+    if base is None:
+        values[block] = total
+    else:
+        np.add(total, base[block], out=values[block])
 
 
 class _Block:
     """One block of the sweep: its first term is written into `out` and every
     later one into a scratch block, then added.  A scratch block comes from
-    `free`, else it is allocated and joins `held`, the workspace's list."""
+    `free`, the spent blocks of the workspace and of this block's products."""
 
-    def __init__(self, out: np.ndarray, held: list, size: int):
-        self.out, self.held, self.size = out, held, size
-        self.free = list(held)
+    def __init__(self, out: np.ndarray, free: list):
+        self.out, self.free = out, free
         self.written = False
 
     def take(self) -> np.ndarray:
-        if not self.free:
-            self.held.append(np.empty(self.size))
-            self.free.append(self.held[-1])
-        return self.free.pop().reshape(-1)[:self.out.size].reshape(self.out.shape)
+        return _shaped(self.free.pop(), self.out.shape)
 
     def target(self, spare: Optional[np.ndarray] = None) -> np.ndarray:
         """Where the next term goes: `out` while nothing is written, else
@@ -529,7 +631,7 @@ class _Block:
 
 
 def rk4_step(values: np.ndarray, dt: float, rhs: Callable[..., np.ndarray],
-             out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+             out: np.ndarray) -> np.ndarray:
     """One classical RK4 step of d/dt values = L values, for a linear,
     homogeneous (autonomous) L, written into `out`.
 
@@ -539,14 +641,15 @@ def rk4_step(values: np.ndarray, dt: float, rhs: Callable[..., np.ndarray],
     as the k1..k4 form, with none of the k kept.  Each stage is one call
     rhs(step, target, dt / fraction, values), which writes
     values + dt / fraction L(step) into target, so the stage costs no pass
-    of its own.  The stages alternate between `scratch` and `out`, so no
-    stage reads the array it writes.  `values` is never changed, and
-    neither buffer may share memory with it.
+    of its own.  The first stage reads `values` and writes `out`; the other
+    three read and write `out` in place, so rhs must accept target is step
+    (as `banded_rhs` does) and the step holds two states.  `values` is never
+    changed, and `out` may not share memory with it.
     """
     step = values
-    for fraction, target in ((4.0, scratch), (3.0, out), (2.0, scratch), (1.0, out)):
-        rhs(step, target, dt / fraction, values)
-        step = target
+    for fraction in (4.0, 3.0, 2.0, 1.0):
+        rhs(step, out, dt / fraction, values)
+        step = out
     return out
 
 
@@ -599,14 +702,14 @@ def advect_free_flight(ops: tuple, values: np.ndarray, out: np.ndarray, weight: 
     (the resolvent kernel's): in each block every slab meets its x matrix
     and then every P_y row its y matrix, each as one batched matmul, and
     the weighted result reaches `out` while the block is in cache.  The two
-    intermediates are held blocks of the workspace, and `held` grows only
-    when it has fewer than two; so a flight into a warmed workspace
-    allocates no state.  `out` shares memory with neither `values` nor
-    `work`; all arrays are C-contiguous.
+    intermediates are scratch blocks of the workspace, which a workspace
+    without advection always holds, so a flight allocates no state.  `out`
+    shares memory with neither `values` nor `work`; all arrays are
+    C-contiguous.
     """
     x_stack, y_stack = ops
     for block in work.blocks:
-        pool = _Block(out[block], work.held, work.block_size)
+        pool = _Block(out[block], list(work.scratch))
         flown = np.matmul(x_stack[block, None], values[block], out=pool.take())
         flown = np.matmul(flown, y_stack, out=pool.take())
         if accumulate:
@@ -637,10 +740,11 @@ def observables(f, grid: PhaseSpaceGrid) -> ObservableRecord:
     cell = float(np.prod(grid.dx))
     mean = np.empty((grid.dim,) + grid.n_x)
     guard = np.abs(density) < max(1e-14 * np.max(np.abs(density), initial=0.0), 1e-300)
+    axes = "ijk"[:grid.dim]
     for c in range(grid.dim):
-        shape = [1] * values.ndim
-        shape[c] = len(grid.p_axes[c])
-        num = (values * grid.p_axes[c].reshape(shape)).sum(axis=m_axes)
+        # einsum sums in the order of (values * p_c).sum(m_axes), bit for
+        # bit, with no state-sized product and no BLAS call
+        num = np.einsum(f"{axes}...,{axes[c]}->...", values, grid.p_axes[c])
         with np.errstate(divide="ignore", invalid="ignore"):
             mean[c] = np.where(guard, np.nan, num / np.where(guard, 1.0, density))
     return ObservableRecord(density=density, mean_momentum=mean,
@@ -720,12 +824,14 @@ def evolve(f0, rhs: Callable[..., np.ndarray], grid: PhaseSpaceGrid,
     both routes' skew-symmetric generators: their flow keeps the norm, and a
     stable RK4 step never grows it.  n_steps (default t_end / dt) must be
     >= 0 and record_every >= 1.  rhs(values, out, scale, base) writes
-    base + scale d/dt values into `out` (see `rk4_step`).
+    base + scale d/dt values into `out`, which may be `values` (see
+    `rk4_step`).
 
-    The state and two step buffers are allocated once and swapped each step;
-    f0 is never written, and no reference to it is kept past its copy, so a
-    caller that hands f0 over without naming it holds three states, not four
-    (on CPython 3.11+, where a call takes over its argument references).  The
+    The state and one step buffer are allocated once and swapped each step,
+    since `rk4_step` runs its last three stages in place; f0 is never
+    written, and no reference to it is kept past its copy, so a caller that
+    hands f0 over without naming it holds two states, not three (on CPython
+    3.11+, where a call takes over its argument references).  The
     array handed to `observer` is reused by the steps that follow, so an
     observer must copy what it keeps.
     """
@@ -752,10 +858,10 @@ def evolve(f0, rhs: Callable[..., np.ndarray], grid: PhaseSpaceGrid,
     record(0, 0.0)
     norm_prev = l2_norm(values)
     # taken after the first record, so an observer's work on f0 (a snapshot
-    # written to disk, say) does not stack on the step buffers
-    out, scratch = np.empty_like(values), np.empty_like(values)
+    # written to disk, say) does not stack on the step buffer
+    out = np.empty_like(values)
     for step in range(1, n_steps + 1):
-        rk4_step(values, config.dt, rhs, out, scratch)
+        rk4_step(values, config.dt, rhs, out)
         values, out = out, values
         norm = l2_norm(values)
         if not np.isfinite(norm) or (norm_prev > 0 and norm > norm_prev * (1 + 1e-12)):

@@ -26,8 +26,7 @@ from sdwigner.runner import STEPPED_ROUTES, magnitude_report, run_simulation
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, continuum, montecarlo,
                               semidiscrete)
-from sdwigner.solvers.common import (advect_free_flight, free_flight_operators,
-                                     l2_norm)
+from sdwigner.solvers.common import free_flight_operators, l2_norm
 from sdwigner.states import gaussian_wigner
 from sdwigner.transform import WignerState
 
@@ -505,33 +504,31 @@ class TestRunner:
     @staticmethod
     def held_beside_states(work, coeffs):
         """Bytes of what a run holds besides its states: the force tables,
-        the workspace's velocity stacks and its held scratch blocks."""
-        arrays = (coeffs.force_x, coeffs.force_y) + tuple(work.stacks) + tuple(work.held)
+        the workspace's velocity stacks and its scratch blocks."""
+        arrays = (coeffs.force_x, coeffs.force_y) + tuple(work.stacks) + tuple(work.scratch)
         return sum(a.nbytes for a in arrays if a is not None)
 
     @HANDOFF
     @pytest.mark.parametrize("method, field", [
         ("semidiscrete", {"b0_T": 0.5, "b1_T_per_m": 1e7}), ("continuum", {"b0_T": 0.5})],
         ids=["ladder_gradient", "cyclotron"])
-    def test_stepped_run_holds_three_states(self, tmp_path, method, field):
-        """A run that writes a snapshot at every step holds the state, two
-        step buffers and one product per wide-band P_x matrix: the runner
-        hands the initial state to evolve unnamed, and writes each snapshot
-        from the live state.  Besides them come the tables, stacks and held
-        blocks, and within two more blocks the small matrices, NumPy's
-        buffers and the run's bookkeeping.  Keeping the initial state and
-        copying each snapshot took two states more."""
+    def test_stepped_run_holds_two_states(self, tmp_path, method, field):
+        """A run that writes a snapshot at every step holds the state, one
+        step buffer and one product per wide-band P_x matrix: the runner
+        hands the initial state to evolve unnamed, writes each snapshot from
+        the live state, and RK4 runs its last three stages in place.
+        Besides them come the tables, stacks and scratch blocks, and within
+        two more blocks the small matrices, NumPy's buffers and the run's
+        bookkeeping.  A second step buffer took one state more."""
         cfg = config_from_dict(base_dict(
             grid=self.WIDE_GRID, field=field, solver={"method": method, "stencil_order": 4},
             output={"snapshot_every": 1}))
         grid, scfg = cfg.build_grid(), cfg.build_solver_config()
         coeffs = linear_coefficients(cfg.build_field(), grid)
-        rhs = STEPPED_ROUTES[method].make_rhs(coeffs, grid, scfg)
+        work = bound_workspace(STEPPED_ROUTES[method].make_rhs(coeffs, grid, scfg))
         f = cfg.build_initial_state(grid).values
-        rhs(f, np.empty_like(f))
-        work = bound_workspace(rhs)
         peak = allocation_peak(lambda: run_simulation(cfg, out_dir=tmp_path / "run"))
-        states = 3 + len(work.products)
+        states = 2 + len(work.products)
         assert len(list((tmp_path / "run").glob("state_0*.sdwg"))) == 4
         assert (peak <= states * f.nbytes + self.held_beside_states(work, coeffs)
                 + 2 * 8 * work.block_size)
@@ -553,9 +550,6 @@ class TestRunner:
         flights = [free_flight_operators(grid, lag * scfg.dt, scfg.boundary)
                    for lag in range(1, n_t + 1)]
         f = cfg.build_initial_state(grid).values
-        out = np.empty_like(f)
-        continuum.force_and_quantum(f, out, work)
-        advect_free_flight(flights[-1], f, out, 0.5, work, accumulate=True)
         stacks = sum(stack.nbytes for flight in flights for stack in flight)
         peak = allocation_peak(lambda: run_simulation(cfg, out_dir=tmp_path / "run"))
         assert n_t > 1
@@ -831,11 +825,13 @@ class TestCLI:
                          "--fixed-my", "99"]) == 1
         assert "momentum lattice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("what", ["mass", "wigner-slice"])
+    @pytest.mark.parametrize("what", ["mass", "wigner-slice", "density", "mean-momentum"])
     def test_emit_plot_holds_one_snapshot_at_a_time(self, tmp_path, capsys, what):
         """emit-plot orders the snapshots by the times in their headers,
         then loads, tabulates and drops one state at a time, so five
-        snapshots peak below two states; reading them all first took five."""
+        snapshots peak below two states; reading them all first took five.
+        The density and mean-momentum tables take their momentum moments
+        with no state-sized product, which took about 2.1 states."""
         path = self.cfg_file(tmp_path, grid={"n_x": [24, 24], "n_p": [6, 6]},
                              output={"snapshot_every": 1})
         out = tmp_path / "run"

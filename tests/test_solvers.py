@@ -493,54 +493,84 @@ class TestWorkingMemory:
     @pytest.mark.parametrize("route", [semidiscrete, continuum],
                              ids=["semidiscrete", "continuum"])
     def test_rhs_call_allocates_less_than_a_state(self, route):
+        """The workspace allocates all of its scratch at build, so a call,
+        the first one too and one in place, allocates less than one block."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
         rhs = route.make_rhs(linear_coefficients(GRADIENT_FIELD, GB), GB, cfg)
+        work = bound_workspace(rhs)
         # the sweep covers GB in several blocks
-        assert len(bound_workspace(rhs).blocks) > 1
+        assert len(work.blocks) > 1
         f = packet(GB).values
         before = f.copy()
         out = np.empty_like(f)
-        rhs(f, out)
         got = []
-        allocated = allocation_peak(lambda: got.append(rhs(f, out)))
+        allocated = [allocation_peak(lambda: got.append(rhs(f, out))) for _ in range(2)]
         assert got[0] is out
-        assert allocated < f.nbytes
+        assert max(allocated) < 8 * work.block_size
         assert np.array_equal(f, before)
+        step = f.copy()
+        assert allocation_peak(lambda: rhs(step, step, 0.5, f)) < 8 * work.block_size
 
-    @pytest.mark.parametrize("field, products, held", [
-        (GRADIENT_FIELD, {semidiscrete: 2, continuum: 0}, {semidiscrete: 1, continuum: 2}),
-        (LinearEMField(b0=0.8), {semidiscrete: 1, continuum: 0}, {semidiscrete: 0, continuum: 1}),
-        (LinearEMField(), {semidiscrete: 0, continuum: 0}, {semidiscrete: 1, continuum: 1})],
+    @pytest.mark.parametrize("field, products, blocks", [
+        (GRADIENT_FIELD, {semidiscrete: 2, continuum: 0}, {semidiscrete: 2, continuum: 3}),
+        (LinearEMField(b0=0.8), {semidiscrete: 1, continuum: 0}, {semidiscrete: 1, continuum: 3}),
+        (LinearEMField(), {semidiscrete: 0, continuum: 0}, {semidiscrete: 2, continuum: 2})],
         ids=["gradient", "force_only", "free"])
     @pytest.mark.parametrize("route", [semidiscrete, continuum],
                              ids=["semidiscrete", "continuum"])
     def test_workspace_holds_a_temporary_only_for_momentum_terms(self, route, field, products,
-                                                                 held):
+                                                                 blocks):
         """State-sized memory is one whole-state product per distinct
         wide-band momentum-x matrix (the ladder's gradient block adds the
         box on P_x to the odd band); the small-spacing route's d/dP_x is
         tridiagonal, so it forms its product per block and holds none.  The
-        sweep's scratch is at most two blocks: a block-local product and one
-        term, or none where a spent whole-state product block serves."""
+        arena holds them and the in-place sweep's scratch blocks: the
+        block's sum and one term (none where a spent whole-state product
+        block serves), two for a gradient term on a product; on the
+        small-spacing route also a block-local product and, until that is
+        formed in the next block, the previous block's sum."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
-        rhs = route.make_rhs(linear_coefficients(field, GB), GB, cfg)
-        work = bound_workspace(rhs)
+        work = bound_workspace(route.make_rhs(linear_coefficients(field, GB), GB, cfg))
         assert work.products.shape == (products[route],) + GB.state_shape
-        f = packet(GB).values
-        rhs(f, np.empty_like(f))
-        assert len(work.held) == held[route]
-        assert all(block.size == work.block_size for block in work.held)
+        assert len(work.scratch) == blocks[route]
+        state = math.prod(GB.state_shape)
+        assert work.arena.size == products[route] * state + blocks[route] * work.block_size
+        for array in (work.products, *work.scratch):
+            assert array.size == 0 or np.shares_memory(array, work.arena)
+        assert all(block.size == work.block_size for block in work.scratch)
+
+    @pytest.mark.parametrize("grid", [GB, MULTI_BLOCK], ids=["GB", "MULTI_BLOCK"])
+    @pytest.mark.parametrize("m_truncation", [None, 1], ids=["default_cutoff", "cut_1"])
+    @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(b0=0.8), LinearEMField()],
+                             ids=["gradient", "force_only", "free"])
+    @pytest.mark.parametrize("route", [semidiscrete, continuum],
+                             ids=["semidiscrete", "continuum"])
+    def test_arena_holds_exactly_the_blocks_a_sweep_takes(self, route, field, m_truncation,
+                                                          grid):
+        """The count taken from the terms is what an in-place call takes:
+        with one scratch block fewer the sweep runs out."""
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4,
+                           m_truncation=m_truncation)
+        rhs = route.make_rhs(linear_coefficients(field, grid), grid, cfg)
+        work = bound_workspace(rhs)
+        f = np.random.default_rng(67).normal(size=grid.state_shape)
+        step = f.copy()
+        rhs(step, step, 0.5, f)
+        work.scratch.pop()
+        with pytest.raises(IndexError):
+            rhs(step, step, 0.5, f)
 
     @pytest.mark.parametrize("route, field, products, blocks", [
-        (semidiscrete, GRADIENT_FIELD, 2, 2), (continuum, LinearEMField(b0=0.8), 0, 2),
-        (continuum, GRADIENT_FIELD, 0, 3)],
+        (semidiscrete, GRADIENT_FIELD, 2, 3), (continuum, LinearEMField(b0=0.8), 0, 4),
+        (continuum, GRADIENT_FIELD, 0, 4)],
         ids=["ladder_gradient", "continuum_force_only", "continuum_gradient"])
     def test_stepped_working_set(self, route, field, products, blocks):
-        """A run holds the state, two step buffers and one whole-state
+        """A run holds the state, one step buffer and one whole-state
         product per wide-band momentum-x matrix (none on the small-spacing
         route).  Beyond them come the velocity stacks, one (rows, n, n)
-        array per spatial axis, and within `blocks` blocks the sweep's held
-        scratch plus one block for the small matrices and NumPy's buffers."""
+        array per spatial axis, and within `blocks` blocks the sweep's
+        scratch plus one block for the small matrices and NumPy's buffers.
+        A second step buffer took one state more."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
         coeffs = linear_coefficients(field, GB)
         f0 = packet(GB, momentum=(1.0, -0.5)).values
@@ -548,7 +578,8 @@ class TestWorkingMemory:
         stacks = sum(stack.nbytes for stack in work.stacks)
         peak = allocation_peak(
             lambda: evolve(f0, route.make_rhs(coeffs, GB, cfg), GB, cfg, n_steps=2))
-        assert peak <= (3 + products) * f0.nbytes + stacks + blocks * 8 * work.block_size
+        assert len(work.scratch) == blocks - 1
+        assert peak <= (2 + products) * f0.nbytes + stacks + blocks * 8 * work.block_size
 
     @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(e_grad=(0.3, -0.2), b0=0.8)],
                              ids=["gradient", "force_only"])
@@ -668,8 +699,6 @@ def stage_closure(route, field, grid, cfg):
         rhs = {"semidiscrete": semidiscrete, "continuum": continuum}[route].make_rhs(
             coeffs, grid, cfg)
         work = bound_workspace(rhs)
-    f = np.zeros(grid.state_shape)
-    rhs(f, np.empty_like(f))     # the first call fills the held scratch blocks
     return rhs, work
 
 
@@ -726,7 +755,7 @@ class TestStageContract:
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="zero", stencil_order=4)
         rhs, work = stage_closure(route, GRADIENT_FIELD, GB, cfg)
         step, base = np.random.default_rng(53).normal(size=(2,) + GB.state_shape)
-        for array in (work.products, *work.held, *(s for s in work.stacks if s is not None)):
+        for array in (work.arena, *(s for s in work.stacks if s is not None)):
             array.fill(np.nan)
         got = rhs(step, np.full_like(step, np.nan), 0.25, base)
         fresh_rhs, _ = stage_closure(route, GRADIENT_FIELD, GB, cfg)
@@ -783,6 +812,65 @@ def test_generator_is_skew_symmetric(build, order, boundary, field):
     assert not np.any(matrix + matrix.T)
 
 
+IN_PLACE_GRIDS = pytest.mark.parametrize("grid", [GS, GB, MULTI_BLOCK],
+                                         ids=["GS", "GB", "MULTI_BLOCK"])
+
+
+class TestInPlaceSweep:
+    """banded_rhs(f, f, work, scale, base) holds each block's sum in scratch
+    and writes it back once the next block has formed its narrow-band
+    momentum-x products, the last reads of the old slabs."""
+
+    @IN_PLACE_GRIDS
+    @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(b0=0.8), LinearEMField()],
+                             ids=["gradient", "force_only", "free"])
+    @pytest.mark.parametrize("build", ["ladder", "ladder_cut_1", "small_spacing", "kernel"])
+    def test_in_place_matches_out_of_place(self, build, field, grid):
+        """Bit for bit, with base apart from f, base the input itself, and
+        no base; the kernel build runs with its shift.  On MULTI_BLOCK's 13
+        one-slab blocks every narrow band reaches into the previous block."""
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4,
+                           m_truncation=1 if build == "ladder_cut_1" else None)
+        coeffs = linear_coefficients(field, grid)
+        ops = (semidiscrete.ladder_operators(coeffs, grid, cfg) if build.startswith("ladder")
+               else continuum.difference_operators(coeffs, grid))
+        work = solver_common.Workspace(grid, cfg, ops, coeffs, advection=build != "kernel")
+        shift = GAMMA0 if build == "kernel" else 0.0
+        f, start = np.random.default_rng(71).normal(size=(2,) + grid.state_shape)
+        for scale, base, base_is_input in ((0.37, start, False), (-2.5, None, True),
+                                           (1.0, None, False)):
+            expect = solver_common.banded_rhs(f, np.empty_like(f), work, scale,
+                                              f if base_is_input else base, shift)
+            got = f.copy()
+            assert solver_common.banded_rhs(got, got, work, scale,
+                                            got if base_is_input else base, shift) is got
+            assert got.tobytes() == expect.tobytes()
+
+    def test_kernel_workspace_refuses_an_in_place_call(self):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
+        work = continuum.make_kernel(linear_coefficients(GRADIENT_FIELD, GB), GB, cfg)
+        f = packet(GB).values
+        with pytest.raises(ValueError, match="in_place"):
+            continuum.force_and_quantum(f, f, work)
+
+    def test_a_narrow_band_may_not_reach_back_two_blocks(self):
+        """A band whose spans sum to at most 3 n but whose last row reads
+        the first slab, 12 one-slab blocks back, is refused at build; a
+        tridiagonal one, which reaches one block back, is not."""
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
+        coeffs = linear_coefficients(LinearEMField(b0=0.8), MULTI_BLOCK)
+        n = MULTI_BLOCK.n_s[0]
+        reaching = np.eye(n)
+        reaching[-1, 0] = 1.0
+        with pytest.raises(ValueError, match="reaches back"):
+            solver_common.Workspace(MULTI_BLOCK, cfg,
+                                    solver_common.BandedOperators((reaching, None), ()), coeffs)
+        work = solver_common.Workspace(
+            MULTI_BLOCK, cfg,
+            solver_common.BandedOperators((band_matrix(n, [1.0], -1), None), ()), coeffs)
+        assert len(work.blocks) == n and work.spans[0] is not None
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -792,7 +880,7 @@ class TestStepping:
         # the stage contract: rhs(v, out, scale, base) writes base + scale L v
         rhs = lambda v, out, scale, base: np.subtract(base, scale * v, out=out)
         for dt in (0.1, 0.05):
-            err = abs(rk4_step(np.array(1.0), dt, rhs, np.empty(()), np.empty(())) - np.exp(-dt))
+            err = abs(rk4_step(np.array(1.0), dt, rhs, np.empty(())) - np.exp(-dt))
             assert err < dt ** 5 / 60.0
 
     def test_horner_matches_classic_on_banded_rhs(self):
@@ -811,8 +899,8 @@ class TestStepping:
             return out
 
         before = f.copy()
-        out, scratch = np.empty_like(f), np.empty_like(f)
-        assert rk4_step(f, 0.1, rhs, out, scratch) is out
+        out = np.empty_like(f)
+        assert rk4_step(f, 0.1, rhs, out) is out
         assert len(calls) == 4
         assert np.array_equal(f, before)
         assert rel_l2(out, rk4_classic(f, 0.1, fresh(rhs))) < 1e-13
@@ -956,8 +1044,8 @@ class TestStepping:
             rhs_a = semidiscrete.make_rhs(coeffs, grid, cfg)
             rhs_b = continuum.make_rhs(coeffs, grid, cfg)
             for _ in range(10):
-                a = rk4_step(a, cfg.dt, rhs_a, np.empty_like(a), np.empty_like(a))
-                b = rk4_step(b, cfg.dt, rhs_b, np.empty_like(b), np.empty_like(b))
+                a = rk4_step(a, cfg.dt, rhs_a, np.empty_like(a))
+                b = rk4_step(b, cfg.dt, rhs_b, np.empty_like(b))
             gaps.append(rel_l2(a, b))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -1108,7 +1196,7 @@ class TestFredholm:
             allocation_peak(lambda: continuum.force_and_quantum(f0, out, work, 0.5, f0, 1.0)),
             allocation_peak(lambda: advect_free_flight(flights[-1], f0, out, 0.5, work,
                                                        accumulate=True)))
-        held = sum(block.nbytes for block in work.held)
+        held = sum(block.nbytes for block in work.scratch)
         small = setup + call + 16 * 1024
         solve = allocation_peak(lambda: solve_fredholm_resolvent(f0, field, grid, cfg))
         assert len(work.products) == 0
@@ -1117,9 +1205,9 @@ class TestFredholm:
 
     def test_held_kernel_and_flight_allocate_no_state(self):
         """On a state larger than NumPy's 64 KiB ufunc buffer, a kernel call
-        and a free flight into the warmed workspace allocate less than half a
-        state, and write the bits of the same call on a fresh workspace,
-        whatever the workspace held before."""
+        and a free flight, the first ones on the workspace, allocate less
+        than half a state, and write the bits of the same call on a fresh
+        workspace, whatever the workspace held before."""
         grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (10, 10), (8, 8), NAT)
         field = LinearEMField(b0=0.5, b1=0.3)
         cfg = SolverConfig(dt=0.01, t_end=0.08, boundary="periodic", stencil_order=4)
@@ -1130,12 +1218,9 @@ class TestFredholm:
         work = continuum.make_kernel(coeffs, grid, cfg)
         flight_ops = free_flight_operators(grid, 0.05, "periodic")
         out = np.empty_like(f)
-        continuum.force_and_quantum(f, out, work, gamma0=2.0)
-        advect_free_flight(flight_ops, f, out, 0.5, work)
 
         def spoil():
-            for array in work.held:
-                array.fill(np.nan)
+            work.arena.fill(np.nan)
 
         def fresh_workspace():
             return continuum.make_kernel(coeffs, grid, cfg)
@@ -1156,10 +1241,9 @@ class TestFredholm:
                              ids=["gradient", "zero"])
     def test_flight_sweeps_every_block(self, field):
         """On a workspace of many blocks, a written and an accumulated flight
-        give the bits of the whole-state batched matmuls.  The first flight
-        grows `held` to its two intermediates, and a flight into the warmed
-        workspace allocates under half a block (1/26 state), so no block
-        takes fresh scratch."""
+        give the bits of the whole-state batched matmuls.  The workspace
+        holds the flight's two intermediates from its build, so a flight
+        allocates under half a block (1/26 state)."""
         cfg = SolverConfig(dt=2e-14, t_end=1e-13, boundary="zero", stencil_order=4)
         work = continuum.make_kernel(linear_coefficients(field, MULTI_BLOCK), MULTI_BLOCK, cfg)
         assert len(work.blocks) == 13
@@ -1169,9 +1253,9 @@ class TestFredholm:
         out = np.full_like(f, np.nan)
         assert advect_free_flight(ops, f, out, 0.7, work) is out
         assert out.tobytes() == (0.7 * flown).tobytes()
-        # d/dP_x is formed per block, so both intermediates are held blocks
+        # d/dP_x is formed per block, so both intermediates are scratch blocks
         assert len(work.products) == 0
-        assert len(work.held) == 2
+        assert len(work.scratch) == 2
         out = start.copy()
         allocated = allocation_peak(
             lambda: advect_free_flight(ops, f, out, -1.3, work, accumulate=True))
