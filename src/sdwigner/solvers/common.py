@@ -296,12 +296,13 @@ class Workspace:
       slabs), about what a whole-state product moves (the state read, the
       product written and read back), the sweep forms the product per block
       from slabs lo..hi-1 into a scratch block.  Every tridiagonal matrix
-      qualifies, and so does a ladder cut at a small offset.  No such span
-      may reach back past the previous block (the build raises), which a
-      symmetric band under the 3 n rule never does;
+      qualifies, and so does a ladder cut at a small offset;
     - spans[k] = None: a wide band, whose blocks would each re-read most
-      of the state, applied to the whole state once per call into a
-      product of `products`.
+      of the state, or, on a workspace that runs `in_place`, a band whose
+      span reaches back past the previous block (a ladder cut at a middle
+      offset on blocks of a few slabs).  It is applied to the whole state
+      once per call into a product of `products`, which is formed before
+      the sweep, so an in-place call stays correct.
 
     The sweep's terms are:
 
@@ -314,29 +315,32 @@ class Workspace:
       that carry no matrix; None where it is zero everywhere.  Each call
       folds them, times its scale, into the derivative matrices (`stacks`).
 
+    A workspace with `advection` is a stepped route's, and runs `in_place`:
+    it takes calls that write over their input (`banded_rhs` with
+    `out is values`).  One without is the resolvent kernel's, which the
+    solve never calls in place.
+
     The workspace owns all of its callers' scratch memory, allocated once
     here as one array (`arena`): one whole-state product per wide-band
     momentum-x matrix (`products`), then exactly the scratch blocks
     (`scratch`, each `block_size` doubles) that the sweep holds at its
-    peak, counted from its terms by `_scratch_count`.  With `in_place` the
-    count covers calls that write over their input (`banded_rhs` with
-    `out is values`), which hold their block's sum, and until the next
-    block has formed its narrow-band products the previous block's sum,
-    in blocks of their own; the resolvent kernel's workspace is built
-    without it.  Between calls all of it is spent, so a free flight
-    (`advect_free_flight`) sweeps the same blocks on the same memory: a
-    workspace without advection is the resolvent kernel's, and holds at
-    least the flight's two blocks.
+    peak.  That count comes from the sweep itself, run once here on two
+    empty blocks, which take and give back scratch in the order of every
+    call's blocks; a shift term is swept too, since any call may ask for
+    one.  Between calls all of it is spent, so a free flight
+    (`advect_free_flight`) sweeps the same blocks on the same memory: the
+    kernel's workspace holds at least the flight's two blocks.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", ops: BandedOperators,
-                 coeffs, advection: bool = True, in_place: bool = True):
+                 coeffs, advection: bool = True):
         shape = grid.state_shape
         self.stencil = BlockedStencil(shape, grid, config.stencil_order, config.boundary)
         slab = math.prod(shape[1:])
         step = max(1, min(_BLOCK_BYTES // (8 * slab), shape[0]))
         self.blocks = [slice(i, i + step) for i in range(0, shape[0], step)]
         self.block_size = step * slab
+        self.in_place = advection
 
         self.x_matrices, self.product_terms, self.force_x = [], [], []
 
@@ -369,8 +373,16 @@ class Workspace:
         self.stacks = (None if self.speeds[0] is None else np.empty((step,) + d_x.shape),
                        None if self.speeds[1] is None else np.empty((len(speeds[1]),) + d_y.shape))
         self.spans = [self._spans(matrix) for matrix in self.x_matrices]
-        self.in_place = in_place
-        count = self._scratch_count()
+
+        # count the sweep's scratch by sweeping two empty blocks: every
+        # block after the first takes and gives back as the second does
+        empty = np.empty((0,) + shape[1:])
+        blocks = [slice(0, 0)] * min(2, len(self.blocks))
+        self.scratch = _Tally()
+        _sweep(empty, empty if self.in_place else np.empty_like(empty), self, blocks,
+               [None if spans is None else [(0, 0)] * len(blocks) for spans in self.spans],
+               [empty if spans is None else None for spans in self.spans], 1.0, None, 1.0)
+        count = len(self.scratch)
         if not advection:
             count = max(count, 2)
         state = math.prod(shape)
@@ -381,59 +393,23 @@ class Workspace:
 
     def _spans(self, matrix: np.ndarray):
         """Each block's [lo, hi) of slabs that `matrix`'s rows touch, or None
-        when the spans sum to more than 3 n."""
+        when the spans sum to more than 3 n, or when, on a workspace that
+        runs in place, one reaches back past the previous block."""
         spans = []
         for block in self.blocks:
             cols = np.flatnonzero(matrix[block].any(axis=0))
             spans.append((int(cols[0]), int(cols[-1]) + 1) if len(cols) else (block.start,) * 2)
         if sum(hi - lo for lo, hi in spans) > 3 * len(matrix):
             return None
-        for previous, (lo, _) in zip(self.blocks, spans[1:]):
-            if lo < previous.start:
-                raise ValueError(
-                    f"a narrow momentum-x band reaches back to slab {lo}, past the "
-                    f"block before slab {previous.stop}, which an in-place sweep "
-                    f"has already written back")
+        if self.in_place and any(lo < previous.start
+                                 for previous, (lo, _) in zip(self.blocks, spans[1:])):
+            return None
         return spans
-
-    def _scratch_count(self) -> int:
-        """The scratch blocks `banded_rhs` holds at its peak, counted as one
-        block of its sweep takes and gives them back in order.  A spent
-        block of a whole-state product joins the free blocks, so it counts
-        as one given back; a shift term is counted, since any call may ask
-        for one."""
-        narrow = [k for k, spans in enumerate(self.spans) if spans is not None]
-        lag = self.in_place and bool(narrow)
-        held = peak = self.in_place + lag     # the block's sum, the previous block's
-        written = False
-
-        def term(blocks: int) -> None:
-            # a term takes `blocks` more for a while and gives them back
-            nonlocal peak, written
-            peak = max(peak, held + blocks)
-            written = True
-
-        for k, terms in enumerate(self.product_terms):
-            if k in narrow:
-                held += 1
-                peak = max(peak, held)
-                held -= lag and k == narrow[-1]
-            for _ in terms:
-                term(1 + written)             # the weighted input, then the term
-            written = written or self.force_x[k]
-            held -= 1                         # the product, given back or spent
-        if any(stack is not None for stack in self.stacks):
-            term(1)
-        for _ in self.state_terms:
-            term(1 + written)
-        for _ in range((self.y_force is not None) + 1):   # the force-y term, a shift
-            term(written)
-        return peak
 
 
 def _along_y(matrix: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`matrix` applied along the P_y axis of a C-contiguous block of slabs."""
-    rows = block.shape[:2] + (-1,)
+    rows = (-1, len(matrix), math.prod(block.shape[2:]))
     np.matmul(matrix, block.reshape(rows), out=out.reshape(rows))
     return out
 
@@ -441,7 +417,7 @@ def _along_y(matrix: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarr
 def _weighted_stack(weights: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[i] = weights[i] matrix, as one outer-product matmul: a broadcast
     multiply would buffer the whole stack."""
-    np.matmul(weights[:, None], matrix.reshape(1, -1), out=out.reshape(len(weights), -1))
+    np.matmul(weights[:, None], matrix.reshape(1, -1), out=out.reshape(-1, matrix.size))
     return out
 
 
@@ -488,7 +464,7 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: floa
     velocity stacks, so it costs no pass over the state.
 
     The sum is `out`'s block, or with `out is values` (an in-place call, on
-    a workspace built `in_place`) a scratch block, written back with base
+    a stepped route's workspace) a scratch block, written back with base
     once no later read needs the old slabs: the whole-state products are
     formed before the sweep, a block's other terms read only its own slabs,
     and the next block's narrow-band products reach back no further than
@@ -496,15 +472,25 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: floa
     `values` and `base` may be one array; `out` is `values` or shares
     memory with neither nor with `work`, and every array is C-contiguous.
     """
-    in_place = out is values
-    if in_place and not work.in_place:
-        raise ValueError("an in-place call needs a workspace built in_place")
+    if out is values and not work.in_place:
+        raise ValueError("the resolvent kernel's workspace takes no in-place call")
     n = len(values)
     whole = iter(work.products)
     products = [next(whole) if spans is None else None for spans in work.spans]
     for matrix, product in zip(work.x_matrices, products):
         if product is not None:
             np.matmul(-scale * matrix, values.reshape(n, -1), out=product.reshape(n, -1))
+    return _sweep(values, out, work, work.blocks, work.spans, products, scale, base, shift)
+
+
+def _sweep(values: np.ndarray, out: np.ndarray, work: Workspace, blocks: list, spans: list,
+           products: list, scale: float, base: Optional[np.ndarray],
+           shift: float) -> np.ndarray:
+    """The sweep of `banded_rhs` over `blocks`, whose narrow-band spans are
+    spans[k] and whose whole-state products are products[k] (None where
+    the band is narrow), taking its scratch from `work.scratch`."""
+    in_place = out is values
+    width = math.prod(values.shape[1:])
     # product k holds -scale A_x f, so its terms take -w
     product_terms = [[(s, -w if my is None else -w * my) for s, w, my in terms]
                      for terms in work.product_terms]
@@ -515,24 +501,24 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: floa
     if stack_y is not None:
         _weighted_stack(scale * work.speeds[1], work.stencil.matrices[1], stack_y)
     force_x, force_y = work.tables
-    last_narrow = max((k for k, spans in enumerate(work.spans) if spans is not None),
+    last_narrow = max((k for k, block_spans in enumerate(spans) if block_spans is not None),
                       default=None)
     pending = None      # (block, the scratch block of its sum), not yet written back
-    for b, block in enumerate(work.blocks):
+    for b, block in enumerate(blocks):
         f = values[block]
-        free = [s for s in work.scratch if pending is None or s is not pending[1]]
+        free = _Free(work.scratch, None if pending is None else pending[1])
         if in_place:
             held = free.pop()
             acc = _Block(_shaped(held, f.shape), free)
         else:
             acc = _Block(out[block], free)
-        for k, (matrix, spans, product, terms, reads_force) in enumerate(zip(
-                work.x_matrices, work.spans, products, product_terms, work.force_x)):
+        for k, (matrix, block_spans, product, terms, reads_force) in enumerate(zip(
+                work.x_matrices, spans, products, product_terms, work.force_x)):
             if product is None:
-                lo, hi = spans[b]
+                lo, hi = block_spans[b]
                 p = acc.take()
-                np.matmul(-scale * matrix[block, lo:hi], values[lo:hi].reshape(hi - lo, -1),
-                          out=p.reshape(len(p), -1))
+                np.matmul(-scale * matrix[block, lo:hi], values[lo:hi].reshape(-1, width),
+                          out=p.reshape(-1, width))
                 if k == last_narrow and pending is not None:
                     # that was the last read of the previous block's old slabs
                     _write_back(values, *pending, base)
@@ -591,6 +577,28 @@ def _write_back(values: np.ndarray, block: slice, held: np.ndarray,
         values[block] = total
     else:
         np.add(total, base[block], out=values[block])
+
+
+class _Tally(list):
+    """The scratch blocks of a sweep that sizes a workspace: they are made
+    as it asks for them (see `_Free`), so it leaves as many as it held at
+    once."""
+
+
+class _Free(list):
+    """One block's free scratch blocks: those of `scratch` but `busy`.
+    Popped empty, it raises, unless `scratch` is a `_Tally`: then it makes
+    an empty block there and gives that."""
+
+    def __init__(self, scratch: list, busy: Optional[np.ndarray] = None):
+        super().__init__(s for s in scratch if s is not busy)
+        self.scratch = scratch
+
+    def pop(self) -> np.ndarray:
+        if self or not isinstance(self.scratch, _Tally):
+            return super().pop()
+        self.scratch.append(np.empty(0))
+        return self.scratch[-1]
 
 
 class _Block:

@@ -62,11 +62,12 @@ def make_kernel(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
     solver sums along each backward characteristic.  The small-spacing
     matrices share d/dP_x between the force and gradient terms, so K needs
     one momentum-x product, and as d/dP_x is tridiagonal the sweep forms it
-    per block.  The solve never calls K in place, so the workspace holds
-    the two blocks of an out-of-place sweep and of a free flight.
+    per block.  The solve never calls K in place, so the workspace, built
+    without advection, holds the two blocks of an out-of-place sweep and of
+    a free flight.
     """
     return Workspace(grid, config, difference_operators(coeffs, grid), coeffs,
-                     advection=False, in_place=False)
+                     advection=False)
 
 
 def rhs_continuum_fd(values: np.ndarray, out: np.ndarray, work: Workspace,

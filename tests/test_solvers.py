@@ -177,6 +177,8 @@ THIN = make_grid(2, (TAU, TAU), (np.pi, np.pi), (1, 6), (1, 2), NAT)
 FLAT = make_grid(2, (TAU, TAU), (np.pi, np.pi), (6, 1), (2, 1), NAT)
 # 13 x 13 x 40 x 40 cells: one P_x slab per block of the sweep
 MULTI_BLOCK = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (40, 40), (6, 6))
+# 13 P_x slabs in blocks of 4: a ladder cut at 5 reaches two blocks back
+REACH_BACK = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (24, 24), (6, 6))
 
 
 class TestBlockedStencil:
@@ -539,16 +541,19 @@ class TestWorkingMemory:
             assert array.size == 0 or np.shares_memory(array, work.arena)
         assert all(block.size == work.block_size for block in work.scratch)
 
-    @pytest.mark.parametrize("grid", [GB, MULTI_BLOCK], ids=["GB", "MULTI_BLOCK"])
-    @pytest.mark.parametrize("m_truncation", [None, 1], ids=["default_cutoff", "cut_1"])
+    @pytest.mark.parametrize("grid", [GB, MULTI_BLOCK, REACH_BACK],
+                             ids=["GB", "MULTI_BLOCK", "REACH_BACK"])
+    @pytest.mark.parametrize("m_truncation", [None, 1, 5],
+                             ids=["default_cutoff", "cut_1", "cut_5"])
     @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(b0=0.8), LinearEMField()],
                              ids=["gradient", "force_only", "free"])
     @pytest.mark.parametrize("route", [semidiscrete, continuum],
                              ids=["semidiscrete", "continuum"])
     def test_arena_holds_exactly_the_blocks_a_sweep_takes(self, route, field, m_truncation,
                                                           grid):
-        """The count taken from the terms is what an in-place call takes:
-        with one scratch block fewer the sweep runs out."""
+        """The count the build's sweep of two empty blocks takes is what an
+        in-place call on the whole state takes: with one scratch block fewer
+        the sweep runs out."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4,
                            m_truncation=m_truncation)
         rhs = route.make_rhs(linear_coefficients(field, grid), grid, cfg)
@@ -816,6 +821,20 @@ IN_PLACE_GRIDS = pytest.mark.parametrize("grid", [GS, GB, MULTI_BLOCK],
                                          ids=["GS", "GB", "MULTI_BLOCK"])
 
 
+def in_place_matches_out_of_place(work, grid, shift=0.0):
+    """Assert banded_rhs in place writes the out-of-place bits, with base
+    apart from f, base the input itself, and no base."""
+    f, start = np.random.default_rng(71).normal(size=(2,) + grid.state_shape)
+    for scale, base, base_is_input in ((0.37, start, False), (-2.5, None, True),
+                                       (1.0, None, False)):
+        expect = solver_common.banded_rhs(f, np.empty_like(f), work, scale,
+                                          f if base_is_input else base, shift)
+        got = f.copy()
+        assert solver_common.banded_rhs(got, got, work, scale,
+                                        got if base_is_input else base, shift) is got
+        assert got.tobytes() == expect.tobytes()
+
+
 class TestInPlaceSweep:
     """banded_rhs(f, f, work, scale, base) holds each block's sum in scratch
     and writes it back once the next block has formed its narrow-band
@@ -824,51 +843,64 @@ class TestInPlaceSweep:
     @IN_PLACE_GRIDS
     @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(b0=0.8), LinearEMField()],
                              ids=["gradient", "force_only", "free"])
-    @pytest.mark.parametrize("build", ["ladder", "ladder_cut_1", "small_spacing", "kernel"])
+    @pytest.mark.parametrize("build", ["ladder", "ladder_cut_1", "small_spacing",
+                                       "small_spacing_shift"])
     def test_in_place_matches_out_of_place(self, build, field, grid):
-        """Bit for bit, with base apart from f, base the input itself, and
-        no base; the kernel build runs with its shift.  On MULTI_BLOCK's 13
-        one-slab blocks every narrow band reaches into the previous block."""
+        """Bit for bit on a stepped route's workspace; the last build adds
+        the resolvent kernel's shift.  On MULTI_BLOCK's 13 one-slab blocks
+        every narrow band reaches into the previous block."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4,
                            m_truncation=1 if build == "ladder_cut_1" else None)
         coeffs = linear_coefficients(field, grid)
         ops = (semidiscrete.ladder_operators(coeffs, grid, cfg) if build.startswith("ladder")
                else continuum.difference_operators(coeffs, grid))
-        work = solver_common.Workspace(grid, cfg, ops, coeffs, advection=build != "kernel")
-        shift = GAMMA0 if build == "kernel" else 0.0
-        f, start = np.random.default_rng(71).normal(size=(2,) + grid.state_shape)
-        for scale, base, base_is_input in ((0.37, start, False), (-2.5, None, True),
-                                           (1.0, None, False)):
-            expect = solver_common.banded_rhs(f, np.empty_like(f), work, scale,
-                                              f if base_is_input else base, shift)
-            got = f.copy()
-            assert solver_common.banded_rhs(got, got, work, scale,
-                                            got if base_is_input else base, shift) is got
-            assert got.tobytes() == expect.tobytes()
+        work = solver_common.Workspace(grid, cfg, ops, coeffs)
+        in_place_matches_out_of_place(work, grid, GAMMA0 if build.endswith("shift") else 0.0)
 
     def test_kernel_workspace_refuses_an_in_place_call(self):
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
         work = continuum.make_kernel(linear_coefficients(GRADIENT_FIELD, GB), GB, cfg)
         f = packet(GB).values
-        with pytest.raises(ValueError, match="in_place"):
+        with pytest.raises(ValueError, match="no in-place call"):
             continuum.force_and_quantum(f, f, work)
 
-    def test_a_narrow_band_may_not_reach_back_two_blocks(self):
+    def test_a_band_reaching_back_two_blocks_goes_whole(self):
         """A band whose spans sum to at most 3 n but whose last row reads
-        the first slab, 12 one-slab blocks back, is refused at build; a
-        tridiagonal one, which reaches one block back, is not."""
+        the first slab, 12 one-slab blocks back, is applied to the whole
+        state on a stepped workspace, so an in-place call stays exact; the
+        kernel's workspace, never in place, forms it per block.  A
+        tridiagonal band, which reaches one block back, stays per block."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
         coeffs = linear_coefficients(LinearEMField(b0=0.8), MULTI_BLOCK)
         n = MULTI_BLOCK.n_s[0]
         reaching = np.eye(n)
         reaching[-1, 0] = 1.0
-        with pytest.raises(ValueError, match="reaches back"):
-            solver_common.Workspace(MULTI_BLOCK, cfg,
-                                    solver_common.BandedOperators((reaching, None), ()), coeffs)
+        ops = solver_common.BandedOperators((reaching, None), ())
+        work = solver_common.Workspace(MULTI_BLOCK, cfg, ops, coeffs)
+        assert len(work.blocks) == n and work.spans[0] is None
+        assert work.products.shape == (1,) + MULTI_BLOCK.state_shape
+        in_place_matches_out_of_place(work, MULTI_BLOCK)
+        kernel = solver_common.Workspace(MULTI_BLOCK, cfg, ops, coeffs, advection=False)
+        assert kernel.spans[0] is not None
         work = solver_common.Workspace(
             MULTI_BLOCK, cfg,
             solver_common.BandedOperators((band_matrix(n, [1.0], -1), None), ()), coeffs)
-        assert len(work.blocks) == n and work.spans[0] is not None
+        assert work.spans[0] is not None
+
+    @pytest.mark.parametrize("field", [GRADIENT_FIELD, LinearEMField(b0=0.8)],
+                             ids=["gradient", "force_only"])
+    def test_ladder_cut_at_five_on_blocks_of_four_slabs(self, field):
+        """The ladder cut at 5 on 13 P_x slabs in blocks of 4 is narrow by
+        the 3 n rule (spans 9 + 13 + 10 + 6), but block 2 reads slab 3,
+        before block 1: the stepped route builds, applies it to the whole
+        state, matches the oracle and runs in place bit for bit."""
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4,
+                           m_truncation=5)
+        rhs, work = stage_closure("semidiscrete", field, REACH_BACK, cfg)
+        assert [block.start for block in work.blocks] == [0, 4, 8, 12]
+        assert work.spans and all(spans is None for spans in work.spans)
+        TestStageContract.check_stage("semidiscrete", field, REACH_BACK, cfg)
+        in_place_matches_out_of_place(work, REACH_BACK)
 
 
 # ---------------------------------------------------------------------------
