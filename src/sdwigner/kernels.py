@@ -233,14 +233,6 @@ class LinearKernelCoefficients:
     zero_dy: float
 
 
-def curvature_kappa(field, grid: PhaseSpaceGrid) -> float:
-    """kappa = b1 hbar^2 e / (12 m), the strength of the field-gradient terms
-    shared by the stepped routes' coefficients and the backward walk's
-    curvature branches."""
-    c = grid.constants
-    return field.b1 * c.hbar ** 2 * c.charge / (12.0 * c.mass)
-
-
 def linear_coefficients(field, grid: PhaseSpaceGrid) -> LinearKernelCoefficients:
     """Tabulate the closed-form coefficients of the linear-field equation (2D)."""
     if grid.dim != 2:
@@ -267,7 +259,7 @@ def linear_coefficients(field, grid: PhaseSpaceGrid) -> LinearKernelCoefficients
                     - p_x[:, None, None] * b_of_y[None, :, :] / c.mass),
         (grid.n_s[0],) + grid.n_x).copy()
 
-    kappa = curvature_kappa(field, grid)
+    kappa = field.b1 * c.hbar ** 2 * c.charge / (12.0 * c.mass)
     pair_dy = -kappa * quadratic_coefficient(my, grid.dp[1])
     zero_dy = -(field.b1 * c.charge / (12.0 * c.mass)) * grid.coherence_length[1] ** 2 / 12.0
     return LinearKernelCoefficients(c1_x, c1_y, force_x, force_y, -kappa, pair_dy, zero_dy)

@@ -795,19 +795,18 @@ def boundary_mass_fraction(f, grid: PhaseSpaceGrid) -> float:
 
 def default_gamma0(field, grid: PhaseSpaceGrid, config: SolverConfig) -> float:
     """Auto event rate: max over the grid of the l1 coefficient mass of the
-    discretized force-plus-gradient operator.  Falls back to 1/t_end when the
-    field vanishes (so the rate is positive even for free streaming)."""
+    discretized force-plus-gradient operator, the gradient's from its
+    `curvature_branches`.  Falls back to 1/t_end when the field vanishes (so
+    the rate is positive even for free streaming)."""
     from ..kernels import linear_coefficients
+    from .continuum import curvature_branches
     co = linear_coefficients(field, grid)
     dpx, dpy = grid.dp
-    dx, dy = grid.dx
     # force tables depend on one momentum index each; reduce those first
     fx = np.max(np.abs(co.force_x), axis=0)
     fy = np.max(np.abs(co.force_y), axis=0)
     base = float(np.max(fx / dpx + fy / dpy))
-    kappa = abs(co.cross_dx)
-    if kappa != 0.0:
-        base += 4.0 * kappa / (dpy ** 2 * dx) + kappa / (dpx * dpy * dy)
+    base += float(np.abs(curvature_branches(co, grid, config.stencil_order)[2]).sum())
     return base if base > 0.0 else 1.0 / config.t_end
 
 
@@ -838,8 +837,7 @@ def evolve(f0, rhs: Callable[..., np.ndarray], grid: PhaseSpaceGrid,
     The state and one step buffer are allocated once and swapped each step,
     since `rk4_step` runs its last three stages in place; f0 is never
     written, and no reference to it is kept past its copy, so a caller that
-    hands f0 over without naming it holds two states, not three (on CPython
-    3.11+, where a call takes over its argument references).  The
+    hands f0 over without naming it holds two states, not three.  The
     array handed to `observer` is reused by the steps that follow, so an
     observer must copy what it keeps.
     """

@@ -8,13 +8,15 @@ exactly to advection plus the classical force term.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
 
 from ..kernels import LinearKernelCoefficients
 from ..phasespace import PhaseSpaceGrid
-from .common import BandedOperators, SolverConfig, Workspace, band_matrix, banded_rhs
+from .common import (BandedOperators, SolverConfig, Workspace, band_matrix, banded_rhs,
+                     derivative_matrix)
 
 
 def difference_operators(coeffs: LinearKernelCoefficients,
@@ -39,6 +41,35 @@ def difference_operators(coeffs: LinearKernelCoefficients,
         d2y = band_matrix(n_y, [dp_y ** -2], 1, centre=-2.0 * dp_y ** -2)
         gradient = ((0, kappa, None, d2y), (1, -kappa, d1x, d1y))
     return BandedOperators(force, gradient)
+
+
+def _centre_taps(matrix: Optional[np.ndarray]):
+    """Nonzero (offset, entry) pairs of a square lattice matrix's centre row
+    in descending offset; the identity, None, is the one pair (0, 1.0)."""
+    if matrix is None:
+        return ((0, 1.0),)
+    c = len(matrix) // 2
+    return [(k - c, t) for k, t in reversed(list(enumerate(matrix[c]))) if t != 0.0]
+
+
+def curvature_branches(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
+                       order: int):
+    """The gradient terms of `difference_operators` as the backward walk's
+    curvature branches: a term (s, w, A_x, A_y), D the `order` stencil along
+    x_s, gives per nonzero tap a of A_x, b of A_y and e of D, in descending
+    a, b, e, the index move (a, b), position move e dx_s and coefficient
+    w A_x[a] A_y[b] D[e].  Returns them as (k, 2), (k, 2) and (k,) arrays;
+    k is 0 without a field gradient."""
+    moves, steps, weights = [], [], []
+    for s, w, a_x, a_y in difference_operators(coeffs, grid).gradient:
+        stencil = derivative_matrix(5, grid.dx[s], order, "zero")   # centre row: all taps
+        for (a, t_a), (b, t_b), (e, t_e) in itertools.product(
+                _centre_taps(a_x), _centre_taps(a_y), _centre_taps(stencil)):
+            moves.append((a, b))
+            steps.append((e * grid.dx[0], 0.0) if s == 0 else (0.0, e * grid.dx[1]))
+            weights.append(w * t_a * t_b * t_e)
+    return (np.array(moves, dtype=np.int64).reshape(-1, 2),
+            np.array(steps).reshape(-1, 2), np.array(weights))
 
 
 def force_and_quantum(values: np.ndarray, out: np.ndarray, work: Workspace,

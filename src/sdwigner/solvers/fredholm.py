@@ -83,8 +83,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
 
     f0 is never written, and no reference to it is kept past its copy, so a
     caller that hands f0 over without naming it holds the solve's n_t + 3
-    states and no more (on CPython 3.11+, where a call takes over its
-    argument references).
+    states and no more.
     """
     if grid.dim != 2:
         raise ValueError("the integral-form solver requires a 2D grid")

@@ -13,13 +13,14 @@ A walker leaves the walker table when its walk ends: it reaches t = 0, is
 retired off the momentum lattice, or is capped over the weight cap.  A walk
 that reaches t = 0 records its weight and end point, and each chunk is
 scored in one pass after its walk.  Walker arrays hold one row per axis and
-one column per walker.  The curvature branches 5-18 carry b1, so a field
-without b1 samples 5 branches.  A collision reads the hop rates as per-walker
-arrays and the curvature coefficients as constants.  Its running sums go
-left to right; the row total is the last running sum for 5 branches (NumPy
-sums a 5-column row left to right) and NumPy's row sum of the (walkers, 19)
-|coefficient| table otherwise, so the walk matches a walk over that table
-bit for bit.
+one column per walker.  Branches 1-4 hop the momentum index at the force
+rates; the curvature branches from 5 on are `continuum.curvature_branches`
+at the config's stencil_order (14 at order 2, 28 at order 4, none without
+b1).  A collision reads the hop rates as per-walker arrays and the curvature
+coefficients as constants.  Its running sums go left to right; the row total
+is the last running sum for 5 branches (NumPy sums a 5-column row left to
+right) and NumPy's row sum of the (walkers, branches) |coefficient| table
+otherwise, so the walk matches a walk over that table bit for bit.
 
 The walkers are split evenly over ceil(n / 10000) chunks, walked one after
 another from the seed streams [rng_seed, k] with a fixed draw order (one
@@ -35,10 +36,11 @@ from typing import Tuple
 
 import numpy as np
 
-from ..kernels import curvature_kappa
+from ..kernels import linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
 from .common import SolverConfig, SolverInstabilityError, default_gamma0
+from .continuum import curvature_branches
 
 _MAX_ROUNDS = 100000
 _CHUNK_WALKERS = 10000   # most walkers one chunk's tables hold
@@ -104,30 +106,6 @@ def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
     return out
 
 
-# The curvature branches 5-18 as (momentum index move, position axis, position
-# step sign, weight), in branch order.  Branches 5-10 step x and move the y
-# index with the second-difference weights 1, -2, 1; branches 11-18 step y and
-# move both indices, and their weight -1 is the sign in front of kappa.
-_CURVATURE_BRANCHES = tuple(
-    [((0, dmy), 0, sx, wmy)
-     for dmy, wmy in ((1, 1.0), (0, -2.0), (-1, 1.0)) for sx in (1.0, -1.0)]
-    + [((smx, smy), 1, sy, -1.0)
-       for smx in (1, -1) for smy in (1, -1) for sy in (1.0, -1.0)])
-
-
-def _branch_moves(grid: PhaseSpaceGrid) -> Tuple[np.ndarray, np.ndarray]:
-    """Index and position displacement of the 19 collision branches, one row per axis."""
-    d_m = np.zeros((19, 2), dtype=np.int64)
-    d_x = np.zeros((19, 2))
-    # 0: rate-compensation branch, no move
-    d_m[1] = (1, 0); d_m[2] = (-1, 0)
-    d_m[3] = (0, 1); d_m[4] = (0, -1)
-    for row, (move, axis, sign, _) in enumerate(_CURVATURE_BRANCHES, start=5):
-        d_m[row] = move
-        d_x[row, axis] = sign * grid.dx[axis]
-    return d_m.T, d_x.T
-
-
 def _hop_rates(p: np.ndarray, pos: np.ndarray, field: LinearEMField,
                grid: PhaseSpaceGrid) -> Tuple[np.ndarray, np.ndarray]:
     """f_x / (2 dpx) and f_y / (2 dpy) at each walker, from p = midx dp (one row per axis).
@@ -151,24 +129,13 @@ def _hop_rates(p: np.ndarray, pos: np.ndarray, field: LinearEMField,
     return h_x, h_y
 
 
-def _curvature_coefficients(field: LinearEMField, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Coefficients of the curvature branches 5-18, the same at every walker."""
-    dpx, dpy = grid.dp
-    dx, dy = grid.dx
-    kappa = curvature_kappa(field, grid)
-    return np.array([
-        weight * kappa / dpy ** 2 * (sign / (2.0 * dx)) if axis == 0 else
-        weight * kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (sign / (2.0 * dy))
-        for (smx, smy), axis, sign, weight in _CURVATURE_BRANCHES])
-
-
 def _row_total(a_x: np.ndarray, a_y: np.ndarray, gamma0: float, k: np.ndarray) -> np.ndarray:
-    """Row sums of the (n, 19) |coefficient| table, summed by NumPy in its own order.
+    """Row sums of the (n, nb) |coefficient| table, summed by NumPy in its own order.
 
-    a_x, a_y are |h_x|, |h_y|, and k holds the 19 |coefficients| with
+    a_x, a_y are |h_x|, |h_y|, and k holds the nb |coefficients| with
     entries 0-4 unused (column 0 is gamma0).
     """
-    table = np.empty((a_x.size, 19))
+    table = np.empty((a_x.size, k.size))
     table[:, 0] = gamma0
     table[:, 1] = table[:, 2] = a_x
     table[:, 3] = table[:, 4] = a_y
@@ -177,26 +144,32 @@ def _row_total(a_x: np.ndarray, a_y: np.ndarray, gamma0: float, k: np.ndarray) -
 
 
 class _Branches:
-    """Per-chunk tables of the first nb collision branches.
+    """Tables of the nb collision branches, built once per estimate: the
+    rate compensation, the four force hops and the `curvature_branches`.
 
     A collision is looked up at index branch + nb * bits, where bits holds
     the signs of h_x (1) and h_y (2): `moves` and `position_moves` give its
     displacement (one row per axis), `sign` the sign of its coefficient.
-    `power` holds the 19 |coefficients| that are the same at every walker.
+    `power` holds the nb |coefficients| that are the same at every walker.
     """
 
-    def __init__(self, field: LinearEMField, grid: PhaseSpaceGrid, m_type):
-        self.nb = nb = 5 if field.b1 == 0.0 else 19
-        d_m, d_x = (np.tile(a[:, :nb], 4) for a in _branch_moves(grid))
-        self.moves, self.position_moves = d_m.astype(m_type), d_x
-        curv = np.zeros(19)
-        curv[5:] = _curvature_coefficients(field, grid)
-        sign = np.tile(np.sign(curv[:nb]), (4, 1))
+    def __init__(self, field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig):
+        d_m, d_x, curv = curvature_branches(linear_coefficients(field, grid), grid,
+                                            config.stencil_order)
+        self.nb = nb = 5 + curv.size
+        # momentum indices reach +-(n_p + 1) before a walker is retired, and
+        # np.abs of -(n_p + 1) must not wrap
+        m_type = np.min_scalar_type(-(max(grid.n_p) + 2))
+        hops = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+        self.moves = np.tile(np.concatenate([hops, d_m]).T, 4).astype(m_type)
+        self.position_moves = np.tile(np.concatenate([np.zeros((5, 2)), d_x]).T, 4)
+        coef = np.concatenate([np.zeros(5), curv])
+        sign = np.tile(np.sign(coef), (4, 1))
         for bits in range(4):
             s_x, s_y = (-1.0 if bits & 1 else 1.0), (-1.0 if bits & 2 else 1.0)
             sign[bits, :5] = (1.0, -s_x, s_x, -s_y, s_y)
         self.sign = sign.ravel()
-        self.power = np.abs(curv)
+        self.power = np.abs(coef)
 
 
 def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarray,
@@ -245,8 +218,8 @@ def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarra
 
 def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
                field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig,
-               gamma0: float) -> Tuple[np.ndarray, int, int]:
-    """Scores of n walks from one seed stream, with the capped and retired counts.
+               gamma0: float, br: _Branches) -> Tuple[np.ndarray, int, int]:
+    """Scores of n walks over br from one seed stream, with the capped and retired counts.
 
     Live walkers stay in ascending walker order, so each round hands its
     draws to the same walkers as a full table masked by liveness would.  A
@@ -256,10 +229,7 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     dp, mass = np.array(grid.dp)[:, None], grid.constants.mass
     n_p = np.array(grid.n_p)[:, None]
-    # momentum indices reach +-(n_p + 1) before a walker is retired, and
-    # np.abs of -(n_p + 1) must not wrap
-    m_type = np.min_scalar_type(-(max(grid.n_p) + 2))
-    br = _Branches(field, grid, m_type)
+    m_type = br.moves.dtype
 
     scores = np.zeros(n)
     scored = np.zeros(n, dtype=bool)
@@ -342,6 +312,7 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
     values0 = np.asarray(f0.values if isinstance(f0, WignerState) else f0, dtype=float)
 
     gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(field, grid, config)
+    br = _Branches(field, grid, config)
     n = config.n_particles
     n_chunks = -(-n // _CHUNK_WALKERS)
     base, extra = divmod(n, n_chunks)
@@ -351,7 +322,7 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
     n_retired = 0
     for k in range(n_chunks):
         s, cap, ret = _run_chunk(base + (k < extra), [config.rng_seed, k], target_m,
-                                 target_x, values0, field, grid, config, gamma0)
+                                 target_x, values0, field, grid, config, gamma0, br)
         chunks.append(s)
         n_capped += cap
         n_retired += ret

@@ -253,39 +253,45 @@ def rk4_classic(values, dt, rhs):
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _walk_moves(dx, dy):
-    """Lattice and position moves (19, 2) of the walk's collision branches.
+def _spatial_taps(order):
+    """(offset, numerator) pairs of the central first difference, descending
+    offset, and their denominator times the spacing: +-1/2 at +-1 for order
+    2; 8/12 at +-1 and -1/12 at +-2 for order 4."""
+    if order == 2:
+        return ((1, 1.0), (-1, -1.0)), 2.0
+    return ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)), 12.0
+
+
+def _walk_moves(dx, dy, order):
+    """Lattice and position moves (nb, 2) of the walk's collision branches.
 
     0 is the rate-compensation branch; 1-4 hop the momentum index by one
-    along x or y; 5-10 move x by +-dx at a momentum-y hop of +1, 0, -1;
-    11-18 hop both momentum indices by +-1 and move y by +-dy.
+    along x or y.  Then come the curvature branches, one per offset e of
+    the order's spatial stencil (descending): first those moving x by e dx
+    at a momentum-y hop of +1, 0, -1, then those hopping both momentum
+    indices by +-1 and moving y by e dy.  nb is 19 at order 2, 33 at order 4.
     """
-    d_m = np.zeros((19, 2), dtype=np.int64)
-    d_x = np.zeros((19, 2))
-    d_m[1:5] = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    row = 5
-    for dmy in (1, 0, -1):
-        for sx in (1.0, -1.0):
-            d_m[row], d_x[row] = (0, dmy), (sx * dx, 0.0)
-            row += 1
-    for smx in (1, -1):
-        for smy in (1, -1):
-            for sy in (1.0, -1.0):
-                d_m[row], d_x[row] = (smx, smy), (0.0, sy * dy)
-                row += 1
-    return d_m, d_x
+    taps = [e for e, _ in _spatial_taps(order)[0]]
+    moves = [((0, 0), (0.0, 0.0)), ((1, 0), (0.0, 0.0)), ((-1, 0), (0.0, 0.0)),
+             ((0, 1), (0.0, 0.0)), ((0, -1), (0.0, 0.0))]
+    moves += [((0, dmy), (e * dx, 0.0)) for dmy in (1, 0, -1) for e in taps]
+    moves += [((smx, smy), (0.0, e * dy))
+              for smx in (1, -1) for smy in (1, -1) for e in taps]
+    return (np.array([m for m, _ in moves], dtype=np.int64),
+            np.array([x for _, x in moves]))
 
 
 def walk_coefficients(midx, pos, *, gamma0, dp, dx, charge, mass, hbar, b0, b1=0.0,
-                      e_grad=(0.0, 0.0)):
-    """Signed coefficients (k, 19) of the collision branches at k walkers.
+                      e_grad=(0.0, 0.0), order=2):
+    """Signed coefficients (k, nb) of the collision branches at k walkers.
 
     midx and pos have one row per walker.  Branch 0 is the rate compensation
     gamma0.  Branches 1-4 hop the momentum index (see _walk_moves) with
     -f_x/(2 dpx), f_x/(2 dpx), -f_y/(2 dpy), f_y/(2 dpy), where
     f = q (E'_x x + p_y B_z/m, E'_y y - p_x B_z/m) and B_z = b0 + b1 y.
-    Branches 5-18 are the curvature terms of kappa = b1 hbar^2 q / (12 m),
-    the same at every walker.
+    The curvature branches from 5 on are the terms of
+    kappa = b1 hbar^2 q / (12 m) with the order's spatial taps, the same at
+    every walker.
     """
     dpx, dpy = dp
     ddx, ddy = dx
@@ -295,35 +301,38 @@ def walk_coefficients(midx, pos, *, gamma0, dp, dx, charge, mass, hbar, b0, b1=0
     f_x = charge * (e_grad[0] * pos[:, 0] + py * bz / mass)
     f_y = charge * (e_grad[1] * pos[:, 1] - px * bz / mass)
     kappa = b1 * hbar ** 2 * charge / (12.0 * mass)
-    out = np.empty((len(midx), 19))
+    taps, denominator = _spatial_taps(order)
+    curvature = ([kappa * wmy / dpy ** 2 * (t / (denominator * ddx))
+                  for wmy in (1.0, -2.0, 1.0) for _, t in taps]
+                 + [-kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (t / (denominator * ddy))
+                    for smx in (1.0, -1.0) for smy in (1.0, -1.0) for _, t in taps])
+    out = np.empty((len(midx), 5 + len(curvature)))
     out[:, 0] = gamma0
     out[:, 1] = -f_x / (2.0 * dpx)
     out[:, 2] = f_x / (2.0 * dpx)
     out[:, 3] = -f_y / (2.0 * dpy)
     out[:, 4] = f_y / (2.0 * dpy)
-    out[:, 5:] = ([kappa * wmy / dpy ** 2 * (sx / (2.0 * ddx))
-                   for wmy in (1.0, -2.0, 1.0) for sx in (1.0, -1.0)]
-                  + [-kappa * (smx / (2.0 * dpx)) * (smy / (2.0 * dpy)) * (sy / (2.0 * ddy))
-                     for smx in (1.0, -1.0) for smy in (1.0, -1.0) for sy in (1.0, -1.0)])
+    out[:, 5:] = curvature
     return out
 
 
 def walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_cap,
-                   dp, mass, n_p, dx, coefficients, interp, max_rounds=100000):
+                   dp, mass, n_p, dx, coefficients, interp, order=2, max_rounds=100000):
     """Backward walk on a full mutable walker table with an alive mask.
 
     Every round draws one exponential flight time and one uniform per live
     walker, in walker order.  A flight reaching t = 0 scores weight times
     interp(midx, pos); otherwise the walker moves back along its velocity
-    midx dp / mass and picks one of all 19 branches of coefficients(midx,
-    pos), an (k, 19) signed table, by cumulative |coefficient|.  A hop off
+    midx dp / mass and picks one of all nb branches of coefficients(midx,
+    pos), an (k, nb) signed table, by cumulative |coefficient|; the moves
+    are those of the stencil `order` (see _walk_moves).  A hop off
     the momentum lattice |midx| <= n_p retires the walker; a weight above
     weight_cap caps it.  midx and pos have one row per walker.  Returns
     (scores, n_capped, n_retired).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     dp, n_p = np.asarray(dp, dtype=float), np.asarray(n_p)
-    d_m, d_x = _walk_moves(*dx)
+    d_m, d_x = _walk_moves(*dx, order)
     midx = np.tile(np.asarray(target_m, dtype=np.int64), (n, 1))
     pos = np.tile(np.asarray(target_x, dtype=float), (n, 1))
     weight = np.ones(n)
@@ -358,7 +367,7 @@ def walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_ca
         absc = np.abs(coef)
         total = absc.sum(axis=1)
         r = u[~absorbed] * total
-        sel = np.minimum((np.cumsum(absc, axis=1) <= r[:, None]).sum(axis=1), 18)
+        sel = np.minimum((np.cumsum(absc, axis=1) <= r[:, None]).sum(axis=1), len(d_m) - 1)
         picked = coef[np.arange(ib.size), sel]
         weight[ib] *= np.sign(picked) * total / gamma0
         midx[ib] += d_m[sel]

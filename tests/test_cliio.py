@@ -496,10 +496,6 @@ class TestRunner:
 
     # 13 blocks of one momentum-x slab each, so a block is 1/13 state
     WIDE_GRID = {"n_x": [40, 40], "n_p": [6, 6]}
-    HANDOFF = pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="a call takes over its argument references only from CPython 3.11 on; "
-               "below it the runner's frame keeps the initial state for the whole run")
 
     @staticmethod
     def held_beside_states(work, coeffs):
@@ -508,7 +504,6 @@ class TestRunner:
         arrays = (coeffs.force_x, coeffs.force_y) + tuple(work.stacks) + tuple(work.scratch)
         return sum(a.nbytes for a in arrays if a is not None)
 
-    @HANDOFF
     @pytest.mark.parametrize("method, field", [
         ("semidiscrete", {"b0_T": 0.5, "b1_T_per_m": 1e7}), ("continuum", {"b0_T": 0.5})],
         ids=["ladder_gradient", "cyclotron"])
@@ -533,7 +528,6 @@ class TestRunner:
         assert (peak <= states * f.nbytes + self.held_beside_states(work, coeffs)
                 + 2 * 8 * work.block_size)
 
-    @HANDOFF
     def test_resolvent_run_holds_its_solve(self, tmp_path):
         """A resolvent run holds the solve's n_t + 3 states and its flight
         stacks, with the same tables, stacks and blocks around them as a

@@ -46,10 +46,27 @@ G2S = make_grid(2, (TAU, TAU), (np.pi, np.pi), (4, 4), (3, 3), NAT)
 G1 = make_grid(1, TAU, np.pi, 16, 2, NAT)
 # unequal axes, so a swapped axis or a transposed stack cannot pass unseen
 G2U = make_grid(2, (TAU, 4.0), (np.pi, 2.0), (7, 5), (3, 2), NAT)
+# 5 x 7 momentum slots on 6 x 5 cells: every order-4 tap lands on a cell of its own
+GR = make_grid(2, (TAU, 5.0), (np.pi, 2.5), (6, 5), (2, 3), NAT)
 
 
 def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def kernel_matrix(field, grid, cfg, gamma0):
+    """K + gamma0 I of the small-spacing route, assembled column by column
+    from `force_and_quantum`."""
+    work = continuum.make_kernel(linear_coefficients(field, grid), grid, cfg)
+    n = math.prod(grid.state_shape)
+    matrix = np.empty((n, n))
+    unit = np.zeros(grid.state_shape)
+    for j in range(n):
+        unit.flat[j] = 1.0
+        matrix[:, j] = continuum.force_and_quantum(
+            unit, np.empty_like(unit), work, gamma0=gamma0).ravel()
+        unit.flat[j] = 0.0
+    return matrix
 
 
 def advection(f, grid, order, boundary):
@@ -1416,33 +1433,36 @@ class TestMonteCarlo:
         assert np.isfinite(est.value)
 
     @staticmethod
-    def _table(field, gamma0, grid=G2):
-        """The oracle's (k, 19) coefficient table on grid, as a function of
-        (midx, pos) with one row per walker."""
+    def _table(field, gamma0, grid=G2, order=2):
+        """The oracle's (k, nb) coefficient table on grid at stencil order
+        `order`, as a function of (midx, pos) with one row per walker."""
         return lambda m, x: walk_coefficients(
             m, x, gamma0=gamma0, dp=grid.dp, dx=grid.dx, charge=NAT.charge, mass=NAT.mass,
-            hbar=NAT.hbar, b0=field.b0, b1=field.b1, e_grad=field.e_grad)
+            hbar=NAT.hbar, b0=field.b0, b1=field.b1, e_grad=field.e_grad, order=order)
 
     @classmethod
     def _walk_and_reference(cls, field, cfg, target, grid=G2, f0=None):
         """(scores, n_capped, n_retired) of one chunk, from the walk and from
-        the full-table reference walk over all 19 branches."""
+        the full-table reference walk over all the order's branches."""
         f0 = packet(grid, sigma_p=1.0).values if f0 is None else f0.values
         gamma0 = default_gamma0(field, grid, cfg)
         seed = [cfg.rng_seed, 0]
         got = montecarlo._run_chunk(cfg.n_particles, seed, target[0], target[1], f0,
-                                    field, grid, cfg, gamma0)
+                                    field, grid, cfg, gamma0,
+                                    montecarlo._Branches(field, grid, cfg))
         ref = walk_reference(
             cfg.n_particles, seed, target[0], target[1], t_end=cfg.t_end, gamma0=gamma0,
             weight_cap=cfg.weight_cap, dp=grid.dp, mass=NAT.mass, n_p=grid.n_p, dx=grid.dx,
-            coefficients=cls._table(field, gamma0, grid),
-            interp=lambda m, x: montecarlo._interp_initial(f0, grid, m.T, x.T, cfg.boundary))
+            coefficients=cls._table(field, gamma0, grid, cfg.stencil_order),
+            interp=lambda m, x: montecarlo._interp_initial(f0, grid, m.T, x.T, cfg.boundary),
+            order=cfg.stencil_order)
         return got, ref
 
-    @pytest.mark.parametrize("b1", [1.0, 0.0], ids=["gradient", "uniform"])
-    def test_walk_matches_reference(self, b1):
+    @pytest.mark.parametrize("b1, order", [(1.0, 2), (0.0, 2), (1.0, 4)],
+                             ids=["gradient", "uniform", "gradient_order4"])
+    def test_walk_matches_reference(self, b1, order):
         # the weight cap of test_weight_cap_tallied: capped walkers leave mid-walk
-        cfg = SolverConfig(dt=0.02, t_end=0.4, boundary="periodic",
+        cfg = SolverConfig(dt=0.02, t_end=0.4, boundary="periodic", stencil_order=order,
                            n_particles=400, rng_seed=3, weight_cap=1.5)
         (scores, capped, retired), (ref, ref_capped, ref_retired) = self._walk_and_reference(
             LinearEMField(b0=2.0, b1=b1), cfg, (np.array([0, 0]), np.array([0.0, 0.0])))
@@ -1506,6 +1526,57 @@ class TestMonteCarlo:
         got = (est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired)
         assert got == self.WALK_PINS[case]
 
+    def test_stencil_order_sets_the_curvature_taps(self):
+        # with b1 the walk's curvature branches follow the spatial stencil
+        field, target, boundary, cap = self.WALK_CASES["gradient"]
+        estimates = [mc_estimate_point(
+            target, packet(G2, sigma_p=1.0), field, G2,
+            SolverConfig(dt=0.02, t_end=0.4, boundary=boundary, n_particles=400,
+                         rng_seed=3, weight_cap=cap, stencil_order=order))
+            for order in (2, 4)]
+        assert estimates[0].value != estimates[1].value
+        assert estimates[0].gamma0 < estimates[1].gamma0
+
+    ROW_FIELDS = {"uniform": LinearEMField(b0=0.8),
+                  "e_gradient": LinearEMField(b0=0.3, e_grad=(0.4, -0.25)),
+                  "b1": LinearEMField(b0=0.5, b1=0.9)}
+
+    @staticmethod
+    def _walk_matrix(field, grid, cfg, gamma0):
+        """The walk's signed branch rows at the cell centres, one per lattice
+        point, from its branch table and hop rates: each branch adds its
+        signed coefficient at the point it moves to, and moves off the
+        momentum lattice are dropped (the kernel zero-fills them)."""
+        br = montecarlo._Branches(field, grid, cfg)
+        nb, shape = br.nb, grid.state_shape
+        n = math.prod(shape)
+        idx = np.indices(shape).reshape(4, n)
+        midx = idx[:2] - np.array(grid.n_p)[:, None]
+        pos = np.stack([grid.x_axes[c][idx[2 + c]] for c in range(2)])
+        h_x, h_y = montecarlo._hop_rates(midx * np.array(grid.dp)[:, None], pos, field, grid)
+        rates = np.concatenate([np.full((1, n), gamma0), np.abs([h_x, h_x, h_y, h_y]),
+                                np.repeat(br.power[5:, None], n, axis=1)])
+        bits = (h_x < 0) + 2 * (h_y < 0)
+        signed = br.sign[np.arange(nb)[:, None] + nb * bits] * rates
+        cells = np.rint(br.position_moves[:, :nb] / np.array(grid.dx)[:, None]).astype(int)
+        to = idx[:, None, :] + np.concatenate([br.moves[:, :nb], cells])[:, :, None]
+        on = np.all((to[:2] >= 0) & (to[:2] < np.array(grid.n_s)[:, None, None]), axis=0)
+        to[2:] %= np.array(grid.n_x)[:, None, None]
+        rows = np.broadcast_to(np.arange(n), (nb, n))
+        matrix = np.zeros((n, n))
+        np.add.at(matrix, (rows[on], np.ravel_multi_index(tuple(to[:, on]), shape)),
+                  signed[on])
+        return matrix
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("case", list(ROW_FIELDS))
+    def test_walk_rows_are_kernel_rows(self, case, order):
+        field, grid = self.ROW_FIELDS[case], GR
+        cfg = SolverConfig(dt=0.1, t_end=0.1, boundary="periodic", stencil_order=order)
+        kernel = kernel_matrix(field, grid, cfg, 3.0)
+        walk = self._walk_matrix(field, grid, cfg, 3.0)
+        np.testing.assert_allclose(walk, kernel, rtol=0.0, atol=1e-13 * np.abs(kernel).max())
+
     @pytest.mark.parametrize("n", [1, 3, 64, 1000])
     def test_rates_and_total_follow_the_table(self, n):
         rng = np.random.default_rng(n)
@@ -1516,7 +1587,7 @@ class TestMonteCarlo:
         h_x, h_y = montecarlo._hop_rates(midx * np.array(G2.dp)[:, None], pos, field, G2)
         assert np.array_equal(h_x, table[:, 2]) and np.array_equal(h_y, table[:, 4])
         k = np.zeros(19)
-        k[5:] = montecarlo._curvature_coefficients(field, G2)
+        k[5:] = continuum.curvature_branches(linear_coefficients(field, G2), G2, 2)[2]
         assert np.array_equal(k[5:], table[0, 5:])
         total = montecarlo._row_total(np.abs(h_x), np.abs(h_y), 7.0, np.abs(k))
         assert np.array_equal(total, np.abs(table).sum(axis=1))
@@ -1557,7 +1628,9 @@ class TestMonteCarlo:
         pos = rng.uniform(-1.5, 1.5, size=(50, 2))
         field = LinearEMField(b0=2.0, e_grad=(0.3, -0.2))
         assert np.all(self._table(field, 7.0)(midx, pos)[:, 5:] == 0.0)
-        assert np.all(montecarlo._curvature_coefficients(field, G2) == 0.0)
+        for order in (2, 4):
+            assert montecarlo._Branches(field, G2, SolverConfig(
+                dt=0.02, t_end=0.4, stencil_order=order)).nb == 5
 
     def test_walk_ending_in_the_last_allowed_round_returns(self, monkeypatch):
         # at this rate every walker reaches t = 0 in its first round
@@ -1742,3 +1815,15 @@ class TestEventRate:
         # strongest row: |P_y| = 4, |B| = 0.8 on both axes
         expect = 4 * 0.8 / G2.dp[0] + 4 * 0.8 / G2.dp[1]
         assert rate == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_curvature_mass_is_the_kernel_row_mass(self, order):
+        # at momentum (0, 0) the force vanishes without E, so the row of K
+        # holds the gradient block alone
+        field = LinearEMField(b0=0.5, b1=0.9)
+        cfg = SolverConfig(dt=0.1, t_end=0.1, boundary="periodic", stencil_order=order)
+        row = np.ravel_multi_index(GR.n_p + (3, 2), GR.state_shape)
+        kernel_row = kernel_matrix(field, GR, cfg, 0.0)[row]
+        curv = continuum.curvature_branches(linear_coefficients(field, GR), GR, order)[2]
+        assert curv.size == (14 if order == 2 else 28)
+        assert np.abs(curv).sum() == pytest.approx(np.abs(kernel_row).sum(), rel=1e-13)
