@@ -384,6 +384,49 @@ def walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_ca
     return scores, n_capped, n_retired
 
 
+def _corner_cells(x, c, grid, stride, periodic):
+    """Weights, flat offsets (index times stride) and in-lattice masks (None
+    if periodic) of the two cells around positions x along axis c: every
+    periodic position is wrapped by a float np.mod and every cell index by
+    an integer %."""
+    omega, n_cells = grid.omega_extent[c], grid.n_x[c]
+    x = x + 0.5 * omega
+    if periodic:
+        x = np.mod(x, omega)
+    fi = x / grid.dx[c] - 0.5
+    i0 = np.floor(fi).astype(np.int64)
+    t = fi - i0
+    cells = (i0, i0 + 1)
+    if periodic:
+        return (1.0 - t, t), [(i % n_cells) * stride for i in cells], None
+    inside = [(i >= 0) & (i < n_cells) for i in cells]
+    return (1.0 - t, t), [np.clip(i, 0, n_cells - 1) * stride for i in cells], inside
+
+
+def interp_initial_reference(values, grid, midx, pos, boundary):
+    """Bilinear sample of f0 (values on grid's (P_x, P_y, x, y) lattice) at
+    momentum indices midx and positions pos, one row per axis and one column
+    per point; at boundary "zero" a corner off the spatial lattice adds 0.
+    The sum runs over the corners (x0, y0), (x0, y1), (x1, y0), (x1, y1),
+    each term weight_x * weight_y * value, added to 0 in that order."""
+    nx, ny = grid.n_x
+    periodic = boundary == "periodic"
+    plane = ((midx[0].astype(np.intp) + grid.n_p[0]) * grid.n_s[1]
+             + midx[1] + grid.n_p[1]) * (nx * ny)
+    w_x, off_x, in_x = _corner_cells(pos[0], 0, grid, ny, periodic)
+    w_y, off_y, in_y = _corner_cells(pos[1], 1, grid, 1, periodic)
+    flat_values = values.reshape(-1)
+    out = np.zeros(midx.shape[1])
+    for a in range(2):
+        for b in range(2):
+            term = w_x[a] * w_y[b]
+            term *= flat_values.take(off_x[a] + off_y[b] + plane)
+            if not periodic:
+                np.copyto(term, 0.0, where=~(in_x[a] & in_y[b]))
+            out += term
+    return out
+
+
 def apply_along(matrix, values, axis):
     """out[..., i, ...] = sum_j matrix[i, j] values[..., j, ...] on one array axis.
 

@@ -32,8 +32,9 @@ from sdwigner.states import gaussian_wigner
 
 import table_route
 from oracles import (apply_along, boundary_fraction, fredholm_march, fredholm_sweeps,
-                     free_flight_rows, fresh, lattice_first_moment, lattice_second_moment,
-                     rk4_classic, roll_derivative, walk_coefficients, walk_reference)
+                     free_flight_rows, fresh, interp_initial_reference, lattice_first_moment,
+                     lattice_second_moment, rk4_classic, roll_derivative, walk_coefficients,
+                     walk_reference)
 from working_set import allocation_peak, bound_workspace
 
 NAT = PhysicalConstants(hbar=1.0, charge=1.0, mass=1.0)
@@ -1526,6 +1527,68 @@ class TestMonteCarlo:
         got = (est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired)
         assert got == self.WALK_PINS[case]
 
+    # the same at _CHUNK_WALKERS + 1 walkers, which walk two chunks, on the
+    # grid and field of configs/mc_point_probe.json: its three targets
+    # (periodic, b1 = 0, its own rate), and a target on the momentum
+    # lattice's edge at boundary "zero" with the default rate, where walkers
+    # retire.  Recorded with the walk of commit 2e0a5c1.
+    CHUNK_PINS = {
+        "probe_0": ("0x1.8903f99a3acf5p+44", "0x1.6ca72e68f3cfcp+36", 0, 0),
+        "probe_1": ("0x1.f2e44e5ef2afap+43", "0x1.47ae147ae147ap-16", 0, 0),
+        "probe_2": ("0x1.81c7e4962d90ep+43", "0x1.acdcc76aa6dfdp+35", 0, 0),
+        "edge_zero": ("0x1.c4f3635e5524dp+33", "0x1.1fa8af6c93386p+30", 0, 404),
+    }
+
+    @staticmethod
+    def _probe():
+        """Grid, field, solver config, initial state and targets of
+        configs/mc_point_probe.json."""
+        cfg = load_config(pathlib.Path(__file__).resolve().parents[1]
+                          / "configs" / "mc_point_probe.json")
+        grid = cfg.build_grid()
+        targets = [(np.array(t.m_index), np.array(t.position_nm) * 1e-9)
+                   for t in cfg.mc_targets]
+        return (grid, cfg.build_field(), cfg.build_solver_config(),
+                cfg.build_initial_state(grid), targets)
+
+    @pytest.mark.parametrize("case", list(CHUNK_PINS))
+    def test_two_chunks_are_pinned(self, case):
+        grid, field, scfg, f0, targets = self._probe()
+        scfg = dataclasses.replace(scfg, n_particles=montecarlo._CHUNK_WALKERS + 1)
+        if case == "edge_zero":
+            scfg = dataclasses.replace(scfg, boundary="zero", gamma0=None)
+            target = (np.array([grid.n_p[0], -2]), np.array([30e-9, -20e-9]))
+        else:
+            target = targets[int(case[-1])]
+        est = mc_estimate_point(target, f0, field, grid, scfg)
+        got = (est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired)
+        assert got == self.CHUNK_PINS[case]
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero"])
+    @pytest.mark.parametrize("on", ["G2", "probe"])
+    def test_scoring_matches_reference(self, on, boundary):
+        # positions over three windows per axis, and every window edge and
+        # multiple of omega with its neighbours one ulp away.  At omega = pi
+        # the one one ulp below -omega/2 lies so close to the window that
+        # np.mod rounds it up to omega; the probe's omega has no such offset.
+        grid = G2 if on == "G2" else self._probe()[0]
+        rng = np.random.default_rng(41)
+        n = 4000
+        pos = np.empty((2, n))
+        for c, omega in enumerate(grid.omega_extent):
+            marks = np.array([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]) * omega
+            marks = np.concatenate([marks, np.nextafter(marks, -np.inf),
+                                    np.nextafter(marks, np.inf)])
+            pos[c] = rng.uniform(-1.5 * omega, 1.5 * omega, n)
+            pos[c, c::2][:marks.size] = marks
+            if on == "G2":
+                assert np.any(np.mod(pos[c] + 0.5 * omega, omega) == omega)
+        midx = np.stack([rng.integers(-m, m + 1, n) for m in grid.n_p]).astype(np.int8)
+        f0 = packet(grid, sigma_p=1.0).values if on == "G2" else self._probe()[3].values
+        got = montecarlo._interp_initial(f0, grid, midx, pos, boundary)
+        ref = interp_initial_reference(f0, grid, midx, pos, boundary)
+        assert got.tobytes() == ref.tobytes()
+
     def test_stencil_order_sets_the_curvature_taps(self):
         # with b1 the walk's curvature branches follow the spatial stencil
         field, target, boundary, cap = self.WALK_CASES["gradient"]
@@ -1597,12 +1660,9 @@ class TestMonteCarlo:
         """tracemalloc peak of one estimate on the grid and first target of
         the mc_probe benchmark workload, which is mc_point_probe.json at
         15000 walkers."""
-        cfg = load_config(pathlib.Path(__file__).resolve().parents[1]
-                          / "configs" / "mc_point_probe.json")
-        grid, field = cfg.build_grid(), cfg.build_field()
-        scfg = dataclasses.replace(cfg.build_solver_config(), n_particles=n_particles)
-        f0 = cfg.build_initial_state(grid)
-        target = (np.array([1, 0]), np.zeros(2))
+        grid, field, scfg, f0, targets = TestMonteCarlo._probe()
+        scfg = dataclasses.replace(scfg, n_particles=n_particles)
+        target = targets[0]
         mc_estimate_point(target, f0, field, grid, scfg)
         return allocation_peak(lambda: mc_estimate_point(target, f0, field, grid, scfg))
 
