@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Stochastic point estimates vs the stepped grid route, with error scaling.
+"""Stochastic point estimates vs the stepped small-spacing route, with error scaling.
 
 Runs the backward-walk estimator at a growing particle count against a fixed
-phase-space target and compares with the value the deterministic solver
+phase-space target and compares with the value that the stepped route of
+the walk's own kernel (`continuum.make_rhs`, the small-spacing route)
 reaches at the same point.  The reported standard error should fall as
 1/sqrt(n); the gap to the grid value should stay within a few standard
-errors plus the grid route's own dispersion budget.
+errors plus the stepped route's own time-step and dispersion error.
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
 from sdwigner import (LinearEMField, SolverConfig, evolve, make_grid,
                       mc_estimate_point)
 from sdwigner.kernels import linear_coefficients
-from sdwigner.solvers.semidiscrete import make_rhs
+from sdwigner.solvers.continuum import make_rhs
 from sdwigner.states import gaussian_wigner
 
 
@@ -48,7 +50,6 @@ def main():
     print(f"{'n':>8s} {'estimate':>14s} {'stderr':>12s} {'gap/stderr':>11s}")
     prev = None
     for n in args.counts:
-        from dataclasses import replace
         est = mc_estimate_point(target, f0, field, grid,
                                 replace(cfg, n_particles=n))
         sigmas = abs(est.value - reference) / est.stderr if est.stderr else 0.0

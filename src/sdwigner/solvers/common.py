@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..kernels import LinearKernelCoefficients
 from ..phasespace import PhaseSpaceGrid
 from ..transform import WignerState
 
@@ -793,20 +794,20 @@ def boundary_mass_fraction(f, grid: PhaseSpaceGrid) -> float:
     return float(edge / total)
 
 
-def default_gamma0(field, grid: PhaseSpaceGrid, config: SolverConfig) -> float:
+def default_gamma0(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
+                   config: SolverConfig) -> float:
     """Auto event rate: max over the grid of the l1 coefficient mass of the
-    discretized force-plus-gradient operator, the gradient's from its
+    discretized force-plus-gradient operator of `coeffs`
+    (`kernels.linear_coefficients`), the gradient's from its
     `curvature_branches`.  Falls back to 1/t_end when the field vanishes (so
     the rate is positive even for free streaming)."""
-    from ..kernels import linear_coefficients
     from .continuum import curvature_branches
-    co = linear_coefficients(field, grid)
     dpx, dpy = grid.dp
     # force tables depend on one momentum index each; reduce those first
-    fx = np.max(np.abs(co.force_x), axis=0)
-    fy = np.max(np.abs(co.force_y), axis=0)
+    fx = np.max(np.abs(coeffs.force_x), axis=0)
+    fy = np.max(np.abs(coeffs.force_y), axis=0)
     base = float(np.max(fx / dpx + fy / dpy))
-    base += float(np.abs(curvature_branches(co, grid, config.stencil_order)[2]).sum())
+    base += float(np.abs(curvature_branches(coeffs, grid, config.stencil_order)[2]).sum())
     return base if base > 0.0 else 1.0 / config.t_end
 
 

@@ -95,7 +95,8 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
     if abs(steps - n_t) > 1e-9 * max(1.0, steps) or n_t < 1:
         raise ValueError(f"t_end={config.t_end!r} is not an integer multiple of dt={dt!r}")
 
-    gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(field, grid, config)
+    coeffs = linear_coefficients(field, grid)
+    gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(coeffs, grid, config)
     half = 0.5 * dt
     scale = 1.0 - half * gamma0
     if scale == 0.0:
@@ -103,7 +104,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
             "dt/2 gamma0 = 1 makes the diagonal weight dt/2 / (1 - dt/2 gamma0) infinite: "
             "integral solver turned non-finite at level 1")
     h = half / scale
-    work = make_kernel(linear_coefficients(field, grid), grid, config)
+    work = make_kernel(coeffs, grid, config)
     flights = [None] + [free_flight_operators(grid, lag * dt, config.boundary)
                         for lag in range(1, n_t + 1)]
     decay = np.exp(-gamma0 * dt * np.arange(n_t + 1))

@@ -10,17 +10,28 @@ condition; the exponential survival mass cancels against the damping factor,
 so no explicit decay factor appears at scoring time.
 
 A walker leaves the walker table when its walk ends: it reaches t = 0, is
-retired off the momentum lattice, or is capped over the weight cap.  A walk
-that reaches t = 0 records its weight and end point, and each chunk is
-scored in one pass after its walk.  Walker arrays hold one row per axis and
-one column per walker.  Branches 1-4 hop the momentum index at the force
-rates; the curvature branches from 5 on are `continuum.curvature_branches`
-at the config's stencil_order (14 at order 2, 28 at order 4, none without
-b1).  A collision reads the hop rates as per-walker arrays and the curvature
-coefficients as constants.  Its running sums go left to right; the row total
-is the last running sum for 5 branches (NumPy sums a 5-column row left to
-right) and NumPy's row sum of the (walkers, branches) |coefficient| table
-otherwise, so the walk matches a walk over that table bit for bit.
+retired off the momentum lattice, or is capped over the weight cap.  Each
+round drifts every walker, one that reaches t = 0 for the time it has left,
+and keeps the id, weight and end point of the walks that reached t = 0 in
+that round's record; then every walker collides (an ended walk's collision
+is dropped with it), and one compaction drops the walks the round ended.
+After its walk a chunk scores its records in one pass, in the order the
+walks ended, and scatters the scores to walker order once.  A scored
+position takes the float wrap onto the periodic window only where it lies
+outside it.  Walker arrays hold one row per axis and one column per walker;
+walker ids take the smallest unsigned type that holds a chunk, and each
+round's float temporaries are rows of one table per chunk.  Every walker
+does its floating-point operations in the order of a walk over the full
+table.
+
+Branches 1-4 hop the momentum index at the force rates; the curvature
+branches from 5 on are `continuum.curvature_branches` at the config's
+stencil_order (14 at order 2, 28 at order 4, none without b1).  A collision
+reads the hop rates as per-walker arrays and the curvature coefficients as
+constants.  Its running sums go left to right; the row total is the last
+running sum for 5 branches (NumPy sums a 5-column row left to right) and
+NumPy's row sum of the (walkers, branches) |coefficient| table otherwise,
+so the walk matches a walk over that table bit for bit.
 
 The walkers are split evenly over ceil(n / 10000) chunks, walked one after
 another from the seed streams [rng_seed, k] with a fixed draw order (one
@@ -36,7 +47,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..kernels import linear_coefficients
+from ..kernels import LinearKernelCoefficients, linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
 from .common import SolverConfig, SolverInstabilityError, default_gamma0
@@ -63,19 +74,35 @@ class MCEstimate:
 
 def _corners(x: np.ndarray, c: int, grid: PhaseSpaceGrid, stride: int, periodic: bool):
     """Weights, flat offsets (index times stride) and in-lattice masks (None
-    if periodic) of the two cells around positions x along axis c."""
+    if periodic) of the two cells around positions x along axis c.
+
+    A periodic position takes the float wrap np.mod only outside [0, omega)
+    from the window's low edge, as np.mod returns the others unchanged.  It
+    may round a tiny negative offset up to omega, so the two cell indices
+    lie in [-1, n] and wrap only at -1 and n.
+    """
     omega, n_cells = grid.omega_extent[c], grid.n_x[c]
     x = x + 0.5 * omega
     if periodic:
-        x = np.mod(x, omega)
-    fi = x / grid.dx[c] - 0.5
-    i0 = np.floor(fi).astype(np.int64)
-    t = fi - i0
-    cells = (i0, i0 + 1)
+        out = (x < 0.0) | (x >= omega)
+        if out.any():
+            x[out] = np.mod(x[out], omega)
+    x /= grid.dx[c]
+    x -= 0.5
+    i0 = np.floor(x)
+    t = np.subtract(x, i0, out=x)
+    i0 = i0.astype(np.intp)
+    i1 = i0 + 1
     if periodic:
-        return (1.0 - t, t), [(i % n_cells) * stride for i in cells], None
-    inside = [(i >= 0) & (i < n_cells) for i in cells]
-    return (1.0 - t, t), [np.clip(i, 0, n_cells - 1) * stride for i in cells], inside
+        i0[i0 < 0] = n_cells - 1
+        i1[i1 == n_cells] = 0
+        inside = None
+    else:
+        inside = [(i >= 0) & (i < n_cells) for i in (i0, i1)]
+        i0, i1 = (np.clip(i, 0, n_cells - 1) for i in (i0, i1))
+    i0 *= stride
+    i1 *= stride
+    return (1.0 - t, t), (i0, i1), inside
 
 
 def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
@@ -95,11 +122,10 @@ def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
     flat_values = values.reshape(-1)
     out = np.zeros(midx.shape[1])
     for a in range(2):
+        row = off_x[a] + plane
         for b in range(2):
-            flat = off_x[a] + off_y[b]
-            flat += plane
             term = w_x[a] * w_y[b]
-            term *= flat_values.take(flat)
+            term *= flat_values.take(off_y[b] + row)
             if not periodic:
                 np.copyto(term, 0.0, where=~(in_x[a] & in_y[b]))
             out += term
@@ -107,26 +133,33 @@ def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
 
 
 def _hop_rates(p: np.ndarray, pos: np.ndarray, field: LinearEMField,
-               grid: PhaseSpaceGrid) -> Tuple[np.ndarray, np.ndarray]:
-    """f_x / (2 dpx) and f_y / (2 dpy) at each walker, from p = midx dp (one row per axis).
+               grid: PhaseSpaceGrid, h: np.ndarray) -> np.ndarray:
+    """Write the rows f_x / (2 dpx) and f_y / (2 dpy) at each walker into
+    the (2, n) array h and return it, from p = midx dp (one row per axis).
 
-    Branches 1-4 hop the momentum index with coefficients -h_x, h_x, -h_y, h_y.
+    Branches 1-4 hop the momentum index with coefficients -h_x, h_x, -h_y,
+    h_y.  A zero b1 or E gradient adds no term: leaving it out changes at
+    most the sign of a zero rate, which no sign test or |h| reads.
     """
     c = grid.constants
     dpx, dpy = grid.dp
-    bz = field.b1 * pos[1]
-    bz += field.b0
-    h_x = p[1] * bz
-    h_x /= c.mass
-    h_x += field.e_grad[0] * pos[0]
-    h_x *= c.charge
-    h_x /= 2.0 * dpx
-    h_y = p[0] * bz
-    h_y /= c.mass
-    np.subtract(field.e_grad[1] * pos[1], h_y, out=h_y)
-    h_y *= c.charge
-    h_y /= 2.0 * dpy
-    return h_x, h_y
+    e_x, e_y = field.e_grad
+    bz = field.b0
+    if field.b1:
+        bz = field.b1 * pos[1]
+        bz += field.b0
+    np.multiply(p[1], bz, out=h[0])
+    np.multiply(p[0], bz, out=h[1])
+    h /= c.mass
+    if e_x:
+        h[0] += e_x * pos[0]
+    if e_y:
+        np.subtract(e_y * pos[1], h[1], out=h[1])
+    h *= c.charge
+    h[0] /= 2.0 * dpx
+    # without its E term f_y is -p_x bz: dividing by -2 dpy negates exactly
+    h[1] /= 2.0 * dpy if e_y else -2.0 * dpy
+    return h
 
 
 def _row_total(a_x: np.ndarray, a_y: np.ndarray, gamma0: float, k: np.ndarray) -> np.ndarray:
@@ -153,9 +186,9 @@ class _Branches:
     `power` holds the nb |coefficients| that are the same at every walker.
     """
 
-    def __init__(self, field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig):
-        d_m, d_x, curv = curvature_branches(linear_coefficients(field, grid), grid,
-                                            config.stencil_order)
+    def __init__(self, coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
+                 config: SolverConfig):
+        d_m, d_x, curv = curvature_branches(coeffs, grid, config.stencil_order)
         self.nb = nb = 5 + curv.size
         # momentum indices reach +-(n_p + 1) before a walker is retired, and
         # np.abs of -(n_p + 1) must not wrap
@@ -174,39 +207,44 @@ class _Branches:
 
 def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarray,
              u: np.ndarray, field: LinearEMField, grid: PhaseSpaceGrid, gamma0: float,
-             br: _Branches) -> None:
+             br: _Branches, scratch: np.ndarray) -> None:
     """Pick each walker's branch by cumulative |coefficient| at u and apply
     its move and signed weight factor sign * total / gamma0 in place.
 
     The sums are those of the (n, nb) |coefficient| table: running sums
-    left to right, and the row total as NumPy sums the table.  u is spent.
+    left to right, and the row total as NumPy sums the table.  u and the
+    (5, n) float table `scratch` are spent.
     """
     nb, k = br.nb, br.power
-    h_x, h_y = _hop_rates(p, pos, field, grid)
-    sel = (h_x < 0) * nb
-    sel += (h_y < 0) * (2 * nb)
-    a_x = np.abs(h_x, out=h_x)
-    a_y = np.abs(h_y, out=h_y)
+    h = _hop_rates(p, pos, field, grid, scratch[:2])
+    # sel = branch + nb * bits is summed in bytes, as its 4 nb <= 132
+    # values fit; bits holds the signs of h_x (1) and h_y (2)
+    neg = (h < 0).view(np.uint8)
+    sel = neg[0] * nb
+    sel += neg[1] * (2 * nb)
+    a_x, a_y = np.abs(h, out=h)
     total = _row_total(a_x, a_y, gamma0, k) if nb > 5 else None
     # running sums over branches 0-4; for 5 branches the last is the row
     # total, which NumPy sums left to right
-    s_1 = a_x + gamma0
+    s_1 = np.add(a_x, gamma0, out=scratch[2])
     s_2 = np.add(s_1, a_x, out=a_x)
-    s_3 = s_2 + a_y
+    s_3 = np.add(s_2, a_y, out=scratch[3])
     s_4 = np.add(s_3, a_y, out=a_y)
     if total is None:
         total = s_4
     r = np.multiply(u, total, out=u)
     # branch = count of the running sums before the last one that are <= r
-    sel += gamma0 <= r
+    sel += (gamma0 <= r).view(np.uint8)
     for s in (s_1, s_2, s_3):
-        sel += s <= r
+        sel += (s <= r).view(np.uint8)
     if nb > 5:
-        sel += s_4 <= r
+        sel += (s_4 <= r).view(np.uint8)
         for j in range(5, nb - 1):
             s_4 += k[j]
-            sel += s_4 <= r
-    step = br.sign.take(sel)
+            sel += (s_4 <= r).view(np.uint8)
+    sel = sel.astype(np.intp)
+    # sel is in range: mode "wrap" only spares take a buffered copy
+    step = br.sign.take(sel, out=scratch[4], mode="wrap")
     step *= total
     step /= gamma0
     weight *= step
@@ -216,30 +254,32 @@ def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarra
         pos += br.position_moves.take(sel, 1)
 
 
-def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
-               field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig,
-               gamma0: float, br: _Branches) -> Tuple[np.ndarray, int, int]:
-    """Scores of n walks over br from one seed stream, with the capped and retired counts.
+def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
+          grid: PhaseSpaceGrid, config: SolverConfig, gamma0: float, br: _Branches):
+    """Walk n walkers over br from one seed stream.
 
-    Live walkers stay in ascending walker order, so each round hands its
-    draws to the same walkers as a full table masked by liveness would.  A
-    walk that reaches t = 0 leaves its weight in `scores` and its end point
-    in `end_m`, `end_x`; the chunk is scored in one pass after the walk.
+    Returns the walks that reached t = 0, as one (ids, weights, momentum
+    indices, end points) record per round in round order, and the capped
+    and retired counts.  Live walkers stay in ascending walker order, so
+    each round hands its draws to the same walkers as a full table masked
+    by liveness would.  In a round every walker drifts, a walk that reaches
+    t = 0 for the time it has left, and is recorded; every walker then
+    collides, and one compaction drops the walks the round ended.  The
+    round's float temporaries are prefix views of one table, so that a
+    round allocates no float array beyond its draws and the compaction.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    dp, mass = np.array(grid.dp)[:, None], grid.constants.mass
-    n_p = np.array(grid.n_p)[:, None]
+    (dpx, dpy), mass, (npx, npy) = grid.dp, grid.constants.mass, grid.n_p
     m_type = br.moves.dtype
 
-    scores = np.zeros(n)
-    scored = np.zeros(n, dtype=bool)
-    end_m = np.zeros((2, n), dtype=m_type)
-    end_x = np.zeros((2, n))
-    ids = np.arange(n)
+    ids = np.arange(n, dtype=np.min_scalar_type(n))
     midx = np.repeat(np.asarray(target_m, dtype=m_type)[:, None], n, axis=1)
     pos = np.repeat(np.asarray(target_x, dtype=float)[:, None], n, axis=1)
     weight = np.ones(n)
     t_left = np.full(n, float(config.t_end))
+    # rows 0-1 hold p = midx dp, rows 2-3 the drift, rows 2-6 the collision's scratch
+    work = np.empty((7, n))
+    ends = []
     n_capped = 0
     n_retired = 0
     for _ in range(_MAX_ROUNDS):
@@ -247,46 +287,62 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
             break
         delta = rng.exponential(1.0 / gamma0, size=ids.size)
         u = rng.uniform(size=ids.size)
+        w = work[:, :ids.size]
+        p, drift = w[:2], w[2:4]
 
-        absorbed = delta >= t_left
-        if absorbed.any():
-            hit = np.flatnonzero(absorbed)
-            done = ids[hit]
-            m_hit = midx.take(hit, 1)
-            end_m[:, done] = m_hit
-            end_x[:, done] = pos.take(hit, 1) - m_hit * dp / mass * t_left[hit]
-            scores[done] = weight[hit]
-            scored[done] = True
-            keep = np.flatnonzero(~absorbed)
-            ids, midx, pos, weight, t_left, delta, u = (
-                a.take(keep, -1) for a in (ids, midx, pos, weight, t_left, delta, u))
-            if ids.size == 0:
-                continue
-        p = midx * dp
-        pos -= p / mass * delta
+        live = delta < t_left
+        np.minimum(delta, t_left, out=delta)
         t_left -= delta
-        # free each of the round's arrays once spent: compaction copies the table
+        np.multiply(midx[0], dpx, out=p[0])
+        np.multiply(midx[1], dpy, out=p[1])
+        np.divide(p, mass, out=drift)
+        drift *= delta
+        pos -= drift
         del delta
-        _collide(midx, pos, weight, p, u, field, grid, gamma0, br)
-        del p, u
+        hit = np.flatnonzero(~live)
+        if hit.size:
+            ends.append((ids.take(hit), weight.take(hit), midx.take(hit, 1),
+                         pos.take(hit, 1)))
+        _collide(midx, pos, weight, p, u, field, grid, gamma0, br, w[2:])
+        del u
 
         # hopping off the momentum lattice reads f = 0: score nothing
-        off = (np.abs(midx) > n_p).any(axis=0)
-        heavy = ~off & (np.abs(weight) > config.weight_cap)
-        n_retired += int(off.sum())
-        n_capped += int(heavy.sum())
-        ended = off | heavy
-        if ended.any():
-            keep = np.flatnonzero(~ended)
+        m_abs = np.abs(midx)
+        off = m_abs[0] > npx
+        off |= m_abs[1] > npy
+        off &= live
+        n_retired += int(np.count_nonzero(off))
+        live ^= off
+        heavy = np.abs(weight, out=w[2]) > config.weight_cap
+        heavy &= live
+        n_capped += int(np.count_nonzero(heavy))
+        live ^= heavy
+        keep = np.flatnonzero(live)
+        if keep.size < ids.size:
             ids, midx, pos, weight, t_left = (
                 a.take(keep, -1) for a in (ids, midx, pos, weight, t_left))
     # the last allowed round may have ended every walk
     if ids.size:
         raise SolverInstabilityError(
             "backward walk failed to terminate; check gamma0 and weight_cap")
+    return ends, n_capped, n_retired
+
+
+def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
+               field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig,
+               gamma0: float, br: _Branches) -> Tuple[np.ndarray, int, int]:
+    """Scores of n walks over br from one seed stream, in walker order, with
+    the capped and retired counts.  The walks that reached t = 0 are scored
+    in one pass, in the order they ended, and scattered to walker order."""
+    ends, n_capped, n_retired = _walk(n, seed_pair, target_m, target_x, field, grid,
+                                      config, gamma0, br)
     # capped and retired walks keep the score 0
-    np.multiply(scores, _interp_initial(f0_values, grid, end_m, end_x, config.boundary),
-                out=scores, where=scored)
+    scores = np.zeros(n)
+    if ends:
+        done, end_w, end_m, end_x = (np.concatenate(a, axis=-1) for a in zip(*ends))
+        del ends
+        scores[done] = end_w * _interp_initial(f0_values, grid, end_m, end_x,
+                                               config.boundary)
     return scores, n_capped, n_retired
 
 
@@ -311,8 +367,10 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
         raise ValueError("target momentum index lies outside the lattice")
     values0 = np.asarray(f0.values if isinstance(f0, WignerState) else f0, dtype=float)
 
-    gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(field, grid, config)
-    br = _Branches(field, grid, config)
+    coeffs = linear_coefficients(field, grid)
+    gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(coeffs, grid, config)
+    br = _Branches(coeffs, grid, config)
+    del coeffs   # free the tables: the walk reads the field's closed form
     n = config.n_particles
     n_chunks = -(-n // _CHUNK_WALKERS)
     base, extra = divmod(n, n_chunks)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdwigner import make_grid
+from sdwigner import kernels, make_grid
 from sdwigner.config import load_config
 from sdwigner.kernels import (LinearKernelCoefficients, compute_kernels,
                               harmonic_coefficient, linear_coefficients,
@@ -1446,11 +1446,12 @@ class TestMonteCarlo:
         """(scores, n_capped, n_retired) of one chunk, from the walk and from
         the full-table reference walk over all the order's branches."""
         f0 = packet(grid, sigma_p=1.0).values if f0 is None else f0.values
-        gamma0 = default_gamma0(field, grid, cfg)
+        coeffs = linear_coefficients(field, grid)
+        gamma0 = default_gamma0(coeffs, grid, cfg)
         seed = [cfg.rng_seed, 0]
         got = montecarlo._run_chunk(cfg.n_particles, seed, target[0], target[1], f0,
                                     field, grid, cfg, gamma0,
-                                    montecarlo._Branches(field, grid, cfg))
+                                    montecarlo._Branches(coeffs, grid, cfg))
         ref = walk_reference(
             cfg.n_particles, seed, target[0], target[1], t_end=cfg.t_end, gamma0=gamma0,
             weight_cap=cfg.weight_cap, dp=grid.dp, mass=NAT.mass, n_p=grid.n_p, dx=grid.dx,
@@ -1610,13 +1611,14 @@ class TestMonteCarlo:
         point, from its branch table and hop rates: each branch adds its
         signed coefficient at the point it moves to, and moves off the
         momentum lattice are dropped (the kernel zero-fills them)."""
-        br = montecarlo._Branches(field, grid, cfg)
+        br = montecarlo._Branches(linear_coefficients(field, grid), grid, cfg)
         nb, shape = br.nb, grid.state_shape
         n = math.prod(shape)
         idx = np.indices(shape).reshape(4, n)
         midx = idx[:2] - np.array(grid.n_p)[:, None]
         pos = np.stack([grid.x_axes[c][idx[2 + c]] for c in range(2)])
-        h_x, h_y = montecarlo._hop_rates(midx * np.array(grid.dp)[:, None], pos, field, grid)
+        h_x, h_y = montecarlo._hop_rates(midx * np.array(grid.dp)[:, None], pos, field, grid,
+                                         np.empty((2, n)))
         rates = np.concatenate([np.full((1, n), gamma0), np.abs([h_x, h_x, h_y, h_y]),
                                 np.repeat(br.power[5:, None], n, axis=1)])
         bits = (h_x < 0) + 2 * (h_y < 0)
@@ -1647,7 +1649,8 @@ class TestMonteCarlo:
         pos = rng.uniform(-1.5, 1.5, size=(2, n))
         field = LinearEMField(b0=2.0, b1=-0.7, e_grad=(0.3, -0.2))
         table = self._table(field, 7.0)(midx.T, pos.T)
-        h_x, h_y = montecarlo._hop_rates(midx * np.array(G2.dp)[:, None], pos, field, G2)
+        h_x, h_y = montecarlo._hop_rates(midx * np.array(G2.dp)[:, None], pos, field, G2,
+                                         np.empty((2, n)))
         assert np.array_equal(h_x, table[:, 2]) and np.array_equal(h_y, table[:, 4])
         k = np.zeros(19)
         k[5:] = continuum.curvature_branches(linear_coefficients(field, G2), G2, 2)[2]
@@ -1666,10 +1669,10 @@ class TestMonteCarlo:
         mc_estimate_point(target, f0, field, grid, scfg)
         return allocation_peak(lambda: mc_estimate_point(target, f0, field, grid, scfg))
 
-    # 1.1741 MiB (164 B per walker of a chunk) measured on two chunks of 7500
+    # 1.1244 MiB (157 B per walker of a chunk) measured on two chunks of 7500
     # walkers with scoring deferred to the end of each chunk, plus 10%; the
     # walk that scored in every round peaked at 2.27 MiB
-    CHUNK_PEAK = 1.1741 * 1.1 * 2 ** 20
+    CHUNK_PEAK = 1.1244 * 1.1 * 2 ** 20
 
     def test_walk_memory_per_walker(self):
         assert self._walk_peak(15000) <= self.CHUNK_PEAK
@@ -1689,7 +1692,7 @@ class TestMonteCarlo:
         field = LinearEMField(b0=2.0, e_grad=(0.3, -0.2))
         assert np.all(self._table(field, 7.0)(midx, pos)[:, 5:] == 0.0)
         for order in (2, 4):
-            assert montecarlo._Branches(field, G2, SolverConfig(
+            assert montecarlo._Branches(linear_coefficients(field, G2), G2, SolverConfig(
                 dt=0.02, t_end=0.4, stencil_order=order)).nb == 5
 
     def test_walk_ending_in_the_last_allowed_round_returns(self, monkeypatch):
@@ -1867,14 +1870,37 @@ def test_make_rhs_requires_config(route):
 class TestEventRate:
     def test_zero_field_falls_back(self):
         cfg = SolverConfig(dt=0.02, t_end=0.5)
-        assert default_gamma0(LinearEMField(), G2, cfg) == pytest.approx(1.0 / 0.5)
+        coeffs = linear_coefficients(LinearEMField(), G2)
+        assert default_gamma0(coeffs, G2, cfg) == pytest.approx(1.0 / 0.5)
 
     def test_dominated_by_force_rows(self):
         field = LinearEMField(b0=0.8)
-        rate = default_gamma0(field, G2, SolverConfig(dt=0.02, t_end=0.5))
+        rate = default_gamma0(linear_coefficients(field, G2), G2,
+                              SolverConfig(dt=0.02, t_end=0.5))
         # strongest row: |P_y| = 4, |B| = 0.8 on both axes
         expect = 4 * 0.8 / G2.dp[0] + 4 * 0.8 / G2.dp[1]
         assert rate == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["mc", "fredholm"])
+    def test_a_solve_tabulates_the_coefficients_once(self, method, monkeypatch):
+        # the default rate reads the table the walk's branches or the kernel use
+        calls = []
+        solver = montecarlo if method == "mc" else fredholm
+        original = kernels.linear_coefficients
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+        monkeypatch.setattr(kernels, "linear_coefficients", counting)
+        monkeypatch.setattr(solver, "linear_coefficients", counting)
+        field = LinearEMField(b0=0.5, b1=0.9)
+        cfg = SolverConfig(dt=0.02, t_end=0.04, boundary="periodic", n_particles=10)
+        f0 = packet(G2, sigma_p=1.0)
+        if method == "mc":
+            mc_estimate_point((np.array([0, 0]), np.zeros(2)), f0, field, G2, cfg)
+        else:
+            fredholm.solve_fredholm_resolvent(f0, field, G2, cfg)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_curvature_mass_is_the_kernel_row_mass(self, order):
