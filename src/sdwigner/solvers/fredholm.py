@@ -105,6 +105,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
             "integral solver turned non-finite at level 1")
     h = half / scale
     work = make_kernel(coeffs, grid, config)
+    del coeffs   # the kernel's workspace holds what it needs of them
     flights = [None] + [free_flight_operators(grid, lag * dt, config.boundary)
                         for lag in range(1, n_t + 1)]
     decay = np.exp(-gamma0 * dt * np.arange(n_t + 1))

@@ -10,19 +10,13 @@ condition; the exponential survival mass cancels against the damping factor,
 so no explicit decay factor appears at scoring time.
 
 A walker leaves the walker table when its walk ends: it reaches t = 0, is
-retired off the momentum lattice, or is capped over the weight cap.  Each
-round drifts every walker, one that reaches t = 0 for the time it has left,
-and keeps the id, weight and end point of the walks that reached t = 0 in
-that round's record; then every walker collides (an ended walk's collision
-is dropped with it), and one compaction drops the walks the round ended.
-After its walk a chunk scores its records in one pass, in the order the
-walks ended, and scatters the scores to walker order once.  A scored
-position takes the float wrap onto the periodic window only where it lies
-outside it.  Walker arrays hold one row per axis and one column per walker;
-walker ids take the smallest unsigned type that holds a chunk, and each
-round's float temporaries are rows of one table per chunk.  Every walker
-does its floating-point operations in the order of a walk over the full
-table.
+retired off the momentum lattice, or is capped over the weight cap.  A
+round drifts every walker (one that reaches t = 0 for the time it has
+left), records the walks that reached t = 0, collides every walker and
+compacts the table once.  After its walk a chunk scores its records in one
+pass and scatters the scores to walker order.  Every walker does its
+floating-point operations in the order of a walk over the full table.
+Walker arrays hold one row per axis and one column per walker.
 
 Branches 1-4 hop the momentum index at the force rates; the curvature
 branches from 5 on are `continuum.curvature_branches` at the config's
@@ -258,15 +252,11 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
           grid: PhaseSpaceGrid, config: SolverConfig, gamma0: float, br: _Branches):
     """Walk n walkers over br from one seed stream.
 
-    Returns the walks that reached t = 0, as one (ids, weights, momentum
-    indices, end points) record per round in round order, and the capped
-    and retired counts.  Live walkers stay in ascending walker order, so
-    each round hands its draws to the same walkers as a full table masked
-    by liveness would.  In a round every walker drifts, a walk that reaches
-    t = 0 for the time it has left, and is recorded; every walker then
-    collides, and one compaction drops the walks the round ended.  The
-    round's float temporaries are prefix views of one table, so that a
-    round allocates no float array beyond its draws and the compaction.
+    Returns the walks that reached t = 0, one (ids, weights, momentum
+    indices, end points) record per round, and the capped and retired
+    counts.  Live walkers stay in ascending walker order, so each round
+    hands its draws to the same walkers as a full table masked by liveness
+    would.  The round's float temporaries are prefix views of one table.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     (dpx, dpy), mass, (npx, npy) = grid.dp, grid.constants.mass, grid.n_p
@@ -333,7 +323,8 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
                gamma0: float, br: _Branches) -> Tuple[np.ndarray, int, int]:
     """Scores of n walks over br from one seed stream, in walker order, with
     the capped and retired counts.  The walks that reached t = 0 are scored
-    in one pass, in the order they ended, and scattered to walker order."""
+    in one pass, in the order they ended, once the walk's tables are freed,
+    and scattered to walker order."""
     ends, n_capped, n_retired = _walk(n, seed_pair, target_m, target_x, field, grid,
                                       config, gamma0, br)
     # capped and retired walks keep the score 0
