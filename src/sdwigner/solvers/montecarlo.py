@@ -13,8 +13,11 @@ A walker leaves the walker table when its walk ends: it reaches t = 0, is
 retired off the momentum lattice, or is capped over the weight cap.  A
 round drifts every walker (one that reaches t = 0 for the time it has
 left), records the walks that reached t = 0, collides every walker and
-compacts the table once.  After its walk a chunk scores its records in one
-pass and scatters the scores to walker order.  Every walker does its
+compacts the table once.  A chunk's float walker arrays, draws and scratch
+are rows of one table allocated for its walk, so a round allocates no
+walker-sized float array and the heap does not grow and shrink with the
+rounds.  After its walk a chunk scores its records in one pass and
+scatters the scores to walker order.  Every walker does its
 floating-point operations in the order of a walk over the full table.
 Walker arrays hold one row per axis and one column per walker.
 
@@ -256,45 +259,57 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
     indices, end points) record per round, and the capped and retired
     counts.  Live walkers stay in ascending walker order, so each round
     hands its draws to the same walkers as a full table masked by liveness
-    would.  The round's float temporaries are prefix views of one table.
+    would.
+
+    The walk's float arrays are rows of one table allocated per chunk, so
+    that no round allocates a walker-sized float array.  Two 4-row halves
+    take turns: one holds the live walkers (x, y, weight, t_left), the other
+    the round's draws and momenta (delta, u, p_x, p_y), and the compaction
+    takes each walker row into the other half.  Five more rows are the
+    drift and the collision's scratch.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     (dpx, dpy), mass, (npx, npy) = grid.dp, grid.constants.mass, grid.n_p
     m_type = br.moves.dtype
+    scale = 1.0 / gamma0
 
+    # rows 0-7: the two halves, starting with the walkers; rows 8-12: the scratch
+    table = np.empty((13, n))
+    halves = [table[0:4], table[4:8]]
+    table[0:2] = np.asarray(target_x, dtype=float)[:, None]
+    table[2] = 1.0
+    table[3] = float(config.t_end)
     ids = np.arange(n, dtype=np.min_scalar_type(n))
     midx = np.repeat(np.asarray(target_m, dtype=m_type)[:, None], n, axis=1)
-    pos = np.repeat(np.asarray(target_x, dtype=float)[:, None], n, axis=1)
-    weight = np.ones(n)
-    t_left = np.full(n, float(config.t_end))
-    # rows 0-1 hold p = midx dp, rows 2-3 the drift, rows 2-6 the collision's scratch
-    work = np.empty((7, n))
     ends = []
     n_capped = 0
     n_retired = 0
     for _ in range(_MAX_ROUNDS):
-        if ids.size == 0:
+        m = ids.size
+        if m == 0:
             break
-        delta = rng.exponential(1.0 / gamma0, size=ids.size)
-        u = rng.uniform(size=ids.size)
-        w = work[:, :ids.size]
-        p, drift = w[:2], w[2:4]
+        walkers, round_rows = halves[0][:, :m], halves[1][:, :m]
+        pos, weight, t_left = walkers[:2], walkers[2], walkers[3]
+        delta, u, p = round_rows[0], round_rows[1], round_rows[2:]
+        scratch = table[8:, :m]
+        # draw for draw the values of rng.exponential(scale) and rng.uniform()
+        rng.standard_exponential(out=delta)
+        delta *= scale
+        rng.random(out=u)
 
         live = delta < t_left
         np.minimum(delta, t_left, out=delta)
         t_left -= delta
         np.multiply(midx[0], dpx, out=p[0])
         np.multiply(midx[1], dpy, out=p[1])
-        np.divide(p, mass, out=drift)
+        drift = np.divide(p, mass, out=scratch[:2])
         drift *= delta
         pos -= drift
-        del delta
         hit = np.flatnonzero(~live)
         if hit.size:
             ends.append((ids.take(hit), weight.take(hit), midx.take(hit, 1),
                          pos.take(hit, 1)))
-        _collide(midx, pos, weight, p, u, field, grid, gamma0, br, w[2:])
-        del u
+        _collide(midx, pos, weight, p, u, field, grid, gamma0, br, scratch)
 
         # hopping off the momentum lattice reads f = 0: score nothing
         m_abs = np.abs(midx)
@@ -303,14 +318,17 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
         off &= live
         n_retired += int(np.count_nonzero(off))
         live ^= off
-        heavy = np.abs(weight, out=w[2]) > config.weight_cap
+        heavy = np.abs(weight, out=scratch[0]) > config.weight_cap
         heavy &= live
         n_capped += int(np.count_nonzero(heavy))
         live ^= heavy
         keep = np.flatnonzero(live)
-        if keep.size < ids.size:
-            ids, midx, pos, weight, t_left = (
-                a.take(keep, -1) for a in (ids, midx, pos, weight, t_left))
+        if keep.size < m:
+            # keep is in range: mode "clip" only spares take a buffered copy
+            for a, row in zip(walkers, halves[1]):
+                a.take(keep, out=row[:keep.size], mode="clip")
+            halves.reverse()
+            ids, midx = ids.take(keep), midx.take(keep, 1)
     # the last allowed round may have ended every walk
     if ids.size:
         raise SolverInstabilityError(
