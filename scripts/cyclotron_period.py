@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from sdwigner import LinearEMField, SolverConfig, evolve, make_grid
+from sdwigner import SI, LinearEMField, SolverConfig, evolve, make_grid
 from sdwigner.kernels import linear_coefficients
 from sdwigner.solvers.continuum import make_rhs
 from sdwigner.states import gaussian_wigner
@@ -45,9 +45,7 @@ def main():
     ap.add_argument("--steps", type=int, default=200)
     args = ap.parse_args()
 
-    mass = 9.1093837015e-31
-    charge = 1.602176634e-19
-    expected = 2.0 * math.pi * mass / (charge * args.b0)
+    expected = 2.0 * math.pi * SI.mass / (SI.charge * args.b0)
     measured = measured_period(args.b0, args.n_x, args.n_p,
                                args.dt_fs * 1e-15, args.steps)
     rel = abs(measured - expected) / expected

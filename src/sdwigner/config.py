@@ -22,6 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
+from .io import read_state, read_state_header
 from .phasespace import (LinearEMField, PhaseSpaceGrid, PhysicalConstants,
                          make_grid)
 from .solvers.common import SolverConfig, SolverConfigError
@@ -268,12 +269,8 @@ class SimulationConfig:
 
     def build_initial_state(self, grid: PhaseSpaceGrid):
         if self.state_type == "file":
-            from .io import read_state
             state, _ = read_state(self.state_file)
-            if state.values.shape != grid.state_shape:
-                raise ConfigError("initial_state.file",
-                                  f"state shape {state.values.shape} does not "
-                                  f"match the configured grid {grid.state_shape}")
+            _check_state_grid(state.grid, grid)
             return state
         from .states import gaussian_wigner
         return gaussian_wigner(
@@ -342,7 +339,7 @@ def config_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimulationC
 
 
 def _validate_cross(cfg: SimulationConfig):
-    """Checks that need several keys at once (window bound, targets, CFL)."""
+    """Checks that need several keys at once (window bound, targets, CFL, state grid)."""
     for i, (L, omega) in enumerate(zip(cfg.coherence_length_nm, cfg.omega_extent_nm)):
         if omega > L / 2:
             _fail(f"grid.omega_extent_nm[{i}]",
@@ -359,6 +356,25 @@ def _validate_cross(cfg: SimulationConfig):
         solver_cfg.validate(cfg.build_grid())
     except ValueError as exc:
         raise ConfigError("solver.dt_fs", str(exc)) from exc
+    if cfg.state_type == "file":
+        try:
+            state_grid = read_state_header(cfg.state_file)[0]
+        except ValueError as exc:
+            raise ConfigError("initial_state.file", str(exc)) from exc
+        _check_state_grid(state_grid, cfg.build_grid())
+
+
+def _check_state_grid(got: PhaseSpaceGrid, grid: PhaseSpaceGrid):
+    """Fail at initial_state.file on the first quantity of a state's grid that
+    differs from the configured one, lengths and constants to 1e-12 relative."""
+    for name in ("dim", "n_p", "n_x", "coherence_length", "omega_extent",
+                 "hbar", "charge", "mass"):
+        a, b = (getattr(g if hasattr(g, name) else g.constants, name) for g in (got, grid))
+        # dim is compared first, so the per-axis tuples after it have one length
+        x, y = (v if isinstance(v, tuple) else (v,) for v in (a, b))
+        if not all(math.isclose(p, q, rel_tol=1e-12) for p, q in zip(x, y)):
+            _fail("initial_state.file", f"the state's grid has {name} {a}, the configured "
+                                        f"grid {b}")
 
 
 def load_config(path) -> SimulationConfig:

@@ -7,8 +7,9 @@ and `continuum.make_rhs` bind a right-hand side for `evolve`.  The
 kernel-table reference route, which no run reaches, lives with the tests."""
 
 from .common import (EvolutionResult, FredholmConvergenceError, ObservableRecord,
-                     SolverConfig, SolverInstabilityError, boundary_mass_fraction,
-                     default_gamma0, evolve, mean_momentum_global, observables)
+                     SolverConfig, SolverInstabilityError, boundary_mass_fraction, evolve,
+                     mean_momentum_global, observables)
+from .continuum import default_gamma0
 from .fredholm import FredholmResult, solve_fredholm_resolvent
 from .montecarlo import MCEstimate, mc_estimate_point
 

@@ -72,6 +72,22 @@ def curvature_branches(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
             np.array(steps).reshape(-1, 2), np.array(weights))
 
 
+def default_gamma0(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
+                   config: SolverConfig) -> float:
+    """Auto event rate: max over the grid of the l1 coefficient mass of the
+    discretized force-plus-gradient operator of `coeffs`
+    (`kernels.linear_coefficients`), the gradient's from its
+    `curvature_branches`.  Falls back to 1/t_end when the field vanishes (so
+    the rate is positive even for free streaming)."""
+    dpx, dpy = grid.dp
+    # force tables depend on one momentum index each; reduce those first
+    fx = np.max(np.abs(coeffs.force_x), axis=0)
+    fy = np.max(np.abs(coeffs.force_y), axis=0)
+    base = float(np.max(fx / dpx + fy / dpy))
+    base += float(np.abs(curvature_branches(coeffs, grid, config.stencil_order)[2]).sum())
+    return base if base > 0.0 else 1.0 / config.t_end
+
+
 def force_and_quantum(values: np.ndarray, out: np.ndarray, work: Workspace,
                       scale: float = 1.0, base: Optional[np.ndarray] = None,
                       gamma0: float = 0.0) -> np.ndarray:

@@ -51,9 +51,8 @@ from ..kernels import linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
 from .common import (FredholmConvergenceError, SolverConfig, SolverInstabilityError,
-                     advect_free_flight, default_gamma0, free_flight_operators,
-                     l2_norm)
-from .continuum import force_and_quantum, make_kernel
+                     advect_free_flight, free_flight_operators, l2_norm)
+from .continuum import default_gamma0, force_and_quantum, make_kernel
 
 
 @dataclass

@@ -25,10 +25,9 @@ Branches 1-4 hop the momentum index at the force rates; the curvature
 branches from 5 on are `continuum.curvature_branches` at the config's
 stencil_order (14 at order 2, 28 at order 4, none without b1).  A collision
 reads the hop rates as per-walker arrays and the curvature coefficients as
-constants.  Its running sums go left to right; the row total is the last
-running sum for 5 branches (NumPy sums a 5-column row left to right) and
-NumPy's row sum of the (walkers, branches) |coefficient| table otherwise,
-so the walk matches a walk over that table bit for bit.
+constants.  Its running sums go left to right, and its row total is the
+running sum of branches 0-4 plus the curvature branches' total |coefficient|,
+summed once per estimate.
 
 The walkers are split evenly over ceil(n / 10000) chunks, walked one after
 another from the seed streams [rng_seed, k] with a fixed draw order (one
@@ -47,8 +46,8 @@ import numpy as np
 from ..kernels import LinearKernelCoefficients, linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
-from .common import SolverConfig, SolverInstabilityError, default_gamma0
-from .continuum import curvature_branches
+from .common import SolverConfig, SolverInstabilityError
+from .continuum import curvature_branches, default_gamma0
 
 _MAX_ROUNDS = 100000
 _CHUNK_WALKERS = 10000   # most walkers one chunk's tables hold
@@ -159,20 +158,6 @@ def _hop_rates(p: np.ndarray, pos: np.ndarray, field: LinearEMField,
     return h
 
 
-def _row_total(a_x: np.ndarray, a_y: np.ndarray, gamma0: float, k: np.ndarray) -> np.ndarray:
-    """Row sums of the (n, nb) |coefficient| table, summed by NumPy in its own order.
-
-    a_x, a_y are |h_x|, |h_y|, and k holds the nb |coefficients| with
-    entries 0-4 unused (column 0 is gamma0).
-    """
-    table = np.empty((a_x.size, k.size))
-    table[:, 0] = gamma0
-    table[:, 1] = table[:, 2] = a_x
-    table[:, 3] = table[:, 4] = a_y
-    table[:, 5:] = k[5:]
-    return table.sum(axis=1)
-
-
 class _Branches:
     """Tables of the nb collision branches, built once per estimate: the
     rate compensation, the four force hops and the `curvature_branches`.
@@ -180,7 +165,8 @@ class _Branches:
     A collision is looked up at index branch + nb * bits, where bits holds
     the signs of h_x (1) and h_y (2): `moves` and `position_moves` give its
     displacement (one row per axis), `sign` the sign of its coefficient.
-    `power` holds the nb |coefficients| that are the same at every walker.
+    `power` holds the nb |coefficients| that are the same at every walker,
+    and `curvature_mass` the sum of those of the curvature branches.
     """
 
     def __init__(self, coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
@@ -200,6 +186,7 @@ class _Branches:
             sign[bits, :5] = (1.0, -s_x, s_x, -s_y, s_y)
         self.sign = sign.ravel()
         self.power = np.abs(coef)
+        self.curvature_mass = float(np.abs(curv).sum())
 
 
 def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarray,
@@ -208,9 +195,9 @@ def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarra
     """Pick each walker's branch by cumulative |coefficient| at u and apply
     its move and signed weight factor sign * total / gamma0 in place.
 
-    The sums are those of the (n, nb) |coefficient| table: running sums
-    left to right, and the row total as NumPy sums the table.  u and the
-    (5, n) float table `scratch` are spent.
+    The running sums go left to right, and the row total is the last running
+    sum of branches 0-4 plus `br.curvature_mass`.  u, p and the (5, n) float
+    table `scratch` are spent.
     """
     nb, k = br.nb, br.power
     h = _hop_rates(p, pos, field, grid, scratch[:2])
@@ -220,15 +207,11 @@ def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarra
     sel = neg[0] * nb
     sel += neg[1] * (2 * nb)
     a_x, a_y = np.abs(h, out=h)
-    total = _row_total(a_x, a_y, gamma0, k) if nb > 5 else None
-    # running sums over branches 0-4; for 5 branches the last is the row
-    # total, which NumPy sums left to right
     s_1 = np.add(a_x, gamma0, out=scratch[2])
     s_2 = np.add(s_1, a_x, out=a_x)
     s_3 = np.add(s_2, a_y, out=scratch[3])
     s_4 = np.add(s_3, a_y, out=a_y)
-    if total is None:
-        total = s_4
+    total = np.add(s_4, br.curvature_mass, out=p[0]) if nb > 5 else s_4
     r = np.multiply(u, total, out=u)
     # branch = count of the running sums before the last one that are <= r
     sel += (gamma0 <= r).view(np.uint8)
@@ -248,7 +231,8 @@ def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarra
     midx += br.moves.take(sel, 1)
     if nb > 5:
         # branches 0-4 leave the position where it is
-        pos += br.position_moves.take(sel, 1)
+        for c in range(2):
+            pos[c] += br.position_moves[c].take(sel, out=scratch[c], mode="wrap")
 
 
 def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,

@@ -365,7 +365,7 @@ def walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_ca
 
         coef = coefficients(midx[ib], pos[ib])
         absc = np.abs(coef)
-        total = absc.sum(axis=1)
+        total = np.cumsum(absc[:, :5], axis=1)[:, -1] + absc[:, 5:].sum(axis=1)
         r = u[~absorbed] * total
         sel = np.minimum((np.cumsum(absc, axis=1) <= r[:, None]).sum(axis=1), len(d_m) - 1)
         picked = coef[np.arange(ib.size), sel]

@@ -15,7 +15,7 @@ import pytest
 
 import sdwigner
 import sdwigner.solvers
-from sdwigner import make_grid
+from sdwigner import SI, PhysicalConstants, make_grid
 from sdwigner.cli import main as cli_main
 from sdwigner.config import (REQUIRED, SCHEMA, ConfigError, SimulationConfig,
                              config_from_dict, load_config, write_config)
@@ -290,6 +290,29 @@ class TestConfigSchema:
         assert cfg.state_file == str(tmp_path / "init.sdwg")
         built = cfg.build_initial_state(cfg.build_grid())
         assert np.array_equal(built.values, state.values)
+
+    @pytest.mark.parametrize("name, change", [
+        ("dim", {"dim": 1}),
+        ("n_p", {"n_p": (4, 3)}),
+        ("n_x", {"n_x": (8, 6)}),
+        ("coherence_length", {"coherence_length": (200e-9, 240e-9)}),
+        ("omega_extent", {"omega_extent": (100e-9, 90e-9)}),
+        ("hbar", {"constants": PhysicalConstants(hbar=2.0 * SI.hbar)}),
+        ("charge", {"constants": PhysicalConstants(charge=0.5 * SI.charge)}),
+        ("mass", {"constants": PhysicalConstants(mass=2e-31)}),
+    ])
+    def test_state_on_another_grid_fails_at_the_file(self, tmp_path, name, change):
+        # base_dict's grid with one quantity changed
+        grid = make_grid(**{"dim": 2, "coherence_length": 200e-9, "omega_extent": 100e-9,
+                            "n_x": 8, "n_p": 4, **change})
+        write_state(tmp_path / "init.sdwg",
+                    WignerState(grid=grid, values=np.zeros(grid.state_shape), time=0.0))
+        d = base_dict()
+        d["initial_state"] = {"type": "file", "file": "init.sdwg"}
+        with pytest.raises(ConfigError) as err:
+            load_config(write_json(tmp_path, d))
+        assert err.value.path == "initial_state.file"
+        assert f"the state's grid has {name} " in str(err.value)
 
 
 STATE_GRIDS = {
@@ -624,6 +647,24 @@ class TestCLI:
         path = write_json(tmp_path, base_dict(grid={"omega_extent_nm": 150.0}))
         assert cli_main(["validate", str(path)]) == 2
         assert "bounded-domain" in capsys.readouterr().err
+
+    def test_state_on_another_grid_exits_2_before_writing(self, tmp_path, capsys):
+        # both lattices are 9 x 9 x 8 x 8: only the lengths and the mass differ
+        grid = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (8, 8), (4, 4),
+                         PhysicalConstants(mass=2e-31))
+        write_state(tmp_path / "init.sdwg",
+                    WignerState(grid=grid, values=np.zeros(grid.state_shape), time=0.0))
+        path = self.cfg_file(tmp_path, grid={"coherence_length_nm": 400.0,
+                                             "omega_extent_nm": 150.0})
+        d = json.loads(path.read_text())
+        d["initial_state"] = {"type": "file", "file": "init.sdwg"}
+        write_json(tmp_path, d)
+        out = tmp_path / "run"
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(command) == 2
+            assert "initial_state.file: the state's grid has coherence_length" in \
+                capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert cli_main(["validate", str(tmp_path / "nope.json")]) == 2

@@ -1472,7 +1472,7 @@ class TestMonteCarlo:
             assert capped > 0
             assert np.array_equal(scores, ref)
         else:
-            # 5 branches: the |coefficient| total is summed in another order
+            # 5 branches
             np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
         assert (capped, retired) == (ref_capped, ref_retired)
 
@@ -1504,10 +1504,11 @@ class TestMonteCarlo:
         np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
 
     # (value.hex(), stderr.hex(), n_capped, n_retired) of mc_estimate_point,
-    # recorded with the walk of commit 625ff69: a change to the draw order or
-    # to the walk's arithmetic moves them
+    # recorded with the walk of commit 625ff69, and "gradient" again once the
+    # row total added the curvature mass as one constant: a change to the
+    # draw order or to the walk's arithmetic moves them
     WALK_PINS = {
-        "gradient": ("0x1.4a4933e0e049ap-6", "0x1.bd200d8a718bbp-10", 258, 0),
+        "gradient": ("0x1.4a4933e0e0492p-6", "0x1.bd200d8a718adp-10", 258, 0),
         "uniform": ("-0x1.8c8c5ad0267b2p-12", "0x1.b0f6dbea596b3p-11", 159, 5),
     }
     WALK_CASES = {
@@ -1538,6 +1539,9 @@ class TestMonteCarlo:
         "probe_1": ("0x1.f2e44e5ef2afap+43", "0x1.47ae147ae147ap-16", 0, 0),
         "probe_2": ("0x1.81c7e4962d90ep+43", "0x1.acdcc76aa6dfdp+35", 0, 0),
         "edge_zero": ("0x1.c4f3635e5524dp+33", "0x1.1fa8af6c93386p+30", 0, 404),
+        # the first target with b1 = 1e7 at stencil_order 4 (33 branches),
+        # recorded with the walk that adds the curvature mass as one constant
+        "b1_order4": ("0x1.8ba3009f88140p+44", "0x1.c176047d6c7cep+36", 0, 0),
     }
 
     @staticmethod
@@ -1559,6 +1563,10 @@ class TestMonteCarlo:
         if case == "edge_zero":
             scfg = dataclasses.replace(scfg, boundary="zero", gamma0=None)
             target = (np.array([grid.n_p[0], -2]), np.array([30e-9, -20e-9]))
+        elif case == "b1_order4":
+            field = dataclasses.replace(field, b1=1e7)
+            scfg = dataclasses.replace(scfg, stencil_order=4)
+            target = targets[0]
         else:
             target = targets[int(case[-1])]
         est = mc_estimate_point(target, f0, field, grid, scfg)
@@ -1655,16 +1663,22 @@ class TestMonteCarlo:
         k = np.zeros(19)
         k[5:] = continuum.curvature_branches(linear_coefficients(field, G2), G2, 2)[2]
         assert np.array_equal(k[5:], table[0, 5:])
-        total = montecarlo._row_total(np.abs(h_x), np.abs(h_y), 7.0, np.abs(k))
-        assert np.array_equal(total, np.abs(table).sum(axis=1))
+        # the walk's total: the running sum of branches 0-4 plus the curvature mass
+        br = montecarlo._Branches(linear_coefficients(field, G2), G2,
+                                  SolverConfig(dt=0.02, t_end=0.4))
+        a_x, a_y = np.abs(h_x), np.abs(h_y)
+        total = 7.0 + a_x + a_x + a_y + a_y + br.curvature_mass
+        absc = np.abs(table)
+        assert np.array_equal(total, absc[:, :5].cumsum(axis=1)[:, -1] + absc[:, 5:].sum(axis=1))
 
     @staticmethod
-    def _walk_peak(n_particles):
+    def _walk_peak(n_particles, b1=0.0, order=2):
         """tracemalloc peak of one estimate on the grid and first target of
         the mc_probe benchmark workload, which is mc_point_probe.json at
-        15000 walkers."""
+        15000 walkers, with the field's b1 and the stencil order set."""
         grid, field, scfg, f0, targets = TestMonteCarlo._probe()
-        scfg = dataclasses.replace(scfg, n_particles=n_particles)
+        field = dataclasses.replace(field, b1=b1)
+        scfg = dataclasses.replace(scfg, n_particles=n_particles, stencil_order=order)
         target = targets[0]
         mc_estimate_point(target, f0, field, grid, scfg)
         return allocation_peak(lambda: mc_estimate_point(target, f0, field, grid, scfg))
@@ -1674,8 +1688,12 @@ class TestMonteCarlo:
     # walk that scored in every round peaked at 2.27 MiB
     CHUNK_PEAK = 1.1244 * 1.1 * 2 ** 20
 
-    def test_walk_memory_per_walker(self):
-        assert self._walk_peak(15000) <= self.CHUNK_PEAK
+    # with b1 the collision adds 14 or 28 curvature branches, and no round
+    # allocates a walker-sized float array at either order
+    @pytest.mark.parametrize("b1, order", [(0.0, 2), (1e7, 2), (1e7, 4)],
+                             ids=["probe", "b1_order2", "b1_order4"])
+    def test_walk_memory_per_walker(self, b1, order):
+        assert self._walk_peak(15000, b1, order) <= self.CHUNK_PEAK
 
     def test_walk_memory_is_bounded_by_the_chunk_size(self):
         # chunks hold at most _CHUNK_WALKERS walkers, so beyond one chunk's
