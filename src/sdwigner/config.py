@@ -24,7 +24,7 @@ from typing import Optional
 
 from .io import read_state, read_state_header
 from .phasespace import (LinearEMField, PhaseSpaceGrid, PhysicalConstants,
-                         make_grid)
+                         grid_difference, make_grid)
 from .solvers.common import SolverConfig, SolverConfigError
 
 NM = 1e-9
@@ -366,15 +366,12 @@ def _validate_cross(cfg: SimulationConfig):
 
 def _check_state_grid(got: PhaseSpaceGrid, grid: PhaseSpaceGrid):
     """Fail at initial_state.file on the first quantity of a state's grid that
-    differs from the configured one, lengths and constants to 1e-12 relative."""
-    for name in ("dim", "n_p", "n_x", "coherence_length", "omega_extent",
-                 "hbar", "charge", "mass"):
-        a, b = (getattr(g if hasattr(g, name) else g.constants, name) for g in (got, grid))
-        # dim is compared first, so the per-axis tuples after it have one length
-        x, y = (v if isinstance(v, tuple) else (v,) for v in (a, b))
-        if not all(math.isclose(p, q, rel_tol=1e-12) for p, q in zip(x, y)):
-            _fail("initial_state.file", f"the state's grid has {name} {a}, the configured "
-                                        f"grid {b}")
+    differs from the configured one (`grid_difference`)."""
+    differ = grid_difference(got, grid)
+    if differ is not None:
+        name, a, b = differ
+        _fail("initial_state.file", f"the state's grid has {name} {a}, the configured "
+                                    f"grid {b}")
 
 
 def load_config(path) -> SimulationConfig:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .phasespace import PhaseSpaceGrid, PhysicalConstants, make_grid
+from .phasespace import PhaseSpaceGrid, PhysicalConstants, grid_difference, make_grid
 from .solvers.common import l2_norm
 from .transform import WignerState
 
@@ -153,15 +153,13 @@ def _parse_header(raw, path):
 
 
 def relative_l2_diff(a: WignerState, b: WignerState) -> float:
-    """Relative L2 distance between two states on matching grids, with its
-    norms taken by `l2_norm`, so the value is the same at every BLAS thread
-    count."""
-    ga, gb = a.grid, b.grid
-    if ga.state_shape != gb.state_shape:
-        raise ValueError(f"state shapes differ: {ga.state_shape} vs {gb.state_shape}")
-    for name in ("coherence_length", "omega_extent"):
-        if not np.allclose(getattr(ga, name), getattr(gb, name), rtol=1e-12):
-            raise ValueError(f"grid {name} differs between the two states")
+    """Relative L2 distance between two states on matching grids
+    (`grid_difference`), with its norms taken by `l2_norm`, so the value is
+    the same at every BLAS thread count."""
+    differ = grid_difference(a.grid, b.grid)
+    if differ is not None:
+        name, x, y = differ
+        raise ValueError(f"the two states' grids differ in {name}: {x} vs {y}")
     denom = l2_norm(b.values)
     if denom == 0.0:
         return l2_norm(a.values)

@@ -14,6 +14,7 @@ makes the forward/inverse transform pair an exact (scaled) unitary DFT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -157,6 +158,25 @@ def make_grid(dim: int,
             raise ValueError(f"n_p[{i}] must be a positive integer, got {npp[i]}")
     return PhaseSpaceGrid(dim, tuple(map(float, L)), tuple(map(float, omega)),
                           tuple(map(int, nx)), tuple(map(int, npp)), constants)
+
+
+def grid_difference(a: PhaseSpaceGrid, b: PhaseSpaceGrid):
+    """The first quantity in which grid a differs from grid b, as (name,
+    a's value, b's value), or None.  dim, n_p and n_x must be equal; the
+    lengths and hbar, charge and mass must agree to 1e-12 relative, with no
+    absolute term, so a length in metres is compared at its own scale."""
+    for name in ("dim", "n_p", "n_x", "coherence_length", "omega_extent",
+                 "hbar", "charge", "mass"):
+        x, y = (getattr(g if hasattr(g, name) else g.constants, name) for g in (a, b))
+        if name in ("dim", "n_p", "n_x"):
+            same = x == y
+        else:
+            # dim is compared first, so the per-axis tuples here have one length
+            same = all(math.isclose(p, q, rel_tol=1e-12)
+                       for p, q in zip(*((v if isinstance(v, tuple) else (v,)) for v in (x, y))))
+        if not same:
+            return name, x, y
+    return None
 
 
 # ---------------------------------------------------------------------------

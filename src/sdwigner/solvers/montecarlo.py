@@ -9,13 +9,21 @@ A walker that survives to t = 0 scores weight times the interpolated initial
 condition; the exponential survival mass cancels against the damping factor,
 so no explicit decay factor appears at scoring time.
 
+Which walk runs follows from the field.  With b1 or an E gradient the rates
+move with position, and the walk goes from collision to collision.  Without
+them (uniform B, or no field) the hop rates follow the momentum alone, which
+a flight keeps, so the walk goes from hop to hop (`_fly_to_hop`): the
+rate-compensation collisions between two hops are integrated out into one
+exact factor exp(lam delta), and a walker without hop rate reaches t = 0 in
+its first round.  That walk checks the weight cap after each hop.
+
 A walker leaves the walker table when its walk ends: it reaches t = 0, is
 retired off the momentum lattice, or is capped over the weight cap.  A
-round drifts every walker (one that reaches t = 0 for the time it has
-left), records the walks that reached t = 0, collides every walker and
-compacts the table once.  A chunk's float walker arrays, draws and scratch
-are rows of one table allocated for its walk, so a round allocates no
-walker-sized float array and the heap does not grow and shrink with the
+round flies every walker (one that reaches t = 0 for the time it has
+left), records the walks that reached t = 0, collides or hops every walker
+and compacts the table once.  A chunk's float walker arrays, draws and
+scratch are rows of one table allocated for its walk, so a round allocates
+no walker-sized float array and the heap does not grow and shrink with the
 rounds.  After its walk a chunk scores its records in one pass and
 scatters the scores to walker order.  Every walker does its
 floating-point operations in the order of a walk over the full table.
@@ -189,17 +197,13 @@ class _Branches:
         self.curvature_mass = float(np.abs(curv).sum())
 
 
-def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarray,
-             u: np.ndarray, field: LinearEMField, grid: PhaseSpaceGrid, gamma0: float,
-             br: _Branches, scratch: np.ndarray) -> None:
-    """Pick each walker's branch by cumulative |coefficient| at u and apply
-    its move and signed weight factor sign * total / gamma0 in place.
-
-    The running sums go left to right, and the row total is the last running
-    sum of branches 0-4 plus `br.curvature_mass`.  u, p and the (5, n) float
-    table `scratch` are spent.
-    """
-    nb, k = br.nb, br.power
+def _row_sums(p: np.ndarray, pos: np.ndarray, field: LinearEMField, grid: PhaseSpaceGrid,
+              gamma0: float, br: _Branches, scratch: np.ndarray):
+    """The sign bits nb * bits and the running sums s_1-s_4 of branches 0-4
+    at each walker, s_4 being gamma0 plus the hop rate.  Returns (sel,
+    (s_1, s_2, s_3, s_4)); the sums are rows 2, 0, 3 and 1 of the float
+    table scratch, summed left to right."""
+    nb = br.nb
     h = _hop_rates(p, pos, field, grid, scratch[:2])
     # sel = branch + nb * bits is summed in bytes, as its 4 nb <= 132
     # values fit; bits holds the signs of h_x (1) and h_y (2)
@@ -211,8 +215,20 @@ def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarra
     s_2 = np.add(s_1, a_x, out=a_x)
     s_3 = np.add(s_2, a_y, out=scratch[3])
     s_4 = np.add(s_3, a_y, out=a_y)
-    total = np.add(s_4, br.curvature_mass, out=p[0]) if nb > 5 else s_4
-    r = np.multiply(u, total, out=u)
+    return sel, (s_1, s_2, s_3, s_4)
+
+
+def _branch(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, sel: np.ndarray,
+            sums, total: np.ndarray, r: np.ndarray, gamma0: float, br: _Branches,
+            scratch: np.ndarray) -> None:
+    """Apply at each walker the branch whose running-sum interval holds r:
+    its move and signed weight factor sign * total / gamma0, in place.
+
+    sel holds the sign bits and sums the running sums of `_row_sums`; the
+    curvature branches' sums run on from s_4, which they spend.  Row 4 of
+    scratch takes the factor, rows 0-1 the position moves."""
+    nb, k = br.nb, br.power
+    s_1, s_2, s_3, s_4 = sums
     # branch = count of the running sums before the last one that are <= r
     sel += (gamma0 <= r).view(np.uint8)
     for s in (s_1, s_2, s_3):
@@ -235,9 +251,44 @@ def _collide(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, p: np.ndarra
             pos[c] += br.position_moves[c].take(sel, out=scratch[c], mode="wrap")
 
 
+def _fly_to_hop(e: np.ndarray, u: np.ndarray, t_left: np.ndarray, weight: np.ndarray,
+                total: np.ndarray, gamma0: float, x: np.ndarray):
+    """Fly each walker to its next hop or to t = 0, whichever comes first,
+    with its rate-compensation collisions integrated out.
+
+    The hops come at rate lam = gamma0 R / total, R = total - gamma0 the hop
+    rate, and the rate-compensation collisions, each a factor total /
+    gamma0, at rate gamma0^2 / total, independently.  Over a flight of
+    delta these multiply the weight by exp(lam delta) in expectation, which
+    the weight takes in their place.  The standard exponential e gives the
+    hop at lam delta = e, which comes before t = 0 iff e < lam t_left, so
+    a walker without hop rate divides by nothing and flies to t = 0.
+
+    Returns whether the hop comes first, and the time flown in row x.  u
+    becomes gamma0 + u R, which picks the hop among branches 1-4 at its
+    running sums.  e is spent.
+    """
+    np.subtract(total, gamma0, out=x)      # R
+    r = np.multiply(u, x, out=u)
+    r += gamma0
+    x *= gamma0
+    x /= total
+    x *= t_left                            # lam t_left
+    hop = e < x
+    np.minimum(e, x, out=e)                # lam delta
+    # delta / t_left: e / (lam t_left) at a hop, 1 at t = 0
+    delta = np.divide(e, x, out=x, where=hop)
+    np.copyto(delta, 1.0, where=~hop)
+    delta *= t_left
+    weight *= np.exp(e, out=e)
+    return hop, delta
+
+
 def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
-          grid: PhaseSpaceGrid, config: SolverConfig, gamma0: float, br: _Branches):
-    """Walk n walkers over br from one seed stream.
+          grid: PhaseSpaceGrid, config: SolverConfig, gamma0: float, br: _Branches,
+          hops: bool):
+    """Walk n walkers over br from one seed stream: from hop to hop
+    (`_fly_to_hop`) if `hops`, else from collision to collision.
 
     Returns the walks that reached t = 0, one (ids, weights, momentum
     indices, end points) record per round, and the capped and retired
@@ -248,9 +299,9 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
     The walk's float arrays are rows of one table allocated per chunk, so
     that no round allocates a walker-sized float array.  Two 4-row halves
     take turns: one holds the live walkers (x, y, weight, t_left), the other
-    the round's draws and momenta (delta, u, p_x, p_y), and the compaction
+    the round's draws and momenta (e, u, p_x, p_y), and the compaction
     takes each walker row into the other half.  Five more rows are the
-    drift and the collision's scratch.
+    drift, the running sums and the collision's scratch.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     (dpx, dpy), mass, (npx, npy) = grid.dp, grid.constants.mass, grid.n_p
@@ -274,26 +325,42 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
             break
         walkers, round_rows = halves[0][:, :m], halves[1][:, :m]
         pos, weight, t_left = walkers[:2], walkers[2], walkers[3]
-        delta, u, p = round_rows[0], round_rows[1], round_rows[2:]
+        e, u, p = round_rows[0], round_rows[1], round_rows[2:]
         scratch = table[8:, :m]
-        # draw for draw the values of rng.exponential(scale) and rng.uniform()
-        rng.standard_exponential(out=delta)
-        delta *= scale
+        rng.standard_exponential(out=e)
         rng.random(out=u)
-
-        live = delta < t_left
-        np.minimum(delta, t_left, out=delta)
-        t_left -= delta
         np.multiply(midx[0], dpx, out=p[0])
         np.multiply(midx[1], dpy, out=p[1])
-        drift = np.divide(p, mass, out=scratch[:2])
+
+        if hops:
+            # the rates follow the momentum, which the flight keeps
+            sel, sums = _row_sums(p, pos, field, grid, gamma0, br, scratch)
+            total = sums[3]
+            live, delta = _fly_to_hop(e, u, t_left, weight, total, gamma0, scratch[4])
+            drift = np.divide(p, mass, out=p)
+        else:
+            # draw for draw the values of rng.exponential(scale)
+            e *= scale
+            live = e < t_left
+            delta = np.minimum(e, t_left, out=e)
+            drift = np.divide(p, mass, out=scratch[:2])
+        t_left -= delta
         drift *= delta
         pos -= drift
         hit = np.flatnonzero(~live)
         if hit.size:
             ends.append((ids.take(hit), weight.take(hit), midx.take(hit, 1),
                          pos.take(hit, 1)))
-        _collide(midx, pos, weight, p, u, field, grid, gamma0, br, scratch)
+        # the hop walk ends most walks in its first rounds: free their index
+        del hit
+        if not hops:
+            # collide where the flight ended: u times the row total, the
+            # running sum of branches 0-4 plus the curvature mass, picks the
+            # branch by cumulative |coefficient|
+            sel, sums = _row_sums(p, pos, field, grid, gamma0, br, scratch)
+            total = np.add(sums[3], br.curvature_mass, out=p[0]) if br.nb > 5 else sums[3]
+            u *= total
+        _branch(midx, pos, weight, sel, sums, total, u, gamma0, br, scratch)
 
         # hopping off the momentum lattice reads f = 0: score nothing
         m_abs = np.abs(midx)
@@ -322,13 +389,13 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
 
 def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
                field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig,
-               gamma0: float, br: _Branches) -> Tuple[np.ndarray, int, int]:
+               gamma0: float, br: _Branches, hops: bool) -> Tuple[np.ndarray, int, int]:
     """Scores of n walks over br from one seed stream, in walker order, with
     the capped and retired counts.  The walks that reached t = 0 are scored
     in one pass, in the order they ended, once the walk's tables are freed,
     and scattered to walker order."""
     ends, n_capped, n_retired = _walk(n, seed_pair, target_m, target_x, field, grid,
-                                      config, gamma0, br)
+                                      config, gamma0, br, hops)
     # capped and retired walks keep the score 0
     scores = np.zeros(n)
     if ends:
@@ -364,6 +431,8 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
     gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(coeffs, grid, config)
     br = _Branches(coeffs, grid, config)
     del coeffs   # free the tables: the walk reads the field's closed form
+    # without b1 or an E gradient the hop rates follow the momentum alone
+    hops = not field.b1 and not any(field.e_grad)
     n = config.n_particles
     n_chunks = -(-n // _CHUNK_WALKERS)
     base, extra = divmod(n, n_chunks)
@@ -373,7 +442,7 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
     n_retired = 0
     for k in range(n_chunks):
         s, cap, ret = _run_chunk(base + (k < extra), [config.rng_seed, k], target_m,
-                                 target_x, values0, field, grid, config, gamma0, br)
+                                 target_x, values0, field, grid, config, gamma0, br, hops)
         chunks.append(s)
         n_capped += cap
         n_retired += ret

@@ -384,6 +384,84 @@ def walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_ca
     return scores, n_capped, n_retired
 
 
+def hop_walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_cap,
+                       dp, mass, n_p, coefficients, interp, max_rounds=100000):
+    """Backward walk from hop to hop on a full mutable walker table with an
+    alive mask, for a field whose 5 branch coefficients(midx, pos), an (k, 5)
+    signed table, follow the momentum alone.
+
+    Every round draws one standard exponential e and one uniform u per live
+    walker, in walker order.  With the row total T (the running sum of the
+    |coefficients|), the hop rate R = T - gamma0 and lam = gamma0 R / T, a
+    walker hops iff e < lam t_left.  Then it moves back along its velocity
+    midx dp / mass for t_left e / (lam t_left), its weight takes exp(e),
+    and it picks among branches 1-4 the one whose running-sum interval
+    holds gamma0 + u R, with the factor sign * T / gamma0.  Otherwise its
+    weight takes exp(lam t_left) and it scores weight times interp(midx,
+    pos) at the end of its flight to t = 0.  A hop off the momentum lattice
+    |midx| <= n_p retires the walker; a weight above weight_cap caps it.
+    midx and pos have one row per walker.  Returns (scores, n_capped,
+    n_retired).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
+    dp, n_p = np.asarray(dp, dtype=float), np.asarray(n_p)
+    d_m = _walk_moves(1.0, 1.0, 2)[0][:5]
+    midx = np.tile(np.asarray(target_m, dtype=np.int64), (n, 1))
+    pos = np.tile(np.asarray(target_x, dtype=float), (n, 1))
+    weight = np.ones(n)
+    time_left = np.full(n, float(t_end))
+    alive = np.ones(n, dtype=bool)
+    scores = np.zeros(n)
+    n_capped = n_retired = 0
+    for _ in range(max_rounds):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        e = rng.standard_exponential(size=idx.size)
+        u = rng.uniform(size=idx.size)
+        t_left = time_left[idx]
+        vel = midx[idx] * dp / mass
+        coef = coefficients(midx[idx], pos[idx])
+        assert not coef[:, 5:].any()
+        coef = coef[:, :5]
+        sums = np.cumsum(np.abs(coef), axis=1)
+        total = sums[:, -1]
+        rate = total - gamma0
+        lam_t = rate * gamma0 / total * t_left
+        weight[idx] *= np.exp(np.minimum(e, lam_t))
+
+        absorbed = e >= lam_t
+        ia = idx[absorbed]
+        if ia.size:
+            end_pos = pos[ia] - vel[absorbed] * t_left[absorbed, None]
+            scores[ia] = weight[ia] * interp(midx[ia], end_pos)
+            alive[ia] = False
+
+        hop = ~absorbed
+        ib = idx[hop]
+        if ib.size == 0:
+            continue
+        dlt = t_left[hop] * (e[hop] / lam_t[hop])
+        pos[ib] -= vel[hop] * dlt[:, None]
+        time_left[ib] = t_left[hop] - dlt
+
+        r = u[hop] * rate[hop] + gamma0
+        sel = np.minimum((sums[hop] <= r[:, None]).sum(axis=1), 4)
+        picked = coef[hop][np.arange(ib.size), sel]
+        weight[ib] *= np.sign(picked) * total[hop] / gamma0
+        midx[ib] += d_m[sel]
+
+        off = np.any(np.abs(midx[ib]) > n_p, axis=1)
+        alive[ib[off]] = False
+        n_retired += int(off.sum())
+        heavy = alive[ib] & (np.abs(weight[ib]) > weight_cap)
+        alive[ib[heavy]] = False
+        n_capped += int(heavy.sum())
+    if np.any(alive):
+        raise RuntimeError("reference walk failed to terminate")
+    return scores, n_capped, n_retired
+
+
 def _corner_cells(x, c, grid, stride, periodic):
     """Weights, flat offsets (index times stride) and in-lattice masks (None
     if periodic) of the two cells around positions x along axis c: every

@@ -400,8 +400,23 @@ class TestStateFormat:
         grid_b = make_grid(2, (130e-9, 110e-9), (60e-9, 50e-9), (5, 7), (2, 3))
         b = WignerState(grid=grid_b,
                         values=np.zeros(grid_b.state_shape), time=0.0)
-        with pytest.raises(ValueError, match="shapes differ"):
+        with pytest.raises(ValueError, match=r"grids differ in n_p: \(3, 2\) vs \(2, 3\)"):
             relative_l2_diff(a, b)
+
+    @pytest.mark.parametrize("other, name", [
+        (dict(omega=95e-9), "omega_extent"),
+        (dict(constants=PhysicalConstants(mass=SI.mass * (1 + 1e-9))), "mass")],
+        ids=["95nm_window", "mass"])
+    def test_diff_refuses_equal_states_on_other_grids(self, other, name):
+        # a 95 nm window lies 5e-9 m from a 100 nm one, inside np.allclose's
+        # default atol of 1e-8; the constants once went unchecked
+        def state(omega=100e-9, constants=SI):
+            grid = make_grid(2, 200e-9, omega, 6, 3, constants)
+            return WignerState(grid=grid, values=np.ones(grid.state_shape), time=0.0)
+        assert relative_l2_diff(state(), state()) == 0.0
+        for pair in ((state(), state(**other)), (state(**other), state())):
+            with pytest.raises(ValueError, match=f"grids differ in {name}: "):
+                relative_l2_diff(*pair)
 
     def test_diff_value_matches_norms(self):
         a = self.make_state(seed=1)
@@ -778,10 +793,12 @@ class TestCLI:
             assert len(err) == 1 and err[0].startswith("error: norm grew by")
 
     def test_run_reports_a_walk_that_never_ends(self, tmp_path, capsys, monkeypatch):
+        # m = (0, 0) has no hop rate in uniform B and would end in one round;
+        # at m = (4, 0) about 8 of the walkers hop in the first round
         monkeypatch.setattr(montecarlo, "_MAX_ROUNDS", 1)
         path = self.cfg_file(tmp_path, solver={
             "method": "mc", "gamma0_per_s": 1e13, "n_particles": 120,
-            "mc_targets": [{"m_index": [0, 0], "position_nm": [0.0, 0.0]}],
+            "mc_targets": [{"m_index": [4, 0], "position_nm": [0.0, 0.0]}],
         })
         assert cli_main(["run", str(path), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err.splitlines()

@@ -33,8 +33,8 @@ from sdwigner.states import gaussian_wigner
 import table_route
 from oracles import (apply_along, boundary_fraction, fredholm_march, fredholm_sweeps,
                      free_flight_rows, fresh, interp_initial_reference, lattice_first_moment,
-                     lattice_second_moment, rk4_classic, roll_derivative, walk_coefficients,
-                     walk_reference)
+                     hop_walk_reference, lattice_second_moment, rk4_classic, roll_derivative,
+                     walk_coefficients, walk_reference)
 from working_set import allocation_peak, bound_workspace
 
 NAT = PhysicalConstants(hbar=1.0, charge=1.0, mass=1.0)
@@ -1399,19 +1399,26 @@ class TestMonteCarlo:
 
     def test_agrees_with_stepped_route(self):
         # the walk transports positions exactly, so the grid route needs the
-        # wide stencil and a resolved packet or its own dispersion dominates
-        field = LinearEMField(b0=0.5)
+        # wide stencil and a resolved packet or its own dispersion dominates.
+        # The walk scores f0 by bilinear interpolation, which here reads
+        # 3.0e-3 (1.6 stderr) below the packet.  The field-free walk, exact
+        # but for that interpolation, measures it as its gap to the stepped
+        # route at the target, and the field's gap must match it.
         grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (24, 24), (4, 4), NAT)
         cfg = SolverConfig(dt=0.01, t_end=0.1, boundary="periodic",
                            n_particles=20000, rng_seed=5, stencil_order=4)
         f0 = packet(grid, sigma_p=1.0)
-        stepped = evolve(f0, continuum.make_rhs(linear_coefficients(field, grid), grid, cfg),
-                         grid, cfg, n_steps=10).values
         sx, sy, ix, iy = grid.momentum_slot(0, 1), grid.momentum_slot(1, 0), 13, 11
         target = (np.array([1, 0]), np.array([grid.x_axes[0][ix], grid.x_axes[1][iy]]))
-        value, stderr = mc_estimate_point(target, f0, field, grid, cfg)
-        ref = stepped[sx, sy, ix, iy]
-        assert abs(value - ref) < 4.0 * stderr + 1e-4 * abs(ref)
+
+        def gap(field):
+            ref = evolve(f0, continuum.make_rhs(linear_coefficients(field, grid), grid, cfg),
+                         grid, cfg, n_steps=10).values[sx, sy, ix, iy]
+            value, stderr = mc_estimate_point(target, f0, field, grid, cfg)
+            return value - ref, stderr, ref
+
+        gap_b, stderr, ref = gap(LinearEMField(b0=0.5))
+        assert abs(gap_b - gap(LinearEMField())[0]) < 4.0 * stderr + 1e-4 * abs(ref)
 
     def test_stderr_scales_inverse_sqrt(self):
         field = LinearEMField(b0=0.5)
@@ -1443,37 +1450,43 @@ class TestMonteCarlo:
 
     @classmethod
     def _walk_and_reference(cls, field, cfg, target, grid=G2, f0=None):
-        """(scores, n_capped, n_retired) of one chunk, from the walk and from
-        the full-table reference walk over all the order's branches."""
+        """(scores, n_capped, n_retired) of one chunk, from the walk that
+        mc_estimate_point runs for the field and from its full-table
+        reference: from hop to hop without b1 or an E gradient, else from
+        collision to collision over all the order's branches."""
         f0 = packet(grid, sigma_p=1.0).values if f0 is None else f0.values
         coeffs = linear_coefficients(field, grid)
         gamma0 = default_gamma0(coeffs, grid, cfg)
         seed = [cfg.rng_seed, 0]
+        hops = not field.b1 and not any(field.e_grad)
         got = montecarlo._run_chunk(cfg.n_particles, seed, target[0], target[1], f0,
                                     field, grid, cfg, gamma0,
-                                    montecarlo._Branches(coeffs, grid, cfg))
-        ref = walk_reference(
-            cfg.n_particles, seed, target[0], target[1], t_end=cfg.t_end, gamma0=gamma0,
-            weight_cap=cfg.weight_cap, dp=grid.dp, mass=NAT.mass, n_p=grid.n_p, dx=grid.dx,
-            coefficients=cls._table(field, gamma0, grid, cfg.stencil_order),
-            interp=lambda m, x: montecarlo._interp_initial(f0, grid, m.T, x.T, cfg.boundary),
-            order=cfg.stencil_order)
+                                    montecarlo._Branches(coeffs, grid, cfg), hops)
+        common = dict(t_end=cfg.t_end, gamma0=gamma0, weight_cap=cfg.weight_cap, dp=grid.dp,
+                      mass=NAT.mass, n_p=grid.n_p,
+                      coefficients=cls._table(field, gamma0, grid, cfg.stencil_order),
+                      interp=lambda m, x: montecarlo._interp_initial(f0, grid, m.T, x.T,
+                                                                     cfg.boundary))
+        if hops:
+            ref = hop_walk_reference(cfg.n_particles, seed, target[0], target[1], **common)
+        else:
+            ref = walk_reference(cfg.n_particles, seed, target[0], target[1], dx=grid.dx,
+                                 order=cfg.stencil_order, **common)
         return got, ref
 
-    @pytest.mark.parametrize("b1, order", [(1.0, 2), (0.0, 2), (1.0, 4)],
+    @pytest.mark.parametrize("b1, order, m", [(1.0, 2, (0, 0)), (0.0, 2, (2, -1)),
+                                              (1.0, 4, (0, 0))],
                              ids=["gradient", "uniform", "gradient_order4"])
-    def test_walk_matches_reference(self, b1, order):
-        # the weight cap of test_weight_cap_tallied: capped walkers leave mid-walk
+    def test_walk_matches_reference(self, b1, order, m):
+        # the weight cap of test_weight_cap_tallied: capped walkers leave mid-walk.
+        # Uniform B walks from hop to hop and checks the cap after each hop;
+        # it starts off m = (0, 0), where no hop comes
         cfg = SolverConfig(dt=0.02, t_end=0.4, boundary="periodic", stencil_order=order,
                            n_particles=400, rng_seed=3, weight_cap=1.5)
         (scores, capped, retired), (ref, ref_capped, ref_retired) = self._walk_and_reference(
-            LinearEMField(b0=2.0, b1=b1), cfg, (np.array([0, 0]), np.array([0.0, 0.0])))
-        if b1:
-            assert capped > 0
-            assert np.array_equal(scores, ref)
-        else:
-            # 5 branches
-            np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
+            LinearEMField(b0=2.0, b1=b1), cfg, (np.array(m), np.array([0.0, 0.0])))
+        assert capped > 0
+        assert np.array_equal(scores, ref)
         assert (capped, retired) == (ref_capped, ref_retired)
 
     @pytest.mark.parametrize("b1", [1.0, 0.0], ids=["gradient", "uniform"])
@@ -1484,7 +1497,18 @@ class TestMonteCarlo:
             LinearEMField(b0=2.0, b1=b1), cfg, (np.array([4, 0]), np.array([0.3, -0.2])))
         assert retired > 0
         assert (capped, retired) == (ref_capped, ref_retired)
-        np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(scores, ref)
+
+    def test_field_free_walk_matches_reference(self):
+        # no hop rate: every walk flies straight to t = 0 in its first round
+        cfg = SolverConfig(dt=0.02, t_end=0.4, boundary="periodic", n_particles=400,
+                           rng_seed=3)
+        target = (np.array([1, -1]), np.array([0.3, -0.2]))
+        (scores, capped, retired), (ref, ref_capped, ref_retired) = self._walk_and_reference(
+            LinearEMField(), cfg, target)
+        assert capped == retired == ref_capped == ref_retired == 0
+        assert np.array_equal(scores, ref)
+        assert np.all(scores == scores[0]) and scores[0] != 0.0
 
     @pytest.mark.parametrize("edge", [1, -1], ids=["top", "bottom"])
     @pytest.mark.parametrize("n_p", [126, 127])
@@ -1501,7 +1525,7 @@ class TestMonteCarlo:
             LinearEMField(b0=0.5, e_grad=(0.3, -0.2)), cfg, target, grid, f0)
         assert retired > 0 and np.any(scores != 0.0)
         assert (capped, retired) == (ref_capped, ref_retired)
-        np.testing.assert_allclose(scores, ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(scores, ref)
 
     # (value.hex(), stderr.hex(), n_capped, n_retired) of mc_estimate_point,
     # recorded with the walk of commit 625ff69, and "gradient" again once the
@@ -1533,12 +1557,13 @@ class TestMonteCarlo:
     # grid and field of configs/mc_point_probe.json: its three targets
     # (periodic, b1 = 0, its own rate), and a target on the momentum
     # lattice's edge at boundary "zero" with the default rate, where walkers
-    # retire.  Recorded with the walk of commit 2e0a5c1.
+    # retire.  These walk from hop to hop, recorded with the first hop walk;
+    # probe_1, at m = (0, 0), has no hop rate and kept its value.
     CHUNK_PINS = {
-        "probe_0": ("0x1.8903f99a3acf5p+44", "0x1.6ca72e68f3cfcp+36", 0, 0),
+        "probe_0": ("0x1.89cc8892c9b96p+44", "0x1.6617415312894p+36", 0, 0),
         "probe_1": ("0x1.f2e44e5ef2afap+43", "0x1.47ae147ae147ap-16", 0, 0),
-        "probe_2": ("0x1.81c7e4962d90ep+43", "0x1.acdcc76aa6dfdp+35", 0, 0),
-        "edge_zero": ("0x1.c4f3635e5524dp+33", "0x1.1fa8af6c93386p+30", 0, 404),
+        "probe_2": ("0x1.80fd69522f924p+43", "0x1.b30c2aa3d73fep+35", 0, 0),
+        "edge_zero": ("0x1.d4a4140329810p+33", "0x1.ccc72eb4580bfp+29", 0, 419),
         # the first target with b1 = 1e7 at stencil_order 4 (33 branches),
         # recorded with the walk that adds the curvature mass as one constant
         "b1_order4": ("0x1.8ba3009f88140p+44", "0x1.c176047d6c7cep+36", 0, 0),
@@ -1572,6 +1597,57 @@ class TestMonteCarlo:
         est = mc_estimate_point(target, f0, field, grid, scfg)
         got = (est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired)
         assert got == self.CHUNK_PINS[case]
+
+    @staticmethod
+    def _chunked(target, f0, field, grid, cfg, hops):
+        """(value, stderr) of cfg.n_particles walks over the chunks and seed
+        streams of mc_estimate_point, from hop to hop or from collision to
+        collision."""
+        coeffs = linear_coefficients(field, grid)
+        gamma0 = cfg.gamma0 if cfg.gamma0 is not None else default_gamma0(coeffs, grid, cfg)
+        br = montecarlo._Branches(coeffs, grid, cfg)
+        n, size = cfg.n_particles, montecarlo._CHUNK_WALKERS
+        scores = np.concatenate([
+            montecarlo._run_chunk(min(size, n - start), [cfg.rng_seed, k], target[0],
+                                  target[1], f0.values, field, grid, cfg, gamma0, br, hops)[0]
+            for k, start in enumerate(range(0, n, size))])
+        return scores.mean(), scores.std(ddof=1) / np.sqrt(n)
+
+    @pytest.mark.parametrize("case", ["probe_0", "probe_1", "probe_2", "edge_zero"])
+    def test_hop_walk_agrees_with_collision_walk(self, case):
+        # the probe's targets and the lattice edge of CHUNK_PINS, 100000
+        # walkers each, on independent seed streams
+        grid, field, scfg, f0, targets = self._probe()
+        scfg = dataclasses.replace(scfg, n_particles=100000)
+        if case == "edge_zero":
+            scfg = dataclasses.replace(scfg, boundary="zero", gamma0=None)
+            target = (np.array([grid.n_p[0], -2]), np.array([30e-9, -20e-9]))
+        else:
+            target = targets[int(case[-1])]
+        hop = mc_estimate_point(target, f0, field, grid, scfg)
+        collision = self._chunked(target, f0, field, grid,
+                                  dataclasses.replace(scfg, rng_seed=scfg.rng_seed + 1), False)
+        assert hop.value == self._chunked(target, f0, field, grid, scfg, True)[0]
+        assert abs(hop.value - collision[0]) <= 4.0 * np.hypot(hop.stderr, collision[1])
+
+    def test_rate_free_walk_takes_one_round(self, monkeypatch):
+        # m = (0, 0) has no hop rate in uniform B: at the default rate every
+        # walk flies to t = 0 in its first round and scores f0 at the target
+        monkeypatch.setattr(montecarlo, "_MAX_ROUNDS", 1)
+        field = LinearEMField(b0=2.0)
+        cfg = SolverConfig(dt=0.02, t_end=0.4, boundary="periodic", n_particles=300,
+                           rng_seed=3)
+        f0 = packet(G2, sigma_p=1.0)
+        target = (np.array([0, 0]), np.array([0.3, -0.2]))
+        est = mc_estimate_point(target, f0, field, G2, cfg)
+        coeffs = linear_coefficients(field, G2)
+        scores, capped, retired = montecarlo._run_chunk(
+            cfg.n_particles, [cfg.rng_seed, 0], target[0], target[1], f0.values, field, G2,
+            cfg, est.gamma0, montecarlo._Branches(coeffs, G2, cfg), True)
+        at_target = montecarlo._interp_initial(f0.values, G2, target[0][:, None],
+                                               target[1][:, None], cfg.boundary)
+        assert est.gamma0 == default_gamma0(coeffs, G2, cfg) and capped == retired == 0
+        assert np.array_equal(scores, np.repeat(at_target, cfg.n_particles))
 
     @pytest.mark.parametrize("boundary", ["periodic", "zero"])
     @pytest.mark.parametrize("on", ["G2", "probe"])
