@@ -5,17 +5,20 @@ momentum characteristics backward.  Collisions arrive at an auxiliary rate
 gamma0; each one either keeps the walker in place (the rate-compensation
 branch) or hops it by one stencil move of the discretized force/gradient
 operator, with the signed weight update that keeps the estimator unbiased.
-A walker that survives to t = 0 scores weight times the interpolated initial
-condition; the exponential survival mass cancels against the damping factor,
-so no explicit decay factor appears at scoring time.
+A walker that survives to t = 0 scores weight times the initial condition
+interpolated at its end point, bilinearly at stencil_order 2 and bicubically
+at order 4, so that scoring is as accurate in the cell size as the order's
+spatial stencil; the exponential survival mass cancels against the damping
+factor, so no explicit decay factor appears at scoring time.
 
-Which walk runs follows from the field.  With b1 or an E gradient the rates
-move with position, and the walk goes from collision to collision.  Without
-them (uniform B, or no field) the hop rates follow the momentum alone, which
-a flight keeps, so the walk goes from hop to hop (`_fly_to_hop`): the
-rate-compensation collisions between two hops are integrated out into one
-exact factor exp(lam delta), and a walker without hop rate reaches t = 0 in
-its first round.  That walk checks the weight cap after each hop.
+Which walk runs follows from the field (`_walks_hop_to_hop`).  With b1 or
+an E gradient the rates move with position, and the walk goes from
+collision to collision.  Without them (uniform B, or no field) the hop
+rates follow the momentum alone, which a flight keeps, so the walk goes
+from hop to hop (`_fly_to_hop`): the rate-compensation collisions between
+two hops are integrated out into one exact factor exp(lam delta), and a
+walker without hop rate reaches t = 0 in its first round.  That walk checks
+the weight cap after each hop.
 
 A walker leaves the walker table when its walk ends: it reaches t = 0, is
 retired off the momentum lattice, or is capped over the weight cap.  A
@@ -24,7 +27,8 @@ left), records the walks that reached t = 0, collides or hops every walker
 and compacts the table once.  A chunk's float walker arrays, draws and
 scratch are rows of one table allocated for its walk, so a round allocates
 no walker-sized float array and the heap does not grow and shrink with the
-rounds.  After its walk a chunk scores its records in one pass and
+rounds.  After its walk a chunk scores its records, in one pass at
+stencil_order 2 and in passes of 2500 at order 4 (16 cells per walk), and
 scatters the scores to walker order.  Every walker does its
 floating-point operations in the order of a walk over the full table.
 Walker arrays hold one row per axis and one column per walker.
@@ -47,7 +51,7 @@ and no walk holds tables for more than 10000 walkers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +63,10 @@ from .continuum import curvature_branches, default_gamma0
 
 _MAX_ROUNDS = 100000
 _CHUNK_WALKERS = 10000   # most walkers one chunk's tables hold
+# most cell taps (order**2 per walk) one scoring pass holds, so that scoring
+# stays under the walk's own peak: one pass per chunk at stencil_order 2,
+# passes of 2500 walks at order 4
+_SCORE_TAPS = 4 * _CHUNK_WALKERS
 
 
 @dataclass(frozen=True)
@@ -76,14 +84,18 @@ class MCEstimate:
         yield self.stderr
 
 
-def _corners(x: np.ndarray, c: int, grid: PhaseSpaceGrid, stride: int, periodic: bool):
+def _corners(x: np.ndarray, c: int, grid: PhaseSpaceGrid, stride: int, periodic: bool,
+             order: int):
     """Weights, flat offsets (index times stride) and in-lattice masks (None
-    if periodic) of the two cells around positions x along axis c.
+    if periodic) of the cells around positions x along axis c: the two of
+    the linear interpolation at order 2, the four of the cubic Lagrange
+    interpolation at order 4.
 
     A periodic position takes the float wrap np.mod only outside [0, omega)
     from the window's low edge, as np.mod returns the others unchanged.  It
-    may round a tiny negative offset up to omega, so the two cell indices
-    lie in [-1, n] and wrap only at -1 and n.
+    may round a tiny negative offset up to omega, so the linear
+    interpolation's two cell indices lie in [-1, n] and wrap only at -1 and
+    n; the cubic's four take an integer np.mod.
     """
     omega, n_cells = grid.omega_extent[c], grid.n_x[c]
     x = x + 0.5 * omega
@@ -96,22 +108,37 @@ def _corners(x: np.ndarray, c: int, grid: PhaseSpaceGrid, stride: int, periodic:
     i0 = np.floor(x)
     t = np.subtract(x, i0, out=x)
     i0 = i0.astype(np.intp)
-    i1 = i0 + 1
+    if order == 2:
+        weights = (1.0 - t, t)
+        cells = [i0, i0 + 1]
+    else:
+        # the Lagrange cubic through the cells i0 - 1, i0, i0 + 1, i0 + 2
+        tp, tm, t2 = t + 1.0, t - 1.0, t - 2.0
+        weights = (t * tm * t2 / -6.0, tp * tm * t2 / 2.0,
+                   tp * t * t2 / -2.0, tp * t * tm / 6.0)
+        cells = [i0 - 1, i0, i0 + 1, i0 + 2]
     if periodic:
-        i0[i0 < 0] = n_cells - 1
-        i1[i1 == n_cells] = 0
+        if order == 2:
+            cells[0][cells[0] < 0] = n_cells - 1
+            cells[1][cells[1] == n_cells] = 0
+        else:
+            for i in cells:
+                np.mod(i, n_cells, out=i)
         inside = None
     else:
-        inside = [(i >= 0) & (i < n_cells) for i in (i0, i1)]
-        i0, i1 = (np.clip(i, 0, n_cells - 1) for i in (i0, i1))
-    i0 *= stride
-    i1 *= stride
-    return (1.0 - t, t), (i0, i1), inside
+        inside = [(i >= 0) & (i < n_cells) for i in cells]
+        cells = [np.clip(i, 0, n_cells - 1) for i in cells]
+    for i in cells:
+        i *= stride
+    return weights, cells, inside
 
 
-def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
-                    midx: np.ndarray, pos: np.ndarray, boundary: str) -> np.ndarray:
-    """Bilinear sample of f0 at lattice momentum rows and continuous positions."""
+def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid, midx: np.ndarray,
+                    pos: np.ndarray, boundary: str, order: int) -> np.ndarray:
+    """Sample of f0 at lattice momentum rows and continuous positions:
+    bilinear at stencil order 2, bicubic (the Lagrange cubic through four
+    cells on each axis) at order 4.  At boundary "zero" a cell off the
+    spatial lattice adds 0."""
     nx, ny = grid.n_x
     periodic = boundary == "periodic"
     # flat index of each walker's momentum row, then of its corner cells
@@ -121,13 +148,13 @@ def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid,
     plane += midx[1]
     plane += grid.n_p[1]
     plane *= nx * ny
-    w_x, off_x, in_x = _corners(pos[0], 0, grid, ny, periodic)
-    w_y, off_y, in_y = _corners(pos[1], 1, grid, 1, periodic)
+    w_x, off_x, in_x = _corners(pos[0], 0, grid, ny, periodic, order)
+    w_y, off_y, in_y = _corners(pos[1], 1, grid, 1, periodic, order)
     flat_values = values.reshape(-1)
     out = np.zeros(midx.shape[1])
-    for a in range(2):
+    for a in range(len(w_x)):
         row = off_x[a] + plane
-        for b in range(2):
+        for b in range(len(w_y)):
             term = w_x[a] * w_y[b]
             term *= flat_values.take(off_y[b] + row)
             if not periodic:
@@ -284,11 +311,18 @@ def _fly_to_hop(e: np.ndarray, u: np.ndarray, t_left: np.ndarray, weight: np.nda
     return hop, delta
 
 
+def _walks_hop_to_hop(field: LinearEMField) -> bool:
+    """Whether the walk goes from hop to hop in this field: without b1 or an
+    E gradient the hop rates follow the momentum alone."""
+    return not field.b1 and not any(field.e_grad)
+
+
 def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
           grid: PhaseSpaceGrid, config: SolverConfig, gamma0: float, br: _Branches,
-          hops: bool):
+          hops: Optional[bool] = None):
     """Walk n walkers over br from one seed stream: from hop to hop
-    (`_fly_to_hop`) if `hops`, else from collision to collision.
+    (`_fly_to_hop`) if `hops`, else from collision to collision.  `hops`
+    defaults to `_walks_hop_to_hop(field)`.
 
     Returns the walks that reached t = 0, one (ids, weights, momentum
     indices, end points) record per round, and the capped and retired
@@ -303,6 +337,8 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
     takes each walker row into the other half.  Five more rows are the
     drift, the running sums and the collision's scratch.
     """
+    if hops is None:
+        hops = _walks_hop_to_hop(field)
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     (dpx, dpy), mass, (npx, npy) = grid.dp, grid.constants.mass, grid.n_p
     m_type = br.moves.dtype
@@ -389,11 +425,12 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
 
 def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
                field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig,
-               gamma0: float, br: _Branches, hops: bool) -> Tuple[np.ndarray, int, int]:
+               gamma0: float, br: _Branches,
+               hops: Optional[bool] = None) -> Tuple[np.ndarray, int, int]:
     """Scores of n walks over br from one seed stream, in walker order, with
     the capped and retired counts.  The walks that reached t = 0 are scored
-    in one pass, in the order they ended, once the walk's tables are freed,
-    and scattered to walker order."""
+    in the order they ended, once the walk's tables are freed, in passes of
+    at most _SCORE_TAPS cell taps, and scattered to walker order."""
     ends, n_capped, n_retired = _walk(n, seed_pair, target_m, target_x, field, grid,
                                       config, gamma0, br, hops)
     # capped and retired walks keep the score 0
@@ -401,8 +438,12 @@ def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
     if ends:
         done, end_w, end_m, end_x = (np.concatenate(a, axis=-1) for a in zip(*ends))
         del ends
-        scores[done] = end_w * _interp_initial(f0_values, grid, end_m, end_x,
-                                               config.boundary)
+        order = config.stencil_order
+        step = _SCORE_TAPS // order ** 2
+        for k in range(0, done.size, step):
+            cut = slice(k, k + step)
+            scores[done[cut]] = end_w[cut] * _interp_initial(
+                f0_values, grid, end_m[:, cut], end_x[:, cut], config.boundary, order)
     return scores, n_capped, n_retired
 
 
@@ -431,8 +472,6 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
     gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(coeffs, grid, config)
     br = _Branches(coeffs, grid, config)
     del coeffs   # free the tables: the walk reads the field's closed form
-    # without b1 or an E gradient the hop rates follow the momentum alone
-    hops = not field.b1 and not any(field.e_grad)
     n = config.n_particles
     n_chunks = -(-n // _CHUNK_WALKERS)
     base, extra = divmod(n, n_chunks)
@@ -442,7 +481,7 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
     n_retired = 0
     for k in range(n_chunks):
         s, cap, ret = _run_chunk(base + (k < extra), [config.rng_seed, k], target_m,
-                                 target_x, values0, field, grid, config, gamma0, br, hops)
+                                 target_x, values0, field, grid, config, gamma0, br)
         chunks.append(s)
         n_capped += cap
         n_retired += ret

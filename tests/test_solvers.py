@@ -1399,26 +1399,39 @@ class TestMonteCarlo:
 
     def test_agrees_with_stepped_route(self):
         # the walk transports positions exactly, so the grid route needs the
-        # wide stencil and a resolved packet or its own dispersion dominates.
-        # The walk scores f0 by bilinear interpolation, which here reads
-        # 3.0e-3 (1.6 stderr) below the packet.  The field-free walk, exact
-        # but for that interpolation, measures it as its gap to the stepped
-        # route at the target, and the field's gap must match it.
+        # wide stencil and a resolved packet or its own dispersion dominates
+        field = LinearEMField(b0=0.5)
         grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (24, 24), (4, 4), NAT)
         cfg = SolverConfig(dt=0.01, t_end=0.1, boundary="periodic",
                            n_particles=20000, rng_seed=5, stencil_order=4)
         f0 = packet(grid, sigma_p=1.0)
+        stepped = evolve(f0, continuum.make_rhs(linear_coefficients(field, grid), grid, cfg),
+                         grid, cfg, n_steps=10).values
         sx, sy, ix, iy = grid.momentum_slot(0, 1), grid.momentum_slot(1, 0), 13, 11
         target = (np.array([1, 0]), np.array([grid.x_axes[0][ix], grid.x_axes[1][iy]]))
+        value, stderr = mc_estimate_point(target, f0, field, grid, cfg)
+        ref = stepped[sx, sy, ix, iy]
+        assert abs(value - ref) < 4.0 * stderr + 1e-4 * abs(ref)
 
-        def gap(field):
-            ref = evolve(f0, continuum.make_rhs(linear_coefficients(field, grid), grid, cfg),
-                         grid, cfg, n_steps=10).values[sx, sy, ix, iy]
-            value, stderr = mc_estimate_point(target, f0, field, grid, cfg)
-            return value - ref, stderr, ref
-
-        gap_b, stderr, ref = gap(LinearEMField(b0=0.5))
-        assert abs(gap_b - gap(LinearEMField())[0]) < 4.0 * stderr + 1e-4 * abs(ref)
+    @pytest.mark.parametrize("order, bound", [(2, 5e-3), (4, 1e-4)])
+    def test_field_free_walk_scores_the_stepped_route(self, order, bound):
+        # without a field every walk flies straight to t = 0 and scores f0
+        # interpolated at one end point, so the estimate has no noise: its
+        # gap to the stepped route is the scoring's interpolation error,
+        # second order in dx at stencil_order 2 and fourth order at 4
+        grid = make_grid(2, (TAU, TAU), (np.pi, np.pi), (24, 24), (4, 4), NAT)
+        cfg = SolverConfig(dt=0.01, t_end=0.1, boundary="periodic",
+                           n_particles=100, rng_seed=5, stencil_order=order)
+        field = LinearEMField()
+        f0 = packet(grid, sigma_p=1.0)
+        stepped = evolve(f0, continuum.make_rhs(linear_coefficients(field, grid), grid, cfg),
+                         grid, cfg, n_steps=10).values
+        sx, sy, ix, iy = grid.momentum_slot(0, 1), grid.momentum_slot(1, 0), 13, 11
+        target = (np.array([1, 0]), np.array([grid.x_axes[0][ix], grid.x_axes[1][iy]]))
+        value, stderr = mc_estimate_point(target, f0, field, grid, cfg)
+        ref = stepped[sx, sy, ix, iy]
+        assert stderr < 1e-15 * abs(ref)
+        assert abs(value - ref) < bound * abs(ref)
 
     def test_stderr_scales_inverse_sqrt(self):
         field = LinearEMField(b0=0.5)
@@ -1458,16 +1471,15 @@ class TestMonteCarlo:
         coeffs = linear_coefficients(field, grid)
         gamma0 = default_gamma0(coeffs, grid, cfg)
         seed = [cfg.rng_seed, 0]
-        hops = not field.b1 and not any(field.e_grad)
         got = montecarlo._run_chunk(cfg.n_particles, seed, target[0], target[1], f0,
                                     field, grid, cfg, gamma0,
-                                    montecarlo._Branches(coeffs, grid, cfg), hops)
+                                    montecarlo._Branches(coeffs, grid, cfg))
         common = dict(t_end=cfg.t_end, gamma0=gamma0, weight_cap=cfg.weight_cap, dp=grid.dp,
                       mass=NAT.mass, n_p=grid.n_p,
                       coefficients=cls._table(field, gamma0, grid, cfg.stencil_order),
-                      interp=lambda m, x: montecarlo._interp_initial(f0, grid, m.T, x.T,
-                                                                     cfg.boundary))
-        if hops:
+                      interp=lambda m, x: montecarlo._interp_initial(
+                          f0, grid, m.T, x.T, cfg.boundary, cfg.stencil_order))
+        if montecarlo._walks_hop_to_hop(field):
             ref = hop_walk_reference(cfg.n_particles, seed, target[0], target[1], **common)
         else:
             ref = walk_reference(cfg.n_particles, seed, target[0], target[1], dx=grid.dx,
@@ -1565,8 +1577,8 @@ class TestMonteCarlo:
         "probe_2": ("0x1.80fd69522f924p+43", "0x1.b30c2aa3d73fep+35", 0, 0),
         "edge_zero": ("0x1.d4a4140329810p+33", "0x1.ccc72eb4580bfp+29", 0, 419),
         # the first target with b1 = 1e7 at stencil_order 4 (33 branches),
-        # recorded with the walk that adds the curvature mass as one constant
-        "b1_order4": ("0x1.8ba3009f88140p+44", "0x1.c176047d6c7cep+36", 0, 0),
+        # recorded with the walk that scores f0 bicubically at order 4
+        "b1_order4": ("0x1.a0dd019ec6cdap+44", "0x1.d8f86a32b88ffp+36", 0, 0),
     }
 
     @staticmethod
@@ -1599,17 +1611,17 @@ class TestMonteCarlo:
         assert got == self.CHUNK_PINS[case]
 
     @staticmethod
-    def _chunked(target, f0, field, grid, cfg, hops):
+    def _chunked(target, f0, field, grid, cfg, hops=None):
         """(value, stderr) of cfg.n_particles walks over the chunks and seed
-        streams of mc_estimate_point, from hop to hop or from collision to
-        collision."""
+        streams of mc_estimate_point, with the walk it picks for the field
+        unless `hops` forces one."""
         coeffs = linear_coefficients(field, grid)
         gamma0 = cfg.gamma0 if cfg.gamma0 is not None else default_gamma0(coeffs, grid, cfg)
         br = montecarlo._Branches(coeffs, grid, cfg)
         n, size = cfg.n_particles, montecarlo._CHUNK_WALKERS
         scores = np.concatenate([
             montecarlo._run_chunk(min(size, n - start), [cfg.rng_seed, k], target[0],
-                                  target[1], f0.values, field, grid, cfg, gamma0, br, hops)[0]
+                                  target[1], f0.values, field, grid, cfg, gamma0, br, hops=hops)[0]
             for k, start in enumerate(range(0, n, size))])
         return scores.mean(), scores.std(ddof=1) / np.sqrt(n)
 
@@ -1626,8 +1638,8 @@ class TestMonteCarlo:
             target = targets[int(case[-1])]
         hop = mc_estimate_point(target, f0, field, grid, scfg)
         collision = self._chunked(target, f0, field, grid,
-                                  dataclasses.replace(scfg, rng_seed=scfg.rng_seed + 1), False)
-        assert hop.value == self._chunked(target, f0, field, grid, scfg, True)[0]
+                                  dataclasses.replace(scfg, rng_seed=scfg.rng_seed + 1), hops=False)
+        assert hop.value == self._chunked(target, f0, field, grid, scfg)[0]
         assert abs(hop.value - collision[0]) <= 4.0 * np.hypot(hop.stderr, collision[1])
 
     def test_rate_free_walk_takes_one_round(self, monkeypatch):
@@ -1643,19 +1655,23 @@ class TestMonteCarlo:
         coeffs = linear_coefficients(field, G2)
         scores, capped, retired = montecarlo._run_chunk(
             cfg.n_particles, [cfg.rng_seed, 0], target[0], target[1], f0.values, field, G2,
-            cfg, est.gamma0, montecarlo._Branches(coeffs, G2, cfg), True)
+            cfg, est.gamma0, montecarlo._Branches(coeffs, G2, cfg))
         at_target = montecarlo._interp_initial(f0.values, G2, target[0][:, None],
-                                               target[1][:, None], cfg.boundary)
+                                               target[1][:, None], cfg.boundary,
+                                               cfg.stencil_order)
         assert est.gamma0 == default_gamma0(coeffs, G2, cfg) and capped == retired == 0
         assert np.array_equal(scores, np.repeat(at_target, cfg.n_particles))
 
+    @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("boundary", ["periodic", "zero"])
     @pytest.mark.parametrize("on", ["G2", "probe"])
-    def test_scoring_matches_reference(self, on, boundary):
+    def test_scoring_matches_reference(self, on, boundary, order):
         # positions over three windows per axis, and every window edge and
         # multiple of omega with its neighbours one ulp away.  At omega = pi
         # the one one ulp below -omega/2 lies so close to the window that
         # np.mod rounds it up to omega; the probe's omega has no such offset.
+        # At order 2 the reference's weights are the walk's to the bit; at
+        # order 4 it multiplies the Lagrange products in another order.
         grid = G2 if on == "G2" else self._probe()[0]
         rng = np.random.default_rng(41)
         n = 4000
@@ -1670,9 +1686,13 @@ class TestMonteCarlo:
                 assert np.any(np.mod(pos[c] + 0.5 * omega, omega) == omega)
         midx = np.stack([rng.integers(-m, m + 1, n) for m in grid.n_p]).astype(np.int8)
         f0 = packet(grid, sigma_p=1.0).values if on == "G2" else self._probe()[3].values
-        got = montecarlo._interp_initial(f0, grid, midx, pos, boundary)
-        ref = interp_initial_reference(f0, grid, midx, pos, boundary)
-        assert got.tobytes() == ref.tobytes()
+        got = montecarlo._interp_initial(f0, grid, midx, pos, boundary, order)
+        ref = interp_initial_reference(f0, grid, midx, pos, boundary, order)
+        if order == 2:
+            assert got.tobytes() == ref.tobytes()
+        else:
+            assert np.any(got != 0.0)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * np.abs(f0).max())
 
     def test_stencil_order_sets_the_curvature_taps(self):
         # with b1 the walk's curvature branches follow the spatial stencil
