@@ -347,6 +347,11 @@ def _validate_cross(cfg: SimulationConfig):
                   f"(got omega={omega} nm, L={L} nm)")
     if cfg.method == "mc" and not cfg.mc_targets:
         _fail("solver.mc_targets", "mc runs need at least one target")
+    for i, target in enumerate(cfg.mc_targets):
+        if any(abs(m) > n for m, n in zip(target.m_index, cfg.n_p)):
+            _fail(f"solver.mc_targets[{i}].m_index",
+                  f"the target must lie on the momentum lattice: |m| <= n_p "
+                  f"(got m_index={list(target.m_index)}, n_p={list(cfg.n_p)})")
     solver_cfg = cfg.build_solver_config()
     n_steps = cfg.t_end_fs / cfg.dt_fs
     if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):

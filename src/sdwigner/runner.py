@@ -27,6 +27,16 @@ from .transform import WignerState
 # the stepped routes: each module's make_rhs(coeffs, grid, config) feeds evolve
 STEPPED_ROUTES = {"semidiscrete": semidiscrete, "continuum": continuum}
 
+# each observable of `output.observables`: its columns in observables.tsv, and
+# its values at record k of evolve's result
+OBSERVABLE_TABLE = {
+    "mass": (["mass"], lambda res, k: [res.masses[k]]),
+    "mean_momentum": (["px_mean(kg*m/s)", "py_mean(kg*m/s)"],
+                      lambda res, k: res.mean_momenta[k]),
+    "boundary_fraction": (["boundary_fraction"],
+                          lambda res, k: [res.boundary_fractions[k]]),
+}
+
 
 class RunnerError(RuntimeError):
     """Raised when a config reaches a solver it cannot drive."""
@@ -48,33 +58,6 @@ def _utc_stamp() -> str:
 def _write_meta(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-
-
-def _observable_columns(names, dim):
-    cols = ["t(s)"]
-    for name in names:
-        if name == "mass":
-            cols.append("mass")
-        elif name == "mean_momentum":
-            cols.extend(f"p{ax}_mean(kg*m/s)" for ax in "xy"[:dim])
-        elif name == "boundary_fraction":
-            cols.append("boundary_fraction")
-    return cols
-
-
-def _observable_rows(names, result, dim):
-    rows = []
-    for k, t in enumerate(result.times):
-        row = [t]
-        for name in names:
-            if name == "mass":
-                row.append(result.masses[k])
-            elif name == "mean_momentum":
-                row.extend(result.mean_momenta[k][:dim])
-            elif name == "boundary_fraction":
-                row.append(result.boundary_fractions[k])
-        rows.append(row)
-    return rows
 
 
 def run_simulation(cfg: SimulationConfig, out_dir=None, seed: Optional[int] = None,
@@ -145,10 +128,12 @@ def _dispatch(cfg: SimulationConfig, out: Path, run_hash: str, meta: dict) -> li
         # nothing holds it
         result = evolve(cfg.build_initial_state(grid).values, rhs, grid, scfg,
                         n_steps=n_steps, observer=observer)
+        table = [OBSERVABLE_TABLE[name] for name in cfg.observables]
         files.append(write_table(
             out / "observables.tsv",
-            _observable_columns(cfg.observables, grid.dim),
-            _observable_rows(cfg.observables, result, grid.dim),
+            ["t(s)"] + [c for cols, _ in table for c in cols],
+            ([t] + [v for _, values in table for v in values(result, k)]
+             for k, t in enumerate(result.times)),
             run_hash))
         if cfg.binary_states:
             final = WignerState(grid=grid, values=result.values,

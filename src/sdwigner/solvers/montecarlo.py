@@ -41,21 +41,24 @@ constants.  Its running sums go left to right, and its row total is the
 running sum of branches 0-4 plus the curvature branches' total |coefficient|,
 summed once per estimate.
 
-The walkers are split evenly over ceil(n / 10000) chunks, walked one after
-another from the seed streams [rng_seed, k] with a fixed draw order (one
-exponential and one uniform array per round).  So the layout follows from
-the walker count alone, an estimate depends only on the config and seed,
-and no walk holds tables for more than 10000 walkers.
+An estimate's setup is one `_Branches`, built once: field, grid, config,
+gamma0 and the branch tables.  It splits the walkers evenly over
+ceil(n / 10000) chunks (`_Branches.chunks`), and `_walk` walks chunk k from
+the seed stream [rng_seed, k] with a fixed draw order (one exponential and
+one uniform array per round); the chunks are walked one after another.  So
+a chunk is a function of the setup and k, the layout follows from the
+walker count alone, an estimate depends only on the config and seed, and
+no walk holds tables for more than 10000 walkers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..kernels import LinearKernelCoefficients, linear_coefficients
+from ..kernels import linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
 from .common import SolverConfig, SolverInstabilityError
@@ -194,8 +197,12 @@ def _hop_rates(p: np.ndarray, pos: np.ndarray, field: LinearEMField,
 
 
 class _Branches:
-    """Tables of the nb collision branches, built once per estimate: the
-    rate compensation, the four force hops and the `curvature_branches`.
+    """One estimate's walk setup, built once: the field, grid and solver
+    config, gamma0 (config.gamma0, else `default_gamma0`), the walker count
+    of each chunk (`chunks`), and the tables of the nb collision branches:
+    the rate compensation, the four force hops and the `curvature_branches`.
+    The kernel tables they are taken from are dropped, as the walk reads the
+    field's closed form.
 
     A collision is looked up at index branch + nb * bits, where bits holds
     the signs of h_x (1) and h_y (2): `moves` and `position_moves` give its
@@ -204,9 +211,17 @@ class _Branches:
     and `curvature_mass` the sum of those of the curvature branches.
     """
 
-    def __init__(self, coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
-                 config: SolverConfig):
+    def __init__(self, field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig):
+        self.field, self.grid, self.config = field, grid, config
+        coeffs = linear_coefficients(field, grid)
+        self.gamma0 = (config.gamma0 if config.gamma0 is not None
+                       else default_gamma0(coeffs, grid, config))
         d_m, d_x, curv = curvature_branches(coeffs, grid, config.stencil_order)
+        # the walkers split evenly over the fewest chunks of at most _CHUNK_WALKERS
+        n = config.n_particles
+        n_chunks = -(-n // _CHUNK_WALKERS)
+        base, extra = divmod(n, n_chunks)
+        self.chunks = [base + (k < extra) for k in range(n_chunks)]
         self.nb = nb = 5 + curv.size
         # momentum indices reach +-(n_p + 1) before a walker is retired, and
         # np.abs of -(n_p + 1) must not wrap
@@ -224,21 +239,20 @@ class _Branches:
         self.curvature_mass = float(np.abs(curv).sum())
 
 
-def _row_sums(p: np.ndarray, pos: np.ndarray, field: LinearEMField, grid: PhaseSpaceGrid,
-              gamma0: float, br: _Branches, scratch: np.ndarray):
+def _row_sums(p: np.ndarray, pos: np.ndarray, br: _Branches, scratch: np.ndarray):
     """The sign bits nb * bits and the running sums s_1-s_4 of branches 0-4
     at each walker, s_4 being gamma0 plus the hop rate.  Returns (sel,
     (s_1, s_2, s_3, s_4)); the sums are rows 2, 0, 3 and 1 of the float
     table scratch, summed left to right."""
     nb = br.nb
-    h = _hop_rates(p, pos, field, grid, scratch[:2])
+    h = _hop_rates(p, pos, br.field, br.grid, scratch[:2])
     # sel = branch + nb * bits is summed in bytes, as its 4 nb <= 132
     # values fit; bits holds the signs of h_x (1) and h_y (2)
     neg = (h < 0).view(np.uint8)
     sel = neg[0] * nb
     sel += neg[1] * (2 * nb)
     a_x, a_y = np.abs(h, out=h)
-    s_1 = np.add(a_x, gamma0, out=scratch[2])
+    s_1 = np.add(a_x, br.gamma0, out=scratch[2])
     s_2 = np.add(s_1, a_x, out=a_x)
     s_3 = np.add(s_2, a_y, out=scratch[3])
     s_4 = np.add(s_3, a_y, out=a_y)
@@ -246,7 +260,7 @@ def _row_sums(p: np.ndarray, pos: np.ndarray, field: LinearEMField, grid: PhaseS
 
 
 def _branch(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, sel: np.ndarray,
-            sums, total: np.ndarray, r: np.ndarray, gamma0: float, br: _Branches,
+            sums, total: np.ndarray, r: np.ndarray, br: _Branches,
             scratch: np.ndarray) -> None:
     """Apply at each walker the branch whose running-sum interval holds r:
     its move and signed weight factor sign * total / gamma0, in place.
@@ -254,7 +268,7 @@ def _branch(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, sel: np.ndarr
     sel holds the sign bits and sums the running sums of `_row_sums`; the
     curvature branches' sums run on from s_4, which they spend.  Row 4 of
     scratch takes the factor, rows 0-1 the position moves."""
-    nb, k = br.nb, br.power
+    nb, k, gamma0 = br.nb, br.power, br.gamma0
     s_1, s_2, s_3, s_4 = sums
     # branch = count of the running sums before the last one that are <= r
     sel += (gamma0 <= r).view(np.uint8)
@@ -317,12 +331,10 @@ def _walks_hop_to_hop(field: LinearEMField) -> bool:
     return not field.b1 and not any(field.e_grad)
 
 
-def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
-          grid: PhaseSpaceGrid, config: SolverConfig, gamma0: float, br: _Branches,
-          hops: Optional[bool] = None):
-    """Walk n walkers over br from one seed stream: from hop to hop
-    (`_fly_to_hop`) if `hops`, else from collision to collision.  `hops`
-    defaults to `_walks_hop_to_hop(field)`.
+def _walk(br: _Branches, k: int, target_m, target_x):
+    """Walk chunk k of br, its br.chunks[k] walkers from the seed stream
+    [rng_seed, k]: from hop to hop (`_fly_to_hop`) if `_walks_hop_to_hop`,
+    else from collision to collision.
 
     Returns the walks that reached t = 0, one (ids, weights, momentum
     indices, end points) record per round, and the capped and retired
@@ -337,9 +349,10 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
     takes each walker row into the other half.  Five more rows are the
     drift, the running sums and the collision's scratch.
     """
-    if hops is None:
-        hops = _walks_hop_to_hop(field)
-    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
+    grid, config, gamma0 = br.grid, br.config, br.gamma0
+    hops = _walks_hop_to_hop(br.field)
+    n = br.chunks[k]
+    rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, k]))
     (dpx, dpy), mass, (npx, npy) = grid.dp, grid.constants.mass, grid.n_p
     m_type = br.moves.dtype
     scale = 1.0 / gamma0
@@ -370,7 +383,7 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
 
         if hops:
             # the rates follow the momentum, which the flight keeps
-            sel, sums = _row_sums(p, pos, field, grid, gamma0, br, scratch)
+            sel, sums = _row_sums(p, pos, br, scratch)
             total = sums[3]
             live, delta = _fly_to_hop(e, u, t_left, weight, total, gamma0, scratch[4])
             drift = np.divide(p, mass, out=p)
@@ -393,10 +406,10 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
             # collide where the flight ended: u times the row total, the
             # running sum of branches 0-4 plus the curvature mass, picks the
             # branch by cumulative |coefficient|
-            sel, sums = _row_sums(p, pos, field, grid, gamma0, br, scratch)
+            sel, sums = _row_sums(p, pos, br, scratch)
             total = np.add(sums[3], br.curvature_mass, out=p[0]) if br.nb > 5 else sums[3]
             u *= total
-        _branch(midx, pos, weight, sel, sums, total, u, gamma0, br, scratch)
+        _branch(midx, pos, weight, sel, sums, total, u, br, scratch)
 
         # hopping off the momentum lattice reads f = 0: score nothing
         m_abs = np.abs(midx)
@@ -423,27 +436,24 @@ def _walk(n: int, seed_pair, target_m, target_x, field: LinearEMField,
     return ends, n_capped, n_retired
 
 
-def _run_chunk(n: int, seed_pair, target_m, target_x, f0_values: np.ndarray,
-               field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig,
-               gamma0: float, br: _Branches,
-               hops: Optional[bool] = None) -> Tuple[np.ndarray, int, int]:
-    """Scores of n walks over br from one seed stream, in walker order, with
-    the capped and retired counts.  The walks that reached t = 0 are scored
-    in the order they ended, once the walk's tables are freed, in passes of
-    at most _SCORE_TAPS cell taps, and scattered to walker order."""
-    ends, n_capped, n_retired = _walk(n, seed_pair, target_m, target_x, field, grid,
-                                      config, gamma0, br, hops)
+def _run_chunk(br: _Branches, k: int, target_m, target_x,
+               f0_values: np.ndarray) -> Tuple[np.ndarray, int, int]:
+    """Scores of chunk k's walks (`_walk`), in walker order, with the capped
+    and retired counts.  The walks that reached t = 0 are scored in the
+    order they ended, once the walk's tables are freed, in passes of at most
+    _SCORE_TAPS cell taps, and scattered to walker order."""
+    ends, n_capped, n_retired = _walk(br, k, target_m, target_x)
     # capped and retired walks keep the score 0
-    scores = np.zeros(n)
+    scores = np.zeros(br.chunks[k])
     if ends:
         done, end_w, end_m, end_x = (np.concatenate(a, axis=-1) for a in zip(*ends))
         del ends
-        order = config.stencil_order
+        order = br.config.stencil_order
         step = _SCORE_TAPS // order ** 2
-        for k in range(0, done.size, step):
-            cut = slice(k, k + step)
+        for start in range(0, done.size, step):
+            cut = slice(start, start + step)
             scores[done[cut]] = end_w[cut] * _interp_initial(
-                f0_values, grid, end_m[:, cut], end_x[:, cut], config.boundary, order)
+                f0_values, br.grid, end_m[:, cut], end_x[:, cut], br.config.boundary, order)
     return scores, n_capped, n_retired
 
 
@@ -468,23 +478,16 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
         raise ValueError("target momentum index lies outside the lattice")
     values0 = np.asarray(f0.values if isinstance(f0, WignerState) else f0, dtype=float)
 
-    coeffs = linear_coefficients(field, grid)
-    gamma0 = config.gamma0 if config.gamma0 is not None else default_gamma0(coeffs, grid, config)
-    br = _Branches(coeffs, grid, config)
-    del coeffs   # free the tables: the walk reads the field's closed form
-    n = config.n_particles
-    n_chunks = -(-n // _CHUNK_WALKERS)
-    base, extra = divmod(n, n_chunks)
-
+    br = _Branches(field, grid, config)
     chunks = []
     n_capped = 0
     n_retired = 0
-    for k in range(n_chunks):
-        s, cap, ret = _run_chunk(base + (k < extra), [config.rng_seed, k], target_m,
-                                 target_x, values0, field, grid, config, gamma0, br)
+    for k in range(len(br.chunks)):
+        s, cap, ret = _run_chunk(br, k, target_m, target_x, values0)
         chunks.append(s)
         n_capped += cap
         n_retired += ret
+    n = config.n_particles
     scores = np.concatenate(chunks)
     del chunks   # so that std's temporary does not add to the chunks' scores
     value = float(scores.mean())
@@ -493,4 +496,4 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
         raise SolverInstabilityError(
             f"backward walk estimate turned non-finite (value {value}, stderr {stderr})")
     return MCEstimate(value=value, stderr=stderr, n_particles=n,
-                      n_capped=n_capped, n_retired=n_retired, gamma0=gamma0)
+                      n_capped=n_capped, n_retired=n_retired, gamma0=br.gamma0)

@@ -17,12 +17,14 @@ import sdwigner
 import sdwigner.solvers
 from sdwigner import SI, PhysicalConstants, make_grid
 from sdwigner.cli import main as cli_main
-from sdwigner.config import (REQUIRED, SCHEMA, ConfigError, SimulationConfig,
-                             config_from_dict, load_config, write_config)
+from sdwigner.config import (OBSERVABLES, REQUIRED, SCHEMA, ConfigError,
+                             SimulationConfig, config_from_dict, load_config,
+                             write_config)
 from sdwigner.io import (read_state, read_table, relative_l2_diff, write_state,
                          write_table)
 from sdwigner.kernels import linear_coefficients
-from sdwigner.runner import STEPPED_ROUTES, magnitude_report, run_simulation
+from sdwigner.runner import (OBSERVABLE_TABLE, STEPPED_ROUTES, magnitude_report,
+                             run_simulation)
 from sdwigner.solvers import (FredholmConvergenceError, SolverConfig,
                               SolverInstabilityError, continuum, montecarlo,
                               semidiscrete)
@@ -486,6 +488,11 @@ class TestRunner:
         # the solver suite, here we only need the column to hold total mass
         np.testing.assert_allclose(data[:, 1], 1.0, rtol=1e-4)
 
+    def test_every_accepted_observable_has_columns(self):
+        # a name the config accepts but the runner does not know would leave
+        # observables.tsv without its columns
+        assert list(OBSERVABLE_TABLE) == list(OBSERVABLES)
+
     def test_non_finite_state_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(semidiscrete, "make_rhs",
                             lambda *args: lambda v, out, *stage: out.fill(np.nan))
@@ -679,6 +686,19 @@ class TestCLI:
             assert cli_main(command) == 2
             assert "initial_state.file: the state's grid has coherence_length" in \
                 capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m_index", [[99, 0], [0, -7]])
+    def test_target_off_the_momentum_lattice_exits_2_before_writing(self, tmp_path, capsys,
+                                                                     m_index):
+        d = json.loads((REPO / "configs" / "mc_point_probe.json").read_text())
+        d["solver"]["mc_targets"][1]["m_index"] = m_index
+        path = write_json(tmp_path, d)
+        out = tmp_path / "run"
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(command) == 2
+            err = capsys.readouterr().err
+            assert "solver.mc_targets[1].m_index" in err and "|m| <= n_p" in err
         assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):

@@ -1468,12 +1468,10 @@ class TestMonteCarlo:
         reference: from hop to hop without b1 or an E gradient, else from
         collision to collision over all the order's branches."""
         f0 = packet(grid, sigma_p=1.0).values if f0 is None else f0.values
-        coeffs = linear_coefficients(field, grid)
-        gamma0 = default_gamma0(coeffs, grid, cfg)
+        gamma0 = default_gamma0(linear_coefficients(field, grid), grid, cfg)
         seed = [cfg.rng_seed, 0]
-        got = montecarlo._run_chunk(cfg.n_particles, seed, target[0], target[1], f0,
-                                    field, grid, cfg, gamma0,
-                                    montecarlo._Branches(coeffs, grid, cfg))
+        got = montecarlo._run_chunk(montecarlo._Branches(field, grid, cfg), 0, target[0],
+                                    target[1], f0)
         common = dict(t_end=cfg.t_end, gamma0=gamma0, weight_cap=cfg.weight_cap, dp=grid.dp,
                       mass=NAT.mass, n_p=grid.n_p,
                       coefficients=cls._table(field, gamma0, grid, cfg.stencil_order),
@@ -1611,22 +1609,24 @@ class TestMonteCarlo:
         assert got == self.CHUNK_PINS[case]
 
     @staticmethod
-    def _chunked(target, f0, field, grid, cfg, hops=None):
-        """(value, stderr) of cfg.n_particles walks over the chunks and seed
-        streams of mc_estimate_point, with the walk it picks for the field
-        unless `hops` forces one."""
-        coeffs = linear_coefficients(field, grid)
-        gamma0 = cfg.gamma0 if cfg.gamma0 is not None else default_gamma0(coeffs, grid, cfg)
-        br = montecarlo._Branches(coeffs, grid, cfg)
-        n, size = cfg.n_particles, montecarlo._CHUNK_WALKERS
-        scores = np.concatenate([
-            montecarlo._run_chunk(min(size, n - start), [cfg.rng_seed, k], target[0],
-                                  target[1], f0.values, field, grid, cfg, gamma0, br, hops=hops)[0]
-            for k, start in enumerate(range(0, n, size))])
-        return scores.mean(), scores.std(ddof=1) / np.sqrt(n)
+    def _chunked(target, f0, field, grid, cfg):
+        """(value, stderr) of cfg.n_particles walks over the setup, chunks
+        and seed streams of mc_estimate_point, chunk by chunk."""
+        br = montecarlo._Branches(field, grid, cfg)
+        scores = np.concatenate([montecarlo._run_chunk(br, k, target[0], target[1], f0.values)[0]
+                                 for k in range(len(br.chunks))])
+        return scores.mean(), scores.std(ddof=1) / np.sqrt(cfg.n_particles)
+
+    def test_chunked_walks_the_estimates_chunks(self):
+        # _CHUNK_WALKERS + 1 walkers split evenly, 5001 + 5000, not 10000 + 1
+        grid, field, scfg, f0, targets = self._probe()
+        scfg = dataclasses.replace(scfg, n_particles=montecarlo._CHUNK_WALKERS + 1)
+        est = mc_estimate_point(targets[0], f0, field, grid, scfg)
+        value, stderr = self._chunked(targets[0], f0, field, grid, scfg)
+        assert (value.hex(), stderr.hex()) == (est.value.hex(), est.stderr.hex())
 
     @pytest.mark.parametrize("case", ["probe_0", "probe_1", "probe_2", "edge_zero"])
-    def test_hop_walk_agrees_with_collision_walk(self, case):
+    def test_hop_walk_agrees_with_collision_walk(self, case, monkeypatch):
         # the probe's targets and the lattice edge of CHUNK_PINS, 100000
         # walkers each, on independent seed streams
         grid, field, scfg, f0, targets = self._probe()
@@ -1637,9 +1637,11 @@ class TestMonteCarlo:
         else:
             target = targets[int(case[-1])]
         hop = mc_estimate_point(target, f0, field, grid, scfg)
-        collision = self._chunked(target, f0, field, grid,
-                                  dataclasses.replace(scfg, rng_seed=scfg.rng_seed + 1), hops=False)
         assert hop.value == self._chunked(target, f0, field, grid, scfg)[0]
+        # the collision walk on the same uniform field
+        monkeypatch.setattr(montecarlo, "_walks_hop_to_hop", lambda field: False)
+        collision = self._chunked(target, f0, field, grid,
+                                  dataclasses.replace(scfg, rng_seed=scfg.rng_seed + 1))
         assert abs(hop.value - collision[0]) <= 4.0 * np.hypot(hop.stderr, collision[1])
 
     def test_rate_free_walk_takes_one_round(self, monkeypatch):
@@ -1654,8 +1656,7 @@ class TestMonteCarlo:
         est = mc_estimate_point(target, f0, field, G2, cfg)
         coeffs = linear_coefficients(field, G2)
         scores, capped, retired = montecarlo._run_chunk(
-            cfg.n_particles, [cfg.rng_seed, 0], target[0], target[1], f0.values, field, G2,
-            cfg, est.gamma0, montecarlo._Branches(coeffs, G2, cfg))
+            montecarlo._Branches(field, G2, cfg), 0, target[0], target[1], f0.values)
         at_target = montecarlo._interp_initial(f0.values, G2, target[0][:, None],
                                                target[1][:, None], cfg.boundary,
                                                cfg.stencil_order)
@@ -1715,7 +1716,7 @@ class TestMonteCarlo:
         point, from its branch table and hop rates: each branch adds its
         signed coefficient at the point it moves to, and moves off the
         momentum lattice are dropped (the kernel zero-fills them)."""
-        br = montecarlo._Branches(linear_coefficients(field, grid), grid, cfg)
+        br = montecarlo._Branches(field, grid, cfg)
         nb, shape = br.nb, grid.state_shape
         n = math.prod(shape)
         idx = np.indices(shape).reshape(4, n)
@@ -1760,8 +1761,7 @@ class TestMonteCarlo:
         k[5:] = continuum.curvature_branches(linear_coefficients(field, G2), G2, 2)[2]
         assert np.array_equal(k[5:], table[0, 5:])
         # the walk's total: the running sum of branches 0-4 plus the curvature mass
-        br = montecarlo._Branches(linear_coefficients(field, G2), G2,
-                                  SolverConfig(dt=0.02, t_end=0.4))
+        br = montecarlo._Branches(field, G2, SolverConfig(dt=0.02, t_end=0.4))
         a_x, a_y = np.abs(h_x), np.abs(h_y)
         total = 7.0 + a_x + a_x + a_y + a_y + br.curvature_mass
         absc = np.abs(table)
@@ -1806,7 +1806,7 @@ class TestMonteCarlo:
         field = LinearEMField(b0=2.0, e_grad=(0.3, -0.2))
         assert np.all(self._table(field, 7.0)(midx, pos)[:, 5:] == 0.0)
         for order in (2, 4):
-            assert montecarlo._Branches(linear_coefficients(field, G2), G2, SolverConfig(
+            assert montecarlo._Branches(field, G2, SolverConfig(
                 dt=0.02, t_end=0.4, stencil_order=order)).nb == 5
 
     def test_walk_ending_in_the_last_allowed_round_returns(self, monkeypatch):
