@@ -1,30 +1,30 @@
 """Backward walk estimator for a single phase-space point of the solution.
 
 Walkers start at the requested point at the final time and trace constant
-momentum characteristics backward.  Collisions arrive at an auxiliary rate
-gamma0; each one either keeps the walker in place (the rate-compensation
-branch) or hops it by one stencil move of the discretized force/gradient
-operator, with the signed weight update that keeps the estimator unbiased.
-A walker that survives to t = 0 scores weight times the initial condition
-interpolated at its end point, bilinearly at stencil_order 2 and bicubically
-at order 4, so that scoring is as accurate in the cell size as the order's
-spatial stencil; the exponential survival mass cancels against the damping
-factor, so no explicit decay factor appears at scoring time.
+momentum characteristics backward.  The walk samples the collisions of an
+auxiliary rate gamma0: each either keeps the walker in place (the
+rate-compensation branch) or hops it by one stencil move of the discretized
+force/gradient operator, with the signed weight update that keeps the
+estimator unbiased.  A walker that survives to t = 0 scores weight times
+the initial condition interpolated at its end point, bilinearly at
+stencil_order 2 and bicubically at order 4, so that scoring is as accurate
+in the cell size as the order's spatial stencil; the exponential survival
+mass cancels against the damping factor, so no explicit decay factor
+appears at scoring time.
 
-Which walk runs follows from the field (`_walks_hop_to_hop`).  With b1 or
-an E gradient the rates move with position, and the walk goes from
-collision to collision.  Without them (uniform B, or no field) the hop
-rates follow the momentum alone, which a flight keeps, so the walk goes
-from hop to hop (`_fly_to_hop`): the rate-compensation collisions between
-two hops are integrated out into one exact factor exp(lam delta), and a
-walker without hop rate reaches t = 0 in its first round.  That walk checks
-the weight cap after each hop.
+The walk goes from hop to hop (`_walk`): the rate-compensation collisions
+between two hops are integrated out, which leaves hops at the rate
+`_hop_rate` and an exact weight factor.  Hop times are proposed at a
+constant rate that bounds the hop rate along the flight, and a hop takes
+the ratio of the two rates; in a field without b1 or an E gradient the
+rates follow the momentum alone and the ratio is 1.  The walk checks the
+weight cap after each hop.
 
 A walker leaves the walker table when its walk ends: it reaches t = 0, is
 retired off the momentum lattice, or is capped over the weight cap.  A
 round flies every walker (one that reaches t = 0 for the time it has
-left), records the walks that reached t = 0, collides or hops every walker
-and compacts the table once.  A chunk's float walker arrays, draws and
+left), records the walks that reached t = 0, hops every walker and
+compacts the table once.  A chunk's float walker arrays, draws and
 scratch are rows of one table allocated for its walk, so a round allocates
 no walker-sized float array and the heap does not grow and shrink with the
 rounds.  After its walk a chunk scores its records, in one pass at
@@ -35,7 +35,7 @@ Walker arrays hold one row per axis and one column per walker.
 
 Branches 1-4 hop the momentum index at the force rates; the curvature
 branches from 5 on are `continuum.curvature_branches` at the config's
-stencil_order (14 at order 2, 28 at order 4, none without b1).  A collision
+stencil_order (14 at order 2, 28 at order 4, none without b1).  A hop
 reads the hop rates as per-walker arrays and the curvature coefficients as
 constants.  Its running sums go left to right, and its row total is the
 running sum of branches 0-4 plus the curvature branches' total |coefficient|,
@@ -202,10 +202,12 @@ class _Branches:
     of each chunk (`chunks`), and the tables of the nb collision branches:
     the rate compensation, the four force hops and the `curvature_branches`.
     The kernel tables they are taken from are dropped, as the walk reads the
-    field's closed form.
+    field's closed form.  `rates_move` tells whether the hop rates move with
+    position, that is whether the field has b1 or an E gradient; it is the
+    one field test of the walk.
 
-    A collision is looked up at index branch + nb * bits, where bits holds
-    the signs of h_x (1) and h_y (2): `moves` and `position_moves` give its
+    A branch is looked up at index branch + nb * bits, where bits holds the
+    signs of h_x (1) and h_y (2): `moves` and `position_moves` give its
     displacement (one row per axis), `sign` the sign of its coefficient.
     `power` holds the nb |coefficients| that are the same at every walker,
     and `curvature_mass` the sum of those of the curvature branches.
@@ -213,6 +215,7 @@ class _Branches:
 
     def __init__(self, field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig):
         self.field, self.grid, self.config = field, grid, config
+        self.rates_move = bool(field.b1) or any(field.e_grad)
         coeffs = linear_coefficients(field, grid)
         self.gamma0 = (config.gamma0 if config.gamma0 is not None
                        else default_gamma0(coeffs, grid, config))
@@ -292,49 +295,36 @@ def _branch(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, sel: np.ndarr
             pos[c] += br.position_moves[c].take(sel, out=scratch[c], mode="wrap")
 
 
-def _fly_to_hop(e: np.ndarray, u: np.ndarray, t_left: np.ndarray, weight: np.ndarray,
-                total: np.ndarray, gamma0: float, x: np.ndarray):
-    """Fly each walker to its next hop or to t = 0, whichever comes first,
-    with its rate-compensation collisions integrated out.
-
-    The hops come at rate lam = gamma0 R / total, R = total - gamma0 the hop
-    rate, and the rate-compensation collisions, each a factor total /
-    gamma0, at rate gamma0^2 / total, independently.  Over a flight of
-    delta these multiply the weight by exp(lam delta) in expectation, which
-    the weight takes in their place.  The standard exponential e gives the
-    hop at lam delta = e, which comes before t = 0 iff e < lam t_left, so
-    a walker without hop rate divides by nothing and flies to t = 0.
-
-    Returns whether the hop comes first, and the time flown in row x.  u
-    becomes gamma0 + u R, which picks the hop among branches 1-4 at its
-    running sums.  e is spent.
-    """
-    np.subtract(total, gamma0, out=x)      # R
-    r = np.multiply(u, x, out=u)
-    r += gamma0
-    x *= gamma0
-    x /= total
-    x *= t_left                            # lam t_left
-    hop = e < x
-    np.minimum(e, x, out=e)                # lam delta
-    # delta / t_left: e / (lam t_left) at a hop, 1 at t = 0
-    delta = np.divide(e, x, out=x, where=hop)
-    np.copyto(delta, 1.0, where=~hop)
-    delta *= t_left
-    weight *= np.exp(e, out=e)
-    return hop, delta
-
-
-def _walks_hop_to_hop(field: LinearEMField) -> bool:
-    """Whether the walk goes from hop to hop in this field: without b1 or an
-    E gradient the hop rates follow the momentum alone."""
-    return not field.b1 and not any(field.e_grad)
+def _hop_rate(total: np.ndarray, gamma0: float, out: np.ndarray) -> np.ndarray:
+    """The rate lam = gamma0 R / total of the hops at each walker, R = total
+    - gamma0 its hop mass, into out (not total): the collisions come at rate
+    total and hop with probability R / total, each rate-compensation
+    collision a factor total / gamma0, so integrating those out leaves hops
+    at rate lam and the weight factor exp(lam t) over a flight of t."""
+    lam = np.subtract(total, gamma0, out=out)
+    lam *= gamma0
+    lam /= total
+    return lam
 
 
 def _walk(br: _Branches, k: int, target_m, target_x):
     """Walk chunk k of br, its br.chunks[k] walkers from the seed stream
-    [rng_seed, k]: from hop to hop (`_fly_to_hop`) if `_walks_hop_to_hop`,
-    else from collision to collision.
+    [rng_seed, k], from hop to hop.
+
+    A round draws a standard exponential e and a uniform u per walker.  The
+    hops come at rate lam(t) (`_hop_rate`) along the flight back to t = 0,
+    and the walk proposes them at a constant rate mu >= lam: lam grows with
+    the row total, which in a linear field is convex in the time flown, so
+    mu = lam at the larger of the totals at the flight's start and end
+    bounds it.  A walker hops at tau = e / mu if e < mu t_left, else flies
+    to t = 0; either way the weight takes exp(min(e, mu t_left)), and a
+    hop the factor lam(tau) / mu, which samples the measure of the hops at
+    rate lam.  At the hop, r = gamma0 + u (T - gamma0), T the row total
+    there, picks a branch from 1 on (`_branch`).  Where br.rates_move is
+    False the rates follow the momentum alone, which the flight keeps: the
+    rates at the end and at the hop are those at the start to the bit, so
+    the walk does not evaluate them again and the hop's factor is 1.  A
+    walker without hop rate reaches t = 0 in its first round.
 
     Returns the walks that reached t = 0, one (ids, weights, momentum
     indices, end points) record per round, and the capped and retired
@@ -346,16 +336,14 @@ def _walk(br: _Branches, k: int, target_m, target_x):
     that no round allocates a walker-sized float array.  Two 4-row halves
     take turns: one holds the live walkers (x, y, weight, t_left), the other
     the round's draws and momenta (e, u, p_x, p_y), and the compaction
-    takes each walker row into the other half.  Five more rows are the
-    drift, the running sums and the collision's scratch.
+    takes each walker row into the other half.  Five more rows hold the
+    flight's end, the running sums, the row totals, mu and the hop's
+    scratch.
     """
     grid, config, gamma0 = br.grid, br.config, br.gamma0
-    hops = _walks_hop_to_hop(br.field)
     n = br.chunks[k]
     rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, k]))
-    (dpx, dpy), mass, (npx, npy) = grid.dp, grid.constants.mass, grid.n_p
-    m_type = br.moves.dtype
-    scale = 1.0 / gamma0
+    dp, mass, (npx, npy) = np.array(grid.dp)[:, None], grid.constants.mass, grid.n_p
 
     # rows 0-7: the two halves, starting with the walkers; rows 8-12: the scratch
     table = np.empty((13, n))
@@ -364,7 +352,7 @@ def _walk(br: _Branches, k: int, target_m, target_x):
     table[2] = 1.0
     table[3] = float(config.t_end)
     ids = np.arange(n, dtype=np.min_scalar_type(n))
-    midx = np.repeat(np.asarray(target_m, dtype=m_type)[:, None], n, axis=1)
+    midx = np.repeat(np.asarray(target_m, dtype=br.moves.dtype)[:, None], n, axis=1)
     ends = []
     n_capped = 0
     n_retired = 0
@@ -378,38 +366,52 @@ def _walk(br: _Branches, k: int, target_m, target_x):
         scratch = table[8:, :m]
         rng.standard_exponential(out=e)
         rng.random(out=u)
-        np.multiply(midx[0], dpx, out=p[0])
-        np.multiply(midx[1], dpy, out=p[1])
+        np.multiply(midx, dp, out=p)
 
-        if hops:
-            # the rates follow the momentum, which the flight keeps
-            sel, sums = _row_sums(p, pos, br, scratch)
-            total = sums[3]
-            live, delta = _fly_to_hop(e, u, t_left, weight, total, gamma0, scratch[4])
-            drift = np.divide(p, mass, out=p)
-        else:
-            # draw for draw the values of rng.exponential(scale)
-            e *= scale
-            live = e < t_left
-            delta = np.minimum(e, t_left, out=e)
-            drift = np.divide(p, mass, out=scratch[:2])
+        sel, sums = _row_sums(p, pos, br, scratch)
+        total = sums[3]
+        if br.rates_move:
+            # the larger row total of the flight's start and end, in row 1;
+            # the start's sums are taken again at the hop
+            np.copyto(scratch[4], total)
+            end = np.divide(p, mass, out=scratch[2:4])
+            end *= t_left
+            np.subtract(pos, end, out=end)
+            end_sums = _row_sums(p, end, br, scratch)[1]
+            total = np.maximum(end_sums[3], scratch[4], out=scratch[1])
+            total += br.curvature_mass
+        x = _hop_rate(total, gamma0, scratch[4])
+        x *= t_left                            # mu t_left
+        live = e < x                           # the walkers that hop
+        np.minimum(e, x, out=e)                # mu delta
+        # delta / t_left: e / (mu t_left) at a hop, 1 at t = 0
+        delta = np.divide(e, x, out=x, where=live)
+        np.copyto(delta, 1.0, where=~live)
+        delta *= t_left
+        weight *= np.exp(e, out=e)
+        drift = np.divide(p, mass, out=p)
         t_left -= delta
         drift *= delta
         pos -= drift
         hit = np.flatnonzero(~live)
-        if hit.size:
-            ends.append((ids.take(hit), weight.take(hit), midx.take(hit, 1),
-                         pos.take(hit, 1)))
-        # the hop walk ends most walks in its first rounds: free their index
+        ends.append((ids.take(hit), weight.take(hit), midx.take(hit, 1),
+                     pos.take(hit, 1)))
+        # most walks end in their first rounds: free their index
         del hit
-        if not hops:
-            # collide where the flight ended: u times the row total, the
-            # running sum of branches 0-4 plus the curvature mass, picks the
-            # branch by cumulative |coefficient|
+        if br.rates_move:
+            # the rates at the hop, and its factor lam / mu
+            mu = _hop_rate(total, gamma0, e)
+            np.multiply(midx, dp, out=p)
             sel, sums = _row_sums(p, pos, br, scratch)
-            total = np.add(sums[3], br.curvature_mass, out=p[0]) if br.nb > 5 else sums[3]
-            u *= total
-        _branch(midx, pos, weight, sel, sums, total, u, br, scratch)
+            total = np.add(sums[3], br.curvature_mass, out=p[0])
+            lam = _hop_rate(total, gamma0, p[1])
+            np.divide(lam, mu, out=lam, where=live)
+            np.multiply(weight, lam, out=weight, where=live)
+        # gamma0 + u R picks the hop among the branches from 1 on
+        rate = np.subtract(total, gamma0, out=p[1])      # R
+        r = np.multiply(u, rate, out=u)
+        r += gamma0
+        _branch(midx, pos, weight, sel, sums, total, r, br, scratch)
 
         # hopping off the momentum lattice reads f = 0: score nothing
         m_abs = np.abs(midx)
@@ -445,15 +447,14 @@ def _run_chunk(br: _Branches, k: int, target_m, target_x,
     ends, n_capped, n_retired = _walk(br, k, target_m, target_x)
     # capped and retired walks keep the score 0
     scores = np.zeros(br.chunks[k])
-    if ends:
-        done, end_w, end_m, end_x = (np.concatenate(a, axis=-1) for a in zip(*ends))
-        del ends
-        order = br.config.stencil_order
-        step = _SCORE_TAPS // order ** 2
-        for start in range(0, done.size, step):
-            cut = slice(start, start + step)
-            scores[done[cut]] = end_w[cut] * _interp_initial(
-                f0_values, br.grid, end_m[:, cut], end_x[:, cut], br.config.boundary, order)
+    done, end_w, end_m, end_x = (np.concatenate(a, axis=-1) for a in zip(*ends))
+    del ends
+    order = br.config.stencil_order
+    step = _SCORE_TAPS // order ** 2
+    for start in range(0, done.size, step):
+        cut = slice(start, start + step)
+        scores[done[cut]] = end_w[cut] * _interp_initial(
+            f0_values, br.grid, end_m[:, cut], end_x[:, cut], br.config.boundary, order)
     return scores, n_capped, n_retired
 
 

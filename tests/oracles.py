@@ -385,27 +385,30 @@ def walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_ca
 
 
 def hop_walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weight_cap,
-                       dp, mass, n_p, coefficients, interp, max_rounds=100000):
+                       dp, mass, n_p, dx, coefficients, interp, order=2, max_rounds=100000):
     """Backward walk from hop to hop on a full mutable walker table with an
-    alive mask, for a field whose 5 branch coefficients(midx, pos), an (k, 5)
-    signed table, follow the momentum alone.
+    alive mask, for a linear field whose branch coefficients(midx, pos), an
+    (k, nb) signed table, may move with position.
 
     Every round draws one standard exponential e and one uniform u per live
     walker, in walker order.  With the row total T (the running sum of the
-    |coefficients|), the hop rate R = T - gamma0 and lam = gamma0 R / T, a
-    walker hops iff e < lam t_left.  Then it moves back along its velocity
-    midx dp / mass for t_left e / (lam t_left), its weight takes exp(e),
-    and it picks among branches 1-4 the one whose running-sum interval
-    holds gamma0 + u R, with the factor sign * T / gamma0.  Otherwise its
-    weight takes exp(lam t_left) and it scores weight times interp(midx,
-    pos) at the end of its flight to t = 0.  A hop off the momentum lattice
-    |midx| <= n_p retires the walker; a weight above weight_cap caps it.
-    midx and pos have one row per walker.  Returns (scores, n_capped,
-    n_retired).
+    |coefficients| of branches 0-4 plus the total |coefficient| of the
+    curvature branches) and lam(T) = gamma0 (T - gamma0) / T, the proposal
+    rate mu is lam at the larger of the totals at the walker and at the end
+    of its flight back to t = 0, along its velocity midx dp / mass.  The
+    weight takes exp(min(e, mu t_left)).  A walker with e < mu t_left hops:
+    it moves back for t_left e / (mu t_left), its weight takes lam(T) / mu
+    at the total T there, and it picks the branch from 1 on whose
+    running-sum interval holds gamma0 + u (T - gamma0), with the factor
+    sign * T / gamma0 and the moves of the stencil `order` (see
+    _walk_moves).  Otherwise it scores weight times interp(midx, pos) at
+    the end of its flight.  A hop off the momentum lattice |midx| <= n_p
+    retires the walker; a weight above weight_cap caps it.  midx and pos
+    have one row per walker.  Returns (scores, n_capped, n_retired).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     dp, n_p = np.asarray(dp, dtype=float), np.asarray(n_p)
-    d_m = _walk_moves(1.0, 1.0, 2)[0][:5]
+    d_m, d_x = _walk_moves(*dx, order)
     midx = np.tile(np.asarray(target_m, dtype=np.int64), (n, 1))
     pos = np.tile(np.asarray(target_x, dtype=float), (n, 1))
     weight = np.ones(n)
@@ -413,6 +416,16 @@ def hop_walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weigh
     alive = np.ones(n, dtype=bool)
     scores = np.zeros(n)
     n_capped = n_retired = 0
+
+    def rows(m, x):
+        # the signed table, its |coefficients| and the row total
+        coef = coefficients(m, x)
+        absc = np.abs(coef)
+        return coef, absc, absc[:, :5].cumsum(axis=1)[:, -1] + absc[:, 5:].sum(axis=1)
+
+    def rate(total):
+        return (total - gamma0) * gamma0 / total
+
     for _ in range(max_rounds):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
@@ -421,35 +434,33 @@ def hop_walk_reference(n, seed_pair, target_m, target_x, *, t_end, gamma0, weigh
         u = rng.uniform(size=idx.size)
         t_left = time_left[idx]
         vel = midx[idx] * dp / mass
-        coef = coefficients(midx[idx], pos[idx])
-        assert not coef[:, 5:].any()
-        coef = coef[:, :5]
-        sums = np.cumsum(np.abs(coef), axis=1)
-        total = sums[:, -1]
-        rate = total - gamma0
-        lam_t = rate * gamma0 / total * t_left
-        weight[idx] *= np.exp(np.minimum(e, lam_t))
+        end_pos = pos[idx] - vel * t_left[:, None]
+        mu = rate(np.maximum(rows(midx[idx], pos[idx])[2], rows(midx[idx], end_pos)[2]))
+        mu_t = mu * t_left
+        weight[idx] *= np.exp(np.minimum(e, mu_t))
 
-        absorbed = e >= lam_t
+        absorbed = e >= mu_t
         ia = idx[absorbed]
         if ia.size:
-            end_pos = pos[ia] - vel[absorbed] * t_left[absorbed, None]
-            scores[ia] = weight[ia] * interp(midx[ia], end_pos)
+            scores[ia] = weight[ia] * interp(midx[ia], end_pos[absorbed])
             alive[ia] = False
 
         hop = ~absorbed
         ib = idx[hop]
         if ib.size == 0:
             continue
-        dlt = t_left[hop] * (e[hop] / lam_t[hop])
+        dlt = t_left[hop] * (e[hop] / mu_t[hop])
         pos[ib] -= vel[hop] * dlt[:, None]
         time_left[ib] = t_left[hop] - dlt
 
-        r = u[hop] * rate[hop] + gamma0
-        sel = np.minimum((sums[hop] <= r[:, None]).sum(axis=1), 4)
-        picked = coef[hop][np.arange(ib.size), sel]
-        weight[ib] *= np.sign(picked) * total[hop] / gamma0
+        coef, absc, total = rows(midx[ib], pos[ib])
+        weight[ib] *= rate(total) / mu[hop]
+        r = u[hop] * (total - gamma0) + gamma0
+        sel = np.minimum((np.cumsum(absc, axis=1) <= r[:, None]).sum(axis=1), len(d_m) - 1)
+        picked = coef[np.arange(ib.size), sel]
+        weight[ib] *= np.sign(picked) * total / gamma0
         midx[ib] += d_m[sel]
+        pos[ib] += d_x[sel]
 
         off = np.any(np.abs(midx[ib]) > n_p, axis=1)
         alive[ib[off]] = False

@@ -57,3 +57,41 @@ def test_mc_convergence():
     assert reference > 0 and all(row[2] > 0 for row in rows)
     # printed to two decimals
     assert abs(rows[1][4] - rows[0][2] / rows[1][2]) < 0.01
+
+
+MODULE = '''"""Module docstring
+over two lines."""
+
+# a comment
+import os
+
+
+def f(x):
+    """One-line docstring."""
+    y = (x +
+         1)  # a trailing comment
+    s = """a string
+that is code"""
+    return y, s
+
+
+class C:
+    """Docstring
+    of a class."""
+
+    z = 1
+'''
+
+
+def test_src_lines(tmp_path):
+    # code lines: import, def, the two of y, the two of s, return, class, z
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "mod.py").write_text(MODULE)
+    (tmp_path / "sub" / "one.py").write_text("x = 1\n\n")
+    lines = run_script("src_lines.py", str(tmp_path))
+    assert [line.split() for line in lines] == [
+        ["file", "code", "lines"],
+        ["mod.py", "9", str(len(MODULE.splitlines()))],
+        ["sub/one.py", "1", "2"],
+        ["total", "10", str(len(MODULE.splitlines()) + 2)],
+    ]

@@ -1457,40 +1457,36 @@ class TestMonteCarlo:
     def _table(field, gamma0, grid=G2, order=2):
         """The oracle's (k, nb) coefficient table on grid at stencil order
         `order`, as a function of (midx, pos) with one row per walker."""
+        c = grid.constants
         return lambda m, x: walk_coefficients(
-            m, x, gamma0=gamma0, dp=grid.dp, dx=grid.dx, charge=NAT.charge, mass=NAT.mass,
-            hbar=NAT.hbar, b0=field.b0, b1=field.b1, e_grad=field.e_grad, order=order)
+            m, x, gamma0=gamma0, dp=grid.dp, dx=grid.dx, charge=c.charge, mass=c.mass,
+            hbar=c.hbar, b0=field.b0, b1=field.b1, e_grad=field.e_grad, order=order)
 
     @classmethod
     def _walk_and_reference(cls, field, cfg, target, grid=G2, f0=None):
         """(scores, n_capped, n_retired) of one chunk, from the walk that
-        mc_estimate_point runs for the field and from its full-table
-        reference: from hop to hop without b1 or an E gradient, else from
-        collision to collision over all the order's branches."""
+        mc_estimate_point runs and from its full-table reference
+        `hop_walk_reference` over all the order's branches."""
         f0 = packet(grid, sigma_p=1.0).values if f0 is None else f0.values
         gamma0 = default_gamma0(linear_coefficients(field, grid), grid, cfg)
-        seed = [cfg.rng_seed, 0]
         got = montecarlo._run_chunk(montecarlo._Branches(field, grid, cfg), 0, target[0],
                                     target[1], f0)
-        common = dict(t_end=cfg.t_end, gamma0=gamma0, weight_cap=cfg.weight_cap, dp=grid.dp,
-                      mass=NAT.mass, n_p=grid.n_p,
-                      coefficients=cls._table(field, gamma0, grid, cfg.stencil_order),
-                      interp=lambda m, x: montecarlo._interp_initial(
-                          f0, grid, m.T, x.T, cfg.boundary, cfg.stencil_order))
-        if montecarlo._walks_hop_to_hop(field):
-            ref = hop_walk_reference(cfg.n_particles, seed, target[0], target[1], **common)
-        else:
-            ref = walk_reference(cfg.n_particles, seed, target[0], target[1], dx=grid.dx,
-                                 order=cfg.stencil_order, **common)
+        ref = hop_walk_reference(
+            cfg.n_particles, [cfg.rng_seed, 0], target[0], target[1], t_end=cfg.t_end,
+            gamma0=gamma0, weight_cap=cfg.weight_cap, dp=grid.dp, mass=grid.constants.mass,
+            n_p=grid.n_p, dx=grid.dx, order=cfg.stencil_order,
+            coefficients=cls._table(field, gamma0, grid, cfg.stencil_order),
+            interp=lambda m, x: montecarlo._interp_initial(f0, grid, m.T, x.T, cfg.boundary,
+                                                           cfg.stencil_order))
         return got, ref
 
     @pytest.mark.parametrize("b1, order, m", [(1.0, 2, (0, 0)), (0.0, 2, (2, -1)),
                                               (1.0, 4, (0, 0))],
                              ids=["gradient", "uniform", "gradient_order4"])
     def test_walk_matches_reference(self, b1, order, m):
-        # the weight cap of test_weight_cap_tallied: capped walkers leave mid-walk.
-        # Uniform B walks from hop to hop and checks the cap after each hop;
-        # it starts off m = (0, 0), where no hop comes
+        # the weight cap of test_weight_cap_tallied: capped walkers leave
+        # mid-walk, as the walk checks the cap after each hop.  Uniform B
+        # starts off m = (0, 0), where no hop comes
         cfg = SolverConfig(dt=0.02, t_end=0.4, boundary="periodic", stencil_order=order,
                            n_particles=400, rng_seed=3, weight_cap=1.5)
         (scores, capped, retired), (ref, ref_capped, ref_retired) = self._walk_and_reference(
@@ -1538,23 +1534,22 @@ class TestMonteCarlo:
         assert np.array_equal(scores, ref)
 
     # (value.hex(), stderr.hex(), n_capped, n_retired) of mc_estimate_point,
-    # recorded with the walk of commit 625ff69, and "gradient" again once the
-    # row total added the curvature mass as one constant: a change to the
-    # draw order or to the walk's arithmetic moves them
+    # recorded with the walk from hop to hop at the exponential proposal: a
+    # change to the draw order or to the walk's arithmetic moves them
     WALK_PINS = {
-        "gradient": ("0x1.4a4933e0e0492p-6", "0x1.bd200d8a718adp-10", 258, 0),
-        "uniform": ("-0x1.8c8c5ad0267b2p-12", "0x1.b0f6dbea596b3p-11", 159, 5),
+        "gradient": ("0x1.9837b64ef72c6p-5", "0x1.3273fdfd3bbf9p-9", 49, 0),
+        "e_gradient": ("-0x1.5f40c05290dd2p-11", "0x1.0ad9982b1ef5dp-10", 129, 12),
     }
     WALK_CASES = {
-        # b1 != 0, 19 branches: the cap ends most walks
+        # b1 != 0, 19 branches: the cap ends many walks
         "gradient": (LinearEMField(b0=2.0, b1=1.0), (np.array([0, 0]), np.array([0.0, 0.0])),
                      "periodic", 1.5),
         # b1 = 0, 5 branches, with force gradients: walks are capped and retired
-        "uniform": (LinearEMField(b0=2.0, e_grad=(0.3, -0.2)),
-                    (np.array([3, -1]), np.array([0.3, -0.2])), "zero", 16.0),
+        "e_gradient": (LinearEMField(b0=2.0, e_grad=(0.3, -0.2)),
+                       (np.array([3, -1]), np.array([0.3, -0.2])), "zero", 16.0),
     }
 
-    @pytest.mark.parametrize("case", ["gradient", "uniform"])
+    @pytest.mark.parametrize("case", list(WALK_PINS))
     def test_walk_is_pinned(self, case):
         field, target, boundary, cap = self.WALK_CASES[case]
         cfg = SolverConfig(dt=0.02, t_end=0.4, boundary=boundary, n_particles=400,
@@ -1567,7 +1562,7 @@ class TestMonteCarlo:
     # grid and field of configs/mc_point_probe.json: its three targets
     # (periodic, b1 = 0, its own rate), and a target on the momentum
     # lattice's edge at boundary "zero" with the default rate, where walkers
-    # retire.  These walk from hop to hop, recorded with the first hop walk;
+    # retire.  These are uniform fields, recorded with the first hop walk;
     # probe_1, at m = (0, 0), has no hop rate and kept its value.
     CHUNK_PINS = {
         "probe_0": ("0x1.89cc8892c9b96p+44", "0x1.6617415312894p+36", 0, 0),
@@ -1575,8 +1570,8 @@ class TestMonteCarlo:
         "probe_2": ("0x1.80fd69522f924p+43", "0x1.b30c2aa3d73fep+35", 0, 0),
         "edge_zero": ("0x1.d4a4140329810p+33", "0x1.ccc72eb4580bfp+29", 0, 419),
         # the first target with b1 = 1e7 at stencil_order 4 (33 branches),
-        # recorded with the walk that scores f0 bicubically at order 4
-        "b1_order4": ("0x1.a0dd019ec6cdap+44", "0x1.d8f86a32b88ffp+36", 0, 0),
+        # recorded with the hop walk at the exponential proposal
+        "b1_order4": ("0x1.9fa736a70f318p+44", "0x1.e0cb47b2f7352p+36", 0, 0),
     }
 
     @staticmethod
@@ -1591,10 +1586,11 @@ class TestMonteCarlo:
         return (grid, cfg.build_field(), cfg.build_solver_config(),
                 cfg.build_initial_state(grid), targets)
 
-    @pytest.mark.parametrize("case", list(CHUNK_PINS))
-    def test_two_chunks_are_pinned(self, case):
-        grid, field, scfg, f0, targets = self._probe()
-        scfg = dataclasses.replace(scfg, n_particles=montecarlo._CHUNK_WALKERS + 1)
+    @classmethod
+    def _probe_case(cls, case):
+        """Grid, field, solver config, initial state and target of a
+        CHUNK_PINS case."""
+        grid, field, scfg, f0, targets = cls._probe()
         if case == "edge_zero":
             scfg = dataclasses.replace(scfg, boundary="zero", gamma0=None)
             target = (np.array([grid.n_p[0], -2]), np.array([30e-9, -20e-9]))
@@ -1604,6 +1600,12 @@ class TestMonteCarlo:
             target = targets[0]
         else:
             target = targets[int(case[-1])]
+        return grid, field, scfg, f0, target
+
+    @pytest.mark.parametrize("case", list(CHUNK_PINS))
+    def test_two_chunks_are_pinned(self, case):
+        grid, field, scfg, f0, target = self._probe_case(case)
+        scfg = dataclasses.replace(scfg, n_particles=montecarlo._CHUNK_WALKERS + 1)
         est = mc_estimate_point(target, f0, field, grid, scfg)
         got = (est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired)
         assert got == self.CHUNK_PINS[case]
@@ -1625,24 +1627,66 @@ class TestMonteCarlo:
         value, stderr = self._chunked(targets[0], f0, field, grid, scfg)
         assert (value.hex(), stderr.hex()) == (est.value.hex(), est.stderr.hex())
 
-    @pytest.mark.parametrize("case", ["probe_0", "probe_1", "probe_2", "edge_zero"])
-    def test_hop_walk_agrees_with_collision_walk(self, case, monkeypatch):
-        # the probe's targets and the lattice edge of CHUNK_PINS, 100000
-        # walkers each, on independent seed streams
-        grid, field, scfg, f0, targets = self._probe()
-        scfg = dataclasses.replace(scfg, n_particles=100000)
-        if case == "edge_zero":
-            scfg = dataclasses.replace(scfg, boundary="zero", gamma0=None)
-            target = (np.array([grid.n_p[0], -2]), np.array([30e-9, -20e-9]))
-        else:
-            target = targets[int(case[-1])]
-        hop = mc_estimate_point(target, f0, field, grid, scfg)
-        assert hop.value == self._chunked(target, f0, field, grid, scfg)[0]
-        # the collision walk on the same uniform field
-        monkeypatch.setattr(montecarlo, "_walks_hop_to_hop", lambda field: False)
-        collision = self._chunked(target, f0, field, grid,
-                                  dataclasses.replace(scfg, rng_seed=scfg.rng_seed + 1))
-        assert abs(hop.value - collision[0]) <= 4.0 * np.hypot(hop.stderr, collision[1])
+    @pytest.mark.parametrize("case", ["probe_0", "probe_1", "probe_2", "edge_zero",
+                                      "field_free"])
+    def test_rates_move_is_only_a_shortcut(self, case, monkeypatch):
+        # without b1 or an E gradient the rates at the flight's end and at the
+        # hop are the start's to the bit: evaluating them changes no output
+        grid, field, scfg, f0, target = self._probe_case(
+            "probe_0" if case == "field_free" else case)
+        if case == "field_free":
+            field = LinearEMField()
+        scfg = dataclasses.replace(scfg, n_particles=montecarlo._CHUNK_WALKERS + 1)
+
+        class Moving(montecarlo._Branches):
+            def __init__(self, *args):
+                super().__init__(*args)
+                assert not self.rates_move
+                self.rates_move = True
+
+        runs = []
+        for branches in (montecarlo._Branches, Moving):
+            monkeypatch.setattr(montecarlo, "_Branches", branches)
+            est = mc_estimate_point(target, f0, field, grid, scfg)
+            runs.append((est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired))
+        assert runs[0] == runs[1]
+        if case != "field_free":
+            assert runs[0] == self.CHUNK_PINS[case]
+
+    # b1 = 1e7 T/m on the probe's grid at its first target, also with an E
+    # gradient of 1e13 V/m^2, whose hop rates move by several 1e12 /s along
+    # a flight, and on a zero boundary 3 nm inside the window's lower y edge,
+    # where the walkers fly out of the window: (field changes, solver config
+    # changes, target m and position in nm).  The hops' signed corrections
+    # nearly cancel in the mean, so a walk without the factor lam / mu shows
+    # in the stderr ratio: 1.36-1.39 with the E gradient, against 0.98-0.99
+    AGREE_CASES = {
+        "b1_order2": (dict(b1=1e7), dict(), ((1, 0), (0.0, 0.0))),
+        "b1_order4": (dict(b1=1e7), dict(stencil_order=4), ((1, 0), (0.0, 0.0))),
+        "b1_e_gradient": (dict(b1=1e7, e_grad=(1e13, -5e12)), dict(), ((1, 0), (0.0, 0.0))),
+        "b1_zero_boundary": (dict(b1=1e7), dict(boundary="zero"), ((1, 3), (0.0, -47.0))),
+    }
+
+    @pytest.mark.parametrize("case", list(AGREE_CASES))
+    def test_walk_agrees_with_collision_walk(self, case):
+        # the collision walk samples every rate-compensation collision: it is
+        # the same estimator, on a seed stream independent of the walk's
+        grid, field, scfg, f0, _ = self._probe()
+        field_change, cfg_change, (m, x_nm) = self.AGREE_CASES[case]
+        field = dataclasses.replace(field, **field_change)
+        scfg = dataclasses.replace(scfg, n_particles=100000, **cfg_change)
+        target = (np.array(m), np.array(x_nm) * 1e-9)
+        est = mc_estimate_point(target, f0, field, grid, scfg)
+        scores = walk_reference(
+            scfg.n_particles, [scfg.rng_seed + 1, 0], target[0], target[1],
+            t_end=scfg.t_end, gamma0=est.gamma0, weight_cap=scfg.weight_cap, dp=grid.dp,
+            mass=grid.constants.mass, n_p=grid.n_p, dx=grid.dx, order=scfg.stencil_order,
+            coefficients=self._table(field, est.gamma0, grid, scfg.stencil_order),
+            interp=lambda m, x: montecarlo._interp_initial(
+                f0.values, grid, m.T, x.T, scfg.boundary, scfg.stencil_order))[0]
+        ref, ref_err = scores.mean(), scores.std(ddof=1) / np.sqrt(scores.size)
+        assert abs(est.value - ref) <= 4.0 * np.hypot(est.stderr, ref_err)
+        assert 0.85 <= est.stderr / ref_err <= 1.15
 
     def test_rate_free_walk_takes_one_round(self, monkeypatch):
         # m = (0, 0) has no hop rate in uniform B: at the default rate every
@@ -1784,8 +1828,9 @@ class TestMonteCarlo:
     # walk that scored in every round peaked at 2.27 MiB
     CHUNK_PEAK = 1.1244 * 1.1 * 2 ** 20
 
-    # with b1 the collision adds 14 or 28 curvature branches, and no round
-    # allocates a walker-sized float array at either order
+    # with b1 a hop adds 14 or 28 curvature branches and evaluates the rates
+    # at the flight's end and at the hop, and no round allocates a
+    # walker-sized float array at either order
     @pytest.mark.parametrize("b1, order", [(0.0, 2), (1e7, 2), (1e7, 4)],
                              ids=["probe", "b1_order2", "b1_order4"])
     def test_walk_memory_per_walker(self, b1, order):
