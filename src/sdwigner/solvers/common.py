@@ -315,6 +315,18 @@ class Workspace:
       that carry no matrix; None where it is zero everywhere.  Each call
       folds them, times its scale, into the derivative matrices (`stacks`).
 
+    A force table that is the same at every cell of each momentum row (no
+    b1, and no E gradient along its axis) is folded into its momentum
+    matrix, decided from the table alone: row_forces[c] holds F_c per row
+    of the other momentum axis, and tables[c], the table the sweep
+    multiplies by, is None, as it is where the force term vanishes.  A
+    table with a non-finite entry does not fold.  Folded, a force-x term
+    that is a narrow product's only reader is one matmul per block by a
+    (P_y rows, slabs, span) stack of F_x[j] A_x into the block's sum, and
+    the force-y term one by a (slabs, P_y rows, P_y rows) stack of
+    F_y[i] A_y (`force_stacks`, filled per block); a folded force x on a
+    wide band or a shared product multiplies by F_x per P_y row.
+
     A workspace with `advection` is a stepped route's, and runs `in_place`:
     it takes calls that write over their input (`banded_rhs` with
     `out is values`).  One without is the resolvent kernel's, which the
@@ -327,9 +339,11 @@ class Workspace:
     peak.  That count comes from the sweep itself, run once here on two
     empty blocks, which take and give back scratch in the order of every
     call's blocks; a shift term is swept too, since any call may ask for
-    one.  Between calls all of it is spent, so a free flight
-    (`advect_free_flight`) sweeps the same blocks on the same memory: the
-    kernel's workspace holds at least the flight's two blocks.
+    one.  A folded force-x term forms no product block, so a uniform field
+    on the small-spacing route takes one block fewer.  Between calls all of
+    it is spent, so a free flight (`advect_free_flight`) sweeps the same
+    blocks on the same memory: the kernel's workspace holds at least the
+    flight's two blocks.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, config: "SolverConfig", ops: BandedOperators,
@@ -367,12 +381,25 @@ class Workspace:
                 speeds[s] = speeds[s] + weight
         self.speeds = [u if np.any(u) else None for u in speeds]
         self.y_force = ops.force[1]
-        self.tables = (coeffs.force_x, coeffs.force_y[:, None])
+        tables = (coeffs.force_x, coeffs.force_y[:, None])
+        self.row_forces = tuple(None if matrix is None else _row_force(table)
+                                for matrix, table in zip(ops.force, tables))
+        self.tables = tuple(None if matrix is None or rows is not None else table
+                            for matrix, rows, table in zip(ops.force, self.row_forces, tables))
         # slab i's first-axis matrix for one block; P_y row j's last-axis one
         d_x, d_y = self.stencil.matrices
         self.stacks = (None if self.speeds[0] is None else np.empty((step,) + d_x.shape),
                        None if self.speeds[1] is None else np.empty((len(speeds[1]),) + d_y.shape))
         self.spans = [self._spans(matrix) for matrix in self.x_matrices]
+        # a folded force-x term that is its narrow product's only reader is
+        # one matmul per block by a (P_y rows, slabs, span) stack; a folded
+        # force y one by a (slabs, P_y rows, P_y rows) stack
+        rows_x, rows_y = self.row_forces
+        direct_x = rows_x is not None and self.spans[0] is not None and not self.product_terms[0]
+        self.force_stacks = (
+            np.empty(len(rows_x) * step * max(hi - lo for lo, hi in self.spans[0]))
+            if direct_x else None,
+            None if rows_y is None else np.empty((step,) + ops.force[1].shape))
 
         # count the sweep's scratch by sweeping two empty blocks: every
         # block after the first takes and gives back as the second does
@@ -407,9 +434,20 @@ class Workspace:
         return spans
 
 
+def _row_force(table: np.ndarray) -> Optional[np.ndarray]:
+    """The force of each momentum row of `table` (rows first, cells after)
+    when it is one finite value at every cell of the row, else None."""
+    flat = table.reshape(len(table), -1)
+    rows = flat[:, :1]
+    if np.isfinite(rows).all() and (flat == rows).all():
+        return rows[:, 0].copy()
+    return None
+
+
 def _along_y(matrix: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`matrix` applied along the P_y axis of a C-contiguous block of slabs."""
-    rows = (-1, len(matrix), math.prod(block.shape[2:]))
+    """`matrix`, or a stack of one matrix per slab, applied along the P_y
+    axis of a C-contiguous block of slabs."""
+    rows = (-1, matrix.shape[-1], math.prod(block.shape[2:]))
     np.matmul(matrix, block.reshape(rows), out=out.reshape(rows))
     return out
 
@@ -457,9 +495,12 @@ def banded_rhs(values: np.ndarray, out: np.ndarray, work: Workspace, scale: floa
     momentum-x matrix, then one sweep over the blocks of whole P_x slabs.
     In each block a narrow-band matrix's product is formed first, from the
     slabs its rows touch, into a scratch block (scale and sign are folded
-    into the matrix either way).  The first term is written into the
-    block's sum and every other one is taken into a scratch block and
-    added: a product block once its last term has read it, else a block of
+    into the matrix either way), but for a force-x term folded into its
+    matrix that is the product's only reader: that term is formed directly
+    from those slabs, with F_x folded in too.  A folded force-y term is
+    likewise one matmul, by per-slab matrices.  The first term is written
+    into the block's sum and every other one is taken into a scratch block
+    and added: a product block once its last term has read it, else a block of
     `work.scratch`.  Scale is folded into the small matrices, weights and
     velocity stacks, so it costs no pass over the state.
 
@@ -496,11 +537,20 @@ def _sweep(values: np.ndarray, out: np.ndarray, work: Workspace, blocks: list, s
                      for terms in work.product_terms]
     state_terms = [(s, scale * w if my is None else scale * w * my)
                    for s, w, my in work.state_terms]
-    y_force = None if work.y_force is None else -scale * work.y_force
     stack_x, stack_y = work.stacks
     if stack_y is not None:
         _weighted_stack(scale * work.speeds[1], work.stencil.matrices[1], stack_y)
     force_x, force_y = work.tables
+    y_force = None if force_y is None else -scale * work.y_force
+    rows_x, rows_y = work.row_forces
+    if rows_x is not None:
+        # a wide band or a shared product multiplies by F_x[j] per P_y row j
+        force_x = rows_x[:, None, None]
+        weights_x = -scale * rows_x
+    if rows_y is not None:
+        weights_y = -scale * rows_y
+    stack_fx, stack_fy = work.force_stacks
+    n_rows, plane = values.shape[1], math.prod(values.shape[2:])
     last_narrow = max((k for k, block_spans in enumerate(spans) if block_spans is not None),
                       default=None)
     pending = None      # (block, the scratch block of its sum), not yet written back
@@ -514,16 +564,30 @@ def _sweep(values: np.ndarray, out: np.ndarray, work: Workspace, blocks: list, s
             acc = _Block(out[block], free)
         for k, (matrix, block_spans, product, terms, reads_force) in enumerate(zip(
                 work.x_matrices, spans, products, product_terms, work.force_x)):
+            direct = reads_force and stack_fx is not None
             if product is None:
                 lo, hi = block_spans[b]
-                p = acc.take()
-                np.matmul(-scale * matrix[block, lo:hi], values[lo:hi].reshape(-1, width),
-                          out=p.reshape(-1, width))
+                if direct:
+                    # the force is the product's only reader: one matmul
+                    # per P_y row j writes F_x[j] (-scale A_x f) as the term
+                    p = acc.target()
+                    stack = _shaped(stack_fx, (n_rows, len(f), hi - lo))
+                    np.multiply.outer(weights_x, matrix[block, lo:hi], out=stack)
+                    np.matmul(stack, values[lo:hi].reshape(hi - lo, n_rows, plane)
+                              .transpose(1, 0, 2),
+                              out=p.reshape(len(f), n_rows, plane).transpose(1, 0, 2))
+                else:
+                    p = acc.take()
+                    np.matmul(-scale * matrix[block, lo:hi], values[lo:hi].reshape(-1, width),
+                              out=p.reshape(-1, width))
                 if k == last_narrow and pending is not None:
                     # that was the last read of the previous block's old slabs
                     _write_back(values, *pending, base)
                     free.append(pending[1])
                     pending = None
+                if direct:
+                    acc.add(p)
+                    continue
             else:
                 p = product[block]
             for s, weight in terms:
@@ -544,7 +608,11 @@ def _sweep(values: np.ndarray, out: np.ndarray, work: Workspace, blocks: list, s
             acc.written = True
         for s, weight in state_terms:
             acc.gradient(work.stencil, f, s, weight)
-        if y_force is not None:
+        if rows_y is not None:
+            # folded: slab i's matrix is F_y[i] (-scale A_y)
+            stack = _weighted_stack(weights_y[block], work.y_force, stack_fy[:len(f)])
+            acc.add(_along_y(stack, f, acc.target()))
+        elif force_y is not None:
             term = _along_y(y_force, f, acc.target())
             acc.add(np.multiply(term, force_y[block], out=term))
         if shift:

@@ -27,10 +27,13 @@ left), records the walks that reached t = 0, hops every walker and
 compacts the table once.  A chunk's float walker arrays, draws and
 scratch are rows of one table allocated for its walk, so a round allocates
 no walker-sized float array and the heap does not grow and shrink with the
-rounds.  After its walk a chunk scores its records, in one pass at
-stencil_order 2 and in passes of 2500 at order 4 (16 cells per walk), and
-scatters the scores to walker order.  Every walker does its
-floating-point operations in the order of a walk over the full table.
+rounds, but for an E gradient's terms of the hop rates (`_hop_rates`):
+one temporary per axis of the gradient per rate evaluation, as at the
+flight's end no table row is free for it.  After its walk a chunk scores
+its records, in one pass at stencil_order 2 and in passes of 2500 at
+order 4 (16 cells per walk), and scatters the scores to walker order.
+Every walker does its floating-point operations in the order of a walk
+over the full table.
 Walker arrays hold one row per axis and one column per walker.
 
 Branches 1-4 hop the momentum index at the force rates; the curvature
@@ -173,14 +176,16 @@ def _hop_rates(p: np.ndarray, pos: np.ndarray, field: LinearEMField,
 
     Branches 1-4 hop the momentum index with coefficients -h_x, h_x, -h_y,
     h_y.  A zero b1 or E gradient adds no term: leaving it out changes at
-    most the sign of a zero rate, which no sign test or |h| reads.
+    most the sign of a zero rate, which no sign test or |h| reads.  b_z
+    takes no temporary, but each E gradient term takes one walker array.
     """
     c = grid.constants
     dpx, dpy = grid.dp
     e_x, e_y = field.e_grad
     bz = field.b0
     if field.b1:
-        bz = field.b1 * pos[1]
+        # b_z is built in h[1], which p_x b_z then overwrites
+        bz = np.multiply(pos[1], field.b1, out=h[1])
         bz += field.b0
     np.multiply(p[1], bz, out=h[0])
     np.multiply(p[0], bz, out=h[1])
@@ -333,12 +338,14 @@ def _walk(br: _Branches, k: int, target_m, target_x):
     would.
 
     The walk's float arrays are rows of one table allocated per chunk, so
-    that no round allocates a walker-sized float array.  Two 4-row halves
-    take turns: one holds the live walkers (x, y, weight, t_left), the other
-    the round's draws and momenta (e, u, p_x, p_y), and the compaction
-    takes each walker row into the other half.  Five more rows hold the
-    flight's end, the running sums, the row totals, mu and the hop's
-    scratch.
+    that no round allocates a walker-sized float array but for the E
+    gradient's terms of `_hop_rates`: at the flight's end rows 2-4 hold
+    the end position and the start's total, so no row is free for them.
+    Two 4-row halves take turns: one holds the live walkers (x, y, weight,
+    t_left), the other the round's draws and momenta (e, u, p_x, p_y), and
+    the compaction takes each walker row into the other half.  Five more
+    rows hold the flight's end, the running sums, the row totals, mu and
+    the hop's scratch.
     """
     grid, config, gamma0 = br.grid, br.config, br.gamma0
     n = br.chunks[k]

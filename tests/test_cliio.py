@@ -543,10 +543,12 @@ class TestRunner:
     WIDE_GRID = {"n_x": [40, 40], "n_p": [6, 6]}
 
     @staticmethod
-    def held_beside_states(work, coeffs):
-        """Bytes of what a run holds besides its states: the force tables,
-        the workspace's velocity stacks and its scratch blocks."""
-        arrays = (coeffs.force_x, coeffs.force_y) + tuple(work.stacks) + tuple(work.scratch)
+    def held_beside_states(work):
+        """Bytes of what a run holds besides its states: the force tables
+        the workspace still holds (none on an axis whose force is folded
+        into its momentum matrix), its velocity stacks and its scratch
+        blocks."""
+        arrays = tuple(work.tables) + tuple(work.stacks) + tuple(work.scratch)
         return sum(a.nbytes for a in arrays if a is not None)
 
     @pytest.mark.parametrize("method, field", [
@@ -570,7 +572,9 @@ class TestRunner:
         peak = allocation_peak(lambda: run_simulation(cfg, out_dir=tmp_path / "run"))
         states = 2 + len(work.products)
         assert len(list((tmp_path / "run").glob("state_0*.sdwg"))) == 4
-        assert (peak <= states * f.nbytes + self.held_beside_states(work, coeffs)
+        # a uniform field's tables fold into the momentum matrices
+        assert all(table is None for table in work.tables) == (method == "continuum")
+        assert (peak <= states * f.nbytes + self.held_beside_states(work)
                 + 2 * 8 * work.block_size)
 
     def test_resolvent_run_holds_its_solve(self, tmp_path):
@@ -592,7 +596,7 @@ class TestRunner:
         stacks = sum(stack.nbytes for flight in flights for stack in flight)
         peak = allocation_peak(lambda: run_simulation(cfg, out_dir=tmp_path / "run"))
         assert n_t > 1
-        assert (peak <= (n_t + 3) * f.nbytes + stacks + self.held_beside_states(work, coeffs)
+        assert (peak <= (n_t + 3) * f.nbytes + stacks + self.held_beside_states(work)
                 + 2 * 8 * work.block_size)
 
     def test_seed_override_lands_in_hash_and_meta(self, tmp_path):

@@ -1,6 +1,7 @@
 """The scripts in scripts/ run end to end at small sizes and print their
 numeric lines; each runs as its own process, the way a user starts it."""
 
+import json
 import os
 import re
 import subprocess
@@ -95,3 +96,62 @@ def test_src_lines(tmp_path):
         ["sub/one.py", "1", "2"],
         ["total", "10", str(len(MODULE.splitlines()) + 2)],
     ]
+
+
+# a stand-in for bench/run.py: run_s is BASE + seed / 1000 s, peak_mem_mib
+# 5.0 MiB; it logs "<checkout> <seed>" to the shared log beside the
+# checkouts, and reports `correct: false` for seed BAD
+FAKE_RUN = '''import argparse, json, pathlib
+ap = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    ap.add_argument(flag)
+args = ap.parse_args()
+here = pathlib.Path(__file__).resolve().parents[1]
+with open(here.parent / "log.txt", "a") as log:
+    log.write(f"{{here.name}} {{args.seed}}\\n")
+seed = int(args.seed)
+metrics = {{"run_s": {{"value": {base} + seed / 1000, "unit": "s"}},
+            "peak_mem_mib": {{"value": 5.0, "unit": "MiB"}}}}
+print("run_s ...")
+print(json.dumps({{"correct": seed != {bad}, "metrics": metrics}}))
+'''
+
+
+def fake_checkout(root, name, base, bad=-1):
+    (root / name / "bench").mkdir(parents=True)
+    (root / name / "bench" / "run.py").write_text(FAKE_RUN.format(base=base, bad=bad))
+    (root / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_mem_mib", "unit": "MiB", "better": "lower", "bound": 0.05},
+        {"name": "work_per_s", "unit": "work/s", "better": "higher", "bound": 0.25}]}))
+    return root / name
+
+
+def test_bench_pairs(tmp_path):
+    parent = fake_checkout(tmp_path, "parent", 1.0)
+    change = fake_checkout(tmp_path, "change", 0.9)
+    lines = run_script("bench_pairs.py", str(parent), str(change), "--workload", "w",
+                       "--pairs", "4", "--seconds", "1")
+    # alternating order, one seed per pair
+    assert (tmp_path / "log.txt").read_text().split("\n")[:-1] == [
+        "parent 1", "change 1", "change 2", "parent 2",
+        "parent 3", "change 3", "change 4", "parent 4"]
+    assert lines[0] == "w: 4 pairs at --seconds 1"
+    rows = {line.split()[0]: line.split() for line in lines[2:]}
+    # work_per_s is in neither side's results
+    assert sorted(rows) == ["peak_mem_mib", "run_s"]
+    # parent 1.001-1.004 s: median 1.0025, quartiles 1.00175 and 1.00325
+    assert rows["run_s"] == ["run_s", "s", "lower", "1.0025", "[1.00175,", "1.00325]",
+                             "0.9025", "[0.90175,", "0.90325]", "4/4", "0.0015", "holds"]
+    # ties win for neither side
+    assert rows["peak_mem_mib"][-3:] == ["0/4", "0", "fails"]
+
+
+def test_bench_pairs_stops_on_an_incorrect_run(tmp_path):
+    parent = fake_checkout(tmp_path, "parent", 1.0)
+    change = fake_checkout(tmp_path, "change", 0.9, bad=2)
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+                           str(parent), str(change), "--workload", "w", "--pairs", "3",
+                           "--seconds", "1"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1
+    assert "run not correct" in done.stderr and "seed 2" in done.stderr

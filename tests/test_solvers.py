@@ -533,7 +533,7 @@ class TestWorkingMemory:
 
     @pytest.mark.parametrize("field, products, blocks", [
         (GRADIENT_FIELD, {semidiscrete: 2, continuum: 0}, {semidiscrete: 2, continuum: 3}),
-        (LinearEMField(b0=0.8), {semidiscrete: 1, continuum: 0}, {semidiscrete: 1, continuum: 3}),
+        (LinearEMField(b0=0.8), {semidiscrete: 1, continuum: 0}, {semidiscrete: 1, continuum: 2}),
         (LinearEMField(), {semidiscrete: 0, continuum: 0}, {semidiscrete: 2, continuum: 2})],
         ids=["gradient", "force_only", "free"])
     @pytest.mark.parametrize("route", [semidiscrete, continuum],
@@ -547,8 +547,10 @@ class TestWorkingMemory:
         arena holds them and the in-place sweep's scratch blocks: the
         block's sum and one term (none where a spent whole-state product
         block serves), two for a gradient term on a product; on the
-        small-spacing route also a block-local product and, until that is
-        formed in the next block, the previous block's sum."""
+        small-spacing route also, until the next block's momentum-x product
+        is formed, the previous block's sum, and with a gradient a
+        block-local product.  A uniform field's force-x term is written
+        straight into the block's sum, so it takes no product block."""
         cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
         work = bound_workspace(route.make_rhs(linear_coefficients(field, GB), GB, cfg))
         assert work.products.shape == (products[route],) + GB.state_shape
@@ -584,7 +586,7 @@ class TestWorkingMemory:
             rhs(step, step, 0.5, f)
 
     @pytest.mark.parametrize("route, field, products, blocks", [
-        (semidiscrete, GRADIENT_FIELD, 2, 3), (continuum, LinearEMField(b0=0.8), 0, 4),
+        (semidiscrete, GRADIENT_FIELD, 2, 3), (continuum, LinearEMField(b0=0.8), 0, 3),
         (continuum, GRADIENT_FIELD, 0, 4)],
         ids=["ladder_gradient", "continuum_force_only", "continuum_gradient"])
     def test_stepped_working_set(self, route, field, products, blocks):
@@ -919,6 +921,78 @@ class TestInPlaceSweep:
         assert work.spans and all(spans is None for spans in work.spans)
         TestStageContract.check_stage("semidiscrete", field, REACH_BACK, cfg)
         in_place_matches_out_of_place(work, REACH_BACK)
+
+
+class TestForceFold:
+    """A force table that is the same at every cell of each momentum row is
+    folded into its momentum matrix; the fold is only a shortcut."""
+
+    @staticmethod
+    def workspace(build, field, grid, cfg):
+        coeffs = linear_coefficients(field, grid)
+        if build == "kernel":
+            return continuum.make_kernel(coeffs, grid, cfg)
+        if build == "continuum":
+            return bound_workspace(continuum.make_rhs(coeffs, grid, cfg))
+        cfg = dataclasses.replace(cfg, m_truncation=1 if build == "ladder_cut_1" else None)
+        return bound_workspace(semidiscrete.make_rhs(coeffs, grid, cfg))
+
+    @pytest.mark.parametrize("grid", [GB, MULTI_BLOCK, REACH_BACK],
+                             ids=["GB", "MULTI_BLOCK", "REACH_BACK"])
+    @pytest.mark.parametrize("field", [LinearEMField(b0=0.8),
+                                       LinearEMField(e_grad=(0.3, 0.0), b0=0.8)],
+                             ids=["uniform_b", "e_gradient_x"])
+    @pytest.mark.parametrize("build", ["continuum", "ladder_cut_1", "ladder", "kernel"])
+    def test_fold_matches_the_tables(self, build, field, grid, monkeypatch):
+        """Folded and unfolded sweeps agree to rounding of the force terms
+        (the difference from the field-free sweep), at both orders and
+        boundaries, in place and out of place; the kernel with its shift."""
+        shift = GAMMA0 if build == "kernel" else 0.0
+        f, start = np.random.default_rng(73).normal(size=(2,) + grid.state_shape)
+        for order in (2, 4):
+            for boundary in ("zero", "periodic"):
+                cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary=boundary, stencil_order=order)
+                free = self.workspace(build, LinearEMField(), grid, cfg)
+                folded = self.workspace(build, field, grid, cfg)
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver_common, "_row_force", lambda table: None)
+                    tables = self.workspace(build, field, grid, cfg)
+                assert folded.row_forces[1] is not None and tables.row_forces == (None, None)
+                expect = solver_common.banded_rhs(f, np.empty_like(f), tables, 0.37, start,
+                                                  shift)
+                force = expect - solver_common.banded_rhs(f, np.empty_like(f), free, 0.37,
+                                                          start, shift)
+                got = [solver_common.banded_rhs(f, np.empty_like(f), folded, 0.37, start,
+                                                shift)]
+                if build != "kernel":
+                    step = f.copy()
+                    got.append(solver_common.banded_rhs(step, step, folded, 0.37, start))
+                for values in got:
+                    assert np.linalg.norm(values - expect) <= 1e-14 * np.linalg.norm(force)
+
+    def test_fold_is_chosen_from_the_tables(self):
+        """Uniform B folds both axes, b1 neither, an E gradient along x
+        only y, and a table with a non-finite entry does not fold; a folded
+        workspace holds no table."""
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, boundary="periodic", stencil_order=4)
+
+        def folds(coeffs):
+            work = bound_workspace(continuum.make_rhs(coeffs, GB, cfg))
+            for rows, table in zip(work.row_forces, work.tables):
+                assert (rows is None) != (table is None)
+            return [rows is not None for rows in work.row_forces]
+
+        assert folds(linear_coefficients(LinearEMField(b0=0.8), GB)) == [True, True]
+        assert folds(linear_coefficients(LinearEMField(b0=0.8, b1=0.4), GB)) == [False, False]
+        assert folds(linear_coefficients(LinearEMField(e_grad=(0.3, 0.0), b0=0.8), GB)) \
+            == [False, True]
+        uniform = linear_coefficients(LinearEMField(b0=0.8), GB)
+        # F_x not a number everywhere; F_y the same at every cell, but infinite on a row
+        force_y = uniform.force_y.copy()
+        force_y[0] = np.inf
+        spoilt = dataclasses.replace(uniform, force_x=np.full_like(uniform.force_x, np.nan),
+                                     force_y=force_y)
+        assert folds(spoilt) == [False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -1842,6 +1916,22 @@ class TestMonteCarlo:
         # chunks' scores and their concatenation, or that and std's
         # temporary.  One table for all 100000 walkers peaks at 14.8 MiB.
         assert self._walk_peak(100000) <= self.CHUNK_PEAK + 24 * 100000
+
+    def test_hop_rates_with_b1_allocate_no_walker_array(self):
+        # b_z = b0 + b1 y is built in the rates' own row; taking it as a
+        # temporary allocated 1.01 walker arrays per call
+        grid, field, _, _, _ = self._probe()
+        field = dataclasses.replace(field, b1=1e7)
+        rng = np.random.default_rng(29)
+        n = 7500
+        p = rng.integers(-6, 7, size=(2, n)) * np.array(grid.dp)[:, None]
+        pos = rng.uniform(-40e-9, 40e-9, size=(2, n))
+        h = np.empty((2, n))
+        montecarlo._hop_rates(p, pos, field, grid, h)
+        expect = h.copy()
+        assert allocation_peak(lambda: montecarlo._hop_rates(p, pos, field, grid, h)) \
+            < 0.1 * 8 * n
+        assert np.array_equal(h, expect)
 
     def test_uniform_field_has_no_curvature_power(self):
         # without b1 the walk samples branches 0-4 only
