@@ -83,7 +83,7 @@ class SolverConfig:
              "must be None or >= 1"),
             ("gamma0", self.gamma0 is None or self.gamma0 > 0, "must be positive when given"),
             ("rng_seed", self.rng_seed >= 0, "must be >= 0"),
-            ("n_particles", self.n_particles >= 1, "must be >= 1"),
+            ("n_particles", self.n_particles >= 2, "must be >= 2"),
             ("fredholm_tol", self.fredholm_tol > 0, "must be positive"),
             ("fredholm_max_iter", self.fredholm_max_iter >= 1, "must be >= 1"),
             ("weight_cap", self.weight_cap > 1, "must exceed 1"),

@@ -20,20 +20,25 @@ the ratio of the two rates; in a field without b1 or an E gradient the
 rates follow the momentum alone and the ratio is 1.  The walk checks the
 weight cap after each hop.
 
-A walker leaves the walker table when its walk ends: it reaches t = 0, is
+The first flight is shared: every walker starts at the target with weight
+1 and t_end left, so the walk evaluates its proposal once, on one column,
+and the walkers whose first draw outlasts it never hop.  They share one
+end point, weight and score.  Only the walkers that hop enter the walker
+table, and a walker leaves it when its walk ends: it reaches t = 0, is
 retired off the momentum lattice, or is capped over the weight cap.  A
-round flies every walker (one that reaches t = 0 for the time it has
-left), records the walks that reached t = 0, hops every walker and
-compacts the table once.  A chunk's float walker arrays, draws and
-scratch are rows of one table allocated for its walk, so a round allocates
-no walker-sized float array and the heap does not grow and shrink with the
-rounds, but for an E gradient's terms of the hop rates (`_hop_rates`):
-one temporary per axis of the gradient per rate evaluation, as at the
-flight's end no table row is free for it.  After its walk a chunk scores
-its records, in one pass at stencil_order 2 and in passes of 2500 at
-order 4 (16 cells per walk), and scatters the scores to walker order.
-Every walker does its floating-point operations in the order of a walk
-over the full table.
+round flies every walker in the table (one that reaches t = 0 for the time
+it has left), records the walks that reached t = 0, hops every walker,
+compacts the table once and draws the next round.  A chunk's float walker
+arrays, draws and scratch are rows of one table allocated for its walk
+(round 1's draws for every walker are one array, freed before round 1), so
+a round allocates no walker-sized float array and the heap does not grow
+and shrink with the rounds, but for an E gradient's terms of the hop rates
+(`_hop_rates`): one temporary per axis of the gradient per rate
+evaluation, as at the flight's end no table row is free for it.  After its
+walk a chunk scores its records, the shared end point first, in one pass
+at stencil_order 2 and in passes of 2500 at order 4 (16 cells per walk),
+and scatters the scores to walker order.  Every walker does its
+floating-point operations in the order of a walk over the full table.
 Walker arrays hold one row per axis and one column per walker.
 
 Branches 1-4 hop the momentum index at the force rates; the curvature
@@ -247,11 +252,16 @@ class _Branches:
         self.curvature_mass = float(np.abs(curv).sum())
 
 
+def _sums(scratch: np.ndarray):
+    """Rows 2, 0, 3 and 1 of the float table scratch, which hold the
+    running sums s_1-s_4 of `_row_sums`."""
+    return scratch[2], scratch[0], scratch[3], scratch[1]
+
+
 def _row_sums(p: np.ndarray, pos: np.ndarray, br: _Branches, scratch: np.ndarray):
     """The sign bits nb * bits and the running sums s_1-s_4 of branches 0-4
     at each walker, s_4 being gamma0 plus the hop rate.  Returns (sel,
-    (s_1, s_2, s_3, s_4)); the sums are rows 2, 0, 3 and 1 of the float
-    table scratch, summed left to right."""
+    `_sums`(scratch)), the sums summed left to right."""
     nb = br.nb
     h = _hop_rates(p, pos, br.field, br.grid, scratch[:2])
     # sel = branch + nb * bits is summed in bytes, as its 4 nb <= 132
@@ -260,11 +270,12 @@ def _row_sums(p: np.ndarray, pos: np.ndarray, br: _Branches, scratch: np.ndarray
     sel = neg[0] * nb
     sel += neg[1] * (2 * nb)
     a_x, a_y = np.abs(h, out=h)
-    s_1 = np.add(a_x, br.gamma0, out=scratch[2])
-    s_2 = np.add(s_1, a_x, out=a_x)
-    s_3 = np.add(s_2, a_y, out=scratch[3])
-    s_4 = np.add(s_3, a_y, out=a_y)
-    return sel, (s_1, s_2, s_3, s_4)
+    sums = s_1, s_2, s_3, s_4 = _sums(scratch)    # s_2 is a_x, s_4 a_y
+    np.add(a_x, br.gamma0, out=s_1)
+    np.add(s_1, a_x, out=s_2)
+    np.add(s_2, a_y, out=s_3)
+    np.add(s_3, a_y, out=s_4)
+    return sel, sums
 
 
 def _branch(midx: np.ndarray, pos: np.ndarray, weight: np.ndarray, sel: np.ndarray,
@@ -312,11 +323,34 @@ def _hop_rate(total: np.ndarray, gamma0: float, out: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _proposal(p: np.ndarray, pos: np.ndarray, t_left: np.ndarray, br: _Branches,
+              scratch: np.ndarray):
+    """Evaluate each walker's flight proposal into scratch, and return the
+    sign bits of `_row_sums` at the flight's start.  Row 4 takes mu t_left,
+    row 1 the row total mu is taken at, and `_sums`(scratch) the start's
+    running sums.  Where br.rates_move that total is the larger of the
+    start's and the end's plus the curvature mass, and the start's sums are
+    spent: the hop takes them again."""
+    sel, sums = _row_sums(p, pos, br, scratch)
+    total = sums[3]
+    if br.rates_move:
+        np.copyto(scratch[4], total)
+        end = np.divide(p, br.grid.constants.mass, out=scratch[2:4])
+        end *= t_left
+        np.subtract(pos, end, out=end)
+        end_sums = _row_sums(p, end, br, scratch)[1]
+        total = np.maximum(end_sums[3], scratch[4], out=scratch[1])
+        total += br.curvature_mass
+    x = _hop_rate(total, br.gamma0, scratch[4])
+    x *= t_left
+    return sel
+
+
 def _walk(br: _Branches, k: int, target_m, target_x):
     """Walk chunk k of br, its br.chunks[k] walkers from the seed stream
     [rng_seed, k], from hop to hop.
 
-    A round draws a standard exponential e and a uniform u per walker.  The
+    A round takes a standard exponential e and a uniform u per walker.  The
     hops come at rate lam(t) (`_hop_rate`) along the flight back to t = 0,
     and the walk proposes them at a constant rate mu >= lam: lam grows with
     the row total, which in a linear field is convex in the time flown, so
@@ -328,19 +362,29 @@ def _walk(br: _Branches, k: int, target_m, target_x):
     there, picks a branch from 1 on (`_branch`).  Where br.rates_move is
     False the rates follow the momentum alone, which the flight keeps: the
     rates at the end and at the hop are those at the start to the bit, so
-    the walk does not evaluate them again and the hop's factor is 1.  A
-    walker without hop rate reaches t = 0 in its first round.
+    the walk does not evaluate them again and the hop's factor is 1.
 
-    Returns the walks that reached t = 0, one (ids, weights, momentum
-    indices, end points) record per round, and the capped and retired
-    counts.  Live walkers stay in ascending walker order, so each round
-    hands its draws to the same walkers as a full table masked by liveness
-    would.
+    Every walker starts at the target with weight 1 and t_end left, so the
+    first flight's proposal is one walker's, evaluated by `_proposal` on
+    one column; only round 1's draws differ.  The walkers with e >= mu t_end
+    never hop: they share one end point and the weight exp(mu t_end).  A
+    walker without hop rate is one of them.  Only the walkers that hop
+    enter the walk table, as copies of that column with their round-1
+    draws, and each round draws the next round and evaluates its proposal
+    at its end.
 
-    The walk's float arrays are rows of one table allocated per chunk, so
-    that no round allocates a walker-sized float array but for the E
-    gradient's terms of `_hop_rates`: at the flight's end rows 2-4 hold
-    the end position and the start's total, so no row is free for them.
+    Returns the mask of the walkers that never hop; the walks that reached
+    t = 0 as (ids, weights, momentum indices, end points) records, first
+    the shared one, of one column with the id n, then one per round of the
+    walkers that hopped; and the capped and retired counts.  Live walkers
+    stay in ascending walker order, so each round hands its draws to the
+    same walkers as a full table masked by liveness would.
+
+    The walk's float arrays are rows of one table allocated per chunk for
+    the walkers that hop, so that no round allocates a walker-sized float
+    array but for the E gradient's terms of `_hop_rates`: at the flight's
+    end rows 2-4 hold the end position and the start's total, so no row is
+    free for them.
     Two 4-row halves take turns: one holds the live walkers (x, y, weight,
     t_left), the other the round's draws and momenta (e, u, p_x, p_y), and
     the compaction takes each walker row into the other half.  Five more
@@ -352,43 +396,47 @@ def _walk(br: _Branches, k: int, target_m, target_x):
     rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, k]))
     dp, mass, (npx, npy) = np.array(grid.dp)[:, None], grid.constants.mass, grid.n_p
 
-    # rows 0-7: the two halves, starting with the walkers; rows 8-12: the scratch
-    table = np.empty((13, n))
+    # rows 0-7: the two halves, starting with the walkers (x, y, weight,
+    # t_left) and the round (e, u, p_x, p_y); rows 8-12: the scratch.  start
+    # is the column every walker starts as, with the first flight's proposal
+    start = np.empty((13, 1))
+    start[0:2, 0] = target_x
+    start[2] = 1.0
+    start[3] = float(config.t_end)
+    start_m = np.asarray(target_m, dtype=br.moves.dtype)[:, None]
+    p = np.multiply(start_m, dp, out=start[6:8])
+    sel = _proposal(p, start[0:2], start[3], br, start[8:])
+    x = start[12]                              # mu t_end
+    # round 1's draws, in the order of a walk over every walker
+    draws = rng.standard_exponential(n)
+    hop = draws < x
+    ids = np.flatnonzero(hop).astype(np.min_scalar_type(n))
+    m = ids.size
+    table = np.empty((13, m))
+    table[:] = start
+    table[4] = draws[hop]
+    table[5] = rng.random(out=draws)[hop]
+    del draws
     halves = [table[0:4], table[4:8]]
-    table[0:2] = np.asarray(target_x, dtype=float)[:, None]
-    table[2] = 1.0
-    table[3] = float(config.t_end)
-    ids = np.arange(n, dtype=np.min_scalar_type(n))
-    midx = np.repeat(np.asarray(target_m, dtype=br.moves.dtype)[:, None], n, axis=1)
-    ends = []
+    walkers, round_rows = halves
+    midx = np.repeat(start_m, m, axis=1)
+    sel = sel.repeat(m)
+    stay = np.logical_not(hop, out=hop)
+    # a walk that never hops flies to t = 0: its weight 1 takes exp(mu t_end)
+    weight = np.exp(x)
+    drift = np.divide(p, mass, out=p)
+    drift *= start[3]
+    ends = [(np.array([n]), weight, start_m,
+             np.subtract(start[0:2], drift, out=start[0:2]))]
     n_capped = 0
     n_retired = 0
     for _ in range(_MAX_ROUNDS):
-        m = ids.size
         if m == 0:
             break
-        walkers, round_rows = halves[0][:, :m], halves[1][:, :m]
         pos, weight, t_left = walkers[:2], walkers[2], walkers[3]
         e, u, p = round_rows[0], round_rows[1], round_rows[2:]
         scratch = table[8:, :m]
-        rng.standard_exponential(out=e)
-        rng.random(out=u)
-        np.multiply(midx, dp, out=p)
-
-        sel, sums = _row_sums(p, pos, br, scratch)
-        total = sums[3]
-        if br.rates_move:
-            # the larger row total of the flight's start and end, in row 1;
-            # the start's sums are taken again at the hop
-            np.copyto(scratch[4], total)
-            end = np.divide(p, mass, out=scratch[2:4])
-            end *= t_left
-            np.subtract(pos, end, out=end)
-            end_sums = _row_sums(p, end, br, scratch)[1]
-            total = np.maximum(end_sums[3], scratch[4], out=scratch[1])
-            total += br.curvature_mass
-        x = _hop_rate(total, gamma0, scratch[4])
-        x *= t_left                            # mu t_left
+        sums, total, x = _sums(scratch), scratch[1], scratch[4]
         live = e < x                           # the walkers that hop
         np.minimum(e, x, out=e)                # mu delta
         # delta / t_left: e / (mu t_left) at a hop, 1 at t = 0
@@ -438,11 +486,20 @@ def _walk(br: _Branches, k: int, target_m, target_x):
                 a.take(keep, out=row[:keep.size], mode="clip")
             halves.reverse()
             ids, midx = ids.take(keep), midx.take(keep, 1)
+        m = keep.size
+        if m == 0:
+            break
+        # the next round's draws, momenta and proposal
+        walkers, round_rows = halves[0][:, :m], halves[1][:, :m]
+        rng.standard_exponential(out=round_rows[0])
+        rng.random(out=round_rows[1])
+        p = np.multiply(midx, dp, out=round_rows[2:])
+        sel = _proposal(p, walkers[:2], walkers[3], br, table[8:, :m])
     # the last allowed round may have ended every walk
     if ids.size:
         raise SolverInstabilityError(
             "backward walk failed to terminate; check gamma0 and weight_cap")
-    return ends, n_capped, n_retired
+    return stay, ends, n_capped, n_retired
 
 
 def _run_chunk(br: _Branches, k: int, target_m, target_x,
@@ -450,10 +507,13 @@ def _run_chunk(br: _Branches, k: int, target_m, target_x,
     """Scores of chunk k's walks (`_walk`), in walker order, with the capped
     and retired counts.  The walks that reached t = 0 are scored in the
     order they ended, once the walk's tables are freed, in passes of at most
-    _SCORE_TAPS cell taps, and scattered to walker order."""
-    ends, n_capped, n_retired = _walk(br, k, target_m, target_x)
+    _SCORE_TAPS cell taps, and scattered to walker order.  The shared end
+    point of the walks that never hopped comes first: it is scored once,
+    into slot n, and copied to them."""
+    stay, ends, n_capped, n_retired = _walk(br, k, target_m, target_x)
+    n = br.chunks[k]
     # capped and retired walks keep the score 0
-    scores = np.zeros(br.chunks[k])
+    scores = np.zeros(n + 1)
     done, end_w, end_m, end_x = (np.concatenate(a, axis=-1) for a in zip(*ends))
     del ends
     order = br.config.stencil_order
@@ -462,6 +522,8 @@ def _run_chunk(br: _Branches, k: int, target_m, target_x,
         cut = slice(start, start + step)
         scores[done[cut]] = end_w[cut] * _interp_initial(
             f0_values, br.grid, end_m[:, cut], end_x[:, cut], br.config.boundary, order)
+    scores, shared = scores[:n], scores[n]
+    scores[stay] = shared
     return scores, n_capped, n_retired
 
 
@@ -499,7 +561,7 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
     scores = np.concatenate(chunks)
     del chunks   # so that std's temporary does not add to the chunks' scores
     value = float(scores.mean())
-    stderr = float(scores.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    stderr = float(scores.std(ddof=1) / np.sqrt(n))
     if not (np.isfinite(value) and np.isfinite(stderr)):
         raise SolverInstabilityError(
             f"backward walk estimate turned non-finite (value {value}, stderr {stderr})")

@@ -705,6 +705,17 @@ class TestCLI:
             assert "solver.mc_targets[1].m_index" in err and "|m| <= n_p" in err
         assert not out.exists()
 
+    def test_one_walker_exits_2_before_writing(self, tmp_path, capsys):
+        # one walker has no sample variance, so no standard error to report
+        d = json.loads((REPO / "configs" / "mc_point_probe.json").read_text())
+        d["solver"]["n_particles"] = 1
+        path = write_json(tmp_path, d)
+        out = tmp_path / "run"
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(command) == 2
+            assert "solver.n_particles: must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert cli_main(["validate", str(tmp_path / "nope.json")]) == 2
 

@@ -98,9 +98,9 @@ def test_src_lines(tmp_path):
     ]
 
 
-# a stand-in for bench/run.py: run_s is BASE + seed / 1000 s, peak_mem_mib
-# 5.0 MiB; it logs "<checkout> <seed>" to the shared log beside the
-# checkouts, and reports `correct: false` for seed BAD
+# a stand-in for bench/run.py: run_s is BASE + seed / 1000 s, times 10 for
+# workload "b", peak_mem_mib 5.0 MiB; it logs "<checkout> <seed>" to the
+# shared log beside the checkouts, and reports `correct: false` for seed BAD
 FAKE_RUN = '''import argparse, json, pathlib
 ap = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
@@ -110,7 +110,8 @@ here = pathlib.Path(__file__).resolve().parents[1]
 with open(here.parent / "log.txt", "a") as log:
     log.write(f"{{here.name}} {{args.seed}}\\n")
 seed = int(args.seed)
-metrics = {{"run_s": {{"value": {base} + seed / 1000, "unit": "s"}},
+scale = 10 if args.workload == "b" else 1
+metrics = {{"run_s": {{"value": scale * ({base} + seed / 1000), "unit": "s"}},
             "peak_mem_mib": {{"value": 5.0, "unit": "MiB"}}}}
 print("run_s ...")
 print(json.dumps({{"correct": seed != {bad}, "metrics": metrics}}))
@@ -120,7 +121,8 @@ print(json.dumps({{"correct": seed != {bad}, "metrics": metrics}}))
 def fake_checkout(root, name, base, bad=-1):
     (root / name / "bench").mkdir(parents=True)
     (root / name / "bench" / "run.py").write_text(FAKE_RUN.format(base=base, bad=bad))
-    (root / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+    (root / name / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "a"}, {"name": "b"}], "end_to_end": [
         {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "peak_mem_mib", "unit": "MiB", "better": "lower", "bound": 0.05},
         {"name": "work_per_s", "unit": "work/s", "better": "higher", "bound": 0.25}]}))
@@ -142,9 +144,32 @@ def test_bench_pairs(tmp_path):
     assert sorted(rows) == ["peak_mem_mib", "run_s"]
     # parent 1.001-1.004 s: median 1.0025, quartiles 1.00175 and 1.00325
     assert rows["run_s"] == ["run_s", "s", "lower", "1.0025", "[1.00175,", "1.00325]",
-                             "0.9025", "[0.90175,", "0.90325]", "4/4", "0.0015", "holds"]
+                             "0.9025", "[0.90175,", "0.90325]", "4/4", "0.0015", "holds",
+                             "-9.98%", "25%", "within"]
     # ties win for neither side
-    assert rows["peak_mem_mib"][-3:] == ["0/4", "0", "fails"]
+    assert rows["peak_mem_mib"][-6:] == ["0/4", "0", "fails", "+0.00%", "5%", "within"]
+
+
+def test_bench_pairs_over_every_workload(tmp_path):
+    # the change is 40% slower: past run_s's 25% bound on both workloads
+    parent = fake_checkout(tmp_path, "parent", 1.0)
+    change = fake_checkout(tmp_path, "change", 1.4)
+    lines = run_script("bench_pairs.py", str(parent), str(change), "--workload", "all",
+                       "--pairs", "2", "--seconds", "1")
+    # each pair runs every workload, in the pair's order of the sides
+    assert (tmp_path / "log.txt").read_text().split("\n")[:-1] == [
+        "parent 1", "change 1", "parent 1", "change 1",
+        "change 2", "parent 2", "change 2", "parent 2"]
+    assert [line for line in lines if "pairs at" in line] == [
+        "a: 2 pairs at --seconds 1", "b: 2 pairs at --seconds 1"]
+    rows = [line.split() for line in lines if line.startswith("run_s")]
+    # parent 1.001 and 1.002 s for a, ten times that for b
+    assert [row[3] for row in rows] == ["1.0015", "10.015"]
+    assert [row[-3:] for row in rows] == [["+39.94%", "25%", "past"]] * 2
+    # --workload given twice runs those two, in that order
+    lines = run_script("bench_pairs.py", str(parent), str(change), "--workload", "b",
+                       "--workload", "a", "--pairs", "1", "--seconds", "1")
+    assert [line.split(":")[0] for line in lines if "pairs at" in line] == ["b", "a"]
 
 
 def test_bench_pairs_stops_on_an_incorrect_run(tmp_path):

@@ -1727,6 +1727,39 @@ class TestMonteCarlo:
         if case != "field_free":
             assert runs[0] == self.CHUNK_PINS[case]
 
+    @pytest.mark.parametrize("case", ["probe_0", "probe_1", "b1_order4"])
+    def test_walks_without_a_hop_share_one_score(self, case, monkeypatch):
+        # every walker starts at the target, so the walks that never hop end
+        # at one point with one weight: a chunk scores that point once, then
+        # the end point of each walk that hopped.  None of these walks is
+        # capped or retired, and the walks that never hop share the most
+        # common score; probe_1, at m = (0, 0), has no hop rate
+        grid, field, scfg, f0, target = self._probe_case(case)
+        scfg = dataclasses.replace(scfg, n_particles=montecarlo._CHUNK_WALKERS + 1)
+        interp, run_chunk = montecarlo._interp_initial, montecarlo._run_chunk
+        positions, scores = [], []
+
+        def spy_interp(values, grid, midx, pos, boundary, order):
+            positions[-1] += pos.shape[1]
+            return interp(values, grid, midx, pos, boundary, order)
+
+        def spy_chunk(*args):
+            positions.append(0)
+            result = run_chunk(*args)
+            scores.append(result[0])
+            return result
+
+        monkeypatch.setattr(montecarlo, "_interp_initial", spy_interp)
+        monkeypatch.setattr(montecarlo, "_run_chunk", spy_chunk)
+        est = mc_estimate_point(target, f0, field, grid, scfg)
+        assert (est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired) \
+            == self.CHUNK_PINS[case]
+        assert len(scores) == 2
+        for scored, chunk in zip(positions, scores):
+            hopped = chunk.size - np.unique(chunk, return_counts=True)[1].max()
+            assert scored == 1 + hopped < chunk.size
+            assert (hopped == 0) == (case == "probe_1")
+
     # b1 = 1e7 T/m on the probe's grid at its first target, also with an E
     # gradient of 1e13 V/m^2, whose hop rates move by several 1e12 /s along
     # a flight, and on a zero boundary 3 nm inside the window's lower y edge,
@@ -1886,21 +1919,25 @@ class TestMonteCarlo:
         assert np.array_equal(total, absc[:, :5].cumsum(axis=1)[:, -1] + absc[:, 5:].sum(axis=1))
 
     @staticmethod
-    def _walk_peak(n_particles, b1=0.0, order=2):
+    def _walk_peak(n_particles, b1=0.0, order=2, b0=None, m=None):
         """tracemalloc peak of one estimate on the grid and first target of
         the mc_probe benchmark workload, which is mc_point_probe.json at
-        15000 walkers, with the field's b1 and the stencil order set."""
+        15000 walkers, with the field's b1 and the stencil order set, and
+        b0 and the target's momentum index when given."""
         grid, field, scfg, f0, targets = TestMonteCarlo._probe()
-        field = dataclasses.replace(field, b1=b1)
+        field = dataclasses.replace(field, b1=b1, **({} if b0 is None else {"b0": b0}))
         scfg = dataclasses.replace(scfg, n_particles=n_particles, stencil_order=order)
-        target = targets[0]
+        target = targets[0] if m is None else (np.array(m), targets[0][1])
         mc_estimate_point(target, f0, field, grid, scfg)
         return allocation_peak(lambda: mc_estimate_point(target, f0, field, grid, scfg))
 
-    # 1.1244 MiB (157 B per walker of a chunk) measured on two chunks of 7500
-    # walkers with scoring deferred to the end of each chunk, plus 10%; the
-    # walk that scored in every round peaked at 2.27 MiB
-    CHUNK_PEAK = 1.1244 * 1.1 * 2 ** 20
+    # 0.2969 MiB measured on two chunks of 7500 walkers, of which about 500
+    # hop and enter the walk table, plus 10%.  The walk that tabled every
+    # walker peaked at 1.1244 MiB (157 B per walker of a chunk), and the
+    # walk that scored in every round at 2.27 MiB
+    CHUNK_PEAK = 0.2969 * 1.1 * 2 ** 20
+    # the bound of the walk that tabled every walker: 1.1244 MiB plus 10%
+    TABLE_PEAK = 1.1244 * 1.1 * 2 ** 20
 
     # with b1 a hop adds 14 or 28 curvature branches and evaluates the rates
     # at the flight's end and at the hop, and no round allocates a
@@ -1909,6 +1946,13 @@ class TestMonteCarlo:
                              ids=["probe", "b1_order2", "b1_order4"])
     def test_walk_memory_per_walker(self, b1, order):
         assert self._walk_peak(15000, b1, order) <= self.CHUNK_PEAK
+
+    def test_hop_heavy_walk_memory(self):
+        # at b0 = 40 T and m = (5, 5) only 16 of a chunk's 7500 walkers never
+        # hop: the walk table holds nearly every walker beside round 1's
+        # draws, and stays under the bound of the walk that tabled them all.
+        # That walk peaked at 1.0396 MiB here, this one at 1.0441 MiB
+        assert self._walk_peak(15000, b0=40.0, m=(5, 5)) <= self.TABLE_PEAK
 
     def test_walk_memory_is_bounded_by_the_chunk_size(self):
         # chunks hold at most _CHUNK_WALKERS walkers, so beyond one chunk's
