@@ -121,8 +121,15 @@ def l2_norm(values: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
-def _values(f) -> np.ndarray:
-    return f.values if isinstance(f, WignerState) else np.asarray(f)
+def state_values(f, grid: PhaseSpaceGrid) -> np.ndarray:
+    """The values of a state f, a WignerState or an array, on `grid`: the
+    one reader of a state handed to a solver or an observable.  Raises
+    ValueError, naming both shapes, unless they have grid.state_shape."""
+    values = f.values if isinstance(f, WignerState) else np.asarray(f)
+    if values.shape != grid.state_shape:
+        raise ValueError(f"state of shape {values.shape} does not fit the grid, "
+                         f"whose states have shape {grid.state_shape}")
+    return values
 
 
 def sample_shift(values: np.ndarray, axis: int, k: int, boundary: str = "zero") -> np.ndarray:
@@ -156,21 +163,64 @@ def sample_shift(values: np.ndarray, axis: int, k: int, boundary: str = "zero") 
 _BLOCK_BYTES = 256 * 1024
 
 
-def derivative_matrix(n: int, dx: float, order: int, boundary: str) -> np.ndarray:
-    """n x n central-difference matrix D along one spatial axis of spacing dx.
+# Central-difference taps of d/dx at each stencil order: offsets and weights,
+# descending in offset, and the divisor, so that
+# (D v)[i] = sum_j weights[j] v[i + offsets[j]] / (divisor dx).
+STENCIL_TAPS = {2: ((1, -1), (1.0, -1.0), 2.0),
+                4: ((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0), 12.0)}
 
-    (D v)[i] = (v[i + 1] - v[i - 1]) / (2 dx) for order 2 and
-    (-v[i + 2] + 8 v[i + 1] - 8 v[i - 1] + v[i - 2]) / (12 dx) for order 4.
-    'zero' drops the taps off the axis; 'periodic' wraps them modulo n and
-    adds the taps that land on one cell, so an axis shorter than the stencil
-    wraps more than once.
-    """
-    if order not in (2, 4):
+
+def shift_taps(u: np.ndarray, order: int):
+    """Taps of the value at cell coordinate u (cell i centred at u = i),
+    interpolated through `order` cells: the base cell floor(u) as integers,
+    the offsets of the taps from it, and their weights, linear at order 2
+    and the Lagrange cubic through cells base - 1 .. base + 2 at order 4.
+    Overwrites u with its fraction u - floor(u), which the order-2 weights
+    share."""
+    base = np.floor(u)
+    t = np.subtract(u, base, out=u)
+    base = base.astype(np.intp)
+    if order == 2:
+        return base, (0, 1), (1.0 - t, t)
+    tp, tm, t2 = t + 1.0, t - 1.0, t - 2.0
+    return base, (-1, 0, 1, 2), (t * tm * t2 / -6.0, tp * tm * t2 / 2.0,
+                                 tp * t * t2 / -2.0, tp * t * tm / 6.0)
+
+
+def axis_cells(cells: np.ndarray, n: int, boundary: str):
+    """Cell indices on an axis of n cells: 'periodic' wraps `cells` modulo n
+    in place and returns (cells, None); 'zero' returns them clipped to the
+    axis, with the mask of those that lie on it (a tap off it reads 0)."""
+    if boundary == "periodic":
+        return np.mod(cells, n, out=cells), None
+    return np.clip(cells, 0, n - 1), (cells >= 0) & (cells < n)
+
+
+def tap_matrix(offsets, weights, n: int, boundary: str) -> np.ndarray:
+    """n x n matrices T with (T v)[i] = sum_j weights[j] v[i + offsets[j]]
+    over the taps j along the last axis of `offsets` and `weights`: one
+    matrix for 1-D taps, a stack for (r, taps).  The cells i + offsets[j]
+    follow `axis_cells`, and taps that land on one cell add in tap order,
+    so a periodic axis shorter than the taps' span wraps more than once."""
+    offsets = np.asarray(offsets)
+    lead = offsets.shape[:-1]
+    size = math.prod(lead) * n * n
+    cells, inside = axis_cells(offsets[..., None] + np.arange(n), n, boundary)
+    # the flat index of entry (stack, i, cell)
+    cells += np.arange(0, size, n).reshape(lead + (1, n))
+    weights = np.broadcast_to(np.asarray(weights, dtype=float)[..., None], cells.shape)
+    if inside is not None:
+        cells, weights = cells[inside], weights[inside]
+    return np.bincount(cells.ravel(), weights.ravel(), minlength=size).reshape(lead + (n, n))
+
+
+def derivative_matrix(n: int, dx: float, order: int, boundary: str) -> np.ndarray:
+    """n x n central-difference matrix D along one spatial axis of spacing
+    dx, from the taps `STENCIL_TAPS` of the order placed by `tap_matrix`."""
+    if order not in STENCIL_TAPS:
         raise ValueError(f"unsupported stencil order {order}")
-    taps = {1: 1.0, -1: -1.0} if order == 2 else {1: 8.0, -1: -8.0, 2: -1.0, -2: 1.0}
-    matrix = sum(weight * (np.roll(np.eye(n), k, axis=1) if boundary == "periodic"
-                           else np.eye(n, k=k)) for k, weight in taps.items())
-    return matrix / ((2.0 if order == 2 else 12.0) * dx)
+    offsets, weights, divisor = STENCIL_TAPS[order]
+    return tap_matrix(offsets, weights, n, boundary) / (divisor * dx)
 
 
 class BlockedStencil:
@@ -730,23 +780,12 @@ def rk4_step(values: np.ndarray, dt: float, rhs: Callable[..., np.ndarray],
 
 
 def _interpolation_stack(deltas: np.ndarray, n: int, boundary: str) -> np.ndarray:
-    """One n x n linear-interpolation matrix per entry of `deltas`, stacked.
-
-    Row i of matrix r reads g[i] = v[i - d] with d = deltas[r]: weight
-    1 - frac on cell i - k and frac on cell i - k - 1, k = floor(d).  A
-    'periodic' boundary wraps those cells; 'zero' drops the ones off the axis.
-    """
-    k = np.floor(deltas)
-    frac = deltas - k
-    stack = np.zeros((len(deltas), n, n))
-    for step, weight in ((k, 1.0 - frac), (k + 1.0, frac)):
-        cols = np.arange(n)[None, :] - step.astype(int)[:, None]
-        if boundary == "periodic":
-            cols %= n
-        # each (r, i) meets one column per step, so no index repeats in a +=
-        r, i = np.nonzero((cols >= 0) & (cols < n))
-        stack[r, i, cols[r, i]] += weight[r]
-    return stack
+    """One n x n linear-interpolation matrix per entry of `deltas`, stacked:
+    row i of matrix r reads g[i] = v[i - d], d = deltas[r], through the
+    order-2 `shift_taps` at d mirrored onto the cells i - floor(d) - offset,
+    placed by `tap_matrix`.  Overwrites deltas."""
+    base, offsets, weights = shift_taps(deltas, 2)
+    return tap_matrix(-np.add.outer(base, offsets), np.stack(weights, axis=-1), n, boundary)
 
 
 def free_flight_operators(grid: PhaseSpaceGrid, delta_t: float, boundary: str) -> tuple:
@@ -810,7 +849,7 @@ class ObservableRecord:
 
 
 def observables(f, grid: PhaseSpaceGrid) -> ObservableRecord:
-    values = _values(f)
+    values = state_values(f, grid)
     m_axes = tuple(range(grid.dim))
     density = values.sum(axis=m_axes)
     cell = float(np.prod(grid.dx))
@@ -829,7 +868,7 @@ def observables(f, grid: PhaseSpaceGrid) -> ObservableRecord:
 
 def mean_momentum_global(f, grid: PhaseSpaceGrid) -> np.ndarray:
     """Ensemble-mean momentum vector over all of phase space."""
-    values = _values(f)
+    values = state_values(f, grid)
     marginal = values.sum(axis=tuple(range(grid.dim, values.ndim)))
     total = marginal.sum()
     if abs(total) < 1e-300:
@@ -846,7 +885,7 @@ def boundary_mass_fraction(f, grid: PhaseSpaceGrid) -> float:
 
     |f| is taken one P_x slab at a time, so no state-sized copy is made.
     """
-    values = _values(f)
+    values = state_values(f, grid)
     total = edge = 0.0
     last = len(values) - 1
     for i, slab in enumerate(values):
@@ -899,7 +938,7 @@ def evolve(f0, rhs: Callable[..., np.ndarray], grid: PhaseSpaceGrid,
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     config.validate(grid)
-    values = np.array(_values(f0), dtype=float, copy=True)
+    values = np.array(state_values(f0, grid), dtype=float, copy=True)
     del f0
     cell = float(np.prod(grid.dx))
     result = EvolutionResult(values, [], [], [], [])

@@ -15,8 +15,8 @@ import numpy as np
 
 from ..kernels import LinearKernelCoefficients
 from ..phasespace import PhaseSpaceGrid
-from .common import (BandedOperators, SolverConfig, Workspace, band_matrix, banded_rhs,
-                     derivative_matrix)
+from .common import (STENCIL_TAPS, BandedOperators, SolverConfig, Workspace, band_matrix,
+                     banded_rhs)
 
 
 def difference_operators(coeffs: LinearKernelCoefficients,
@@ -56,15 +56,17 @@ def curvature_branches(coeffs: LinearKernelCoefficients, grid: PhaseSpaceGrid,
                        order: int):
     """The gradient terms of `difference_operators` as the backward walk's
     curvature branches: a term (s, w, A_x, A_y), D the `order` stencil along
-    x_s, gives per nonzero tap a of A_x, b of A_y and e of D, in descending
-    a, b, e, the index move (a, b), position move e dx_s and coefficient
-    w A_x[a] A_y[b] D[e].  Returns them as (k, 2), (k, 2) and (k,) arrays;
-    k is 0 without a field gradient."""
+    x_s (`STENCIL_TAPS`, the taps of `derivative_matrix`), gives per nonzero
+    tap a of A_x, b of A_y and e of D, in descending a, b, e, the index move
+    (a, b), position move e dx_s and coefficient w A_x[a] A_y[b] D[e].
+    Returns them as (k, 2), (k, 2) and (k,) arrays; k is 0 without a field
+    gradient."""
+    offsets, taps, divisor = STENCIL_TAPS[order]
     moves, steps, weights = [], [], []
     for s, w, a_x, a_y in difference_operators(coeffs, grid).gradient:
-        stencil = derivative_matrix(5, grid.dx[s], order, "zero")   # centre row: all taps
+        stencil = [(e, t / (divisor * grid.dx[s])) for e, t in zip(offsets, taps)]
         for (a, t_a), (b, t_b), (e, t_e) in itertools.product(
-                _centre_taps(a_x), _centre_taps(a_y), _centre_taps(stencil)):
+                _centre_taps(a_x), _centre_taps(a_y), stencil):
             moves.append((a, b))
             steps.append((e * grid.dx[0], 0.0) if s == 0 else (0.0, e * grid.dx[1]))
             weights.append(w * t_a * t_b * t_e)

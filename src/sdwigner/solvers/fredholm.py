@@ -26,8 +26,9 @@ gamma0 f_j), and each one is formed without a kernel call of its own:
 So a solve calls the kernel n_sweeps - n_t + 1 times: once on f0, and once
 per pass but the first of each level.
 
-Free flight by lag k dt moves each momentum row along its spatial axis by
-linear interpolation between the two nearest cells, which is exact only for
+Free flight by lag k dt reads each momentum row at x - v k dt through the
+shared tap rule of `common` (`shift_taps` at order 2, linear between the
+two nearest cells, placed by `tap_matrix`), which is exact only for
 whole-cell shifts.  Its matrices (`free_flight_operators`) are built once
 per lag, and each (level, lag) flight runs once per solve.  A solve holds
 the n_t + 1 kernel values, the iterate and the history of the level being
@@ -51,7 +52,8 @@ from ..kernels import linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
 from ..transform import WignerState
 from .common import (FredholmConvergenceError, SolverConfig, SolverInstabilityError,
-                     advect_free_flight, free_flight_operators, l2_norm)
+                     advect_free_flight, free_flight_operators, l2_norm,
+                     state_values)
 from .continuum import default_gamma0, force_and_quantum, make_kernel
 
 
@@ -87,7 +89,7 @@ def solve_fredholm_resolvent(f0, field: LinearEMField, grid: PhaseSpaceGrid,
     if grid.dim != 2:
         raise ValueError("the integral-form solver requires a 2D grid")
     config.validate(grid)
-    values0 = f0.values if isinstance(f0, WignerState) else np.asarray(f0)
+    values0 = state_values(f0, grid)
     dt = config.dt
     steps = config.t_end / dt
     n_t = int(round(steps))

@@ -6,8 +6,9 @@ auxiliary rate gamma0: each either keeps the walker in place (the
 rate-compensation branch) or hops it by one stencil move of the discretized
 force/gradient operator, with the signed weight update that keeps the
 estimator unbiased.  A walker that survives to t = 0 scores weight times
-the initial condition interpolated at its end point, bilinearly at
-stencil_order 2 and bicubically at order 4, so that scoring is as accurate
+the initial condition at its end point, read through the shared tap rule
+of `common` (`shift_taps` at stencil_order, bilinear at 2 and bicubic at
+4, and `axis_cells` at the window's edges), so that scoring is as accurate
 in the cell size as the order's spatial stencil; the exponential survival
 mass cancels against the damping factor, so no explicit decay factor
 appears at scoring time.
@@ -68,8 +69,8 @@ import numpy as np
 
 from ..kernels import linear_coefficients
 from ..phasespace import LinearEMField, PhaseSpaceGrid
-from ..transform import WignerState
-from .common import SolverConfig, SolverInstabilityError
+from .common import (SolverConfig, SolverInstabilityError, axis_cells, shift_taps,
+                     state_values)
 from .continuum import curvature_branches, default_gamma0
 
 _MAX_ROUNDS = 100000
@@ -95,52 +96,29 @@ class MCEstimate:
         yield self.stderr
 
 
-def _corners(x: np.ndarray, c: int, grid: PhaseSpaceGrid, stride: int, periodic: bool,
+def _corners(x: np.ndarray, c: int, grid: PhaseSpaceGrid, stride: int, boundary: str,
              order: int):
-    """Weights, flat offsets (index times stride) and in-lattice masks (None
-    if periodic) of the cells around positions x along axis c: the two of
-    the linear interpolation at order 2, the four of the cubic Lagrange
-    interpolation at order 4.
+    """Weights, flat offsets (cell index times stride) and in-lattice mask
+    (None if periodic) of the `shift_taps` cells around positions x along
+    axis c, one row per tap: two at order 2, four at order 4.  The cells
+    follow `axis_cells`.
 
     A periodic position takes the float wrap np.mod only outside [0, omega)
     from the window's low edge, as np.mod returns the others unchanged.  It
-    may round a tiny negative offset up to omega, so the linear
-    interpolation's two cell indices lie in [-1, n] and wrap only at -1 and
-    n; the cubic's four take an integer np.mod.
+    may round a tiny negative offset up to omega, whose cells `axis_cells`
+    wraps with the others.
     """
     omega, n_cells = grid.omega_extent[c], grid.n_x[c]
     x = x + 0.5 * omega
-    if periodic:
+    if boundary == "periodic":
         out = (x < 0.0) | (x >= omega)
         if out.any():
             x[out] = np.mod(x[out], omega)
     x /= grid.dx[c]
     x -= 0.5
-    i0 = np.floor(x)
-    t = np.subtract(x, i0, out=x)
-    i0 = i0.astype(np.intp)
-    if order == 2:
-        weights = (1.0 - t, t)
-        cells = [i0, i0 + 1]
-    else:
-        # the Lagrange cubic through the cells i0 - 1, i0, i0 + 1, i0 + 2
-        tp, tm, t2 = t + 1.0, t - 1.0, t - 2.0
-        weights = (t * tm * t2 / -6.0, tp * tm * t2 / 2.0,
-                   tp * t * t2 / -2.0, tp * t * tm / 6.0)
-        cells = [i0 - 1, i0, i0 + 1, i0 + 2]
-    if periodic:
-        if order == 2:
-            cells[0][cells[0] < 0] = n_cells - 1
-            cells[1][cells[1] == n_cells] = 0
-        else:
-            for i in cells:
-                np.mod(i, n_cells, out=i)
-        inside = None
-    else:
-        inside = [(i >= 0) & (i < n_cells) for i in cells]
-        cells = [np.clip(i, 0, n_cells - 1) for i in cells]
-    for i in cells:
-        i *= stride
+    base, offsets, weights = shift_taps(x, order)
+    cells, inside = axis_cells(np.add.outer(offsets, base), n_cells, boundary)
+    cells *= stride
     return weights, cells, inside
 
 
@@ -151,7 +129,6 @@ def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid, midx: np.ndarray,
     cells on each axis) at order 4.  At boundary "zero" a cell off the
     spatial lattice adds 0."""
     nx, ny = grid.n_x
-    periodic = boundary == "periodic"
     # flat index of each walker's momentum row, then of its corner cells
     plane = midx[0].astype(np.intp)
     plane += grid.n_p[0]
@@ -159,8 +136,8 @@ def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid, midx: np.ndarray,
     plane += midx[1]
     plane += grid.n_p[1]
     plane *= nx * ny
-    w_x, off_x, in_x = _corners(pos[0], 0, grid, ny, periodic, order)
-    w_y, off_y, in_y = _corners(pos[1], 1, grid, 1, periodic, order)
+    w_x, off_x, in_x = _corners(pos[0], 0, grid, ny, boundary, order)
+    w_y, off_y, in_y = _corners(pos[1], 1, grid, 1, boundary, order)
     flat_values = values.reshape(-1)
     out = np.zeros(midx.shape[1])
     for a in range(len(w_x)):
@@ -168,7 +145,7 @@ def _interp_initial(values: np.ndarray, grid: PhaseSpaceGrid, midx: np.ndarray,
         for b in range(len(w_y)):
             term = w_x[a] * w_y[b]
             term *= flat_values.take(off_y[b] + row)
-            if not periodic:
+            if in_x is not None:
                 np.copyto(term, 0.0, where=~(in_x[a] & in_y[b]))
             out += term
     return out
@@ -546,7 +523,7 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
                          f"momentum indices and 2 positions")
     if np.any(np.abs(target_m) > np.array(grid.n_p)):
         raise ValueError("target momentum index lies outside the lattice")
-    values0 = np.asarray(f0.values if isinstance(f0, WignerState) else f0, dtype=float)
+    values0 = np.asarray(state_values(f0, grid), dtype=float)
 
     br = _Branches(field, grid, config)
     chunks = []

@@ -180,3 +180,20 @@ def test_bench_pairs_stops_on_an_incorrect_run(tmp_path):
                            "--seconds", "1"], capture_output=True, text=True, timeout=300)
     assert done.returncode == 1
     assert "run not correct" in done.stderr and "seed 2" in done.stderr
+
+
+def test_output_digests():
+    # every numeric file of every shipped config, and a rerun in a new
+    # process prints the same digests
+    lines = run_script("output_digests.py")
+    rows = [line.split("  ") for line in lines]
+    assert all(len(row) == 3 and re.fullmatch(r"[0-9a-f]{64}", row[2]) for row in rows)
+    configs = sorted(path.name for path in (ROOT / "configs").glob("*.json"))
+    assert sorted({row[0] for row in rows}) == configs
+    assert all(row[1].endswith((".tsv", ".sdwg")) for row in rows)
+    assert ["cyclotron.json", "state_final.sdwg"] in [row[:2] for row in rows]
+    assert run_script("output_digests.py") == lines
+    # configs given by name run alone, in the order given
+    config = str(ROOT / "configs" / "mc_point_probe.json")
+    assert run_script("output_digests.py", config) == [
+        line for line in lines if line.startswith("mc_point_probe.json")]

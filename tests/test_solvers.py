@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,8 @@ FLAT = make_grid(2, (TAU, TAU), (np.pi, np.pi), (6, 1), (2, 1), NAT)
 MULTI_BLOCK = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (40, 40), (6, 6))
 # 13 P_x slabs in blocks of 4: a ladder cut at 5 reaches two blocks back
 REACH_BACK = make_grid(2, (200e-9, 200e-9), (100e-9, 100e-9), (24, 24), (6, 6))
+# one y cell: a b1 field's force tables are the same along each momentum row
+ONE_Y = make_grid(2, (TAU, TAU), (np.pi, np.pi), (40, 1), (4, 5), NAT)
 
 
 class TestBlockedStencil:
@@ -314,6 +317,88 @@ class TestFreeFlightOperators:
         assert y_stack[r, -k % G2U.n_x[1], 0] == pytest.approx(1.0 - (d[r] - k))
 
 
+# dP = 1 and dx = 1/2 on both axes, so a lag of j / 2 moves momentum row M by
+# exactly j M cells, more than the axis at j = 3
+HALF_CELLS = make_grid(2, (TAU, TAU), (3.0, 2.0), (6, 4), (4, 3), NAT)
+
+
+def whole_cell_lag(values, cells, boundary):
+    """values with momentum row r moved by cells[ax][r] whole cells along
+    spatial axis ax, g[i] = v[i - s]: np.roll, zeroed where i - s is off a
+    'zero' axis."""
+    out = values.copy()
+    for ax, shifts in enumerate(cells):
+        n = values.shape[2 + ax]
+        for r, s in enumerate(shifts):
+            row = (slice(None),) * ax + (r,)
+            lagged = np.roll(out[row], s, axis=1 + ax)
+            if boundary == "zero":
+                off = ~((np.arange(n) - s >= 0) & (np.arange(n) - s < n))
+                lagged[(slice(None),) * (1 + ax) + (off,)] = 0.0
+            out[row] = lagged
+    return out
+
+
+class TestTapRule:
+    """The one rule of shifts and stencils: `shift_taps`, `axis_cells`,
+    `tap_matrix` and `STENCIL_TAPS`."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_shift_taps_reproduce_polynomials(self, order):
+        # degree <= 1 at order 2 and <= 3 at order 4, to rounding, at any
+        # cell coordinate, whole cells and a hair below one among them
+        rng = np.random.default_rng(11)
+        u = rng.uniform(-20.0, 20.0, 500)
+        u[:4] = (-3.0, 0.0, 2.0, np.nextafter(5.0, 0.0))
+        frac = u.copy()
+        base, offsets, weights = solver_common.shift_taps(frac, order)
+        assert len(offsets) == len(weights) == order
+        assert np.array_equal(frac, u - np.floor(u)) and np.array_equal(base, np.floor(u))
+        assert np.max(np.abs(sum(weights) - 1.0)) < 1e-14
+        for degree in range(order):
+            coeffs = rng.normal(size=degree + 1)
+            got = sum(w * np.polyval(coeffs, base + o) for o, w in zip(offsets, weights))
+            size = np.polyval(np.abs(coeffs), np.abs(u) + order)
+            assert np.all(np.abs(got - np.polyval(coeffs, u)) <= 1e-14 * size)
+
+    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_whole_cell_flight_is_a_roll(self, lag, boundary):
+        grid = HALF_CELLS
+        assert grid.dp == (1.0, 1.0) and grid.dx == (0.5, 0.5)
+        values = np.random.default_rng(17).standard_normal(grid.state_shape)
+        got = free_flight(free_flight_operators(grid, 0.5 * lag, boundary), values, grid)
+        cells = [lag * m for m in grid.momentum_indices]
+        assert np.array_equal(got, whole_cell_lag(values, cells, boundary))
+
+    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_walk_scores_cell_centres(self, order, boundary):
+        # every momentum row at every cell centre reads f0 back, the edge
+        # cells too, whose far taps leave the axis with weight ~0
+        grid = GR
+        f0 = np.random.default_rng(23).standard_normal(grid.state_shape)
+        points = np.meshgrid(*grid.momentum_indices, *grid.x_axes, indexing="ij")
+        midx = np.stack(points[:2]).reshape(2, -1)
+        pos = np.stack(points[2:]).reshape(2, -1)
+        got = montecarlo._interp_initial(f0, grid, midx, pos, boundary, order)
+        assert np.max(np.abs(got - f0.ravel())) <= 1e-14 * np.max(np.abs(f0))
+
+    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    def test_tap_matrix_adds_taps_in_order(self, boundary):
+        # a stack of two matrices on a 2-cell axis: periodic taps 2 apart
+        # meet on one cell and add; zero taps off the axis drop
+        offsets = np.array([[0, 2, -1], [1, -1, 3]])
+        weights = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+        got = solver_common.tap_matrix(offsets, weights, 2, boundary)
+        expect = np.zeros((2, 2, 2))
+        for r, i, j in np.ndindex(2, 2, 3):
+            cell = i + offsets[r, j]
+            if boundary == "periodic" or 0 <= cell < 2:
+                expect[r, i, cell % 2] += weights[r, j]
+        assert np.array_equal(got, expect)
+
+
 class TestObservables:
     def test_point_state(self):
         f = np.zeros(G2.state_shape)
@@ -329,6 +414,41 @@ class TestObservables:
         rec = observables(state, G2)
         assert rec.total_mass == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(mean_momentum_global(state, G2), [1.0, -0.5], atol=5e-3)
+
+
+# a state on 12 x 12 cells handed over for a grid of 10 x 10
+CELLS_10 = make_grid(2, (TAU, TAU), (np.pi, np.pi), (10, 10), (2, 2), NAT)
+CELLS_12 = make_grid(2, (TAU, TAU), (np.pi, np.pi), (12, 12), (2, 2), NAT)
+
+
+class TestStateGrid:
+    """Every solver entry point and observable reads its state through one
+    reader, which refuses a state whose shape is not the grid's."""
+
+    ENTRY_POINTS = {
+        "evolve": lambda f, cfg: evolve(
+            f, continuum.make_rhs(linear_coefficients(LinearEMField(), CELLS_10), CELLS_10, cfg),
+            CELLS_10, cfg, n_steps=0),
+        "fredholm": lambda f, cfg: solve_fredholm_resolvent(f, LinearEMField(), CELLS_10, cfg),
+        "mc": lambda f, cfg: mc_estimate_point((np.array([0, 0]), np.zeros(2)), f,
+                                               LinearEMField(), CELLS_10, cfg),
+        "observables": lambda f, cfg: observables(f, CELLS_10),
+        "mean_momentum_global": lambda f, cfg: mean_momentum_global(f, CELLS_10),
+        "boundary_mass_fraction": lambda f, cfg: solver_common.boundary_mass_fraction(
+            f, CELLS_10),
+    }
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["state", "flat"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_state_on_another_grid_is_refused(self, entry, flat):
+        f = packet(CELLS_12)
+        if flat:
+            f = f.values.ravel()
+        cfg = SolverConfig(dt=0.01, t_end=0.02, gamma0=1.0, n_particles=50)
+        shape = f.shape if flat else f.values.shape
+        with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*"
+                                             rf"{re.escape(str(CELLS_10.state_shape))}"):
+            self.ENTRY_POINTS[entry](f, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -937,16 +1057,22 @@ class TestForceFold:
         cfg = dataclasses.replace(cfg, m_truncation=1 if build == "ladder_cut_1" else None)
         return bound_workspace(semidiscrete.make_rhs(coeffs, grid, cfg))
 
-    @pytest.mark.parametrize("grid", [GB, MULTI_BLOCK, REACH_BACK],
-                             ids=["GB", "MULTI_BLOCK", "REACH_BACK"])
-    @pytest.mark.parametrize("field", [LinearEMField(b0=0.8),
-                                       LinearEMField(e_grad=(0.3, 0.0), b0=0.8)],
-                             ids=["uniform_b", "e_gradient_x"])
+    FIELDS = {"uniform_b": LinearEMField(b0=0.8),
+              "e_gradient_x": LinearEMField(e_grad=(0.3, 0.0), b0=0.8),
+              "b1": LinearEMField(b0=0.8, b1=0.4)}
+    GRIDS = {"GB": GB, "MULTI_BLOCK": MULTI_BLOCK, "REACH_BACK": REACH_BACK, "ONE_Y": ONE_Y}
+    CASES = [(f, g) for f in ("uniform_b", "e_gradient_x")
+             for g in ("GB", "MULTI_BLOCK", "REACH_BACK")] + [("b1", "ONE_Y")]
+
+    @pytest.mark.parametrize("field, grid", CASES, ids=[f"{f}-{g}" for f, g in CASES])
     @pytest.mark.parametrize("build", ["continuum", "ladder_cut_1", "ladder", "kernel"])
     def test_fold_matches_the_tables(self, build, field, grid, monkeypatch):
         """Folded and unfolded sweeps agree to rounding of the force terms
         (the difference from the field-free sweep), at both orders and
-        boundaries, in place and out of place; the kernel with its shift."""
+        boundaries, in place and out of place; the kernel with its shift.
+        With b1 on one y cell both forces fold into the momentum products
+        that the gradient terms read too."""
+        field, grid = self.FIELDS[field], self.GRIDS[grid]
         shift = GAMMA0 if build == "kernel" else 0.0
         f, start = np.random.default_rng(73).normal(size=(2,) + grid.state_shape)
         for order in (2, 4):
