@@ -352,6 +352,11 @@ def _validate_cross(cfg: SimulationConfig):
             _fail(f"solver.mc_targets[{i}].m_index",
                   f"the target must lie on the momentum lattice: |m| <= n_p "
                   f"(got m_index={list(target.m_index)}, n_p={list(cfg.n_p)})")
+        if any(abs(x) > 0.5 * omega for x, omega in zip(target.position_nm, cfg.omega_extent_nm)):
+            _fail(f"solver.mc_targets[{i}].position_nm",
+                  f"the target must lie in the spatial window: |x| <= omega_extent_nm / 2 "
+                  f"(got position_nm={list(target.position_nm)}, "
+                  f"omega_extent_nm={list(cfg.omega_extent_nm)})")
     solver_cfg = cfg.build_solver_config()
     n_steps = cfg.t_end_fs / cfg.dt_fs
     if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):

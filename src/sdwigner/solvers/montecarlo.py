@@ -22,25 +22,28 @@ rates follow the momentum alone and the ratio is 1.  The walk checks the
 weight cap after each hop.
 
 The first flight is shared: every walker starts at the target with weight
-1 and t_end left, so the walk evaluates its proposal once, on one column,
-and the walkers whose first draw outlasts it never hop.  They share one
-end point, weight and score.  Only the walkers that hop enter the walker
-table, and a walker leaves it when its walk ends: it reaches t = 0, is
-retired off the momentum lattice, or is capped over the weight cap.  A
-round flies every walker in the table (one that reaches t = 0 for the time
-it has left), records the walks that reached t = 0, hops every walker,
-compacts the table once and draws the next round.  A chunk's float walker
-arrays, draws and scratch are rows of one table allocated for its walk
-(round 1's draws for every walker are one array, freed before round 1), so
-a round allocates no walker-sized float array and the heap does not grow
-and shrink with the rounds, but for an E gradient's terms of the hop rates
-(`_hop_rates`): one temporary per axis of the gradient per rate
-evaluation, as at the flight's end no table row is free for it.  After its
-walk a chunk scores its records, the shared end point first, in one pass
-at stencil_order 2 and in passes of 2500 at order 4 (16 cells per walk),
-and scatters the scores to walker order.  Every walker does its
-floating-point operations in the order of a walk over the full table.
-Walker arrays hold one row per axis and one column per walker.
+1 and t_end left, so an estimate evaluates its proposal once, on one
+column (`_first_flight`), and the walkers whose first draw outlasts it
+never hop.  They share one end point, weight and score, which the estimate
+scores once.  Only the walkers that hop enter a walk table, and a walker
+leaves it when its walk ends: it reaches t = 0, is retired off the
+momentum lattice, or is capped over the weight cap.  A table holds the
+walkers that hop of one or more consecutive chunks, at most 10000 of them,
+in chunk-then-walker order.  A round flies every walker in the table (one
+that reaches t = 0 for the time it has left), records the walks that
+reached t = 0, hops every walker, compacts the table once and draws the
+next round, each chunk's draws from its own stream.  A table's float
+walker arrays, draws and scratch are rows of one array allocated for its
+walk (a chunk's round-1 draws for every walker are one array, freed before
+the table is allocated), so a round allocates no walker-sized float array
+and the heap does not grow and shrink with the rounds, but for an E
+gradient's terms of the hop rates (`_hop_rates`): one temporary per axis
+of the gradient per rate evaluation, as at the flight's end no table row
+is free for it.  After its walk a table's records are scored in passes of 10000
+cell taps (2500 walks at stencil_order 2, 625 at order 4, 16 cells per
+walk) into the estimate's scores in walker order.  Every walker does its
+floating-point operations in the order of a walk over its chunk's full
+table.  Walker arrays hold one row per axis and one column per walker.
 
 Branches 1-4 hop the momentum index at the force rates; the curvature
 branches from 5 on are `continuum.curvature_branches` at the config's
@@ -52,12 +55,14 @@ summed once per estimate.
 
 An estimate's setup is one `_Branches`, built once: field, grid, config,
 gamma0 and the branch tables.  It splits the walkers evenly over
-ceil(n / 10000) chunks (`_Branches.chunks`), and `_walk` walks chunk k from
-the seed stream [rng_seed, k] with a fixed draw order (one exponential and
-one uniform array per round); the chunks are walked one after another.  So
-a chunk is a function of the setup and k, the layout follows from the
-walker count alone, an estimate depends only on the config and seed, and
-no walk holds tables for more than 10000 walkers.
+ceil(n / 10000) chunks (`_Branches.chunks`), and chunk k draws from the seed
+stream [rng_seed, k] in a fixed order (one exponential and one uniform
+array per round).  `_walk` walks one table; a table takes chunk after
+chunk while their walkers that hop in round 1 fit in 10000 columns, and
+the tables are walked one after another (`_scores`).  So a chunk is a
+function of the setup and k, the layout follows from the walker count
+alone, an estimate depends only on the config and seed, and no walk holds
+tables for more than 10000 walkers.
 """
 
 from __future__ import annotations
@@ -74,11 +79,11 @@ from .common import (SolverConfig, SolverInstabilityError, axis_cells, shift_tap
 from .continuum import curvature_branches, default_gamma0
 
 _MAX_ROUNDS = 100000
-_CHUNK_WALKERS = 10000   # most walkers one chunk's tables hold
+_CHUNK_WALKERS = 10000   # most walkers of one stream, and most columns of one table
 # most cell taps (order**2 per walk) one scoring pass holds, so that scoring
-# stays under the walk's own peak: one pass per chunk at stencil_order 2,
-# passes of 2500 walks at order 4
-_SCORE_TAPS = 4 * _CHUNK_WALKERS
+# beside the estimate's scores stays under the walk's own peak: passes of
+# 2500 walks at stencil_order 2 and of 625 at order 4
+_SCORE_TAPS = _CHUNK_WALKERS
 
 
 @dataclass(frozen=True)
@@ -188,8 +193,10 @@ class _Branches:
     config, gamma0 (config.gamma0, else `default_gamma0`), the walker count
     of each chunk (`chunks`), and the tables of the nb collision branches:
     the rate compensation, the four force hops and the `curvature_branches`.
-    The kernel tables they are taken from are dropped, as the walk reads the
-    field's closed form.  `rates_move` tells whether the hop rates move with
+    The kernel's lattice tables are built only for `default_gamma0` and, with
+    b1, for the curvature branches, and then dropped, as the walk reads the
+    field's closed form.  `offsets` holds the walker number each chunk
+    starts at.  `rates_move` tells whether the hop rates move with
     position, that is whether the field has b1 or an E gradient; it is the
     one field test of the walk.
 
@@ -203,15 +210,21 @@ class _Branches:
     def __init__(self, field: LinearEMField, grid: PhaseSpaceGrid, config: SolverConfig):
         self.field, self.grid, self.config = field, grid, config
         self.rates_move = bool(field.b1) or any(field.e_grad)
-        coeffs = linear_coefficients(field, grid)
+        # the lattice tables feed only default_gamma0 and, with b1, the
+        # curvature branches
+        coeffs = (linear_coefficients(field, grid)
+                  if field.b1 or config.gamma0 is None else None)
         self.gamma0 = (config.gamma0 if config.gamma0 is not None
                        else default_gamma0(coeffs, grid, config))
-        d_m, d_x, curv = curvature_branches(coeffs, grid, config.stencil_order)
+        d_m, d_x, curv = (curvature_branches(coeffs, grid, config.stencil_order) if field.b1
+                          else (np.empty((0, 2), np.int64), np.empty((0, 2)), np.empty(0)))
         # the walkers split evenly over the fewest chunks of at most _CHUNK_WALKERS
         n = config.n_particles
         n_chunks = -(-n // _CHUNK_WALKERS)
         base, extra = divmod(n, n_chunks)
         self.chunks = [base + (k < extra) for k in range(n_chunks)]
+        # walker numbers, chunk k's from offsets[k], in the smallest type
+        self.offsets = np.cumsum([0, *self.chunks]).astype(np.min_scalar_type(n))
         self.nb = nb = 5 + curv.size
         # momentum indices reach +-(n_p + 1) before a walker is retired, and
         # np.abs of -(n_p + 1) must not wrap
@@ -323,9 +336,27 @@ def _proposal(p: np.ndarray, pos: np.ndarray, t_left: np.ndarray, br: _Branches,
     return sel
 
 
-def _walk(br: _Branches, k: int, target_m, target_x):
-    """Walk chunk k of br, its br.chunks[k] walkers from the seed stream
-    [rng_seed, k], from hop to hop.
+def _first_flight(br: _Branches, target_m, target_x):
+    """The first flight, the same for every walker of the estimate: the
+    table column every walker starts as (`_walk`), with the flight's
+    proposal mu t_end in row 12, its momentum index and sign bits, and the
+    end point of the walks that never hop."""
+    dp, mass = np.array(br.grid.dp)[:, None], br.grid.constants.mass
+    start = np.empty((13, 1))
+    start[0:2, 0] = target_x
+    start[2] = 1.0
+    start[3] = float(br.config.t_end)
+    start_m = np.asarray(target_m, dtype=br.moves.dtype)[:, None]
+    p = np.multiply(start_m, dp, out=start[6:8])
+    sel = _proposal(p, start[0:2], start[3], br, start[8:])
+    drift = np.divide(p, mass)
+    drift *= start[3]
+    return start, start_m, sel, np.subtract(start[0:2], drift, out=drift)
+
+
+def _walk(br: _Branches, k: int, start: np.ndarray, start_m: np.ndarray, sel: np.ndarray):
+    """Walk the table of consecutive chunks from chunk k of br, from hop to
+    hop, each chunk j from its seed stream [rng_seed, j].
 
     A round takes a standard exponential e and a uniform u per walker.  The
     hops come at rate lam(t) (`_hop_rate`) along the flight back to t = 0,
@@ -341,27 +372,29 @@ def _walk(br: _Branches, k: int, target_m, target_x):
     rates at the end and at the hop are those at the start to the bit, so
     the walk does not evaluate them again and the hop's factor is 1.
 
-    Every walker starts at the target with weight 1 and t_end left, so the
-    first flight's proposal is one walker's, evaluated by `_proposal` on
-    one column; only round 1's draws differ.  The walkers with e >= mu t_end
-    never hop: they share one end point and the weight exp(mu t_end).  A
-    walker without hop rate is one of them.  Only the walkers that hop
-    enter the walk table, as copies of that column with their round-1
+    Every walker starts as the column start of `_first_flight` (sign bits
+    sel, momentum index start_m), so only round 1's draws differ.  The
+    walkers with e >= mu t_end never hop and do not enter the table.  A
+    table takes chunk after chunk while the walkers that hop in their first
+    draw fit in _CHUNK_WALKERS columns; the chunk that does not fit starts
+    the next table, which draws its first draws again from its stream.  The
+    table's walkers enter as copies of the start column with their round-1
     draws, and each round draws the next round and evaluates its proposal
-    at its end.
+    at its end.  Live walkers stay in chunk-then-walker order, so each
+    chunk's live walkers are one slice of the table, into which its stream
+    draws its exponentials and then its uniforms: each walker takes the
+    draws of a walk over its chunk's full table masked by liveness.
 
-    Returns the mask of the walkers that never hop; the walks that reached
-    t = 0 as (ids, weights, momentum indices, end points) records, first
-    the shared one, of one column with the id n, then one per round of the
-    walkers that hopped; and the capped and retired counts.  Live walkers
-    stay in ascending walker order, so each round hands its draws to the
-    same walkers as a full table masked by liveness would.
+    Returns the index of the chunk after the table; the ids (walker
+    numbers in the estimate, ascending) of the walkers that hop; the walks
+    that reached t = 0 as (ids, weights, momentum indices, end points)
+    records, one per round; and the capped and retired counts.
 
-    The walk's float arrays are rows of one table allocated per chunk for
-    the walkers that hop, so that no round allocates a walker-sized float
-    array but for the E gradient's terms of `_hop_rates`: at the flight's
-    end rows 2-4 hold the end position and the start's total, so no row is
-    free for them.
+    The walk's float arrays are rows of one table allocated for the walkers
+    that hop, so that no round allocates a walker-sized float array but for
+    the E gradient's terms of `_hop_rates`: at the flight's end rows 2-4
+    hold the end position and the start's total, so no row is free for
+    them.
     Two 4-row halves take turns: one holds the live walkers (x, y, weight,
     t_left), the other the round's draws and momenta (e, u, p_x, p_y), and
     the compaction takes each walker row into the other half.  Five more
@@ -369,42 +402,44 @@ def _walk(br: _Branches, k: int, target_m, target_x):
     the hop's scratch.
     """
     grid, config, gamma0 = br.grid, br.config, br.gamma0
-    n = br.chunks[k]
-    rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, k]))
     dp, mass, (npx, npy) = np.array(grid.dp)[:, None], grid.constants.mass, grid.n_p
-
-    # rows 0-7: the two halves, starting with the walkers (x, y, weight,
-    # t_left) and the round (e, u, p_x, p_y); rows 8-12: the scratch.  start
-    # is the column every walker starts as, with the first flight's proposal
-    start = np.empty((13, 1))
-    start[0:2, 0] = target_x
-    start[2] = 1.0
-    start[3] = float(config.t_end)
-    start_m = np.asarray(target_m, dtype=br.moves.dtype)[:, None]
-    p = np.multiply(start_m, dp, out=start[6:8])
-    sel = _proposal(p, start[0:2], start[3], br, start[8:])
     x = start[12]                              # mu t_end
-    # round 1's draws, in the order of a walk over every walker
-    draws = rng.standard_exponential(n)
-    hop = draws < x
-    ids = np.flatnonzero(hop).astype(np.min_scalar_type(n))
-    m = ids.size
+    # the table's chunks, their streams and the round-1 draws of their
+    # walkers that hop, in the order of a walk over every walker
+    rngs, firsts, m = [], [], 0
+    for j in range(k, len(br.chunks)):
+        rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, j]))
+        draws = rng.standard_exponential(br.chunks[j])
+        hop = draws < x
+        size = int(np.count_nonzero(hop))
+        if rngs and m + size > _CHUNK_WALKERS:
+            break
+        hops = np.flatnonzero(hop).astype(br.offsets.dtype)
+        hops += br.offsets[j]
+        e = draws[hop]
+        firsts.append((hops, e, rng.random(out=draws)[hop]))
+        rngs.append(rng)
+        m += size
+    del draws, hop
+    # rows 0-7: the two halves, starting with the walkers (x, y, weight,
+    # t_left) and the round (e, u, p_x, p_y); rows 8-12: the scratch
     table = np.empty((13, m))
     table[:] = start
-    table[4] = draws[hop]
-    table[5] = rng.random(out=draws)[hop]
-    del draws
+    ids = np.empty(m, dtype=br.offsets.dtype)
+    cut = 0
+    for hops, e, u in firsts:
+        span = slice(cut, cut + e.size)
+        ids[span], table[4, span], table[5, span] = hops, e, u
+        cut = span.stop
+    del firsts, hops, e, u
+    hoppers = ids
+    # the walker number each chunk after the first starts at
+    bounds = br.offsets[k + 1:k + len(rngs)]
     halves = [table[0:4], table[4:8]]
     walkers, round_rows = halves
     midx = np.repeat(start_m, m, axis=1)
     sel = sel.repeat(m)
-    stay = np.logical_not(hop, out=hop)
-    # a walk that never hops flies to t = 0: its weight 1 takes exp(mu t_end)
-    weight = np.exp(x)
-    drift = np.divide(p, mass, out=p)
-    drift *= start[3]
-    ends = [(np.array([n]), weight, start_m,
-             np.subtract(start[0:2], drift, out=start[0:2]))]
+    ends = []
     n_capped = 0
     n_retired = 0
     for _ in range(_MAX_ROUNDS):
@@ -466,41 +501,59 @@ def _walk(br: _Branches, k: int, target_m, target_x):
         m = keep.size
         if m == 0:
             break
-        # the next round's draws, momenta and proposal
+        # the next round's draws, each chunk's into its slice, momenta and
+        # proposal
         walkers, round_rows = halves[0][:, :m], halves[1][:, :m]
-        rng.standard_exponential(out=round_rows[0])
-        rng.random(out=round_rows[1])
+        cut = 0
+        for rng, stop in zip(rngs, [*ids.searchsorted(bounds), m]):
+            rng.standard_exponential(out=round_rows[0, cut:stop])
+            rng.random(out=round_rows[1, cut:stop])
+            cut = stop
         p = np.multiply(midx, dp, out=round_rows[2:])
         sel = _proposal(p, walkers[:2], walkers[3], br, table[8:, :m])
     # the last allowed round may have ended every walk
     if ids.size:
         raise SolverInstabilityError(
             "backward walk failed to terminate; check gamma0 and weight_cap")
-    return stay, ends, n_capped, n_retired
+    return k + len(rngs), hoppers, ends, n_capped, n_retired
 
 
-def _run_chunk(br: _Branches, k: int, target_m, target_x,
-               f0_values: np.ndarray) -> Tuple[np.ndarray, int, int]:
-    """Scores of chunk k's walks (`_walk`), in walker order, with the capped
-    and retired counts.  The walks that reached t = 0 are scored in the
-    order they ended, once the walk's tables are freed, in passes of at most
-    _SCORE_TAPS cell taps, and scattered to walker order.  The shared end
-    point of the walks that never hopped comes first: it is scored once,
-    into slot n, and copied to them."""
-    stay, ends, n_capped, n_retired = _walk(br, k, target_m, target_x)
-    n = br.chunks[k]
-    # capped and retired walks keep the score 0
-    scores = np.zeros(n + 1)
-    done, end_w, end_m, end_x = (np.concatenate(a, axis=-1) for a in zip(*ends))
-    del ends
-    order = br.config.stencil_order
+def _scores(br: _Branches, target_m, target_x,
+            f0_values: np.ndarray) -> Tuple[np.ndarray, int, int]:
+    """Every walker's score, in walker order, with the capped and retired
+    counts.  The shared end point of the walks that never hop is scored
+    once.  The tables are walked one after another (`_walk`); after each
+    walk the walks of its table that reached t = 0 are scored in the order
+    they ended, in passes of at most _SCORE_TAPS cell taps, into the
+    scores, which the first walk's end allocates."""
+    grid, boundary, order = br.grid, br.config.boundary, br.config.stencil_order
+    start, start_m, sel, end = _first_flight(br, target_m, target_x)
+    # a walk that never hops flies to t = 0: its weight 1 takes exp(mu t_end)
+    shared = np.exp(start[12]) * _interp_initial(f0_values, grid, start_m, end, boundary,
+                                                 order)
     step = _SCORE_TAPS // order ** 2
-    for start in range(0, done.size, step):
-        cut = slice(start, start + step)
-        scores[done[cut]] = end_w[cut] * _interp_initial(
-            f0_values, br.grid, end_m[:, cut], end_x[:, cut], br.config.boundary, order)
-    scores, shared = scores[:n], scores[n]
-    scores[stay] = shared
+    scores = None
+    n_capped = 0
+    n_retired = 0
+    k = 0
+    while k < len(br.chunks):
+        first = br.offsets[k]
+        k, hoppers, ends, capped, retired = _walk(br, k, start, start_m, sel)
+        n_capped += capped
+        n_retired += retired
+        if scores is None:
+            scores = np.empty(br.config.n_particles)
+        # capped and retired walks score 0
+        scores[first:br.offsets[k]] = shared
+        scores[hoppers] = 0.0
+        if not ends:
+            continue
+        done, end_w, end_m, end_x = (np.concatenate(a, axis=-1) for a in zip(*ends))
+        del ends
+        for cut in range(0, done.size, step):
+            span = slice(cut, cut + step)
+            scores[done[span]] = end_w[span] * _interp_initial(
+                f0_values, grid, end_m[:, span], end_x[:, span], boundary, order)
     return scores, n_capped, n_retired
 
 
@@ -523,20 +576,13 @@ def mc_estimate_point(target, f0, field: LinearEMField, grid: PhaseSpaceGrid,
                          f"momentum indices and 2 positions")
     if np.any(np.abs(target_m) > np.array(grid.n_p)):
         raise ValueError("target momentum index lies outside the lattice")
+    if np.any(np.abs(target_x) > 0.5 * np.array(grid.omega_extent)):
+        raise ValueError("target position lies outside the spatial window |x| <= omega / 2")
     values0 = np.asarray(state_values(f0, grid), dtype=float)
 
     br = _Branches(field, grid, config)
-    chunks = []
-    n_capped = 0
-    n_retired = 0
-    for k in range(len(br.chunks)):
-        s, cap, ret = _run_chunk(br, k, target_m, target_x, values0)
-        chunks.append(s)
-        n_capped += cap
-        n_retired += ret
+    scores, n_capped, n_retired = _scores(br, target_m, target_x, values0)
     n = config.n_particles
-    scores = np.concatenate(chunks)
-    del chunks   # so that std's temporary does not add to the chunks' scores
     value = float(scores.mean())
     stderr = float(scores.std(ddof=1) / np.sqrt(n))
     if not (np.isfinite(value) and np.isfinite(stderr)):

@@ -705,6 +705,28 @@ class TestCLI:
             assert "solver.mc_targets[1].m_index" in err and "|m| <= n_p" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("position_nm", [[500.0, 0.0], [0.0, -50.001]])
+    def test_target_off_the_window_exits_2_before_writing(self, tmp_path, capsys,
+                                                          position_nm):
+        # on a zero boundary such a target read f = 0 everywhere and wrote
+        # estimate 0 with stderr 0
+        d = json.loads((REPO / "configs" / "mc_point_probe.json").read_text())
+        d["solver"]["boundary"] = "zero"
+        d["solver"]["mc_targets"][1]["position_nm"] = position_nm
+        path = write_json(tmp_path, d)
+        out = tmp_path / "run"
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(command) == 2
+            err = capsys.readouterr().err
+            assert "solver.mc_targets[1].position_nm" in err and "|x| <=" in err
+        assert not out.exists()
+
+    def test_target_on_the_window_edge_validates(self, tmp_path):
+        # the window is closed: |x| = omega_extent_nm / 2 lies inside
+        d = json.loads((REPO / "configs" / "mc_point_probe.json").read_text())
+        d["solver"]["mc_targets"][1]["position_nm"] = [50.0, -50.0]
+        assert cli_main(["validate", str(write_json(tmp_path, d))]) == 0
+
     def test_one_walker_exits_2_before_writing(self, tmp_path, capsys):
         # one walker has no sample variance, so no standard error to report
         d = json.loads((REPO / "configs" / "mc_point_probe.json").read_text())

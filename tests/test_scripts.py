@@ -183,15 +183,19 @@ def test_bench_pairs_stops_on_an_incorrect_run(tmp_path):
 
 
 def test_output_digests():
-    # every numeric file of every shipped config, and a rerun in a new
-    # process prints the same digests
+    # every numeric file of every shipped config and of the canonical input
+    # of every benchmark workload, and a rerun in a new process prints the
+    # same digests
     lines = run_script("output_digests.py")
     rows = [line.split("  ") for line in lines]
     assert all(len(row) == 3 and re.fullmatch(r"[0-9a-f]{64}", row[2]) for row in rows)
     configs = sorted(path.name for path in (ROOT / "configs").glob("*.json"))
-    assert sorted({row[0] for row in rows}) == configs
+    workloads = ["workload:" + w["name"]
+                 for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert list(dict.fromkeys(row[0] for row in rows)) == configs + workloads
     assert all(row[1].endswith((".tsv", ".sdwg")) for row in rows)
     assert ["cyclotron.json", "state_final.sdwg"] in [row[:2] for row in rows]
+    assert ["workload:mc_probe", "mc_results.tsv"] in [row[:2] for row in rows]
     assert run_script("output_digests.py") == lines
     # configs given by name run alone, in the order given
     config = str(ROOT / "configs" / "mc_point_probe.json")

@@ -1669,8 +1669,8 @@ class TestMonteCarlo:
         `hop_walk_reference` over all the order's branches."""
         f0 = packet(grid, sigma_p=1.0).values if f0 is None else f0.values
         gamma0 = default_gamma0(linear_coefficients(field, grid), grid, cfg)
-        got = montecarlo._run_chunk(montecarlo._Branches(field, grid, cfg), 0, target[0],
-                                    target[1], f0)
+        got = montecarlo._scores(montecarlo._Branches(field, grid, cfg), target[0], target[1],
+                                 f0)
         ref = hop_walk_reference(
             cfg.n_particles, [cfg.rng_seed, 0], target[0], target[1], t_end=cfg.t_end,
             gamma0=gamma0, weight_cap=cfg.weight_cap, dp=grid.dp, mass=grid.constants.mass,
@@ -1811,21 +1811,84 @@ class TestMonteCarlo:
         assert got == self.CHUNK_PINS[case]
 
     @staticmethod
-    def _chunked(target, f0, field, grid, cfg):
+    def _chunked(target, f0, field, grid, cfg, monkeypatch):
         """(value, stderr) of cfg.n_particles walks over the setup, chunks
-        and seed streams of mc_estimate_point, chunk by chunk."""
+        and seed streams of mc_estimate_point, chunk by chunk: a table
+        bound of 0 columns, set after the setup split the walkers, gives
+        each chunk a table of its own."""
         br = montecarlo._Branches(field, grid, cfg)
-        scores = np.concatenate([montecarlo._run_chunk(br, k, target[0], target[1], f0.values)[0]
-                                 for k in range(len(br.chunks))])
+        monkeypatch.setattr(montecarlo, "_CHUNK_WALKERS", 0)
+        walk, tables = montecarlo._walk, []
+
+        def spy_walk(br, k, *args):
+            tables.append(k)
+            return walk(br, k, *args)
+
+        monkeypatch.setattr(montecarlo, "_walk", spy_walk)
+        scores = montecarlo._scores(br, target[0], target[1], f0.values)[0]
+        assert tables == list(range(len(br.chunks)))
         return scores.mean(), scores.std(ddof=1) / np.sqrt(cfg.n_particles)
 
-    def test_chunked_walks_the_estimates_chunks(self):
+    def test_chunked_walks_the_estimates_chunks(self, monkeypatch):
         # _CHUNK_WALKERS + 1 walkers split evenly, 5001 + 5000, not 10000 + 1
         grid, field, scfg, f0, targets = self._probe()
         scfg = dataclasses.replace(scfg, n_particles=montecarlo._CHUNK_WALKERS + 1)
         est = mc_estimate_point(targets[0], f0, field, grid, scfg)
-        value, stderr = self._chunked(targets[0], f0, field, grid, scfg)
+        value, stderr = self._chunked(targets[0], f0, field, grid, scfg, monkeypatch)
         assert (value.hex(), stderr.hex()) == (est.value.hex(), est.stderr.hex())
+
+    def test_chunks_match_reference_chunk_by_chunk(self, monkeypatch):
+        # two chunks, 5001 + 5000, walk one table; each chunk's scores are
+        # the reference walk's from that chunk's stream [rng_seed, k]
+        field = LinearEMField(b0=2.0, b1=1.0)
+        cfg = SolverConfig(dt=0.02, t_end=0.4, boundary="periodic", n_particles=10001,
+                           rng_seed=3, weight_cap=1.5)
+        target = (np.array([0, 0]), np.array([0.0, 0.0]))
+        f0 = packet(G2, sigma_p=1.0).values
+        br = montecarlo._Branches(field, G2, cfg)
+        walk, tables = montecarlo._walk, []
+
+        def spy_walk(*args):
+            result = walk(*args)
+            tables.append((args[1], result[0]))
+            return result
+
+        monkeypatch.setattr(montecarlo, "_walk", spy_walk)
+        scores, capped, retired = montecarlo._scores(br, target[0], target[1], f0)
+        assert br.chunks == [5001, 5000] and tables == [(0, 2)]
+        ref_capped = ref_retired = 0
+        for k, n in enumerate(br.chunks):
+            ref, cap, ret = hop_walk_reference(
+                n, [cfg.rng_seed, k], target[0], target[1], t_end=cfg.t_end,
+                gamma0=br.gamma0, weight_cap=cfg.weight_cap, dp=G2.dp, mass=G2.constants.mass,
+                n_p=G2.n_p, dx=G2.dx, order=cfg.stencil_order,
+                coefficients=self._table(field, br.gamma0),
+                interp=lambda m, x: montecarlo._interp_initial(f0, G2, m.T, x.T, cfg.boundary,
+                                                               cfg.stencil_order))
+            assert np.array_equal(scores[br.offsets[k]:br.offsets[k + 1]], ref)
+            ref_capped += cap
+            ref_retired += ret
+        assert capped > 0 and (capped, retired) == (ref_capped, ref_retired)
+
+    def test_hop_heavy_walk_takes_two_tables(self, monkeypatch):
+        # at b0 = 40 T and m = (5, 5) nearly every walker of the two 7500
+        # walker chunks hops: the second chunk does not fit beside the first
+        # and starts a table of its own, and no table passes _CHUNK_WALKERS
+        grid, field, scfg, f0, targets = self._probe()
+        field = dataclasses.replace(field, b0=40.0)
+        scfg = dataclasses.replace(scfg, n_particles=15000)
+        target = (np.array([5, 5]), targets[0][1])
+        walk, tables = montecarlo._walk, []
+
+        def spy_walk(*args):
+            result = walk(*args)
+            tables.append((args[1], result[0], result[1].size))
+            return result
+
+        monkeypatch.setattr(montecarlo, "_walk", spy_walk)
+        mc_estimate_point(target, f0, field, grid, scfg)
+        assert [table[:2] for table in tables] == [(0, 1), (1, 2)]
+        assert all(0 < table[2] <= montecarlo._CHUNK_WALKERS for table in tables)
 
     @pytest.mark.parametrize("case", ["probe_0", "probe_1", "probe_2", "edge_zero",
                                       "field_free"])
@@ -1856,35 +1919,38 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("case", ["probe_0", "probe_1", "b1_order4"])
     def test_walks_without_a_hop_share_one_score(self, case, monkeypatch):
         # every walker starts at the target, so the walks that never hop end
-        # at one point with one weight: a chunk scores that point once, then
-        # the end point of each walk that hopped.  None of these walks is
+        # at one point with one weight: an estimate scores that point once,
+        # then the end point of each walk that hopped.  None of these walks is
         # capped or retired, and the walks that never hop share the most
         # common score; probe_1, at m = (0, 0), has no hop rate
         grid, field, scfg, f0, target = self._probe_case(case)
         scfg = dataclasses.replace(scfg, n_particles=montecarlo._CHUNK_WALKERS + 1)
-        interp, run_chunk = montecarlo._interp_initial, montecarlo._run_chunk
+        interp, run_scores = montecarlo._interp_initial, montecarlo._scores
         positions, scores = [], []
 
         def spy_interp(values, grid, midx, pos, boundary, order):
             positions[-1] += pos.shape[1]
             return interp(values, grid, midx, pos, boundary, order)
 
-        def spy_chunk(*args):
+        def spy_scores(br, *args):
             positions.append(0)
-            result = run_chunk(*args)
-            scores.append(result[0])
+            result = run_scores(br, *args)
+            scores.extend(np.split(result[0], br.offsets[1:-1]))
             return result
 
         monkeypatch.setattr(montecarlo, "_interp_initial", spy_interp)
-        monkeypatch.setattr(montecarlo, "_run_chunk", spy_chunk)
+        monkeypatch.setattr(montecarlo, "_scores", spy_scores)
         est = mc_estimate_point(target, f0, field, grid, scfg)
         assert (est.value.hex(), est.stderr.hex(), est.n_capped, est.n_retired) \
             == self.CHUNK_PINS[case]
-        assert len(scores) == 2
-        for scored, chunk in zip(positions, scores):
-            hopped = chunk.size - np.unique(chunk, return_counts=True)[1].max()
-            assert scored == 1 + hopped < chunk.size
-            assert (hopped == 0) == (case == "probe_1")
+        # the estimate scores the shared end point once for both chunks
+        assert len(positions) == 1 and len(scores) == 2
+        hopped = [chunk.size - np.unique(chunk, return_counts=True)[1].max()
+                  for chunk in scores]
+        assert positions[0] == 1 + sum(hopped)
+        for chunk, n_hopped in zip(scores, hopped):
+            assert n_hopped < chunk.size
+            assert (n_hopped == 0) == (case == "probe_1")
 
     # b1 = 1e7 T/m on the probe's grid at its first target, also with an E
     # gradient of 1e13 V/m^2, whose hop rates move by several 1e12 /s along
@@ -1932,8 +1998,8 @@ class TestMonteCarlo:
         target = (np.array([0, 0]), np.array([0.3, -0.2]))
         est = mc_estimate_point(target, f0, field, G2, cfg)
         coeffs = linear_coefficients(field, G2)
-        scores, capped, retired = montecarlo._run_chunk(
-            montecarlo._Branches(field, G2, cfg), 0, target[0], target[1], f0.values)
+        scores, capped, retired = montecarlo._scores(
+            montecarlo._Branches(field, G2, cfg), target[0], target[1], f0.values)
         at_target = montecarlo._interp_initial(f0.values, G2, target[0][:, None],
                                                target[1][:, None], cfg.boundary,
                                                cfg.stencil_order)
@@ -2128,6 +2194,13 @@ class TestMonteCarlo:
         f0 = packet(G2)
         with pytest.raises(ValueError, match="outside the lattice"):
             mc_estimate_point((np.array([9, 0]), np.zeros(2)), f0, LinearEMField(), G2, cfg)
+        # the window is closed: |x| <= omega / 2 on each axis
+        edge = 0.5 * G2.omega_extent[1]
+        mc_estimate_point((np.zeros(2, int), np.array([0.0, -edge])), f0, LinearEMField(),
+                          G2, cfg)
+        for x in (np.array([0.0, np.nextafter(-edge, -np.inf)]), np.array([5.0, 0.0])):
+            with pytest.raises(ValueError, match="outside the spatial window"):
+                mc_estimate_point((np.zeros(2, int), x), f0, LinearEMField(), G2, cfg)
         # a fractional index would run truncated, a wrong length fail in broadcasting
         for target in (([1.7, 0.2], [0.1, 0.0]), ([1, 0, 0], [0.1, 0.0]),
                        ([1], [0.1, 0.0]), ([1, 0], [0.1]), ([1, 0], [[0.1, 0.0]])):
